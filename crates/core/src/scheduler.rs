@@ -206,22 +206,35 @@ impl CiaoScheduler {
         }
     }
 
+    /// The release predicate of the low-cutoff evaluation (Algorithm 1),
+    /// shared by stalls and isolations: the decision `role` recorded for
+    /// warp `w` may be reverted once its triggering interfered warp has IRS
+    /// at or below `low-cutoff` or has finished, or when no trigger is
+    /// recorded.
+    fn releasable(
+        &self,
+        w: WarpId,
+        role: PairRole,
+        instructions: u64,
+        active_warps: usize,
+    ) -> bool {
+        match self.detector.pair_list().get(w, role) {
+            Some(k) => {
+                let k_active = (k as usize) < self.num_warps && !self.flags[k as usize].finished;
+                let irs_k = self.detector.irs(k, instructions, active_warps);
+                !(irs_k > self.params.low_cutoff && k_active)
+            }
+            None => true,
+        }
+    }
+
     /// End-of-low-epoch evaluation (Algorithm 1, lines 4–19): reactivate
     /// stalled warps (in reverse stall order) and un-redirect isolated warps
     /// whose triggering interfered warp has calmed down or finished.
     fn low_epoch_check(&mut self, instructions: u64, active_warps: usize) {
         // Stalled warps: reverse order of stalling to keep TLP high.
         if let Some(&candidate) = self.stall_stack.last() {
-            let release = match self.detector.pair_list().get(candidate, PairRole::Stall) {
-                Some(k) => {
-                    let k_active =
-                        (k as usize) < self.num_warps && !self.flags[k as usize].finished;
-                    let irs_k = self.detector.irs(k, instructions, active_warps);
-                    !(irs_k > self.params.low_cutoff && k_active)
-                }
-                None => true,
-            };
-            if release {
+            if self.releasable(candidate, PairRole::Stall, instructions, active_warps) {
                 self.stall_stack.pop();
                 self.flags[candidate as usize].stalled = false;
                 self.detector.pair_list_mut().clear(candidate, PairRole::Stall);
@@ -233,16 +246,7 @@ impl CiaoScheduler {
             if !self.flags[w as usize].isolated || self.flags[w as usize].stalled {
                 continue;
             }
-            let release = match self.detector.pair_list().get(w, PairRole::Redirect) {
-                Some(k) => {
-                    let k_active =
-                        (k as usize) < self.num_warps && !self.flags[k as usize].finished;
-                    let irs_k = self.detector.irs(k, instructions, active_warps);
-                    !(irs_k > self.params.low_cutoff && k_active)
-                }
-                None => true,
-            };
-            if release {
+            if self.releasable(w, PairRole::Redirect, instructions, active_warps) {
                 self.flags[w as usize].isolated = false;
                 self.detector.pair_list_mut().clear(w, PairRole::Redirect);
                 self.decisions.deisolations += 1;
@@ -301,6 +305,21 @@ impl WarpScheduler for CiaoScheduler {
                 break;
             }
         }
+    }
+
+    fn throttle_stable_when_idle(&self, ctx: &SchedulerCtx<'_>) -> bool {
+        // An empty pick runs only the low-cutoff evaluation, and of that only
+        // the stall-stack pop changes `is_throttled`. With nothing retiring,
+        // its inputs stay fixed, so a top that is not releasable now stays
+        // so (un-redirecting isolated warps leaves the stall records alone).
+        self.stall_stack.last().is_none_or(|&top| {
+            !self.releasable(
+                top,
+                PairRole::Stall,
+                ctx.instructions_executed,
+                ctx.active_warps.max(1),
+            )
+        })
     }
 
     fn on_cache_event(&mut self, ev: &CacheEvent) {
@@ -553,6 +572,25 @@ mod tests {
         assert!(s.is_throttled(1), "reverse order: warp 1 is released on a later epoch");
         s.pick(&ctx(&w, &[0, 2, 3, 4, 5], 100_200));
         assert!(!s.is_throttled(1));
+    }
+
+    #[test]
+    fn throttle_set_is_stable_while_the_stall_top_cannot_release() {
+        let mut s = CiaoScheduler::new(CiaoVariant::ThrottleOnly, params_fast(), 4);
+        let w = warps(4);
+        assert!(s.throttle_stable_when_idle(&ctx(&w, &[], 100)), "empty stall stack");
+        for k in 0..20 {
+            inject_interference(&mut s, 0, 1, k * 128);
+        }
+        s.pick(&ctx(&w, &[0, 1, 2, 3], 100));
+        assert!(s.is_throttled(1));
+        // Trigger warp 0 still interfered with: IRS 20/(100/4) above low-cutoff.
+        assert!(s.throttle_stable_when_idle(&ctx(&w, &[], 100)));
+        // Same records, but far more instructions: IRS 20/(20000/4) calmed down.
+        assert!(!s.throttle_stable_when_idle(&ctx(&w, &[], 20_000)));
+        // The trigger finishing releases the stall too.
+        s.on_warp_finished(0, 0);
+        assert!(!s.throttle_stable_when_idle(&ctx(&w, &[], 100)));
     }
 
     #[test]

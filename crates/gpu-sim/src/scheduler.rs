@@ -126,9 +126,11 @@ pub trait WarpScheduler: Send {
     fn pick(&mut self, ctx: &SchedulerCtx<'_>) -> Option<usize>;
 
     /// Notifies the scheduler that the SM skipped `skipped` consecutive
-    /// cycles on which *no* warp was ready (the event-driven backend's
-    /// idle-cycle fast-forward). `ctx` is the context of the *last* skipped
-    /// cycle, with `ctx.ready` empty.
+    /// cycles on which *no* warp was offered (the event-driven backend's
+    /// idle-cycle fast-forward): either no warp was ready, or every ready
+    /// warp was throttled by this scheduler and
+    /// [`WarpScheduler::throttle_stable_when_idle`] held. `ctx` is the
+    /// context of the *last* skipped cycle, with `ctx.ready` empty.
     ///
     /// Contract: after this call the scheduler must be in exactly the state
     /// it would hold after `skipped` consecutive [`WarpScheduler::pick`]
@@ -137,6 +139,19 @@ pub trait WarpScheduler: Send {
     /// on empty picks (CCWS score decay, CIAO low-epoch checks, dirty-flag
     /// recomputes) must override it.
     fn on_idle_cycles(&mut self, _ctx: &SchedulerCtx<'_>, _skipped: u64) {}
+
+    /// True when an empty-ready [`WarpScheduler::pick`] in `ctx` would leave
+    /// [`WarpScheduler::is_throttled`] unchanged for every warp — on this
+    /// call and on every later empty pick with the same instruction count
+    /// and active-warp count. The event-driven backend then skips stretches
+    /// on which every ready warp is throttled, replaying them through
+    /// [`WarpScheduler::on_idle_cycles`].
+    ///
+    /// The default `false` is always safe: such stretches are then stepped
+    /// one cycle at a time.
+    fn throttle_stable_when_idle(&self, _ctx: &SchedulerCtx<'_>) -> bool {
+        false
+    }
 
     /// Notifies the scheduler that warp `wid` issued an operation.
     fn on_issue(&mut self, _wid: WarpId, _is_mem: bool, _now: Cycle) {}
@@ -325,6 +340,7 @@ mod tests {
         let mut s = GtoScheduler::new();
         assert_eq!(s.route(0), MemRoute::L1d);
         assert!(!s.is_throttled(0));
+        assert!(!s.throttle_stable_when_idle(&ctx(&make_warps(1), &[])));
         assert_eq!(s.metrics(), SchedulerMetrics::default());
     }
 }

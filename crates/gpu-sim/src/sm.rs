@@ -18,6 +18,14 @@
 //! [`CacheEvent`] so locality- and interference-aware policies (CCWS, CIAO)
 //! can maintain their Victim Tag Arrays without the SM knowing about them.
 //!
+//! The event-driven entry points ([`Sm::run_event`], [`Sm::run_epoch_event`],
+//! [`Sm::next_event_time`]) produce the same state as stepping every cycle
+//! but fast-forward over stretches on which no warp is *offered* to the
+//! scheduler: either no warp is ready, or every ready warp is held back by a
+//! throttle set the scheduler vouches cannot change while nothing issues
+//! ([`WarpScheduler::throttle_stable_when_idle`]). Such a stretch is replayed
+//! in closed form through [`WarpScheduler::on_idle_cycles`].
+//!
 //! Downstream memory is reached through a [`MemoryPort`]: a private L2+DRAM
 //! partition in the legacy single-SM configuration, or a deferred port into
 //! the chip's pipelined shared backend (reorder window → request fabric →
@@ -114,6 +122,11 @@ pub struct Sm {
     interference: InterferenceMatrix,
     snapshot: SampleSnapshot,
     ready_scratch: Vec<usize>,
+    /// True when the last stepped cycle had ready warps but issued nothing
+    /// because all of them were throttled. Only then does the idle-skip
+    /// test consult the scheduler's throttle set, so policies that never
+    /// throttle pay nothing for it.
+    throttle_only_last: bool,
 
     /// Sim-time trace sink (`None` below the full obs level — the hot path
     /// then pays one branch per would-be event).
@@ -192,6 +205,7 @@ impl Sm {
             interference,
             snapshot: SampleSnapshot::default(),
             ready_scratch: Vec::new(),
+            throttle_only_last: false,
             trace: None,
             trace_unit: 0,
             busy_since: None,
@@ -339,9 +353,9 @@ impl Sm {
     }
 
     /// Event-driven equivalent of [`Sm::run`]: produces bit-identical state
-    /// and statistics, but fast-forwards over provably idle stretches (all
-    /// warps stalled, no response due) instead of stepping them one cycle at
-    /// a time. Returns the number of cycles simulated.
+    /// and statistics, but fast-forwards over provably idle stretches (no
+    /// warp offered to the scheduler, no response due) instead of stepping
+    /// them one cycle at a time. Returns the number of cycles simulated.
     pub fn run_event(&mut self) -> Cycle {
         while !self.is_done() && !self.hit_cap() {
             match self.idle_skip_target(Cycle::MAX) {
@@ -367,7 +381,7 @@ impl Sm {
 
     /// The SM's next-event time: the cycle at which something observable can
     /// happen (a warp wakeup or a pending memory response), or `None` when
-    /// the current cycle cannot be skipped (ready warps, due responses,
+    /// the current cycle cannot be skipped (issuable warps, due responses,
     /// pending CTA retires/launches or releasable barriers). Used by the
     /// event-driven engine to order SM advancement.
     pub fn next_event_time(&self) -> Option<Cycle> {
@@ -381,8 +395,17 @@ impl Sm {
     ///
     /// A cycle is skippable only when *all* of the following hold — each
     /// condition guards one phase of [`Sm::step`]:
-    /// 1. no unfinished warp is ready (issue, warp-finish detection and
-    ///    throttle accounting are all no-ops),
+    /// 1. no unfinished warp is offered to the scheduler (issue and
+    ///    warp-finish detection are no-ops). Either no warp is ready, or the
+    ///    last stepped cycle was throttle-only and every ready warp
+    ///    - already holds a fetched op (so `step` fetches nothing and finds
+    ///      no finished program),
+    ///    - whose op is not a `Barrier` (barriers are never throttled),
+    ///    - is throttled under the rule `step` applies,
+    ///
+    ///    and the scheduler reports its throttle set stable under empty
+    ///    picks ([`WarpScheduler::throttle_stable_when_idle`]). Ready warps
+    ///    stay ready, and throttled, until something at the target wakes,
     /// 2. no pending memory response is due,
     /// 3. no resident CTA has every warp finished (retire + launch pending),
     /// 4. no CTA barrier is releasable,
@@ -397,8 +420,18 @@ impl Sm {
         {
             return None;
         }
+        let mut throttled_ready = false;
         for w in &self.warps {
             if !w.is_finished() && w.is_ready(now) {
+                if !self.throttle_only_last || !self.held_by_throttle(w) {
+                    return None;
+                }
+                throttled_ready = true;
+            }
+        }
+        if throttled_ready {
+            let ctx = Self::empty_pick_ctx(&self.warps, &self.port, self.stats.instructions, now);
+            if !self.scheduler.throttle_stable_when_idle(&ctx) {
                 return None;
             }
         }
@@ -423,18 +456,18 @@ impl Sm {
             }
         }
         // Jump to the earliest wakeup: the next due response or the earliest
-        // `Executing` expiry, clamped to the epoch boundary and the cycle
-        // cap. Conditions 1–2 guarantee every candidate is `> now`.
+        // pending `Executing` expiry, clamped to the epoch boundary and the
+        // cycle cap. Expired `Executing` warps are the throttled ready ones
+        // of condition 1, so every candidate left is `> now`.
         let mut target = until;
         if let Some(&Reverse((when, _))) = self.pending.peek() {
             target = target.min(when);
         }
         for w in &self.warps {
-            if w.is_finished() {
-                continue;
-            }
             if let WarpState::Executing { until: t } = w.state {
-                target = target.min(t);
+                if t > now {
+                    target = target.min(t);
+                }
             }
         }
         if let Some(m) = self.config.max_cycles {
@@ -443,13 +476,51 @@ impl Sm {
         (target > now).then_some(target)
     }
 
+    /// True when ready warp `w` stays out of the ready set `step` offers the
+    /// scheduler without `step` touching it: its next op is already fetched,
+    /// is not a barrier, and is throttled under `step`'s own rule.
+    fn held_by_throttle(&self, w: &Warp) -> bool {
+        match w.pending() {
+            None | Some(WarpOp::Barrier) => false,
+            Some(op) => {
+                self.scheduler.is_throttled(w.id)
+                    && (op.is_global_mem() || !self.scheduler.throttles_loads_only())
+            }
+        }
+    }
+
+    /// The scheduler context of an empty-ready pick at cycle `now`.
+    fn empty_pick_ctx<'a>(
+        warps: &'a [Warp],
+        port: &MemoryPort,
+        instructions: u64,
+        now: Cycle,
+    ) -> SchedulerCtx<'a> {
+        SchedulerCtx {
+            now,
+            warps,
+            ready: &[],
+            instructions_executed: instructions,
+            active_warps: warps.iter().filter(|w| !w.is_finished()).count(),
+            dram_utilization: port.dram_utilization(now.max(1)),
+        }
+    }
+
     /// Fast-forwards the SM from `cycle` to `target`, accounting the skipped
     /// stretch exactly as `target - cycle` consecutive idle [`Sm::step`]s
-    /// would: `idle_cycles` grows by the stretch length and the scheduler
-    /// observes the equivalent of that many empty-ready picks (see
+    /// would: `idle_cycles` grows by the stretch length (and so does
+    /// `throttle_only_cycles` when throttled warps are ready), and the
+    /// scheduler observes the equivalent of that many empty-ready picks (see
     /// [`WarpScheduler::on_idle_cycles`]).
     fn skip_idle_to(&mut self, target: Cycle) {
         let skipped = target - self.cycle;
+        // Ready warps can only be present when the stretch is throttle-only
+        // (condition 1 of `idle_skip_target`), which needs the flag.
+        let now = self.cycle;
+        if self.throttle_only_last && self.warps.iter().any(|w| !w.is_finished() && w.is_ready(now))
+        {
+            self.stats.throttle_only_cycles += skipped;
+        }
         // A skippable stretch is idle by definition, so the busy span (if
         // open) ends where the stretch starts — exactly where the stepped
         // path would have closed it. The skip itself is engine mechanics:
@@ -462,15 +533,8 @@ impl Sm {
             );
         }
         self.stats.idle_cycles += skipped;
-        let last = target - 1;
-        let ctx = SchedulerCtx {
-            now: last,
-            warps: &self.warps,
-            ready: &[],
-            instructions_executed: self.stats.instructions,
-            active_warps: self.warps.iter().filter(|w| !w.is_finished()).count(),
-            dram_utilization: self.port.dram_utilization(last.max(1)),
-        };
+        let ctx =
+            Self::empty_pick_ctx(&self.warps, &self.port, self.stats.instructions, target - 1);
         self.scheduler.on_idle_cycles(&ctx, skipped);
         self.cycle = target;
     }
@@ -549,7 +613,6 @@ impl Sm {
                 && self.scheduler.is_throttled(wid)
                 && (next_is_global_mem || !self.scheduler.throttles_loads_only())
             {
-                self.warps[i].throttled_cycles += 1;
                 continue;
             }
             self.ready_scratch.push(i);
@@ -580,6 +643,7 @@ impl Sm {
             picked
         };
 
+        self.throttle_only_last = picked.is_none() && any_ready_ignoring_throttle;
         match picked {
             Some(idx) => {
                 if self.trace.is_some() && self.busy_since.is_none() {
@@ -720,17 +784,17 @@ impl Sm {
     // ----- barriers -----------------------------------------------------------
 
     fn release_barriers(&mut self) {
-        for cta_idx in 0..self.resident.len() {
-            let slots = self.resident[cta_idx].warp_slots.clone();
-            let all_arrived = slots.iter().all(|&s| {
-                matches!(self.warps[s].state, WarpState::AtBarrier) || self.warps[s].is_finished()
-            });
-            let any_waiting =
-                slots.iter().any(|&s| matches!(self.warps[s].state, WarpState::AtBarrier));
+        let warps = &mut self.warps;
+        for cta in &self.resident {
+            let slots = &cta.warp_slots;
+            let all_arrived = slots
+                .iter()
+                .all(|&s| matches!(warps[s].state, WarpState::AtBarrier) || warps[s].is_finished());
+            let any_waiting = slots.iter().any(|&s| matches!(warps[s].state, WarpState::AtBarrier));
             if all_arrived && any_waiting {
-                for &s in &slots {
-                    if matches!(self.warps[s].state, WarpState::AtBarrier) {
-                        self.warps[s].release_barrier();
+                for &s in slots {
+                    if matches!(warps[s].state, WarpState::AtBarrier) {
+                        warps[s].release_barrier();
                     }
                 }
             }

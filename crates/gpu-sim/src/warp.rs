@@ -2,11 +2,9 @@
 //!
 //! Each warp owns its [`WarpProgram`] and a small amount of scoreboard-like
 //! state: what it is currently waiting for (a long-latency compute result, an
-//! outstanding memory request, a barrier) and the scheduling flags used by
-//! the paper's mechanisms — the 1-bit *active* flag `V` and the 1-bit
-//! *isolation* flag `I` that §IV-A adds to the warp list so the scheduler can
-//! tell whether a warp is active (V=1, I=0), isolated to the shared-memory
-//! cache (V=1, I=1), or stalled/throttled (V=0).
+//! outstanding memory request, a barrier). The scheduling flags of §IV-A —
+//! the *active* bit `V` and the *isolation* bit `I` — belong to the policy
+//! that sets them (CIAO keeps them per warp slot), not to the warp.
 
 use crate::trace::{WarpOp, WarpProgram};
 use gpu_mem::{CtaId, Cycle, WarpId};
@@ -42,17 +40,10 @@ pub struct Warp {
     pub launch_seq: u64,
     /// Execution state.
     pub state: WarpState,
-    /// Active flag `V` (cleared when a scheduler stalls/throttles the warp).
-    pub active_flag: bool,
-    /// Isolation flag `I` (set when CIAO redirects the warp's global accesses
-    /// to the shared-memory cache).
-    pub isolated_flag: bool,
     /// Dynamic instructions issued by this warp.
     pub instructions: u64,
     /// Global-memory block transactions issued by this warp.
     pub mem_transactions: u64,
-    /// Cycles this warp spent unable to issue because a scheduler throttled it.
-    pub throttled_cycles: u64,
     /// Operation fetched from the program but not yet successfully issued
     /// (kept across cycles when a structural hazard forces a replay).
     pending_op: Option<WarpOp>,
@@ -66,8 +57,6 @@ impl std::fmt::Debug for Warp {
             .field("id", &self.id)
             .field("cta", &self.cta)
             .field("state", &self.state)
-            .field("V", &self.active_flag)
-            .field("I", &self.isolated_flag)
             .field("instructions", &self.instructions)
             .finish()
     }
@@ -81,11 +70,8 @@ impl Warp {
             cta,
             launch_seq,
             state: WarpState::Ready,
-            active_flag: true,
-            isolated_flag: false,
             instructions: 0,
             mem_transactions: 0,
-            throttled_cycles: 0,
             pending_op: None,
             program,
         }
@@ -113,6 +99,12 @@ impl Warp {
         if self.pending_op.is_none() {
             self.pending_op = self.program.next_op();
         }
+        self.pending_op.as_ref()
+    }
+
+    /// The operation already fetched by [`Warp::peek_op`] and not yet issued,
+    /// without fetching a new one.
+    pub fn pending(&self) -> Option<&WarpOp> {
         self.pending_op.as_ref()
     }
 
@@ -245,9 +237,12 @@ mod tests {
     }
 
     #[test]
-    fn flags_default_to_active_not_isolated() {
-        let w = warp_with(vec![]);
-        assert!(w.active_flag);
-        assert!(!w.isolated_flag);
+    fn pending_reports_the_fetched_op_without_fetching() {
+        let mut w = warp_with(vec![WarpOp::alu()]);
+        assert!(w.pending().is_none(), "nothing fetched yet");
+        w.peek_op();
+        assert!(matches!(w.pending(), Some(WarpOp::Compute { .. })));
+        w.take_op();
+        assert!(w.pending().is_none());
     }
 }

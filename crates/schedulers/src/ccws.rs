@@ -325,6 +325,16 @@ mod tests {
     }
 
     #[test]
+    fn throttle_set_is_never_vouched_stable() {
+        // Scores decay on every empty pick, so the throttle set can move on
+        // any idle cycle: CCWS keeps the conservative default.
+        let mut s = CcwsScheduler::new(CcwsConfig { num_warps: 4, ..CcwsConfig::default() });
+        let w = warps(4);
+        s.pick(&ctx(&w, &[]));
+        assert!(!s.throttle_stable_when_idle(&ctx(&w, &[])));
+    }
+
+    #[test]
     fn scores_decay_back_and_throttling_lifts() {
         let cfg = CcwsConfig {
             num_warps: 2,

@@ -236,6 +236,20 @@ mod tests {
     }
 
     #[test]
+    fn throttle_set_is_never_vouched_stable() {
+        // The throttle follows DRAM utilisation, which moves without any
+        // warp issuing: statPCAL keeps the conservative default.
+        let mut s = PcalScheduler::new(PcalConfig {
+            tokens: 1,
+            bypass_bandwidth_threshold: 0.7,
+            num_warps: 4,
+        });
+        let w = warps(4);
+        s.pick(&ctx(&w, &[], 0.95));
+        assert!(!s.throttle_stable_when_idle(&ctx(&w, &[], 0.95)));
+    }
+
+    #[test]
     fn token_warps_preferred_in_pick() {
         let mut s = PcalScheduler::new(PcalConfig {
             tokens: 1,

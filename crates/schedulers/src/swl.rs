@@ -98,6 +98,12 @@ impl WarpScheduler for SwlScheduler {
         }
     }
 
+    fn throttle_stable_when_idle(&self, _ctx: &SchedulerCtx<'_>) -> bool {
+        // The admitted set only moves on a recompute, and only launches and
+        // finishes (never an empty pick) schedule one.
+        !self.dirty
+    }
+
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
         // Slot reuse across CTA waves: the new occupant has not finished.
         if let Some(f) = self.finished.get_mut(wid as usize) {
@@ -191,6 +197,19 @@ mod tests {
         s.pick(&ctx(&w, &[1, 2, 3]));
         assert!(!s.is_throttled(2));
         assert!(s.is_throttled(3));
+    }
+
+    #[test]
+    fn throttle_set_is_stable_only_after_a_recompute() {
+        let mut s = SwlScheduler::new(2, 4);
+        let w = warps(4);
+        assert!(!s.throttle_stable_when_idle(&ctx(&w, &[])), "a recompute is pending");
+        s.pick(&ctx(&w, &[]));
+        assert!(s.throttle_stable_when_idle(&ctx(&w, &[])));
+        s.on_warp_launched(3, 0);
+        assert!(!s.throttle_stable_when_idle(&ctx(&w, &[])), "a launch marks it dirty");
+        s.on_idle_cycles(&ctx(&w, &[]), 10);
+        assert!(s.throttle_stable_when_idle(&ctx(&w, &[])));
     }
 
     #[test]

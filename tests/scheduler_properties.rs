@@ -6,7 +6,11 @@ use ciao_suite::prelude::*;
 use ciao_suite::sim::kernel::{ClosureKernel, KernelInfo};
 use ciao_suite::sim::trace::{VecProgram, WarpOp};
 use ciao_suite::sim::Kernel;
+use gpu_sim::scheduler::{CacheEvent, MemRoute, SchedulerCtx, SchedulerMetrics, WarpScheduler};
+use gpu_sim::{BackendKind, Cycle, SmUnit, WarpId};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Builds a random but deterministic kernel description.
 fn arbitrary_kernel(
@@ -190,4 +194,141 @@ proptest! {
         prop_assert_eq!(normalized_json(epoch), normalized_json(event),
             "an SM with zero warps desynced the backends at {} SMs", sms);
     }
+}
+
+/// Runs one Table II benchmark at Quick scale on a single SM (the Fig. 8
+/// configuration, with a cycle cap low enough to bound the throttling
+/// livelocks quickly) under the chosen timing backend.
+fn run_quick_sm1(
+    benchmark: Benchmark,
+    backend: BackendKind,
+    build: impl FnMut(usize) -> SmUnit,
+) -> SimResult {
+    let mut config = GpuConfig::gtx480().with_max_instructions(40_000).with_sample_interval(2_000);
+    config.max_cycles = Some(400_000);
+    let kernel = benchmark.kernel(&ScaleConfig::quick());
+    Simulator::new(config)
+        .execute(SimRequest::kernel(Arc::new(kernel)).num_sms(1).backend(backend), build)
+}
+
+/// Throttle-only stretches — every ready warp held back by Best-SWL's warp
+/// limit or CIAO's stall stack — are skipped in closed form by the event
+/// core. On the runs where they dominate (the Best-SWL and CIAO-T
+/// livelocks, CIAO-C's stall escalation on SYRK) the result must stay
+/// bit-identical to stepping every cycle; KMN under Best-SWL is checked by
+/// `throttle_only_stretches_cost_no_per_cycle_picks`. On SM under CIAO-T a stall becomes
+/// releasable while every ready warp is throttled, so that run also pins
+/// CIAO's stability predicate: vouching for a releasable stall-stack top
+/// would skip past the release.
+#[test]
+fn throttle_only_skips_match_per_cycle_stepping_on_quick_runs() {
+    let params = ciao_suite::ciao::CiaoParams::default();
+    let cases = [
+        (Benchmark::Kmeans, SchedulerKind::BestSwl),
+        (Benchmark::Ii, SchedulerKind::BestSwl),
+        (Benchmark::Ii, SchedulerKind::CiaoT),
+        (Benchmark::Sm, SchedulerKind::CiaoT),
+        (Benchmark::Syrk, SchedulerKind::CiaoC),
+    ];
+    for (benchmark, sched) in cases {
+        let run = |backend| {
+            run_quick_sm1(benchmark, backend, |_sm| {
+                let config = GpuConfig::gtx480();
+                sched.build(benchmark, &config, &params)
+            })
+        };
+        let stepped = run(BackendKind::Epoch);
+        let event = run(BackendKind::Event);
+        assert_eq!(
+            normalized_json(stepped),
+            normalized_json(event),
+            "{benchmark:?} x {sched:?}: skipping throttle-only cycles changed the result"
+        );
+    }
+}
+
+/// Counts `pick` calls and forwards every other method, including
+/// `throttle_stable_when_idle`, to the wrapped scheduler.
+struct CountingScheduler {
+    inner: Box<dyn WarpScheduler>,
+    picks: Arc<AtomicU64>,
+}
+
+impl WarpScheduler for CountingScheduler {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn pick(&mut self, ctx: &SchedulerCtx<'_>) -> Option<usize> {
+        self.picks.fetch_add(1, Ordering::Relaxed);
+        self.inner.pick(ctx)
+    }
+
+    fn on_idle_cycles(&mut self, ctx: &SchedulerCtx<'_>, skipped: u64) {
+        self.inner.on_idle_cycles(ctx, skipped);
+    }
+
+    fn throttle_stable_when_idle(&self, ctx: &SchedulerCtx<'_>) -> bool {
+        self.inner.throttle_stable_when_idle(ctx)
+    }
+
+    fn on_issue(&mut self, wid: WarpId, is_mem: bool, now: Cycle) {
+        self.inner.on_issue(wid, is_mem, now);
+    }
+
+    fn on_cache_event(&mut self, ev: &CacheEvent) {
+        self.inner.on_cache_event(ev);
+    }
+
+    fn on_warp_launched(&mut self, wid: WarpId, now: Cycle) {
+        self.inner.on_warp_launched(wid, now);
+    }
+
+    fn on_warp_finished(&mut self, wid: WarpId, now: Cycle) {
+        self.inner.on_warp_finished(wid, now);
+    }
+
+    fn route(&mut self, wid: WarpId) -> MemRoute {
+        self.inner.route(wid)
+    }
+
+    fn is_throttled(&self, wid: WarpId) -> bool {
+        self.inner.is_throttled(wid)
+    }
+
+    fn throttles_loads_only(&self) -> bool {
+        self.inner.throttles_loads_only()
+    }
+
+    fn metrics(&self) -> SchedulerMetrics {
+        self.inner.metrics()
+    }
+}
+
+/// The skip is real work saved, not just an equal result: on KMN under
+/// Best-SWL (a livelock that spins to the cap with every ready warp outside
+/// the warp limit) the event core consults the scheduler at least 10x less
+/// often than per-cycle stepping.
+#[test]
+fn throttle_only_stretches_cost_no_per_cycle_picks() {
+    let params = ciao_suite::ciao::CiaoParams::default();
+    let count = |backend| {
+        let picks = Arc::new(AtomicU64::new(0));
+        let res = run_quick_sm1(Benchmark::Kmn, backend, |_sm| {
+            let config = GpuConfig::gtx480();
+            let (inner, redirect) = SchedulerKind::BestSwl.build(Benchmark::Kmn, &config, &params);
+            let counting = CountingScheduler { inner, picks: Arc::clone(&picks) };
+            (Box::new(counting) as Box<dyn WarpScheduler>, redirect)
+        });
+        (res, picks.load(Ordering::Relaxed))
+    };
+    let (stepped, stepped_picks) = count(BackendKind::Epoch);
+    let (event, event_picks) = count(BackendKind::Event);
+    assert!(stepped.stats.throttle_only_cycles > 0, "KMN x Best-SWL has throttle-only cycles");
+    assert_eq!(normalized_json(stepped), normalized_json(event));
+    assert!(
+        stepped_picks >= 10 * event_picks,
+        "expected >= 10x fewer picks under the event core: {stepped_picks} stepped vs \
+         {event_picks} event"
+    );
 }
