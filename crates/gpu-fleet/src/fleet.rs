@@ -282,6 +282,15 @@ impl Fleet {
     /// [`ObsLevel::Metrics`] and above). The result is byte-identical to
     /// [`Fleet::execute`] — collection is passive.
     pub fn execute_observed(&self, req: FleetRequest) -> (FleetResult, ObsReport) {
+        let out = self.simulate(req);
+        release_freed_memory();
+        out
+    }
+
+    /// The run behind [`Fleet::execute_observed`]. Every transient buffer
+    /// (arrival stream, chip models, completion lists) is dropped when it
+    /// returns.
+    fn simulate(&self, req: FleetRequest) -> (FleetResult, ObsReport) {
         let arrivals = req.traffic.generate();
         let calib =
             req.calibration.clone().unwrap_or_else(|| Calibration::measure(req.sms_per_chip));
@@ -367,8 +376,9 @@ impl Fleet {
         };
 
         // Chip order is fixed and completion aggregation sorts explicitly,
-        // so neither depends on worker scheduling.
-        let mut completed: Vec<CompletedJob> = Vec::with_capacity(arrivals.len());
+        // so neither depends on worker scheduling. Each chip's list is read
+        // in place, chip after chip, rather than copied into one list.
+        let mut completed: Vec<Vec<CompletedJob>> = Vec::with_capacity(req.chips);
         let mut accounting = Vec::with_capacity(req.chips);
         let mut makespan = 0u64;
         for chip in &chips {
@@ -376,9 +386,13 @@ impl Fleet {
             accounting.push(chip.accounting());
             let jobs = chip.take_completed();
             makespan = makespan.max(jobs.iter().map(|j| j.finish).max().unwrap_or(0));
-            completed.extend(jobs);
+            completed.push(jobs);
         }
-        debug_assert_eq!(completed.len(), arrivals.len(), "every arrival must complete");
+        debug_assert_eq!(
+            completed.iter().map(Vec::len).sum::<usize>(),
+            arrivals.len(),
+            "every arrival must complete"
+        );
         let chip_reports = accounting
             .iter()
             .enumerate()
@@ -397,7 +411,8 @@ impl Fleet {
             .collect();
 
         let per_class = class_reports(&completed, &calib, &req.slo);
-        let total_solo: f64 = completed.iter().map(|j| calib.solo_cycles(j.class, j.work)).sum();
+        let total_solo: f64 =
+            completed.iter().flatten().map(|j| calib.solo_cycles(j.class, j.work)).sum();
         let fleet_stp = if makespan > 0 { total_solo / makespan as f64 } else { 0.0 };
 
         let result = FleetResult {
@@ -425,6 +440,31 @@ impl Fleet {
         (result, report)
     }
 }
+
+/// Returns the memory a finished run freed to the operating system.
+///
+/// A run's transient state is tens of MiB, allocated on the calling
+/// thread. glibc keeps freed memory cached in that thread's malloc arena,
+/// and a thread that starts while another still holds its arena gets a
+/// fresh arena, so a process running fleets on short-lived threads would
+/// keep one run's worth of memory per arena it happened to use — a peak
+/// footprint that depends on thread timing. Trimming after each run makes
+/// the footprint independent of which threads ran the fleets.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_freed_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::ffi::c_int;
+    }
+    // SAFETY: `malloc_trim` is thread-safe and only hands free heap pages
+    // back to the kernel; no live allocation is touched.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+/// Other allocators keep no per-thread caches worth returning.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_freed_memory() {}
 
 /// The coordinator epoch loop: snapshot views, place the epoch's arrivals
 /// sequentially, then hand the epoch-advance target to `advance` (which
@@ -481,9 +521,10 @@ fn run_epochs(
     skipped
 }
 
-/// Builds the per-(class × latency) reports from the completed jobs.
+/// Builds the per-(class × latency) reports from each chip's completed
+/// jobs, in chip order.
 fn class_reports(
-    completed: &[CompletedJob],
+    completed: &[Vec<CompletedJob>],
     calib: &Calibration,
     slo: &SloPolicy,
 ) -> Vec<ClassReport> {
@@ -494,7 +535,7 @@ fn class_reports(
             let mut slowdowns = 0.0f64;
             let mut violations = 0u64;
             let mult = slo.mult(latency);
-            for j in completed {
+            for j in completed.iter().flatten() {
                 if j.class != class || j.latency != latency {
                     continue;
                 }
@@ -531,7 +572,7 @@ fn class_reports(
 /// Fleet-level metrics: fleet counters plus per-chip series namespaced
 /// with [`chip_metric`]. Per-class turnaround histograms use the class
 /// index as the tenant label.
-fn fleet_metrics(result: &FleetResult, completed: &[CompletedJob]) -> MetricsRegistry {
+fn fleet_metrics(result: &FleetResult, completed: &[Vec<CompletedJob>]) -> MetricsRegistry {
     let mut m = MetricsRegistry::new();
     m.counter_add("fleet/arrivals", None, result.arrivals);
     m.counter_add("fleet/slo_violations", None, result.total_slo_violations());
@@ -541,7 +582,7 @@ fn fleet_metrics(result: &FleetResult, completed: &[CompletedJob]) -> MetricsReg
         m.counter_add(&chip_metric(c.chip, "classified_cache"), None, c.classified_cache);
         m.counter_add(&chip_metric(c.chip, "classified_stream"), None, c.classified_stream);
     }
-    for j in completed {
+    for j in completed.iter().flatten() {
         m.histogram_record("fleet/turnaround", Some(j.class.index() as u32), j.finish - j.arrival);
     }
     m

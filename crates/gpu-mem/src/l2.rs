@@ -323,17 +323,16 @@ impl MemoryPartition {
 /// address-interleaved (L2 slice + DRAM channel) partitions, each behind its
 /// own lock. Accesses to the same bank serialise — which is exactly where
 /// inter-SM L2 contention and DRAM row-buffer interference come from. The
-/// chip engine shards each epoch's sorted request batch by bank and serves
-/// the shards on concurrent worker threads ([`BankedMemorySystem::with_bank`]
-/// locks a bank once per shard); because shards are disjoint and each bank's
-/// service order is fixed by the batch sort, results are bit-identical for
-/// any worker count.
+/// chip engine serves each epoch's sorted request batch one request at a
+/// time through [`BankedMemorySystem::serve_event_at`]; bulk callers can
+/// lock a bank once per run of requests with
+/// [`BankedMemorySystem::with_bank`]. Either way each bank's service order
+/// is fixed by the caller, so results do not depend on which thread serves.
 ///
 /// The configuration passed to [`BankedMemorySystem::new`] describes the
 /// whole chip; capacity and bandwidth are divided evenly across banks. With
 /// `num_banks = 1` the system is a single [`MemoryPartition`] with identical
-/// timing, which is what makes a 1-SM chip run bit-identical to the legacy
-/// private-partition path.
+/// timing to a private partition.
 #[derive(Debug)]
 pub struct BankedMemorySystem {
     banks: Vec<Mutex<MemoryPartition>>,

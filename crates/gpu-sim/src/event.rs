@@ -1,46 +1,32 @@
-//! Timing backends: the strategy objects that advance a [`Gpu`] to
-//! completion.
+//! The two modes of the chip engine's timing loop, selected by
+//! [`BackendKind`] and passed to [`crate::gpu::Gpu::run`].
 //!
-//! The simulator has two interchangeable timing cores producing bit-identical
-//! results:
-//!
-//! * **Epoch** ([`EpochBackend`], [`Gpu::run`]) — the reference oracle. Every
-//!   SM steps every cycle; multi-SM chips run the SM loops on parallel
-//!   threads synchronised at epoch boundaries.
-//! * **Event** ([`EventBackend`], [`Gpu::run_event`]) — the event-driven
-//!   core. SMs advance to their *next event* (warp wakeup, reply delivery,
-//!   dispatch boundary), skipping provably idle cycles in bulk, and the chip
-//!   advances single-threaded in the deterministic `(time, unit, seq)` order
-//!   of a [`crate::timeq::TimeQueue`]. Much faster on memory-bound workloads
-//!   whose SMs spend most cycles stalled, and trivially independent of host
-//!   thread count.
-//!
-//! Pick a backend by name with [`BackendKind`] (what CLIs and
-//! [`crate::SimRequest`] thread through), or plug a custom engine in behind
-//! the [`TimingBackend`] trait.
+//! * **Event** — SMs advance to their *next event* (warp wakeup, reply
+//!   delivery, dispatch boundary), skipping provably idle cycles in bulk;
+//!   idle SMs park and an idle chip sleeps through whole epoch boundaries.
+//! * **Epoch** — the same loop with every SM stepping every cycle: nothing
+//!   is skipped, parked or slept through. It is the reference the event
+//!   mode's skips are tested against, and it produces bit-identical results.
 
-use crate::gpu::Gpu;
-use gpu_mem::Cycle;
 use serde::{Deserialize, Serialize};
 
-/// Which timing core advances the chip. Serialises as the lowercase label
-/// also used on the command line (`epoch` / `event`).
+/// Which mode of the timing loop advances the chip. Serialises as the
+/// lowercase label also used on the command line (`epoch` / `event`).
 ///
-/// `Event` is the default: it is bit-identical to the epoch oracle and much
-/// faster on memory-bound workloads. The epoch engine stays selectable
-/// (`--backend epoch`) as the reference oracle the equivalence tests and
-/// recorded perf baselines compare against.
+/// `Event` is the default: it is bit-identical to stepping every cycle and
+/// much faster on memory-bound workloads. `Epoch` stays selectable
+/// (`--backend epoch`) as the per-cycle reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum BackendKind {
-    /// The cycle-stepping epoch engine — the bit-exact reference oracle.
+    /// Every SM steps every cycle — the bit-exact reference.
     Epoch,
-    /// The event-driven core: next-event advancement, idle-cycle skipping.
+    /// Next-event advancement with idle-cycle skipping.
     #[default]
     Event,
 }
 
 impl BackendKind {
-    /// Every selectable backend, in preference order for sweeps.
+    /// Every selectable mode, in preference order for sweeps.
     pub const ALL: [BackendKind; 2] = [BackendKind::Epoch, BackendKind::Event];
 
     /// The stable lowercase label (`"epoch"` / `"event"`) used in CLI flags
@@ -60,65 +46,11 @@ impl BackendKind {
             _ => None,
         }
     }
-
-    /// The trait object driving this kind of backend.
-    pub fn backend(self) -> Box<dyn TimingBackend> {
-        match self {
-            BackendKind::Epoch => Box::new(EpochBackend),
-            BackendKind::Event => Box::new(EventBackend),
-        }
-    }
 }
 
 impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// A timing core: given a fully built chip, advance it until every SM
-/// finished its CTAs or hit a cap.
-///
-/// Implementations must leave the chip in a state where
-/// [`Gpu::into_result`] reports the finished run; the two built-in backends
-/// are bit-identical in everything they report.
-pub trait TimingBackend {
-    /// The backend's stable label (matches [`BackendKind::label`] for the
-    /// built-in backends).
-    fn name(&self) -> &'static str;
-
-    /// Runs `gpu` to completion, returning the chip cycle count (the slowest
-    /// SM's clock).
-    fn drive(&self, gpu: &mut Gpu) -> Cycle;
-}
-
-/// The cycle-stepping epoch engine ([`Gpu::run`]), kept as the bit-exact
-/// reference oracle for the event core.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EpochBackend;
-
-impl TimingBackend for EpochBackend {
-    fn name(&self) -> &'static str {
-        BackendKind::Epoch.label()
-    }
-
-    fn drive(&self, gpu: &mut Gpu) -> Cycle {
-        gpu.run()
-    }
-}
-
-/// The event-driven timing core ([`Gpu::run_event`]): next-event advancement
-/// with bulk idle-cycle skipping, bit-identical to [`EpochBackend`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EventBackend;
-
-impl TimingBackend for EventBackend {
-    fn name(&self) -> &'static str {
-        BackendKind::Event.label()
-    }
-
-    fn drive(&self, gpu: &mut Gpu) -> Cycle {
-        gpu.run_event()
     }
 }
 
@@ -130,7 +62,6 @@ mod tests {
     fn labels_round_trip() {
         for kind in BackendKind::ALL {
             assert_eq!(BackendKind::from_label(kind.label()), Some(kind));
-            assert_eq!(kind.backend().name(), kind.label());
             assert_eq!(kind.to_string(), kind.label());
         }
         assert_eq!(BackendKind::from_label("cycle"), None);

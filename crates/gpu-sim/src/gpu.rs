@@ -1,73 +1,76 @@
-//! The multi-SM GPU engine: CTA dispatch, per-SM memory ports, and the
-//! barrier-synchronised parallel execution loop.
+//! The chip engine: CTA dispatch, per-SM memory ports, and the one timing
+//! loop that advances every SM from epoch boundary to epoch boundary.
 //!
 //! [`Gpu`] turns the single-[`Sm`] simulator into a chip: the
 //! [`crate::dispatch`] module's policies split one or more co-running
-//! kernels' grids across `num_sms` SM engines, every SM's L1 misses travel
-//! over its own [`gpu_mem::Crossbar`] port into one shared, banked L2 + DRAM
-//! backend ([`gpu_mem::BankedMemorySystem`]) with per-tenant attribution, and
-//! the per-SM cycle loops execute in parallel with `std::thread::scope`.
+//! kernels' grids across `num_sms` SM engines, and every SM's L1 misses
+//! travel over its own [`gpu_mem::Crossbar`] port into one shared, banked
+//! L2 + DRAM backend ([`gpu_mem::BankedMemorySystem`]) with per-tenant
+//! attribution.
 //!
-//! ## The pipelined memory backend
+//! ## The boundary loop
 //!
-//! Results must not depend on how the OS schedules SM worker threads, so the
-//! engine advances all SMs in lockstep *epochs* of
+//! The engine advances the chip on one thread in *epochs* of
 //! [`GpuConfig::effective_epoch_cycles`] cycles and routes every
 //! global-memory request through a deterministic service pipeline:
 //!
 //! ```text
 //!  SM 0 ──port──┐  (per-SM injection link: latency + bytes/cycle)
-//!  SM 1 ──port──┼──► reorder window ──► request fabric ──► bank shards
-//!   ⋮           │    (merge epochs by    (chip-wide B/cy   (L2+DRAM banks,
-//!  SM N ──port──┘     true arrival)       budget, SM→L2)    parallel workers)
+//!  SM 1 ──port──┼──► reorder window ──► request fabric ──► L2/DRAM banks
+//!   ⋮           │    (merge epochs by    (chip-wide B/cy   (served at each
+//!  SM N ──port──┘     true arrival)       budget, SM→L2)    request's cycle)
 //!                                                               │
 //!  SM event queues ◄── deliveries ◄── reply fabric ◄── reply reorder window
-//!                     (next barrier)  (chip-wide B/cy    (merge epochs by
+//!                     (next boundary) (chip-wide B/cy    (merge epochs by
 //!                                      budget, L2→SM)     completion cycle)
 //! ```
 //!
-//! 1. **Parallel phase** — every SM runs its epoch against purely SM-local
-//!    state. Global-memory requests are time-stamped with their injection
-//!    -port arrival cycle and buffered in the SM's [`MemoryPort`], not
-//!    served. *Concurrently*, the engine's barrier thread services the batch
-//!    drained at the previous boundary: the batch passes the shared request
-//!    fabric in `(arrival, SM, issue order)` order, is sharded by L2 bank and
-//!    served by up to [`GpuConfig::effective_service_threads`] workers (banks
-//!    are independently locked, shards are disjoint, per-bank order is fixed
-//!    by the sort — so worker count never changes results).
-//! 2. **Barrier phase** — read completions enter the *reply reorder window*
-//!    and every reply completing by `boundary + epoch` (which no later-served
-//!    batch can precede) crosses the reply fabric in global completion order
-//!    and is delivered into its SM's event queue. The SMs' request buffers
-//!    are then drained and merged with the *request reorder window*: requests
-//!    whose port arrival lands at or before the merge horizon
-//!    (`boundary + interconnect latency`) are batched for service, later
-//!    arrivals — which the next epoch's requests could still precede — are
-//!    held (up to [`GpuConfig::reorder_window`] entries per window) and
-//!    merged with the next drain. Both windows make adjacent epochs' traffic
-//!    interleave by true time instead of batch-major order.
+//! At every boundary the engine:
+//!
+//! 1. **serves** the batch drained at the previous boundary: requests pass
+//!    the shared request fabric in `(arrival, SM, issue order)` order, and
+//!    each one is served by its L2 bank at the cycle the fabric delivers it;
+//! 2. **advances** the SMs to the boundary. An SM touches only its own state:
+//!    global-memory requests are time-stamped with their injection-port
+//!    arrival cycle and buffered in the SM's [`MemoryPort`], not served;
+//! 3. **releases** replies: read completions enter the *reply reorder
+//!    window*, and every reply completing by `boundary + epoch` (which no
+//!    later-served batch can precede) crosses the reply fabric in global
+//!    completion order and is delivered into its SM's event queue;
+//! 4. **collects** the next batch: the SMs' request buffers are drained and
+//!    merged with the *request reorder window*. Requests whose port arrival
+//!    lands at or before the merge horizon (`boundary + interconnect
+//!    latency`) are batched for service; later arrivals, which the next
+//!    epoch's requests could still precede, are held (up to
+//!    [`GpuConfig::reorder_window`] entries per window) and merged with the
+//!    next drain. Both windows make adjacent epochs' traffic interleave by
+//!    true time instead of batch-major order;
+//! 5. **dispatches** arrived work and lets the adaptive dispatcher decide.
 //!
 //! Because the epoch length is clamped to *half* the minimum SM→L2 round
-//! trip, a response computed one epoch after its request was drained still
-//! completes at or after the delivering boundary — service overlaps SM
-//! execution without ever landing in an SM's past, and the overlap is pure
-//! wall-clock win. Everything the service pipeline mutates (fabric, window,
-//! banks) is touched only by the barrier thread and its shard workers, in an
-//! order fixed by the batch sort, so results are bit-identical across host
-//! thread counts *and* service worker counts.
+//! trip, a response served one epoch after its request was drained still
+//! completes at or after the delivering boundary — never in an SM's past.
 //!
-//! With a single SM the engine skips the epoch machinery entirely and gives
-//! the SM a private memory partition, reproducing the legacy single-SM
-//! simulator bit for bit — the built-in correctness anchor for the multi-SM
-//! path.
+//! ## Event and stepping modes
+//!
+//! [`BackendKind::Event`] keeps the loop off everything provably idle: SMs
+//! fast-forward over idle stretches, SMs with nothing due stay parked, and
+//! an idle chip sleeps through whole boundaries.
+//! [`BackendKind::Epoch`] runs the same loop in *stepping* mode: every SM
+//! steps every cycle and is advanced at every boundary, and the chip never
+//! sleeps. Both modes produce bit-identical results; stepping is the
+//! reference the skips are tested against.
+//!
+//! A single SM with fully static work needs no boundaries: it owns a
+//! private memory partition, which serves every request at issue time.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 use crate::config::GpuConfig;
 use crate::dispatch::{
     build_dispatch, AdaptiveDispatcher, DeferredBatch, DispatchPolicy, KernelStream, TenantSignal,
 };
+use crate::event::BackendKind;
 use crate::kernel::Kernel;
 use crate::redirect::RedirectCache;
 use crate::scheduler::{SchedulerMetrics, WarpScheduler};
@@ -78,13 +81,7 @@ use crate::timeq::TimeQueue;
 use gpu_mem::interconnect::{Crossbar, CrossbarFabric};
 use gpu_mem::l2::{BankedMemorySystem, MemoryPartition, PartitionConfig, PartitionObs};
 use gpu_mem::{merge_tenant_stats, Addr, Cycle, TenantId, TenantMemStats, WarpId};
-use parking_lot::Mutex;
 use sim_obs::{ObsLevel, ObsReport, PhaseProfiler, TraceEvent, TraceRecorder, Tracer, Track};
-
-/// Batches smaller than this are served serially even when shard workers are
-/// configured: spawning scoped workers costs more than serving a handful of
-/// requests, and results are identical either way.
-const PARALLEL_SERVICE_MIN_BATCH: usize = 64;
 
 /// A read response computed by the service pipeline, awaiting delivery into
 /// its SM's event queue at the next epoch boundary.
@@ -115,8 +112,8 @@ struct RawCompletion {
 /// policies carry per-SM state (VTAs, interference lists, throttle sets).
 pub type SmUnit = (Box<dyn WarpScheduler>, Option<Box<dyn RedirectCache>>);
 
-/// A global-memory request buffered by a [`MemoryPort`] during an epoch's
-/// parallel phase and served against the shared backend at the barrier.
+/// A global-memory request buffered by a [`MemoryPort`] during an epoch and
+/// served against the shared backend after the next boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct MemRequest {
     /// Cycle at which the request arrives at the L2 side of the SM's
@@ -141,10 +138,10 @@ pub struct MemRequest {
 /// The SM's port into the downstream memory system.
 ///
 /// `Private` owns a full [`MemoryPartition`] and serves every request at
-/// issue time — the legacy single-SM configuration. `Deferred` buffers
-/// requests for epoch-barrier service by the [`Gpu`] engine and carries the
-/// chip DRAM-utilisation snapshot the scheduler context reads during the
-/// parallel phase.
+/// issue time — the single-SM configuration. `Deferred` buffers requests
+/// for epoch-boundary service by the [`Gpu`] engine and carries the chip
+/// DRAM-utilisation snapshot the scheduler context reads between
+/// boundaries.
 pub enum MemoryPort {
     /// Synchronous private partition (single-SM runs).
     Private(Box<MemoryPartition>),
@@ -166,13 +163,13 @@ impl MemoryPort {
         MemoryPort::Private(Box::new(MemoryPartition::new(config)))
     }
 
-    /// A deferred port (requests served by the engine at epoch barriers).
+    /// A deferred port (requests served by the engine at epoch boundaries).
     pub fn deferred() -> Self {
         MemoryPort::Deferred(DeferredPort::default())
     }
 
     /// Issues a read attributed to `tenant`. Returns `Some(done)` when served
-    /// synchronously; `None` when buffered for barrier service (the event is
+    /// synchronously; `None` when buffered for boundary service (the event is
     /// delivered later).
     pub fn read(
         &mut self,
@@ -302,8 +299,8 @@ impl DeferredPort {
 }
 
 /// The chip-level engine: `num_sms` SMs, one shared banked L2/DRAM backend,
-/// and the deterministic epoch loop. See the module docs for the execution
-/// model.
+/// and the deterministic boundary loop. See the module docs for the
+/// execution model.
 pub struct Gpu {
     config: GpuConfig,
     kernel_name: String,
@@ -313,8 +310,8 @@ pub struct Gpu {
     /// copied into [`TenantResult::qos`].
     tenant_qos: Vec<&'static str>,
     policy: DispatchPolicy,
-    sms: Vec<Mutex<Sm>>,
-    shared: Option<Arc<BankedMemorySystem>>,
+    sms: Vec<Sm>,
+    shared: Option<BankedMemorySystem>,
     /// The shared request/reply crossbar fabric (multi-SM chips only).
     fabric: Option<CrossbarFabric>,
     /// Cross-epoch reorder window: requests drained at an earlier boundary
@@ -331,8 +328,8 @@ pub struct Gpu {
     adaptive: Option<AdaptiveDispatcher>,
     dispatch_log: DispatchLog,
     cycle: Cycle,
-    /// Label of the timing backend that ran the chip (`"epoch"` until
-    /// [`Gpu::run_event`] is used); recorded into [`SimResult::backend`].
+    /// Label of the timing mode that ran the chip (set by [`Gpu::run`]);
+    /// recorded into [`SimResult::backend`].
     backend: &'static str,
     /// Observability level requested via [`Gpu::set_obs`] (`Off` leaves the
     /// engine untouched — no sinks, no profiling, no trace rings).
@@ -340,17 +337,17 @@ pub struct Gpu {
     /// Wall-clock phase profiler over the engine's boundary pipeline
     /// (inert unless `obs` enables metrics; never feeds [`SimResult`]).
     profiler: PhaseProfiler,
-    /// Engine-internal trace ring (event-queue pops). Its events carry
-    /// [`sim_obs::TraceCategory::Engine`] and are excluded from the
-    /// canonical sim-time export, which must be backend-invariant.
+    /// Engine-internal trace ring (event-queue pops, chip sleeps). Its events
+    /// carry [`sim_obs::TraceCategory::Engine`] and are excluded from the
+    /// canonical sim-time export, which must be the same in both modes.
     engine_trace: Option<TraceRecorder>,
-    /// Boundaries the event engine skipped in closed form via whole-chip
-    /// sleep (always 0 under the epoch backend). Surfaced as the
+    /// Boundaries the event mode skipped in closed form via whole-chip
+    /// sleep (always 0 in stepping mode). Surfaced as the
     /// `engine/skipped-boundaries` metric, which — like every `engine/`
-    /// metric — is excluded from the canonical backend-invariant export.
+    /// metric — is excluded from the canonical mode-invariant export.
     skipped_boundaries: u64,
     /// Number of whole-chip sleep episodes (runs of consecutive skipped
-    /// boundaries) the event engine took.
+    /// boundaries) the event mode took.
     sleeps: u64,
 }
 
@@ -420,11 +417,11 @@ impl Gpu {
             // 15 SMs over 6 partitions). Each bank owns a private data bus,
             // so over-sharding a small chip's bandwidth would lose more to
             // transient channel imbalance than bank parallelism returns.
-            Arc::new(BankedMemorySystem::for_chip(
+            BankedMemorySystem::for_chip(
                 config.partition.clone(),
                 config.l2_banks.min((num_sms / 2).max(1)),
                 num_sms,
-            ))
+            )
         });
         let links = Crossbar::new(
             num_sms,
@@ -446,7 +443,7 @@ impl Gpu {
                 } else {
                     MemoryPort::private(config.partition.clone())
                 };
-                Mutex::new(Sm::with_parts(config.clone(), work, scheduler, redirect, link, port))
+                Sm::with_parts(config.clone(), work, scheduler, redirect, link, port)
             })
             .collect();
         let fabric = (num_sms > 1).then(|| CrossbarFabric::new(config.xbar_chip_bytes_per_cycle));
@@ -466,7 +463,7 @@ impl Gpu {
             adaptive: dispatch_plan.adaptive,
             dispatch_log: DispatchLog::default(),
             cycle: 0,
-            backend: crate::event::BackendKind::Epoch.label(),
+            backend: BackendKind::default().label(),
             obs: ObsLevel::Off,
             profiler: PhaseProfiler::default(),
             engine_trace: None,
@@ -489,13 +486,13 @@ impl Gpu {
                 shared.enable_obs(level.trace_enabled());
             } else {
                 for sm in &mut self.sms {
-                    sm.get_mut().enable_port_obs(level.trace_enabled());
+                    sm.enable_port_obs(level.trace_enabled());
                 }
             }
         }
         if level.trace_enabled() {
             for (i, sm) in self.sms.iter_mut().enumerate() {
-                sm.get_mut().set_trace(i as u32);
+                sm.set_trace(i as u32);
             }
             if let Some(fabric) = &mut self.fabric {
                 fabric.enable_trace();
@@ -505,9 +502,8 @@ impl Gpu {
     }
 
     /// Detaches everything the run collected into an [`ObsReport`]. Call
-    /// after [`Gpu::run`] / [`Gpu::run_event`] and before
-    /// [`Gpu::into_result`]; none of the collected state feeds back into
-    /// the simulation result.
+    /// after [`Gpu::run`] and before [`Gpu::into_result`]; none of the
+    /// collected state feeds back into the simulation result.
     pub fn take_obs(&mut self) -> ObsReport {
         let mut report = ObsReport::new(self.obs);
         report.tenants = self.tenant_names.clone();
@@ -516,7 +512,6 @@ impl Gpu {
             return report;
         }
         for sm in &mut self.sms {
-            let sm = sm.get_mut();
             if let Some(mut trace) = sm.take_trace() {
                 report.dropped_events += trace.dropped();
                 report.events.extend(trace.take());
@@ -540,10 +535,10 @@ impl Gpu {
             report.dropped_events += trace.dropped();
             report.events.extend(trace.take());
         }
-        // Engine-internal counters: how much of the run the event engine
-        // skipped in closed form. Always 0 under the epoch backend; the
-        // `engine/` prefix keeps them out of the canonical backend-invariant
-        // metrics export (full export only).
+        // Engine-internal counters: how much of the run the event mode
+        // skipped in closed form. Always 0 in stepping mode; the `engine/`
+        // prefix keeps them out of the canonical mode-invariant metrics
+        // export (full export only).
         report.metrics.counter_add("engine/skipped-boundaries", None, self.skipped_boundaries);
         report.metrics.counter_add("engine/sleeps", None, self.sleeps);
         self.dispatch_obs(&mut report);
@@ -566,7 +561,7 @@ impl Gpu {
 
     /// Synthesises dispatcher-track trace instants and registry metrics from
     /// the decision log. Purely derived from sim-time state, so the output
-    /// is identical across timing backends and thread counts.
+    /// is identical in both timing modes.
     fn dispatch_obs(&self, report: &mut ObsReport) {
         let log = &self.dispatch_log;
         if log.is_empty() {
@@ -675,39 +670,24 @@ impl Gpu {
     /// The shared chip backend (`None` for a single-SM chip, whose SM owns a
     /// private partition instead).
     pub fn shared_memory_system(&self) -> Option<&BankedMemorySystem> {
-        self.shared.as_deref()
+        self.shared.as_ref()
     }
 
-    /// Runs the chip until every SM finished its CTAs or hit a cap. Returns
-    /// the chip cycle count (the slowest SM's clock).
-    pub fn run(&mut self) -> Cycle {
-        let dynamic = self.adaptive.is_some() || !self.deferred.is_empty();
-        if self.sms.len() == 1 && !dynamic {
-            // Single SM, fully static work: the legacy serial loop,
-            // bit-identical to `Sm::run`.
-            self.profiler.enter("sm-run");
-            self.cycle = self.sms[0].get_mut().run();
-            self.profiler.exit();
-            return self.cycle;
+    /// Runs the chip in timing mode `kind` until every SM finished its CTAs
+    /// or hit a cap, and returns the chip cycle count (the slowest SM's
+    /// clock). Both modes produce bit-identical results; the mode's label is
+    /// recorded in [`SimResult::backend`].
+    pub fn run(&mut self, kind: BackendKind) -> Cycle {
+        self.backend = kind.label();
+        for sm in &mut self.sms {
+            sm.set_stepping(kind == BackendKind::Epoch);
         }
-        self.run_epochs();
-        self.cycle
-    }
-
-    /// Runs the chip under the event-driven timing core. Produces results
-    /// bit-identical to [`Gpu::run`] (same epoch-boundary protocol, same
-    /// request and reply ordering), but each SM fast-forwards over provably
-    /// idle stretches instead of stepping them cycle by cycle, and the chip
-    /// advances single-threaded in deterministic next-event order — so the
-    /// outcome cannot depend on thread count. Returns the chip cycle count.
-    pub fn run_event(&mut self) -> Cycle {
-        self.backend = crate::event::BackendKind::Event.label();
         let dynamic = self.adaptive.is_some() || !self.deferred.is_empty();
         if self.sms.len() == 1 && !dynamic {
-            // Single SM, fully static work: the serial event loop,
-            // bit-identical to `Sm::run`.
+            // Single SM, fully static work: its private partition serves
+            // every request at issue time, so there is no boundary to keep.
             self.profiler.enter("sm-run");
-            self.cycle = self.sms[0].get_mut().run_event();
+            self.cycle = self.sms[0].run_event();
             self.profiler.exit();
             return self.cycle;
         }
@@ -715,13 +695,14 @@ impl Gpu {
         self.cycle
     }
 
-    /// Event-driven replica of [`Gpu::run_epochs`]: the same boundary
-    /// sequence (serve the held batch → advance SMs to the boundary →
-    /// release and deliver replies → collect the next batch → dispatch),
-    /// with identical boundary cycles, so every request is served at exactly
-    /// the cycle the epoch engine would serve it. Three mechanisms keep the
-    /// loop off everything that is provably idle, without changing a single
-    /// observable cycle:
+    /// The boundary loop (see the module docs for the pipeline). Every
+    /// boundary runs the same sequence — serve the held batch → advance SMs
+    /// to the boundary → release and deliver replies → collect the next
+    /// batch → dispatch — and every request is served at the same cycle in
+    /// both modes. In event mode two mechanisms keep the loop off everything
+    /// that is provably idle, without changing a single observable cycle; in
+    /// stepping mode neither fires, because a stepping SM always reports its
+    /// next event as due:
     ///
     /// - **Per-SM parking.** Only SMs whose wakeup hint is due at the current
     ///   boundary are popped and advanced ([`TimeQueue::pop_due`]); the rest
@@ -731,30 +712,27 @@ impl Gpu {
     ///   decay, idle-cycle accounting — is replayed in one closed-form
     ///   [`Sm::run_epoch_event`] call when the SM next wakes, exactly as
     ///   `on_idle_cycles` composes per-SM. Done and capped SMs park at
-    ///   `Cycle::MAX`.
+    ///   `Cycle::MAX` in both modes.
     /// - **Whole-chip sleep.** When every hint, arrival and delivery lies
     ///   beyond the next boundary and nothing is buffered anywhere, whole
     ///   boundaries are skipped in closed form: the adaptive dispatcher's
     ///   hysteresis windows are bulk-replayed per skipped boundary against
-    ///   frozen monitor signals (identical to what the epoch oracle computes,
-    ///   since no SM or bank state moves while the chip sleeps). The skipped
-    ///   count surfaces as the `engine/skipped-boundaries` metric.
-    /// - **Event-granular memory service.** Each boundary's batch runs
-    ///   through [`Gpu::serve_batch_event`]: fabric-link occupancy charged at
-    ///   each request's true arrival time, banks popping their next due
-    ///   request from per-bank FIFOs — same `(arrive, SM, seq)` global order
-    ///   as the batch-major walk, driven by a [`TimeQueue`].
+    ///   frozen monitor signals (identical to stepping through them, since
+    ///   no SM or bank state moves while the chip sleeps). The skipped count
+    ///   surfaces as the `engine/skipped-boundaries` metric.
+    ///
+    /// Each boundary's batch is served event by event through
+    /// [`Gpu::serve_batch_event`].
     fn run_epochs_event(&mut self) {
         let epoch = self.config.effective_epoch_cycles();
         let line_size = self.config.l1d.line_size;
         let xbar_latency = self.config.interconnect_latency;
         let reorder_window = self.config.reorder_window;
-        let shared = self.shared.clone();
-        let shared = shared.as_deref();
         let num_sms = self.sms.len();
         let num_tenants = self.tenant_names.len();
         let max_cycles = self.config.max_cycles;
-        let sms = &self.sms;
+        let shared = self.shared.as_ref();
+        let sms = &mut self.sms;
         let adaptive = &mut self.adaptive;
         let deferred = &mut self.deferred;
         let fabric = &mut self.fabric;
@@ -782,39 +760,40 @@ impl Gpu {
             0.0,
         );
 
-        // Same stall guard as the epoch engine (see `run_epochs`).
+        // How long the chip may sit idle (no SM runnable, nothing newly
+        // dealt) while the dispatcher still holds work before the run is
+        // declared stuck: long enough for every probe give-up to fire.
         let stall_limit = epoch
             * crate::dispatch::DECISION_EPOCHS
             * (crate::dispatch::MAX_PROBE_WINDOWS + 2 * crate::dispatch::DECISION_EPOCHS);
 
         let mut now: Cycle = 0;
         let mut last_progress: Cycle = 0;
+        // The batch drained at the previous boundary, already merged with
+        // the reorder window and sorted — served at the next boundary.
         let mut batch: Vec<(usize, MemRequest)> = Vec::new();
         // Scratch for one boundary's advancement order (refilled each epoch).
         let mut order: Vec<usize> = Vec::with_capacity(num_sms);
         // DRAM-utilisation snapshot the current boundary's advancing SMs
-        // read — the value the oracle's deliver pass wrote at the *previous*
-        // boundary. `flush_util` lags it by one boundary: the snapshot that
-        // was in effect during the last executed boundary, i.e. what a parked
-        // SM's final oracle advancement would have observed.
+        // read — the value computed after the *previous* boundary's service.
+        // `flush_util` lags it by one boundary: the snapshot that was in
+        // effect during the last executed boundary, i.e. what a parked SM's
+        // final stepped advancement would have observed.
         let mut boundary_util = 0.0f64;
         let mut flush_util = 0.0f64;
         let mut skipped_boundaries: u64 = 0;
         let mut sleeps: u64 = 0;
         loop {
-            let alive = sms.iter().any(|s| {
-                let s = s.lock();
-                !s.is_done() && !s.hit_cap()
-            });
+            let alive = sms.iter().any(|s| !s.is_done() && !s.hit_cap());
             let mut proceed = alive;
             if alive {
                 last_progress = now;
                 // Whole-chip sleep: skip boundaries where provably nothing
                 // happens — no SM due, nothing buffered in the request/reply
                 // pipeline, no arrival admissible, no admitted work to feed.
-                // Each skipped boundary is one the oracle would have executed
-                // as a pure no-op apart from the dispatcher's hysteresis
-                // clock, which is replayed here against frozen signals.
+                // Each skipped boundary is one stepping mode executes as a
+                // pure no-op apart from the dispatcher's hysteresis clock,
+                // which is replayed here against frozen signals.
                 if batch.is_empty()
                     && window.is_empty()
                     && reply_window.is_empty()
@@ -832,8 +811,7 @@ impl Gpu {
                         // snapshot feeds every replayed boundary.
                         let frozen = adaptive.as_ref().map(|_| {
                             let signals = Self::tenant_signals(sms, shared, num_tenants);
-                            let free: Vec<usize> =
-                                sms.iter().map(|s| s.lock().free_warp_slots()).collect();
+                            let free: Vec<usize> = sms.iter().map(Sm::free_warp_slots).collect();
                             (signals, free)
                         });
                         let mut slept: u64 = 0;
@@ -854,10 +832,10 @@ impl Gpu {
                         sleeps += 1;
                         last_progress = now;
                         if let Some(shared) = shared {
-                            // The oracle's deliver pass refreshed the
-                            // snapshot at every slept boundary; only the last
-                            // two values can still be observed (bytes are
-                            // frozen, so both are computable after the fact).
+                            // Stepping mode refreshes the snapshot at every
+                            // slept boundary; only the last two values can
+                            // still be observed (bytes are frozen, so both
+                            // are computable after the fact).
                             flush_util = shared.dram_bandwidth_utilization((now - epoch).max(1));
                             boundary_util = shared.dram_bandwidth_utilization(now.max(1));
                         }
@@ -875,6 +853,10 @@ impl Gpu {
                 let undealt =
                     !deferred.is_empty() || adaptive.as_ref().is_some_and(|a| a.has_work());
                 if undealt {
+                    // The chip is idle but work remains: keep epochs
+                    // ticking — a future arrival, a CTA retirement or a
+                    // probe give-up will release it. Jump ahead when a
+                    // far-off arrival is the only thing being awaited.
                     proceed = now - last_progress < stall_limit;
                     let next_arrival = deferred
                         .iter()
@@ -882,9 +864,15 @@ impl Gpu {
                         .chain(adaptive.as_ref().and_then(|a| a.next_arrival()))
                         .min();
                     if let Some(arrival) = next_arrival {
+                        // Fast-forward only when nothing *admitted* is
+                        // pending — admitted work needs the intermediate
+                        // boundaries (retire checks, probe give-ups) the
+                        // jump would skip; a pure future arrival does not.
                         if adaptive.as_ref().is_none_or(|a| !a.has_admitted_pending())
                             && arrival > now + epoch
                         {
+                            // First epoch boundary at or after the arrival,
+                            // minus the epoch added below.
                             now = arrival.div_ceil(epoch) * epoch - epoch;
                             last_progress = last_progress.max(now);
                             proceed = true;
@@ -901,8 +889,7 @@ impl Gpu {
             now += epoch;
             // Serve the previous boundary's batch. The halved epoch clamp
             // guarantees every completion lands strictly after `now`, the
-            // cycle it may be delivered at — exactly as in the epoch engine,
-            // which overlaps this service with the SM epoch.
+            // cycle it may be delivered at.
             let completions = Self::serve_batch_event(
                 shared,
                 fabric.as_mut(),
@@ -927,7 +914,7 @@ impl Gpu {
                 order.push(unit);
             }
             for &unit in &order {
-                let mut sm = sms[unit].lock();
+                let sm = &mut sms[unit];
                 if !sm.is_done() && !sm.hit_cap() {
                     if shared.is_some() {
                         sm.set_dram_utilization(boundary_util);
@@ -939,10 +926,12 @@ impl Gpu {
                 } else {
                     sm.next_event_time().unwrap_or(now)
                 };
-                drop(sm);
                 timeq.schedule(unit, hint);
             }
             profiler.exit();
+            // Release replies whose completion no later-served batch can
+            // precede (done ≤ now + epoch: the batch drained at this very
+            // boundary completes strictly after that).
             let responses = Self::release_replies(
                 fabric.as_mut(),
                 reply_window,
@@ -955,7 +944,7 @@ impl Gpu {
             profiler.enter("deliver");
             // A delivered reply wakes its SM at the response cycle.
             for r in &responses {
-                sms[r.sm].lock().deliver(r.done, r.event);
+                sms[r.sm].deliver(r.done, r.event);
                 timeq.schedule_min(r.sm, r.done);
             }
             // The snapshot the *next* boundary's advancing SMs will read —
@@ -965,8 +954,14 @@ impl Gpu {
             let pending_util = shared.map(|s| s.dram_bandwidth_utilization(now.max(1)));
             profiler.exit();
             profiler.enter("collect");
-            batch =
-                Self::collect_batch_from(sms, &order, window, now, xbar_latency, reorder_window);
+            batch = Self::collect_batch(
+                sms,
+                order.iter().copied(),
+                window,
+                now,
+                xbar_latency,
+                reorder_window,
+            );
             profiler.exit();
             profiler.enter("dispatch");
             let dealt = Self::dispatch_boundary_event(
@@ -989,12 +984,11 @@ impl Gpu {
             }
         }
         // Parked SMs still owe their idle settle up to the final executed
-        // boundary (the oracle advances every live SM to every boundary),
+        // boundary (stepping mode advances every live SM to every boundary),
         // observing the snapshot that was in effect during that boundary.
         // This must happen before the flush serves below: flush deliveries
         // are not visible to any boundary-time advancement.
-        for sm in sms.iter() {
-            let mut sm = sm.lock();
+        for sm in sms.iter_mut() {
             if !sm.is_done() && !sm.hit_cap() && sm.cycle() < now {
                 if shared.is_some() {
                     sm.set_dram_utilization(flush_util);
@@ -1002,7 +996,12 @@ impl Gpu {
                 sm.run_epoch_event(now);
             }
         }
-        // Flush, exactly as the epoch engine does after its loop exits.
+        // Flush: the loop exits with one batch still unserved (plus, after a
+        // cap, possibly held window entries and last-epoch buffers). Serve
+        // everything so the shared backend's counters cover every request
+        // the SMs injected. Reads can only remain here after a cap — a
+        // waiting warp keeps its SM alive — so these deliveries land in
+        // event queues that are never polled again.
         let mut completions = Self::serve_batch_event(
             shared,
             fabric.as_mut(),
@@ -1011,7 +1010,14 @@ impl Gpu {
             &mut pump,
             profiler,
         );
-        let rest = Self::collect_batch(sms, window, Cycle::MAX - xbar_latency, xbar_latency, 0);
+        let rest = Self::collect_batch(
+            sms,
+            0..num_sms,
+            window,
+            Cycle::MAX - xbar_latency,
+            xbar_latency,
+            0,
+        );
         completions.extend(Self::serve_batch_event(
             shared,
             fabric.as_mut(),
@@ -1029,243 +1035,46 @@ impl Gpu {
             line_size,
             profiler,
         );
-        Self::deliver_responses(sms, shared, &responses, now);
+        for r in &responses {
+            sms[r.sm].deliver(r.done, r.event);
+        }
 
         if let Some(dispatcher) = &mut self.adaptive {
             self.dispatch_log = dispatcher.take_log();
         }
         self.skipped_boundaries = skipped_boundaries;
         self.sleeps = sleeps;
-        self.cycle = 0;
-        for sm in &mut self.sms {
-            let sm = sm.get_mut();
-            sm.finalize_stats();
-            self.cycle = self.cycle.max(sm.cycle());
-        }
-    }
-
-    fn run_epochs(&mut self) {
-        let epoch = self.config.effective_epoch_cycles();
-        let line_size = self.config.l1d.line_size;
-        let xbar_latency = self.config.interconnect_latency;
-        let service_threads = self.config.effective_service_threads();
-        let reorder_window = self.config.reorder_window;
-        let shared = self.shared.clone();
-        let shared = shared.as_deref();
-        let num_sms = self.sms.len();
-        let num_tenants = self.tenant_names.len();
-        let max_cycles = self.config.max_cycles;
-        let stop = AtomicBool::new(false);
-        let epoch_end = AtomicU64::new(0);
-        let start_barrier = Barrier::new(num_sms + 1);
-        let end_barrier = Barrier::new(num_sms + 1);
-        let sms = &self.sms;
-        let adaptive = &mut self.adaptive;
-        let deferred = &mut self.deferred;
-        let fabric = &mut self.fabric;
-        let window = &mut self.window;
-        let reply_window = &mut self.reply_window;
-        // Only the barrier (chip) thread touches the profiler; SM workers
-        // never profile — wall clocks are aggregated per phase, not per SM.
-        let profiler = &mut self.profiler;
-
-        std::thread::scope(|scope| {
-            for sm in sms {
-                let (stop, epoch_end) = (&stop, &epoch_end);
-                let (start_barrier, end_barrier) = (&start_barrier, &end_barrier);
-                scope.spawn(move || loop {
-                    start_barrier.wait();
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let until = epoch_end.load(Ordering::Acquire);
-                    {
-                        let mut sm = sm.lock();
-                        if !sm.is_done() && !sm.hit_cap() {
-                            sm.run_epoch(until);
-                        }
-                    }
-                    end_barrier.wait();
-                });
-            }
-
-            // Cycle-0 boundary: admit arrival-0 streams into the adaptive
-            // dispatcher and deal its initial (probe) CTAs.
-            Self::dispatch_boundary(sms, shared, adaptive, deferred, num_tenants, 0);
-
-            // How long the chip may sit idle (no SM runnable, nothing newly
-            // dealt) while the dispatcher still holds work before the run is
-            // declared stuck: long enough for every probe give-up to fire.
-            let stall_limit = epoch
-                * crate::dispatch::DECISION_EPOCHS
-                * (crate::dispatch::MAX_PROBE_WINDOWS + 2 * crate::dispatch::DECISION_EPOCHS);
-
-            let mut now: Cycle = 0;
-            let mut last_progress: Cycle = 0;
-            // The batch drained at the previous boundary, already merged with
-            // the reorder window and sorted — served while the next epoch's
-            // parallel phase runs.
-            let mut batch: Vec<(usize, MemRequest)> = Vec::new();
-            loop {
-                let alive = sms.iter().any(|s| {
-                    let s = s.lock();
-                    !s.is_done() && !s.hit_cap()
-                });
-                let mut proceed = alive;
-                if alive {
-                    last_progress = now;
-                } else {
-                    let undealt =
-                        !deferred.is_empty() || adaptive.as_ref().is_some_and(|a| a.has_work());
-                    if undealt {
-                        // The chip is idle but work remains: keep epochs
-                        // ticking — a future arrival, a CTA retirement or a
-                        // probe give-up will release it. Jump ahead when a
-                        // far-off arrival is the only thing being awaited.
-                        proceed = now - last_progress < stall_limit;
-                        let next_arrival = deferred
-                            .iter()
-                            .map(|b| b.arrival)
-                            .chain(adaptive.as_ref().and_then(|a| a.next_arrival()))
-                            .min();
-                        if let Some(arrival) = next_arrival {
-                            // Fast-forward only when nothing *admitted* is
-                            // pending — admitted work needs the intermediate
-                            // boundaries (retire checks, probe give-ups) the
-                            // jump would skip; a pure future arrival does not.
-                            if adaptive.as_ref().is_none_or(|a| !a.has_admitted_pending())
-                                && arrival > now + epoch
-                            {
-                                // First epoch boundary at or after the
-                                // arrival, minus the epoch added below.
-                                now = arrival.div_ceil(epoch) * epoch - epoch;
-                                last_progress = last_progress.max(now);
-                                proceed = true;
-                            }
-                        }
-                    }
-                }
-                if max_cycles.is_some_and(|m| now >= m) {
-                    proceed = false;
-                }
-                if !proceed {
-                    break;
-                }
-                now += epoch;
-                epoch_end.store(now, Ordering::Release);
-                start_barrier.wait();
-                // Overlap: serve the previous boundary's batch while the SMs
-                // run this epoch against their own local state. The halved
-                // epoch clamp guarantees every completion computed here lands
-                // strictly after `now`, the cycle it may be delivered at.
-                let completions = Self::serve_batch(
-                    shared,
-                    fabric.as_mut(),
-                    std::mem::take(&mut batch),
-                    line_size,
-                    service_threads,
-                    profiler,
-                );
-                // Whatever the SM epochs still owe beyond the service time is
-                // the un-overlapped remainder of the parallel phase.
-                profiler.enter("sm-wait");
-                end_barrier.wait();
-                profiler.exit();
-                // Release replies whose completion no later-served batch can
-                // precede (done ≤ now + epoch: the batch drained at this very
-                // boundary completes strictly after that), pass them through
-                // the reply fabric in global completion order, deliver.
-                let responses = Self::release_replies(
-                    fabric.as_mut(),
-                    reply_window,
-                    completions,
-                    now + epoch,
-                    reorder_window,
-                    line_size,
-                    profiler,
-                );
-                profiler.enter("deliver");
-                Self::deliver_responses(sms, shared, &responses, now);
-                profiler.exit();
-                profiler.enter("collect");
-                batch = Self::collect_batch(sms, window, now, xbar_latency, reorder_window);
-                profiler.exit();
-                profiler.enter("dispatch");
-                let dealt =
-                    Self::dispatch_boundary(sms, shared, adaptive, deferred, num_tenants, now);
-                profiler.exit();
-                if dealt {
-                    last_progress = now;
-                }
-            }
-            stop.store(true, Ordering::Release);
-            start_barrier.wait();
-            // Flush: the loop exits with one batch still unserved (plus, after
-            // a cap, possibly held window entries and last-epoch buffers).
-            // Serve everything so the shared backend's counters cover every
-            // request the SMs injected. Reads can only remain here after a
-            // cap — a waiting warp keeps its SM alive — so these deliveries
-            // land in event queues that are never polled again.
-            let mut completions = Self::serve_batch(
-                shared,
-                fabric.as_mut(),
-                std::mem::take(&mut batch),
-                line_size,
-                service_threads,
-                profiler,
-            );
-            let rest = Self::collect_batch(sms, window, Cycle::MAX - xbar_latency, xbar_latency, 0);
-            completions.extend(Self::serve_batch(
-                shared,
-                fabric.as_mut(),
-                rest,
-                line_size,
-                service_threads,
-                profiler,
-            ));
-            let responses = Self::release_replies(
-                fabric.as_mut(),
-                reply_window,
-                completions,
-                Cycle::MAX,
-                0,
-                line_size,
-                profiler,
-            );
-            Self::deliver_responses(sms, shared, &responses, now);
-        });
-
-        if let Some(dispatcher) = &mut self.adaptive {
-            self.dispatch_log = dispatcher.take_log();
-        }
-
         // The chip clock is the slowest SM's clock, not the epoch-rounded
         // loop counter (an SM finishing mid-epoch stops its clock there).
         self.cycle = 0;
         for sm in &mut self.sms {
-            let sm = sm.get_mut();
             sm.finalize_stats();
             self.cycle = self.cycle.max(sm.cycle());
         }
     }
 
-    /// Drains every SM's buffered requests into the reorder window, sorts the
-    /// window by `(arrive, SM, seq)`, and splits off the service batch:
-    /// requests arriving at or before the merge horizon
-    /// (`now + interconnect latency`) can no longer be preceded by any future
-    /// request (the next epoch issues at cycle ≥ `now`, so its arrivals are
-    /// strictly later), later arrivals stay held — bounded by `window_limit`,
-    /// with the earliest overflow served batch-major as before.
+    /// Drains the buffered requests of the SMs in `advanced` into the
+    /// reorder window, sorts the window by `(arrive, SM, seq)`, and splits
+    /// off the service batch: requests arriving at or before the merge
+    /// horizon (`now + interconnect latency`) can no longer be preceded by
+    /// any future request (the next epoch issues at cycle ≥ `now`, so its
+    /// arrivals are strictly later), later arrivals stay held — bounded by
+    /// `window_limit`, with the earliest overflow served batch-major.
+    ///
+    /// Only SMs that advanced this boundary need draining. A parked SM
+    /// cannot hold buffered requests — its buffer was drained at the
+    /// boundary it last executed and pure idle issues nothing — so skipping
+    /// it drains exactly what a walk over every SM would.
     fn collect_batch(
-        sms: &[Mutex<Sm>],
+        sms: &mut [Sm],
+        advanced: impl IntoIterator<Item = usize>,
         window: &mut Vec<(usize, MemRequest)>,
         now: Cycle,
         xbar_latency: Cycle,
         window_limit: usize,
     ) -> Vec<(usize, MemRequest)> {
-        for (i, sm) in sms.iter().enumerate() {
-            let mut sm = sm.lock();
-            window.extend(sm.drain_requests().into_iter().map(|r| (i, r)));
+        for i in advanced {
+            window.extend(sms[i].drain_requests().into_iter().map(|r| (i, r)));
         }
         window.sort_by_key(|&(sm, r)| (r.arrive, sm, r.seq));
         let horizon = now.saturating_add(xbar_latency);
@@ -1274,147 +1083,16 @@ impl Gpu {
         window.drain(..split).collect()
     }
 
-    /// [`Gpu::collect_batch`] restricted to the SMs that advanced this
-    /// boundary. A parked SM cannot hold buffered requests — its buffer was
-    /// drained at the boundary it last executed (it is in that boundary's
-    /// advancement set by construction) and pure idle issues nothing — so
-    /// skipping it drains exactly what the full walk would.
-    fn collect_batch_from(
-        sms: &[Mutex<Sm>],
-        advanced: &[usize],
-        window: &mut Vec<(usize, MemRequest)>,
-        now: Cycle,
-        xbar_latency: Cycle,
-        window_limit: usize,
-    ) -> Vec<(usize, MemRequest)> {
-        for &i in advanced {
-            let mut sm = sms[i].lock();
-            window.extend(sm.drain_requests().into_iter().map(|r| (i, r)));
-        }
-        window.sort_by_key(|&(sm, r)| (r.arrive, sm, r.seq));
-        let horizon = now.saturating_add(xbar_latency);
-        let mut split = window.partition_point(|&(_, r)| r.arrive <= horizon);
-        split += (window.len() - split).saturating_sub(window_limit);
-        window.drain(..split).collect()
-    }
-
-    /// Runs one batch through the service pipeline: the shared request fabric
-    /// (in batch order), the bank shards (in parallel where the batch is
-    /// large enough to pay for it), and the shared reply fabric (in
-    /// completion order). Returns the raw read completions (writes produce no
-    /// reply) for the reply reorder window. A single-SM chip (private
-    /// synchronous port, `shared == None`, no fabric) has nothing to serve.
-    fn serve_batch(
-        shared: Option<&BankedMemorySystem>,
-        fabric: Option<&mut CrossbarFabric>,
-        batch: Vec<(usize, MemRequest)>,
-        line_size: u64,
-        service_threads: usize,
-        profiler: &mut PhaseProfiler,
-    ) -> Vec<RawCompletion> {
-        let (Some(shared), Some(fabric)) = (shared, fabric) else { return Vec::new() };
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        // Request direction: every request charges the chip-wide budget, in
-        // deterministic batch order (non-decreasing arrival).
-        profiler.enter("fabric-request");
-        let entries: Vec<(usize, MemRequest, Cycle)> = batch
-            .into_iter()
-            .map(|(sm, r)| {
-                let at_l2 = fabric.request_transfer(line_size, r.arrive, r.tenant);
-                (sm, r, at_l2)
-            })
-            .collect();
-        profiler.exit();
-        profiler.enter("bank-service");
-        // Shard by bank. Shards are disjoint and each preserves batch order,
-        // so per-bank service is identical no matter which worker runs it.
-        let mut shards: Vec<(usize, Vec<usize>)> =
-            (0..shared.num_banks()).map(|b| (b, Vec::new())).collect();
-        for (i, (_, r, _)) in entries.iter().enumerate() {
-            shards[shared.bank_of(r.block)].1.push(i);
-        }
-        shards.retain(|(_, s)| !s.is_empty());
-        let serve_shard = |bank: usize, shard: &[usize]| -> Vec<(usize, Cycle)> {
-            shared.with_bank(bank, |partition| {
-                shard
-                    .iter()
-                    .map(|&i| {
-                        let (_, r, at_l2) = &entries[i];
-                        let done = if r.bypass {
-                            partition.access_bypass_tagged(r.block, r.tenant, *at_l2)
-                        } else {
-                            partition.access_tagged(r.block, r.wid, r.tenant, r.is_write, *at_l2)
-                        };
-                        (i, done)
-                    })
-                    .collect()
-            })
-        };
-        let mut done_at = vec![0 as Cycle; entries.len()];
-        if service_threads <= 1 || shards.len() <= 1 || entries.len() < PARALLEL_SERVICE_MIN_BATCH {
-            // Small batches: serve request-at-a-time through the
-            // event-granular bank entry point (identical per-bank order and
-            // counters; the shard machinery only pays off with workers).
-            for (i, (_, r, at_l2)) in entries.iter().enumerate() {
-                done_at[i] =
-                    shared.serve_event(r.block, r.wid, r.tenant, r.is_write, r.bypass, *at_l2);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let served: Vec<Vec<(usize, Cycle)>> = std::thread::scope(|scope| {
-                let workers = service_threads.min(shards.len());
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let (next, shards, serve_shard) = (&next, &shards, &serve_shard);
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                let Some((bank, shard)) = shards.get(k) else { break };
-                                out.extend(serve_shard(*bank, shard));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("service worker panicked")).collect()
-            });
-            for list in served {
-                for (i, done) in list {
-                    done_at[i] = done;
-                }
-            }
-        }
-        profiler.exit();
-        // Reads produce replies; they enter the reply reorder window rather
-        // than the fabric directly, so one batch's slow DRAM stragglers never
-        // charge phantom queueing against the next batch's fast completions.
-        entries
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, r, _))| !r.is_write)
-            .map(|(i, (sm, r, _))| RawCompletion {
-                sm: *sm,
-                seq: r.seq,
-                done: done_at[i],
-                tenant: r.tenant,
-                event: r.event,
-            })
-            .collect()
-    }
-
-    /// Event-granular replica of [`Gpu::serve_batch`]: the same fabric
-    /// charges and bank accesses at the same cycles, but driven through a
-    /// [`TimeQueue`] instead of a batch-major walk. Unit 0 (the request
-    /// fabric) wakes at each request's true port-arrival cycle and charges
-    /// the chip-wide link budget in batch order (arrivals are non-decreasing,
+    /// Runs one batch through the service pipeline, event by event, and
+    /// returns the raw read completions (writes produce no reply) for the
+    /// reply reorder window. Unit 0 of a [`TimeQueue`] (the request fabric)
+    /// wakes at each request's true port-arrival cycle and charges the
+    /// chip-wide link budget in batch order (arrivals are non-decreasing,
     /// ties break fabric-before-bank); the charged request joins its owning
     /// bank's FIFO and the bank unit wakes at the head request's
-    /// fabric-delivery cycle to serve it. Per-bank service order equals
-    /// charge order equals batch order, so every counter and completion cycle
-    /// is identical to the shard walk — request at a time, no threads.
+    /// fabric-delivery cycle to serve it, so per-bank service order equals
+    /// batch order. A single-SM chip (private synchronous port,
+    /// `shared == None`, no fabric) has nothing to serve.
     fn serve_batch_event(
         shared: Option<&BankedMemorySystem>,
         fabric: Option<&mut CrossbarFabric>,
@@ -1465,7 +1143,8 @@ impl Gpu {
         }
         profiler.exit();
         // Reads produce replies; they enter the reply reorder window rather
-        // than the fabric directly (see `serve_batch`).
+        // than the fabric directly, so one batch's slow DRAM stragglers never
+        // charge phantom queueing against the next batch's fast completions.
         batch
             .iter()
             .enumerate()
@@ -1516,66 +1195,13 @@ impl Gpu {
         out
     }
 
-    /// Delivers served read responses into their SMs' event queues and
-    /// refreshes every SM's DRAM-utilisation snapshot for the next epoch.
-    fn deliver_responses(
-        sms: &[Mutex<Sm>],
-        shared: Option<&BankedMemorySystem>,
-        responses: &[ReadyResponse],
-        now: Cycle,
-    ) {
-        let Some(shared) = shared else { return };
-        for r in responses {
-            sms[r.sm].lock().deliver(r.done, r.event);
-        }
-        let util = shared.dram_bandwidth_utilization(now.max(1));
-        for sm in sms {
-            sm.lock().set_dram_utilization(util);
-        }
-    }
-
     /// Epoch-boundary dispatch: appends deferred arrival batches whose cycle
     /// has come and lets the adaptive dispatcher admit, decide and feed.
+    /// Every SM that receives work is dealt it through [`Gpu::deal_event`].
     /// Returns whether any work reached an SM.
-    fn dispatch_boundary(
-        sms: &[Mutex<Sm>],
-        shared: Option<&BankedMemorySystem>,
-        adaptive: &mut Option<AdaptiveDispatcher>,
-        deferred: &mut Vec<DeferredBatch>,
-        num_tenants: usize,
-        now: Cycle,
-    ) -> bool {
-        let mut progressed = false;
-        while deferred.first().is_some_and(|b| b.arrival <= now) {
-            let batch = deferred.remove(0);
-            for (sm, work) in batch.per_sm.into_iter().enumerate() {
-                if !work.is_empty() {
-                    sms[sm].lock().push_work(work, now);
-                    progressed = true;
-                }
-            }
-        }
-        if let Some(dispatcher) = adaptive {
-            let signals = Self::tenant_signals(sms, shared, num_tenants);
-            let free: Vec<usize> = sms.iter().map(|s| s.lock().free_warp_slots()).collect();
-            for (sm, work) in dispatcher.on_boundary(now, &signals, &free) {
-                sms[sm].lock().push_work(work, now);
-                progressed = true;
-            }
-        }
-        progressed
-    }
-
-    /// [`Gpu::dispatch_boundary`] for the parking event engine: identical
-    /// admission/decision/feed protocol, but an SM receiving work while
-    /// parked is first caught up to the boundary (its lag is a provably pure
-    /// idle span — the oracle advanced it to every boundary — so one
-    /// closed-form settle against the boundary snapshot replays exactly what
-    /// per-boundary stepping would have done), and every SM that received
-    /// work has its wakeup hint pulled forward to the boundary.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_boundary_event(
-        sms: &[Mutex<Sm>],
+        sms: &mut [Sm],
         shared: Option<&BankedMemorySystem>,
         adaptive: &mut Option<AdaptiveDispatcher>,
         deferred: &mut Vec<DeferredBatch>,
@@ -1590,28 +1216,29 @@ impl Gpu {
             let batch = deferred.remove(0);
             for (sm, work) in batch.per_sm.into_iter().enumerate() {
                 if !work.is_empty() {
-                    Self::deal_event(sms, sm, work, now, timeq, boundary_util, has_shared);
+                    Self::deal_event(&mut sms[sm], sm, work, now, timeq, boundary_util, has_shared);
                     progressed = true;
                 }
             }
         }
         if let Some(dispatcher) = adaptive {
             let signals = Self::tenant_signals(sms, shared, num_tenants);
-            let free: Vec<usize> = sms.iter().map(|s| s.lock().free_warp_slots()).collect();
+            let free: Vec<usize> = sms.iter().map(Sm::free_warp_slots).collect();
             for (sm, work) in dispatcher.on_boundary(now, &signals, &free) {
-                Self::deal_event(sms, sm, work, now, timeq, boundary_util, has_shared);
+                Self::deal_event(&mut sms[sm], sm, work, now, timeq, boundary_util, has_shared);
                 progressed = true;
             }
         }
         progressed
     }
 
-    /// Hands a dealt work batch to an SM on the event path: settle any
-    /// parked idle lag first (new CTAs must launch *after* the idle span is
-    /// accounted, matching the oracle's advance-then-dispatch boundary
-    /// order), then push the work and wake the SM at the boundary.
+    /// Hands a dealt work batch to SM `unit`: settle any parked idle lag
+    /// first (its lag is a provably pure idle span, and new CTAs must launch
+    /// *after* it is accounted, matching stepping mode's advance-then-
+    /// dispatch boundary order), then push the work and wake the SM at the
+    /// boundary.
     fn deal_event(
-        sms: &[Mutex<Sm>],
+        sm: &mut Sm,
         unit: usize,
         work: Vec<crate::dispatch::CtaWork>,
         now: Cycle,
@@ -1619,7 +1246,6 @@ impl Gpu {
         boundary_util: f64,
         has_shared: bool,
     ) {
-        let mut sm = sms[unit].lock();
         if !sm.is_done() && !sm.hit_cap() && sm.cycle() < now {
             if has_shared {
                 sm.set_dram_utilization(boundary_util);
@@ -1627,7 +1253,6 @@ impl Gpu {
             sm.run_epoch_event(now);
         }
         sm.push_work(work, now);
-        drop(sm);
         timeq.schedule_min(unit, now);
     }
 
@@ -1635,13 +1260,12 @@ impl Gpu {
     /// CTA-retire counters summed over the SMs, L2/DRAM attribution read from
     /// the shared backend (or the single SM's private partition).
     fn tenant_signals(
-        sms: &[Mutex<Sm>],
+        sms: &[Sm],
         shared: Option<&BankedMemorySystem>,
         num_tenants: usize,
     ) -> Vec<TenantSignal> {
         let mut out = vec![TenantSignal::default(); num_tenants];
         for sm in sms {
-            let sm = sm.lock();
             for (t, stats) in sm.tenant_stats().iter().enumerate().take(num_tenants) {
                 out[t].l1_accesses += stats.l1d_accesses;
                 out[t].l1_hits += stats.l1d_hits;
@@ -1676,7 +1300,7 @@ impl Gpu {
     /// whichever memory system served the run).
     pub fn into_result(mut self) -> SimResult {
         for sm in &mut self.sms {
-            sm.get_mut().finalize_stats();
+            sm.finalize_stats();
         }
         let num_sms = self.sms.len();
         let num_tenants = self.tenant_names.len();
@@ -1688,25 +1312,22 @@ impl Gpu {
         let mut tenant_totals: Vec<TenantStats> =
             vec![TenantStats { done: true, ..TenantStats::default() }; num_tenants];
         let mut tenant_mem: Vec<TenantMemStats> = Vec::new();
-        let interconnect = {
-            let sms: Vec<&Sm> = self.sms.iter_mut().map(|s| &*s.get_mut()).collect();
-            for sm in &sms {
-                per_sm.push(sm.stats().clone());
-                interference.absorb(sm.interference_matrix());
-                scheduler_metrics.merge(&sm.scheduler().metrics());
-                capped |= !sm.is_done();
-                cycles = cycles.max(sm.cycle());
-                for (t, entry) in sm.tenant_stats().iter().enumerate() {
-                    if t < num_tenants {
-                        tenant_totals[t].merge(entry);
-                    }
-                }
-                if let Some(table) = sm.partition_tenant_stats() {
-                    merge_tenant_stats(&mut tenant_mem, &table);
+        for sm in &self.sms {
+            per_sm.push(sm.stats().clone());
+            interference.absorb(sm.interference_matrix());
+            scheduler_metrics.merge(&sm.scheduler().metrics());
+            capped |= !sm.is_done();
+            cycles = cycles.max(sm.cycle());
+            for (t, entry) in sm.tenant_stats().iter().enumerate() {
+                if t < num_tenants {
+                    tenant_totals[t].merge(entry);
                 }
             }
-            Crossbar::aggregate(sms.iter().map(|sm| sm.interconnect()))
-        };
+            if let Some(table) = sm.partition_tenant_stats() {
+                merge_tenant_stats(&mut tenant_mem, &table);
+            }
+        }
+        let interconnect = Crossbar::aggregate(self.sms.iter().map(Sm::interconnect));
         if let Some(shared) = &self.shared {
             merge_tenant_stats(&mut tenant_mem, &shared.tenant_stats());
         }
@@ -1736,8 +1357,7 @@ impl Gpu {
                 mem: tenant_mem[t],
             })
             .collect();
-        let time_series =
-            TimeSeries::merge_sorted(self.sms.iter_mut().map(|s| s.get_mut().time_series()));
+        let time_series = TimeSeries::merge_sorted(self.sms.iter().map(Sm::time_series));
         let mut stats = SmStats::reduce(&per_sm);
         stats.cycles = cycles;
         if let Some(shared) = &self.shared {
@@ -1807,7 +1427,7 @@ mod tests {
             DispatchPolicy::SharedRoundRobin,
             units(2),
         );
-        gpu.run();
+        gpu.run(BackendKind::Event);
         let res = gpu.into_result();
         assert_eq!(res.per_tenant.len(), 2);
         assert_eq!(res.kernel, "gpu-unit+gpu-unit");
@@ -1830,7 +1450,7 @@ mod tests {
     fn multi_sm_runs_all_instructions() {
         let mut gpu = Gpu::new(GpuConfig::gtx480(), kernel(4, 10), units(2));
         assert_eq!(gpu.num_sms(), 2);
-        gpu.run();
+        gpu.run(BackendKind::Event);
         let res = gpu.into_result();
         assert!(!res.capped);
         assert_eq!(res.num_sms, 2);
@@ -1849,7 +1469,7 @@ mod tests {
     fn multi_sm_is_deterministic() {
         let run = || {
             let mut gpu = Gpu::new(GpuConfig::gtx480(), kernel(8, 25), units(4));
-            gpu.run();
+            gpu.run(BackendKind::Event);
             gpu.into_result()
         };
         let a = run();
@@ -1872,7 +1492,7 @@ mod tests {
             DispatchPolicy::SharedRoundRobin,
             units(2),
         );
-        gpu.run();
+        gpu.run(BackendKind::Event);
         let res = gpu.into_result();
         assert!(!res.capped);
         // Both grids executed fully; the late tenant finished after arriving.
@@ -1893,7 +1513,7 @@ mod tests {
             DispatchPolicy::SharedRoundRobin,
             units(2),
         );
-        gpu.run();
+        gpu.run(BackendKind::Event);
         let res = gpu.into_result();
         assert!(!res.capped);
         assert_eq!(res.stats.instructions, 2 * (2 * 4));
@@ -1916,7 +1536,7 @@ mod tests {
                 let stream = KernelStream::new(0, kernel(ctas, ops));
                 let mut gpu =
                     Gpu::with_streams(GpuConfig::gtx480(), vec![stream], policy, units(sms));
-                gpu.run();
+                gpu.run(BackendKind::Event);
                 gpu.into_result()
             };
             let a = run(DispatchPolicy::Exclusive);
@@ -1934,14 +1554,14 @@ mod tests {
     fn more_sms_do_not_slow_the_chip() {
         let cycles = |n: usize| {
             let mut gpu = Gpu::new(GpuConfig::gtx480(), kernel(8, 20), units(n));
-            gpu.run();
+            gpu.run(BackendKind::Event);
             gpu.into_result().cycles
         };
         assert!(cycles(2) <= cycles(1));
     }
 
-    /// A streaming kernel wide enough to push the per-epoch batch past the
-    /// parallel-service threshold on a several-SM chip.
+    /// A streaming kernel whose every load misses everywhere, keeping the
+    /// fabric and every bank of a several-SM chip busy.
     fn streaming_kernel(ctas: usize, ops: usize) -> Arc<dyn Kernel> {
         let info = KernelInfo {
             name: "stream".into(),
@@ -1965,7 +1585,7 @@ mod tests {
     #[test]
     fn fabric_accounts_every_downstream_request_in_both_directions() {
         let mut gpu = Gpu::new(GpuConfig::gtx480(), streaming_kernel(8, 30), units(4));
-        gpu.run();
+        gpu.run(BackendKind::Event);
         let res = gpu.into_result();
         assert!(!res.capped);
         // Every injection-port transfer pairs with exactly one downstream
@@ -1991,32 +1611,28 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-        /// Bank-sharded barrier service is a pure wall-clock knob: the fully
-        /// serialised `SimResult` is byte-identical across service-thread
-        /// counts for arbitrary bank counts (1 disables sharding, larger
-        /// counts exercise the parallel path once batches are big enough).
+        /// Banked service is identical in both timing modes: the fully
+        /// serialised `SimResult` of a streaming chip matches byte for byte
+        /// for arbitrary bank counts.
         #[test]
-        fn service_thread_count_never_changes_results(
+        fn both_modes_agree_for_every_bank_count(
             banks in 1usize..9,
             sms in 2usize..7,
             ctas in 2usize..8,
             ops in 8usize..32,
         ) {
-            let run = |threads: usize| {
-                let config =
-                    GpuConfig::gtx480().with_l2_banks(banks).with_service_threads(threads);
+            let run = |kind: BackendKind| {
+                let config = GpuConfig::gtx480().with_l2_banks(banks);
                 let mut gpu = Gpu::new(config, streaming_kernel(ctas, ops), units(sms));
-                gpu.run();
-                serde_json::to_string(&gpu.into_result()).expect("serialise")
+                gpu.run(kind);
+                normalized_json(gpu)
             };
-            let serial = run(1);
-            prop_assert_eq!(&serial, &run(2));
-            prop_assert_eq!(&serial, &run(8));
+            prop_assert_eq!(run(BackendKind::Epoch), run(BackendKind::Event));
         }
     }
 
     /// Serialises a finished chip's result with the backend label blanked,
-    /// so epoch- and event-driven runs can be compared field for field.
+    /// so stepping and event runs can be compared field for field.
     fn normalized_json(gpu: Gpu) -> String {
         let mut res = gpu.into_result();
         res.backend = String::new();
@@ -2025,7 +1641,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
-        /// The event-driven core is bit-identical to the epoch oracle across
+        /// The event mode is bit-identical to stepping every cycle across
         /// chip widths, dispatch policies, and dynamic arrivals — every stat,
         /// time-series point, and dispatch-log entry must match exactly.
         #[test]
@@ -2041,37 +1657,33 @@ mod tests {
                 DispatchPolicy::SharedRoundRobin,
                 DispatchPolicy::InterferenceAware,
             ][policy_idx];
-            let run = |event: bool| {
+            let run = |kind: BackendKind| {
                 let streams = vec![
                     KernelStream::new(0, kernel(ctas, ops)),
                     KernelStream::new_at(1, kernel(ctas, ops), arrival),
                 ];
                 let mut gpu =
                     Gpu::with_streams(GpuConfig::gtx480(), streams, policy, units(sms));
-                if event { gpu.run_event() } else { gpu.run() };
+                gpu.run(kind);
                 normalized_json(gpu)
             };
-            prop_assert_eq!(run(false), run(true));
+            prop_assert_eq!(run(BackendKind::Epoch), run(BackendKind::Event));
         }
     }
 
     #[test]
     fn event_backend_matches_epoch_on_streaming_chip() {
-        let run = |event: bool| {
+        let run = |kind: BackendKind| {
             let mut gpu = Gpu::new(GpuConfig::gtx480(), streaming_kernel(8, 30), units(4));
-            if event {
-                gpu.run_event()
-            } else {
-                gpu.run()
-            };
+            gpu.run(kind);
             normalized_json(gpu)
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(BackendKind::Epoch), run(BackendKind::Event));
     }
 
     #[test]
     fn event_backend_fast_forwards_far_arrivals_too() {
-        let run = |event: bool| {
+        let run = |kind: BackendKind| {
             let streams = vec![
                 KernelStream::new(0, kernel(1, 4)),
                 KernelStream::new_at(1, kernel(1, 4), 1_000_000),
@@ -2082,15 +1694,11 @@ mod tests {
                 DispatchPolicy::SharedRoundRobin,
                 units(2),
             );
-            if event {
-                gpu.run_event()
-            } else {
-                gpu.run()
-            };
+            gpu.run(kind);
             gpu.into_result()
         };
-        let epoch = run(false);
-        let event = run(true);
+        let epoch = run(BackendKind::Epoch);
+        let event = run(BackendKind::Event);
         assert_eq!(event.backend, "event");
         assert_eq!(epoch.cycles, event.cycles);
         assert_eq!(epoch.stats, event.stats);
@@ -2099,7 +1707,7 @@ mod tests {
 
     #[test]
     fn observability_never_changes_results_and_traces_identically_across_backends() {
-        let run = |event: bool, obs: ObsLevel| {
+        let run = |kind: BackendKind, obs: ObsLevel| {
             let streams = vec![
                 KernelStream::new(0, kernel(3, 12)),
                 KernelStream::new_at(1, kernel(3, 12), 500),
@@ -2111,34 +1719,31 @@ mod tests {
                 units(4),
             );
             gpu.set_obs(obs);
-            if event {
-                gpu.run_event()
-            } else {
-                gpu.run()
-            };
+            gpu.run(kind);
             let report = gpu.take_obs();
             (normalized_json(gpu), report)
         };
-        let (plain, off) = run(false, ObsLevel::Off);
+        let (plain, off) = run(BackendKind::Epoch, ObsLevel::Off);
         assert!(off.events.is_empty());
-        let (epoch, a) = run(false, ObsLevel::Full);
-        let (event, b) = run(true, ObsLevel::Full);
+        let (epoch, a) = run(BackendKind::Epoch, ObsLevel::Full);
+        let (event, b) = run(BackendKind::Event, ObsLevel::Full);
         // Collection is passive: the simulated outcome is byte-identical
-        // with observability off, on, and across timing backends.
+        // with observability off, on, and in both timing modes.
         assert_eq!(plain, epoch);
         assert_eq!(epoch, event);
-        // And the canonical sim-time trace itself is backend-invariant.
+        // And the canonical sim-time trace itself is mode-invariant.
         assert_eq!(a.chrome_trace_json(), b.chrome_trace_json());
         assert_eq!(a.metrics_json(), b.metrics_json());
         assert!(!a.events.is_empty());
         assert_eq!(a.dropped_events, 0);
-        // The event backend records engine pops; they stay out of the
-        // canonical export but surface in the raw event list.
-        assert!(b.events.iter().any(|e| e.name == "pop"));
-        assert!(!a.events.iter().any(|e| e.name == "pop"));
+        // Only the event mode skips idle stretches; its engine-category
+        // `idle-skip` spans stay out of the canonical export but surface in
+        // the raw event list.
+        assert!(b.events.iter().any(|e| e.name == "idle-skip"));
+        assert!(!a.events.iter().any(|e| e.name == "idle-skip"));
         // Wall-clock profiling was active and saw the service pipeline.
         assert!(a.profile.is_enabled());
-        assert!(a.profile.stat("bank-service").is_some());
+        assert!(a.profile.stat("serve-events").is_some());
     }
 
     #[test]
@@ -2148,18 +1753,9 @@ mod tests {
         queue.push_at(kernel(3, 12), 5_000);
         let config = GpuConfig::gtx480().with_num_sms(3);
         let build = |_: usize| (Box::new(GtoScheduler::new()) as Box<dyn WarpScheduler>, None);
-        let epoch = queue.run_with(
-            &config,
-            DispatchPolicy::Exclusive,
-            crate::event::BackendKind::Epoch,
-            build,
-        );
-        let mut event = queue.run_with(
-            &config,
-            DispatchPolicy::Exclusive,
-            crate::event::BackendKind::Event,
-            build,
-        );
+        let epoch = queue.run_with(&config, DispatchPolicy::Exclusive, BackendKind::Epoch, build);
+        let mut event =
+            queue.run_with(&config, DispatchPolicy::Exclusive, BackendKind::Event, build);
         assert_eq!(event.backend, "event");
         event.backend = epoch.backend.clone();
         assert_eq!(serde_json::to_string(&epoch).unwrap(), serde_json::to_string(&event).unwrap());

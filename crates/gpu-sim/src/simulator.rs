@@ -2,9 +2,8 @@
 //!
 //! Describe a run with a [`SimRequest`] — kernel streams with arrival
 //! cycles, the [`DispatchPolicy`], the SM count, and the
-//! [`BackendKind`] timing backend — then hand it to
-//! [`Simulator::execute`], which wraps [`Sm`] / [`crate::gpu::Gpu`]
-//! construction and the
+//! [`BackendKind`] timing mode — then hand it to [`Simulator::execute`],
+//! which wraps [`KernelQueue`] / [`crate::gpu::Gpu`] construction and the
 //! run loop and packages everything the experiment harness needs (aggregate
 //! stats, per-SM breakdowns, time series, interference matrix, scheduler
 //! metrics) into a [`SimResult`]. `SimRequest` + `execute` is the *only*
@@ -18,14 +17,12 @@ use crate::dispatch::{DispatchPolicy, KernelQueue, QosSpec};
 use crate::event::BackendKind;
 use crate::gpu::SmUnit;
 use crate::kernel::Kernel;
-use crate::redirect::RedirectCache;
-use crate::scheduler::{SchedulerMetrics, WarpScheduler};
-use crate::sm::Sm;
+use crate::scheduler::SchedulerMetrics;
 use crate::stats::{DispatchLog, InterferenceMatrix, SmImbalance, SmStats, TimeSeries};
-use gpu_mem::interconnect::{Crossbar, CrossbarStats, FabricStats, Interconnect};
+use gpu_mem::interconnect::{CrossbarStats, FabricStats};
 use gpu_mem::{Cycle, TenantId, TenantMemStats};
 use serde::{Deserialize, Serialize};
-use sim_obs::{ObsLevel, ObsReport, PhaseProfiler};
+use sim_obs::{ObsLevel, ObsReport};
 
 /// Version of the [`SimResult`] JSON shape.
 ///
@@ -109,8 +106,8 @@ impl TenantResult {
 pub struct SimResult {
     /// Version of this JSON shape; see [`SCHEMA_VERSION`].
     pub schema_version: u32,
-    /// Label of the timing backend that produced the result
-    /// ([`BackendKind::label`]: `"epoch"` or `"event"`). Both backends are
+    /// Label of the timing mode that produced the result
+    /// ([`BackendKind::label`]: `"epoch"` or `"event"`). Both modes are
     /// bit-identical in every other field.
     pub backend: String,
     /// Name of the scheduler that produced this result.
@@ -133,7 +130,7 @@ pub struct SimResult {
     /// Whether the run ended because it hit an instruction/cycle cap rather
     /// than finishing the kernel (on a multi-SM chip: any SM hit a cap).
     pub capped: bool,
-    /// Number of SMs simulated (1 for the legacy single-SM path).
+    /// Number of SMs simulated.
     pub num_sms: usize,
     /// Per-SM statistics, indexed by SM; `stats` is their
     /// [`SmStats::reduce`] aggregate.
@@ -179,7 +176,7 @@ impl SimResult {
 /// A builder-style description of one simulation run: which kernel streams
 /// to co-execute (with their arrival cycles and [`QosSpec`] contracts),
 /// under which [`DispatchPolicy`], on how many SMs, driven by which
-/// [`BackendKind`] timing backend. Consumed by [`Simulator::execute`].
+/// [`BackendKind`] timing mode. Consumed by [`Simulator::execute`].
 #[derive(Clone)]
 pub struct SimRequest {
     kernels: Vec<Arc<dyn Kernel>>,
@@ -248,16 +245,16 @@ impl SimRequest {
         self
     }
 
-    /// Sets the timing backend (default [`BackendKind::Event`]; `epoch` is
-    /// the bit-exact reference oracle).
+    /// Sets the timing mode (default [`BackendKind::Event`]; `epoch` steps
+    /// every cycle and is the bit-exact reference).
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
     }
 
     /// Overrides the SM count (default: the simulator configuration's
-    /// `num_sms`). A count of 1 selects the legacy single-SM engine with a
-    /// private memory partition.
+    /// `num_sms`). A 1-SM chip gives its SM a private memory partition
+    /// instead of the shared banked backend.
     pub fn num_sms(mut self, num_sms: usize) -> Self {
         self.num_sms = Some(num_sms);
         self
@@ -293,20 +290,13 @@ impl Simulator {
         &self.config
     }
 
-    /// Executes `req` and returns the collected results. `build_unit` is
-    /// called once per SM per engine (per kernel for the serial `Exclusive`
-    /// policy) to construct that SM's scheduler and optional redirect cache.
+    /// Executes `req` on a chip of `num_sms` SMs via [`KernelQueue`] (see
+    /// [`KernelQueue::run`] for the policy semantics) and returns the
+    /// collected results. `build_unit` is called once per SM per engine (per
+    /// kernel for the serial `Exclusive` policy) to construct that SM's
+    /// scheduler and optional redirect cache.
     ///
-    /// Routing, all bit-identical to the legacy entry points it subsumed:
-    ///
-    /// * one stream, one SM, arrival 0, `Exclusive` — the single-SM engine
-    ///   with a private memory partition (the legacy configuration every
-    ///   recorded baseline number comes from);
-    /// * everything else — a chip of `num_sms` SMs against the shared banked
-    ///   L2/DRAM backend via [`KernelQueue`] (see [`KernelQueue::run`] for
-    ///   the policy semantics).
-    ///
-    /// The [`BackendKind`] chooses the timing core; `epoch` and `event`
+    /// The [`BackendKind`] chooses the timing mode; `epoch` and `event`
     /// produce bit-identical results, differing only in wall-clock time.
     ///
     /// # Panics
@@ -324,22 +314,12 @@ impl Simulator {
     /// request's [`SimRequest::obs`] level. The simulation result is
     /// byte-identical to what [`Simulator::execute`] returns for the same
     /// request — collection is strictly passive.
-    pub fn execute_observed<F>(&self, req: SimRequest, mut build_unit: F) -> (SimResult, ObsReport)
+    pub fn execute_observed<F>(&self, req: SimRequest, build_unit: F) -> (SimResult, ObsReport)
     where
         F: FnMut(usize) -> SmUnit,
     {
         assert!(!req.kernels.is_empty(), "a SimRequest needs at least one kernel stream");
         let num_sms = req.num_sms.unwrap_or(self.config.num_sms).max(1);
-        let static_single = req.kernels.len() == 1
-            && num_sms == 1
-            && req.arrivals.iter().all(|&a| a == 0)
-            && matches!(req.policy, DispatchPolicy::Exclusive);
-        if static_single {
-            let kernel = req.kernels.into_iter().next().expect("one stream");
-            let qos = req.qos.into_iter().next().unwrap_or_default();
-            let (scheduler, redirect) = build_unit(0);
-            return self.run_single(kernel, scheduler, redirect, req.backend, req.obs, qos);
-        }
         let config = if num_sms == self.config.num_sms {
             self.config.clone()
         } else {
@@ -350,100 +330,6 @@ impl Simulator {
             queue.push_qos_at(kernel, arrival, qos);
         }
         queue.run_with_observed(&config, req.policy, req.backend, req.obs, build_unit)
-    }
-
-    /// The legacy single-SM path: one kernel, one SM, a private memory
-    /// partition. Kept verbatim so `execute` reproduces historical baseline
-    /// numbers bit for bit.
-    fn run_single(
-        &self,
-        kernel: Arc<dyn Kernel>,
-        scheduler: Box<dyn WarpScheduler>,
-        redirect: Option<Box<dyn RedirectCache>>,
-        backend: BackendKind,
-        obs: ObsLevel,
-        qos: QosSpec,
-    ) -> (SimResult, ObsReport) {
-        let kernel_name = kernel.info().name.clone();
-        let scheduler_name = scheduler.name().to_string();
-        let interconnect = Interconnect::new(
-            self.config.interconnect_latency,
-            self.config.interconnect_bytes_per_cycle,
-        );
-        let port = crate::gpu::MemoryPort::private(self.config.partition.clone());
-        let work = Sm::work_of(kernel, 0);
-        let mut sm =
-            Sm::with_parts(self.config.clone(), work, scheduler, redirect, interconnect, port);
-        let mut profiler =
-            if obs.metrics_enabled() { PhaseProfiler::enabled() } else { PhaseProfiler::default() };
-        if obs.metrics_enabled() {
-            sm.enable_port_obs(obs.trace_enabled());
-        }
-        if obs.trace_enabled() {
-            sm.set_trace(0);
-        }
-        profiler.enter("sm-run");
-        match backend {
-            BackendKind::Epoch => sm.run(),
-            BackendKind::Event => sm.run_event(),
-        };
-        profiler.exit();
-        let mut report = ObsReport::new(obs);
-        report.tenants = vec![kernel_name.clone()];
-        report.profile = profiler;
-        if let Some(mut trace) = sm.take_trace() {
-            report.dropped_events += trace.dropped();
-            report.events.extend(trace.take());
-        }
-        if let Some(sink) = sm.take_port_obs() {
-            if let Some(mut trace) = sink.trace {
-                report.dropped_events += trace.dropped();
-                report.events.extend(trace.take());
-            }
-            for (tenant, hist) in sink.latency.iter().enumerate() {
-                if hist.count() > 0 {
-                    report.metrics.histogram_merge("mem-latency", Some(tenant as u32), hist);
-                }
-            }
-        }
-        let capped = !sm.is_done();
-        let stats = sm.stats().clone();
-        let totals = sm.tenant_stats().first().copied().unwrap_or_default();
-        let mem = sm.partition_tenant_stats().and_then(|t| t.first().copied()).unwrap_or_default();
-        let per_tenant = vec![TenantResult {
-            tenant: 0,
-            kernel: kernel_name.clone(),
-            qos: qos.latency.label().to_string(),
-            instructions: totals.instructions,
-            finish_cycle: totals.finish_cycle,
-            capped: !totals.done,
-            l1d_accesses: totals.l1d_accesses,
-            l1d_hits: totals.l1d_hits,
-            xbar_bytes: totals.xbar_bytes,
-            fabric_request_bytes: 0,
-            fabric_reply_bytes: 0,
-            mem,
-        }];
-        let result = SimResult {
-            schema_version: SCHEMA_VERSION,
-            backend: backend.label().to_string(),
-            scheduler: scheduler_name,
-            kernel: kernel_name,
-            policy: DispatchPolicy::Exclusive.label().to_string(),
-            cycles: sm.cycle(),
-            per_sm: vec![stats.clone()],
-            stats,
-            time_series: sm.time_series().clone(),
-            interference: sm.interference_matrix().clone(),
-            scheduler_metrics: sm.scheduler().metrics(),
-            capped,
-            num_sms: 1,
-            per_tenant,
-            interconnect: Crossbar::aggregate([sm.interconnect()]),
-            fabric: FabricStats::default(),
-            dispatch_log: DispatchLog::default(),
-        };
-        (result, report)
     }
 }
 
@@ -509,9 +395,9 @@ mod tests {
         assert_eq!(a.stats.mem_transactions, b.stats.mem_transactions);
     }
 
-    /// The QoS contract rides along every request path: the latency-class
-    /// label lands in `TenantResult::qos` on both the single-SM route and
-    /// the chip route, and defaults to `batch`.
+    /// The QoS contract rides along every request: the latency-class label
+    /// lands in `TenantResult::qos` on a 1-SM chip and on a 4-SM co-run,
+    /// and defaults to `batch`.
     #[test]
     fn qos_labels_reach_tenant_results() {
         let sim = Simulator::new(GpuConfig::gtx480());

@@ -24,15 +24,18 @@
 //! scheduler: either no warp is ready, or every ready warp is held back by a
 //! throttle set the scheduler vouches cannot change while nothing issues
 //! ([`WarpScheduler::throttle_stable_when_idle`]). Such a stretch is replayed
-//! in closed form through [`WarpScheduler::on_idle_cycles`].
+//! in closed form through [`WarpScheduler::on_idle_cycles`]. The chip engine
+//! can put an SM in *stepping* mode, which turns the skips off: the same
+//! entry points then step every cycle, the reference the skips are tested
+//! against.
 //!
 //! Downstream memory is reached through a [`MemoryPort`]: a private L2+DRAM
-//! partition in the legacy single-SM configuration, or a deferred port into
-//! the chip's pipelined shared backend (reorder window → request fabric →
-//! bank shards → reply fabric) when the SM is one of many driven by the
-//! [`crate::gpu::Gpu`] engine — which then advances the SM in epochs via
-//! [`Sm::run_epoch`], drains the port at epoch boundaries, and delivers the
-//! pipeline's responses with [`Sm::deliver`].
+//! partition when the SM is a chip of its own, or a deferred port into the
+//! chip's pipelined shared backend (reorder window → request fabric → L2/DRAM
+//! banks → reply fabric) when the SM is one of many driven by the
+//! [`crate::gpu::Gpu`] engine — which then advances the SM from boundary to
+//! boundary via [`Sm::run_epoch_event`], drains the port at each boundary,
+//! and delivers the pipeline's responses with [`Sm::deliver`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -62,7 +65,7 @@ use sim_obs::{TraceEvent, TraceRecorder, Tracer, Track};
 
 /// A memory-system completion event scheduled for a future cycle (either
 /// computed synchronously by a private port or delivered by the chip engine
-/// at an epoch barrier).
+/// at an epoch boundary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ResponseEvent {
     /// An outstanding MSHR miss for this block completed.
@@ -127,6 +130,9 @@ pub struct Sm {
     /// test consult the scheduler's throttle set, so policies that never
     /// throttle pay nothing for it.
     throttle_only_last: bool,
+    /// Steps every cycle: `idle_skip_target` never skips, so the SM
+    /// is never parked by the chip engine either.
+    stepping: bool,
 
     /// Sim-time trace sink (`None` below the full obs level — the hot path
     /// then pays one branch per would-be event).
@@ -140,7 +146,7 @@ pub struct Sm {
 impl Sm {
     /// Builds an SM executing `kernel` under `scheduler`, with an optional
     /// redirect cache installed on the global-memory datapath. The SM owns a
-    /// private memory partition (the legacy single-SM configuration).
+    /// private memory partition.
     pub fn new(
         config: GpuConfig,
         kernel: Box<dyn Kernel>,
@@ -206,6 +212,7 @@ impl Sm {
             snapshot: SampleSnapshot::default(),
             ready_scratch: Vec::new(),
             throttle_only_last: false,
+            stepping: false,
             trace: None,
             trace_unit: 0,
             busy_since: None,
@@ -218,6 +225,11 @@ impl Sm {
     /// Current cycle.
     pub fn cycle(&self) -> Cycle {
         self.cycle
+    }
+
+    /// Switches per-cycle stepping on or off (see the module docs).
+    pub(crate) fn set_stepping(&mut self, stepping: bool) {
+        self.stepping = stepping;
     }
 
     /// Attaches a sim-time trace recorder; the SM records on track
@@ -343,33 +355,20 @@ impl Sm {
         self.cycle
     }
 
-    /// Advances the SM to (at most) cycle `until` — one epoch of the chip
-    /// engine's barrier-synchronised loop. Stops early when the kernel
-    /// finishes or a cap is hit. Does not finalise statistics.
-    pub fn run_epoch(&mut self, until: Cycle) {
-        while self.cycle < until && !self.is_done() && !self.hit_cap() {
-            self.step();
-        }
-    }
-
     /// Event-driven equivalent of [`Sm::run`]: produces bit-identical state
     /// and statistics, but fast-forwards over provably idle stretches (no
     /// warp offered to the scheduler, no response due) instead of stepping
     /// them one cycle at a time. Returns the number of cycles simulated.
     pub fn run_event(&mut self) -> Cycle {
-        while !self.is_done() && !self.hit_cap() {
-            match self.idle_skip_target(Cycle::MAX) {
-                Some(target) => self.skip_idle_to(target),
-                None => self.step(),
-            }
-        }
+        self.run_epoch_event(Cycle::MAX);
         self.finalize_stats();
         self.cycle
     }
 
-    /// Event-driven equivalent of [`Sm::run_epoch`]: advances to (at most)
-    /// cycle `until`, fast-forwarding idle stretches. Bit-identical to
-    /// stepping every cycle.
+    /// Advances the SM to (at most) cycle `until` — one epoch of the chip
+    /// engine's boundary loop — fast-forwarding idle stretches. Stops early
+    /// when the kernel finishes or a cap is hit; does not finalise
+    /// statistics. Bit-identical to stepping every cycle.
     pub fn run_epoch_event(&mut self, until: Cycle) {
         while self.cycle < until && !self.is_done() && !self.hit_cap() {
             match self.idle_skip_target(until) {
@@ -382,8 +381,8 @@ impl Sm {
     /// The SM's next-event time: the cycle at which something observable can
     /// happen (a warp wakeup or a pending memory response), or `None` when
     /// the current cycle cannot be skipped (issuable warps, due responses,
-    /// pending CTA retires/launches or releasable barriers). Used by the
-    /// event-driven engine to order SM advancement.
+    /// pending CTA retires/launches or releasable barriers, or the SM is in
+    /// stepping mode). Used by the chip engine to order SM advancement.
     pub fn next_event_time(&self) -> Option<Cycle> {
         self.idle_skip_target(Cycle::MAX)
     }
@@ -413,7 +412,7 @@ impl Sm {
     ///    it cannot newly trigger while nothing issues).
     fn idle_skip_target(&self, until: Cycle) -> Option<Cycle> {
         let now = self.cycle;
-        if until <= now {
+        if self.stepping || until <= now {
             return None;
         }
         if self.stats.instructions >= self.snapshot.instructions + self.config.sample_interval_insts
@@ -962,8 +961,8 @@ impl Sm {
     }
 
     /// Issues a read to the downstream port; a synchronous (private) port
-    /// yields the completion immediately, a deferred one delivers `ev` after
-    /// the epoch barrier.
+    /// yields the completion immediately, a deferred one delivers `ev` at a
+    /// later epoch boundary.
     fn mem_read(
         &mut self,
         block: Addr,
@@ -1234,7 +1233,7 @@ impl Sm {
 
     /// Copies end-of-run counters (cycle count, cache statistics, redirect
     /// utilisation) into [`Sm::stats`]. Idempotent; `run` calls it, and the
-    /// chip engine calls it for epoch-driven SMs. An SM on a deferred port
+    /// chip engine calls it for boundary-driven SMs. An SM on a deferred port
     /// leaves its `l2`/`dram` fields empty — those live in the shared
     /// backend and are filled in at the chip level.
     pub fn finalize_stats(&mut self) {

@@ -314,8 +314,7 @@ impl SmStats {
     /// is done when its slowest SM is, so chip IPC = Σ instructions / max
     /// cycles); occupancy high-water marks take the maximum; and
     /// `redirect_utilization` averages. Reducing a single SM's stats returns
-    /// them unchanged, which is what keeps 1-SM chip runs bit-identical to
-    /// the legacy path.
+    /// them unchanged, so a 1-SM chip reports exactly its SM's statistics.
     pub fn reduce(per_sm: &[SmStats]) -> SmStats {
         let mut chip = SmStats::default();
         for s in per_sm {

@@ -7,10 +7,10 @@
 //! experiments: table1 table2 fig1 fig4 fig8 fig9 fig10 fig11 fig12 overhead mix perf all
 //! ```
 //!
-//! `--sms N` simulates every run on an N-SM chip (parallel per-SM execution
-//! against a shared banked L2/DRAM); the default of 1 is the legacy
-//! single-SM model all recorded baselines use. `--seed N` replicates every
-//! synthetic trace under a different seed (0 = the historical traces).
+//! `--sms N` simulates every run on an N-SM chip against a shared banked
+//! L2/DRAM; the default of 1 is the single-SM model all recorded baselines
+//! use. `--seed N` replicates every synthetic trace under a different seed
+//! (0 = the historical traces).
 //!
 //! `mix` co-runs the named multi-tenant benchmark mixes across the three SM
 //! partitioning policies (exclusive, spatial, shared-rr) × schedulers and

@@ -23,8 +23,8 @@
 //! | CI performance-regression gate | [`perf`] | `perf` |
 //!
 //! Every experiment accepts the `--sms N` axis: the [`runner::Runner`]
-//! simulates each (benchmark, scheduler) pair on an N-SM chip with parallel
-//! per-SM execution and a shared banked L2/DRAM when `N > 1`. Every
+//! simulates each (benchmark, scheduler) pair on an N-SM chip with a shared
+//! banked L2/DRAM when `N > 1`. Every
 //! experiment also accepts `--obs {off,metrics,full}` (the runner arms the
 //! `sim-obs` layer on each simulation it issues) and the `-v`/`--quiet`
 //! verbosity flags, which drive the [`runner::log`] diagnostics channel.

@@ -62,7 +62,7 @@ pub fn required_mix_keys() -> Vec<String> {
 /// "not measured" (a snapshot taken without `--with-mixes`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WallClock {
-    /// Mix-STP sweep under the epoch (oracle) backend.
+    /// Mix-STP sweep under the epoch (per-cycle stepping) backend.
     pub mix_epoch_secs: f64,
     /// Mix-STP sweep under the event backend.
     pub mix_event_secs: f64,

@@ -2,9 +2,9 @@
 //! executes them, optionally in parallel across worker threads.
 //!
 //! The runner exposes the harness's `--sms N` axis: with `sms == 1` (the
-//! default) every run uses the legacy single-SM simulator, which is what all
-//! recorded baselines (including `bench/baseline.json`) were produced with;
-//! with `sms > 1` each run simulates a chip of N SMs executing in parallel
+//! default) every run simulates one SM with a private L2/DRAM partition,
+//! which is what all recorded baselines (including `bench/baseline.json`)
+//! were produced with; with `sms > 1` each run simulates a chip of N SMs
 //! against the shared banked L2/DRAM backend, with one scheduler instance
 //! per SM.
 
@@ -60,7 +60,8 @@ pub enum RunScale {
     Tiny,
     /// Reduced runs for smoke benches and quick sanity checks.
     Quick,
-    /// The runs used for the numbers recorded in EXPERIMENTS.md.
+    /// The largest runs: Full-scale workloads under a 200k-instruction
+    /// budget.
     Full,
 }
 
@@ -172,9 +173,9 @@ pub struct Runner {
     pub scale: RunScale,
     /// Number of worker threads for matrix runs.
     pub threads: usize,
-    /// Number of SMs each simulation models (the `--sms N` axis). `1` uses
-    /// the legacy single-SM path; `> 1` runs the parallel multi-SM chip
-    /// engine with a shared L2/DRAM backend.
+    /// Number of SMs each simulation models (the `--sms N` axis). `1` gives
+    /// the SM a private L2/DRAM partition; `> 1` shares a banked L2/DRAM
+    /// backend between the SMs.
     pub sms: usize,
     /// Experiment seed mixed into every synthetic trace (the `--seed N`
     /// axis); `0` reproduces the historical single-seed traces bit for bit.
@@ -316,10 +317,8 @@ impl Runner {
         self.scale.workload_scale().with_seed(self.seed)
     }
 
-    /// Runs one (benchmark, scheduler) pair and returns the full result:
-    /// the legacy single-SM simulation when `sms == 1`, a parallel multi-SM
-    /// chip simulation (one scheduler instance per SM, shared banked
-    /// L2/DRAM) otherwise.
+    /// Runs one (benchmark, scheduler) pair on a chip of `sms` SMs (one
+    /// scheduler instance per SM) and returns the full result.
     pub fn run_one(&self, benchmark: Benchmark, scheduler: SchedulerKind) -> SimResult {
         self.run_one_observed(benchmark, scheduler).0
     }
@@ -390,10 +389,7 @@ impl Runner {
             .collect();
         let results: Mutex<Vec<Option<RunRecord>>> = Mutex::new(vec![None; jobs.len()]);
         let next: Mutex<usize> = Mutex::new(0);
-        // Each multi-SM run spawns `sms` barrier-synchronised worker threads
-        // of its own, so divide the outer pool accordingly to avoid
-        // oversubscribing the machine with threads × sms blocked barriers.
-        let workers = self.threads.div_ceil(self.sms.max(1)).clamp(1, jobs.len().max(1));
+        let workers = self.threads.clamp(1, jobs.len().max(1));
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -581,7 +577,7 @@ mod tests {
         assert!(res.stats.instructions > 0);
         let rec = RunRecord::from_result(Benchmark::Nn, SchedulerKind::CiaoC, &res);
         assert_eq!(rec.num_sms, 2);
-        // Deterministic across repeats despite parallel per-SM execution.
+        // Deterministic across repeats.
         let res2 = runner.run_one(Benchmark::Nn, SchedulerKind::CiaoC);
         assert_eq!(res.cycles, res2.cycles);
         assert_eq!(res.stats, res2.stats);

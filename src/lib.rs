@@ -39,7 +39,7 @@ pub mod prelude {
     pub use ciao_schedulers::{CcwsScheduler, PcalScheduler, SwlScheduler};
     pub use ciao_workloads::{Benchmark, BenchmarkClass, ScaleConfig};
     pub use gpu_fleet::{Fleet, FleetRequest, FleetResult, PlacementPolicy, TrafficSpec};
-    pub use gpu_sim::{BackendKind, GpuConfig, SimRequest, SimResult, Simulator, TimingBackend};
+    pub use gpu_sim::{BackendKind, GpuConfig, SimRequest, SimResult, Simulator};
 }
 
 #[cfg(test)]

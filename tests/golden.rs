@@ -1,0 +1,101 @@
+//! Golden digests of whole simulation results.
+//!
+//! Each case pins the FNV-1a-64 digest of its `SimResult` JSON, with the
+//! timing-backend label blanked, and checks it under both `BackendKind`s:
+//! the event core and its per-cycle stepping mode must reproduce the
+//! recorded result bit for bit. Any change to a digest is a change to a
+//! simulated result, so an intended modelling change must re-record the
+//! affected constants in the same commit.
+
+use ciao_suite::harness::runner::{RunScale, Runner};
+use ciao_suite::harness::schedulers::SchedulerKind;
+use ciao_suite::sim::{BackendKind, DispatchPolicy, SimResult};
+use ciao_suite::workloads::{Benchmark, Mix};
+
+/// FNV-1a-64 of the result JSON with the backend label blanked.
+fn digest(mut res: SimResult) -> u64 {
+    res.backend = String::new();
+    let json = serde_json::to_string(&res).expect("serialise");
+    json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Runs `case` under both timing backends and checks each digest.
+fn assert_golden(name: &str, expected: u64, case: impl Fn(BackendKind) -> SimResult) {
+    for backend in BackendKind::ALL {
+        let got = digest(case(backend));
+        assert_eq!(got, expected, "{name} under {backend}: digest {got:#018x}");
+    }
+}
+
+/// The Fig. 8 configuration: Quick scale on one SM, with a cycle cap low
+/// enough to bound the throttling livelocks quickly.
+fn quick_sm1(benchmark: Benchmark, scheduler: SchedulerKind, expected: u64) {
+    let name = format!("quick/1-SM {benchmark:?} x {scheduler:?}");
+    assert_golden(&name, expected, |backend| {
+        let mut runner = Runner::new(RunScale::Quick).with_backend(backend);
+        runner.config.max_cycles = Some(400_000);
+        runner.run_one(benchmark, scheduler)
+    });
+}
+
+/// The Tiny cache-vs-stream mix under GTO on a chip of `sms` SMs.
+fn tiny_cache_stream(sms: usize, policy: DispatchPolicy, arrivals: u64, expected: u64) {
+    let name = format!("tiny/{sms} cache-stream {policy} arrivals {arrivals}");
+    assert_golden(&name, expected, |backend| {
+        Runner::new(RunScale::Tiny)
+            .with_sms(sms)
+            .with_arrivals(arrivals)
+            .with_backend(backend)
+            .run_mix(Mix::CacheStream, policy, SchedulerKind::Gto)
+    });
+}
+
+#[test]
+fn quick_sm1_syrk_gto() {
+    quick_sm1(Benchmark::Syrk, SchedulerKind::Gto, 0xeede_fa54_b73c_1df9);
+}
+
+#[test]
+fn quick_sm1_syrk_best_swl() {
+    quick_sm1(Benchmark::Syrk, SchedulerKind::BestSwl, 0x6814_8f9f_86fc_6494);
+}
+
+#[test]
+fn quick_sm1_syrk_ciao_c() {
+    quick_sm1(Benchmark::Syrk, SchedulerKind::CiaoC, 0xc865_1b9f_201a_7dde);
+}
+
+#[test]
+fn quick_sm1_ii_gto() {
+    quick_sm1(Benchmark::Ii, SchedulerKind::Gto, 0xe3e3_99ac_be8f_4282);
+}
+
+#[test]
+fn quick_sm1_ii_best_swl() {
+    quick_sm1(Benchmark::Ii, SchedulerKind::BestSwl, 0xc2e7_c76f_792b_fed0);
+}
+
+#[test]
+fn quick_sm1_ii_ciao_c() {
+    quick_sm1(Benchmark::Ii, SchedulerKind::CiaoC, 0x1924_6e90_35f9_b872);
+}
+
+#[test]
+fn tiny15_cache_stream_shared_rr() {
+    tiny_cache_stream(15, DispatchPolicy::SharedRoundRobin, 0, 0x290b_0e66_cb55_e93c);
+}
+
+#[test]
+fn tiny15_cache_stream_interference_aware_staggered() {
+    tiny_cache_stream(15, DispatchPolicy::InterferenceAware, 5_000, 0xa584_d345_2e04_db4e);
+}
+
+#[test]
+fn tiny3_exclusive_queue_with_late_arrival() {
+    tiny_cache_stream(3, DispatchPolicy::Exclusive, 5_000, 0x8826_7b92_3844_8145);
+}
+
+#[test]
+fn tiny64_cache_stream_capacity_point() {
+    tiny_cache_stream(64, DispatchPolicy::SharedRoundRobin, 0, 0x04fe_b719_a021_e421);
+}

@@ -2,24 +2,23 @@
 //!
 //! The contract of the `gpu_sim::gpu` engine, checked end to end:
 //!
-//! 1. a 1-SM chip run is *bit-identical* to the legacy single-SM path,
+//! 1. a 1-SM chip run is *bit-identical* to the bare SM it wraps,
 //! 2. adding SMs never lowers chip IPC on a cache-light workload,
 //! 3. the shared L2 sees exactly the downstream traffic the per-SM L1s
 //!    produced,
 //! 4. the CTA dispatcher assigns every block exactly once for arbitrary
 //!    (blocks, SMs) shapes,
-//! 5. a full 15-SM harness run is deterministic across repeats despite
-//!    parallel per-SM execution.
+//! 5. a full 15-SM harness run is deterministic across repeats.
 
 use std::sync::Arc;
 
 use ciao_suite::harness::runner::{RunScale, Runner};
 use ciao_suite::harness::schedulers::SchedulerKind;
+use ciao_suite::mem::interconnect::Crossbar;
 use ciao_suite::sim::kernel::{ClosureKernel, KernelInfo};
 use ciao_suite::sim::trace::{VecProgram, WarpOp};
 use ciao_suite::sim::{
-    dispatch_round_robin, DispatchPolicy, GpuConfig, GtoScheduler, Kernel, SimRequest, SimResult,
-    Simulator,
+    dispatch_round_robin, GpuConfig, GtoScheduler, Kernel, SimRequest, Simulator, Sm,
 };
 use ciao_suite::workloads::Benchmark;
 use proptest::prelude::*;
@@ -50,18 +49,8 @@ fn cache_light_kernel(
     })
 }
 
-fn assert_results_identical(a: &SimResult, b: &SimResult) {
-    assert_eq!(a.cycles, b.cycles, "cycle counts differ");
-    assert_eq!(a.stats, b.stats, "aggregate stats differ");
-    assert_eq!(a.time_series, b.time_series, "time series differ");
-    assert_eq!(a.interference, b.interference, "interference matrices differ");
-    assert_eq!(a.scheduler_metrics, b.scheduler_metrics, "scheduler metrics differ");
-    assert_eq!(a.capped, b.capped, "capped flags differ");
-    assert_eq!(a.interconnect, b.interconnect, "interconnect traffic differs");
-}
-
 #[test]
-fn one_sm_chip_is_bit_identical_to_legacy_run() {
+fn one_sm_chip_is_bit_identical_to_a_bare_sm() {
     // GTO exercises the plain L1D path; CIAO-C additionally exercises the
     // redirect cache, throttling, and the detector.
     for scheduler in [SchedulerKind::Gto, SchedulerKind::CiaoC] {
@@ -72,24 +61,27 @@ fn one_sm_chip_is_bit_identical_to_legacy_run() {
         let params = ciao_suite::ciao::CiaoParams::default();
         let benchmark = Benchmark::Syrk;
         let scale = RunScale::Tiny.workload_scale();
-        let sim = Simulator::new(config.clone());
+
+        // The SM on its own, stepping every cycle against a private
+        // partition: the chip engine must add nothing to it.
+        let (sched, redirect) = scheduler.build(benchmark, &config, &params);
+        let mut bare = Sm::new(config.clone(), Box::new(benchmark.kernel(&scale)), sched, redirect);
+        bare.run();
 
         let kernel: Arc<dyn Kernel> = Arc::new(benchmark.kernel(&scale));
-        let legacy = sim.execute(SimRequest::kernel(Arc::clone(&kernel)).num_sms(1), |_| {
-            scheduler.build(benchmark, &config, &params)
-        });
-
-        // A non-exclusive policy sidesteps `execute`'s static-single fast
-        // path (the verbatim legacy `Sm` engine above), so this run exercises
-        // the real chip engine on a 1-SM chip — one stream admits no sharing,
-        // so the policy itself changes nothing.
-        let req = SimRequest::kernel(kernel).num_sms(1).policy(DispatchPolicy::SharedRoundRobin);
-        let chip = sim.execute(req, |_| scheduler.build(benchmark, &config, &params));
+        let chip = Simulator::new(config.clone())
+            .execute(SimRequest::kernel(kernel), |_| scheduler.build(benchmark, &config, &params));
 
         assert_eq!(chip.num_sms, 1);
         assert_eq!(chip.per_sm.len(), 1);
         assert_eq!(chip.per_sm[0], chip.stats);
-        assert_results_identical(&legacy, &chip);
+        assert_eq!(&chip.stats, bare.stats(), "aggregate stats differ");
+        assert_eq!(chip.cycles, bare.cycle(), "cycle counts differ");
+        assert_eq!(&chip.time_series, bare.time_series(), "time series differ");
+        assert_eq!(&chip.interference, bare.interference_matrix(), "interference differs");
+        assert_eq!(chip.scheduler_metrics, bare.scheduler().metrics(), "metrics differ");
+        assert_eq!(chip.capped, !bare.is_done(), "capped flags differ");
+        assert_eq!(chip.interconnect, Crossbar::aggregate([bare.interconnect()]));
     }
 }
 
