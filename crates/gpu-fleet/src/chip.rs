@@ -28,8 +28,8 @@
 //! Determinism: all state is advanced by [`ChipModel::advance_to`] with a
 //! fixed event order (completions by slot, then classifications by slot,
 //! then arrivals) and fixed-order f64 arithmetic, so a chip's trajectory is
-//! a pure function of the jobs pushed into it — independent of which fleet
-//! worker thread drives it.
+//! a pure function of the jobs pushed into it — independent of when the
+//! fleet epoch loop gets round to advancing it.
 
 use gpu_sim::{DispatchAction, DispatchDecision, DispatchLog, LatencyClass, TenantClass};
 use std::collections::VecDeque;
@@ -160,12 +160,13 @@ pub struct ChipModel {
     now: u64,
     /// Placed but not yet arrived jobs, in arrival order.
     inbox: VecDeque<Job>,
-    /// Arrived jobs waiting for a resident slot.
-    queue: VecDeque<Job>,
+    /// Arrived jobs waiting for a resident slot, one FIFO lane per latency
+    /// class: `[interactive, batch]`.
+    lanes: [VecDeque<Job>; 2],
     /// Resident slots (tenant ids of the on-chip dispatcher).
     resident: [Option<Job>; MAX_RESIDENT],
     log: DispatchLog,
-    /// Solo-equivalent cycles of the jobs in `inbox` + `queue`, by declared
+    /// Solo-equivalent cycles of the jobs in `inbox` + `lanes`, by declared
     /// [`WorkClass::index`].
     pending_cycles: [u64; 3],
     done: Vec<CompletedJob>,
@@ -183,7 +184,7 @@ impl ChipModel {
             calib,
             now: 0,
             inbox: VecDeque::new(),
-            queue: VecDeque::new(),
+            lanes: [VecDeque::new(), VecDeque::new()],
             resident: [None, None, None, None],
             log: DispatchLog::default(),
             pending_cycles: [0; 3],
@@ -212,9 +213,14 @@ impl ChipModel {
         self.now
     }
 
+    /// Arrived jobs waiting for a resident slot, both lanes.
+    fn queued(&self) -> usize {
+        self.lanes.iter().map(VecDeque::len).sum()
+    }
+
     /// True when no work is queued, resident, or in flight.
     pub fn idle(&self) -> bool {
-        self.inbox.is_empty() && self.queue.is_empty() && self.resident.iter().all(Option::is_none)
+        self.inbox.is_empty() && self.queued() == 0 && self.resident.iter().all(Option::is_none)
     }
 
     /// Conservative lower bound on the next cycle at which advancing this
@@ -225,7 +231,7 @@ impl ChipModel {
     /// skipped chip's clock simply stays frozen and [`Self::advance_to`]
     /// fast-forwards over arrival gaps, so its trajectory is unchanged.
     pub fn next_event_time(&self) -> u64 {
-        if self.resident.iter().any(Option::is_some) || !self.queue.is_empty() {
+        if self.resident.iter().any(Option::is_some) || self.queued() > 0 {
             self.now
         } else {
             self.inbox.front().map_or(u64::MAX, |j| j.arrival)
@@ -254,7 +260,7 @@ impl ChipModel {
         ChipView {
             chip: self.id,
             resident: self.resident.iter().flatten().count(),
-            queued: self.inbox.len() + self.queue.len(),
+            queued: self.inbox.len() + self.queued(),
             classified_cache: cache,
             classified_stream: stream,
             pending_class_cycles: self.pending_cycles,
@@ -351,17 +357,20 @@ impl ChipModel {
         rates
     }
 
-    /// Moves due inbox jobs to the queue and fills free resident slots
-    /// (interactive first, then FIFO), logging admissions.
+    /// Moves due inbox jobs to their latency lane and fills free resident
+    /// slots (interactive lane first, each lane FIFO), logging admissions.
     fn admit_due(&mut self) {
         while self.inbox.front().is_some_and(|j| j.arrival <= self.now) {
-            self.queue.push_back(self.inbox.pop_front().expect("front checked"));
+            let job = self.inbox.pop_front().expect("front checked");
+            let lane = match job.latency {
+                LatencyClass::Interactive => 0,
+                LatencyClass::Batch => 1,
+            };
+            self.lanes[lane].push_back(job);
         }
-        self.peak_queue = self.peak_queue.max(self.queue.len());
+        self.peak_queue = self.peak_queue.max(self.queued());
         while let Some(slot) = self.resident.iter().position(Option::is_none) {
-            let pick =
-                self.queue.iter().position(|j| j.latency == LatencyClass::Interactive).unwrap_or(0);
-            let Some(mut job) = self.queue.remove(pick) else { break };
+            let Some(mut job) = self.lanes.iter_mut().find_map(VecDeque::pop_front) else { break };
             let solo = self.calib.solo_cycles(job.class, job.work).round() as u64;
             self.pending_cycles[job.class.index()] =
                 self.pending_cycles[job.class.index()].saturating_sub(solo);
@@ -561,6 +570,27 @@ mod tests {
             interactive.finish < batch_queued.finish,
             "the later interactive job must be admitted first and finish earlier"
         );
+    }
+
+    #[test]
+    fn queued_interactive_jobs_are_admitted_first_in_arrival_order() {
+        let calib = Calibration::reference(8);
+        let mut chip = ChipModel::new(0, calib);
+        // One short and three long residents: once the short job leaves,
+        // a single slot serves the queue, so finish order is admission order.
+        chip.push(&arrival(0, 0, WorkClass::Compute, LatencyClass::Batch, 50_000));
+        for id in 1..4 {
+            chip.push(&arrival(id, 0, WorkClass::Compute, LatencyClass::Batch, 10_000_000));
+        }
+        for id in 4..12 {
+            let latency = if id % 2 == 0 { LatencyClass::Batch } else { LatencyClass::Interactive };
+            chip.push(&arrival(id, id, WorkClass::Compute, latency, 1_000));
+        }
+        chip.advance_to(u64::MAX);
+        let order: Vec<u64> =
+            chip.take_completed().iter().map(|j| j.id).filter(|&id| id >= 4).collect();
+        assert_eq!(order, [5, 7, 9, 11, 4, 6, 8, 10], "interactive lane first, each in FIFO order");
+        assert_eq!(chip.accounting().peak_queue, 8, "peak queue counts both latency classes");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`gpu_sim::SimRequest`] / [`gpu_sim::Simulator::execute`] /
 //! [`gpu_sim::SimResult`] triple: describe the whole run up front with a
 //! builder (chip count and size, placement policy, traffic spec, SLO
-//! policy, worker count, observability level), execute it in one call, get
+//! policy, observability level), execute it in one call, get
 //! a schema-versioned, deterministically serialisable result back.
 //!
 //! ## Execution model
@@ -18,19 +18,16 @@
 //!    scheduler polling its chips);
 //! 2. places the epoch's arrivals sequentially with the configured
 //!    [`PlacementPolicy`], updating planned-load counts as it goes;
-//! 3. advances all *due* chips to the epoch end — in parallel across
-//!    `workers` threads (`std::thread::scope` + a barrier per phase).
-//!    Chips whose [`ChipModel::next_event_time`] sleep hint lies beyond
-//!    the epoch end are skipped outright (no lock, no advance, no
-//!    re-polled view), so mostly-idle chips cost ~nothing per epoch; the
-//!    elided chip-epochs are surfaced as the engine-namespaced
-//!    `engine/skipped-chip-epochs` metric.
+//! 3. advances all *due* chips to the epoch end, in chip order. Chips
+//!    whose [`ChipModel::next_event_time`] sleep hint lies beyond the
+//!    epoch end are skipped outright (no advance, no re-polled view), so
+//!    mostly-idle chips cost ~nothing per epoch; the elided chip-epochs are
+//!    surfaced as the engine-namespaced `engine/skipped-chip-epochs`
+//!    metric.
 //!
-//! Chips never interact inside an epoch, placement is always sequential
-//! on the coordinator, and the sleep-skip predicate is a pure function of
-//! chip state, so the result is **bit-identical for any worker count** —
-//! `workers` is a wall-clock knob, not a model knob, and deliberately
-//! does not appear in [`FleetResult`].
+//! Chips never interact inside an epoch and the sleep-skip predicate is a
+//! pure function of chip state, so the result is **bit-identical across
+//! repeated runs** of the same request.
 //!
 //! ## Reporting
 //!
@@ -41,11 +38,8 @@
 //! job's solo service time), and per-chip utilization, all built from
 //! `Vec`s and fixed orders so the JSON is byte-stable.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sim_obs::{chip_metric, MetricsRegistry, ObsLevel, ObsReport};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
 
 use crate::calib::Calibration;
 use crate::chip::{ChipModel, ChipView, CompletedJob, MAX_RESIDENT};
@@ -94,7 +88,6 @@ pub struct FleetRequest {
     sms_per_chip: usize,
     placement: PlacementPolicy,
     traffic: TrafficSpec,
-    workers: usize,
     slo: SloPolicy,
     obs: ObsLevel,
     calibration: Option<Calibration>,
@@ -106,14 +99,13 @@ impl FleetRequest {
     pub const DEFAULT_EPOCH_CYCLES: u64 = 16_384;
 
     /// A fleet run over `traffic`: 4 chips of 8 SMs, interference-aware
-    /// spread placement, one worker, default SLO policy, observability off.
+    /// spread placement, default SLO policy, observability off.
     pub fn new(traffic: TrafficSpec) -> Self {
         FleetRequest {
             chips: 4,
             sms_per_chip: 8,
             placement: PlacementPolicy::default(),
             traffic,
-            workers: 1,
             slo: SloPolicy::default(),
             obs: ObsLevel::Off,
             calibration: None,
@@ -138,14 +130,6 @@ impl FleetRequest {
     /// Sets the placement policy.
     pub fn placement(mut self, placement: PlacementPolicy) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Sets the worker-thread count for the chip-advancement phases. Pure
-    /// wall-clock knob: any value produces the bit-identical result.
-    pub fn workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "at least one worker");
-        self.workers = workers;
         self
     }
 
@@ -224,8 +208,8 @@ pub struct ChipReport {
 }
 
 /// The schema-versioned result of one fleet run. Serialises to
-/// byte-identical JSON for identical requests regardless of worker count;
-/// no wall-clock data lives here.
+/// byte-identical JSON for identical requests; no wall-clock data lives
+/// here.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetResult {
     /// [`FLEET_SCHEMA_VERSION`].
@@ -294,95 +278,23 @@ impl Fleet {
         let arrivals = req.traffic.generate();
         let calib =
             req.calibration.clone().unwrap_or_else(|| Calibration::measure(req.sms_per_chip));
-        let chips: Vec<Mutex<ChipModel>> =
-            (0..req.chips).map(|c| Mutex::new(ChipModel::new(c, calib.clone()))).collect();
+        let mut chips: Vec<ChipModel> =
+            (0..req.chips).map(|c| ChipModel::new(c, calib.clone())).collect();
 
         // Typical per-job solo cycles of this traffic, for converting the
         // dispatch log's resident counts into backlog-cycle units.
         let typical = arrivals.iter().map(|a| calib.solo_cycles(a.class, a.work)).sum::<f64>()
             / (arrivals.len().max(1) as f64);
         let ctx = PlacementContext::new(&calib, typical);
+        let skipped_chip_epochs =
+            run_epochs(&arrivals, &mut chips, req.placement, &ctx, &calib, req.epoch_cycles);
 
-        // Per-chip sleep hints ([`ChipModel::next_event_time`]): a chip
-        // whose hint lies beyond the advance target is skipped entirely —
-        // no lock, no advance, no re-polled view — so mostly-idle chips
-        // cost nothing per epoch. Hints are lowered when placement pushes
-        // an arrival and refreshed by whichever worker advances the chip.
-        let hints: Vec<AtomicU64> = (0..req.chips).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let workers = req.workers.min(req.chips).max(1);
-        let skipped_chip_epochs = if workers == 1 {
-            run_epochs(
-                &arrivals,
-                &chips,
-                req.placement,
-                &ctx,
-                &calib,
-                req.epoch_cycles,
-                &hints,
-                &mut |t| {
-                    for (c, chip) in chips.iter().enumerate() {
-                        if hints[c].load(Ordering::SeqCst) > t {
-                            continue;
-                        }
-                        let mut chip = chip.lock();
-                        chip.advance_to(t);
-                        hints[c].store(chip.next_event_time(), Ordering::SeqCst);
-                    }
-                },
-            )
-        } else {
-            let barrier = Barrier::new(workers + 1);
-            let target = AtomicU64::new(0);
-            let done = AtomicBool::new(false);
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let (chips, barrier, target, done, hints) =
-                        (&chips, &barrier, &target, &done, &hints);
-                    s.spawn(move || loop {
-                        barrier.wait();
-                        if done.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let t = target.load(Ordering::SeqCst);
-                        for c in (w..chips.len()).step_by(workers) {
-                            if hints[c].load(Ordering::SeqCst) > t {
-                                continue;
-                            }
-                            let mut chip = chips[c].lock();
-                            chip.advance_to(t);
-                            hints[c].store(chip.next_event_time(), Ordering::SeqCst);
-                        }
-                        barrier.wait();
-                    });
-                }
-                let skipped = run_epochs(
-                    &arrivals,
-                    &chips,
-                    req.placement,
-                    &ctx,
-                    &calib,
-                    req.epoch_cycles,
-                    &hints,
-                    &mut |t| {
-                        target.store(t, Ordering::SeqCst);
-                        barrier.wait();
-                        barrier.wait();
-                    },
-                );
-                done.store(true, Ordering::SeqCst);
-                barrier.wait();
-                skipped
-            })
-        };
-
-        // Chip order is fixed and completion aggregation sorts explicitly,
-        // so neither depends on worker scheduling. Each chip's list is read
-        // in place, chip after chip, rather than copied into one list.
+        // Each chip's list is read in place, chip after chip, rather than
+        // copied into one list.
         let mut completed: Vec<Vec<CompletedJob>> = Vec::with_capacity(req.chips);
         let mut accounting = Vec::with_capacity(req.chips);
         let mut makespan = 0u64;
-        for chip in &chips {
-            let mut chip = chip.lock();
+        for chip in &mut chips {
             accounting.push(chip.accounting());
             let jobs = chip.take_completed();
             makespan = makespan.max(jobs.iter().map(|j| j.finish).max().unwrap_or(0));
@@ -466,30 +378,30 @@ fn release_freed_memory() {
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
 fn release_freed_memory() {}
 
-/// The coordinator epoch loop: snapshot views, place the epoch's arrivals
-/// sequentially, then hand the epoch-advance target to `advance` (which
-/// runs the chips — inline or across worker threads). `advance(u64::MAX)`
-/// at the end drains every chip to completion.
-/// Returns the number of skipped chip-epochs: chips left asleep (not
-/// locked, advanced, or re-polled) because their sleep hint lay beyond the
-/// epoch end.
-#[allow(clippy::too_many_arguments)] // coordinator wiring: every param is a distinct shared resource
+/// The epoch loop: snapshot views, place the epoch's arrivals
+/// sequentially, then advance every due chip to the epoch end; at the end,
+/// drain every chip to completion.
+///
+/// Per-chip sleep hints ([`ChipModel::next_event_time`]) decide which chips
+/// are due: a chip whose hint lies beyond the epoch end is skipped entirely
+/// — no advance, no re-polled view. A hint is lowered when placement
+/// pushes an arrival and refreshed after the chip advances. Returns the
+/// number of skipped chip-epochs.
 fn run_epochs(
     arrivals: &[Arrival],
-    chips: &[Mutex<ChipModel>],
+    chips: &mut [ChipModel],
     placement: PlacementPolicy,
     ctx: &PlacementContext,
     calib: &Calibration,
     epoch_cycles: u64,
-    hints: &[AtomicU64],
-    advance: &mut dyn FnMut(u64),
 ) -> u64 {
     // Views are cached across epochs and refreshed only for chips that
     // actually advanced: a sleeping chip's state — and therefore its
     // placement-visible view — cannot change, and any chip placement
     // pushes to becomes due (its hint drops to the arrival cycle, inside
     // this epoch), so its view is refreshed before the next placement.
-    let mut views: Vec<ChipView> = chips.iter().map(|c| c.lock().view()).collect();
+    let mut views: Vec<ChipView> = chips.iter().map(ChipModel::view).collect();
+    let mut hints = vec![u64::MAX; chips.len()];
     let mut skipped = 0u64;
     let mut idx = 0;
     let mut t = 0u64;
@@ -504,20 +416,24 @@ fn run_epochs(
             let solo = calib.solo_cycles(a.class, a.work).round() as u64;
             views[pick].queued += 1;
             views[pick].pending_class_cycles[a.class.index()] += solo;
-            chips[pick].lock().push(a);
-            hints[pick].fetch_min(a.cycle, Ordering::SeqCst);
+            chips[pick].push(a);
+            hints[pick] = hints[pick].min(a.cycle);
             idx += 1;
         }
-        let due: Vec<usize> =
-            (0..chips.len()).filter(|&c| hints[c].load(Ordering::SeqCst) <= epoch_end).collect();
-        skipped += (chips.len() - due.len()) as u64;
-        advance(epoch_end);
-        for &c in &due {
-            views[c] = chips[c].lock().view();
+        for (c, chip) in chips.iter_mut().enumerate() {
+            if hints[c] > epoch_end {
+                skipped += 1;
+                continue;
+            }
+            chip.advance_to(epoch_end);
+            hints[c] = chip.next_event_time();
+            views[c] = chip.view();
         }
         t = epoch_end;
     }
-    advance(u64::MAX);
+    for chip in chips.iter_mut() {
+        chip.advance_to(u64::MAX);
+    }
     skipped
 }
 
@@ -624,15 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_change_the_result() {
-        let base = Fleet::new().execute(quick_request(1_500, 9));
-        for workers in [2, 3, 8] {
-            let res = Fleet::new().execute(quick_request(1_500, 9).workers(workers));
-            assert_eq!(base, res, "{workers} workers must be bit-identical to 1");
-        }
-    }
-
-    #[test]
     fn repeated_runs_are_byte_identical() {
         let a = serde_json::to_string(&Fleet::new().execute(quick_request(800, 4))).unwrap();
         let b = serde_json::to_string(&Fleet::new().execute(quick_request(800, 4))).unwrap();
@@ -701,29 +608,22 @@ mod tests {
     #[test]
     fn sparse_traffic_sleeps_idle_chips_without_changing_results() {
         // Sparse arrivals on a wide fleet leave most chips idle most
-        // epochs: the sleep hints must elide chip-epochs, identically for
-        // every worker count, without perturbing the simulation.
-        let req = || {
-            FleetRequest::new(
-                TrafficSpec::new(200, 11)
-                    .with_mean_interarrival(5_000.0)
-                    .with_work_range(2_000, 20_000),
-            )
-            .chips(8)
-            .calibration(Calibration::reference(8))
-            .obs(ObsLevel::Metrics)
-        };
-        let (serial, serial_obs) = Fleet::new().execute_observed(req());
-        let (parallel, parallel_obs) = Fleet::new().execute_observed(req().workers(4));
-        assert_eq!(serial, parallel, "sleep skipping must stay worker-count invariant");
-        let skipped = serial_obs.metrics.counter("engine/skipped-chip-epochs", None);
+        // epochs: the sleep hints must elide chip-epochs without perturbing
+        // the simulation.
+        let req = FleetRequest::new(
+            TrafficSpec::new(200, 11)
+                .with_mean_interarrival(5_000.0)
+                .with_work_range(2_000, 20_000),
+        )
+        .chips(8)
+        .calibration(Calibration::reference(8));
+        let plain = Fleet::new().execute(req.clone());
+        let (res, obs) = Fleet::new().execute_observed(req.obs(ObsLevel::Metrics));
+        assert_eq!(plain, res, "observation must not perturb a sleeping fleet");
+        let skipped = obs.metrics.counter("engine/skipped-chip-epochs", None);
         assert!(skipped > 0, "sparse traffic on 8 chips must skip some chip-epochs");
-        assert_eq!(
-            skipped,
-            parallel_obs.metrics.counter("engine/skipped-chip-epochs", None),
-            "the skip count is a pure function of chip state, not worker count"
-        );
-        assert_eq!(serial.arrivals, 200);
+        assert_eq!(res.arrivals, 200);
+        assert_eq!(res.per_chip.iter().map(|c| c.completed).sum::<u64>(), 200);
     }
 
     #[test]

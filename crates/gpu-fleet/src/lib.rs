@@ -31,9 +31,9 @@
 //!    fleet STP, per-class turnaround percentiles, SLO-violation counts,
 //!    and per-chip utilization.
 //!
-//! Chips advance in parallel (`std::thread::scope`); placement stays
-//! sequential on the coordinator, so results are **bit-identical for any
-//! worker count** and for repeated runs of the same seed.
+//! The whole tier runs on the calling thread: placement and chip
+//! advancement alternate in a fixed order, so repeated runs of the same
+//! seed are **bit-identical**.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -6,7 +6,7 @@
 //!    [`Crossbar`]) — a simple latency + bandwidth pipe per SM: each transfer
 //!    pays a fixed traversal latency and occupies the link for
 //!    `bytes / bytes_per_cycle` cycles, so one SM's own miss bursts serialise
-//!    on its port without sharing mutable state across SM threads.
+//!    on its port without touching any other SM's link state.
 //! 2. **The shared fabric** ([`CrossbarFabric`]) — one chip-wide
 //!    bytes-per-cycle budget *per direction* (SM→L2 requests, L2→SM replies).
 //!    The multi-SM engine charges every request against the request budget
@@ -122,10 +122,10 @@ pub struct CrossbarStats {
 ///
 /// Each SM gets a private [`Interconnect`] with its per-SM latency and
 /// bandwidth slice, so an SM's own miss bursts serialise on its port without
-/// the engine having to share mutable link state across SM threads; chip-wide
-/// contention (finite aggregate bandwidth in both directions) is modelled by
-/// the [`CrossbarFabric`] the engine drives at its epoch barriers, and L2-set
-/// / DRAM-row contention downstream in the shared banked backend.
+/// touching any other SM's link state; chip-wide contention (finite aggregate
+/// bandwidth in both directions) is modelled by the [`CrossbarFabric`] the
+/// engine drives at its epoch boundaries, and L2-set / DRAM-row contention
+/// downstream in the shared banked backend.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     ports: Vec<Interconnect>,
@@ -257,9 +257,8 @@ pub struct FabricStats {
 }
 
 /// The shared request/reply fabric of a multi-SM chip: one finite chip-wide
-/// bytes-per-cycle budget per direction. Driven single-threaded by the chip
-/// engine at its epoch barriers, in deterministic request order, so results
-/// never depend on host threading.
+/// bytes-per-cycle budget per direction. Driven by the chip engine at its
+/// epoch boundaries, in deterministic request order.
 #[derive(Debug, Clone)]
 pub struct CrossbarFabric {
     bytes_per_cycle: f64,

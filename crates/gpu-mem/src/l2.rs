@@ -10,15 +10,14 @@
 //!
 //! [`BankedMemorySystem`] scales this to a multi-SM chip: the L2 capacity and
 //! DRAM bandwidth are sharded across address-interleaved banks, each bank a
-//! full [`MemoryPartition`] behind a `parking_lot` lock, so concurrent SM
-//! engines contend for L2 sets and DRAM row buffers the way the paper's
-//! 15-SM machine does instead of each SM owning a private slice.
+//! full [`MemoryPartition`], so every SM's requests contend for the same L2
+//! sets and DRAM row buffers the way the paper's 15-SM machine does instead
+//! of each SM owning a private slice.
 
 use crate::addr::{block_addr, Addr};
 use crate::cache::{CacheConfig, CacheStats, SetAssocCache};
 use crate::dram::{Dram, DramConfig, DramStats};
 use crate::{Cycle, TenantId, WarpId};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sim_obs::{Histogram, TraceEvent, TraceRecorder, Tracer, Track};
 
@@ -307,27 +306,15 @@ impl MemoryPartition {
     pub fn tenant_stats(&self) -> &[TenantMemStats] {
         &self.tenants
     }
-
-    /// Invalidates the whole L2 (between kernels) and resets DRAM timing.
-    pub fn reset(&mut self) {
-        self.l2.flush();
-        self.l2.reset_stats();
-        self.dram.reset();
-        self.requests = 0;
-        self.total_latency = 0;
-        self.tenants.clear();
-    }
 }
 
 /// The chip-level memory-side backend shared by every SM: `num_banks`
-/// address-interleaved (L2 slice + DRAM channel) partitions, each behind its
-/// own lock. Accesses to the same bank serialise — which is exactly where
-/// inter-SM L2 contention and DRAM row-buffer interference come from. The
-/// chip engine serves each epoch's sorted request batch one request at a
-/// time through [`BankedMemorySystem::serve_event_at`]; bulk callers can
-/// lock a bank once per run of requests with
-/// [`BankedMemorySystem::with_bank`]. Either way each bank's service order
-/// is fixed by the caller, so results do not depend on which thread serves.
+/// address-interleaved (L2 slice + DRAM channel) partitions. Accesses to the
+/// same bank serialise — which is exactly where inter-SM L2 contention and
+/// DRAM row-buffer interference come from. The chip engine serves each
+/// epoch's sorted request batch one request at a time through
+/// [`BankedMemorySystem::serve`], so each bank's service order is the
+/// caller's order.
 ///
 /// The configuration passed to [`BankedMemorySystem::new`] describes the
 /// whole chip; capacity and bandwidth are divided evenly across banks. With
@@ -335,7 +322,7 @@ impl MemoryPartition {
 /// timing to a private partition.
 #[derive(Debug)]
 pub struct BankedMemorySystem {
-    banks: Vec<Mutex<MemoryPartition>>,
+    banks: Vec<MemoryPartition>,
     line_size: u64,
 }
 
@@ -350,8 +337,7 @@ impl BankedMemorySystem {
         bank_cfg.l2.size_bytes = (bank_cfg.l2.size_bytes / num_banks as u64).max(min_size);
         bank_cfg.dram.bytes_per_cycle /= num_banks as f64;
         let line_size = bank_cfg.l2.line_size;
-        let banks =
-            (0..num_banks).map(|_| Mutex::new(MemoryPartition::new(bank_cfg.clone()))).collect();
+        let banks = (0..num_banks).map(|_| MemoryPartition::new(bank_cfg.clone())).collect();
         BankedMemorySystem { banks, line_size }
     }
 
@@ -375,82 +361,16 @@ impl BankedMemorySystem {
         ((block_addr(addr) / self.line_size) % self.banks.len() as u64) as usize
     }
 
-    /// Serves a read or write arriving at the L2 at cycle `now` on behalf of
-    /// warp `wid`; returns the completion cycle at the bank's output port.
-    /// Attributed to tenant 0 — multi-tenant engines use
-    /// [`BankedMemorySystem::access_tagged`].
-    pub fn access(&self, addr: Addr, wid: WarpId, is_write: bool, now: Cycle) -> Cycle {
-        self.access_tagged(addr, wid, 0, is_write, now)
-    }
-
-    /// [`BankedMemorySystem::access`] with explicit tenant attribution: the
-    /// serving bank charges the L2 lookup and any DRAM fetch to `tenant`.
-    /// Timing is identical to the untagged path.
-    pub fn access_tagged(
-        &self,
-        addr: Addr,
-        wid: WarpId,
-        tenant: TenantId,
-        is_write: bool,
-        now: Cycle,
-    ) -> Cycle {
-        self.banks[self.bank_of(addr)].lock().access_tagged(addr, wid, tenant, is_write, now)
-    }
-
-    /// Serves a request that bypasses the L2 and goes straight to the bank's
-    /// DRAM channel (statPCAL bypass path). Attributed to tenant 0.
-    pub fn access_bypass(&self, addr: Addr, now: Cycle) -> Cycle {
-        self.access_bypass_tagged(addr, 0, now)
-    }
-
-    /// [`BankedMemorySystem::access_bypass`] with explicit tenant attribution.
-    pub fn access_bypass_tagged(&self, addr: Addr, tenant: TenantId, now: Cycle) -> Cycle {
-        self.banks[self.bank_of(addr)].lock().access_bypass_tagged(addr, tenant, now)
-    }
-
-    /// Locks bank `idx` once and runs `f` against the partition — the bulk
-    /// entry point shard workers use to serve a whole per-bank request run
-    /// without re-taking the lock per request. Callers are responsible for
-    /// routing only that bank's addresses through `f` (use
-    /// [`BankedMemorySystem::bank_of`]).
-    pub fn with_bank<R>(&self, idx: usize, f: impl FnOnce(&mut MemoryPartition) -> R) -> R {
-        f(&mut self.banks[idx].lock())
-    }
-
-    /// Event-granular service entry point: serves one tagged access (normal
-    /// or L2-bypassing) at its owning bank in a single call, returning the
-    /// completion cycle at the bank's output port. Identical in every
-    /// counter and cycle to routing the access through
-    /// [`BankedMemorySystem::with_bank`] as part of a per-bank shard run —
-    /// this is the request-at-a-time shape the event-driven engine (and the
-    /// serial service path) uses, while bulk shard workers amortise the bank
-    /// lock with `with_bank` instead.
-    pub fn serve_event(
-        &self,
-        addr: Addr,
-        wid: WarpId,
-        tenant: TenantId,
-        is_write: bool,
-        bypass: bool,
-        at: Cycle,
-    ) -> Cycle {
-        self.with_bank(self.bank_of(addr), |partition| {
-            if bypass {
-                partition.access_bypass_tagged(addr, tenant, at)
-            } else {
-                partition.access_tagged(addr, wid, tenant, is_write, at)
-            }
-        })
-    }
-
-    /// [`BankedMemorySystem::serve_event`] with the owning bank already
-    /// resolved by the caller. The event engine routes requests through
-    /// per-bank FIFOs keyed by [`BankedMemorySystem::bank_of`] and pops them
-    /// one at a time as each bank's next service instant comes due; passing
-    /// the bank index back in skips re-hashing the address.
-    #[allow(clippy::too_many_arguments)] // mirrors `serve_event` plus the pre-resolved bank
-    pub fn serve_event_at(
-        &self,
+    /// Serves one request at its owning bank `bank` (the caller resolves it
+    /// with [`BankedMemorySystem::bank_of`]): a read or write arriving at the
+    /// L2 at cycle `at` on behalf of warp `wid`, or, with `bypass`, a request
+    /// that skips the L2 and goes straight to the bank's DRAM channel
+    /// (statPCAL bypass path). The bank charges the L2 lookup and any DRAM
+    /// fetch to `tenant`. Returns the completion cycle at the bank's output
+    /// port.
+    #[allow(clippy::too_many_arguments)] // one request's fields plus its pre-resolved bank
+    pub fn serve(
+        &mut self,
         bank: usize,
         addr: Addr,
         wid: WarpId,
@@ -460,35 +380,34 @@ impl BankedMemorySystem {
         at: Cycle,
     ) -> Cycle {
         debug_assert_eq!(bank, self.bank_of(addr));
-        self.with_bank(bank, |partition| {
-            if bypass {
-                partition.access_bypass_tagged(addr, tenant, at)
-            } else {
-                partition.access_tagged(addr, wid, tenant, is_write, at)
-            }
-        })
+        let partition = &mut self.banks[bank];
+        if bypass {
+            partition.access_bypass_tagged(addr, tenant, at)
+        } else {
+            partition.access_tagged(addr, wid, tenant, is_write, at)
+        }
     }
 
     /// Attaches an observability sink to every bank (per-tenant latency
     /// histograms; per-request trace spans too when `trace_on`). Bank `i`
     /// records on trace track `Bank(i)`.
-    pub fn enable_obs(&self, trace_on: bool) {
-        for (i, bank) in self.banks.iter().enumerate() {
-            bank.lock().enable_obs(i as u32, trace_on);
+    pub fn enable_obs(&mut self, trace_on: bool) {
+        for (i, bank) in self.banks.iter_mut().enumerate() {
+            bank.enable_obs(i as u32, trace_on);
         }
     }
 
     /// Detaches and returns every bank's observability sink, in bank order
     /// (empty when [`BankedMemorySystem::enable_obs`] was never called).
-    pub fn collect_obs(&self) -> Vec<Box<PartitionObs>> {
-        self.banks.iter().filter_map(|bank| bank.lock().take_obs()).collect()
+    pub fn collect_obs(&mut self) -> Vec<Box<PartitionObs>> {
+        self.banks.iter_mut().filter_map(MemoryPartition::take_obs).collect()
     }
 
     /// Chip-level statistics, aggregated across banks.
     pub fn stats(&self) -> PartitionStats {
         let mut total = PartitionStats::default();
         for bank in &self.banks {
-            total.merge(&bank.lock().stats());
+            total.merge(&bank.stats());
         }
         total
     }
@@ -498,7 +417,7 @@ impl BankedMemorySystem {
     pub fn tenant_stats(&self) -> Vec<TenantMemStats> {
         let mut total: Vec<TenantMemStats> = Vec::new();
         for bank in &self.banks {
-            merge_tenant_stats(&mut total, bank.lock().tenant_stats());
+            merge_tenant_stats(&mut total, bank.tenant_stats());
         }
         total
     }
@@ -511,7 +430,6 @@ impl BankedMemorySystem {
         let mut bytes = 0u64;
         let mut capacity = 0.0;
         for bank in &self.banks {
-            let bank = bank.lock();
             bytes += bank.stats().dram.bytes_transferred;
             capacity += bank.config().dram.bytes_per_cycle * now as f64;
         }
@@ -521,19 +439,17 @@ impl BankedMemorySystem {
             (bytes as f64 / capacity).min(1.0)
         }
     }
-
-    /// Invalidates every bank (between kernels) and resets timing state.
-    pub fn reset(&self) {
-        for bank in &self.banks {
-            bank.lock().reset();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Serves one warp-0 read at `addr`'s own bank.
+    fn serve(sys: &mut BankedMemorySystem, addr: Addr, tenant: TenantId, bypass: bool) -> Cycle {
+        sys.serve(sys.bank_of(addr), addr, 0, tenant, false, bypass, 0)
+    }
 
     #[test]
     fn l2_hit_faster_than_miss() {
@@ -572,19 +488,17 @@ mod tests {
         let mut p = MemoryPartition::new(PartitionConfig::gtx480());
         p.access(0, 0, false, 0);
         assert!(p.stats().mean_latency() > 0.0);
-        p.reset();
-        assert_eq!(p.stats().requests, 0);
     }
 
     #[test]
     fn single_bank_system_matches_private_partition() {
         let cfg = PartitionConfig::gtx480();
-        let shared = BankedMemorySystem::new(cfg.clone(), 1);
+        let mut shared = BankedMemorySystem::new(cfg.clone(), 1);
         let mut private = MemoryPartition::new(cfg);
         let addrs = [0x1000u64, 0x2000, 0x1000, 0x40_0000, 0x2000, 0x123456];
         let mut now = 0;
         for &a in &addrs {
-            let d1 = shared.access(a, 3, false, now);
+            let d1 = shared.serve(0, a, 3, 0, false, false, now);
             let d2 = private.access(a, 3, false, now);
             assert_eq!(d1, d2, "bank=1 system must be timing-identical to one partition");
             now = d1 + 5;
@@ -599,7 +513,7 @@ mod tests {
 
     #[test]
     fn banks_interleave_lines_and_aggregate_stats() {
-        let sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 4);
+        let mut sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 4);
         assert_eq!(sys.num_banks(), 4);
         // Consecutive 128-byte lines land on consecutive banks.
         let line = 128u64;
@@ -607,7 +521,7 @@ mod tests {
             assert_eq!(sys.bank_of(i * line), (i % 4) as usize);
         }
         for i in 0..16u64 {
-            sys.access(i * line, 0, false, 0);
+            serve(&mut sys, i * line, 0, false);
         }
         let s = sys.stats();
         assert_eq!(s.l2.accesses(), 16);
@@ -617,17 +531,17 @@ mod tests {
     #[test]
     fn chip_scaling_multiplies_bandwidth() {
         let slice = PartitionConfig::gtx480();
-        let one = BankedMemorySystem::for_chip(slice.clone(), 1, 1);
-        let chip = BankedMemorySystem::for_chip(slice, 1, 15);
+        let mut one = BankedMemorySystem::for_chip(slice.clone(), 1, 1);
+        let mut chip = BankedMemorySystem::for_chip(slice, 1, 15);
         // Bypass stream of row hits: bus-bound, so 15x bandwidth finishes sooner.
-        let run = |sys: &BankedMemorySystem| {
+        let run = |sys: &mut BankedMemorySystem| {
             let mut last = 0;
             for i in 0..256u64 {
-                last = sys.access_bypass(i * 128 % 2048, 0);
+                last = serve(sys, i * 128 % 2048, 0, true);
             }
             last
         };
-        assert!(run(&chip) < run(&one));
+        assert!(run(&mut chip) < run(&mut one));
     }
 
     #[test]
@@ -648,25 +562,22 @@ mod tests {
         assert_eq!(s.l2.accesses(), t.iter().map(|x| x.l2_accesses).sum());
         assert_eq!(s.l2.hits(), t.iter().map(|x| x.l2_hits).sum());
         assert_eq!(s.dram.accesses, t.iter().map(|x| x.dram_accesses).sum::<u64>());
-        p.reset();
-        assert!(p.tenant_stats().is_empty());
     }
 
     #[test]
     fn banked_tenant_stats_aggregate_across_banks() {
-        let sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 4);
+        let mut sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 4);
         for i in 0..8u64 {
             // Lines interleave across all four banks; odd lines to tenant 1.
-            sys.access_tagged(i * 128, 0, (i % 2) as TenantId, false, 0);
+            serve(&mut sys, i * 128, (i % 2) as TenantId, false);
         }
+        // A bypass is charged a DRAM access but no L2 lookup.
+        serve(&mut sys, 0x9000, 1, true);
         let t = sys.tenant_stats();
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].l2_accesses, 4);
-        assert_eq!(t[1].l2_accesses, 4);
+        assert_eq!((t[1].l2_accesses, t[1].dram_accesses), (4, 5));
         assert_eq!(sys.stats().l2.accesses(), 8);
-        // Untagged access is attributed to tenant 0.
-        sys.access(0x9000, 0, false, 0);
-        assert_eq!(sys.tenant_stats()[0].l2_accesses, 5);
     }
 
     #[test]
@@ -684,17 +595,6 @@ mod tests {
             );
         }
         assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn banked_system_reset_clears_stats() {
-        let sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 2);
-        sys.access(0, 0, false, 0);
-        sys.access_bypass(128, 0);
-        assert!(sys.stats().requests == 2);
-        sys.reset();
-        assert_eq!(sys.stats().requests, 0);
-        assert_eq!(sys.dram_bandwidth_utilization(100), 0.0);
     }
 
     #[test]
@@ -734,10 +634,10 @@ mod tests {
 
     #[test]
     fn banked_obs_collects_per_bank_sinks() {
-        let sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 4);
+        let mut sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 4);
         sys.enable_obs(false);
         for i in 0..8u64 {
-            sys.access(i * 128, 0, false, 0);
+            serve(&mut sys, i * 128, 0, false);
         }
         let sinks = sys.collect_obs();
         assert_eq!(sinks.len(), 4);

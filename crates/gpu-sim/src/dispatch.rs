@@ -353,70 +353,6 @@ pub fn spatial_sm_sets(num_tenants: usize, num_sms: usize) -> Vec<Vec<usize>> {
     sets
 }
 
-/// Computes each SM's work list for `streams` under `policy` on a chip of
-/// `num_sms` SMs. Pure and deterministic: the same inputs always produce the
-/// same lists. Arrival cycles are ignored here — `build_dispatch` (what the
-/// engine uses) splits the same assignments into arrival-ordered batches.
-///
-/// For [`DispatchPolicy::Exclusive`] this returns the per-stream round-robin
-/// assignments concatenated in stream order — the single-engine
-/// approximation in which a later kernel's CTAs launch on an SM as soon as
-/// the earlier kernel's CTAs retire from it. [`KernelQueue::run`] implements
-/// the exact policy (fully serial execution with cold caches between
-/// kernels) and is what the harness uses.
-///
-/// For [`DispatchPolicy::InterferenceAware`] with a single stream the
-/// adaptive machinery has nothing to arbitrate, so the assignment degenerates
-/// to plain round-robin over every SM (bit-identical to `Exclusive` with one
-/// stream). With several streams the up-front lists are *empty* — the
-/// [`AdaptiveDispatcher`] feeds CTAs to SMs at epoch boundaries instead.
-pub fn plan(streams: &[KernelStream], num_sms: usize, policy: DispatchPolicy) -> Vec<Vec<CtaWork>> {
-    let num_sms = num_sms.max(1);
-    let mut lists: Vec<Vec<CtaWork>> = vec![Vec::new(); num_sms];
-    match policy {
-        DispatchPolicy::Exclusive => {
-            for stream in streams {
-                for (sm, work) in round_robin_split(stream_work(stream), num_sms) {
-                    lists[sm].extend(work);
-                }
-            }
-        }
-        DispatchPolicy::InterferenceAware => {
-            if let [stream] = streams {
-                for (sm, work) in round_robin_split(stream_work(stream), num_sms) {
-                    lists[sm].extend(work);
-                }
-            }
-        }
-        DispatchPolicy::SpatialPartition => {
-            let sets = spatial_sm_sets(streams.len(), num_sms);
-            for (stream, set) in streams.iter().zip(&sets) {
-                for (j, work) in stream_work(stream).into_iter().enumerate() {
-                    lists[set[j % set.len()]].push(work);
-                }
-            }
-        }
-        DispatchPolicy::SharedRoundRobin => {
-            let mut queues: Vec<Vec<CtaWork>> = streams.iter().map(stream_work).collect();
-            for q in &mut queues {
-                q.reverse(); // pop from the back = launch order
-            }
-            let mut sequence: Vec<CtaWork> = Vec::new();
-            while queues.iter().any(|q| !q.is_empty()) {
-                for q in &mut queues {
-                    if let Some(work) = q.pop() {
-                        sequence.push(work);
-                    }
-                }
-            }
-            for (b, work) in sequence.into_iter().enumerate() {
-                lists[b % num_sms].push(work);
-            }
-        }
-    }
-    lists
-}
-
 /// Splits one stream's work round-robin across SMs, yielding `(sm, items)`.
 fn round_robin_split(
     work: Vec<CtaWork>,
@@ -458,10 +394,10 @@ pub(crate) struct DispatchPlan {
     pub adaptive: Option<AdaptiveDispatcher>,
 }
 
-/// Builds the dispatch plan for `streams` under `policy`. With every arrival
-/// at cycle 0 and a static policy this reduces to [`plan`] (all work initial,
-/// nothing deferred); late arrivals are grouped by arrival cycle into
-/// [`DeferredBatch`]es placed with the same per-policy rules:
+/// Builds the dispatch plan for `streams` under `policy`. Streams are grouped
+/// by arrival cycle: the cycle-0 group becomes the initial work lists, every
+/// later group a [`DeferredBatch`]. Each group is placed with the per-policy
+/// rules:
 ///
 /// * `SpatialPartition` — SM sets are computed over *all* streams (a late
 ///   tenant's SM share is reserved from the start), each stream's grid is
@@ -470,7 +406,12 @@ pub(crate) struct DispatchPlan {
 ///   round-robin; the SM cursor continues across batches so late work keeps
 ///   filling SMs evenly.
 /// * `Exclusive` / single-stream plans — each stream's round-robin assignment
-///   becomes its own batch.
+///   is appended in stream order. For `Exclusive` this is the single-engine
+///   approximation in which a later kernel's CTAs launch on an SM as soon as
+///   the earlier kernel's retire from it; [`KernelQueue::run`] implements the
+///   exact policy (fully serial execution with cold caches between kernels).
+///   A single `InterferenceAware` stream has nothing to arbitrate, so it is
+///   placed exactly like `Exclusive`.
 /// * `InterferenceAware` with >1 stream — no static work at all; the
 ///   [`AdaptiveDispatcher`] admits and feeds everything at epoch boundaries.
 pub(crate) fn build_dispatch(
@@ -491,13 +432,6 @@ pub(crate) fn build_dispatch(
                 max_warps_per_sm,
                 epoch_cycles.max(1) * DECISION_EPOCHS,
             )),
-        };
-    }
-    if streams.iter().all(|s| s.arrival_cycle == 0) {
-        return DispatchPlan {
-            initial: plan(streams, num_sms, policy),
-            deferred: Vec::new(),
-            adaptive: None,
         };
     }
     // Group streams by arrival cycle (ascending; ties keep tenant order).
@@ -1446,6 +1380,11 @@ mod tests {
         Arc::new(ClosureKernel::new(info, |_c, _w| Box::new(VecProgram::new(vec![WarpOp::alu()]))))
     }
 
+    /// The work lists `build_dispatch` installs before the first cycle.
+    fn initial(s: &[KernelStream], sms: usize, policy: DispatchPolicy) -> Vec<Vec<CtaWork>> {
+        build_dispatch(s, sms, policy, 48, 64).initial
+    }
+
     fn streams(shapes: &[(usize, usize)]) -> Vec<KernelStream> {
         shapes
             .iter()
@@ -1484,15 +1423,15 @@ mod tests {
     #[test]
     fn interference_aware_single_stream_plan_matches_exclusive() {
         let s = streams(&[(9, 2)]);
-        let adaptive = plan(&s, 4, DispatchPolicy::InterferenceAware);
-        let exclusive = plan(&s, 4, DispatchPolicy::Exclusive);
+        let adaptive = initial(&s, 4, DispatchPolicy::InterferenceAware);
+        let exclusive = initial(&s, 4, DispatchPolicy::Exclusive);
         for (a, e) in adaptive.iter().zip(&exclusive) {
             let ctas = |l: &Vec<CtaWork>| l.iter().map(|w| w.cta).collect::<Vec<_>>();
             assert_eq!(ctas(a), ctas(e));
         }
         // Multi-stream adaptive plans are empty: the dispatcher feeds SMs at
         // run time instead.
-        let multi = plan(&streams(&[(4, 2), (4, 2)]), 4, DispatchPolicy::InterferenceAware);
+        let multi = initial(&streams(&[(4, 2), (4, 2)]), 4, DispatchPolicy::InterferenceAware);
         assert!(multi.iter().all(Vec::is_empty));
     }
 
@@ -1508,7 +1447,7 @@ mod tests {
     #[test]
     fn single_stream_shared_rr_matches_round_robin() {
         let s = streams(&[(7, 2)]);
-        let lists = plan(&s, 3, DispatchPolicy::SharedRoundRobin);
+        let lists = initial(&s, 3, DispatchPolicy::SharedRoundRobin);
         let reference = dispatch_round_robin(7, 3);
         for (sm, list) in lists.iter().enumerate() {
             let ctas: Vec<usize> = list.iter().map(|w| w.cta as usize).collect();
@@ -1520,7 +1459,7 @@ mod tests {
     #[test]
     fn shared_rr_interleaves_tenants_on_every_sm() {
         let s = streams(&[(4, 2), (4, 2)]);
-        let lists = plan(&s, 2, DispatchPolicy::SharedRoundRobin);
+        let lists = initial(&s, 2, DispatchPolicy::SharedRoundRobin);
         // Interleaved sequence: (t0,c0) (t1,c0) (t0,c1) (t1,c1) ...
         // SM 0 gets even positions, SM 1 odd ones.
         let tenants_sm0: Vec<TenantId> = lists[0].iter().map(|w| w.tenant).collect();
@@ -1528,7 +1467,7 @@ mod tests {
         assert_eq!(tenants_sm0, vec![0, 0, 0, 0]);
         assert_eq!(tenants_sm1, vec![1, 1, 1, 1]);
         // With 3 SMs both tenants appear on every SM.
-        let lists3 = plan(&s, 3, DispatchPolicy::SharedRoundRobin);
+        let lists3 = initial(&s, 3, DispatchPolicy::SharedRoundRobin);
         for list in &lists3 {
             assert!(!list.is_empty());
         }
@@ -1540,7 +1479,7 @@ mod tests {
     #[test]
     fn spatial_partition_confines_tenants_to_their_sets() {
         let s = streams(&[(6, 2), (9, 2)]);
-        let lists = plan(&s, 4, DispatchPolicy::SpatialPartition);
+        let lists = initial(&s, 4, DispatchPolicy::SpatialPartition);
         let sets = spatial_sm_sets(2, 4);
         for (sm, list) in lists.iter().enumerate() {
             for w in list {
@@ -1648,7 +1587,7 @@ mod tests {
         ) {
             let policy = DispatchPolicy::static_policies()[policy_idx];
             let s = streams(&shapes);
-            let lists = plan(&s, sms, policy);
+            let lists = initial(&s, sms, policy);
             prop_assert_eq!(lists.len(), sms);
             let mut counts: Vec<Vec<usize>> =
                 shapes.iter().map(|&(ctas, _)| vec![0; ctas]).collect();
@@ -1670,18 +1609,13 @@ mod tests {
     }
 
     #[test]
-    fn build_dispatch_all_zero_arrivals_matches_plan() {
+    fn build_dispatch_installs_all_zero_arrivals_up_front() {
         let s = streams(&[(5, 2), (7, 1)]);
         for policy in DispatchPolicy::static_policies() {
             let built = build_dispatch(&s, 3, policy, 48, 64);
-            let planned = plan(&s, 3, policy);
             assert!(built.deferred.is_empty(), "{policy}");
             assert!(built.adaptive.is_none(), "{policy}");
-            for (a, b) in built.initial.iter().zip(&planned) {
-                let key =
-                    |l: &Vec<CtaWork>| l.iter().map(|w| (w.tenant, w.cta)).collect::<Vec<_>>();
-                assert_eq!(key(a), key(b), "{policy}");
-            }
+            assert_eq!(built.initial.iter().map(Vec::len).sum::<usize>(), 12, "{policy}");
         }
     }
 

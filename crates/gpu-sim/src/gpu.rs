@@ -482,7 +482,7 @@ impl Gpu {
         self.obs = level;
         if level.metrics_enabled() {
             self.profiler = PhaseProfiler::enabled();
-            if let Some(shared) = &self.shared {
+            if let Some(shared) = &mut self.shared {
                 shared.enable_obs(level.trace_enabled());
             } else {
                 for sm in &mut self.sms {
@@ -520,7 +520,7 @@ impl Gpu {
                 Self::absorb_partition_obs(&mut report, *obs);
             }
         }
-        if let Some(shared) = &self.shared {
+        if let Some(shared) = &mut self.shared {
             for obs in shared.collect_obs() {
                 Self::absorb_partition_obs(&mut report, *obs);
             }
@@ -667,12 +667,6 @@ impl Gpu {
         self.sms.len()
     }
 
-    /// The shared chip backend (`None` for a single-SM chip, whose SM owns a
-    /// private partition instead).
-    pub fn shared_memory_system(&self) -> Option<&BankedMemorySystem> {
-        self.shared.as_ref()
-    }
-
     /// Runs the chip in timing mode `kind` until every SM finished its CTAs
     /// or hit a cap, and returns the chip cycle count (the slowest SM's
     /// clock). Both modes produce bit-identical results; the mode's label is
@@ -731,7 +725,7 @@ impl Gpu {
         let num_sms = self.sms.len();
         let num_tenants = self.tenant_names.len();
         let max_cycles = self.config.max_cycles;
-        let shared = self.shared.as_ref();
+        let mut shared = self.shared.as_mut();
         let sms = &mut self.sms;
         let adaptive = &mut self.adaptive;
         let deferred = &mut self.deferred;
@@ -745,13 +739,13 @@ impl Gpu {
         for unit in 0..num_sms {
             timeq.schedule(unit, 0);
         }
-        let mut pump = ServePump::new(shared.map_or(0, |s| s.num_banks()));
+        let mut pump = ServePump::new(shared.as_deref().map_or(0, |s| s.num_banks()));
 
         // Cycle-0 boundary: admit arrival-0 streams into the adaptive
         // dispatcher and deal its initial (probe) CTAs.
         Self::dispatch_boundary_event(
             sms,
-            shared,
+            shared.as_deref(),
             adaptive,
             deferred,
             num_tenants,
@@ -810,7 +804,7 @@ impl Gpu {
                         // sleeps (no SM executes, no bank serves), so one
                         // snapshot feeds every replayed boundary.
                         let frozen = adaptive.as_ref().map(|_| {
-                            let signals = Self::tenant_signals(sms, shared, num_tenants);
+                            let signals = Self::tenant_signals(sms, shared.as_deref(), num_tenants);
                             let free: Vec<usize> = sms.iter().map(Sm::free_warp_slots).collect();
                             (signals, free)
                         });
@@ -831,7 +825,7 @@ impl Gpu {
                         skipped_boundaries += slept;
                         sleeps += 1;
                         last_progress = now;
-                        if let Some(shared) = shared {
+                        if let Some(shared) = shared.as_deref() {
                             // Stepping mode refreshes the snapshot at every
                             // slept boundary; only the last two values can
                             // still be observed (bytes are frozen, so both
@@ -891,7 +885,7 @@ impl Gpu {
             // guarantees every completion lands strictly after `now`, the
             // cycle it may be delivered at.
             let completions = Self::serve_batch_event(
-                shared,
+                shared.as_deref_mut(),
                 fabric.as_mut(),
                 std::mem::take(&mut batch),
                 line_size,
@@ -951,7 +945,7 @@ impl Gpu {
             // computed now (after this boundary's serve mutated the bank
             // counters), applied per-SM at wakeup instead of broadcast to
             // every SM every boundary.
-            let pending_util = shared.map(|s| s.dram_bandwidth_utilization(now.max(1)));
+            let pending_util = shared.as_deref().map(|s| s.dram_bandwidth_utilization(now.max(1)));
             profiler.exit();
             profiler.enter("collect");
             batch = Self::collect_batch(
@@ -966,7 +960,7 @@ impl Gpu {
             profiler.enter("dispatch");
             let dealt = Self::dispatch_boundary_event(
                 sms,
-                shared,
+                shared.as_deref(),
                 adaptive,
                 deferred,
                 num_tenants,
@@ -1003,7 +997,7 @@ impl Gpu {
         // waiting warp keeps its SM alive — so these deliveries land in
         // event queues that are never polled again.
         let mut completions = Self::serve_batch_event(
-            shared,
+            shared.as_deref_mut(),
             fabric.as_mut(),
             std::mem::take(&mut batch),
             line_size,
@@ -1094,7 +1088,7 @@ impl Gpu {
     /// batch order. A single-SM chip (private synchronous port,
     /// `shared == None`, no fabric) has nothing to serve.
     fn serve_batch_event(
-        shared: Option<&BankedMemorySystem>,
+        shared: Option<&mut BankedMemorySystem>,
         fabric: Option<&mut CrossbarFabric>,
         batch: Vec<(usize, MemRequest)>,
         line_size: u64,
@@ -1134,8 +1128,8 @@ impl Gpu {
                 let bank = unit - 1;
                 let i = fifos[bank].pop_front().expect("bank event without a queued request");
                 let r = &batch[i].1;
-                done_at[i] = shared
-                    .serve_event_at(bank, r.block, r.wid, r.tenant, r.is_write, r.bypass, at_l2[i]);
+                done_at[i] =
+                    shared.serve(bank, r.block, r.wid, r.tenant, r.is_write, r.bypass, at_l2[i]);
                 if let Some(&next) = fifos[bank].front() {
                     timeq.schedule(1 + bank, at_l2[next]);
                 }

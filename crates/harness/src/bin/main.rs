@@ -35,8 +35,8 @@
 //! bin-pack and interference-spread on identical traffic, closing with the
 //! STP verdict). The chip model is calibrated against the real engine once
 //! per invocation (`--reference-calibration` uses the pinned table
-//! instead); `--workers N` parallelises chip advancement without changing a
-//! single output bit.
+//! instead). The fleet runs on one thread, so repeated invocations write
+//! byte-identical `fleet.json`.
 //!
 //! `perf` is the CI performance gate: it measures the benchmark suite under
 //! GTO and CIAO-C, writes `BENCH_PR.json` (override with `--bench-out`), and
@@ -83,7 +83,6 @@ struct Options {
     chips: usize,
     placement_filter: Option<String>,
     traffic_profile: String,
-    workers: Option<usize>,
     mean_interarrival: Option<f64>,
     reference_calibration: bool,
 }
@@ -130,7 +129,6 @@ fn parse_args() -> Options {
     let mut chips = 4usize;
     let mut placement_filter = None;
     let mut traffic_profile = String::from("balanced");
-    let mut workers = None;
     let mut mean_interarrival = None;
     let mut reference_calibration = false;
     let mut args = std::env::args().skip(1);
@@ -236,16 +234,6 @@ fn parse_args() -> Options {
                     std::process::exit(2);
                 });
             }
-            "--workers" => {
-                workers = Some(
-                    args.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or_else(
-                        || {
-                            eprintln!("--workers expects a positive integer");
-                            std::process::exit(2);
-                        },
-                    ),
-                );
-            }
             "--mean-interarrival" => {
                 mean_interarrival = Some(
                     args.next()
@@ -283,7 +271,7 @@ fn parse_args() -> Options {
                      [--policy exclusive|spatial|shared-rr|interference-aware] \
                      [--capacity-curve] [--sm-counts A,B,..] \
                      [--chips N] [--placement bin-pack|interference-spread|both] \
-                     [--traffic balanced|cache-heavy|stream-heavy] [--workers N] \
+                     [--traffic balanced|cache-heavy|stream-heavy] \
                      [--mean-interarrival CYCLES] [--reference-calibration] \
                      [--obs off|metrics|full] [--trace-out FILE] [--metrics-out FILE] \
                      [--baseline FILE] [--bench-out FILE] \
@@ -321,7 +309,6 @@ fn parse_args() -> Options {
         chips,
         placement_filter,
         traffic_profile,
-        workers,
         mean_interarrival,
         reference_calibration,
     }
@@ -569,9 +556,6 @@ fn run_fleet(opts: &Options) {
         profile: opts.traffic_profile.clone(),
         mean_interarrival: opts.mean_interarrival,
         policies,
-        workers: opts
-            .workers
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
         reference_calibration: opts.reference_calibration,
         obs: opts.obs,
     };

@@ -34,8 +34,6 @@ pub struct FleetPlan {
     pub mean_interarrival: Option<f64>,
     /// Policies to run (one, or both for the comparison verdict).
     pub policies: Vec<PlacementPolicy>,
-    /// Worker threads for the chip-advancement phases (wall-clock only).
-    pub workers: usize,
     /// `true` skips engine calibration and uses the pinned reference table
     /// (tests and smoke runs).
     pub reference_calibration: bool,
@@ -53,7 +51,6 @@ impl Default for FleetPlan {
             profile: "balanced".to_string(),
             mean_interarrival: None,
             policies: PlacementPolicy::ALL.to_vec(),
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             reference_calibration: false,
             obs: ObsLevel::Off,
         }
@@ -104,7 +101,6 @@ pub fn run(plan: &FleetPlan) -> FleetExperiment {
             .chips(plan.chips)
             .sms_per_chip(plan.sms)
             .placement(*policy)
-            .workers(plan.workers)
             .slo(SloPolicy::default())
             .obs(plan.obs)
             .calibration(calib.clone());
@@ -217,7 +213,6 @@ mod tests {
             arrivals: 1_000,
             policies: PlacementPolicy::ALL.to_vec(),
             reference_calibration: true,
-            workers: 2,
             ..FleetPlan::default()
         }
     }

@@ -15,10 +15,9 @@ use gpu_sim::{
     BackendKind, DispatchPolicy, GpuConfig, Kernel, ObsLevel, ObsReport, SimRequest, SimResult,
     Simulator,
 };
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicI8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Global diagnostic verbosity: `-1` (quiet) silences [`log`], `0` (normal)
 /// prints progress lines, `1` (`-v`) additionally prints [`log_verbose`]
@@ -395,7 +394,7 @@ impl Runner {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let idx = {
-                        let mut n = next.lock();
+                        let mut n = next.lock().expect("a worker panicked");
                         if *n >= jobs.len() {
                             break;
                         }
@@ -405,12 +404,13 @@ impl Runner {
                     };
                     let (slot, benchmark, scheduler) = jobs[idx];
                     let record = self.record(benchmark, scheduler);
-                    results.lock()[slot] = Some(record);
+                    results.lock().expect("a worker panicked")[slot] = Some(record);
                 });
             }
         });
 
-        results.into_inner().into_iter().map(|r| r.expect("every job ran")).collect()
+        let results = results.into_inner().expect("a worker panicked");
+        results.into_iter().map(|r| r.expect("every job ran")).collect()
     }
 }
 

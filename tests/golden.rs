@@ -1,22 +1,29 @@
 //! Golden digests of whole simulation results.
 //!
-//! Each case pins the FNV-1a-64 digest of its `SimResult` JSON, with the
-//! timing-backend label blanked, and checks it under both `BackendKind`s:
-//! the event core and its per-cycle stepping mode must reproduce the
-//! recorded result bit for bit. Any change to a digest is a change to a
-//! simulated result, so an intended modelling change must re-record the
+//! Each chip case pins the FNV-1a-64 digest of its `SimResult` JSON, with
+//! the timing-backend label blanked, and checks it under both
+//! `BackendKind`s: the event core and its per-cycle stepping mode must
+//! reproduce the recorded result bit for bit. Each fleet case pins the
+//! digest of its `FleetResult` JSON. Any change to a digest is a change to
+//! a simulated result, so an intended modelling change must re-record the
 //! affected constants in the same commit.
 
+use ciao_suite::fleet::{Calibration, Fleet, FleetRequest, PlacementPolicy, TrafficSpec};
 use ciao_suite::harness::runner::{RunScale, Runner};
 use ciao_suite::harness::schedulers::SchedulerKind;
 use ciao_suite::sim::{BackendKind, DispatchPolicy, SimResult};
 use ciao_suite::workloads::{Benchmark, Mix};
 
+/// FNV-1a-64 of `value`'s JSON.
+fn fnv1a(value: &impl serde::Serialize) -> u64 {
+    let json = serde_json::to_string(value).expect("serialise");
+    json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// FNV-1a-64 of the result JSON with the backend label blanked.
 fn digest(mut res: SimResult) -> u64 {
     res.backend = String::new();
-    let json = serde_json::to_string(&res).expect("serialise");
-    json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    fnv1a(&res)
 }
 
 /// Runs `case` under both timing backends and checks each digest.
@@ -98,4 +105,41 @@ fn tiny3_exclusive_queue_with_late_arrival() {
 #[test]
 fn tiny64_cache_stream_capacity_point() {
     tiny_cache_stream(64, DispatchPolicy::SharedRoundRobin, 0, 0x04fe_b719_a021_e421);
+}
+
+/// 20k seed-0 arrivals at a mean gap of `gap` cycles on `chips` chips of 8
+/// SMs under the reference calibration. Returns the largest per-chip
+/// admission queue so a case can show which regime it pins.
+fn fleet_20k(chips: usize, gap: f64, placement: PlacementPolicy, expected: u64) -> usize {
+    let traffic = TrafficSpec::new(20_000, 0).with_mean_interarrival(gap);
+    let req = FleetRequest::new(traffic)
+        .chips(chips)
+        .placement(placement)
+        .calibration(Calibration::reference(8));
+    let res = Fleet::new().execute(req);
+    let got = fnv1a(&res);
+    assert_eq!(got, expected, "fleet {chips} chips, gap {gap}, {placement:?}: digest {got:#018x}");
+    res.per_chip.iter().map(|c| c.peak_queue).max().unwrap_or(0)
+}
+
+#[test]
+fn fleet_stable_4_chips_bin_pack() {
+    fleet_20k(4, 4_000.0, PlacementPolicy::BinPack, 0xaf7c_95ae_9fb6_3ed3);
+}
+
+#[test]
+fn fleet_stable_4_chips_interference_spread() {
+    fleet_20k(4, 4_000.0, PlacementPolicy::InterferenceSpread, 0x25f4_7f32_ed2b_1204);
+}
+
+#[test]
+fn fleet_saturated_2_chips_bin_pack() {
+    let peak = fleet_20k(2, 300.0, PlacementPolicy::BinPack, 0x2ca7_1122_f54c_0bbf);
+    assert!(peak >= 1_000, "saturated shape must build deep queues, peak {peak}");
+}
+
+#[test]
+fn fleet_saturated_2_chips_interference_spread() {
+    let peak = fleet_20k(2, 300.0, PlacementPolicy::InterferenceSpread, 0xf0a3_ad4f_5804_2c16);
+    assert!(peak >= 1_000, "saturated shape must build deep queues, peak {peak}");
 }
