@@ -322,6 +322,14 @@ impl WarpScheduler for CiaoScheduler {
         })
     }
 
+    fn replay_stable(&self, ctx: &SchedulerCtx<'_>, idx: usize) -> bool {
+        // Below both epoch checks a pick offering the greedy warp runs
+        // neither evaluation and returns it; `on_issue` is the no-op default.
+        self.last_issued == Some(idx)
+            && ctx.instructions_executed < self.next_low_check
+            && ctx.instructions_executed < self.next_high_check
+    }
+
     fn on_cache_event(&mut self, ev: &CacheEvent) {
         // Both the L1D and the shared-memory cache share the same VTA (§III-C).
         if let CacheEventOutcome::Miss = ev.outcome {
@@ -591,6 +599,22 @@ mod tests {
         // The trigger finishing releases the stall too.
         s.on_warp_finished(0, 0);
         assert!(!s.throttle_stable_when_idle(&ctx(&w, &[], 100)));
+    }
+
+    #[test]
+    fn replays_are_vouched_for_only_between_epoch_checks() {
+        // Low check due at 5, high check at 10 (`params_fast`).
+        let mut s = CiaoScheduler::new(CiaoVariant::Combined, params_fast(), 4);
+        let w = warps(4);
+        assert_eq!(s.pick(&ctx(&w, &[1, 2], 0)), Some(1));
+        assert!(s.replay_stable(&ctx(&w, &[], 0), 1));
+        assert!(!s.replay_stable(&ctx(&w, &[], 0), 2), "warp 2 is not the greedy warp");
+        assert!(!s.replay_stable(&ctx(&w, &[], 5), 1), "the low-epoch check is due");
+        // Run the low check at 6 (next due at 11): the high check at 10 is
+        // now the earlier horizon.
+        assert_eq!(s.pick(&ctx(&w, &[1], 6)), Some(1));
+        assert!(s.replay_stable(&ctx(&w, &[], 9), 1));
+        assert!(!s.replay_stable(&ctx(&w, &[], 10), 1), "the high-epoch check is due");
     }
 
     #[test]

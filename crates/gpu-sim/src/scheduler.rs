@@ -153,7 +153,30 @@ pub trait WarpScheduler: Send {
         false
     }
 
-    /// Notifies the scheduler that warp `wid` issued an operation.
+    /// True when warp `idx` (an index into `ctx.warps`), which has just
+    /// replayed a load that the full MSHR file turned away, will keep being
+    /// picked without the scheduler noticing. `ctx.ready` is empty; at
+    /// `ctx.instructions_executed` both of these must hold:
+    ///
+    /// - every [`WarpScheduler::pick`] whose ready set contains `idx`
+    ///   returns `idx` and leaves the scheduler unchanged;
+    /// - [`WarpScheduler::on_issue`] for that warp is a no-op.
+    ///
+    /// The event-driven backend then skips the replay stretch in closed
+    /// form, up to the next cycle at which a response lands or another warp
+    /// wakes. Nothing retires during a replay, so the instruction count is
+    /// fixed across the stretch.
+    ///
+    /// The default `false` is always safe: replays are then stepped one
+    /// cycle at a time.
+    fn replay_stable(&self, _ctx: &SchedulerCtx<'_>, _idx: usize) -> bool {
+        false
+    }
+
+    /// Notifies the scheduler that warp `wid` issued an operation. This also
+    /// fires for a global load that the full MSHR file turned away and that
+    /// replays on a later cycle, so per-issue bookkeeping (CCWS's score
+    /// decay) charges replayed attempts too.
     fn on_issue(&mut self, _wid: WarpId, _is_mem: bool, _now: Cycle) {}
 
     /// Feeds the scheduler an L1D / redirect-cache event.
@@ -229,7 +252,11 @@ impl WarpScheduler for GtoScheduler {
         Some(oldest)
     }
 
-    fn on_issue(&mut self, _wid: WarpId, _is_mem: bool, _now: Cycle) {}
+    fn replay_stable(&self, _ctx: &SchedulerCtx<'_>, idx: usize) -> bool {
+        // Greedy on the last issued warp: while it is offered, `pick`
+        // returns it without touching any state.
+        self.last_issued == Some(idx)
+    }
 }
 
 /// Loose round-robin scheduler: issues from ready warps in cyclic order.
@@ -336,11 +363,22 @@ mod tests {
     }
 
     #[test]
-    fn default_trait_methods() {
+    fn gto_vouches_for_replays_of_its_greedy_warp_only() {
+        let warps = make_warps(3);
         let mut s = GtoScheduler::new();
+        assert!(!s.replay_stable(&ctx(&warps, &[]), 0), "nothing issued yet");
+        assert_eq!(s.pick(&ctx(&warps, &[1, 2])), Some(1));
+        assert!(s.replay_stable(&ctx(&warps, &[]), 1));
+        assert!(!s.replay_stable(&ctx(&warps, &[]), 2), "warp 2 is not the greedy warp");
+    }
+
+    #[test]
+    fn default_trait_methods() {
+        let mut s = LrrScheduler::new();
         assert_eq!(s.route(0), MemRoute::L1d);
         assert!(!s.is_throttled(0));
         assert!(!s.throttle_stable_when_idle(&ctx(&make_warps(1), &[])));
+        assert!(!s.replay_stable(&ctx(&make_warps(1), &[]), 0));
         assert_eq!(s.metrics(), SchedulerMetrics::default());
     }
 }

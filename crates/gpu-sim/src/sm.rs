@@ -20,14 +20,22 @@
 //!
 //! The event-driven entry points ([`Sm::run_event`], [`Sm::run_epoch_event`],
 //! [`Sm::next_event_time`]) produce the same state as stepping every cycle
-//! but fast-forward over stretches on which no warp is *offered* to the
-//! scheduler: either no warp is ready, or every ready warp is held back by a
-//! throttle set the scheduler vouches cannot change while nothing issues
-//! ([`WarpScheduler::throttle_stable_when_idle`]). Such a stretch is replayed
-//! in closed form through [`WarpScheduler::on_idle_cycles`]. The chip engine
-//! can put an SM in *stepping* mode, which turns the skips off: the same
-//! entry points then step every cycle, the reference the skips are tested
-//! against.
+//! but fast-forward over two kinds of stretch:
+//!
+//! - *idle* stretches, on which no warp is *offered* to the scheduler:
+//!   either no warp is ready, or every ready warp is held back by a throttle
+//!   set the scheduler vouches cannot change while nothing issues
+//!   ([`WarpScheduler::throttle_stable_when_idle`]). Such a stretch is
+//!   replayed in closed form through [`WarpScheduler::on_idle_cycles`];
+//! - *replay* stretches, on which one warp retries a global load that the
+//!   full MSHR file keeps turning away, and the scheduler vouches that it
+//!   picks that warp again without noticing
+//!   ([`WarpScheduler::replay_stable`]). Nothing else can happen until a
+//!   response lands or another warp wakes, so the SM jumps there directly.
+//!
+//! The chip engine can put an SM in *stepping* mode, which turns the skips
+//! off: the same entry points then step every cycle, the reference the
+//! skips are tested against.
 //!
 //! Downstream memory is reached through a [`MemoryPort`]: a private L2+DRAM
 //! partition when the SM is a chip of its own, or a deferred port into the
@@ -53,7 +61,7 @@ use crate::scheduler::{
 use crate::stats::{
     tenant_slot, InterferenceMatrix, SmStats, TenantStats, TimeSeries, TimeSeriesPoint,
 };
-use crate::trace::{MemPattern, MemSpace, WarpOp};
+use crate::trace::{MemSpace, WarpOp};
 use crate::warp::{Warp, WarpState};
 use gpu_mem::cache::SetAssocCache;
 use gpu_mem::interconnect::Interconnect;
@@ -130,8 +138,12 @@ pub struct Sm {
     /// test consult the scheduler's throttle set, so policies that never
     /// throttle pay nothing for it.
     throttle_only_last: bool,
-    /// Steps every cycle: `idle_skip_target` never skips, so the SM
-    /// is never parked by the chip engine either.
+    /// The warp whose global load the full MSHR file turned away on the
+    /// last stepped cycle. Only then does `run_epoch_event` look for a
+    /// replay stretch to skip.
+    replayed: Option<usize>,
+    /// Steps every cycle: neither skip fires, so the SM is never parked by
+    /// the chip engine either.
     stepping: bool,
 
     /// Sim-time trace sink (`None` below the full obs level — the hot path
@@ -212,6 +224,7 @@ impl Sm {
             snapshot: SampleSnapshot::default(),
             ready_scratch: Vec::new(),
             throttle_only_last: false,
+            replayed: None,
             stepping: false,
             trace: None,
             trace_unit: 0,
@@ -234,7 +247,8 @@ impl Sm {
 
     /// Attaches a sim-time trace recorder; the SM records on track
     /// `Sm(unit)`: `busy` spans over contiguous issuing stretches, `cta`
-    /// lifetime spans, and (engine-category) `idle-skip` stretches.
+    /// lifetime spans, and (engine-category) `idle-skip` and `replay-skip`
+    /// stretches.
     pub fn set_trace(&mut self, unit: u32) {
         self.trace_unit = unit;
         self.trace = Some(TraceRecorder::with_default_capacity());
@@ -356,9 +370,9 @@ impl Sm {
     }
 
     /// Event-driven equivalent of [`Sm::run`]: produces bit-identical state
-    /// and statistics, but fast-forwards over provably idle stretches (no
-    /// warp offered to the scheduler, no response due) instead of stepping
-    /// them one cycle at a time. Returns the number of cycles simulated.
+    /// and statistics, but fast-forwards over provably idle and replay
+    /// stretches (see the module docs) instead of stepping them one cycle at
+    /// a time. Returns the number of cycles simulated.
     pub fn run_event(&mut self) -> Cycle {
         self.run_epoch_event(Cycle::MAX);
         self.finalize_stats();
@@ -366,14 +380,19 @@ impl Sm {
     }
 
     /// Advances the SM to (at most) cycle `until` — one epoch of the chip
-    /// engine's boundary loop — fast-forwarding idle stretches. Stops early
-    /// when the kernel finishes or a cap is hit; does not finalise
-    /// statistics. Bit-identical to stepping every cycle.
+    /// engine's boundary loop — fast-forwarding idle and replay stretches.
+    /// Stops early when the kernel finishes or a cap is hit; does not
+    /// finalise statistics. Bit-identical to stepping every cycle.
     pub fn run_epoch_event(&mut self, until: Cycle) {
         while self.cycle < until && !self.is_done() && !self.hit_cap() {
-            match self.idle_skip_target(until) {
-                Some(target) => self.skip_idle_to(target),
-                None => self.step(),
+            if let Some(target) = self.idle_skip_target(until) {
+                self.skip_idle_to(target);
+            } else if let Some(target) =
+                self.replayed.and_then(|idx| self.replay_skip_target(idx, until))
+            {
+                self.skip_replay_to(target);
+            } else {
+                self.step();
             }
         }
     }
@@ -406,17 +425,11 @@ impl Sm {
     ///    picks ([`WarpScheduler::throttle_stable_when_idle`]). Ready warps
     ///    stay ready, and throttled, until something at the target wakes,
     /// 2. no pending memory response is due,
-    /// 3. no resident CTA has every warp finished (retire + launch pending),
-    /// 4. no CTA barrier is releasable,
-    /// 5. the time-series sampler is not due (it is instruction-indexed, so
-    ///    it cannot newly trigger while nothing issues).
+    /// 3. `step` has no CTA or sampler bookkeeping due
+    ///    ([`Sm::bookkeeping_due`]).
     fn idle_skip_target(&self, until: Cycle) -> Option<Cycle> {
         let now = self.cycle;
         if self.stepping || until <= now {
-            return None;
-        }
-        if self.stats.instructions >= self.snapshot.instructions + self.config.sample_interval_insts
-        {
             return None;
         }
         let mut throttled_ready = false;
@@ -439,20 +452,8 @@ impl Sm {
                 return None;
             }
         }
-        for cta in &self.resident {
-            if cta.warp_slots.iter().all(|&s| self.warps[s].is_finished()) {
-                return None;
-            }
-        }
-        for cta in &self.resident {
-            let all_arrived = cta.warp_slots.iter().all(|&s| {
-                matches!(self.warps[s].state, WarpState::AtBarrier) || self.warps[s].is_finished()
-            });
-            let any_waiting =
-                cta.warp_slots.iter().any(|&s| matches!(self.warps[s].state, WarpState::AtBarrier));
-            if all_arrived && any_waiting {
-                return None;
-            }
+        if self.bookkeeping_due() {
+            return None;
         }
         // Jump to the earliest wakeup: the next due response or the earliest
         // pending `Executing` expiry, clamped to the epoch boundary and the
@@ -473,6 +474,112 @@ impl Sm {
             target = target.min(m);
         }
         (target > now).then_some(target)
+    }
+
+    /// True when the next [`Sm::step`] has work to do even if no warp
+    /// issues: the time-series sampler is due (it is instruction-indexed, so
+    /// it cannot newly trigger while nothing retires), or a resident CTA has
+    /// every warp at a barrier or finished — its barrier is releasable, or
+    /// it retires and frees room for a launch.
+    fn bookkeeping_due(&self) -> bool {
+        self.stats.instructions >= self.snapshot.instructions + self.config.sample_interval_insts
+            || self.resident.iter().any(|cta| {
+                cta.warp_slots.iter().all(|&s| {
+                    matches!(self.warps[s].state, WarpState::AtBarrier | WarpState::Finished)
+                })
+            })
+    }
+
+    /// Largest `target` in `(cycle, until]` such that every cycle in
+    /// `[cycle, target)` would only replay warp `idx`'s global load, which
+    /// the full MSHR file turned away on the last stepped cycle. `None` when
+    /// the current cycle must be stepped normally.
+    ///
+    /// The stretch is skippable when all of the following hold:
+    /// 1. the warp is ready exactly now (`Executing { until: now }`, as the
+    ///    replay left it) and not throttled — a recompute inside the last
+    ///    `pick` may have throttled the warp that `pick` still returned;
+    /// 2. no pending memory response is due, so the MSHR file stays full;
+    /// 3. every other ready warp already holds a fetched op, so `step`
+    ///    fetches nothing and finds no finished program, and no other warp
+    ///    wakes now;
+    /// 4. `step` has no CTA or sampler bookkeeping due
+    ///    ([`Sm::bookkeeping_due`]);
+    /// 5. the scheduler vouches that it picks the warp again and that
+    ///    `on_issue` changes nothing ([`WarpScheduler::replay_stable`]).
+    ///
+    /// The ready set can then only change at the next response or the next
+    /// `Executing` expiry of another warp, which bound the target together
+    /// with the epoch boundary and the cycle cap.
+    #[cold]
+    #[inline(never)]
+    fn replay_skip_target(&self, idx: usize, until: Cycle) -> Option<Cycle> {
+        let now = self.cycle;
+        if self.stepping || until <= now {
+            return None;
+        }
+        let warp = &self.warps[idx];
+        if warp.state != (WarpState::Executing { until: now })
+            || self.scheduler.is_throttled(warp.id)
+        {
+            return None;
+        }
+        let mut target = until;
+        if let Some(&Reverse((when, _))) = self.pending.peek() {
+            if when <= now {
+                return None;
+            }
+            target = target.min(when);
+        }
+        let ctx = Self::empty_pick_ctx(&self.warps, &self.port, self.stats.instructions, now);
+        if !self.scheduler.replay_stable(&ctx, idx) {
+            return None;
+        }
+        for (i, w) in self.warps.iter().enumerate() {
+            if i == idx {
+                continue;
+            }
+            match w.state {
+                WarpState::Executing { until: t } if t > now => target = target.min(t),
+                WarpState::Executing { until: t } if t == now => return None,
+                WarpState::Ready | WarpState::Executing { .. } if w.pending().is_none() => {
+                    return None
+                }
+                _ => {}
+            }
+        }
+        if self.bookkeeping_due() {
+            return None;
+        }
+        if let Some(m) = self.config.max_cycles {
+            target = target.min(m);
+        }
+        (target > now).then_some(target)
+    }
+
+    /// Fast-forwards the SM from `cycle` to `target` over a replay stretch,
+    /// leaving exactly the state `target - cycle` stepped replays would: the
+    /// warp retries its load at `target` and nothing is counted. The busy
+    /// span stays open, as it does across stepped replays; the skip itself
+    /// is recorded as an engine-category `replay-skip` span.
+    #[cold]
+    #[inline(never)]
+    fn skip_replay_to(&mut self, target: Cycle) {
+        let idx = self.replayed.expect("a replay skip follows a recorded replay");
+        if let Some(trace) = &mut self.trace {
+            trace.record(
+                TraceEvent::span(
+                    Track::Engine,
+                    "replay-skip",
+                    self.cycle,
+                    target - self.cycle,
+                    None,
+                )
+                .engine(),
+            );
+        }
+        self.warps[idx].state = WarpState::Executing { until: target };
+        self.cycle = target;
     }
 
     /// True when ready warp `w` stays out of the ready set `step` offers the
@@ -584,6 +691,7 @@ impl Sm {
     /// Advances the SM by one cycle.
     pub fn step(&mut self) {
         let now = self.cycle;
+        self.replayed = None;
         self.process_responses(now);
         self.release_barriers();
         self.retire_and_launch_ctas();
@@ -854,11 +962,29 @@ impl Sm {
     // ----- issue --------------------------------------------------------------
 
     fn issue(&mut self, idx: usize, now: Cycle) {
-        let op = match self.warps[idx].take_op() {
-            Some(op) => op,
-            None => return,
-        };
         let wid = self.warps[idx].id;
+        // Global accesses are coalesced before the op is taken. Structural
+        // back-pressure: a load whose worst-case new MSHR entries do not fit
+        // is not issued at all. The warp keeps its op, stays ready and
+        // replays on the next cycle; nothing is counted, but the scheduler
+        // still sees the attempt.
+        let blocks = match self.warps[idx].pending() {
+            Some(WarpOp::Load { space: MemSpace::Global, pattern }) => {
+                let blocks = coalesce(pattern);
+                if !self.mshr_can_hold(&blocks) {
+                    self.warps[idx].state = WarpState::Executing { until: now + 1 };
+                    self.replayed = Some(idx);
+                    self.scheduler.on_issue(wid, true, now);
+                    return;
+                }
+                blocks
+            }
+            Some(WarpOp::Store { space: MemSpace::Global, pattern }) => coalesce(pattern),
+            _ => Vec::new(),
+        };
+        let Some(op) = self.warps[idx].take_op() else {
+            return;
+        };
         let tenant = self.tenant_of(wid);
         let is_mem = op.is_global_mem();
         self.stats.instructions += 1;
@@ -882,46 +1008,34 @@ impl Sm {
                 let lat = self.shared_mem.access(&lanes);
                 self.warps[idx].start_compute(now + lat);
             }
-            WarpOp::Load { space: MemSpace::Global, pattern } => {
-                self.issue_global(idx, wid, &pattern, false, now);
+            WarpOp::Load { space: MemSpace::Global, .. } => {
+                self.issue_global(idx, wid, &blocks, false, now);
             }
-            WarpOp::Store { space: MemSpace::Global, pattern } => {
-                self.issue_global(idx, wid, &pattern, true, now);
+            WarpOp::Store { space: MemSpace::Global, .. } => {
+                self.issue_global(idx, wid, &blocks, true, now);
             }
         }
         self.scheduler.on_issue(wid, is_mem, now);
+    }
+
+    /// True when the MSHR file can hold the worst-case number of new entries
+    /// a load of `blocks` needs (blocks already in flight merge).
+    fn mshr_can_hold(&self, blocks: &[Addr]) -> bool {
+        let free = self.config.mshr_entries - self.mshr.in_flight();
+        blocks.len() <= free + blocks.iter().filter(|&&b| self.mshr.probe(b)).count()
     }
 
     fn issue_global(
         &mut self,
         idx: usize,
         wid: WarpId,
-        pattern: &MemPattern,
+        blocks: &[Addr],
         is_write: bool,
         now: Cycle,
     ) {
         let tenant = self.tenant_of(wid);
         self.stats.mem_instructions += 1;
         tenant_slot(&mut self.tenants, tenant).mem_instructions += 1;
-        let blocks = coalesce(pattern);
-        // Structural back-pressure: if the MSHR file cannot possibly hold the
-        // worst case number of new entries, replay the whole instruction on a
-        // later cycle (the warp keeps its pending op and stays ready).
-        if !is_write {
-            let free = self.config.mshr_entries - self.mshr.in_flight();
-            if blocks.len() > free + blocks.iter().filter(|b| self.mshr.probe(**b)).count() {
-                // Put the op back and charge one cycle of replay delay.
-                self.stats.instructions -= 1;
-                self.stats.mem_instructions -= 1;
-                let entry = tenant_slot(&mut self.tenants, tenant);
-                entry.instructions -= 1;
-                entry.mem_instructions -= 1;
-                self.warps[idx].state = WarpState::Executing { until: now + 1 };
-                self.requeue_op(idx, pattern.clone(), is_write);
-                return;
-            }
-        }
-
         self.stats.mem_transactions += blocks.len() as u64;
         tenant_slot(&mut self.tenants, tenant).mem_transactions += blocks.len() as u64;
         self.warps[idx].mem_transactions += blocks.len() as u64;
@@ -930,7 +1044,7 @@ impl Sm {
         let mut outstanding = 0u32;
         let mut immediate_latency: Cycle = self.config.l1d.latency;
 
-        for &block in &blocks {
+        for &block in blocks {
             match (route, is_write) {
                 (MemRoute::Bypass, false) => {
                     self.stats.bypassed_requests += 1;
@@ -975,17 +1089,6 @@ impl Sm {
         if let Some(done) = self.port.read(block, wid, tenant, arrive, bypass, ev) {
             self.pending.push(Reverse((done, ev)));
         }
-    }
-
-    fn requeue_op(&mut self, idx: usize, pattern: MemPattern, is_write: bool) {
-        // Reconstruct the op and stash it back as pending so it replays.
-        let op = if is_write {
-            WarpOp::Store { space: MemSpace::Global, pattern }
-        } else {
-            WarpOp::Load { space: MemSpace::Global, pattern }
-        };
-        // `take_op` already consumed the pending op; restore it.
-        self.warps[idx].restore_op(op);
     }
 
     /// Normal L1D path for one block. Returns the immediate latency to charge
@@ -1280,7 +1383,7 @@ mod tests {
     use super::*;
     use crate::kernel::{ClosureKernel, KernelInfo};
     use crate::scheduler::GtoScheduler;
-    use crate::trace::{VecProgram, WarpOp};
+    use crate::trace::{MemPattern, VecProgram, WarpOp};
 
     fn simple_kernel(ctas: usize, warps: usize, ops_per_warp: usize) -> Box<dyn Kernel> {
         let info = KernelInfo {
@@ -1527,6 +1630,87 @@ mod tests {
             "the event backend records engine-category skips"
         );
         assert!(stepped.iter().all(|e| e.name != "idle-skip"));
+    }
+
+    /// One CTA of 4 warps, each issuing 4 loads that touch 32 blocks: one
+    /// warp's miss fills the 32-entry MSHR file, and the next warp GTO
+    /// picks replays until the fill returns.
+    fn mshr_bound_kernel() -> Box<dyn Kernel> {
+        let info = KernelInfo {
+            name: "mshr".into(),
+            num_ctas: 1,
+            warps_per_cta: 4,
+            shared_mem_per_cta: 0,
+        };
+        Box::new(ClosureKernel::new(info, |_c, w| {
+            let ops = (0..4u64)
+                .map(|i| WarpOp::Load {
+                    space: MemSpace::Global,
+                    pattern: MemPattern::Strided {
+                        base: (w as u64 * 4 + i) << 16,
+                        stride: 128,
+                        lanes: 32,
+                    },
+                })
+                .collect();
+            Box::new(VecProgram::new(ops))
+        }))
+    }
+
+    #[test]
+    fn replay_skips_keep_the_canonical_trace_and_stats() {
+        let run = |event: bool| {
+            let mut sm =
+                Sm::new(small_config(), mshr_bound_kernel(), Box::new(GtoScheduler::new()), None);
+            sm.set_trace(0);
+            if event {
+                sm.run_event();
+            } else {
+                sm.run();
+            }
+            (sm.stats().clone(), sm.take_trace().expect("tracing on").take())
+        };
+        let (stepped_stats, stepped) = run(false);
+        let (event_stats, event) = run(true);
+        assert_eq!(stepped_stats, event_stats);
+        assert_eq!(stepped_stats.instructions, 16);
+        assert_eq!(
+            sim_obs::chrome_trace_json(&stepped, &[], false),
+            sim_obs::chrome_trace_json(&event, &[], false),
+            "canonical (sim-category) trace must be backend-invariant"
+        );
+        assert!(
+            event.iter().any(|e| e.name == "replay-skip" && e.dur > 0),
+            "the event backend records engine-category replay skips"
+        );
+        assert!(stepped.iter().all(|e| e.name != "replay-skip"));
+    }
+
+    #[test]
+    fn work_dealt_inside_a_replay_stretch_stops_the_skip() {
+        // The chip engine deals a CTA at a boundary that falls inside a
+        // replay stretch. Its warps hold no fetched op yet, and their empty
+        // programs finish on their first scan, so the event run must step
+        // that cycle just as the stepping run does.
+        let info = KernelInfo {
+            name: "empty".into(),
+            num_ctas: 1,
+            warps_per_cta: 2,
+            shared_mem_per_cta: 0,
+        };
+        let empty: Arc<dyn Kernel> =
+            Arc::new(ClosureKernel::new(info, |_c, _w| Box::new(VecProgram::new(vec![]))));
+        let run = |stepping: bool| {
+            let mut sm =
+                Sm::new(small_config(), mshr_bound_kernel(), Box::new(GtoScheduler::new()), None);
+            sm.set_stepping(stepping);
+            sm.run_epoch_event(40);
+            assert_eq!((sm.cycle(), sm.replayed), (40, Some(1)), "mid-stretch boundary");
+            sm.push_work(Sm::work_of(Arc::clone(&empty), 1), 40);
+            sm.run_event();
+            (sm.stats().clone(), sm.tenant_stats().to_vec())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -113,14 +113,6 @@ impl Warp {
         self.pending_op.take()
     }
 
-    /// Puts an operation back as pending so it is replayed on a later cycle
-    /// (used when a structural hazard such as a full MSHR file prevents the
-    /// operation from issuing).
-    pub fn restore_op(&mut self, op: WarpOp) {
-        debug_assert!(self.pending_op.is_none(), "restoring over an unconsumed op");
-        self.pending_op = Some(op);
-    }
-
     /// Marks the warp as executing a compute instruction finishing at `until`.
     pub fn start_compute(&mut self, until: Cycle) {
         self.state = WarpState::Executing { until };

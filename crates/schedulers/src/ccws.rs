@@ -169,6 +169,14 @@ impl WarpScheduler for CcwsScheduler {
         }
     }
 
+    fn replay_stable(&self, ctx: &SchedulerCtx<'_>, idx: usize) -> bool {
+        // A clean pick offering the greedy warp returns it untouched, and
+        // `on_issue` only decays scores above the floor.
+        !self.dirty
+            && self.last_issued == Some(idx)
+            && self.score_of(ctx.warps[idx].id) <= self.config.base_score
+    }
+
     fn on_issue(&mut self, wid: WarpId, _is_mem: bool, _now: Cycle) {
         if let Some(score) = self.scores.get_mut(wid as usize) {
             let floor = self.config.base_score;
@@ -332,6 +340,23 @@ mod tests {
         let w = warps(4);
         s.pick(&ctx(&w, &[]));
         assert!(!s.throttle_stable_when_idle(&ctx(&w, &[])));
+    }
+
+    #[test]
+    fn replays_are_vouched_for_only_at_the_score_floor_and_clean() {
+        let cfg = CcwsConfig { num_warps: 2, vta_hit_bonus: 50, ..CcwsConfig::default() };
+        let mut s = CcwsScheduler::new(cfg);
+        let w = warps(2);
+        assert_eq!(s.pick(&ctx(&w, &[0, 1])), Some(0));
+        assert!(s.replay_stable(&ctx(&w, &[]), 0));
+        assert!(!s.replay_stable(&ctx(&w, &[]), 1), "warp 1 is not the greedy warp");
+        // A VTA hit lifts warp 0 above the floor and marks the set dirty.
+        s.on_cache_event(&eviction_event(1, 0, 0x100));
+        s.on_cache_event(&miss_event(0, 0x8100));
+        assert!(!s.replay_stable(&ctx(&w, &[]), 0), "a recompute is pending");
+        s.pick(&ctx(&w, &[0]));
+        assert!(s.score_of(0) > 100);
+        assert!(!s.replay_stable(&ctx(&w, &[]), 0), "on_issue would decay the score");
     }
 
     #[test]

@@ -104,6 +104,12 @@ impl WarpScheduler for SwlScheduler {
         !self.dirty
     }
 
+    fn replay_stable(&self, _ctx: &SchedulerCtx<'_>, idx: usize) -> bool {
+        // A clean pick is GTO over the admitted set: greedy on the last
+        // issued warp, with no state touched.
+        !self.dirty && self.last_issued == Some(idx)
+    }
+
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
         // Slot reuse across CTA waves: the new occupant has not finished.
         if let Some(f) = self.finished.get_mut(wid as usize) {
@@ -210,6 +216,17 @@ mod tests {
         assert!(!s.throttle_stable_when_idle(&ctx(&w, &[])), "a launch marks it dirty");
         s.on_idle_cycles(&ctx(&w, &[]), 10);
         assert!(s.throttle_stable_when_idle(&ctx(&w, &[])));
+    }
+
+    #[test]
+    fn replays_are_vouched_for_only_when_clean_and_greedy() {
+        let mut s = SwlScheduler::new(2, 4);
+        let w = warps(4);
+        assert_eq!(s.pick(&ctx(&w, &[1, 2])), Some(1));
+        assert!(s.replay_stable(&ctx(&w, &[]), 1));
+        assert!(!s.replay_stable(&ctx(&w, &[]), 0), "warp 0 is not the greedy warp");
+        s.on_warp_finished(0, 0);
+        assert!(!s.replay_stable(&ctx(&w, &[]), 1), "the next pick recomputes the admitted set");
     }
 
     #[test]

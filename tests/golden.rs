@@ -87,6 +87,24 @@ fn quick_sm1_ii_ciao_c() {
     quick_sm1(Benchmark::Ii, SchedulerKind::CiaoC, 0x1924_6e90_35f9_b872);
 }
 
+// Large-working-set runs dominated by MSHR-full load replays, which the
+// event core skips in closed form; recorded before that skip existed.
+
+#[test]
+fn quick_sm1_atax_gto() {
+    quick_sm1(Benchmark::Atax, SchedulerKind::Gto, 0xeb9a_c1b3_0249_f2db);
+}
+
+#[test]
+fn quick_sm1_kmn_ccws() {
+    quick_sm1(Benchmark::Kmn, SchedulerKind::Ccws, 0x7879_fbee_2520_dff5);
+}
+
+#[test]
+fn quick_sm1_mvt_ciao_c() {
+    quick_sm1(Benchmark::Mvt, SchedulerKind::CiaoC, 0xe6a3_a6e9_94ac_e454);
+}
+
 #[test]
 fn tiny15_cache_stream_shared_rr() {
     tiny_cache_stream(15, DispatchPolicy::SharedRoundRobin, 0, 0x290b_0e66_cb55_e93c);

@@ -248,7 +248,7 @@ fn throttle_only_skips_match_per_cycle_stepping_on_quick_runs() {
 }
 
 /// Counts `pick` calls and forwards every other method, including
-/// `throttle_stable_when_idle`, to the wrapped scheduler.
+/// `throttle_stable_when_idle` and `replay_stable`, to the wrapped scheduler.
 struct CountingScheduler {
     inner: Box<dyn WarpScheduler>,
     picks: Arc<AtomicU64>,
@@ -270,6 +270,10 @@ impl WarpScheduler for CountingScheduler {
 
     fn throttle_stable_when_idle(&self, ctx: &SchedulerCtx<'_>) -> bool {
         self.inner.throttle_stable_when_idle(ctx)
+    }
+
+    fn replay_stable(&self, ctx: &SchedulerCtx<'_>, idx: usize) -> bool {
+        self.inner.replay_stable(ctx, idx)
     }
 
     fn on_issue(&mut self, wid: WarpId, is_mem: bool, now: Cycle) {
@@ -305,23 +309,80 @@ impl WarpScheduler for CountingScheduler {
     }
 }
 
+/// Replay stretches — one warp retrying a global load the full MSHR file
+/// keeps turning away — are skipped in closed form by the event core. The
+/// large-working-set runs are dominated by them, under every scheduler that
+/// vouches for its pick (GTO, CCWS at the score floor, CIAO between epoch
+/// checks, Best-SWL once its admitted set is clean); each result must stay
+/// bit-identical to stepping every cycle.
+#[test]
+fn replay_skips_match_per_cycle_stepping_on_quick_runs() {
+    let params = ciao_suite::ciao::CiaoParams::default();
+    let cases = [
+        (Benchmark::Kmn, SchedulerKind::Gto),
+        (Benchmark::Kmn, SchedulerKind::Ccws),
+        (Benchmark::Kmn, SchedulerKind::CiaoT),
+        (Benchmark::Kmn, SchedulerKind::CiaoC),
+        (Benchmark::Mvt, SchedulerKind::CiaoP),
+        (Benchmark::Wc, SchedulerKind::BestSwl),
+    ];
+    for (benchmark, sched) in cases {
+        let run = |backend| {
+            run_quick_sm1(benchmark, backend, |_sm| {
+                let config = GpuConfig::gtx480();
+                sched.build(benchmark, &config, &params)
+            })
+        };
+        let stepped = run(BackendKind::Epoch);
+        let event = run(BackendKind::Event);
+        assert_eq!(
+            normalized_json(stepped),
+            normalized_json(event),
+            "{benchmark:?} x {sched:?}: skipping replay stretches changed the result"
+        );
+    }
+}
+
+/// Counts the scheduler's `pick` calls on one Quick 1-SM run under `sched`.
+fn count_picks(
+    benchmark: Benchmark,
+    sched: SchedulerKind,
+    backend: BackendKind,
+) -> (SimResult, u64) {
+    let params = ciao_suite::ciao::CiaoParams::default();
+    let picks = Arc::new(AtomicU64::new(0));
+    let res = run_quick_sm1(benchmark, backend, |_sm| {
+        let config = GpuConfig::gtx480();
+        let (inner, redirect) = sched.build(benchmark, &config, &params);
+        let counting = CountingScheduler { inner, picks: Arc::clone(&picks) };
+        (Box::new(counting) as Box<dyn WarpScheduler>, redirect)
+    });
+    (res, picks.load(Ordering::Relaxed))
+}
+
+/// The replay skip saves real work: MVT under GTO spends most of its
+/// cycles with one warp retrying a load, and the event core consults the
+/// scheduler at least 5x less often than per-cycle stepping.
+#[test]
+fn replay_stretches_cost_no_per_cycle_picks() {
+    let (stepped, stepped_picks) =
+        count_picks(Benchmark::Mvt, SchedulerKind::Gto, BackendKind::Epoch);
+    let (event, event_picks) = count_picks(Benchmark::Mvt, SchedulerKind::Gto, BackendKind::Event);
+    assert_eq!(normalized_json(stepped), normalized_json(event));
+    assert!(
+        stepped_picks >= 5 * event_picks,
+        "expected >= 5x fewer picks under the event core: {stepped_picks} stepped vs \
+         {event_picks} event"
+    );
+}
+
 /// The skip is real work saved, not just an equal result: on KMN under
 /// Best-SWL (a livelock that spins to the cap with every ready warp outside
 /// the warp limit) the event core consults the scheduler at least 10x less
 /// often than per-cycle stepping.
 #[test]
 fn throttle_only_stretches_cost_no_per_cycle_picks() {
-    let params = ciao_suite::ciao::CiaoParams::default();
-    let count = |backend| {
-        let picks = Arc::new(AtomicU64::new(0));
-        let res = run_quick_sm1(Benchmark::Kmn, backend, |_sm| {
-            let config = GpuConfig::gtx480();
-            let (inner, redirect) = SchedulerKind::BestSwl.build(Benchmark::Kmn, &config, &params);
-            let counting = CountingScheduler { inner, picks: Arc::clone(&picks) };
-            (Box::new(counting) as Box<dyn WarpScheduler>, redirect)
-        });
-        (res, picks.load(Ordering::Relaxed))
-    };
+    let count = |backend| count_picks(Benchmark::Kmn, SchedulerKind::BestSwl, backend);
     let (stepped, stepped_picks) = count(BackendKind::Epoch);
     let (event, event_picks) = count(BackendKind::Event);
     assert!(stepped.stats.throttle_only_cycles > 0, "KMN x Best-SWL has throttle-only cycles");
