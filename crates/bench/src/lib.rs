@@ -1,4 +1,6 @@
-//! Criterion benchmark crate for the CIAO reproduction (see `benches/`).
+//! Criterion microbenchmarks of the substrate (see `benches/`).
 //!
-//! The library target is intentionally empty: every benchmark lives in
-//! `benches/*.rs` and reuses the experiment definitions from `ciao-harness`.
+//! The library target is intentionally empty: the two benchmarks in
+//! `benches/*.rs` time the caches, VTA, DRAM, shared-memory cache, one Tiny
+//! simulation and the event core's `TimeQueue`. Whole-experiment timing
+//! lives in the repository benchmark, `perfbench/`.

@@ -4,18 +4,19 @@
 //! ```text
 //! ciao-harness <experiment> [--quick|--tiny] [--sms N] [--seed N] [--out DIR]
 //!
-//! experiments: table1 table2 fig1 fig4 fig8 fig9 fig10 fig11 fig12 overhead mix perf all
+//! experiments: table1 table2 fig1 fig4 fig8 fig9 fig10 fig11 fig12 overhead mix
+//!              capacity fleet trace profile all
 //! ```
 //!
 //! `--sms N` simulates every run on an N-SM chip against a shared banked
-//! L2/DRAM; the default of 1 is the single-SM model all recorded baselines
-//! use. `--seed N` replicates every synthetic trace under a different seed
-//! (0 = the historical traces).
+//! L2/DRAM; the default of 1 is the single-SM model of the paper's figures.
+//! `--seed N` replicates every synthetic trace under a different seed (0 =
+//! the historical traces).
 //!
-//! `mix` co-runs the named multi-tenant benchmark mixes across the three SM
-//! partitioning policies (exclusive, spatial, shared-rr) × schedulers and
-//! reports per-tenant IPC, STP, ANTT and L2-contention shares. `--mix NAME`
-//! and `--policy LABEL` narrow the sweep.
+//! `mix` co-runs the named multi-tenant benchmark mixes across the four SM
+//! dispatch policies (exclusive, spatial, shared-rr, interference-aware) ×
+//! schedulers and reports per-tenant IPC, STP, ANTT and L2-contention
+//! shares. `--mix NAME` and `--policy LABEL` narrow the sweep.
 //!
 //! `capacity` (alias `--capacity-curve`) sweeps STP vs chip size: every mix ×
 //! policy co-run is repeated at each `--sm-counts A,B,..` chip size (default
@@ -38,28 +39,19 @@
 //! instead). The fleet runs on one thread, so repeated invocations write
 //! byte-identical `fleet.json`.
 //!
-//! `perf` is the CI performance gate: it measures the benchmark suite under
-//! GTO and CIAO-C, writes `BENCH_PR.json` (override with `--bench-out`), and
-//! exits non-zero if the gated geomean IPCs drift more than ±10% from the
-//! snapshot recorded for the same (scale, SM-count) configuration in
-//! `bench/baseline.json` (override with `--baseline`). `--with-mixes` also
-//! measures every mix's STP; `--merge-baseline` records the measured snapshot
-//! into the baseline file (regeneration mode) instead of gating against it.
-//!
 //! Text reports go to stdout; when `--out DIR` is given, each experiment also
 //! writes `<experiment>.txt` and `<experiment>.json` into the directory.
 
 use ciao_harness::experiments::{
     capacity, fig1, fig10, fig11, fig12, fig4, fig8, fig9, fleet, mix, overhead, table1, table2,
 };
-use ciao_harness::perf;
 use ciao_harness::report::write_json;
 use ciao_harness::runner::{log, set_verbosity, RunPlan, RunScale, Runner};
 use ciao_harness::schedulers::SchedulerKind;
 use ciao_workloads::{Benchmark, Mix};
 use gpu_sim::{BackendKind, DispatchPolicy, ObsLevel};
 use serde::Serialize;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 struct Options {
     experiment: String,
@@ -69,11 +61,6 @@ struct Options {
     seeds: Vec<u64>,
     arrivals: u64,
     backend: BackendKind,
-    baseline: PathBuf,
-    bench_out: PathBuf,
-    allow_missing_baseline: bool,
-    with_mixes: bool,
-    merge_baseline: bool,
     mix_filter: Option<String>,
     policy_filter: Option<String>,
     sm_counts: Option<Vec<usize>>,
@@ -115,11 +102,6 @@ fn parse_args() -> Options {
     let mut seeds = vec![0u64];
     let mut arrivals = 0u64;
     let mut backend = BackendKind::default();
-    let mut baseline = PathBuf::from("bench/baseline.json");
-    let mut bench_out = PathBuf::from("BENCH_PR.json");
-    let mut allow_missing_baseline = false;
-    let mut with_mixes = false;
-    let mut merge_baseline = false;
     let mut mix_filter = None;
     let mut policy_filter = None;
     let mut sm_counts = None;
@@ -155,7 +137,12 @@ fn parse_args() -> Options {
             "--quick" => scale = RunScale::Quick,
             "--tiny" => scale = RunScale::Tiny,
             "--full" => scale = RunScale::Full,
-            "--out" => out_dir = args.next().map(PathBuf::from),
+            "--out" => {
+                out_dir = Some(args.next().map(PathBuf::from).unwrap_or_else(|| {
+                    eprintln!("--out expects a directory");
+                    std::process::exit(2);
+                }));
+            }
             "--sms" => {
                 sms = args.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or_else(
                     || {
@@ -182,18 +169,6 @@ fn parse_args() -> Options {
                         eprintln!("--backend expects epoch or event");
                         std::process::exit(2);
                     });
-            }
-            "--baseline" => {
-                baseline = args.next().map(PathBuf::from).unwrap_or_else(|| {
-                    eprintln!("--baseline expects a path");
-                    std::process::exit(2);
-                });
-            }
-            "--bench-out" => {
-                bench_out = args.next().map(PathBuf::from).unwrap_or_else(|| {
-                    eprintln!("--bench-out expects a path");
-                    std::process::exit(2);
-                });
             }
             "--obs" => {
                 obs = args.next().as_deref().and_then(ObsLevel::from_label).unwrap_or_else(|| {
@@ -248,9 +223,6 @@ fn parse_args() -> Options {
             "--reference-calibration" => reference_calibration = true,
             "-v" | "--verbose" => set_verbosity(1),
             "-q" | "--quiet" => set_verbosity(-1),
-            "--allow-missing-baseline" => allow_missing_baseline = true,
-            "--with-mixes" => with_mixes = true,
-            "--merge-baseline" => merge_baseline = true,
             "--mix" => {
                 mix_filter = Some(args.next().unwrap_or_else(|| {
                     eprintln!("--mix expects a mix name");
@@ -259,13 +231,13 @@ fn parse_args() -> Options {
             }
             "--policy" => {
                 policy_filter = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--policy expects exclusive|spatial|shared-rr");
+                    eprintln!("--policy expects exclusive|spatial|shared-rr|interference-aware");
                     std::process::exit(2);
                 }));
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: ciao-harness <table1|table2|fig1|fig4|fig8|fig9|fig10|fig11|fig12|overhead|mix|capacity|fleet|trace|profile|perf|all> \
+                    "usage: ciao-harness <table1|table2|fig1|fig4|fig8|fig9|fig10|fig11|fig12|overhead|mix|capacity|fleet|trace|profile|all> \
                      [--quick|--tiny|--full] [--sms N] [--seed N|A..B] [--arrivals N] \
                      [--backend epoch|event] [--out DIR] [--mix NAME] \
                      [--policy exclusive|spatial|shared-rr|interference-aware] \
@@ -274,8 +246,6 @@ fn parse_args() -> Options {
                      [--traffic balanced|cache-heavy|stream-heavy] \
                      [--mean-interarrival CYCLES] [--reference-calibration] \
                      [--obs off|metrics|full] [--trace-out FILE] [--metrics-out FILE] \
-                     [--baseline FILE] [--bench-out FILE] \
-                     [--allow-missing-baseline] [--with-mixes] [--merge-baseline] \
                      [-v|--verbose] [-q|--quiet]"
                 );
                 std::process::exit(0);
@@ -295,11 +265,6 @@ fn parse_args() -> Options {
         seeds,
         arrivals,
         backend,
-        baseline,
-        bench_out,
-        allow_missing_baseline,
-        with_mixes,
-        merge_baseline,
         mix_filter,
         policy_filter,
         sm_counts,
@@ -345,169 +310,6 @@ fn resolve_policies(filter: &Option<String>) -> Vec<DispatchPolicy> {
             }
         },
         None => DispatchPolicy::all(),
-    }
-}
-
-/// Runs the perf gate: measure, persist, compare against the snapshot
-/// recorded for the same configuration, exit non-zero on drift. With
-/// `--merge-baseline` the measured snapshot is recorded into the baseline
-/// file instead of being gated (regeneration mode).
-fn run_perf_gate(opts: &Options, runner: &Runner) {
-    let mut report = perf::measure(runner, &Benchmark::all(), &perf::gate_schedulers());
-    if opts.with_mixes {
-        log(format_args!("measuring mix STPs ..."));
-        let (mix_stp, mix_secs) = perf::measure_mixes(runner);
-        report.mix_stp = mix_stp;
-        report.mix_wall_clock_secs = mix_secs;
-        // Cross-check the other timing backend on the same sweep: the STPs
-        // must match bit-for-bit (both backends are exact), and the wall
-        // clocks give the PR-over-PR epoch-vs-event speedup figure. Printed,
-        // never gated or persisted — wall clocks are machine-dependent.
-        let other = match runner.backend {
-            BackendKind::Epoch => BackendKind::Event,
-            BackendKind::Event => BackendKind::Epoch,
-        };
-        log(format_args!("re-measuring mix STPs on the {other} backend ..."));
-        let (other_stp, other_secs) = perf::measure_mixes(&runner.clone().with_backend(other));
-        if other_stp != report.mix_stp {
-            eprintln!("perf gate FAILED: {other} backend STPs diverge from {}", runner.backend);
-            std::process::exit(1);
-        }
-        let (epoch_secs, event_secs) = match runner.backend {
-            BackendKind::Epoch => (mix_secs, other_secs),
-            BackendKind::Event => (other_secs, mix_secs),
-        };
-        println!(
-            "mix sweep backends agree; wall clock epoch {epoch_secs:.2}s vs event \
-             {event_secs:.2}s ({:.1}x)",
-            epoch_secs / event_secs.max(1e-9)
-        );
-        report.wall_clock.mix_epoch_secs = epoch_secs;
-        report.wall_clock.mix_event_secs = event_secs;
-        // Time the large-chip capacity point under both backends — the
-        // headline epoch-vs-event speedup, recorded machine-readably in the
-        // BENCH JSON's `wall_clock` section. STP divergence between the
-        // backends is a correctness bug and fails the gate.
-        log(format_args!(
-            "timing the {}-SM capacity point on both backends ...",
-            perf::CAPACITY_PROBE_SMS
-        ));
-        match perf::measure_capacity_point(runner, perf::CAPACITY_PROBE_SMS) {
-            Ok((cap_epoch, cap_event)) => {
-                report.wall_clock.capacity_sms = perf::CAPACITY_PROBE_SMS;
-                report.wall_clock.capacity_epoch_secs = cap_epoch;
-                report.wall_clock.capacity_event_secs = cap_event;
-            }
-            Err(e) => {
-                eprintln!("perf gate FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    print!("{}", perf::render(&report));
-    if let Err(e) = write_json(&opts.bench_out, &report) {
-        eprintln!("error: cannot write {:?}: {e}", opts.bench_out);
-        std::process::exit(1);
-    }
-    log(format_args!("wrote {:?}", opts.bench_out));
-
-    if opts.merge_baseline {
-        let mut file = if Path::new(&opts.baseline).exists() {
-            load_baseline_file(&opts.baseline)
-        } else {
-            perf::BaselineFile::default()
-        };
-        file.upsert(report);
-        if let Err(e) = write_json(&opts.baseline, &file) {
-            eprintln!("error: cannot write baseline {:?}: {e}", opts.baseline);
-            std::process::exit(1);
-        }
-        log(format_args!(
-            "recorded snapshot into {:?} ({} snapshot{})",
-            opts.baseline,
-            file.snapshots.len(),
-            if file.snapshots.len() == 1 { "" } else { "s" }
-        ));
-        return;
-    }
-
-    if !Path::new(&opts.baseline).exists() {
-        // Fail closed: a gate that silently skips is no gate. Bootstrapping a
-        // brand-new configuration is the explicit opt-out.
-        log(format_args!(
-            "no baseline at {:?} (run `perf --merge-baseline` to record one)",
-            opts.baseline
-        ));
-        if opts.allow_missing_baseline {
-            log(format_args!("--allow-missing-baseline given; exiting 0"));
-            return;
-        }
-        eprintln!(
-            "perf gate FAILED: baseline missing (pass --allow-missing-baseline to bootstrap)"
-        );
-        std::process::exit(1);
-    }
-    let file = load_baseline_file(&opts.baseline);
-    let Some(baseline) = file.find(&report.scale, report.num_sms, report.seed) else {
-        // Also fail closed: comparing across configurations is meaningless,
-        // and exiting 0 here would let a mis-invoked CI job disarm the gate.
-        eprintln!(
-            "perf gate FAILED: no snapshot for ({}, {} SMs, seed {}) in {:?} — record one \
-             with `ciao-harness perf --merge-baseline` at this configuration",
-            report.scale, report.num_sms, report.seed, opts.baseline
-        );
-        std::process::exit(1);
-    };
-    let gated: Vec<&str> = perf::gate_schedulers().iter().map(|s| s.label()).collect::<Vec<_>>();
-    let drifts = perf::compare(&report, baseline, perf::DEFAULT_TOLERANCE, &gated);
-    // Per-mix STP gating: enforced whenever either side carries mix figures
-    // (run with `--with-mixes` against a mix-bearing snapshot). Fails closed
-    // on missing keys — see `perf::compare_mixes`.
-    let mix_drifts = if opts.with_mixes || !baseline.mix_stp.is_empty() {
-        perf::compare_mixes(&report, baseline, perf::DEFAULT_TOLERANCE)
-    } else {
-        Vec::new()
-    };
-    if drifts.is_empty() && mix_drifts.is_empty() {
-        let mixes = if opts.with_mixes || !baseline.mix_stp.is_empty() {
-            " and all gated mix STPs"
-        } else {
-            ""
-        };
-        println!(
-            "perf gate PASSED (all gated schedulers{mixes} within ±{:.0}% of baseline)",
-            perf::DEFAULT_TOLERANCE * 100.0
-        );
-    } else {
-        print!("{}", perf::render_drifts(&drifts, perf::DEFAULT_TOLERANCE));
-        print!("{}", perf::render_mix_drifts(&mix_drifts, perf::DEFAULT_TOLERANCE));
-        eprintln!(
-            "perf gate FAILED; if the drift is an intended modelling change, regenerate \
-             the snapshot with `ciao-harness perf --merge-baseline` at this configuration \
-             (add --with-mixes for mix-bearing snapshots)"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Loads and parses the multi-snapshot baseline file, exiting on error.
-fn load_baseline_file(path: &Path) -> perf::BaselineFile {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read baseline {path:?}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match serde_json::from_str(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!(
-                "error: cannot parse baseline {path:?}: {e} (expected the multi-snapshot \
-                 {{\"snapshots\": [...]}} schema)"
-            );
-            std::process::exit(1);
-        }
     }
 }
 
@@ -724,7 +526,6 @@ fn run_experiment(opts: &Options, name: &str, runner: &Runner) {
         "fleet" => run_fleet(opts),
         "trace" => run_trace(opts, runner),
         "profile" => run_profile(opts, runner),
-        "perf" => run_perf_gate(opts, runner),
         other => {
             eprintln!("unknown experiment: {other}");
             std::process::exit(2);

@@ -4,7 +4,7 @@
 //! `run(...)` function taking a [`crate::Runner`] (plus, where sensible, the
 //! benchmark subset so tests can run reduced versions), and a `render(...)`
 //! function producing the plain-text report. The `ciao-harness` binary and
-//! the criterion benches both call these functions, so every recorded
+//! the golden-digest tests both call these functions, so every recorded
 //! result comes from exactly the code a user runs.
 
 pub mod capacity;

@@ -20,7 +20,6 @@
 //! | Capacity curves (STP vs SM count per policy) | [`experiments::capacity`] | `capacity` |
 //! | Perfetto trace + metrics of one observed co-run | [`runner`] (`sim-obs`) | `trace` |
 //! | Wall-clock phase profile, both timing backends | [`runner`] (`sim-obs`) | `profile` |
-//! | CI performance-regression gate | [`perf`] | `perf` |
 //!
 //! Every experiment accepts the `--sms N` axis: the [`runner::Runner`]
 //! simulates each (benchmark, scheduler) pair on an N-SM chip with a shared
@@ -30,19 +29,17 @@
 //! verbosity flags, which drive the [`runner::log`] diagnostics channel.
 //!
 //! Every experiment returns a serialisable result structure plus a plain-text
-//! rendering, so `cargo bench` (crate `ciao-bench`) and the `ciao-harness`
-//! binary share the exact same code paths.
+//! rendering; the `ciao-harness` binary prints the rendering and writes both
+//! under `--out`, and the root `tests/golden.rs` pins the results by digest.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod experiments;
-pub mod perf;
 pub mod report;
 pub mod runner;
 pub mod schedulers;
 
-pub use perf::{BaselineFile, PerfReport};
 pub use report::{geometric_mean, Table};
 pub use runner::{RunRecord, RunScale, Runner};
 pub use schedulers::SchedulerKind;

@@ -3,10 +3,9 @@
 //!
 //! The runner exposes the harness's `--sms N` axis: with `sms == 1` (the
 //! default) every run simulates one SM with a private L2/DRAM partition,
-//! which is what all recorded baselines (including `bench/baseline.json`)
-//! were produced with; with `sms > 1` each run simulates a chip of N SMs
-//! against the shared banked L2/DRAM backend, with one scheduler instance
-//! per SM.
+//! which is what the Fig. 8 goldens in `tests/golden.rs` pin; with
+//! `sms > 1` each run simulates a chip of N SMs against the shared banked
+//! L2/DRAM backend, with one scheduler instance per SM.
 
 use crate::schedulers::SchedulerKind;
 use ciao_core::CiaoParams;

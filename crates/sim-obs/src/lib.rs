@@ -46,7 +46,7 @@ pub use trace::{chrome_trace_json, TraceCategory, TraceEvent, TraceRecorder, Tra
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum ObsLevel {
     /// No collection at all: every recorder stays `None`, every hot-path
-    /// hook is a single branch. The perf-gate configuration.
+    /// hook is a single branch. The default.
     #[default]
     Off,
     /// Metrics registry and phase profiler only — no event trace. Cheap

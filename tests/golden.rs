@@ -4,11 +4,14 @@
 //! the timing-backend label blanked, and checks it under both
 //! `BackendKind`s: the event core and its per-cycle stepping mode must
 //! reproduce the recorded result bit for bit. Each fleet case pins the
-//! digest of its `FleetResult` JSON. Any change to a digest is a change to
-//! a simulated result, so an intended modelling change must re-record the
+//! digest of its `FleetResult` JSON. The two harness cases pin the Quick
+//! 1-SM Fig. 8 headline matrix (GTO and CIAO-C over every benchmark) and
+//! the Tiny 15-SM mix sweep. Any change to a digest is a change to a
+//! simulated result, so an intended modelling change must re-record the
 //! affected constants in the same commit.
 
 use ciao_suite::fleet::{Calibration, Fleet, FleetRequest, PlacementPolicy, TrafficSpec};
+use ciao_suite::harness::experiments::mix;
 use ciao_suite::harness::runner::{RunScale, Runner};
 use ciao_suite::harness::schedulers::SchedulerKind;
 use ciao_suite::sim::{BackendKind, DispatchPolicy, SimResult};
@@ -123,6 +126,39 @@ fn tiny3_exclusive_queue_with_late_arrival() {
 #[test]
 fn tiny64_cache_stream_capacity_point() {
     tiny_cache_stream(64, DispatchPolicy::SharedRoundRobin, 0, 0x04fe_b719_a021_e421);
+}
+
+#[test]
+fn tiny64_cache_stream_interference_aware() {
+    tiny_cache_stream(64, DispatchPolicy::InterferenceAware, 0, 0x9aec_8a42_bc0f_d23a);
+}
+
+/// The Fig. 8 headline matrix: GTO and CIAO-C over every benchmark at Quick
+/// scale on one SM, under the default timing backend (the `quick_sm1_*`
+/// cases cross-check the stepping mode).
+#[test]
+fn quick_sm1_headline_matrix() {
+    let records = Runner::new(RunScale::Quick)
+        .run_matrix(&Benchmark::all(), &[SchedulerKind::Gto, SchedulerKind::CiaoC]);
+    assert_eq!(records.len(), 2 * Benchmark::all().len());
+    let got = fnv1a(&records);
+    assert_eq!(got, 0xe940_cd3c_3bfa_106f, "quick/1-SM GTO + CIAO-C matrix: digest {got:#018x}");
+}
+
+/// Every named mix under shared-rr and interference-aware dispatch with
+/// GTO on the Tiny 15-SM chip, solo baselines included.
+#[test]
+fn tiny15_mix_sweep() {
+    let policies = [DispatchPolicy::SharedRoundRobin, DispatchPolicy::InterferenceAware];
+    for backend in BackendKind::ALL {
+        let runner = Runner::new(RunScale::Tiny).with_sms(15).with_backend(backend);
+        let res = mix::run(&runner, &Mix::all(), &policies, &[SchedulerKind::Gto]);
+        let got = fnv1a(&res);
+        assert_eq!(
+            got, 0x00c1_c627_e1ca_1d9f,
+            "tiny/15 mix sweep under {backend}: digest {got:#018x}"
+        );
+    }
 }
 
 /// 20k seed-0 arrivals at a mean gap of `gap` cycles on `chips` chips of 8
