@@ -289,15 +289,20 @@ impl WarpScheduler for CiaoScheduler {
         Some(pick)
     }
 
-    fn on_idle_cycles(&mut self, ctx: &SchedulerCtx<'_>, skipped: u64) {
+    fn on_idle_cycles(&mut self, ctx: &SchedulerCtx<'_>, cycles: u64) {
+        self.instructions_seen = ctx.instructions_executed;
+        // A replay stretch lies below both epoch checks (the hold horizon
+        // vouches for it), so its picks run neither evaluation.
+        if !ctx.ready.is_empty() {
+            return;
+        }
         // Every empty-ready `pick` runs the low-cutoff evaluation with the
         // same (instructions, active_warps) arguments — no instructions
         // retire while nothing is ready — so iterating it reaches a fixed
         // point: each call either releases a stalled/isolated warp (bumping a
         // decision counter) or changes nothing. Replaying until the state
-        // stops changing (capped at `skipped`) is therefore exact.
-        self.instructions_seen = ctx.instructions_executed;
-        for _ in 0..skipped {
+        // stops changing (capped at `cycles`) is therefore exact.
+        for _ in 0..cycles {
             self.next_low_check = ctx.instructions_executed + self.params.low_epoch;
             let before = (self.stall_stack.len(), self.decisions);
             self.low_epoch_check(ctx.instructions_executed, ctx.active_warps.max(1));
@@ -307,27 +312,40 @@ impl WarpScheduler for CiaoScheduler {
         }
     }
 
-    fn throttle_stable_when_idle(&self, ctx: &SchedulerCtx<'_>) -> bool {
-        // An empty pick runs only the low-cutoff evaluation, and of that only
-        // the stall-stack pop changes `is_throttled`. With nothing retiring,
-        // its inputs stay fixed, so a top that is not releasable now stays
-        // so (un-redirecting isolated warps leaves the stall records alone).
-        self.stall_stack.last().is_none_or(|&top| {
-            !self.releasable(
-                top,
-                PairRole::Stall,
-                ctx.instructions_executed,
-                ctx.active_warps.max(1),
-            )
-        })
-    }
-
-    fn replay_stable(&self, ctx: &SchedulerCtx<'_>, idx: usize) -> bool {
-        // Below both epoch checks a pick offering the greedy warp runs
-        // neither evaluation and returns it; `on_issue` is the no-op default.
-        self.last_issued == Some(idx)
-            && ctx.instructions_executed < self.next_low_check
-            && ctx.instructions_executed < self.next_high_check
+    fn hold_horizon(
+        &self,
+        ctx: &SchedulerCtx<'_>,
+        _dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
+    ) -> u64 {
+        let holds = match ctx.ready {
+            // An empty pick runs only the low-cutoff evaluation, and of that
+            // only the stall-stack pop changes `is_throttled`. With nothing
+            // retiring, its inputs stay fixed, so a top that is not
+            // releasable now stays so (un-redirecting isolated warps leaves
+            // the stall records alone).
+            [] => self.stall_stack.last().is_none_or(|&top| {
+                !self.releasable(
+                    top,
+                    PairRole::Stall,
+                    ctx.instructions_executed,
+                    ctx.active_warps.max(1),
+                )
+            }),
+            // Below both epoch checks a pick offering the greedy warp runs
+            // neither evaluation and returns it; `on_issue` is the no-op
+            // default.
+            &[idx] => {
+                self.last_issued == Some(idx)
+                    && ctx.instructions_executed < self.next_low_check
+                    && ctx.instructions_executed < self.next_high_check
+            }
+            _ => false,
+        };
+        if holds {
+            u64::MAX
+        } else {
+            0
+        }
     }
 
     fn on_cache_event(&mut self, ev: &CacheEvent) {
@@ -582,39 +600,43 @@ mod tests {
         assert!(!s.is_throttled(1));
     }
 
+    fn live(_: Cycle) -> Option<f64> {
+        Some(0.0)
+    }
+
     #[test]
-    fn throttle_set_is_stable_while_the_stall_top_cannot_release() {
+    fn throttle_set_holds_while_the_stall_top_cannot_release() {
         let mut s = CiaoScheduler::new(CiaoVariant::ThrottleOnly, params_fast(), 4);
         let w = warps(4);
-        assert!(s.throttle_stable_when_idle(&ctx(&w, &[], 100)), "empty stall stack");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[], 100), &live), u64::MAX, "empty stall stack");
         for k in 0..20 {
             inject_interference(&mut s, 0, 1, k * 128);
         }
         s.pick(&ctx(&w, &[0, 1, 2, 3], 100));
         assert!(s.is_throttled(1));
         // Trigger warp 0 still interfered with: IRS 20/(100/4) above low-cutoff.
-        assert!(s.throttle_stable_when_idle(&ctx(&w, &[], 100)));
+        assert_eq!(s.hold_horizon(&ctx(&w, &[], 100), &live), u64::MAX);
         // Same records, but far more instructions: IRS 20/(20000/4) calmed down.
-        assert!(!s.throttle_stable_when_idle(&ctx(&w, &[], 20_000)));
+        assert_eq!(s.hold_horizon(&ctx(&w, &[], 20_000), &live), 0);
         // The trigger finishing releases the stall too.
         s.on_warp_finished(0, 0);
-        assert!(!s.throttle_stable_when_idle(&ctx(&w, &[], 100)));
+        assert_eq!(s.hold_horizon(&ctx(&w, &[], 100), &live), 0);
     }
 
     #[test]
-    fn replays_are_vouched_for_only_between_epoch_checks() {
+    fn replays_hold_only_between_epoch_checks() {
         // Low check due at 5, high check at 10 (`params_fast`).
         let mut s = CiaoScheduler::new(CiaoVariant::Combined, params_fast(), 4);
         let w = warps(4);
         assert_eq!(s.pick(&ctx(&w, &[1, 2], 0)), Some(1));
-        assert!(s.replay_stable(&ctx(&w, &[], 0), 1));
-        assert!(!s.replay_stable(&ctx(&w, &[], 0), 2), "warp 2 is not the greedy warp");
-        assert!(!s.replay_stable(&ctx(&w, &[], 5), 1), "the low-epoch check is due");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 0), &live), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[2], 0), &live), 0, "warp 2 is not the greedy warp");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 5), &live), 0, "the low-epoch check is due");
         // Run the low check at 6 (next due at 11): the high check at 10 is
         // now the earlier horizon.
         assert_eq!(s.pick(&ctx(&w, &[1], 6)), Some(1));
-        assert!(s.replay_stable(&ctx(&w, &[], 9), 1));
-        assert!(!s.replay_stable(&ctx(&w, &[], 10), 1), "the high-epoch check is due");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 9), &live), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 10), &live), 0, "the high-epoch check is due");
     }
 
     #[test]

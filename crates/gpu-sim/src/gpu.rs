@@ -242,6 +242,18 @@ impl MemoryPort {
         }
     }
 
+    /// [`MemoryPort::dram_utilization`] at cycle `now` of a stretch on which
+    /// the SM issues nothing, if it is already determined: always for a
+    /// private port, whose traffic is then fixed, and before
+    /// `snapshot_until` for a deferred one, whose snapshot the chip engine
+    /// replaces at the next boundary.
+    pub(crate) fn known_dram_utilization(&self, now: Cycle, snapshot_until: Cycle) -> Option<f64> {
+        match self {
+            MemoryPort::Private(_) => Some(self.dram_utilization(now.max(1))),
+            MemoryPort::Deferred(d) => (now < snapshot_until).then_some(d.dram_utilization),
+        }
+    }
+
     /// Drains the buffered requests (empty for a private port).
     pub fn drain(&mut self) -> Vec<MemRequest> {
         match self {
@@ -700,10 +712,11 @@ impl Gpu {
     ///
     /// - **Per-SM parking.** Only SMs whose wakeup hint is due at the current
     ///   boundary are popped and advanced ([`TimeQueue::pop_due`]); the rest
-    ///   stay *parked* with a frozen clock. A parked stretch is pure idle by
-    ///   construction (the hint is [`Sm::next_event_time`], and replies /
-    ///   dealt work pull hints forward), so the owed idle settle — scheduler
-    ///   decay, idle-cycle accounting — is replayed in one closed-form
+    ///   stay *parked* with a frozen clock. A parked stretch is one the SM
+    ///   holds still on by construction: idle, throttle-only or an
+    ///   MSHR-full replay (the hint is [`Sm::next_event_time`], and replies
+    ///   / dealt work pull hints forward). So the owed settle (scheduler
+    ///   decay, idle-cycle accounting) is replayed in one closed-form
     ///   [`Sm::run_epoch_event`] call when the SM next wakes, exactly as
     ///   `on_idle_cycles` composes per-SM. Done and capped SMs park at
     ///   `Cycle::MAX` in both modes.
@@ -1057,8 +1070,8 @@ impl Gpu {
     ///
     /// Only SMs that advanced this boundary need draining. A parked SM
     /// cannot hold buffered requests — its buffer was drained at the
-    /// boundary it last executed and pure idle issues nothing — so skipping
-    /// it drains exactly what a walk over every SM would.
+    /// boundary it last executed and a held stretch issues nothing — so
+    /// skipping it drains exactly what a walk over every SM would.
     fn collect_batch(
         sms: &mut [Sm],
         advanced: impl IntoIterator<Item = usize>,
@@ -1226,11 +1239,11 @@ impl Gpu {
         progressed
     }
 
-    /// Hands a dealt work batch to SM `unit`: settle any parked idle lag
-    /// first (its lag is a provably pure idle span, and new CTAs must launch
-    /// *after* it is accounted, matching stepping mode's advance-then-
-    /// dispatch boundary order), then push the work and wake the SM at the
-    /// boundary.
+    /// Hands a dealt work batch to SM `unit`: settle any parked lag first
+    /// (its lag is a stretch the SM provably holds still on, and new CTAs
+    /// must launch *after* it is accounted, matching stepping mode's
+    /// advance-then-dispatch boundary order), then push the work and wake
+    /// the SM at the boundary.
     fn deal_event(
         sm: &mut Sm,
         unit: usize,

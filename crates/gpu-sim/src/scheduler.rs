@@ -1,9 +1,13 @@
 //! Warp-scheduler policy interface and the baseline schedulers.
 //!
-//! The SM consults a [`WarpScheduler`] every cycle to pick which ready warp
-//! issues next, asks it how to *route* each warp's global-memory accesses
-//! (L1D, redirect cache, or L1D bypass), and feeds it the cache events it
-//! needs to build locality/interference estimators (VTA hits, evictions).
+//! The SM consults a [`WarpScheduler`] on every cycle it steps to pick which
+//! ready warp issues next, asks it how to *route* each warp's global-memory
+//! accesses (L1D, redirect cache, or L1D bypass), and feeds it the cache
+//! events it needs to build locality/interference estimators (VTA hits,
+//! evictions). The event core does not step every cycle: it asks the
+//! scheduler how long the SM may hold still
+//! ([`WarpScheduler::hold_horizon`]) and advances it over the skipped
+//! stretch in closed form ([`WarpScheduler::on_idle_cycles`]).
 //!
 //! The baselines implemented here:
 //!
@@ -125,52 +129,63 @@ pub trait WarpScheduler: Send {
     /// `ctx.ready` and must respect their own throttling decisions.
     fn pick(&mut self, ctx: &SchedulerCtx<'_>) -> Option<usize>;
 
-    /// Notifies the scheduler that the SM skipped `skipped` consecutive
-    /// cycles on which *no* warp was offered (the event-driven backend's
-    /// idle-cycle fast-forward): either no warp was ready, or every ready
-    /// warp was throttled by this scheduler and
-    /// [`WarpScheduler::throttle_stable_when_idle`] held. `ctx` is the
-    /// context of the *last* skipped cycle, with `ctx.ready` empty.
+    /// Advances the scheduler in closed form over `cycles` consecutive
+    /// cycles on which the SM *held still* (the event core's skip). `ctx` is
+    /// the context of the *last* of them. Two kinds of stretch exist:
     ///
-    /// Contract: after this call the scheduler must be in exactly the state
-    /// it would hold after `skipped` consecutive [`WarpScheduler::pick`]
-    /// calls with an empty ready set. Schedulers whose empty-ready `pick` is
-    /// pure (GTO, LRR) keep this default no-op; schedulers that mutate state
-    /// on empty picks (CCWS score decay, CIAO low-epoch checks, dirty-flag
-    /// recomputes) must override it.
-    fn on_idle_cycles(&mut self, _ctx: &SchedulerCtx<'_>, _skipped: u64) {}
+    /// - `ctx.ready` empty: no warp was offered on any of the cycles.
+    ///   Either no warp was ready, or every ready warp was throttled by this
+    ///   scheduler within its [`WarpScheduler::hold_horizon`]. The scheduler
+    ///   must end in exactly the state `cycles` consecutive
+    ///   [`WarpScheduler::pick`] calls with an empty ready set would leave.
+    /// - `ctx.ready == [idx]`: warp `idx` replayed a global load that the
+    ///   full MSHR file turned away on every cycle, within the horizon. The
+    ///   scheduler must end in the state `cycles` rounds of a `pick`
+    ///   offering `idx` (which returns `idx`) followed by
+    ///   [`WarpScheduler::on_issue`] for that warp would leave.
+    ///
+    /// Schedulers whose empty-ready `pick` is pure (GTO, LRR) keep this
+    /// default no-op. Schedulers that mutate state on empty picks (CCWS
+    /// score decay, CIAO low-epoch checks, dirty-flag recomputes, statPCAL's
+    /// utilisation sample) must override it.
+    fn on_idle_cycles(&mut self, _ctx: &SchedulerCtx<'_>, _cycles: u64) {}
 
-    /// True when an empty-ready [`WarpScheduler::pick`] in `ctx` would leave
-    /// [`WarpScheduler::is_throttled`] unchanged for every warp — on this
-    /// call and on every later empty pick with the same instruction count
-    /// and active-warp count. The event-driven backend then skips stretches
-    /// on which every ready warp is throttled, replaying them through
-    /// [`WarpScheduler::on_idle_cycles`].
+    /// How many cycles, starting at `ctx.now`, the SM may hold still
+    /// before `pick`'s choice, [`WarpScheduler::is_throttled`] or
+    /// [`WarpScheduler::on_issue`] could change. The event core skips that
+    /// many cycles at most and replays them through
+    /// [`WarpScheduler::on_idle_cycles`]. `ctx.ready` names the stretch
+    /// as that method does:
     ///
-    /// The default `false` is always safe: such stretches are then stepped
-    /// one cycle at a time.
-    fn throttle_stable_when_idle(&self, _ctx: &SchedulerCtx<'_>) -> bool {
-        false
-    }
-
-    /// True when warp `idx` (an index into `ctx.warps`), which has just
-    /// replayed a load that the full MSHR file turned away, will keep being
-    /// picked without the scheduler noticing. `ctx.ready` is empty; at
-    /// `ctx.instructions_executed` both of these must hold:
+    /// - empty: every cycle is an empty-ready `pick`. The SM asks only when
+    ///   some ready warp is held back by the throttle set, and then every
+    ///   cycle of the horizon must keep `is_throttled` unchanged for every
+    ///   warp: on cycle `k` the SM offers warps by the set left by `k`
+    ///   empty picks;
+    /// - `[idx]`: every cycle re-picks warp `idx`, which replays a load the
+    ///   full MSHR file turns away. Every cycle of the horizon must pick
+    ///   `idx` out of any ready set containing it, keep `is_throttled`
+    ///   unchanged, and leave `on_issue` for that warp predictable by
+    ///   `on_idle_cycles`.
     ///
-    /// - every [`WarpScheduler::pick`] whose ready set contains `idx`
-    ///   returns `idx` and leaves the scheduler unchanged;
-    /// - [`WarpScheduler::on_issue`] for that warp is a no-op.
+    /// Nothing retires while the SM holds still, so `ctx.instructions_executed`
+    /// and `ctx.active_warps` are fixed across the horizon. The DRAM
+    /// utilisation a `pick` at cycle `t` would see is
+    /// `dram_utilization_at(t)`: non-increasing in `t` (a private port's
+    /// traffic is fixed while nothing issues; a deferred port's snapshot is
+    /// fixed within an epoch), and `None` from the first cycle the SM cannot
+    /// vouch for (a deferred port's snapshot changes at the next epoch
+    /// boundary). A horizon must not cover a cycle whose sample is `None`.
     ///
-    /// The event-driven backend then skips the replay stretch in closed
-    /// form, up to the next cycle at which a response lands or another warp
-    /// wakes. Nothing retires during a replay, so the instruction count is
-    /// fixed across the stretch.
-    ///
-    /// The default `false` is always safe: replays are then stepped one
-    /// cycle at a time.
-    fn replay_stable(&self, _ctx: &SchedulerCtx<'_>, _idx: usize) -> bool {
-        false
+    /// The default `0` never skips: such stretches are stepped one cycle at
+    /// a time. Stretches on which no warp at all is ready skip without
+    /// consulting this method.
+    fn hold_horizon(
+        &self,
+        _ctx: &SchedulerCtx<'_>,
+        _dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
+    ) -> u64 {
+        0
     }
 
     /// Notifies the scheduler that warp `wid` issued an operation. This also
@@ -252,10 +267,18 @@ impl WarpScheduler for GtoScheduler {
         Some(oldest)
     }
 
-    fn replay_stable(&self, _ctx: &SchedulerCtx<'_>, idx: usize) -> bool {
-        // Greedy on the last issued warp: while it is offered, `pick`
-        // returns it without touching any state.
-        self.last_issued == Some(idx)
+    fn hold_horizon(
+        &self,
+        ctx: &SchedulerCtx<'_>,
+        _dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
+    ) -> u64 {
+        // An empty pick is pure, and so is a greedy one: while the last
+        // issued warp is offered, `pick` returns it without touching state.
+        match ctx.ready {
+            [] => u64::MAX,
+            &[idx] if self.last_issued == Some(idx) => u64::MAX,
+            _ => 0,
+        }
     }
 }
 
@@ -362,14 +385,19 @@ mod tests {
         assert_eq!(s.pick(&ctx(&warps, &[0, 1])), Some(0));
     }
 
+    fn live(_: Cycle) -> Option<f64> {
+        Some(0.0)
+    }
+
     #[test]
-    fn gto_vouches_for_replays_of_its_greedy_warp_only() {
+    fn gto_holds_replays_of_its_greedy_warp_only() {
         let warps = make_warps(3);
         let mut s = GtoScheduler::new();
-        assert!(!s.replay_stable(&ctx(&warps, &[]), 0), "nothing issued yet");
+        assert_eq!(s.hold_horizon(&ctx(&warps, &[0]), &live), 0, "nothing issued yet");
         assert_eq!(s.pick(&ctx(&warps, &[1, 2])), Some(1));
-        assert!(s.replay_stable(&ctx(&warps, &[]), 1));
-        assert!(!s.replay_stable(&ctx(&warps, &[]), 2), "warp 2 is not the greedy warp");
+        assert_eq!(s.hold_horizon(&ctx(&warps, &[1]), &live), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&warps, &[2]), &live), 0, "warp 2 is not the greedy warp");
+        assert_eq!(s.hold_horizon(&ctx(&warps, &[]), &live), u64::MAX, "empty picks are pure");
     }
 
     #[test]
@@ -377,8 +405,8 @@ mod tests {
         let mut s = LrrScheduler::new();
         assert_eq!(s.route(0), MemRoute::L1d);
         assert!(!s.is_throttled(0));
-        assert!(!s.throttle_stable_when_idle(&ctx(&make_warps(1), &[])));
-        assert!(!s.replay_stable(&ctx(&make_warps(1), &[]), 0));
+        assert_eq!(s.hold_horizon(&ctx(&make_warps(1), &[]), &live), 0);
+        assert_eq!(s.hold_horizon(&ctx(&make_warps(1), &[0]), &live), 0);
         assert_eq!(s.metrics(), SchedulerMetrics::default());
     }
 }

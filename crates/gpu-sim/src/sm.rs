@@ -20,18 +20,22 @@
 //!
 //! The event-driven entry points ([`Sm::run_event`], [`Sm::run_epoch_event`],
 //! [`Sm::next_event_time`]) produce the same state as stepping every cycle
-//! but fast-forward over two kinds of stretch:
+//! but fast-forward over the stretches on which the SM *holds still*, found
+//! by one function (`Sm::skip_target`):
 //!
 //! - *idle* stretches, on which no warp is *offered* to the scheduler:
-//!   either no warp is ready, or every ready warp is held back by a throttle
-//!   set the scheduler vouches cannot change while nothing issues
-//!   ([`WarpScheduler::throttle_stable_when_idle`]). Such a stretch is
-//!   replayed in closed form through [`WarpScheduler::on_idle_cycles`];
+//!   either no warp is ready, or every ready warp is held back by the
+//!   scheduler's throttle set;
 //! - *replay* stretches, on which one warp retries a global load that the
-//!   full MSHR file keeps turning away, and the scheduler vouches that it
-//!   picks that warp again without noticing
-//!   ([`WarpScheduler::replay_stable`]). Nothing else can happen until a
-//!   response lands or another warp wakes, so the SM jumps there directly.
+//!   full MSHR file keeps turning away, and the scheduler picks it again.
+//!
+//! Either ends at the next response or warp wakeup. When some warp is
+//! ready, the scheduler's [`WarpScheduler::hold_horizon`] bounds it too:
+//! the number of cycles before its pick, throttle set or `on_issue` could
+//! change. CCWS's horizon is the first empty pick whose score decay moves
+//! its throttle set; statPCAL's is the first cycle whose DRAM-utilisation
+//! sample flips its bypass throttle. Both kinds of stretch are replayed in
+//! closed form through [`WarpScheduler::on_idle_cycles`].
 //!
 //! The chip engine can put an SM in *stepping* mode, which turns the skips
 //! off: the same entry points then step every cycle, the reference the
@@ -380,98 +384,116 @@ impl Sm {
     }
 
     /// Advances the SM to (at most) cycle `until` — one epoch of the chip
-    /// engine's boundary loop — fast-forwarding idle and replay stretches.
-    /// Stops early when the kernel finishes or a cap is hit; does not
+    /// engine's boundary loop — fast-forwarding the stretches it holds still
+    /// on. Stops early when the kernel finishes or a cap is hit; does not
     /// finalise statistics. Bit-identical to stepping every cycle.
     pub fn run_epoch_event(&mut self, until: Cycle) {
         while self.cycle < until && !self.is_done() && !self.hit_cap() {
-            if let Some(target) = self.idle_skip_target(until) {
-                self.skip_idle_to(target);
-            } else if let Some(target) =
-                self.replayed.and_then(|idx| self.replay_skip_target(idx, until))
-            {
-                self.skip_replay_to(target);
-            } else {
-                self.step();
+            match self.skip_target(until, until) {
+                Some(target) => self.skip_to(target),
+                None => self.step(),
             }
         }
     }
 
-    /// The SM's next-event time: the cycle at which something observable can
-    /// happen (a warp wakeup or a pending memory response), or `None` when
-    /// the current cycle cannot be skipped (issuable warps, due responses,
-    /// pending CTA retires/launches or releasable barriers, or the SM is in
-    /// stepping mode). Used by the chip engine to order SM advancement.
+    /// The SM's next-event time: the end of the stretch it holds still on
+    /// from its current cycle (a warp wakeup, a pending memory response, or
+    /// the scheduler's hold horizon running out), or `None` when the current
+    /// cycle cannot be skipped (issuable warps, due responses, pending CTA
+    /// retires/launches or releasable barriers, or the SM is in stepping
+    /// mode). Used by the chip engine to order SM advancement.
     pub fn next_event_time(&self) -> Option<Cycle> {
-        self.idle_skip_target(Cycle::MAX)
+        // A deferred port's utilisation snapshot for the cycles ahead is
+        // only set when the engine next advances the SM.
+        self.skip_target(Cycle::MAX, self.cycle)
     }
 
-    /// Largest `target` in `(cycle, until]` such that every cycle in
-    /// `[cycle, target)` is provably a no-op apart from idle-cycle
-    /// accounting and empty-ready scheduler picks. `None` when the current
-    /// cycle must be stepped normally.
+    /// Largest `target` in `(cycle, until]` such that the SM holds still on
+    /// every cycle of `[cycle, target)`: each is a no-op apart from idle
+    /// accounting and a scheduler pick that [`WarpScheduler::on_idle_cycles`]
+    /// replays in closed form. `None` when the current cycle must be
+    /// stepped normally. A deferred port's utilisation snapshot is valid
+    /// for the cycles before `snapshot_until`.
     ///
-    /// A cycle is skippable only when *all* of the following hold — each
-    /// condition guards one phase of [`Sm::step`]:
-    /// 1. no unfinished warp is offered to the scheduler (issue and
-    ///    warp-finish detection are no-ops). Either no warp is ready, or the
-    ///    last stepped cycle was throttle-only and every ready warp
-    ///    - already holds a fetched op (so `step` fetches nothing and finds
-    ///      no finished program),
-    ///    - whose op is not a `Barrier` (barriers are never throttled),
-    ///    - is throttled under the rule `step` applies,
+    /// The SM holds still in one of two ways, told apart by `replayed`:
     ///
-    ///    and the scheduler reports its throttle set stable under empty
-    ///    picks ([`WarpScheduler::throttle_stable_when_idle`]). Ready warps
-    ///    stay ready, and throttled, until something at the target wakes,
-    /// 2. no pending memory response is due,
-    /// 3. `step` has no CTA or sampler bookkeeping due
-    ///    ([`Sm::bookkeeping_due`]).
-    fn idle_skip_target(&self, until: Cycle) -> Option<Cycle> {
+    /// - *idle*: no unfinished warp is offered to the scheduler, so issue
+    ///   and warp-finish detection are no-ops. Either no warp is ready, or
+    ///   the last stepped cycle was throttle-only and every ready warp
+    ///   - already holds a fetched op (so `step` fetches nothing and finds
+    ///     no finished program),
+    ///   - whose op is not a `Barrier` (barriers are never throttled),
+    ///   - is throttled under the rule `step` applies;
+    /// - *replay*: warp `idx` retries a global load that the full MSHR file
+    ///   turned away on the last stepped cycle. It is ready exactly now
+    ///   (`Executing { until: now }`, as the replay left it) and not
+    ///   throttled — a recompute inside the last `pick` may have throttled
+    ///   the warp that `pick` still returned. Every other ready warp already
+    ///   holds a fetched op and none wakes now.
+    ///
+    /// In both, no pending memory response is due (a replay's MSHR file
+    /// stays full) and `step` has no CTA or sampler bookkeeping due
+    /// ([`Sm::bookkeeping_due`]). The target is the earliest of the next
+    /// response, the next `Executing` expiry of a waiting warp, the cycle
+    /// cap and `until`; and when any warp is ready, the scheduler's
+    /// [`WarpScheduler::hold_horizon`] bounds it too. Fully idle stretches
+    /// never consult the scheduler.
+    fn skip_target(&self, until: Cycle, snapshot_until: Cycle) -> Option<Cycle> {
         let now = self.cycle;
         if self.stepping || until <= now {
             return None;
         }
-        let mut throttled_ready = false;
-        for w in &self.warps {
-            if !w.is_finished() && w.is_ready(now) {
-                if !self.throttle_only_last || !self.held_by_throttle(w) {
-                    return None;
-                }
-                throttled_ready = true;
+        if let Some(idx) = self.replayed {
+            let warp = &self.warps[idx];
+            if warp.state != (WarpState::Executing { until: now })
+                || self.scheduler.is_throttled(warp.id)
+            {
+                return None;
             }
         }
-        if throttled_ready {
-            let ctx = Self::empty_pick_ctx(&self.warps, &self.port, self.stats.instructions, now);
-            if !self.scheduler.throttle_stable_when_idle(&ctx) {
-                return None;
+        let mut target = until;
+        let mut held = false;
+        for (i, w) in self.warps.iter().enumerate() {
+            match w.state {
+                _ if Some(i) == self.replayed => {}
+                WarpState::Executing { until: t } if t > now => target = target.min(t),
+                _ if w.is_finished() || !w.is_ready(now) => {}
+                _ => {
+                    let holds = if self.replayed.is_some() {
+                        w.pending().is_some() && w.state != (WarpState::Executing { until: now })
+                    } else {
+                        self.throttle_only_last && self.held_by_throttle(w)
+                    };
+                    if !holds {
+                        return None;
+                    }
+                    held = true;
+                }
             }
         }
         if let Some(&Reverse((when, _))) = self.pending.peek() {
             if when <= now {
                 return None;
             }
+            target = target.min(when);
         }
         if self.bookkeeping_due() {
             return None;
         }
-        // Jump to the earliest wakeup: the next due response or the earliest
-        // pending `Executing` expiry, clamped to the epoch boundary and the
-        // cycle cap. Expired `Executing` warps are the throttled ready ones
-        // of condition 1, so every candidate left is `> now`.
-        let mut target = until;
-        if let Some(&Reverse((when, _))) = self.pending.peek() {
-            target = target.min(when);
-        }
-        for w in &self.warps {
-            if let WarpState::Executing { until: t } = w.state {
-                if t > now {
-                    target = target.min(t);
-                }
-            }
-        }
         if let Some(m) = self.config.max_cycles {
             target = target.min(m);
+        }
+        if held || self.replayed.is_some() {
+            let ctx = Self::hold_ctx(
+                &self.warps,
+                self.replayed.as_slice(),
+                &self.port,
+                self.stats.instructions,
+                now,
+            );
+            let utilization_at = |t| self.port.known_dram_utilization(t, snapshot_until);
+            let horizon = self.scheduler.hold_horizon(&ctx, &utilization_at);
+            target = target.min(now.saturating_add(horizon));
         }
         (target > now).then_some(target)
     }
@@ -490,98 +512,6 @@ impl Sm {
             })
     }
 
-    /// Largest `target` in `(cycle, until]` such that every cycle in
-    /// `[cycle, target)` would only replay warp `idx`'s global load, which
-    /// the full MSHR file turned away on the last stepped cycle. `None` when
-    /// the current cycle must be stepped normally.
-    ///
-    /// The stretch is skippable when all of the following hold:
-    /// 1. the warp is ready exactly now (`Executing { until: now }`, as the
-    ///    replay left it) and not throttled — a recompute inside the last
-    ///    `pick` may have throttled the warp that `pick` still returned;
-    /// 2. no pending memory response is due, so the MSHR file stays full;
-    /// 3. every other ready warp already holds a fetched op, so `step`
-    ///    fetches nothing and finds no finished program, and no other warp
-    ///    wakes now;
-    /// 4. `step` has no CTA or sampler bookkeeping due
-    ///    ([`Sm::bookkeeping_due`]);
-    /// 5. the scheduler vouches that it picks the warp again and that
-    ///    `on_issue` changes nothing ([`WarpScheduler::replay_stable`]).
-    ///
-    /// The ready set can then only change at the next response or the next
-    /// `Executing` expiry of another warp, which bound the target together
-    /// with the epoch boundary and the cycle cap.
-    #[cold]
-    #[inline(never)]
-    fn replay_skip_target(&self, idx: usize, until: Cycle) -> Option<Cycle> {
-        let now = self.cycle;
-        if self.stepping || until <= now {
-            return None;
-        }
-        let warp = &self.warps[idx];
-        if warp.state != (WarpState::Executing { until: now })
-            || self.scheduler.is_throttled(warp.id)
-        {
-            return None;
-        }
-        let mut target = until;
-        if let Some(&Reverse((when, _))) = self.pending.peek() {
-            if when <= now {
-                return None;
-            }
-            target = target.min(when);
-        }
-        let ctx = Self::empty_pick_ctx(&self.warps, &self.port, self.stats.instructions, now);
-        if !self.scheduler.replay_stable(&ctx, idx) {
-            return None;
-        }
-        for (i, w) in self.warps.iter().enumerate() {
-            if i == idx {
-                continue;
-            }
-            match w.state {
-                WarpState::Executing { until: t } if t > now => target = target.min(t),
-                WarpState::Executing { until: t } if t == now => return None,
-                WarpState::Ready | WarpState::Executing { .. } if w.pending().is_none() => {
-                    return None
-                }
-                _ => {}
-            }
-        }
-        if self.bookkeeping_due() {
-            return None;
-        }
-        if let Some(m) = self.config.max_cycles {
-            target = target.min(m);
-        }
-        (target > now).then_some(target)
-    }
-
-    /// Fast-forwards the SM from `cycle` to `target` over a replay stretch,
-    /// leaving exactly the state `target - cycle` stepped replays would: the
-    /// warp retries its load at `target` and nothing is counted. The busy
-    /// span stays open, as it does across stepped replays; the skip itself
-    /// is recorded as an engine-category `replay-skip` span.
-    #[cold]
-    #[inline(never)]
-    fn skip_replay_to(&mut self, target: Cycle) {
-        let idx = self.replayed.expect("a replay skip follows a recorded replay");
-        if let Some(trace) = &mut self.trace {
-            trace.record(
-                TraceEvent::span(
-                    Track::Engine,
-                    "replay-skip",
-                    self.cycle,
-                    target - self.cycle,
-                    None,
-                )
-                .engine(),
-            );
-        }
-        self.warps[idx].state = WarpState::Executing { until: target };
-        self.cycle = target;
-    }
-
     /// True when ready warp `w` stays out of the ready set `step` offers the
     /// scheduler without `step` touching it: its next op is already fetched,
     /// is not a barrier, and is throttled under `step`'s own rule.
@@ -595,9 +525,11 @@ impl Sm {
         }
     }
 
-    /// The scheduler context of an empty-ready pick at cycle `now`.
-    fn empty_pick_ctx<'a>(
+    /// The scheduler context of a held cycle `now`: `ready` is empty on an
+    /// idle stretch and names the replaying warp on a replay stretch.
+    fn hold_ctx<'a>(
         warps: &'a [Warp],
+        ready: &'a [usize],
         port: &MemoryPort,
         instructions: u64,
         now: Cycle,
@@ -605,43 +537,59 @@ impl Sm {
         SchedulerCtx {
             now,
             warps,
-            ready: &[],
+            ready,
             instructions_executed: instructions,
             active_warps: warps.iter().filter(|w| !w.is_finished()).count(),
             dram_utilization: port.dram_utilization(now.max(1)),
         }
     }
 
-    /// Fast-forwards the SM from `cycle` to `target`, accounting the skipped
-    /// stretch exactly as `target - cycle` consecutive idle [`Sm::step`]s
-    /// would: `idle_cycles` grows by the stretch length (and so does
-    /// `throttle_only_cycles` when throttled warps are ready), and the
-    /// scheduler observes the equivalent of that many empty-ready picks (see
-    /// [`WarpScheduler::on_idle_cycles`]).
-    fn skip_idle_to(&mut self, target: Cycle) {
-        let skipped = target - self.cycle;
-        // Ready warps can only be present when the stretch is throttle-only
-        // (condition 1 of `idle_skip_target`), which needs the flag.
+    /// Fast-forwards the SM from `cycle` to `target` over a stretch it holds
+    /// still on ([`Sm::skip_target`]), leaving exactly the state
+    /// `target - cycle` stepped cycles would, and advances the scheduler
+    /// through [`WarpScheduler::on_idle_cycles`].
+    ///
+    /// An idle stretch grows `idle_cycles` by its length (and so does
+    /// `throttle_only_cycles` when throttled warps are ready). It is idle by
+    /// definition, so the busy span (if open) ends where the stretch starts
+    /// — exactly where the stepped path would have closed it. A replay
+    /// stretch counts nothing and leaves the busy span open, as stepped
+    /// replays do; the warp retries its load at `target`. The skip itself
+    /// is engine mechanics: only the event core takes it, so its span is
+    /// engine-category and excluded from the canonical (backend-invariant)
+    /// export.
+    fn skip_to(&mut self, target: Cycle) {
         let now = self.cycle;
-        if self.throttle_only_last && self.warps.iter().any(|w| !w.is_finished() && w.is_ready(now))
-        {
-            self.stats.throttle_only_cycles += skipped;
-        }
-        // A skippable stretch is idle by definition, so the busy span (if
-        // open) ends where the stretch starts — exactly where the stepped
-        // path would have closed it. The skip itself is engine mechanics:
-        // only the event backend takes it, so the span is engine-category
-        // and excluded from the canonical (backend-invariant) export.
-        self.close_busy_span(self.cycle);
+        let cycles = target - now;
+        let kind = match self.replayed {
+            Some(idx) => {
+                self.warps[idx].state = WarpState::Executing { until: target };
+                "replay-skip"
+            }
+            None => {
+                // Ready warps can only be present when the stretch is
+                // throttle-only, which needs the flag.
+                if self.throttle_only_last
+                    && self.warps.iter().any(|w| !w.is_finished() && w.is_ready(now))
+                {
+                    self.stats.throttle_only_cycles += cycles;
+                }
+                self.close_busy_span(now);
+                self.stats.idle_cycles += cycles;
+                "idle-skip"
+            }
+        };
         if let Some(trace) = &mut self.trace {
-            trace.record(
-                TraceEvent::span(Track::Engine, "idle-skip", self.cycle, skipped, None).engine(),
-            );
+            trace.record(TraceEvent::span(Track::Engine, kind, now, cycles, None).engine());
         }
-        self.stats.idle_cycles += skipped;
-        let ctx =
-            Self::empty_pick_ctx(&self.warps, &self.port, self.stats.instructions, target - 1);
-        self.scheduler.on_idle_cycles(&ctx, skipped);
+        let ctx = Self::hold_ctx(
+            &self.warps,
+            self.replayed.as_slice(),
+            &self.port,
+            self.stats.instructions,
+            target - 1,
+        );
+        self.scheduler.on_idle_cycles(&ctx, cycles);
         self.cycle = target;
     }
 

@@ -117,14 +117,66 @@ impl WarpScheduler for PcalScheduler {
         Some(pick)
     }
 
-    fn on_idle_cycles(&mut self, ctx: &SchedulerCtx<'_>, _skipped: u64) {
-        // An empty-ready `pick` still records the bandwidth sample and clears
-        // a pending recompute — both observed by `is_throttled`/`metrics`;
-        // the rest of `pick` is pure when nothing is ready.
+    fn on_idle_cycles(&mut self, ctx: &SchedulerCtx<'_>, _cycles: u64) {
+        // A held `pick` still records the bandwidth sample and clears a
+        // pending recompute — both observed by `is_throttled`/`metrics`;
+        // the rest of it is pure, whether nothing is ready or the greedy
+        // warp replays (`on_issue` is the no-op default).
         self.last_utilization = ctx.dram_utilization;
         if self.dirty {
             self.recompute(ctx);
         }
+    }
+
+    fn hold_horizon(
+        &self,
+        ctx: &SchedulerCtx<'_>,
+        dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
+    ) -> u64 {
+        let greedy = match ctx.ready {
+            [] => true,
+            &[idx] => self.last_issued == Some(idx),
+            _ => false,
+        };
+        if self.dirty || !greedy {
+            return 0;
+        }
+        // A clean pick changes the throttle only through the sample it
+        // stores: cycle `t` holds while that sample is known and keeps the
+        // non-token throttle as it is, judged by the very comparison
+        // `bandwidth_available` makes. Utilisation does not rise while the
+        // SM holds still, so the cycles that hold form a prefix.
+        let available = self.bandwidth_available();
+        let holds = |t: Cycle| {
+            dram_utilization_at(t)
+                .is_some_and(|u| (u < self.config.bypass_bandwidth_threshold) == available)
+        };
+        let now = ctx.now;
+        // Find the first cycle that does not hold: double, then bisect.
+        let mut last_held = None;
+        let mut first_not = now;
+        let mut step = 1u64;
+        while holds(first_not) {
+            if first_not == Cycle::MAX {
+                return u64::MAX;
+            }
+            last_held = Some(first_not);
+            first_not = now.saturating_add(step);
+            step = step.saturating_mul(2);
+        }
+        if let Some(mut lo) = last_held {
+            while first_not - lo > 1 {
+                let mid = lo + (first_not - lo) / 2;
+                if holds(mid) {
+                    lo = mid;
+                } else {
+                    first_not = mid;
+                }
+            }
+        }
+        // A known sample that flips the throttle still holds its own cycle:
+        // only the cycles after it see the new throttle.
+        first_not - now + u64::from(dram_utilization_at(first_not).is_some())
     }
 
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
@@ -235,18 +287,99 @@ mod tests {
         assert!(!s.is_throttled(0), "token warps never throttle");
     }
 
-    #[test]
-    fn throttle_set_is_never_vouched_stable() {
-        // The throttle follows DRAM utilisation, which moves without any
-        // warp issuing: statPCAL keeps the conservative default.
+    /// A private port's utilisation at cycle `t` with `bytes` transferred
+    /// at 32 bytes per cycle, as `Dram::bandwidth_utilization` computes it.
+    fn private_port(bytes: u64) -> impl Fn(Cycle) -> Option<f64> {
+        move |t| Some((bytes as f64 / (32.0 * t.max(1) as f64)).min(1.0))
+    }
+
+    /// Steps empty picks one cycle at a time from `now`: the number of
+    /// cycles before the first one whose offered set differs, that is the
+    /// first pick that flips the non-token throttle, plus that pick.
+    fn brute_force_horizon(
+        mut s: PcalScheduler,
+        w: &[Warp],
+        now: Cycle,
+        util_at: &dyn Fn(Cycle) -> Option<f64>,
+        limit: u64,
+    ) -> u64 {
+        let throttled = s.is_throttled(3);
+        for k in 0..limit {
+            let Some(u) = util_at(now + k) else {
+                return k;
+            };
+            s.pick(&SchedulerCtx { now: now + k, ..ctx(w, &[], u) });
+            if s.is_throttled(3) != throttled {
+                return k + 1;
+            }
+        }
+        u64::MAX
+    }
+
+    fn throttled_at(util: f64) -> (PcalScheduler, Vec<Warp>) {
         let mut s = PcalScheduler::new(PcalConfig {
             tokens: 1,
             bypass_bandwidth_threshold: 0.7,
             num_warps: 4,
         });
         let w = warps(4);
-        s.pick(&ctx(&w, &[], 0.95));
-        assert!(!s.throttle_stable_when_idle(&ctx(&w, &[], 0.95)));
+        s.pick(&ctx(&w, &[0, 1, 2, 3], util));
+        (s, w)
+    }
+
+    #[test]
+    fn horizon_is_the_first_threshold_crossing() {
+        // 7,000 bytes at 32 B/cycle: utilisation crosses 0.7 between cycles
+        // 312 and 313 and keeps falling.
+        let util_at = private_port(7_000);
+        for now in [100, 200, 311, 312, 313, 400] {
+            let (s, w) = throttled_at(util_at(now - 1).unwrap());
+            let h = s.hold_horizon(&SchedulerCtx { now, ..ctx(&w, &[], 0.0) }, &util_at);
+            let brute = brute_force_horizon(s, &w, now, &util_at, 10_000);
+            assert_eq!(h, brute, "horizon from cycle {now}");
+        }
+        // Below the threshold the throttle never comes back.
+        let (s, w) = throttled_at(util_at(499).unwrap());
+        assert!(!s.is_throttled(3));
+        assert_eq!(
+            s.hold_horizon(&SchedulerCtx { now: 500, ..ctx(&w, &[], 0.0) }, &util_at),
+            u64::MAX
+        );
+    }
+
+    #[test]
+    fn utilisation_exactly_at_the_threshold_keeps_the_throttle() {
+        // 7 bytes per 10 cycles at 1 B/cycle lands on 0.7 exactly at cycle
+        // 10 (`7.0 / 10.0 == 0.7` in f64): still throttled, since bypass
+        // needs utilisation strictly below the threshold.
+        let util_at = |t: Cycle| Some(7.0 / t.max(1) as f64);
+        assert_eq!(util_at(10), Some(0.7));
+        let (s, w) = throttled_at(util_at(4).unwrap());
+        let h = s.hold_horizon(&SchedulerCtx { now: 5, ..ctx(&w, &[], 0.0) }, &util_at);
+        assert_eq!(h, brute_force_horizon(s, &w, 5, &util_at, 100));
+        assert_eq!(h, 7, "cycles 5..=11 hold; the pick at 11 stores 7/11 < 0.7");
+    }
+
+    #[test]
+    fn horizon_stops_before_an_unknown_sample() {
+        // A deferred port's snapshot is known only up to the boundary.
+        let util_at = |t: Cycle| (t < 1_000).then_some(0.9);
+        let (s, w) = throttled_at(0.9);
+        let h = s.hold_horizon(&SchedulerCtx { now: 400, ..ctx(&w, &[], 0.9) }, &util_at);
+        assert_eq!(h, 600);
+        assert_eq!(h, brute_force_horizon(s, &w, 400, &util_at, 10_000));
+    }
+
+    #[test]
+    fn replays_hold_only_when_clean_and_greedy() {
+        let (mut s, w) = throttled_at(0.9);
+        let util_at = |_: Cycle| Some(0.9);
+        assert_eq!(s.pick(&ctx(&w, &[0, 1], 0.9)), Some(0));
+        assert_eq!(s.hold_horizon(&ctx(&w, &[0], 0.9), &util_at), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 0.9), &util_at), 0, "warp 1 is not greedy");
+        s.on_warp_launched(3, 0);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[0], 0.9), &util_at), 0, "a recompute is pending");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[], 0.9), &util_at), 0, "a recompute is pending");
     }
 
     #[test]

@@ -90,24 +90,34 @@ impl WarpScheduler for SwlScheduler {
     }
 
     fn on_idle_cycles(&mut self, ctx: &SchedulerCtx<'_>, _skipped: u64) {
-        // An empty-ready `pick` still clears a pending recompute, which
+        // A held `pick` still clears a pending recompute, which
         // `is_throttled` / `metrics` observe through the dirty flag; the
-        // rest of `pick` is pure when nothing is ready.
+        // rest of it is pure, whether nothing is ready or the greedy warp
+        // replays.
         if self.dirty {
             self.recompute(ctx);
         }
     }
 
-    fn throttle_stable_when_idle(&self, _ctx: &SchedulerCtx<'_>) -> bool {
+    fn hold_horizon(
+        &self,
+        ctx: &SchedulerCtx<'_>,
+        _dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
+    ) -> u64 {
         // The admitted set only moves on a recompute, and only launches and
-        // finishes (never an empty pick) schedule one.
-        !self.dirty
-    }
-
-    fn replay_stable(&self, _ctx: &SchedulerCtx<'_>, idx: usize) -> bool {
-        // A clean pick is GTO over the admitted set: greedy on the last
-        // issued warp, with no state touched.
-        !self.dirty && self.last_issued == Some(idx)
+        // finishes (never a pick) schedule one. A clean pick is GTO over the
+        // admitted set: greedy on the last issued warp, with no state
+        // touched.
+        let greedy = match ctx.ready {
+            [] => true,
+            &[idx] => self.last_issued == Some(idx),
+            _ => false,
+        };
+        if !self.dirty && greedy {
+            u64::MAX
+        } else {
+            0
+        }
     }
 
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
@@ -205,28 +215,36 @@ mod tests {
         assert!(s.is_throttled(3));
     }
 
-    #[test]
-    fn throttle_set_is_stable_only_after_a_recompute() {
-        let mut s = SwlScheduler::new(2, 4);
-        let w = warps(4);
-        assert!(!s.throttle_stable_when_idle(&ctx(&w, &[])), "a recompute is pending");
-        s.pick(&ctx(&w, &[]));
-        assert!(s.throttle_stable_when_idle(&ctx(&w, &[])));
-        s.on_warp_launched(3, 0);
-        assert!(!s.throttle_stable_when_idle(&ctx(&w, &[])), "a launch marks it dirty");
-        s.on_idle_cycles(&ctx(&w, &[]), 10);
-        assert!(s.throttle_stable_when_idle(&ctx(&w, &[])));
+    fn live(_: Cycle) -> Option<f64> {
+        Some(0.0)
     }
 
     #[test]
-    fn replays_are_vouched_for_only_when_clean_and_greedy() {
+    fn throttle_set_holds_only_after_a_recompute() {
+        let mut s = SwlScheduler::new(2, 4);
+        let w = warps(4);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[]), &live), 0, "a recompute is pending");
+        s.pick(&ctx(&w, &[]));
+        assert_eq!(s.hold_horizon(&ctx(&w, &[]), &live), u64::MAX);
+        s.on_warp_launched(3, 0);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[]), &live), 0, "a launch marks it dirty");
+        s.on_idle_cycles(&ctx(&w, &[]), 10);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[]), &live), u64::MAX);
+    }
+
+    #[test]
+    fn replays_hold_only_when_clean_and_greedy() {
         let mut s = SwlScheduler::new(2, 4);
         let w = warps(4);
         assert_eq!(s.pick(&ctx(&w, &[1, 2])), Some(1));
-        assert!(s.replay_stable(&ctx(&w, &[]), 1));
-        assert!(!s.replay_stable(&ctx(&w, &[]), 0), "warp 0 is not the greedy warp");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1]), &live), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[0]), &live), 0, "warp 0 is not the greedy warp");
         s.on_warp_finished(0, 0);
-        assert!(!s.replay_stable(&ctx(&w, &[]), 1), "the next pick recomputes the admitted set");
+        assert_eq!(
+            s.hold_horizon(&ctx(&w, &[1]), &live),
+            0,
+            "the next pick recomputes the admitted set"
+        );
     }
 
     #[test]

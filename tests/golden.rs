@@ -108,6 +108,15 @@ fn quick_sm1_mvt_ciao_c() {
     quick_sm1(Benchmark::Mvt, SchedulerKind::CiaoC, 0xe6a3_a6e9_94ac_e454);
 }
 
+// statPCAL's heaviest cell: almost every cycle has only throttled warps
+// ready, and its throttle follows the DRAM utilisation. Recorded before the
+// event core skipped such stretches for statPCAL.
+
+#[test]
+fn quick_sm1_kmn_stat_pcal() {
+    quick_sm1(Benchmark::Kmn, SchedulerKind::StatPcal, 0x7d2c_7165_68b4_2ce8);
+}
+
 #[test]
 fn tiny15_cache_stream_shared_rr() {
     tiny_cache_stream(15, DispatchPolicy::SharedRoundRobin, 0, 0x290b_0e66_cb55_e93c);

@@ -3,6 +3,7 @@
 //! must hold for *any* workload, not just the Table II benchmarks.
 
 use ciao_suite::prelude::*;
+use ciao_suite::schedulers::PcalConfig;
 use ciao_suite::sim::kernel::{ClosureKernel, KernelInfo};
 use ciao_suite::sim::trace::{VecProgram, WarpOp};
 use ciao_suite::sim::Kernel;
@@ -196,6 +197,49 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// On a chip, an SM's deferred port shows statPCAL a DRAM-utilisation
+    /// snapshot that the engine replaces at every boundary, so a held
+    /// throttle-only stretch must end where the snapshot does, and a parked
+    /// SM must wake to read the next one. With bypass thresholds spread
+    /// over the utilisation range, the snapshots cross the threshold while
+    /// non-token warps are held; holding or parking past a boundary would
+    /// miss the crossing and desync the event core from stepping.
+    #[test]
+    fn stat_pcal_holds_end_with_the_utilization_snapshot(
+        threshold_pct in 1u64..80,
+        warps in 2usize..8,
+        mem_every in 1usize..3,
+        seed in 0u64..1000,
+    ) {
+        let run = |backend| {
+            let config =
+                GpuConfig::gtx480().with_max_instructions(40_000).with_sample_interval(1_000);
+            let kernel: Arc<dyn Kernel> =
+                Arc::from(arbitrary_kernel(4, warps, 48, mem_every, seed));
+            Simulator::new(config).execute(
+                SimRequest::kernel(kernel).num_sms(2).backend(backend),
+                |_sm| {
+                    let pcal = PcalConfig {
+                        tokens: 1,
+                        bypass_bandwidth_threshold: threshold_pct as f64 / 100.0,
+                        num_warps: 48,
+                    };
+                    (Box::new(PcalScheduler::new(pcal)) as Box<dyn WarpScheduler>, None)
+                },
+            )
+        };
+        prop_assert_eq!(
+            normalized_json(run(BackendKind::Epoch)),
+            normalized_json(run(BackendKind::Event)),
+            "threshold {}%: the event core desynced from stepping",
+            threshold_pct
+        );
+    }
+}
+
 /// Runs one Table II benchmark at Quick scale on a single SM (the Fig. 8
 /// configuration, with a cycle cap low enough to bound the throttling
 /// livelocks quickly) under the chosen timing backend.
@@ -212,14 +256,19 @@ fn run_quick_sm1(
 }
 
 /// Throttle-only stretches — every ready warp held back by Best-SWL's warp
-/// limit or CIAO's stall stack — are skipped in closed form by the event
-/// core. On the runs where they dominate (the Best-SWL and CIAO-T
-/// livelocks, CIAO-C's stall escalation on SYRK) the result must stay
-/// bit-identical to stepping every cycle; KMN under Best-SWL is checked by
-/// `throttle_only_stretches_cost_no_per_cycle_picks`. On SM under CIAO-T a stall becomes
-/// releasable while every ready warp is throttled, so that run also pins
-/// CIAO's stability predicate: vouching for a releasable stall-stack top
-/// would skip past the release.
+/// limit, CIAO's stall stack, CCWS's score budget or statPCAL's bandwidth
+/// throttle — are skipped in closed form by the event core, up to the
+/// scheduler's hold horizon. On the runs where they dominate (the Best-SWL
+/// and CIAO-T livelocks, CIAO-C's stall escalation on SYRK, and the cells
+/// with the most throttle-only cycles under CCWS and statPCAL) the result
+/// must stay bit-identical to stepping every cycle; KMN under Best-SWL is
+/// checked by `throttle_only_stretches_cost_no_per_cycle_picks`. On SM
+/// under CIAO-T a stall becomes releasable while every ready warp is
+/// throttled, so that run also pins CIAO's horizon: holding past a
+/// releasable stall-stack top would skip the release. Under CCWS the
+/// score decay moves the throttle set inside such stretches, and under
+/// statPCAL the falling DRAM utilisation crosses the bypass threshold, so
+/// a late horizon shows up as a changed result.
 #[test]
 fn throttle_only_skips_match_per_cycle_stepping_on_quick_runs() {
     let params = ciao_suite::ciao::CiaoParams::default();
@@ -229,6 +278,10 @@ fn throttle_only_skips_match_per_cycle_stepping_on_quick_runs() {
         (Benchmark::Ii, SchedulerKind::CiaoT),
         (Benchmark::Sm, SchedulerKind::CiaoT),
         (Benchmark::Syrk, SchedulerKind::CiaoC),
+        (Benchmark::Kmn, SchedulerKind::StatPcal),
+        (Benchmark::Ii, SchedulerKind::StatPcal),
+        (Benchmark::Ii, SchedulerKind::Ccws),
+        (Benchmark::Pvc, SchedulerKind::Ccws),
     ];
     for (benchmark, sched) in cases {
         let run = |backend| {
@@ -248,7 +301,7 @@ fn throttle_only_skips_match_per_cycle_stepping_on_quick_runs() {
 }
 
 /// Counts `pick` calls and forwards every other method, including
-/// `throttle_stable_when_idle` and `replay_stable`, to the wrapped scheduler.
+/// `hold_horizon`, to the wrapped scheduler.
 struct CountingScheduler {
     inner: Box<dyn WarpScheduler>,
     picks: Arc<AtomicU64>,
@@ -268,12 +321,12 @@ impl WarpScheduler for CountingScheduler {
         self.inner.on_idle_cycles(ctx, skipped);
     }
 
-    fn throttle_stable_when_idle(&self, ctx: &SchedulerCtx<'_>) -> bool {
-        self.inner.throttle_stable_when_idle(ctx)
-    }
-
-    fn replay_stable(&self, ctx: &SchedulerCtx<'_>, idx: usize) -> bool {
-        self.inner.replay_stable(ctx, idx)
+    fn hold_horizon(
+        &self,
+        ctx: &SchedulerCtx<'_>,
+        dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
+    ) -> u64 {
+        self.inner.hold_horizon(ctx, dram_utilization_at)
     }
 
     fn on_issue(&mut self, wid: WarpId, is_mem: bool, now: Cycle) {
@@ -312,9 +365,11 @@ impl WarpScheduler for CountingScheduler {
 /// Replay stretches — one warp retrying a global load the full MSHR file
 /// keeps turning away — are skipped in closed form by the event core. The
 /// large-working-set runs are dominated by them, under every scheduler that
-/// vouches for its pick (GTO, CCWS at the score floor, CIAO between epoch
-/// checks, Best-SWL once its admitted set is clean); each result must stay
-/// bit-identical to stepping every cycle.
+/// holds its pick (GTO, CCWS at the score floor, CIAO between epoch
+/// checks, Best-SWL once its admitted set is clean, statPCAL until the DRAM
+/// utilisation crosses its bypass threshold; WC is statPCAL's most
+/// replay-heavy cell); each result must stay bit-identical to stepping
+/// every cycle.
 #[test]
 fn replay_skips_match_per_cycle_stepping_on_quick_runs() {
     let params = ciao_suite::ciao::CiaoParams::default();
@@ -325,6 +380,7 @@ fn replay_skips_match_per_cycle_stepping_on_quick_runs() {
         (Benchmark::Kmn, SchedulerKind::CiaoC),
         (Benchmark::Mvt, SchedulerKind::CiaoP),
         (Benchmark::Wc, SchedulerKind::BestSwl),
+        (Benchmark::Wc, SchedulerKind::StatPcal),
     ];
     for (benchmark, sched) in cases {
         let run = |backend| {
@@ -392,4 +448,24 @@ fn throttle_only_stretches_cost_no_per_cycle_picks() {
         "expected >= 10x fewer picks under the event core: {stepped_picks} stepped vs \
          {event_picks} event"
     );
+}
+
+/// CCWS and statPCAL hold still too: on KMN under statPCAL (nearly every
+/// cycle throttle-only) and II under CCWS (the most throttle-only cycles of
+/// any CCWS cell) the event core consults the scheduler at least 3x less
+/// often than per-cycle stepping.
+#[test]
+fn ccws_and_stat_pcal_stretches_cost_no_per_cycle_picks() {
+    for (benchmark, sched) in
+        [(Benchmark::Kmn, SchedulerKind::StatPcal), (Benchmark::Ii, SchedulerKind::Ccws)]
+    {
+        let (stepped, stepped_picks) = count_picks(benchmark, sched, BackendKind::Epoch);
+        let (event, event_picks) = count_picks(benchmark, sched, BackendKind::Event);
+        assert_eq!(normalized_json(stepped), normalized_json(event));
+        assert!(
+            stepped_picks >= 3 * event_picks,
+            "{benchmark:?} x {sched:?}: expected >= 3x fewer picks under the event core: \
+             {stepped_picks} stepped vs {event_picks} event"
+        );
+    }
 }
