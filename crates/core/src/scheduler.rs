@@ -2,9 +2,9 @@
 //!
 //! The scheduler (like its detector and shared-memory cache) is a strictly
 //! **per-SM** structure: it sees one SM's warps, cache events and VTA. On a
-//! multi-SM chip run (`gpu_sim::gpu::Gpu`) the harness builds one
-//! [`CiaoScheduler`] instance per SM and the engine reports their metrics
-//! chip-wide via `gpu_sim::SchedulerMetrics::merge` — mirroring the paper's
+//! multi-SM chip run the harness builds one [`CiaoScheduler`] instance per
+//! SM and the engine reports their metrics chip-wide via
+//! `gpu_sim::SchedulerMetrics::merge` — mirroring the paper's
 //! hardware, where every SM carries its own detector/scheduler logic.
 //!
 //! The scheduler keeps the GTO issue order but reacts to the interference
@@ -166,13 +166,6 @@ impl CiaoScheduler {
     /// Read access to the interference detector (analysis/tests).
     pub fn detector(&self) -> &InterferenceDetector {
         &self.detector
-    }
-
-    /// Number of warps whose programs have not finished (the
-    /// `Nactive-warp` term of Eq. 1 when the SM context is unavailable,
-    /// e.g. in standalone analyses of the detector).
-    pub fn active_warp_count(&self) -> usize {
-        self.flags.iter().filter(|f| !f.finished).count().max(1)
     }
 
     /// End-of-high-epoch evaluation (Algorithm 1, lines 20–29) for warp `i`.

@@ -289,11 +289,6 @@ impl SetAssocCache {
         &self.stats
     }
 
-    /// Resets the statistics counters (contents are preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
         let set = self.config.set_index.set_index(addr, self.num_sets, self.config.line_size);
         let tag = self.config.set_index.tag(addr, self.num_sets, self.config.line_size);

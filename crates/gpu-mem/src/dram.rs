@@ -100,8 +100,7 @@ pub struct DramStats {
     pub bytes_transferred: u64,
     /// Total cycles requests spent waiting for a busy bank or bus.
     pub queueing_cycles: u64,
-    /// Cycle at which the most recent burst finished on the data bus
-    /// (used to compute achieved bandwidth).
+    /// Cycle at which the most recent burst finished on the data bus.
     pub last_burst_end: Cycle,
 }
 
@@ -112,15 +111,6 @@ impl DramStats {
             0.0
         } else {
             self.row_hits as f64 / self.accesses as f64
-        }
-    }
-
-    /// Achieved bandwidth in bytes per cycle over the observed interval.
-    pub fn achieved_bytes_per_cycle(&self) -> f64 {
-        if self.last_burst_end == 0 {
-            0.0
-        } else {
-            self.bytes_transferred as f64 / self.last_burst_end as f64
         }
     }
 

@@ -119,7 +119,7 @@ pub fn merge_tenant_stats(into: &mut Vec<TenantMemStats>, other: &[TenantMemStat
 
 /// Observability sink of one partition/bank: a per-request trace (when
 /// tracing) plus per-tenant service-latency histograms. Boxed and optional
-/// so the `--obs off` hot path pays one pointer-sized `None` check.
+/// so the `ObsLevel::Off` hot path pays one pointer-sized `None` check.
 #[derive(Debug, Clone)]
 pub struct PartitionObs {
     /// The bank index this partition serves on the chip (trace track id).

@@ -91,11 +91,6 @@ impl SharedMemory {
         &self.stats
     }
 
-    /// Resets statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = SharedMemoryStats::default();
-    }
-
     /// Serves one warp-wide group of shared-memory accesses and returns the
     /// number of cycles the access occupies the scratchpad.
     ///

@@ -1,12 +1,10 @@
-//! Multi-tenant CTA dispatch: kernel streams, SM partitioning policies and
-//! the chip-level kernel queue.
+//! Multi-tenant CTA dispatch: kernel streams and SM partitioning policies.
 //!
-//! PR 2's chip engine ran exactly one kernel, splitting its grid round-robin
-//! across SMs. This module generalises dispatch to N co-running kernels
-//! (*tenants*): a [`KernelStream`] binds a kernel to a [`TenantId`], a
-//! [`DispatchPolicy`] decides which SM runs which tenant's CTAs, and
-//! [`KernelQueue`] is the chip-level entry point that turns a set of streams
-//! into one [`SimResult`] with per-tenant attribution. Streams may carry an
+//! A [`KernelStream`] binds a kernel to a [`TenantId`], and a
+//! [`DispatchPolicy`] decides which SM runs which tenant's CTAs. A
+//! [`crate::SimRequest`] holds the streams of one run, and
+//! [`crate::Simulator::execute`] turns them into one [`crate::SimResult`]
+//! with per-tenant attribution. Streams may carry an
 //! [`KernelStream::arrival_cycle`]: the engine admits such *dynamic arrivals*
 //! at the first epoch boundary at or after their cycle.
 //!
@@ -14,11 +12,10 @@
 //!
 //! * [`DispatchPolicy::Exclusive`] — temporal multiplexing: each kernel gets
 //!   the whole chip to itself, streams execute serially in submission order
-//!   with cold caches between kernels. This is exactly "today's" behaviour
-//!   repeated per kernel: a queue with a single stream is bit-identical to a
-//!   plain single-kernel chip run. Tenants never interfere; turnaround grows
-//!   with queue position (tenant `k`'s finish cycle includes every earlier
-//!   kernel's runtime).
+//!   with cold caches between kernels. Tenants never interfere; turnaround
+//!   grows with queue position (tenant `k`'s finish cycle includes every
+//!   earlier kernel's runtime). A single stream runs exactly as it would
+//!   under any other policy.
 //! * [`DispatchPolicy::SpatialPartition`] — each tenant receives a disjoint,
 //!   contiguous set of SMs (balanced to within one SM) and its grid is
 //!   dispatched round-robin across that set only. Tenants are isolated at
@@ -32,8 +29,8 @@
 //!   launch sequence that is then split round-robin across every SM, so each
 //!   SM co-runs warps from all tenants and intra-SM L1 interference between
 //!   tenants appears in addition to the shared-L2 contention. With a single
-//!   stream the interleaving is the identity, which reduces this policy to
-//!   PR 2's round-robin dispatcher.
+//!   stream the interleaving is the identity: CTA `b` runs on SM
+//!   `b % num_sms`.
 //! * [`DispatchPolicy::InterferenceAware`] — adaptive, monitor-driven
 //!   dispatch, the chip-level analogue of CIAO-T: CTAs are fed from
 //!   per-tenant pending queues at epoch boundaries, tenants are classified
@@ -54,16 +51,10 @@
 
 use std::sync::Arc;
 
-use crate::config::GpuConfig;
-use crate::gpu::{Gpu, SmUnit};
 use crate::kernel::{Kernel, KernelInfo};
-use crate::simulator::SimResult;
-use crate::stats::{
-    DispatchAction, DispatchDecision, DispatchLog, SmStats, TenantClass, TimeSeries,
-};
+use crate::stats::{DispatchAction, DispatchDecision, DispatchLog, TenantClass};
 use gpu_mem::{CtaId, Cycle, TenantId};
 use serde::{Deserialize, Serialize};
-use sim_obs::{ObsLevel, ObsReport};
 
 /// Latency class of a tenant — the SLO tier the fleet layer schedules
 /// against and the on-chip dispatcher protects.
@@ -353,18 +344,6 @@ pub fn spatial_sm_sets(num_tenants: usize, num_sms: usize) -> Vec<Vec<usize>> {
     sets
 }
 
-/// Splits one stream's work round-robin across SMs, yielding `(sm, items)`.
-fn round_robin_split(
-    work: Vec<CtaWork>,
-    num_sms: usize,
-) -> impl Iterator<Item = (usize, Vec<CtaWork>)> {
-    let mut per_sm: Vec<Vec<CtaWork>> = vec![Vec::new(); num_sms];
-    for (b, item) in work.into_iter().enumerate() {
-        per_sm[b % num_sms].push(item);
-    }
-    per_sm.into_iter().enumerate()
-}
-
 // ---------------------------------------------------------------------------
 // Arrival-aware dispatch plans
 // ---------------------------------------------------------------------------
@@ -405,13 +384,11 @@ pub(crate) struct DispatchPlan {
 /// * `SharedRoundRobin` — streams sharing an arrival cycle are interleaved
 ///   round-robin; the SM cursor continues across batches so late work keeps
 ///   filling SMs evenly.
-/// * `Exclusive` / single-stream plans — each stream's round-robin assignment
-///   is appended in stream order. For `Exclusive` this is the single-engine
-///   approximation in which a later kernel's CTAs launch on an SM as soon as
-///   the earlier kernel's retire from it; [`KernelQueue::run`] implements the
-///   exact policy (fully serial execution with cold caches between kernels).
-///   A single `InterferenceAware` stream has nothing to arbitrate, so it is
-///   placed exactly like `Exclusive`.
+/// * `Exclusive` and a single `InterferenceAware` stream — a chip runs only
+///   one `Exclusive` stream, and a lone adaptive tenant has nothing to
+///   arbitrate, so both take the `SharedRoundRobin` path. With one stream
+///   the interleaving is the identity: CTA `b` runs on SM `b % num_sms`,
+///   where `SpatialPartition` would put it too.
 /// * `InterferenceAware` with >1 stream — no static work at all; the
 ///   [`AdaptiveDispatcher`] admits and feeds everything at epoch boundaries.
 pub(crate) fn build_dispatch(
@@ -455,7 +432,8 @@ pub(crate) fn build_dispatch(
                     }
                 }
             }
-            DispatchPolicy::SharedRoundRobin => {
+            // `SharedRoundRobin`, and the one stream of the other policies.
+            _ => {
                 let mut queues: Vec<Vec<CtaWork>> = group.iter().map(|s| stream_work(s)).collect();
                 for q in &mut queues {
                     q.reverse();
@@ -466,13 +444,6 @@ pub(crate) fn build_dispatch(
                             per_sm[rr_cursor % num_sms].push(work);
                             rr_cursor += 1;
                         }
-                    }
-                }
-            }
-            DispatchPolicy::Exclusive | DispatchPolicy::InterferenceAware => {
-                for stream in &group {
-                    for (sm, work) in round_robin_split(stream_work(stream), num_sms) {
-                        per_sm[sm].extend(work);
                     }
                 }
             }
@@ -1109,260 +1080,6 @@ impl AdaptiveDispatcher {
     }
 }
 
-/// The chip-level kernel queue: the set of streams submitted for one
-/// co-execution run, and the entry point that executes them under a
-/// [`DispatchPolicy`] and assembles the combined, per-tenant-attributed
-/// [`SimResult`].
-#[derive(Default)]
-pub struct KernelQueue {
-    streams: Vec<KernelStream>,
-}
-
-impl KernelQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        KernelQueue::default()
-    }
-
-    /// Builds a queue from kernels, assigning tenant ids in submission order.
-    pub fn from_kernels(kernels: impl IntoIterator<Item = Arc<dyn Kernel>>) -> Self {
-        let mut queue = KernelQueue::new();
-        for k in kernels {
-            queue.push(k);
-        }
-        queue
-    }
-
-    /// Submits a kernel arriving at cycle 0, returning its tenant id.
-    pub fn push(&mut self, kernel: Arc<dyn Kernel>) -> TenantId {
-        self.push_at(kernel, 0)
-    }
-
-    /// Submits a kernel arriving at `arrival_cycle` (a *dynamic arrival*:
-    /// concurrent policies admit it at the first epoch boundary at or after
-    /// that cycle; the serial `Exclusive` policy starts it no earlier than
-    /// both its arrival and the previous kernel's completion). Returns the
-    /// tenant id the kernel was assigned.
-    pub fn push_at(&mut self, kernel: Arc<dyn Kernel>, arrival_cycle: Cycle) -> TenantId {
-        self.push_qos_at(kernel, arrival_cycle, QosSpec::default())
-    }
-
-    /// [`KernelQueue::push_at`] with an explicit [`QosSpec`] the
-    /// interference-aware dispatcher enforces (floors, reserved SMs); static
-    /// policies record the contract but place work unchanged.
-    pub fn push_qos_at(
-        &mut self,
-        kernel: Arc<dyn Kernel>,
-        arrival_cycle: Cycle,
-        qos: QosSpec,
-    ) -> TenantId {
-        let tenant = self.streams.len() as TenantId;
-        self.streams.push(KernelStream::new_qos_at(tenant, kernel, arrival_cycle, qos));
-        tenant
-    }
-
-    /// The submitted streams, in tenant order.
-    pub fn streams(&self) -> &[KernelStream] {
-        &self.streams
-    }
-
-    /// Number of submitted streams.
-    pub fn len(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// True when no stream was submitted.
-    pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
-    }
-
-    /// Runs every submitted stream on a chip of `config.num_sms` SMs under
-    /// `policy` and returns the combined result. `build_unit` is called once
-    /// per SM per concurrent engine (per kernel for the serial `Exclusive`
-    /// policy) to construct that SM's scheduler and optional redirect cache.
-    ///
-    /// Concurrent policies run one [`Gpu`] engine over the planned work
-    /// lists; `Exclusive` runs one engine per stream back to back with cold
-    /// caches between kernels and chains the results (cycles add, tenant `k`'s
-    /// finish cycle is offset by every earlier kernel's runtime). A queue
-    /// with a single stream produces a result bit-identical to a plain
-    /// single-kernel chip run under every policy.
-    pub fn run<F>(&self, config: &GpuConfig, policy: DispatchPolicy, build_unit: F) -> SimResult
-    where
-        F: FnMut(usize) -> SmUnit,
-    {
-        self.run_with(config, policy, crate::event::BackendKind::default(), build_unit)
-    }
-
-    /// [`KernelQueue::run`] with an explicit [`crate::event::BackendKind`]
-    /// timing mode driving every engine the queue spins up (the one
-    /// concurrent engine, or each serial `Exclusive` engine). Both modes
-    /// produce bit-identical results; the chosen mode's label is recorded in
-    /// [`SimResult::backend`].
-    pub fn run_with<F>(
-        &self,
-        config: &GpuConfig,
-        policy: DispatchPolicy,
-        backend: crate::event::BackendKind,
-        build_unit: F,
-    ) -> SimResult
-    where
-        F: FnMut(usize) -> SmUnit,
-    {
-        self.run_with_observed(config, policy, backend, ObsLevel::Off, build_unit).0
-    }
-
-    /// [`KernelQueue::run_with`] with observability collection at `obs`:
-    /// every engine the queue spins up is armed before it runs and drained
-    /// after. For the serial `Exclusive` policy, each per-kernel run's
-    /// report is shifted to its start cycle and its solo tenant re-labelled
-    /// to the queue position, so the merged report shows one timeline with
-    /// one track per queued kernel. At [`ObsLevel::Off`] the returned report
-    /// is empty and collection costs nothing.
-    pub fn run_with_observed<F>(
-        &self,
-        config: &GpuConfig,
-        policy: DispatchPolicy,
-        backend: crate::event::BackendKind,
-        obs: ObsLevel,
-        mut build_unit: F,
-    ) -> (SimResult, ObsReport)
-    where
-        F: FnMut(usize) -> SmUnit,
-    {
-        assert!(!self.streams.is_empty(), "a kernel queue needs at least one stream");
-        let num_sms = config.num_sms.max(1);
-        if policy.is_concurrent() || self.streams.len() == 1 {
-            let units = (0..num_sms).map(&mut build_unit).collect();
-            let mut gpu = Gpu::with_streams(config.clone(), self.streams.clone(), policy, units);
-            gpu.set_obs(obs);
-            gpu.run(backend);
-            let report = gpu.take_obs();
-            let mut res = gpu.into_result();
-            res.policy = policy.label().to_string();
-            return (res, report);
-        }
-        // Exclusive: serial per-kernel chip runs, chained. A kernel starts no
-        // earlier than its arrival cycle and no earlier than the previous
-        // kernel's completion; the chip idles through any gap.
-        let mut runs = Vec::with_capacity(self.streams.len());
-        let mut clock: Cycle = 0;
-        let mut report = ObsReport::new(obs);
-        for (k, stream) in self.streams.iter().enumerate() {
-            let start = clock.max(stream.arrival_cycle);
-            let solo = KernelStream::new(0, Arc::clone(stream.kernel()));
-            let units = (0..num_sms).map(&mut build_unit).collect();
-            let mut gpu = Gpu::with_streams(config.clone(), vec![solo], policy, units);
-            gpu.set_obs(obs);
-            gpu.run(backend);
-            let mut run_report = gpu.take_obs();
-            run_report.relabel_tenant(0, k as u32);
-            run_report.shift_cycles(start);
-            report.merge(run_report);
-            let result = gpu.into_result();
-            clock = start + result.cycles;
-            runs.push((start, result));
-        }
-        report.tenants = self.streams.iter().map(|s| s.info().name.clone()).collect();
-        let mut merged = merge_serial(runs);
-        merged.policy = policy.label().to_string();
-        (merged, report)
-    }
-}
-
-/// Chains serially executed per-kernel results into one chip-level result:
-/// each run is shifted to its `start` cycle (the previous run's end, or later
-/// when the kernel's arrival gated it), event counters add, time series are
-/// concatenated with cycle and instruction offsets, and each run's tenant
-/// record is re-labelled with its queue position and shifted by its start.
-fn merge_serial(runs: Vec<(Cycle, SimResult)>) -> SimResult {
-    let num_runs = runs.len();
-    let mut iter = runs.into_iter();
-    let (first_start, mut merged) = iter.next().expect("at least one result");
-    debug_assert_eq!(merged.per_tenant.len(), 1);
-    if first_start > 0 {
-        // The very first kernel arrived late: the whole chip idles first.
-        let mut shifted = TimeSeries::default();
-        shifted.append_offset(&merged.time_series, first_start, 0);
-        merged.time_series = shifted;
-        merged.per_tenant[0].finish_cycle += first_start;
-        merged.cycles += first_start;
-        merged.stats.cycles = merged.cycles;
-        for sm in &mut merged.per_sm {
-            sm.cycles += first_start;
-        }
-    }
-    // Re-label the first run's fabric attribution under tenant 0 and fold
-    // each later run's single-tenant fabric traffic in under its queue
-    // position, so per-tenant fabric bytes keep summing to the chip totals.
-    let mut names = vec![merged.kernel.clone()];
-    for (k, (start, r)) in iter.enumerate() {
-        let gap = start - merged.cycles;
-        let inst_offset = merged.stats.instructions;
-        names.push(r.kernel.clone());
-        merged.time_series.append_offset(&r.time_series, start, inst_offset);
-        merged.interference.absorb(&r.interference);
-        merged.scheduler_metrics.merge(&r.scheduler_metrics);
-        merged.interconnect.bytes_transferred += r.interconnect.bytes_transferred;
-        merged.interconnect.queueing_cycles += r.interconnect.queueing_cycles;
-        merge_fabric_serial(&mut merged.fabric, &r.fabric, (k + 1) as TenantId);
-        merged.capped |= r.capped;
-        merge_sm_serial(&mut merged.stats, &r.stats, gap);
-        for (a, b) in merged.per_sm.iter_mut().zip(&r.per_sm) {
-            merge_sm_serial(a, b, gap);
-        }
-        let mut tenant = r.per_tenant.into_iter().next().expect("serial run has one tenant");
-        tenant.tenant = (k + 1) as TenantId;
-        tenant.finish_cycle += start;
-        debug_assert_eq!(tenant.fabric_request_bytes, r.fabric.request.tenant_bytes(0));
-        merged.per_tenant.push(tenant);
-        merged.cycles = start + r.cycles;
-        merged.stats.cycles = merged.cycles;
-    }
-    // merge_sm_serial accumulates utilisation *sums*; divide once so every
-    // run weighs equally in the mean regardless of queue position.
-    merged.stats.redirect_utilization /= num_runs as f64;
-    for sm in &mut merged.per_sm {
-        sm.redirect_utilization /= num_runs as f64;
-    }
-    merged.kernel = names.join("+");
-    merged
-}
-
-/// Serial composition of two SM stat blocks: counters sum (as in
-/// [`SmStats::reduce`]) but cycles *add* (plus any arrival-induced idle gap
-/// between the runs) instead of taking the maximum, because the runs happened
-/// back to back on the same SM.
-/// `redirect_utilization` accumulates as a *sum* — [`merge_serial`] divides
-/// by the run count once at the end, so the mean is equal-weighted.
-fn merge_sm_serial(a: &mut SmStats, b: &SmStats, gap: Cycle) {
-    let cycles = a.cycles + gap + b.cycles;
-    let utilization_sum = a.redirect_utilization + b.redirect_utilization;
-    *a = SmStats::reduce(&[a.clone(), b.clone()]);
-    a.cycles = cycles;
-    a.redirect_utilization = utilization_sum;
-}
-
-/// Folds a serially-executed solo run's crossbar-fabric traffic into the
-/// merged chip result, re-attributing the run's (single, tenant-0) traffic to
-/// queue position `tenant` so per-tenant bytes still sum to the chip totals.
-fn merge_fabric_serial(
-    merged: &mut gpu_mem::FabricStats,
-    run: &gpu_mem::FabricStats,
-    tenant: TenantId,
-) {
-    merged.bytes_per_cycle = run.bytes_per_cycle.max(merged.bytes_per_cycle);
-    for (into, from) in [(&mut merged.request, &run.request), (&mut merged.reply, &run.reply)] {
-        into.bytes_transferred += from.bytes_transferred;
-        into.queueing_cycles += from.queueing_cycles;
-        let idx = tenant as usize;
-        if into.tenant_bytes.len() <= idx {
-            into.tenant_bytes.resize(idx + 1, 0);
-        }
-        into.tenant_bytes[idx] += from.tenant_bytes.iter().sum::<u64>();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1496,85 +1213,6 @@ mod tests {
             counts[w.tenant as usize][w.cta as usize] += 1;
         }
         assert!(counts.iter().flatten().all(|&c| c == 1));
-    }
-
-    fn load_kernel(name: &str, ctas: usize, ops: usize) -> Arc<dyn Kernel> {
-        let info = KernelInfo {
-            name: name.into(),
-            num_ctas: ctas,
-            warps_per_cta: 2,
-            shared_mem_per_cta: 0,
-        };
-        Arc::new(ClosureKernel::new(info, move |cta, w| {
-            let ops = (0..ops)
-                .map(|i| {
-                    WarpOp::coalesced_load((cta as u64 * 977 + w as u64 * 131 + i as u64) * 128)
-                })
-                .collect();
-            Box::new(VecProgram::new(ops))
-        }))
-    }
-
-    fn gto_units() -> impl FnMut(usize) -> crate::gpu::SmUnit {
-        |_| (Box::new(crate::scheduler::GtoScheduler::new()) as _, None)
-    }
-
-    #[test]
-    fn exclusive_queue_chains_serial_runs() {
-        let config = crate::config::GpuConfig::gtx480().with_num_sms(2);
-        let a = load_kernel("a", 2, 8);
-        let b = load_kernel("b", 2, 8);
-        let solo_cycles = |k: &Arc<dyn Kernel>| {
-            KernelQueue::from_kernels([Arc::clone(k)])
-                .run(&config, DispatchPolicy::Exclusive, gto_units())
-                .cycles
-        };
-        let (ca, cb) = (solo_cycles(&a), solo_cycles(&b));
-        let res =
-            KernelQueue::from_kernels([a, b]).run(&config, DispatchPolicy::Exclusive, gto_units());
-        assert_eq!(res.policy, "exclusive");
-        assert_eq!(res.kernel, "a+b");
-        assert_eq!(res.per_tenant.len(), 2);
-        // Serial total: cycles add; tenant 1 queues behind tenant 0.
-        assert_eq!(res.cycles, ca + cb);
-        assert_eq!(res.stats.cycles, res.cycles);
-        assert!(res.per_tenant[0].finish_cycle <= ca);
-        assert!(res.per_tenant[1].finish_cycle > ca);
-        assert_eq!(res.per_tenant[0].tenant, 0);
-        assert_eq!(res.per_tenant[1].tenant, 1);
-        assert_eq!(res.stats.instructions, 2 * (2 * 2 * 8));
-        assert!(!res.capped);
-        // Per-tenant instruction split covers the total exactly.
-        assert_eq!(
-            res.per_tenant.iter().map(|t| t.instructions).sum::<u64>(),
-            res.stats.instructions
-        );
-    }
-
-    #[test]
-    fn single_stream_queue_matches_plain_chip_run_under_every_policy() {
-        let config = crate::config::GpuConfig::gtx480().with_num_sms(2);
-        let reference = {
-            let mut gpu = crate::gpu::Gpu::new(
-                config.clone(),
-                load_kernel("k", 4, 10),
-                (0..2).map(|i| gto_units()(i)).collect(),
-            );
-            gpu.run(crate::event::BackendKind::Event);
-            gpu.into_result()
-        };
-        for policy in DispatchPolicy::all() {
-            let res = KernelQueue::from_kernels([load_kernel("k", 4, 10)]).run(
-                &config,
-                policy,
-                gto_units(),
-            );
-            assert_eq!(res.cycles, reference.cycles, "{policy}");
-            assert_eq!(res.stats, reference.stats, "{policy}");
-            assert_eq!(res.per_sm, reference.per_sm, "{policy}");
-            assert_eq!(res.time_series, reference.time_series, "{policy}");
-            assert_eq!(res.per_tenant, reference.per_tenant, "{policy}");
-        }
     }
 
     proptest! {

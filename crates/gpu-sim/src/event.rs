@@ -1,5 +1,6 @@
 //! The two modes of the chip engine's timing loop, selected by
-//! [`BackendKind`] and passed to [`crate::gpu::Gpu::run`].
+//! [`BackendKind`] and passed to the engine through
+//! [`crate::SimRequest::backend`].
 //!
 //! * **Event** — SMs advance to their *next event* (warp wakeup, reply
 //!   delivery, dispatch boundary), skipping provably idle cycles in bulk;

@@ -1,7 +1,8 @@
 //! The chip engine: CTA dispatch, per-SM memory ports, and the one timing
 //! loop that advances every SM from epoch boundary to epoch boundary.
 //!
-//! [`Gpu`] turns the single-[`Sm`] simulator into a chip: the
+//! The crate-private `Gpu` turns the single-[`Sm`] simulator into a chip;
+//! [`crate::Simulator::execute`] is the only way to build and run one. The
 //! [`crate::dispatch`] module's policies split one or more co-running
 //! kernels' grids across `num_sms` SM engines, and every SM's L1 misses
 //! travel over its own [`gpu_mem::Crossbar`] port into one shared, banked
@@ -64,14 +65,11 @@
 //! A single SM with fully static work needs no boundaries: it owns a
 //! private memory partition, which serves every request at issue time.
 
-use std::sync::Arc;
-
 use crate::config::GpuConfig;
 use crate::dispatch::{
     build_dispatch, AdaptiveDispatcher, DeferredBatch, DispatchPolicy, KernelStream, TenantSignal,
 };
 use crate::event::BackendKind;
-use crate::kernel::Kernel;
 use crate::redirect::RedirectCache;
 use crate::scheduler::{SchedulerMetrics, WarpScheduler};
 use crate::simulator::{SimResult, TenantResult};
@@ -139,7 +137,7 @@ pub struct MemRequest {
 ///
 /// `Private` owns a full [`MemoryPartition`] and serves every request at
 /// issue time — the single-SM configuration. `Deferred` buffers requests
-/// for epoch-boundary service by the [`Gpu`] engine and carries the chip
+/// for epoch-boundary service by the chip engine and carries the chip
 /// DRAM-utilisation snapshot the scheduler context reads between
 /// boundaries.
 pub enum MemoryPort {
@@ -313,7 +311,7 @@ impl DeferredPort {
 /// The chip-level engine: `num_sms` SMs, one shared banked L2/DRAM backend,
 /// and the deterministic boundary loop. See the module docs for the
 /// execution model.
-pub struct Gpu {
+pub(crate) struct Gpu {
     config: GpuConfig,
     kernel_name: String,
     scheduler_name: String,
@@ -384,22 +382,12 @@ impl ServePump {
 }
 
 impl Gpu {
-    /// Builds a chip running the single `kernel` with one
-    /// `(scheduler, redirect)` unit per SM; `units.len()` is the number of
-    /// SMs simulated. Equivalent to [`Gpu::with_streams`] with one stream
-    /// (every policy degenerates to round-robin CTA dispatch across all
-    /// SMs); the result is labelled `exclusive` — the kernel owns the whole
-    /// chip, matching what [`crate::Simulator::execute`] reports for the
-    /// same situation.
-    pub fn new(config: GpuConfig, kernel: Arc<dyn Kernel>, units: Vec<SmUnit>) -> Self {
-        let stream = KernelStream::new(0, kernel);
-        Self::with_streams(config, vec![stream], DispatchPolicy::Exclusive, units)
-    }
-
     /// Builds a chip co-running `streams` under `policy`'s SM assignment with
     /// one `(scheduler, redirect)` unit per SM; `units.len()` is the number
     /// of SMs simulated. Stream tenant ids must be dense (`0..streams.len()`,
-    /// in order) so per-tenant tables across the engine line up.
+    /// in order) so per-tenant tables across the engine line up. One chip
+    /// runs one `Exclusive` stream; several run back to back, one chip each
+    /// (see [`crate::Simulator::execute`]).
     pub fn with_streams(
         config: GpuConfig,
         streams: Vec<KernelStream>,
@@ -408,6 +396,10 @@ impl Gpu {
     ) -> Self {
         assert!(!units.is_empty(), "a GPU needs at least one SM");
         assert!(!streams.is_empty(), "a GPU needs at least one kernel stream");
+        assert!(
+            policy.is_concurrent() || streams.len() == 1,
+            "one chip runs several streams only under a concurrent policy"
+        );
         for (i, s) in streams.iter().enumerate() {
             assert_eq!(s.tenant as usize, i, "stream tenant ids must be dense and in order");
         }
@@ -672,11 +664,6 @@ impl Gpu {
                 }
             }
         }
-    }
-
-    /// Number of SMs on this chip.
-    pub fn num_sms(&self) -> usize {
-        self.sms.len()
     }
 
     /// Runs the chip in timing mode `kind` until every SM finished its CTAs
@@ -1398,10 +1385,11 @@ impl Gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{ClosureKernel, KernelInfo};
+    use crate::kernel::{ClosureKernel, Kernel, KernelInfo};
     use crate::scheduler::GtoScheduler;
     use crate::trace::{VecProgram, WarpOp};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn kernel(ctas: usize, ops: usize) -> Arc<dyn Kernel> {
         let info = KernelInfo {
@@ -1422,6 +1410,12 @@ mod tests {
 
     fn units(n: usize) -> Vec<SmUnit> {
         (0..n).map(|_| (Box::new(GtoScheduler::new()) as Box<dyn WarpScheduler>, None)).collect()
+    }
+
+    /// A chip running the single `kernel`, one unit per SM.
+    fn chip(config: GpuConfig, kernel: Arc<dyn Kernel>, units: Vec<SmUnit>) -> Gpu {
+        let stream = KernelStream::new(0, kernel);
+        Gpu::with_streams(config, vec![stream], DispatchPolicy::Exclusive, units)
     }
 
     #[test]
@@ -1455,8 +1449,8 @@ mod tests {
 
     #[test]
     fn multi_sm_runs_all_instructions() {
-        let mut gpu = Gpu::new(GpuConfig::gtx480(), kernel(4, 10), units(2));
-        assert_eq!(gpu.num_sms(), 2);
+        let mut gpu = chip(GpuConfig::gtx480(), kernel(4, 10), units(2));
+        assert_eq!(gpu.sms.len(), 2);
         gpu.run(BackendKind::Event);
         let res = gpu.into_result();
         assert!(!res.capped);
@@ -1475,7 +1469,7 @@ mod tests {
     #[test]
     fn multi_sm_is_deterministic() {
         let run = || {
-            let mut gpu = Gpu::new(GpuConfig::gtx480(), kernel(8, 25), units(4));
+            let mut gpu = chip(GpuConfig::gtx480(), kernel(8, 25), units(4));
             gpu.run(BackendKind::Event);
             gpu.into_result()
         };
@@ -1560,7 +1554,7 @@ mod tests {
     #[test]
     fn more_sms_do_not_slow_the_chip() {
         let cycles = |n: usize| {
-            let mut gpu = Gpu::new(GpuConfig::gtx480(), kernel(8, 20), units(n));
+            let mut gpu = chip(GpuConfig::gtx480(), kernel(8, 20), units(n));
             gpu.run(BackendKind::Event);
             gpu.into_result().cycles
         };
@@ -1591,7 +1585,7 @@ mod tests {
 
     #[test]
     fn fabric_accounts_every_downstream_request_in_both_directions() {
-        let mut gpu = Gpu::new(GpuConfig::gtx480(), streaming_kernel(8, 30), units(4));
+        let mut gpu = chip(GpuConfig::gtx480(), streaming_kernel(8, 30), units(4));
         gpu.run(BackendKind::Event);
         let res = gpu.into_result();
         assert!(!res.capped);
@@ -1630,7 +1624,7 @@ mod tests {
         ) {
             let run = |kind: BackendKind| {
                 let config = GpuConfig::gtx480().with_l2_banks(banks);
-                let mut gpu = Gpu::new(config, streaming_kernel(ctas, ops), units(sms));
+                let mut gpu = chip(config, streaming_kernel(ctas, ops), units(sms));
                 gpu.run(kind);
                 normalized_json(gpu)
             };
@@ -1681,7 +1675,7 @@ mod tests {
     #[test]
     fn event_backend_matches_epoch_on_streaming_chip() {
         let run = |kind: BackendKind| {
-            let mut gpu = Gpu::new(GpuConfig::gtx480(), streaming_kernel(8, 30), units(4));
+            let mut gpu = chip(GpuConfig::gtx480(), streaming_kernel(8, 30), units(4));
             gpu.run(kind);
             normalized_json(gpu)
         };
@@ -1755,16 +1749,22 @@ mod tests {
 
     #[test]
     fn exclusive_serial_queue_is_backend_agnostic() {
-        let mut queue = crate::dispatch::KernelQueue::new();
-        queue.push(kernel(3, 12));
-        queue.push_at(kernel(3, 12), 5_000);
-        let config = GpuConfig::gtx480().with_num_sms(3);
+        let req = crate::SimRequest::new().stream(kernel(3, 12)).stream_at(kernel(3, 12), 5_000);
+        let sim = crate::Simulator::new(GpuConfig::gtx480().with_num_sms(3));
         let build = |_: usize| (Box::new(GtoScheduler::new()) as Box<dyn WarpScheduler>, None);
-        let epoch = queue.run_with(&config, DispatchPolicy::Exclusive, BackendKind::Epoch, build);
-        let mut event =
-            queue.run_with(&config, DispatchPolicy::Exclusive, BackendKind::Event, build);
+        let epoch = sim.execute(req.clone().backend(BackendKind::Epoch), build);
+        let mut event = sim.execute(req.backend(BackendKind::Event), build);
         assert_eq!(event.backend, "event");
         event.backend = epoch.backend.clone();
         assert_eq!(serde_json::to_string(&epoch).unwrap(), serde_json::to_string(&event).unwrap());
+    }
+
+    /// Several `Exclusive` streams run back to back, one chip each; a single
+    /// chip cannot hold them.
+    #[test]
+    #[should_panic(expected = "concurrent")]
+    fn one_chip_rejects_two_exclusive_streams() {
+        let streams = vec![KernelStream::new(0, kernel(2, 4)), KernelStream::new(1, kernel(2, 4))];
+        Gpu::with_streams(GpuConfig::gtx480(), streams, DispatchPolicy::Exclusive, units(2));
     }
 }

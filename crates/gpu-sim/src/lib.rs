@@ -27,10 +27,9 @@
 //!   traversal, barriers, CTA launch/retire.
 //! * [`dispatch`] — multi-tenant CTA dispatch: kernel streams with dynamic
 //!   arrival cycles, the `Exclusive` / `SpatialPartition` /
-//!   `SharedRoundRobin` static SM partitioning policies, the adaptive
+//!   `SharedRoundRobin` static SM partitioning policies and the adaptive
 //!   `InterferenceAware` policy ([`dispatch::AdaptiveDispatcher`], the
-//!   chip-level analogue of CIAO-T), and the chip-level
-//!   [`dispatch::KernelQueue`].
+//!   chip-level analogue of CIAO-T).
 //! * [`gpu`] — the chip engine: per-SM crossbar/memory ports and the
 //!   deterministic epoch-boundary loop driving the SMs against a shared
 //!   banked L2/DRAM backend with per-tenant attribution.
@@ -41,10 +40,10 @@
 //!   by [`event::BackendKind`] and bit-identical to each other: event mode
 //!   (next-event advancement ordered by a [`timeq::TimeQueue`], bulk
 //!   idle-cycle skipping) and stepping mode (every SM steps every cycle).
-//! * [`simulator`] — one-call driver: describe a run with a
-//!   [`simulator::SimRequest`] (streams, arrivals, policy, SM count, timing
-//!   mode) and execute it with [`simulator::Simulator::execute`] to get a
-//!   [`simulator::SimResult`].
+//! * [`simulator`] — the one way into the chip engine: describe a run with
+//!   a [`simulator::SimRequest`] (streams, arrivals, policy, SM count,
+//!   timing mode) and execute it with [`simulator::Simulator::execute`] to
+//!   get a [`simulator::SimResult`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -68,10 +67,10 @@ pub use coalescer::coalesce;
 pub use config::GpuConfig;
 pub use dispatch::{
     dispatch_round_robin, spatial_sm_sets, AdaptiveDispatcher, CtaWork, DispatchPolicy,
-    KernelQueue, KernelStream, LatencyClass, QosSpec, TenantSignal,
+    KernelStream, LatencyClass, QosSpec, TenantSignal,
 };
 pub use event::BackendKind;
-pub use gpu::{Gpu, MemRequest, MemoryPort, SmUnit};
+pub use gpu::{MemRequest, MemoryPort, SmUnit};
 pub use kernel::{Kernel, KernelInfo, OffsetKernel};
 pub use redirect::{RedirectCache, RedirectLookup};
 pub use scheduler::{

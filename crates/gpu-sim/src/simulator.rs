@@ -1,21 +1,19 @@
-//! One-call simulation driver.
+//! One-call simulation driver: the only way into the chip engine.
 //!
 //! Describe a run with a [`SimRequest`] — kernel streams with arrival
 //! cycles, the [`DispatchPolicy`], the SM count, and the
 //! [`BackendKind`] timing mode — then hand it to [`Simulator::execute`],
-//! which wraps [`KernelQueue`] / [`crate::gpu::Gpu`] construction and the
-//! run loop and packages everything the experiment harness needs (aggregate
-//! stats, per-SM breakdowns, time series, interference matrix, scheduler
-//! metrics) into a [`SimResult`]. `SimRequest` + `execute` is the *only*
-//! entry point — the legacy `run` / `run_chip` / `run_mix` / `run_mix_at`
-//! quartet it subsumed is gone.
+//! which builds and runs the chip (or, for several `Exclusive` streams, one
+//! chip per stream back to back) and packages everything the experiment
+//! harness needs (aggregate stats, per-SM breakdowns, time series,
+//! interference matrix, scheduler metrics) into a [`SimResult`].
 
 use std::sync::Arc;
 
 use crate::config::GpuConfig;
-use crate::dispatch::{DispatchPolicy, KernelQueue, QosSpec};
+use crate::dispatch::{DispatchPolicy, KernelStream, QosSpec};
 use crate::event::BackendKind;
-use crate::gpu::SmUnit;
+use crate::gpu::{Gpu, SmUnit};
 use crate::kernel::Kernel;
 use crate::scheduler::SchedulerMetrics;
 use crate::stats::{DispatchLog, InterferenceMatrix, SmImbalance, SmStats, TimeSeries};
@@ -179,9 +177,7 @@ impl SimResult {
 /// [`BackendKind`] timing mode. Consumed by [`Simulator::execute`].
 #[derive(Clone)]
 pub struct SimRequest {
-    kernels: Vec<Arc<dyn Kernel>>,
-    arrivals: Vec<Cycle>,
-    qos: Vec<QosSpec>,
+    streams: Vec<KernelStream>,
     policy: DispatchPolicy,
     backend: BackendKind,
     num_sms: Option<usize>,
@@ -191,9 +187,7 @@ pub struct SimRequest {
 impl Default for SimRequest {
     fn default() -> Self {
         SimRequest {
-            kernels: Vec::new(),
-            arrivals: Vec::new(),
-            qos: Vec::new(),
+            streams: Vec::new(),
             policy: DispatchPolicy::Exclusive,
             backend: BackendKind::default(),
             num_sms: None,
@@ -233,9 +227,8 @@ impl SimRequest {
     /// and reserved SMs, and every policy reports its latency class in
     /// [`TenantResult::qos`].
     pub fn stream_qos_at(mut self, kernel: Arc<dyn Kernel>, arrival: Cycle, qos: QosSpec) -> Self {
-        self.kernels.push(kernel);
-        self.arrivals.push(arrival);
-        self.qos.push(qos);
+        let tenant = self.streams.len() as TenantId;
+        self.streams.push(KernelStream::new_qos_at(tenant, kernel, arrival, qos));
         self
     }
 
@@ -270,7 +263,7 @@ impl SimRequest {
 
     /// The streams submitted so far.
     pub fn streams(&self) -> usize {
-        self.kernels.len()
+        self.streams.len()
     }
 }
 
@@ -290,11 +283,16 @@ impl Simulator {
         &self.config
     }
 
-    /// Executes `req` on a chip of `num_sms` SMs via [`KernelQueue`] (see
-    /// [`KernelQueue::run`] for the policy semantics) and returns the
-    /// collected results. `build_unit` is called once per SM per engine (per
-    /// kernel for the serial `Exclusive` policy) to construct that SM's
-    /// scheduler and optional redirect cache.
+    /// Executes `req` on a chip of `num_sms` SMs and returns the collected
+    /// results. `build_unit` is called once per SM per chip to construct
+    /// that SM's scheduler and optional redirect cache.
+    ///
+    /// Concurrent policies, and any single stream, run one chip over the
+    /// planned work lists. Several `Exclusive` streams run one chip per
+    /// stream back to back, with cold caches between kernels, and the results
+    /// are chained: cycles add, and tenant `k`'s finish cycle includes every
+    /// earlier kernel's runtime. A request with a single stream produces the
+    /// same result under every policy.
     ///
     /// The [`BackendKind`] chooses the timing mode; `epoch` and `event`
     /// produce bit-identical results, differing only in wall-clock time.
@@ -313,23 +311,168 @@ impl Simulator {
     /// events, the metrics registry and the wall-clock phase profile, at the
     /// request's [`SimRequest::obs`] level. The simulation result is
     /// byte-identical to what [`Simulator::execute`] returns for the same
-    /// request — collection is strictly passive.
-    pub fn execute_observed<F>(&self, req: SimRequest, build_unit: F) -> (SimResult, ObsReport)
+    /// request — collection is strictly passive. A serial `Exclusive` chain
+    /// shifts each run's report to its start cycle and labels its tenant
+    /// with its queue position, so the merged report shows one timeline.
+    pub fn execute_observed<F>(&self, req: SimRequest, mut build_unit: F) -> (SimResult, ObsReport)
     where
         F: FnMut(usize) -> SmUnit,
     {
-        assert!(!req.kernels.is_empty(), "a SimRequest needs at least one kernel stream");
+        assert!(!req.streams.is_empty(), "a SimRequest needs at least one kernel stream");
         let num_sms = req.num_sms.unwrap_or(self.config.num_sms).max(1);
         let config = if num_sms == self.config.num_sms {
             self.config.clone()
         } else {
             self.config.clone().with_num_sms(num_sms)
         };
-        let mut queue = KernelQueue::new();
-        for ((kernel, arrival), qos) in req.kernels.into_iter().zip(req.arrivals).zip(req.qos) {
-            queue.push_qos_at(kernel, arrival, qos);
+        let SimRequest { streams, policy, backend, obs, .. } = req;
+        if policy.is_concurrent() || streams.len() == 1 {
+            run_chip(&config, streams, policy, backend, obs, &mut build_unit)
+        } else {
+            run_serial(&config, &streams, backend, obs, &mut build_unit)
         }
-        queue.run_with_observed(&config, req.policy, req.backend, req.obs, build_unit)
+    }
+}
+
+/// Builds one chip over `streams` under `policy`, runs it in timing mode
+/// `backend` with observability at `obs`, and detaches the report.
+fn run_chip<F>(
+    config: &GpuConfig,
+    streams: Vec<KernelStream>,
+    policy: DispatchPolicy,
+    backend: BackendKind,
+    obs: ObsLevel,
+    build_unit: &mut F,
+) -> (SimResult, ObsReport)
+where
+    F: FnMut(usize) -> SmUnit,
+{
+    let units = (0..config.num_sms).map(&mut *build_unit).collect();
+    let mut gpu = Gpu::with_streams(config.clone(), streams, policy, units);
+    gpu.set_obs(obs);
+    gpu.run(backend);
+    let report = gpu.take_obs();
+    (gpu.into_result(), report)
+}
+
+/// The `Exclusive` policy over several streams: one solo chip run per
+/// stream, chained by [`merge_serial`]. A kernel starts no earlier than its
+/// arrival cycle and no earlier than the previous kernel's completion; the
+/// chip idles through any gap.
+fn run_serial<F>(
+    config: &GpuConfig,
+    streams: &[KernelStream],
+    backend: BackendKind,
+    obs: ObsLevel,
+    build_unit: &mut F,
+) -> (SimResult, ObsReport)
+where
+    F: FnMut(usize) -> SmUnit,
+{
+    let mut runs = Vec::with_capacity(streams.len());
+    let mut clock: Cycle = 0;
+    let mut report = ObsReport::new(obs);
+    for (k, stream) in streams.iter().enumerate() {
+        let start = clock.max(stream.arrival_cycle);
+        let solo = KernelStream::new(0, Arc::clone(stream.kernel()));
+        let (result, mut run_report) =
+            run_chip(config, vec![solo], DispatchPolicy::Exclusive, backend, obs, build_unit);
+        run_report.relabel_tenant(0, k as u32);
+        run_report.shift_cycles(start);
+        report.merge(run_report);
+        clock = start + result.cycles;
+        runs.push((start, result));
+    }
+    report.tenants = streams.iter().map(|s| s.info().name.clone()).collect();
+    (merge_serial(runs), report)
+}
+
+/// Chains serially executed per-kernel results into one chip-level result:
+/// each run is shifted to its `start` cycle (the previous run's end, or later
+/// when the kernel's arrival gated it), event counters add, time series are
+/// concatenated with cycle and instruction offsets, and each run's tenant
+/// record is re-labelled with its queue position and shifted by its start.
+fn merge_serial(runs: Vec<(Cycle, SimResult)>) -> SimResult {
+    let num_runs = runs.len();
+    let mut iter = runs.into_iter();
+    let (first_start, mut merged) = iter.next().expect("at least one result");
+    debug_assert_eq!(merged.per_tenant.len(), 1);
+    if first_start > 0 {
+        // The very first kernel arrived late: the whole chip idles first.
+        let mut shifted = TimeSeries::default();
+        shifted.append_offset(&merged.time_series, first_start, 0);
+        merged.time_series = shifted;
+        merged.per_tenant[0].finish_cycle += first_start;
+        merged.cycles += first_start;
+        merged.stats.cycles = merged.cycles;
+        for sm in &mut merged.per_sm {
+            sm.cycles += first_start;
+        }
+    }
+    // Re-label the first run's fabric attribution under tenant 0 and fold
+    // each later run's single-tenant fabric traffic in under its queue
+    // position, so per-tenant fabric bytes keep summing to the chip totals.
+    let mut names = vec![merged.kernel.clone()];
+    for (k, (start, r)) in iter.enumerate() {
+        let gap = start - merged.cycles;
+        let inst_offset = merged.stats.instructions;
+        names.push(r.kernel.clone());
+        merged.time_series.append_offset(&r.time_series, start, inst_offset);
+        merged.interference.absorb(&r.interference);
+        merged.scheduler_metrics.merge(&r.scheduler_metrics);
+        merged.interconnect.bytes_transferred += r.interconnect.bytes_transferred;
+        merged.interconnect.queueing_cycles += r.interconnect.queueing_cycles;
+        merge_fabric_serial(&mut merged.fabric, &r.fabric, (k + 1) as TenantId);
+        merged.capped |= r.capped;
+        merge_sm_serial(&mut merged.stats, &r.stats, gap);
+        for (a, b) in merged.per_sm.iter_mut().zip(&r.per_sm) {
+            merge_sm_serial(a, b, gap);
+        }
+        let mut tenant = r.per_tenant.into_iter().next().expect("serial run has one tenant");
+        tenant.tenant = (k + 1) as TenantId;
+        tenant.finish_cycle += start;
+        debug_assert_eq!(tenant.fabric_request_bytes, r.fabric.request.tenant_bytes(0));
+        merged.per_tenant.push(tenant);
+        merged.cycles = start + r.cycles;
+        merged.stats.cycles = merged.cycles;
+    }
+    // merge_sm_serial accumulates utilisation *sums*; divide once so every
+    // run weighs equally in the mean regardless of queue position.
+    merged.stats.redirect_utilization /= num_runs as f64;
+    for sm in &mut merged.per_sm {
+        sm.redirect_utilization /= num_runs as f64;
+    }
+    merged.kernel = names.join("+");
+    merged
+}
+
+/// Serial composition of two SM stat blocks: counters sum (as in
+/// [`SmStats::reduce`]) but cycles *add* (plus any arrival-induced idle gap
+/// between the runs) instead of taking the maximum, because the runs happened
+/// back to back on the same SM.
+/// `redirect_utilization` accumulates as a *sum* — [`merge_serial`] divides
+/// by the run count once at the end, so the mean is equal-weighted.
+fn merge_sm_serial(a: &mut SmStats, b: &SmStats, gap: Cycle) {
+    let cycles = a.cycles + gap + b.cycles;
+    let utilization_sum = a.redirect_utilization + b.redirect_utilization;
+    *a = SmStats::reduce(&[a.clone(), b.clone()]);
+    a.cycles = cycles;
+    a.redirect_utilization = utilization_sum;
+}
+
+/// Folds a serially-executed solo run's crossbar-fabric traffic into the
+/// merged chip result, re-attributing the run's (single, tenant-0) traffic to
+/// queue position `tenant` so per-tenant bytes still sum to the chip totals.
+fn merge_fabric_serial(merged: &mut FabricStats, run: &FabricStats, tenant: TenantId) {
+    merged.bytes_per_cycle = run.bytes_per_cycle.max(merged.bytes_per_cycle);
+    for (into, from) in [(&mut merged.request, &run.request), (&mut merged.reply, &run.reply)] {
+        into.bytes_transferred += from.bytes_transferred;
+        into.queueing_cycles += from.queueing_cycles;
+        let idx = tenant as usize;
+        if into.tenant_bytes.len() <= idx {
+            into.tenant_bytes.resize(idx + 1, 0);
+        }
+        into.tenant_bytes[idx] += from.tenant_bytes.iter().sum::<u64>();
     }
 }
 
@@ -454,5 +597,72 @@ mod tests {
         assert_eq!(back.schema_version, SCHEMA_VERSION);
         assert_eq!(back.backend, res.backend);
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    fn load_kernel(name: &str, ctas: usize, ops: usize) -> Arc<dyn Kernel> {
+        let info = KernelInfo {
+            name: name.into(),
+            num_ctas: ctas,
+            warps_per_cta: 2,
+            shared_mem_per_cta: 0,
+        };
+        Arc::new(ClosureKernel::new(info, move |cta, w| {
+            let ops = (0..ops)
+                .map(|i| {
+                    WarpOp::coalesced_load((cta as u64 * 977 + w as u64 * 131 + i as u64) * 128)
+                })
+                .collect();
+            Box::new(VecProgram::new(ops))
+        }))
+    }
+
+    #[test]
+    fn exclusive_queue_chains_serial_runs() {
+        let sim = Simulator::new(GpuConfig::gtx480().with_num_sms(2));
+        let a = load_kernel("a", 2, 8);
+        let b = load_kernel("b", 2, 8);
+        let solo_cycles =
+            |k: &Arc<dyn Kernel>| sim.execute(SimRequest::kernel(Arc::clone(k)), gto).cycles;
+        let (ca, cb) = (solo_cycles(&a), solo_cycles(&b));
+        let res = sim.execute(SimRequest::new().stream(a).stream(b), gto);
+        assert_eq!(res.policy, "exclusive");
+        assert_eq!(res.kernel, "a+b");
+        assert_eq!(res.per_tenant.len(), 2);
+        // Serial total: cycles add; tenant 1 queues behind tenant 0.
+        assert_eq!(res.cycles, ca + cb);
+        assert_eq!(res.stats.cycles, res.cycles);
+        assert!(res.per_tenant[0].finish_cycle <= ca);
+        assert!(res.per_tenant[1].finish_cycle > ca);
+        assert_eq!(res.per_tenant[0].tenant, 0);
+        assert_eq!(res.per_tenant[1].tenant, 1);
+        assert_eq!(res.stats.instructions, 2 * (2 * 2 * 8));
+        assert!(!res.capped);
+        // Per-tenant instruction split covers the total exactly.
+        assert_eq!(
+            res.per_tenant.iter().map(|t| t.instructions).sum::<u64>(),
+            res.stats.instructions
+        );
+    }
+
+    #[test]
+    fn single_stream_queue_matches_plain_chip_run_under_every_policy() {
+        let config = GpuConfig::gtx480().with_num_sms(2);
+        let reference = {
+            let stream = KernelStream::new(0, load_kernel("k", 4, 10));
+            let units = (0..2).map(gto).collect();
+            let mut gpu =
+                Gpu::with_streams(config.clone(), vec![stream], DispatchPolicy::Exclusive, units);
+            gpu.run(BackendKind::Event);
+            gpu.into_result()
+        };
+        let sim = Simulator::new(config);
+        for policy in DispatchPolicy::all() {
+            let res = sim.execute(SimRequest::kernel(load_kernel("k", 4, 10)).policy(policy), gto);
+            assert_eq!(res.cycles, reference.cycles, "{policy}");
+            assert_eq!(res.stats, reference.stats, "{policy}");
+            assert_eq!(res.per_sm, reference.per_sm, "{policy}");
+            assert_eq!(res.time_series, reference.time_series, "{policy}");
+            assert_eq!(res.per_tenant, reference.per_tenant, "{policy}");
+        }
     }
 }

@@ -45,7 +45,7 @@
 //! partition when the SM is a chip of its own, or a deferred port into the
 //! chip's pipelined shared backend (reorder window → request fabric → L2/DRAM
 //! banks → reply fabric) when the SM is one of many driven by the
-//! [`crate::gpu::Gpu`] engine — which then advances the SM from boundary to
+//! chip engine ([`crate::gpu`]) — which then advances the SM from boundary to
 //! boundary via [`Sm::run_epoch_event`], drains the port at each boundary,
 //! and delivers the pipeline's responses with [`Sm::deliver`].
 
@@ -184,7 +184,7 @@ impl Sm {
     }
 
     /// Builds an SM from explicit interconnect and memory-port parts — the
-    /// constructor the multi-SM [`crate::gpu::Gpu`] engine uses to hand each
+    /// constructor the multi-SM chip engine ([`crate::gpu`]) uses to hand each
     /// SM its crossbar port, a deferred port into the shared backend, and the
     /// (possibly multi-kernel) work list the dispatch policy assigned to it.
     /// CTAs launch strictly in work-list order as capacity frees up.
@@ -339,13 +339,6 @@ impl Sm {
         let queued: usize =
             self.work[self.next_work.min(self.work.len())..].iter().map(|w| w.warps.max(1)).sum();
         self.config.max_warps_per_sm.saturating_sub(resident + queued)
-    }
-
-    /// CTAs of each tenant that ran to completion on this SM so far, indexed
-    /// by [`TenantId`] (shorter than the tenant count when a tenant never ran
-    /// here).
-    pub fn tenant_ctas_completed(&self) -> Vec<usize> {
-        self.tenants.iter().map(|t| t.ctas_completed).collect()
     }
 
     /// True when a configured instruction or cycle cap has been reached.

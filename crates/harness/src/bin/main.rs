@@ -18,17 +18,16 @@
 //! schedulers and reports per-tenant IPC, STP, ANTT and L2-contention
 //! shares. `--mix NAME` and `--policy LABEL` narrow the sweep.
 //!
-//! `capacity` (alias `--capacity-curve`) sweeps STP vs chip size: every mix ×
-//! policy co-run is repeated at each `--sm-counts A,B,..` chip size (default
-//! 2,4,8,15), with solo baselines re-measured per size.
+//! `capacity` sweeps STP vs chip size: every mix × policy co-run is repeated
+//! at each `--sm-counts A,B,..` chip size (default 2,4,8,15), with solo
+//! baselines re-measured per size.
 //!
 //! `trace` runs one fully observed co-run (default: cache-vs-stream under
 //! interference-aware dispatch with CIAO-T) and writes a Perfetto-loadable
 //! Chrome trace (`--trace-out`, default `run.trace.json`) plus the metrics
 //! registry (`--metrics-out`, default `metrics.json`). `profile` runs the
 //! same co-run under **both** timing backends and prints each wall-clock
-//! phase table. `--obs {off,metrics,full}` arms observability on any other
-//! experiment; `-v`/`--quiet` adjust diagnostic verbosity.
+//! phase table. `-q`/`--quiet` silences the diagnostic lines on stderr.
 //!
 //! `fleet` runs the cluster tier: `--chips N` chips of `--sms N` SMs fed by
 //! `--arrivals N` open-loop kernel arrivals (`--traffic` picks the profile,
@@ -46,7 +45,7 @@ use ciao_harness::experiments::{
     capacity, fig1, fig10, fig11, fig12, fig4, fig8, fig9, fleet, mix, overhead, table1, table2,
 };
 use ciao_harness::report::write_json;
-use ciao_harness::runner::{log, set_verbosity, RunPlan, RunScale, Runner};
+use ciao_harness::runner::{log, set_quiet, RunPlan, RunScale, Runner};
 use ciao_harness::schedulers::SchedulerKind;
 use ciao_workloads::{Benchmark, Mix};
 use gpu_sim::{BackendKind, DispatchPolicy, ObsLevel};
@@ -64,7 +63,6 @@ struct Options {
     mix_filter: Option<String>,
     policy_filter: Option<String>,
     sm_counts: Option<Vec<usize>>,
-    obs: ObsLevel,
     trace_out: PathBuf,
     metrics_out: PathBuf,
     chips: usize,
@@ -105,7 +103,6 @@ fn parse_args() -> Options {
     let mut mix_filter = None;
     let mut policy_filter = None;
     let mut sm_counts = None;
-    let mut obs = ObsLevel::Off;
     let mut trace_out = PathBuf::from("run.trace.json");
     let mut metrics_out = PathBuf::from("metrics.json");
     let mut chips = 4usize;
@@ -116,7 +113,6 @@ fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--capacity-curve" => experiment = "capacity".to_string(),
             "--sm-counts" => {
                 let parsed: Option<Vec<usize>> = args.next().map(|v| {
                     v.split(',')
@@ -170,12 +166,6 @@ fn parse_args() -> Options {
                         std::process::exit(2);
                     });
             }
-            "--obs" => {
-                obs = args.next().as_deref().and_then(ObsLevel::from_label).unwrap_or_else(|| {
-                    eprintln!("--obs expects off, metrics or full");
-                    std::process::exit(2);
-                });
-            }
             "--trace-out" => {
                 trace_out = args.next().map(PathBuf::from).unwrap_or_else(|| {
                     eprintln!("--trace-out expects a path");
@@ -221,8 +211,7 @@ fn parse_args() -> Options {
                 );
             }
             "--reference-calibration" => reference_calibration = true,
-            "-v" | "--verbose" => set_verbosity(1),
-            "-q" | "--quiet" => set_verbosity(-1),
+            "-q" | "--quiet" => set_quiet(),
             "--mix" => {
                 mix_filter = Some(args.next().unwrap_or_else(|| {
                     eprintln!("--mix expects a mix name");
@@ -241,12 +230,11 @@ fn parse_args() -> Options {
                      [--quick|--tiny|--full] [--sms N] [--seed N|A..B] [--arrivals N] \
                      [--backend epoch|event] [--out DIR] [--mix NAME] \
                      [--policy exclusive|spatial|shared-rr|interference-aware] \
-                     [--capacity-curve] [--sm-counts A,B,..] \
+                     [--sm-counts A,B,..] \
                      [--chips N] [--placement bin-pack|interference-spread|both] \
                      [--traffic balanced|cache-heavy|stream-heavy] \
                      [--mean-interarrival CYCLES] [--reference-calibration] \
-                     [--obs off|metrics|full] [--trace-out FILE] [--metrics-out FILE] \
-                     [-v|--verbose] [-q|--quiet]"
+                     [--trace-out FILE] [--metrics-out FILE] [-q|--quiet]"
                 );
                 std::process::exit(0);
             }
@@ -268,7 +256,6 @@ fn parse_args() -> Options {
         mix_filter,
         policy_filter,
         sm_counts,
-        obs,
         trace_out,
         metrics_out,
         chips,
@@ -359,7 +346,6 @@ fn run_fleet(opts: &Options) {
         mean_interarrival: opts.mean_interarrival,
         policies,
         reference_calibration: opts.reference_calibration,
-        obs: opts.obs,
     };
     if fleet::traffic_for(&plan).is_none() {
         eprintln!(
@@ -377,14 +363,13 @@ fn run_fleet(opts: &Options) {
 /// trace and the metrics-registry JSON, prints a one-line summary.
 fn run_trace(opts: &Options, runner: &Runner) {
     let (mix, policy, scheduler) = observed_corun(opts);
-    let runner = runner.clone().with_obs(ObsLevel::Full);
     log(format_args!(
-        "tracing {} under {} / {} at --obs full ...",
+        "tracing {} under {} / {} with full observability ...",
         mix.name(),
         policy.label(),
         scheduler.label()
     ));
-    let (res, report) = runner.run_mix_observed(mix, policy, scheduler);
+    let (res, report) = runner.run_mix_observed(mix, policy, scheduler, ObsLevel::Full);
     if let Err(e) = std::fs::write(&opts.trace_out, report.chrome_trace_json()) {
         eprintln!("error: cannot write trace {:?}: {e}", opts.trace_out);
         std::process::exit(1);
@@ -413,16 +398,15 @@ fn run_trace(opts: &Options, runner: &Runner) {
 /// can be compared directly.
 fn run_profile(opts: &Options, runner: &Runner) {
     let (mix, policy, scheduler) = observed_corun(opts);
-    let obs = opts.obs.max(ObsLevel::Metrics);
     for backend in [BackendKind::Epoch, BackendKind::Event] {
-        let r = runner.clone().with_backend(backend).with_obs(obs);
+        let r = runner.clone().with_backend(backend);
         log(format_args!(
             "profiling {} under {} / {} on the {backend} backend ...",
             mix.name(),
             policy.label(),
             scheduler.label()
         ));
-        let (res, report) = r.run_mix_observed(mix, policy, scheduler);
+        let (res, report) = r.run_mix_observed(mix, policy, scheduler, ObsLevel::Metrics);
         println!(
             "== {backend} backend — {} under {} / {} ({} cycles) ==",
             mix.name(),
@@ -548,13 +532,11 @@ fn main() {
         seed: opts.seed(),
         arrival_stride: opts.arrivals,
         backend: opts.backend,
-        threads: None,
-        obs: opts.obs,
     };
     let runner = Runner::from_plan(&plan);
     log(format_args!(
         "scale: {:?} ({} instructions/run cap), {} SM{} per run, seed{} {}, \
-         arrivals +{}, {} backend, {} worker threads, obs {}",
+         arrivals +{}, {} backend, {} worker threads",
         opts.scale,
         opts.scale.max_instructions(),
         runner.sms,
@@ -563,8 +545,7 @@ fn main() {
         opts.seeds.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(","),
         opts.arrivals,
         runner.backend,
-        runner.threads,
-        runner.obs
+        runner.threads
     ));
     if opts.experiment == "all" {
         for name in [

@@ -11,7 +11,6 @@
 use gpu_fleet::{
     Calibration, Fleet, FleetRequest, FleetResult, PlacementPolicy, SloPolicy, TrafficSpec,
 };
-use gpu_sim::ObsLevel;
 use serde::Serialize;
 
 use crate::report::Table;
@@ -37,8 +36,6 @@ pub struct FleetPlan {
     /// `true` skips engine calibration and uses the pinned reference table
     /// (tests and smoke runs).
     pub reference_calibration: bool,
-    /// Observability level for the fleet run.
-    pub obs: ObsLevel,
 }
 
 impl Default for FleetPlan {
@@ -52,7 +49,6 @@ impl Default for FleetPlan {
             mean_interarrival: None,
             policies: PlacementPolicy::ALL.to_vec(),
             reference_calibration: false,
-            obs: ObsLevel::Off,
         }
     }
 }
@@ -102,7 +98,6 @@ pub fn run(plan: &FleetPlan) -> FleetExperiment {
             .sms_per_chip(plan.sms)
             .placement(*policy)
             .slo(SloPolicy::default())
-            .obs(plan.obs)
             .calibration(calib.clone());
         results.push(fleet.execute(req));
     }

@@ -23,10 +23,8 @@
 //!
 //! Every experiment accepts the `--sms N` axis: the [`runner::Runner`]
 //! simulates each (benchmark, scheduler) pair on an N-SM chip with a shared
-//! banked L2/DRAM when `N > 1`. Every
-//! experiment also accepts `--obs {off,metrics,full}` (the runner arms the
-//! `sim-obs` layer on each simulation it issues) and the `-v`/`--quiet`
-//! verbosity flags, which drive the [`runner::log`] diagnostics channel.
+//! banked L2/DRAM when `N > 1`. `--quiet` silences the [`runner::log`]
+//! diagnostics channel.
 //!
 //! Every experiment returns a serialisable result structure plus a plain-text
 //! rendering; the `ciao-harness` binary prints the rendering and writes both

@@ -15,38 +15,22 @@ use gpu_sim::{
     Simulator,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicI8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Global diagnostic verbosity: `-1` (quiet) silences [`log`], `0` (normal)
-/// prints progress lines, `1` (`-v`) additionally prints [`log_verbose`]
-/// detail. Diagnostics go to stderr so stdout stays clean for tables and
-/// JSON exports.
-static VERBOSITY: AtomicI8 = AtomicI8::new(0);
+/// Whether `--quiet` silenced [`log`]. Diagnostics go to stderr so stdout
+/// stays clean for tables and JSON exports.
+static QUIET: AtomicBool = AtomicBool::new(false);
 
-/// Sets the global diagnostic verbosity: `-1` (`--quiet`), `0` (normal) or
-/// `1` (`-v`).
-pub fn set_verbosity(level: i8) {
-    VERBOSITY.store(level, Ordering::Relaxed);
-}
-
-/// The current diagnostic verbosity.
-pub fn verbosity() -> i8 {
-    VERBOSITY.load(Ordering::Relaxed)
+/// Silences [`log`] for the rest of the process (`--quiet`).
+pub fn set_quiet() {
+    QUIET.store(true, Ordering::Relaxed);
 }
 
 /// Prints one harness diagnostic line to stderr unless `--quiet` silenced
-/// diagnostics. Every non-table message the harness emits goes through here
-/// (or [`log_verbose`]) so the verbosity flags govern all of them.
+/// diagnostics. Every non-table message the harness emits goes through here.
 pub fn log(msg: std::fmt::Arguments<'_>) {
-    if verbosity() >= 0 {
-        eprintln!("[ciao-harness] {msg}");
-    }
-}
-
-/// Prints a detail line only at `-v` verbosity.
-pub fn log_verbose(msg: std::fmt::Arguments<'_>) {
-    if verbosity() >= 1 {
+    if !QUIET.load(Ordering::Relaxed) {
         eprintln!("[ciao-harness] {msg}");
     }
 }
@@ -186,10 +170,6 @@ pub struct Runner {
     /// backends produce bit-identical results; `event` is much faster on
     /// memory-bound multi-SM runs.
     pub backend: BackendKind,
-    /// Observability level armed on every simulation (the `--obs` axis).
-    /// `Off` (the default) adds no work to the hot paths; the collected
-    /// [`ObsReport`]s only surface through the `*_observed` entry points.
-    pub obs: ObsLevel,
 }
 
 /// The run-shaping knobs every experiment command consumes, gathered into one
@@ -207,25 +187,12 @@ pub struct RunPlan {
     pub arrival_stride: u64,
     /// Timing backend (`--backend {epoch,event}`).
     pub backend: BackendKind,
-    /// Observability level (`--obs {off,metrics,full}`).
-    pub obs: ObsLevel,
-    /// Worker-thread override for matrix runs; `None` keeps the runner's
-    /// hardware-derived default.
-    pub threads: Option<usize>,
 }
 
 impl RunPlan {
     /// A plan at the given scale with every other knob at its default.
     pub fn new(scale: RunScale) -> Self {
-        RunPlan {
-            scale,
-            sms: 1,
-            seed: 0,
-            arrival_stride: 0,
-            backend: BackendKind::default(),
-            obs: ObsLevel::Off,
-            threads: None,
-        }
+        RunPlan { scale, sms: 1, seed: 0, arrival_stride: 0, backend: BackendKind::default() }
     }
 }
 
@@ -241,22 +208,16 @@ impl Runner {
             seed: 0,
             arrival_stride: 0,
             backend: BackendKind::default(),
-            obs: ObsLevel::Off,
         }
     }
 
     /// Builds a runner from a [`RunPlan`].
     pub fn from_plan(plan: &RunPlan) -> Self {
-        let mut runner = Runner::new(plan.scale)
+        Runner::new(plan.scale)
             .with_sms(plan.sms)
             .with_seed(plan.seed)
             .with_arrivals(plan.arrival_stride)
             .with_backend(plan.backend)
-            .with_obs(plan.obs);
-        if let Some(threads) = plan.threads {
-            runner.threads = threads.max(1);
-        }
-        runner
     }
 
     /// Overrides the machine configuration (Fig. 12 variants).
@@ -296,12 +257,6 @@ impl Runner {
         self
     }
 
-    /// Sets the observability level armed on every simulation.
-    pub fn with_obs(mut self, obs: ObsLevel) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// The effective GPU configuration for a run (adds caps and sampling).
     pub fn effective_config(&self) -> GpuConfig {
         self.config
@@ -318,21 +273,11 @@ impl Runner {
     /// Runs one (benchmark, scheduler) pair on a chip of `sms` SMs (one
     /// scheduler instance per SM) and returns the full result.
     pub fn run_one(&self, benchmark: Benchmark, scheduler: SchedulerKind) -> SimResult {
-        self.run_one_observed(benchmark, scheduler).0
-    }
-
-    /// [`Runner::run_one`] plus the run's [`ObsReport`] at the runner's
-    /// observability level (empty at [`ObsLevel::Off`]).
-    pub fn run_one_observed(
-        &self,
-        benchmark: Benchmark,
-        scheduler: SchedulerKind,
-    ) -> (SimResult, ObsReport) {
         let config = self.effective_config();
         let kernel: Arc<dyn Kernel> = Arc::new(benchmark.kernel(&self.effective_scale()));
         let sim = Simulator::new(config.clone());
-        let req = SimRequest::kernel(kernel).num_sms(self.sms).backend(self.backend).obs(self.obs);
-        sim.execute_observed(req, |_sm| scheduler.build(benchmark, &config, &self.params))
+        let req = SimRequest::kernel(kernel).num_sms(self.sms).backend(self.backend);
+        sim.execute(req, |_sm| scheduler.build(benchmark, &config, &self.params))
     }
 
     /// Co-runs the benchmarks of `mix` (one tenant each, in mix order) on a
@@ -341,16 +286,17 @@ impl Runner {
     /// Profile-derived scheduler parameters (Best-SWL / statPCAL warp
     /// budgets) use the mix's first benchmark — a mix has no single profile.
     pub fn run_mix(&self, mix: Mix, policy: DispatchPolicy, scheduler: SchedulerKind) -> SimResult {
-        self.run_mix_observed(mix, policy, scheduler).0
+        self.run_mix_observed(mix, policy, scheduler, ObsLevel::Off).0
     }
 
-    /// [`Runner::run_mix`] plus the co-run's [`ObsReport`] at the runner's
-    /// observability level (empty at [`ObsLevel::Off`]).
+    /// [`Runner::run_mix`] plus the co-run's [`ObsReport`], collected at
+    /// `level` (empty at [`ObsLevel::Off`]).
     pub fn run_mix_observed(
         &self,
         mix: Mix,
         policy: DispatchPolicy,
         scheduler: SchedulerKind,
+        level: ObsLevel,
     ) -> (SimResult, ObsReport) {
         let config = self.effective_config();
         let scale = self.effective_scale();
@@ -359,7 +305,7 @@ impl Runner {
         let profile = mix.benchmarks()[0];
         let sim = Simulator::new(config.clone());
         let mut req =
-            SimRequest::new().policy(policy).num_sms(self.sms).backend(self.backend).obs(self.obs);
+            SimRequest::new().policy(policy).num_sms(self.sms).backend(self.backend).obs(level);
         for (k, kernel) in kernels.into_iter().enumerate() {
             req = req.stream_at(kernel, arrivals.get(k).copied().unwrap_or(0));
         }

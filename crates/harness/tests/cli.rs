@@ -1,8 +1,8 @@
 //! Command-line contract of the `main` binary: malformed invocations exit 2
 //! with a one-line error instead of running.
 //!
-//! Every case names an experiment, because an invocation without one runs
-//! `all` at Full scale.
+//! Every case names an experiment or fails while its flags are parsed,
+//! because an invocation without one runs `all` at Full scale.
 
 use std::process::{Command, Output};
 
@@ -31,4 +31,19 @@ fn perf_is_an_unknown_experiment() {
 #[test]
 fn baseline_is_an_unknown_option() {
     assert_usage_error(&["table1", "--tiny", "--baseline", "x"], "unknown option: --baseline");
+}
+
+#[test]
+fn obs_is_an_unknown_option() {
+    assert_usage_error(&["fig1", "--tiny", "--obs", "full"], "unknown option: --obs");
+}
+
+#[test]
+fn verbose_is_an_unknown_option() {
+    assert_usage_error(&["table1", "--tiny", "-v"], "unknown option: -v");
+}
+
+#[test]
+fn capacity_curve_is_an_unknown_option() {
+    assert_usage_error(&["--capacity-curve", "--tiny"], "unknown option: --capacity-curve");
 }

@@ -80,11 +80,6 @@ impl CcwsScheduler {
         }
     }
 
-    /// Creates a CCWS scheduler with the paper's default parameters.
-    pub fn default_config() -> Self {
-        Self::new(CcwsConfig::default())
-    }
-
     /// Current lost-locality score of a warp (exposed for tests/analysis).
     pub fn score_of(&self, wid: WarpId) -> u64 {
         self.scores.get(wid as usize).copied().unwrap_or(0)

@@ -41,8 +41,9 @@ pub use metrics::{chip_metric, Histogram, MetricsRegistry};
 pub use profile::{PhaseProfiler, PhaseStat};
 pub use trace::{chrome_trace_json, TraceCategory, TraceEvent, TraceRecorder, Tracer, Track};
 
-/// How much observability a run collects. Parsed from the harness `--obs`
-/// flag; threaded through every engine entry point.
+/// How much observability a run collects, set per request
+/// (`SimRequest::obs`, `FleetRequest::obs`) and threaded through every
+/// engine entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum ObsLevel {
     /// No collection at all: every recorder stays `None`, every hot-path
@@ -60,23 +61,12 @@ impl ObsLevel {
     /// Every level, in increasing-cost order.
     pub const ALL: [ObsLevel; 3] = [ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Full];
 
-    /// The stable lowercase label used on the command line
-    /// (`off` / `metrics` / `full`).
+    /// The stable lowercase label (`off` / `metrics` / `full`).
     pub fn label(self) -> &'static str {
         match self {
             ObsLevel::Off => "off",
             ObsLevel::Metrics => "metrics",
             ObsLevel::Full => "full",
-        }
-    }
-
-    /// Parses a [`ObsLevel::label`] back into the level.
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "off" => Some(ObsLevel::Off),
-            "metrics" => Some(ObsLevel::Metrics),
-            "full" => Some(ObsLevel::Full),
-            _ => None,
         }
     }
 
@@ -199,12 +189,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn levels_round_trip_and_order() {
+    fn levels_label_and_order() {
         for level in ObsLevel::ALL {
-            assert_eq!(ObsLevel::from_label(level.label()), Some(level));
             assert_eq!(level.to_string(), level.label());
         }
-        assert_eq!(ObsLevel::from_label("verbose"), None);
         assert!(ObsLevel::Off < ObsLevel::Metrics);
         assert!(ObsLevel::Metrics < ObsLevel::Full);
         assert!(!ObsLevel::Off.metrics_enabled());

@@ -144,7 +144,7 @@ impl TraceEvent {
 }
 
 /// A sink for trace events. The engine crates hold `Option<TraceRecorder>`
-/// fields — `None` (the `--obs off` / `metrics` configuration) costs one
+/// fields — `None` (the `Off` / `Metrics` observability levels) costs one
 /// branch per would-be event.
 pub trait Tracer {
     /// Records one event.

@@ -18,7 +18,7 @@ use ciao_suite::harness::runner::{RunScale, Runner};
 use ciao_suite::harness::schedulers::SchedulerKind;
 use ciao_suite::sim::{
     avg_normalized_turnaround, system_throughput, DispatchAction, DispatchLog, DispatchPolicy,
-    GpuConfig, Kernel, KernelQueue, SimRequest, SimResult, Simulator,
+    GpuConfig, Kernel, SimRequest, SimResult, Simulator,
 };
 use ciao_suite::workloads::{Benchmark, Mix};
 
@@ -58,9 +58,10 @@ fn one_tenant_mix_is_bit_identical_to_single_kernel_chip_run() {
         });
 
         for policy in DispatchPolicy::all() {
-            let queue = KernelQueue::from_kernels([Arc::clone(&kernel)]);
-            let via_queue =
-                queue.run(&config, policy, |_| scheduler.build(benchmark, &config, &params));
+            let via_queue = sim
+                .execute(SimRequest::kernel(Arc::clone(&kernel)).policy(policy), |_| {
+                    scheduler.build(benchmark, &config, &params)
+                });
             assert_eq!(via_queue.per_tenant.len(), 1);
             assert_eq!(via_queue.policy, policy.label());
             assert_results_identical(&chip, &via_queue);

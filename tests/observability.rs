@@ -15,11 +15,12 @@ use serde::Value;
 /// chip under interference-aware dispatch — the configuration whose
 /// dispatcher actually throttles and restores.
 fn observed_mix(backend: BackendKind, obs: ObsLevel) -> (SimResult, ObsReport) {
-    let runner = Runner::new(RunScale::Tiny).with_sms(15).with_backend(backend).with_obs(obs);
+    let runner = Runner::new(RunScale::Tiny).with_sms(15).with_backend(backend);
     runner.run_mix_observed(
         Mix::CacheStream,
         DispatchPolicy::InterferenceAware,
         SchedulerKind::CiaoT,
+        obs,
     )
 }
 
@@ -88,12 +89,12 @@ fn canonical_trace_is_byte_identical_across_timing_backends() {
 
 #[test]
 fn observation_never_perturbs_the_simulation() {
-    // --obs full must be a pure read: the serialised SimResult is
-    // byte-identical to the --obs off run, and an off-level report is empty.
+    // Full observability must be a pure read: the serialised SimResult is
+    // byte-identical to the unobserved run, and an off-level report is empty.
     let (res_off, rep_off) = observed_mix(BackendKind::Epoch, ObsLevel::Off);
     let (res_full, _) = observed_mix(BackendKind::Epoch, ObsLevel::Full);
-    assert!(rep_off.events.is_empty(), "--obs off must record nothing");
-    assert!(!rep_off.profile.is_enabled(), "--obs off must not profile");
+    assert!(rep_off.events.is_empty(), "ObsLevel::Off must record nothing");
+    assert!(!rep_off.profile.is_enabled(), "ObsLevel::Off must not profile");
     assert_eq!(
         serde_json::to_string_pretty(&res_off).unwrap(),
         serde_json::to_string_pretty(&res_full).unwrap(),
