@@ -374,7 +374,8 @@ where
     let mut report = ObsReport::new(obs);
     for (k, stream) in streams.iter().enumerate() {
         let start = clock.max(stream.arrival_cycle);
-        let solo = KernelStream::new(0, Arc::clone(stream.kernel()));
+        // `Exclusive` reads the QoS contract only for its latency label.
+        let solo = KernelStream::new_qos_at(0, Arc::clone(stream.kernel()), 0, stream.qos);
         let (result, mut run_report) =
             run_chip(config, vec![solo], DispatchPolicy::Exclusive, backend, obs, build_unit);
         run_report.relabel_tenant(0, k as u32);
@@ -560,6 +561,25 @@ mod tests {
                 .policy(DispatchPolicy::SharedRoundRobin),
             gto,
         );
+        assert_eq!(res.per_tenant[0].qos, "interactive");
+        assert_eq!(res.per_tenant[1].qos, "batch");
+    }
+
+    /// A serial `exclusive` queue keeps each stream's QoS label: every
+    /// stream runs as a solo chip, and its tenant record carries the label
+    /// of the stream it came from, not the solo run's default.
+    #[test]
+    fn serial_exclusive_queue_keeps_each_streams_qos_label() {
+        let sim = Simulator::new(GpuConfig::gtx480().with_num_sms(2));
+        let res =
+            sim.execute(
+                SimRequest::new()
+                    .stream_qos_at(kernel(10), 0, QosSpec::interactive(1))
+                    .stream_qos_at(kernel(10), 0, QosSpec::batch()),
+                gto,
+            );
+        assert_eq!(res.policy, "exclusive");
+        assert_eq!(res.per_tenant.len(), 2);
         assert_eq!(res.per_tenant[0].qos, "interactive");
         assert_eq!(res.per_tenant[1].qos, "batch");
     }
