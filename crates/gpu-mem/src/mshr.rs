@@ -1,8 +1,10 @@
 //! Miss-Status Holding Registers (MSHRs).
 //!
-//! The L1D of the modelled SM tracks outstanding misses in a small MSHR file.
-//! Requests to a block that already has an outstanding miss are *merged* into
-//! the existing entry instead of generating new downstream traffic.
+//! The L1D of the modelled SM tracks outstanding misses in a small MSHR file:
+//! a flat array of entries searched by block address, as the hardware's
+//! associative file is (§IV-B). Requests to a block that already has an
+//! outstanding miss are *merged* into the existing entry instead of
+//! generating new downstream traffic.
 //!
 //! CIAO extends each MSHR entry with the *translated shared-memory address*
 //! of the request (§IV-B, "Datapath connection"): when the unused shared
@@ -15,7 +17,6 @@
 use crate::addr::Addr;
 use crate::{Cycle, WarpId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Identifies where the fill data for an entry should be placed on return.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,12 +89,22 @@ pub struct MshrStats {
     pub merge_stalls: u64,
 }
 
-/// The MSHR file.
+/// The MSHR file: a flat array of at most `max_entries` outstanding misses,
+/// searched associatively by block address, as the hardware's small CAM is
+/// (§IV-B; Table I: 32 entries of up to 8 merged requests). `blocks[i]` is
+/// the tag of `entries[i]`, kept in an array of its own so a probe scans 8
+/// bytes per entry. A fill moves the last entry into the freed slot: slot
+/// order carries no meaning. Merge lists handed back through
+/// [`Mshr::recycle`] are reused by later allocations, so a steady stream of
+/// misses allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Mshr {
     max_entries: usize,
     max_merged: usize,
-    entries: HashMap<Addr, MshrEntry>,
+    blocks: Vec<Addr>,
+    entries: Vec<MshrEntry>,
+    /// Emptied merge lists waiting to be reused.
+    spare_lists: Vec<Vec<WarpId>>,
     stats: MshrStats,
 }
 
@@ -102,7 +113,14 @@ impl Mshr {
     /// to `max_merged` requests (including the allocating one).
     pub fn new(max_entries: usize, max_merged: usize) -> Self {
         assert!(max_entries > 0 && max_merged > 0);
-        Mshr { max_entries, max_merged, entries: HashMap::new(), stats: MshrStats::default() }
+        Mshr {
+            max_entries,
+            max_merged,
+            blocks: Vec::new(),
+            entries: Vec::new(),
+            spare_lists: Vec::new(),
+            stats: MshrStats::default(),
+        }
     }
 
     /// The default Fermi-like configuration: 32 entries, 8 merged requests.
@@ -125,14 +143,19 @@ impl Mshr {
         &self.stats
     }
 
+    /// Slot of the entry for `block_addr`, if outstanding.
+    fn slot(&self, block_addr: Addr) -> Option<usize> {
+        self.blocks.iter().position(|&b| b == block_addr)
+    }
+
     /// True if a miss to `block_addr` is already outstanding.
     pub fn probe(&self, block_addr: Addr) -> bool {
-        self.entries.contains_key(&block_addr)
+        self.slot(block_addr).is_some()
     }
 
     /// Returns the entry for `block_addr`, if outstanding.
     pub fn entry(&self, block_addr: Addr) -> Option<&MshrEntry> {
-        self.entries.get(&block_addr)
+        self.slot(block_addr).map(|i| &self.entries[i])
     }
 
     /// Registers a miss for `block_addr` by warp `wid`.
@@ -148,12 +171,13 @@ impl Mshr {
         now: Cycle,
         fill_target: FillTarget,
     ) -> Result<MshrAllocation, MshrError> {
-        if let Some(entry) = self.entries.get_mut(&block_addr) {
-            if entry.waiting_warps.len() >= self.max_merged {
+        if let Some(i) = self.slot(block_addr) {
+            let waiting = &mut self.entries[i].waiting_warps;
+            if waiting.len() >= self.max_merged {
                 self.stats.merge_stalls += 1;
                 return Err(MshrError::MergeListFull);
             }
-            entry.waiting_warps.push(wid);
+            waiting.push(wid);
             self.stats.merges += 1;
             return Ok(MshrAllocation::Merged);
         }
@@ -161,16 +185,16 @@ impl Mshr {
             self.stats.full_stalls += 1;
             return Err(MshrError::Full);
         }
-        self.entries.insert(
+        let mut waiting_warps = self.spare_lists.pop().unwrap_or_default();
+        waiting_warps.push(wid);
+        self.blocks.push(block_addr);
+        self.entries.push(MshrEntry {
             block_addr,
-            MshrEntry {
-                block_addr,
-                waiting_warps: vec![wid],
-                fill_target,
-                issue_cycle: now,
-                response_queue_slot: None,
-            },
-        );
+            waiting_warps,
+            fill_target,
+            issue_cycle: now,
+            response_queue_slot: None,
+        });
         self.stats.allocations += 1;
         Ok(MshrAllocation::New)
     }
@@ -178,8 +202,8 @@ impl Mshr {
     /// Records the response-queue slot holding data being migrated from the
     /// L1D for this block (CIAO coherence path, §IV-B).
     pub fn set_response_queue_slot(&mut self, block_addr: Addr, slot: usize) -> bool {
-        if let Some(e) = self.entries.get_mut(&block_addr) {
-            e.response_queue_slot = Some(slot);
+        if let Some(i) = self.slot(block_addr) {
+            self.entries[i].response_queue_slot = Some(slot);
             true
         } else {
             false
@@ -187,14 +211,28 @@ impl Mshr {
     }
 
     /// Completes the outstanding miss for `block_addr`, removing and
-    /// returning its entry (with the full list of warps to wake up).
+    /// returning its entry (with the full list of warps to wake up). Hand
+    /// the entry back through [`Mshr::recycle`] once its warps are woken.
     pub fn fill(&mut self, block_addr: Addr) -> Option<MshrEntry> {
-        self.entries.remove(&block_addr)
+        let i = self.slot(block_addr)?;
+        self.blocks.swap_remove(i);
+        Some(self.entries.swap_remove(i))
+    }
+
+    /// Takes back a filled entry's merge list for reuse by a later
+    /// allocation (emptied first, so no warp carries over).
+    pub fn recycle(&mut self, entry: MshrEntry) {
+        let mut list = entry.waiting_warps;
+        list.clear();
+        self.spare_lists.push(list);
     }
 
     /// Drops every outstanding entry (used between kernels).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.blocks.clear();
+        for entry in std::mem::take(&mut self.entries) {
+            self.recycle(entry);
+        }
     }
 }
 
@@ -258,6 +296,96 @@ mod tests {
     fn fill_unknown_block_returns_none() {
         let mut m = Mshr::fermi_l1d();
         assert!(m.fill(0xdead_0000).is_none());
+    }
+
+    #[test]
+    fn recycled_merge_list_starts_empty() {
+        let mut m = Mshr::new(1, 4);
+        m.allocate(0x100, 1, 0, FillTarget::L1d).unwrap();
+        m.allocate(0x100, 2, 0, FillTarget::L1d).unwrap();
+        let e = m.fill(0x100).unwrap();
+        m.recycle(e);
+        m.allocate(0x200, 3, 5, FillTarget::L1d).unwrap();
+        assert_eq!(m.entry(0x200).unwrap().waiting_warps, vec![3]);
+        m.clear();
+        assert_eq!(m.in_flight(), 0);
+        m.allocate(0x300, 4, 6, FillTarget::L1d).unwrap();
+        assert_eq!(m.fill(0x300).unwrap().waiting_warps, vec![4]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The flat file behaves exactly like a `HashMap` keyed by block:
+        /// random allocate / fill sequences over a small block pool (so
+        /// merges, full files and full merge lists all happen) give the
+        /// same results, both error variants included, the same
+        /// `in_flight`, `probe` and entry contents after every step, merge
+        /// lists in arrival order, and the same statistics. Every filled
+        /// entry is recycled, so later allocations reuse its merge list and
+        /// must never see one of its warps again.
+        #[test]
+        fn flat_file_matches_a_hash_map_model(
+            (max_entries, max_merged) in (1usize..9, 1usize..5),
+            ops in proptest::collection::vec((0u8..3, 0u64..12, 0u32..48), 1..300),
+        ) {
+            let mut m = Mshr::new(max_entries, max_merged);
+            let mut model: std::collections::HashMap<Addr, MshrEntry> = Default::default();
+            let mut stats = MshrStats::default();
+            for (step, &(kind, block, wid)) in ops.iter().enumerate() {
+                let addr = block * 128;
+                let now = step as Cycle;
+                if kind == 0 {
+                    let got = m.fill(addr);
+                    let want = model.remove(&addr);
+                    prop_assert_eq!(&got, &want, "fill {:#x} at step {}", addr, step);
+                    if let Some(entry) = got {
+                        m.recycle(entry);
+                    }
+                } else {
+                    let target = if kind == 1 {
+                        FillTarget::L1d
+                    } else {
+                        FillTarget::SharedMemory { shared_addr: wid * 4 }
+                    };
+                    let in_flight = model.len();
+                    let want = match model.get_mut(&addr) {
+                        Some(e) if e.waiting_warps.len() >= max_merged => {
+                            stats.merge_stalls += 1;
+                            Err(MshrError::MergeListFull)
+                        }
+                        Some(e) => {
+                            e.waiting_warps.push(wid);
+                            stats.merges += 1;
+                            Ok(MshrAllocation::Merged)
+                        }
+                        None if in_flight >= max_entries => {
+                            stats.full_stalls += 1;
+                            Err(MshrError::Full)
+                        }
+                        None => {
+                            model.insert(addr, MshrEntry {
+                                block_addr: addr,
+                                waiting_warps: vec![wid],
+                                fill_target: target,
+                                issue_cycle: now,
+                                response_queue_slot: None,
+                            });
+                            stats.allocations += 1;
+                            Ok(MshrAllocation::New)
+                        }
+                    };
+                    prop_assert_eq!(m.allocate(addr, wid, now, target), want, "step {}", step);
+                }
+                prop_assert_eq!(m.in_flight(), model.len());
+                prop_assert_eq!(m.is_full(), model.len() >= max_entries);
+                for b in 0..12u64 {
+                    prop_assert_eq!(m.probe(b * 128), model.contains_key(&(b * 128)));
+                    prop_assert_eq!(m.entry(b * 128), model.get(&(b * 128)));
+                }
+                prop_assert_eq!(m.stats(), &stats);
+            }
+        }
     }
 
     proptest! {

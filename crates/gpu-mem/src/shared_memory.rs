@@ -73,12 +73,15 @@ pub struct SharedMemoryStats {
 pub struct SharedMemory {
     config: SharedMemoryConfig,
     stats: SharedMemoryStats,
+    /// Per bank, the distinct rows the access being served touches
+    /// (emptied before each access; the lists keep their capacity).
+    rows_per_bank: Vec<Vec<u32>>,
 }
 
 impl SharedMemory {
     /// Builds a scratchpad from `config`.
     pub fn new(config: SharedMemoryConfig) -> Self {
-        SharedMemory { config, stats: SharedMemoryStats::default() }
+        SharedMemory { config, stats: SharedMemoryStats::default(), rows_per_bank: Vec::new() }
     }
 
     /// The configuration of this scratchpad.
@@ -103,9 +106,10 @@ impl SharedMemory {
         if lane_addrs.is_empty() {
             return self.config.latency;
         }
-        let nb = self.config.num_banks as usize;
+        let rows_per_bank = &mut self.rows_per_bank;
+        rows_per_bank.resize_with(self.config.num_banks as usize, Vec::new);
+        rows_per_bank.iter_mut().for_each(Vec::clear);
         // Distinct rows requested per bank.
-        let mut rows_per_bank: Vec<Vec<u32>> = vec![Vec::new(); nb];
         for &a in lane_addrs {
             let b = self.config.bank_of(a) as usize;
             let r = self.config.row_of(a);

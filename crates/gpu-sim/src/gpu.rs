@@ -252,11 +252,12 @@ impl MemoryPort {
         }
     }
 
-    /// Drains the buffered requests (empty for a private port).
-    pub fn drain(&mut self) -> Vec<MemRequest> {
-        match self {
-            MemoryPort::Private(_) => Vec::new(),
-            MemoryPort::Deferred(d) => std::mem::take(&mut d.queue),
+    /// Moves the buffered requests onto `out`, each tagged with the SM
+    /// index `unit` (nothing for a private port). The buffer keeps its
+    /// capacity for the next epoch.
+    pub fn drain_into(&mut self, unit: usize, out: &mut Vec<(usize, MemRequest)>) {
+        if let MemoryPort::Deferred(d) = self {
+            out.extend(d.queue.drain(..).map(|r| (unit, r)));
         }
     }
 
@@ -361,23 +362,41 @@ pub(crate) struct Gpu {
     sleeps: u64,
 }
 
-/// Reusable scratch for [`Gpu::serve_batch_event`]: unit 0 of the queue is
-/// the request fabric, unit `1 + b` is L2/DRAM bank `b`. The fabric charges
-/// requests one at a time at their true arrival cycles; each charged request
-/// joins its bank's FIFO, and the bank pops its next due request when its
-/// service instant comes up. Both queue and FIFOs drain completely within one
-/// batch, so the scratch carries no state across boundaries.
+/// Reusable scratch for [`Gpu::serve_batch_event`]: unit 0 is the request
+/// fabric, unit `1 + b` is L2/DRAM bank `b`, and each unit has at most one
+/// pending wakeup in a flat per-unit clock. [`ServePump::pop`] takes the
+/// earliest wakeup, the lowest unit first on a tie — the order a
+/// `(time, unit)` heap pops in — by scanning the 1 + `l2_banks` slots. The
+/// fabric charges requests one at a time at their true arrival cycles; each
+/// charged request joins its bank's FIFO, and the bank pops its next due
+/// request when its service instant comes up. Clock and FIFOs drain
+/// completely within one batch; across boundaries the scratch keeps only
+/// its capacity, including the per-request `at_l2` / `done_at` cycles.
 struct ServePump {
-    timeq: TimeQueue,
+    wake: Vec<Option<Cycle>>,
     fifos: Vec<std::collections::VecDeque<usize>>,
+    /// Per batch request: the cycle the fabric delivers it to its bank.
+    at_l2: Vec<Cycle>,
+    /// Per batch request: the cycle its bank completes it.
+    done_at: Vec<Cycle>,
 }
 
 impl ServePump {
     fn new(num_banks: usize) -> Self {
         ServePump {
-            timeq: TimeQueue::new(1 + num_banks),
+            wake: vec![None; 1 + num_banks],
             fifos: (0..num_banks).map(|_| std::collections::VecDeque::new()).collect(),
+            at_l2: Vec::new(),
+            done_at: Vec::new(),
         }
+    }
+
+    /// Pops the unit with the earliest wakeup (lowest unit on a tie).
+    fn pop(&mut self) -> Option<usize> {
+        let (_, unit) =
+            self.wake.iter().enumerate().filter_map(|(u, t)| t.map(|t| (t, u))).min()?;
+        self.wake[unit] = None;
+        Some(unit)
     }
 }
 
@@ -765,7 +784,10 @@ impl Gpu {
         let mut last_progress: Cycle = 0;
         // The batch drained at the previous boundary, already merged with
         // the reorder window and sorted — served at the next boundary.
+        // Like every boundary buffer below, it keeps its capacity.
         let mut batch: Vec<(usize, MemRequest)> = Vec::new();
+        // Replies released at a boundary, delivered into their SMs.
+        let mut responses: Vec<ReadyResponse> = Vec::new();
         // Scratch for one boundary's advancement order (refilled each epoch).
         let mut order: Vec<usize> = Vec::with_capacity(num_sms);
         // DRAM-utilisation snapshot the current boundary's advancing SMs
@@ -881,16 +903,17 @@ impl Gpu {
                 break;
             }
             now += epoch;
-            // Serve the previous boundary's batch. The halved epoch clamp
-            // guarantees every completion lands strictly after `now`, the
-            // cycle it may be delivered at.
-            let completions = Self::serve_batch_event(
+            // Serve the previous boundary's batch into the reply window. The
+            // halved epoch clamp guarantees every completion lands strictly
+            // after `now`, the cycle it may be delivered at.
+            Self::serve_batch_event(
                 shared.as_deref_mut(),
                 fabric.as_mut(),
-                std::mem::take(&mut batch),
+                &batch,
                 line_size,
                 &mut pump,
                 profiler,
+                reply_window,
             );
             // Advance the SMs whose next event is due, earliest first; the
             // rest stay parked with frozen clocks and owe their idle settle
@@ -926,14 +949,14 @@ impl Gpu {
             // Release replies whose completion no later-served batch can
             // precede (done ≤ now + epoch: the batch drained at this very
             // boundary completes strictly after that).
-            let responses = Self::release_replies(
+            Self::release_replies(
                 fabric.as_mut(),
                 reply_window,
-                completions,
                 now + epoch,
                 reorder_window,
                 line_size,
                 profiler,
+                &mut responses,
             );
             profiler.enter("deliver");
             // A delivered reply wakes its SM at the response cycle.
@@ -948,13 +971,14 @@ impl Gpu {
             let pending_util = shared.as_deref().map(|s| s.dram_bandwidth_utilization(now.max(1)));
             profiler.exit();
             profiler.enter("collect");
-            batch = Self::collect_batch(
+            Self::collect_batch(
                 sms,
                 order.iter().copied(),
                 window,
                 now,
                 xbar_latency,
                 reorder_window,
+                &mut batch,
             );
             profiler.exit();
             profiler.enter("dispatch");
@@ -996,38 +1020,41 @@ impl Gpu {
         // the SMs injected. Reads can only remain here after a cap — a
         // waiting warp keeps its SM alive — so these deliveries land in
         // event queues that are never polled again.
-        let mut completions = Self::serve_batch_event(
+        Self::serve_batch_event(
             shared.as_deref_mut(),
             fabric.as_mut(),
-            std::mem::take(&mut batch),
+            &batch,
             line_size,
             &mut pump,
             profiler,
+            reply_window,
         );
-        let rest = Self::collect_batch(
+        Self::collect_batch(
             sms,
             0..num_sms,
             window,
             Cycle::MAX - xbar_latency,
             xbar_latency,
             0,
+            &mut batch,
         );
-        completions.extend(Self::serve_batch_event(
+        Self::serve_batch_event(
             shared,
             fabric.as_mut(),
-            rest,
+            &batch,
             line_size,
             &mut pump,
             profiler,
-        ));
-        let responses = Self::release_replies(
+            reply_window,
+        );
+        Self::release_replies(
             fabric.as_mut(),
             reply_window,
-            completions,
             Cycle::MAX,
             0,
             line_size,
             profiler,
+            &mut responses,
         );
         for r in &responses {
             sms[r.sm].deliver(r.done, r.event);
@@ -1047,13 +1074,18 @@ impl Gpu {
         }
     }
 
-    /// Drains the buffered requests of the SMs in `advanced` into the
-    /// reorder window, sorts the window by `(arrive, SM, seq)`, and splits
-    /// off the service batch: requests arriving at or before the merge
-    /// horizon (`now + interconnect latency`) can no longer be preceded by
-    /// any future request (the next epoch issues at cycle ≥ `now`, so its
-    /// arrivals are strictly later), later arrivals stay held — bounded by
-    /// `window_limit`, with the earliest overflow served batch-major.
+    /// Drains the buffered requests of the SMs in `advanced` straight into
+    /// the reorder window, sorts the window by `(arrive, SM, seq)`, and
+    /// moves the service batch into `batch` (replacing its contents):
+    /// requests arriving at or before the merge horizon (`now +
+    /// interconnect latency`) can no longer be preceded by any future
+    /// request (the next epoch issues at cycle ≥ `now`, so its arrivals are
+    /// strictly later), later arrivals stay held — bounded by
+    /// `window_limit`, with the earliest overflow served batch-major. The
+    /// ports, the window and `batch` all keep their capacity. The window is
+    /// mostly sorted already (its held tail, then each SM's requests in
+    /// issue order), which the stable sort's run detection exploits; its
+    /// scratch buffer is the one allocation a busy boundary still makes.
     ///
     /// Only SMs that advanced this boundary need draining. A parked SM
     /// cannot hold buffered requests — its buffer was drained at the
@@ -1066,72 +1098,82 @@ impl Gpu {
         now: Cycle,
         xbar_latency: Cycle,
         window_limit: usize,
-    ) -> Vec<(usize, MemRequest)> {
+        batch: &mut Vec<(usize, MemRequest)>,
+    ) {
         for i in advanced {
-            window.extend(sms[i].drain_requests().into_iter().map(|r| (i, r)));
+            sms[i].drain_requests_into(i, window);
         }
         window.sort_by_key(|&(sm, r)| (r.arrive, sm, r.seq));
         let horizon = now.saturating_add(xbar_latency);
         let mut split = window.partition_point(|&(_, r)| r.arrive <= horizon);
         split += (window.len() - split).saturating_sub(window_limit);
-        window.drain(..split).collect()
+        batch.clear();
+        batch.extend(window.drain(..split));
     }
 
     /// Runs one batch through the service pipeline, event by event, and
-    /// returns the raw read completions (writes produce no reply) for the
-    /// reply reorder window. Unit 0 of a [`TimeQueue`] (the request fabric)
-    /// wakes at each request's true port-arrival cycle and charges the
-    /// chip-wide link budget in batch order (arrivals are non-decreasing,
-    /// ties break fabric-before-bank); the charged request joins its owning
-    /// bank's FIFO and the bank unit wakes at the head request's
-    /// fabric-delivery cycle to serve it, so per-bank service order equals
-    /// batch order. A single-SM chip (private synchronous port,
+    /// appends the raw read completions (writes produce no reply) to the
+    /// reply reorder window `completions`. Unit 0 of the [`ServePump`] (the
+    /// request fabric) wakes at each request's true port-arrival cycle and
+    /// charges the chip-wide link budget in batch order (arrivals are
+    /// non-decreasing, ties break fabric-before-bank); the charged request
+    /// joins its owning bank's FIFO and the bank unit wakes at the head
+    /// request's fabric-delivery cycle to serve it, so per-bank service order
+    /// equals batch order. A single-SM chip (private synchronous port,
     /// `shared == None`, no fabric) has nothing to serve.
     fn serve_batch_event(
         shared: Option<&mut BankedMemorySystem>,
         fabric: Option<&mut CrossbarFabric>,
-        batch: Vec<(usize, MemRequest)>,
+        batch: &[(usize, MemRequest)],
         line_size: u64,
         pump: &mut ServePump,
         profiler: &mut PhaseProfiler,
-    ) -> Vec<RawCompletion> {
-        let (Some(shared), Some(fabric)) = (shared, fabric) else { return Vec::new() };
+        completions: &mut Vec<RawCompletion>,
+    ) {
+        let (Some(shared), Some(fabric)) = (shared, fabric) else { return };
         if batch.is_empty() {
-            return Vec::new();
+            return;
         }
         profiler.enter("serve-events");
         let n = batch.len();
-        let mut at_l2 = vec![0 as Cycle; n];
-        let mut done_at = vec![0 as Cycle; n];
-        let timeq = &mut pump.timeq;
-        let fifos = &mut pump.fifos;
-        debug_assert!(fifos.iter().all(|f| f.is_empty()), "pump must drain between batches");
+        pump.at_l2.clear();
+        pump.at_l2.resize(n, 0);
+        pump.done_at.clear();
+        pump.done_at.resize(n, 0);
+        debug_assert!(pump.fifos.iter().all(|f| f.is_empty()), "pump must drain between batches");
         let mut next_req = 0usize;
-        timeq.schedule(0, batch[0].1.arrive);
-        while let Some((_, unit)) = timeq.pop_next() {
+        pump.wake[0] = Some(batch[0].1.arrive);
+        while let Some(unit) = pump.pop() {
             if unit == 0 {
                 // Fabric: charge the next request of the batch at its arrival.
                 let r = &batch[next_req].1;
                 let t = fabric.request_transfer(line_size, r.arrive, r.tenant);
-                at_l2[next_req] = t;
+                pump.at_l2[next_req] = t;
                 let bank = shared.bank_of(r.block);
-                if fifos[bank].is_empty() {
-                    timeq.schedule(1 + bank, t);
+                if pump.fifos[bank].is_empty() {
+                    pump.wake[1 + bank] = Some(t);
                 }
-                fifos[bank].push_back(next_req);
+                pump.fifos[bank].push_back(next_req);
                 next_req += 1;
                 if next_req < n {
-                    timeq.schedule(0, batch[next_req].1.arrive);
+                    pump.wake[0] = Some(batch[next_req].1.arrive);
                 }
             } else {
                 // Bank: serve its FIFO head at the head's delivery instant.
                 let bank = unit - 1;
-                let i = fifos[bank].pop_front().expect("bank event without a queued request");
+                let i = pump.fifos[bank].pop_front().expect("bank event without a queued request");
                 let r = &batch[i].1;
-                done_at[i] =
-                    shared.serve(bank, r.block, r.wid, r.tenant, r.is_write, r.bypass, at_l2[i]);
-                if let Some(&next) = fifos[bank].front() {
-                    timeq.schedule(1 + bank, at_l2[next]);
+                pump.done_at[i] = shared.serve(
+                    bank,
+                    r.block,
+                    r.wid,
+                    r.tenant,
+                    r.is_write,
+                    r.bypass,
+                    pump.at_l2[i],
+                );
+                if let Some(&next) = pump.fifos[bank].front() {
+                    pump.wake[unit] = Some(pump.at_l2[next]);
                 }
             }
         }
@@ -1139,54 +1181,47 @@ impl Gpu {
         // Reads produce replies; they enter the reply reorder window rather
         // than the fabric directly, so one batch's slow DRAM stragglers never
         // charge phantom queueing against the next batch's fast completions.
-        batch
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, r))| !r.is_write)
-            .map(|(i, (sm, r))| RawCompletion {
-                sm: *sm,
+        completions.extend(batch.iter().zip(&pump.done_at).filter(|((_, r), _)| !r.is_write).map(
+            |(&(sm, r), &done)| RawCompletion {
+                sm,
                 seq: r.seq,
-                done: done_at[i],
+                done,
                 tenant: r.tenant,
                 event: r.event,
-            })
-            .collect()
+            },
+        ));
     }
 
-    /// Merges freshly served completions into the reply reorder window and
-    /// releases every reply completing at or before `horizon` — replies no
+    /// Releases every reply in the reply reorder window completing at or
+    /// before `horizon` into `out` (replacing its contents) — replies no
     /// later-served batch can precede, so the reply fabric sees a globally
     /// non-decreasing completion stream across epochs. Released replies
     /// charge the chip-wide reply budget in `(completion, SM, seq)` order;
-    /// holds beyond `window_limit` fall back to batch-major release (earliest
-    /// first — still safely after the delivery boundary).
+    /// holds beyond `window_limit` fall back to batch-major release
+    /// (earliest first — still safely after the delivery boundary).
     fn release_replies(
         fabric: Option<&mut CrossbarFabric>,
         reply_window: &mut Vec<RawCompletion>,
-        fresh: Vec<RawCompletion>,
         horizon: Cycle,
         window_limit: usize,
         line_size: u64,
         profiler: &mut PhaseProfiler,
-    ) -> Vec<ReadyResponse> {
-        let Some(fabric) = fabric else { return Vec::new() };
-        reply_window.extend(fresh);
+        out: &mut Vec<ReadyResponse>,
+    ) {
+        out.clear();
+        let Some(fabric) = fabric else { return };
         if reply_window.is_empty() {
-            return Vec::new();
+            return;
         }
         profiler.enter("fabric-reply");
         reply_window.sort_by_key(|c| (c.done, c.sm, c.seq));
         let mut split = reply_window.partition_point(|c| c.done <= horizon);
         split += (reply_window.len() - split).saturating_sub(window_limit);
-        let out = reply_window
-            .drain(..split)
-            .filter_map(|c| {
-                let done = fabric.reply_transfer(line_size, c.done, c.tenant);
-                c.event.map(|event| ReadyResponse { sm: c.sm, done, event })
-            })
-            .collect();
+        out.extend(reply_window.drain(..split).filter_map(|c| {
+            let done = fabric.reply_transfer(line_size, c.done, c.tenant);
+            c.event.map(|event| ReadyResponse { sm: c.sm, done, event })
+        }));
         profiler.exit();
-        out
     }
 
     /// Epoch-boundary dispatch: appends deferred arrival batches whose cycle

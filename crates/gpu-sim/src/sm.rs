@@ -7,7 +7,10 @@
 //!
 //! 1. memory responses that completed by this cycle wake their warps and fill
 //!    the L1D or the redirect cache,
-//! 2. CTA-wide barriers whose warps all arrived are released,
+//! 2. CTA-wide barriers whose warps all arrived are released, and CTAs whose
+//!    warps all finished retire and make room for queued CTAs — checked only
+//!    after some warp entered a barrier or finished, the only events that
+//!    can make either true,
 //! 3. the scheduler picks one ready, non-throttled warp and its next
 //!    operation is issued (compute, barrier, shared-memory access, or global
 //!    memory access routed to the L1D, the redirect cache, or the bypass path
@@ -53,7 +56,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use crate::coalescer::coalesce;
+use crate::coalescer::coalesce_into;
 use crate::config::GpuConfig;
 use crate::dispatch::CtaWork;
 use crate::gpu::{MemRequest, MemoryPort};
@@ -122,6 +125,8 @@ pub struct Sm {
     port: MemoryPort,
 
     warps: Vec<Warp>,
+    /// Warps in `warps` that have not finished.
+    unfinished: usize,
     resident: Vec<ResidentCta>,
     work: Vec<CtaWork>,
     next_work: usize,
@@ -137,6 +142,14 @@ pub struct Sm {
     interference: InterferenceMatrix,
     snapshot: SampleSnapshot,
     ready_scratch: Vec<usize>,
+    /// The blocks of the global access being issued (reused every issue).
+    blocks_scratch: Vec<Addr>,
+    /// The scratchpad lane addresses of the shared access being issued.
+    lanes_scratch: Vec<u32>,
+    /// Set when a warp entered a barrier or finished: only those events
+    /// can make a barrier releasable or a CTA retirable, so the next `step`
+    /// runs the CTA bookkeeping only then.
+    cta_events: bool,
     /// True when the last stepped cycle had ready warps but issued nothing
     /// because all of them were throttled. Only then does the idle-skip
     /// test consult the scheduler's throttle set, so policies that never
@@ -213,6 +226,7 @@ impl Sm {
             interconnect,
             port,
             warps: Vec::new(),
+            unfinished: 0,
             resident: Vec::new(),
             work,
             next_work: 0,
@@ -227,6 +241,9 @@ impl Sm {
             interference,
             snapshot: SampleSnapshot::default(),
             ready_scratch: Vec::new(),
+            blocks_scratch: Vec::new(),
+            lanes_scratch: Vec::new(),
+            cta_events: false,
             throttle_only_last: false,
             replayed: None,
             stepping: false,
@@ -482,6 +499,7 @@ impl Sm {
                 self.replayed.as_slice(),
                 &self.port,
                 self.stats.instructions,
+                self.unfinished,
                 now,
             );
             let utilization_at = |t| self.port.known_dram_utilization(t, snapshot_until);
@@ -495,14 +513,16 @@ impl Sm {
     /// issues: the time-series sampler is due (it is instruction-indexed, so
     /// it cannot newly trigger while nothing retires), or a resident CTA has
     /// every warp at a barrier or finished — its barrier is releasable, or
-    /// it retires and frees room for a launch.
+    /// it retires and frees room for a launch. Like the bookkeeping itself,
+    /// the CTA walk runs only after a warp entered a barrier or finished.
     fn bookkeeping_due(&self) -> bool {
         self.stats.instructions >= self.snapshot.instructions + self.config.sample_interval_insts
-            || self.resident.iter().any(|cta| {
-                cta.warp_slots.iter().all(|&s| {
-                    matches!(self.warps[s].state, WarpState::AtBarrier | WarpState::Finished)
+            || self.cta_events
+                && self.resident.iter().any(|cta| {
+                    cta.warp_slots.iter().all(|&s| {
+                        matches!(self.warps[s].state, WarpState::AtBarrier | WarpState::Finished)
+                    })
                 })
-            })
     }
 
     /// True when ready warp `w` stays out of the ready set `step` offers the
@@ -525,6 +545,7 @@ impl Sm {
         ready: &'a [usize],
         port: &MemoryPort,
         instructions: u64,
+        active_warps: usize,
         now: Cycle,
     ) -> SchedulerCtx<'a> {
         SchedulerCtx {
@@ -532,7 +553,7 @@ impl Sm {
             warps,
             ready,
             instructions_executed: instructions,
-            active_warps: warps.iter().filter(|w| !w.is_finished()).count(),
+            active_warps,
             dram_utilization: port.dram_utilization(now.max(1)),
         }
     }
@@ -580,16 +601,18 @@ impl Sm {
             self.replayed.as_slice(),
             &self.port,
             self.stats.instructions,
+            self.unfinished,
             target - 1,
         );
         self.scheduler.on_idle_cycles(&ctx, cycles);
         self.cycle = target;
     }
 
-    /// Drains the memory requests buffered by a deferred port during the
-    /// last epoch (empty for an SM with a private partition).
-    pub fn drain_requests(&mut self) -> Vec<MemRequest> {
-        self.port.drain()
+    /// Moves the memory requests a deferred port buffered during the last
+    /// epoch onto `out`, tagged with this SM's chip index `unit` (nothing
+    /// for an SM with a private partition). The port keeps its capacity.
+    pub fn drain_requests_into(&mut self, unit: usize, out: &mut Vec<(usize, MemRequest)>) {
+        self.port.drain_into(unit, out);
     }
 
     /// Schedules a memory response computed by the chip engine: `ev` fires
@@ -629,13 +652,23 @@ impl Sm {
         self.port.take_obs()
     }
 
-    /// Advances the SM by one cycle.
+    /// Advances the SM by one cycle (the module docs list the phases).
+    ///
+    /// The CTA bookkeeping (barrier release, CTA retirement and the
+    /// launches it frees room for) walks the resident CTAs only when a warp
+    /// entered a barrier or finished since it last ran; on every other
+    /// cycle it would find nothing to do. The steady-state issue path
+    /// allocates nothing: coalescing and scratchpad lanes use buffers the
+    /// SM owns and the MSHR file reuses its merge lists.
     pub fn step(&mut self) {
         let now = self.cycle;
         self.replayed = None;
         self.process_responses(now);
-        self.release_barriers();
-        self.retire_and_launch_ctas();
+        if self.cta_events {
+            self.cta_events = false;
+            self.release_barriers();
+            self.retire_and_launch_ctas();
+        }
 
         // Collect issuable warps; detect warps whose program just ended.
         let mut finished_now: Vec<usize> = Vec::new();
@@ -676,7 +709,7 @@ impl Sm {
                 warps: &self.warps,
                 ready: &ready,
                 instructions_executed: self.stats.instructions,
-                active_warps: self.warps.iter().filter(|w| !w.is_finished()).count(),
+                active_warps: self.unfinished,
                 dram_utilization: self.port.dram_utilization(now.max(1)),
             };
             // The scheduler is consulted even when nothing is ready: policies
@@ -738,8 +771,10 @@ impl Sm {
                 if slot == self.warps.len() {
                     self.warps.push(warp);
                 } else {
+                    debug_assert!(self.warps[slot].is_finished(), "slot {slot} still in use");
                     self.warps[slot] = warp;
                 }
+                self.unfinished += 1;
                 if self.tenant_of_slot.len() <= slot {
                     self.tenant_of_slot.resize(slot + 1, 0);
                 }
@@ -818,6 +853,8 @@ impl Sm {
     fn finish_warp(&mut self, idx: usize, now: Cycle) {
         let wid = self.warps[idx].id;
         self.warps[idx].finish();
+        self.unfinished -= 1;
+        self.cta_events = true;
         let tenant = self.tenant_of(wid);
         let entry = tenant_slot(&mut self.tenants, tenant);
         entry.finish_cycle = entry.finish_cycle.max(now);
@@ -880,11 +917,12 @@ impl Sm {
                                 }
                             }
                         }
-                        for wid in entry.waiting_warps {
+                        for &wid in &entry.waiting_warps {
                             if let Some(w) = self.warps.get_mut(wid as usize) {
                                 w.complete_mem();
                             }
                         }
+                        self.mshr.recycle(entry);
                     }
                 }
                 ResponseEvent::WakeWarp(wid) => {
@@ -903,26 +941,34 @@ impl Sm {
     // ----- issue --------------------------------------------------------------
 
     fn issue(&mut self, idx: usize, now: Cycle) {
+        let mut blocks = std::mem::take(&mut self.blocks_scratch);
+        self.issue_with(idx, now, &mut blocks);
+        self.blocks_scratch = blocks;
+    }
+
+    /// [`Sm::issue`] with `blocks` as the coalescing buffer.
+    fn issue_with(&mut self, idx: usize, now: Cycle, blocks: &mut Vec<Addr>) {
         let wid = self.warps[idx].id;
         // Global accesses are coalesced before the op is taken. Structural
         // back-pressure: a load whose worst-case new MSHR entries do not fit
         // is not issued at all. The warp keeps its op, stays ready and
         // replays on the next cycle; nothing is counted, but the scheduler
         // still sees the attempt.
-        let blocks = match self.warps[idx].pending() {
+        match self.warps[idx].pending() {
             Some(WarpOp::Load { space: MemSpace::Global, pattern }) => {
-                let blocks = coalesce(pattern);
-                if !self.mshr_can_hold(&blocks) {
+                coalesce_into(pattern, blocks);
+                if !self.mshr_can_hold(blocks) {
                     self.warps[idx].state = WarpState::Executing { until: now + 1 };
                     self.replayed = Some(idx);
                     self.scheduler.on_issue(wid, true, now);
                     return;
                 }
-                blocks
             }
-            Some(WarpOp::Store { space: MemSpace::Global, pattern }) => coalesce(pattern),
-            _ => Vec::new(),
-        };
+            Some(WarpOp::Store { space: MemSpace::Global, pattern }) => {
+                coalesce_into(pattern, blocks)
+            }
+            _ => {}
+        }
         let Some(op) = self.warps[idx].take_op() else {
             return;
         };
@@ -937,33 +983,34 @@ impl Sm {
             WarpOp::Barrier => {
                 self.stats.barriers += 1;
                 self.warps[idx].enter_barrier();
+                self.cta_events = true;
             }
             WarpOp::Load { space: MemSpace::Shared, pattern }
             | WarpOp::Store { space: MemSpace::Shared, pattern } => {
                 self.stats.shared_mem_instructions += 1;
-                let lanes: Vec<u32> = pattern
-                    .lane_addresses()
-                    .iter()
-                    .map(|&a| (a % self.config.shared_mem.size_bytes as u64) as u32)
-                    .collect();
-                let lat = self.shared_mem.access(&lanes);
+                let size = self.config.shared_mem.size_bytes as u64;
+                self.lanes_scratch.clear();
+                self.lanes_scratch.extend(pattern.lanes().map(|a| (a % size) as u32));
+                let lat = self.shared_mem.access(&self.lanes_scratch);
                 self.warps[idx].start_compute(now + lat);
             }
             WarpOp::Load { space: MemSpace::Global, .. } => {
-                self.issue_global(idx, wid, &blocks, false, now);
+                self.issue_global(idx, wid, blocks, false, now);
             }
             WarpOp::Store { space: MemSpace::Global, .. } => {
-                self.issue_global(idx, wid, &blocks, true, now);
+                self.issue_global(idx, wid, blocks, true, now);
             }
         }
         self.scheduler.on_issue(wid, is_mem, now);
     }
 
     /// True when the MSHR file can hold the worst-case number of new entries
-    /// a load of `blocks` needs (blocks already in flight merge).
+    /// a load of `blocks` needs (blocks already in flight merge, so the file
+    /// is searched only when the free entries alone fall short).
     fn mshr_can_hold(&self, blocks: &[Addr]) -> bool {
         let free = self.config.mshr_entries - self.mshr.in_flight();
-        blocks.len() <= free + blocks.iter().filter(|&&b| self.mshr.probe(b)).count()
+        blocks.len() <= free
+            || blocks.len() <= free + blocks.iter().filter(|&&b| self.mshr.probe(b)).count()
     }
 
     fn issue_global(

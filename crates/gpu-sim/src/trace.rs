@@ -48,12 +48,18 @@ impl MemPattern {
     /// downwards and a pattern straddling the top of the address space wraps
     /// instead of overflowing.
     pub fn lane_addresses(&self) -> Vec<Addr> {
-        match self {
-            MemPattern::Strided { base, stride, lanes } => (0..*lanes as i64)
-                .map(|i| base.wrapping_add(i.wrapping_mul(*stride) as Addr))
-                .collect(),
-            MemPattern::Scatter(addrs) => addrs.clone(),
-        }
+        self.lanes().collect()
+    }
+
+    /// The per-lane addresses of [`MemPattern::lane_addresses`], in lane
+    /// order, without collecting them.
+    pub fn lanes(&self) -> impl Iterator<Item = Addr> + '_ {
+        (0..self.active_lanes()).map(move |i| match self {
+            MemPattern::Strided { base, stride, .. } => {
+                base.wrapping_add((i as i64).wrapping_mul(*stride) as Addr)
+            }
+            MemPattern::Scatter(addrs) => addrs[i],
+        })
     }
 
     /// Number of active lanes.

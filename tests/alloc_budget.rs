@@ -1,0 +1,92 @@
+//! Heap-allocation budget of the chip engine's steady state.
+//!
+//! Almost every cycle a co-run steps issues an instruction, so anything the
+//! SM issue path or the epoch boundary allocates is paid millions of times
+//! per run. This test installs a global allocator that counts allocations
+//! per thread and runs the 15-SM `cache-stream` and `stream-stream` co-runs
+//! under shared round-robin dispatch with GTO: `Simulator::execute` must
+//! make fewer than one allocation per ten issued instructions, set-up
+//! included.
+//!
+//! What remains is set-up (the dispatch plan, each warp's program, the
+//! result), each CTA launch's bookkeeping, and about one allocation per
+//! busy epoch boundary: the scratch buffer of the stable sort that orders
+//! the reorder windows, and buffers growing to a new high-water mark.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ciao_suite::sim::{DispatchPolicy, GpuConfig, GtoScheduler, SimRequest, Simulator, SmUnit};
+use ciao_suite::workloads::{Mix, ScaleConfig};
+
+/// Forwards to the system allocator, counting the calling thread's
+/// allocations (`alloc`, `alloc_zeroed` and `realloc`).
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell`, so counting neither allocates nor re-enters.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn gto(_sm: usize) -> SmUnit {
+    (Box::new(GtoScheduler::new()), None)
+}
+
+#[test]
+fn fifteen_sm_co_runs_allocate_less_than_once_per_ten_instructions() {
+    let sim = Simulator::new(GpuConfig::gtx480().with_num_sms(15));
+    let scale = ScaleConfig { ops_per_warp: 600, footprint_scale: 1.0, seed: 0 };
+    for mix in [Mix::CacheStream, Mix::StreamStream] {
+        let request = mix
+            .kernels(&scale)
+            .into_iter()
+            .fold(SimRequest::new(), SimRequest::stream)
+            .policy(DispatchPolicy::SharedRoundRobin);
+        let before = allocations();
+        let result = sim.execute(request, gto);
+        let made = allocations() - before;
+        let instructions = result.stats.instructions;
+        assert!(!result.capped, "{}: the co-run must finish", mix.name());
+        assert!(
+            made * 10 < instructions,
+            "{}: {made} allocations over {instructions} instructions ({:.3} per instruction)",
+            mix.name(),
+            made as f64 / instructions as f64,
+        );
+    }
+}
