@@ -12,13 +12,12 @@
 //!   tracking (needed by the Victim Tag Array and the interference detector),
 //!   configurable replacement and write policies; used for both the 16 KB L1D
 //!   and the 768 KB L2 of Table I.
-//! * [`mshr`] — miss-status holding registers, including the extra
-//!   translated-shared-memory-address field CIAO adds (§IV-B).
+//! * [`mshr`] — miss-status holding registers, including the fill target
+//!   CIAO adds to steer a response into shared memory (§IV-B).
 //! * [`shared_memory`] — the 32-bank scratchpad with a bank-conflict model and
 //!   the per-CTA Shared Memory Management Table ([`smmt`]).
 //! * [`dram`] — a GDDR5-like DRAM model (banked timing, finite bandwidth).
 //! * [`l2`] — memory partition: L2 slice plus its DRAM channel.
-//! * [`queues`] — bounded response/write queues used on the L1D↔L2 datapath.
 //! * [`interconnect`] — the SM↔partition interconnect (latency + bandwidth).
 //!
 //! All components are deterministic and cycle-based: methods take the current
@@ -34,7 +33,6 @@ pub mod dram;
 pub mod interconnect;
 pub mod l2;
 pub mod mshr;
-pub mod queues;
 pub mod shared_memory;
 pub mod smmt;
 
@@ -52,7 +50,6 @@ pub use l2::{
     PartitionStats, TenantMemStats,
 };
 pub use mshr::{Mshr, MshrAllocation, MshrEntry, MshrError};
-pub use queues::{BoundedQueue, ResponseEntry, ResponseSource};
 pub use shared_memory::{SharedMemory, SharedMemoryConfig};
 pub use smmt::{Smmt, SmmtEntry, SmmtError, SmmtPurpose};
 

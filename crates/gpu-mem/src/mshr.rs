@@ -6,13 +6,13 @@
 //! outstanding miss are *merged* into the existing entry instead of
 //! generating new downstream traffic.
 //!
-//! CIAO extends each MSHR entry with the *translated shared-memory address*
-//! of the request (§IV-B, "Datapath connection"): when the unused shared
-//! memory space serves as a cache for an isolated warp, a shared-memory miss
-//! reserves an MSHR entry carrying both the global address and the translated
-//! shared-memory address, so the L2 response can be steered directly into the
-//! shared-memory data array. The same entry also carries an optional pointer
-//! into the response queue used by the L1D→shared-memory migration path.
+//! CIAO extends each MSHR entry with a *fill target* (§IV-B, "Datapath
+//! connection"): when the unused shared memory space serves as a cache for
+//! an isolated warp, a shared-memory miss reserves an entry marked
+//! [`FillTarget::SharedMemory`], so the L2 response is steered into the
+//! shared-memory data array instead of the L1D. The simulator models the
+//! translated address and the L1D→shared-memory migration path as latency
+//! only, so the entry carries neither.
 
 use crate::addr::Addr;
 use crate::{Cycle, WarpId};
@@ -23,12 +23,8 @@ use serde::{Deserialize, Serialize};
 pub enum FillTarget {
     /// Normal path: fill the L1D cache.
     L1d,
-    /// CIAO path: fill the shared-memory cache at the translated address.
-    SharedMemory {
-        /// Translated shared-memory byte address produced by the CIAO
-        /// address-translation unit.
-        shared_addr: u32,
-    },
+    /// CIAO path: fill the shared-memory cache.
+    SharedMemory,
 }
 
 /// A single outstanding miss.
@@ -42,9 +38,6 @@ pub struct MshrEntry {
     pub fill_target: FillTarget,
     /// Cycle at which the first (allocating) request arrived.
     pub issue_cycle: Cycle,
-    /// Set when the data is being migrated out of the L1D through the
-    /// response queue rather than fetched from L2 (§IV-B, coherence path).
-    pub response_queue_slot: Option<usize>,
 }
 
 /// Outcome of [`Mshr::allocate`].
@@ -188,26 +181,9 @@ impl Mshr {
         let mut waiting_warps = self.spare_lists.pop().unwrap_or_default();
         waiting_warps.push(wid);
         self.blocks.push(block_addr);
-        self.entries.push(MshrEntry {
-            block_addr,
-            waiting_warps,
-            fill_target,
-            issue_cycle: now,
-            response_queue_slot: None,
-        });
+        self.entries.push(MshrEntry { block_addr, waiting_warps, fill_target, issue_cycle: now });
         self.stats.allocations += 1;
         Ok(MshrAllocation::New)
-    }
-
-    /// Records the response-queue slot holding data being migrated from the
-    /// L1D for this block (CIAO coherence path, §IV-B).
-    pub fn set_response_queue_slot(&mut self, block_addr: Addr, slot: usize) -> bool {
-        if let Some(i) = self.slot(block_addr) {
-            self.entries[i].response_queue_slot = Some(slot);
-            true
-        } else {
-            false
-        }
     }
 
     /// Completes the outstanding miss for `block_addr`, removing and
@@ -278,18 +254,9 @@ mod tests {
     #[test]
     fn shared_memory_fill_target_preserved() {
         let mut m = Mshr::fermi_l1d();
-        m.allocate(0x2000, 5, 3, FillTarget::SharedMemory { shared_addr: 0x440 }).unwrap();
+        m.allocate(0x2000, 5, 3, FillTarget::SharedMemory).unwrap();
         let e = m.entry(0x2000).unwrap();
-        assert_eq!(e.fill_target, FillTarget::SharedMemory { shared_addr: 0x440 });
-    }
-
-    #[test]
-    fn response_queue_slot_recorded() {
-        let mut m = Mshr::fermi_l1d();
-        m.allocate(0x2000, 5, 3, FillTarget::L1d).unwrap();
-        assert!(m.set_response_queue_slot(0x2000, 7));
-        assert_eq!(m.entry(0x2000).unwrap().response_queue_slot, Some(7));
-        assert!(!m.set_response_queue_slot(0x3000, 1));
+        assert_eq!(e.fill_target, FillTarget::SharedMemory);
     }
 
     #[test]
@@ -343,11 +310,8 @@ mod tests {
                         m.recycle(entry);
                     }
                 } else {
-                    let target = if kind == 1 {
-                        FillTarget::L1d
-                    } else {
-                        FillTarget::SharedMemory { shared_addr: wid * 4 }
-                    };
+                    let target =
+                        if kind == 1 { FillTarget::L1d } else { FillTarget::SharedMemory };
                     let in_flight = model.len();
                     let want = match model.get_mut(&addr) {
                         Some(e) if e.waiting_warps.len() >= max_merged => {
@@ -369,7 +333,6 @@ mod tests {
                                 waiting_warps: vec![wid],
                                 fill_target: target,
                                 issue_cycle: now,
-                                response_queue_slot: None,
                             });
                             stats.allocations += 1;
                             Ok(MshrAllocation::New)

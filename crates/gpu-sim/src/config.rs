@@ -17,7 +17,7 @@ pub struct GpuConfig {
     /// Number of SMs on the chip (15 on the GTX 480). A single-SM request
     /// models one SM with a per-SM slice of memory bandwidth (per-SM IPC ×
     /// `num_sms` extrapolates to the chip); multi-SM requests instantiate
-    /// this many [`crate::Sm`] engines against a shared banked L2/DRAM
+    /// this many SM engines against a shared banked L2/DRAM
     /// backend and model inter-SM contention directly.
     pub num_sms: usize,
     /// Number of address-interleaved banks of the shared chip L2/DRAM backend
@@ -64,8 +64,6 @@ pub struct GpuConfig {
     pub interconnect_latency: Cycle,
     /// SM↔L2 interconnect bandwidth in bytes per cycle.
     pub interconnect_bytes_per_cycle: f64,
-    /// Response-queue capacity (entries).
-    pub response_queue_entries: usize,
     /// Time-series sampling interval, in dynamic instructions (the x-axis of
     /// Figs. 9 and 10 is instruction count).
     pub sample_interval_insts: u64,
@@ -94,7 +92,6 @@ impl GpuConfig {
             mshr_merge: 8,
             interconnect_latency: 20,
             interconnect_bytes_per_cycle: 32.0,
-            response_queue_entries: 64,
             sample_interval_insts: 10_000,
             max_instructions: None,
             max_cycles: Some(50_000_000),

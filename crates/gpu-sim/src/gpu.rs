@@ -1,13 +1,13 @@
 //! The chip engine: CTA dispatch, per-SM memory ports, and the one timing
 //! loop that advances every SM from epoch boundary to epoch boundary.
 //!
-//! The crate-private `Gpu` turns the single-[`Sm`] simulator into a chip;
-//! [`crate::Simulator::execute`] is the only way to build and run one. The
-//! [`crate::dispatch`] module's policies split one or more co-running
-//! kernels' grids across `num_sms` SM engines, and every SM's L1 misses
-//! travel over its own [`gpu_mem::Crossbar`] port into one shared, banked
-//! L2 + DRAM backend ([`gpu_mem::BankedMemorySystem`]) with per-tenant
-//! attribution.
+//! The crate-private `Gpu` turns the per-SM model (the crate-private `Sm`)
+//! into a chip; [`crate::Simulator::execute`] is the only way to build and
+//! run one. The [`crate::dispatch`] module's policies split one or more
+//! co-running kernels' grids across `num_sms` SM engines, and every SM's L1
+//! misses travel over its own [`gpu_mem::Crossbar`] port into one shared,
+//! banked L2 + DRAM backend ([`gpu_mem::BankedMemorySystem`]) with
+//! per-tenant attribution.
 //!
 //! ## The boundary loop
 //!
@@ -33,7 +33,7 @@
 //!    each one is served by its L2 bank at the cycle the fabric delivers it;
 //! 2. **advances** the SMs to the boundary. An SM touches only its own state:
 //!    global-memory requests are time-stamped with their injection-port
-//!    arrival cycle and buffered in the SM's [`MemoryPort`], not served;
+//!    arrival cycle and buffered in the SM's memory port, not served;
 //! 3. **releases** replies: read completions enter the *reply reorder
 //!    window*, and every reply completing by `boundary + epoch` (which no
 //!    later-served batch can precede) crosses the reply fabric in global
@@ -56,14 +56,19 @@
 //!
 //! [`BackendKind::Event`] keeps the loop off everything provably idle: SMs
 //! fast-forward over idle stretches, SMs with nothing due stay parked, and
-//! an idle chip sleeps through whole boundaries.
+//! an idle chip sleeps through whole boundaries. One flat per-unit wake
+//! clock (`WakeClock`) says when each parked SM is next due; the same clock
+//! orders the request fabric and the L2/DRAM banks while a batch is served.
+//! Both pop units earliest first, the lowest unit on a tie.
 //! [`BackendKind::Epoch`] runs the same loop in *stepping* mode: every SM
 //! steps every cycle and is advanced at every boundary, and the chip never
 //! sleeps. Both modes produce bit-identical results; stepping is the
 //! reference the skips are tested against.
 //!
 //! A single SM with fully static work needs no boundaries: it owns a
-//! private memory partition, which serves every request at issue time.
+//! private memory partition, which serves every request at issue time, and
+//! one `Sm::run_epoch_event(Cycle::MAX)` call runs it to the end in either
+//! mode.
 
 use crate::config::GpuConfig;
 use crate::dispatch::{
@@ -75,7 +80,6 @@ use crate::scheduler::{SchedulerMetrics, WarpScheduler};
 use crate::simulator::{SimResult, TenantResult};
 use crate::sm::{ResponseEvent, Sm};
 use crate::stats::{DispatchLog, InterferenceMatrix, SmStats, TenantStats, TimeSeries};
-use crate::timeq::TimeQueue;
 use gpu_mem::interconnect::{Crossbar, CrossbarFabric};
 use gpu_mem::l2::{BankedMemorySystem, MemoryPartition, PartitionConfig, PartitionObs};
 use gpu_mem::{merge_tenant_stats, Addr, Cycle, TenantId, TenantMemStats, WarpId};
@@ -113,7 +117,7 @@ pub type SmUnit = (Box<dyn WarpScheduler>, Option<Box<dyn RedirectCache>>);
 /// A global-memory request buffered by a [`MemoryPort`] during an epoch and
 /// served against the shared backend after the next boundary.
 #[derive(Debug, Clone, Copy)]
-pub struct MemRequest {
+pub(crate) struct MemRequest {
     /// Cycle at which the request arrives at the L2 side of the SM's
     /// interconnect port (already includes link latency and queueing).
     pub arrive: Cycle,
@@ -140,7 +144,7 @@ pub struct MemRequest {
 /// for epoch-boundary service by the chip engine and carries the chip
 /// DRAM-utilisation snapshot the scheduler context reads between
 /// boundaries.
-pub enum MemoryPort {
+pub(crate) enum MemoryPort {
     /// Synchronous private partition (single-SM runs).
     Private(Box<MemoryPartition>),
     /// Epoch-deferred port into the shared chip backend (multi-SM runs).
@@ -149,7 +153,7 @@ pub enum MemoryPort {
 
 /// Request buffer + utilisation snapshot of a deferred port.
 #[derive(Debug, Default)]
-pub struct DeferredPort {
+pub(crate) struct DeferredPort {
     queue: Vec<MemRequest>,
     seq: u64,
     dram_utilization: f64,
@@ -362,18 +366,55 @@ pub(crate) struct Gpu {
     sleeps: u64,
 }
 
-/// Reusable scratch for [`Gpu::serve_batch_event`]: unit 0 is the request
-/// fabric, unit `1 + b` is L2/DRAM bank `b`, and each unit has at most one
-/// pending wakeup in a flat per-unit clock. [`ServePump::pop`] takes the
-/// earliest wakeup, the lowest unit first on a tie — the order a
-/// `(time, unit)` heap pops in — by scanning the 1 + `l2_banks` slots. The
-/// fabric charges requests one at a time at their true arrival cycles; each
-/// charged request joins its bank's FIFO, and the bank pops its next due
-/// request when its service instant comes up. Clock and FIFOs drain
+/// The flat wake clock of a fixed set of units: `at[u]` is the cycle unit
+/// `u` next has work, `Cycle::MAX` when it is parked for good. Units pop
+/// earliest first, the lowest unit on a tie, so the order is a pure
+/// function of simulated time and unit index. The boundary loop keeps one
+/// for SM parking and the [`ServePump`] one for the fabric and the banks;
+/// either scans at most a chip's SMs or 1 + `l2_banks` slots.
+struct WakeClock {
+    at: Vec<Cycle>,
+}
+
+impl WakeClock {
+    /// `units` units, each due at `at`.
+    fn new(units: usize, at: Cycle) -> Self {
+        WakeClock { at: vec![at; units] }
+    }
+
+    /// The earliest wakeup, `Cycle::MAX` when every unit is parked.
+    fn next(&self) -> Cycle {
+        self.at.iter().copied().min().unwrap_or(Cycle::MAX)
+    }
+
+    /// Pulls `unit`'s wakeup forward to `t`; a unit due earlier keeps its
+    /// slot. A reply delivery or newly dealt work wakes a parked SM this
+    /// way.
+    fn lower(&mut self, unit: usize, t: Cycle) {
+        self.at[unit] = self.at[unit].min(t);
+    }
+
+    /// Pops the unit with the earliest wakeup at or before `now` (lowest
+    /// unit on a tie) and parks it; `None` when nothing is due.
+    fn pop_due(&mut self, now: Cycle) -> Option<usize> {
+        let (t, unit) = self.at.iter().enumerate().map(|(u, &t)| (t, u)).min()?;
+        if t > now || t == Cycle::MAX {
+            return None;
+        }
+        self.at[unit] = Cycle::MAX;
+        Some(unit)
+    }
+}
+
+/// Reusable scratch for [`Gpu::serve_batch_event`]: unit 0 of the
+/// [`WakeClock`] is the request fabric, unit `1 + b` is L2/DRAM bank `b`.
+/// The fabric charges requests one at a time at their true arrival cycles;
+/// each charged request joins its bank's FIFO, and the bank pops its next
+/// due request when its service instant comes up. Clock and FIFOs drain
 /// completely within one batch; across boundaries the scratch keeps only
 /// its capacity, including the per-request `at_l2` / `done_at` cycles.
 struct ServePump {
-    wake: Vec<Option<Cycle>>,
+    wake: WakeClock,
     fifos: Vec<std::collections::VecDeque<usize>>,
     /// Per batch request: the cycle the fabric delivers it to its bank.
     at_l2: Vec<Cycle>,
@@ -384,19 +425,11 @@ struct ServePump {
 impl ServePump {
     fn new(num_banks: usize) -> Self {
         ServePump {
-            wake: vec![None; 1 + num_banks],
+            wake: WakeClock::new(1 + num_banks, Cycle::MAX),
             fifos: (0..num_banks).map(|_| std::collections::VecDeque::new()).collect(),
             at_l2: Vec::new(),
             done_at: Vec::new(),
         }
-    }
-
-    /// Pops the unit with the earliest wakeup (lowest unit on a tie).
-    fn pop(&mut self) -> Option<usize> {
-        let (_, unit) =
-            self.wake.iter().enumerate().filter_map(|(u, t)| t.map(|t| (t, u))).min()?;
-        self.wake[unit] = None;
-        Some(unit)
     }
 }
 
@@ -699,7 +732,10 @@ impl Gpu {
             // Single SM, fully static work: its private partition serves
             // every request at issue time, so there is no boundary to keep.
             self.profiler.enter("sm-run");
-            self.cycle = self.sms[0].run_event();
+            let sm = &mut self.sms[0];
+            sm.run_epoch_event(Cycle::MAX);
+            sm.finalize_stats();
+            self.cycle = sm.cycle();
             self.profiler.exit();
             return self.cycle;
         }
@@ -717,7 +753,7 @@ impl Gpu {
     /// next event as due:
     ///
     /// - **Per-SM parking.** Only SMs whose wakeup hint is due at the current
-    ///   boundary are popped and advanced ([`TimeQueue::pop_due`]); the rest
+    ///   boundary are popped and advanced ([`WakeClock::pop_due`]); the rest
     ///   stay *parked* with a frozen clock. A parked stretch is one the SM
     ///   holds still on by construction: idle, throttle-only or an
     ///   MSHR-full replay (the hint is [`Sm::next_event_time`], and replies
@@ -754,10 +790,7 @@ impl Gpu {
         let profiler = &mut self.profiler;
         let engine_trace = &mut self.engine_trace;
 
-        let mut timeq = TimeQueue::new(num_sms);
-        for unit in 0..num_sms {
-            timeq.schedule(unit, 0);
-        }
+        let mut wake = WakeClock::new(num_sms, 0);
         let mut pump = ServePump::new(shared.as_deref().map_or(0, |s| s.num_banks()));
 
         // Cycle-0 boundary: admit arrival-0 streams into the adaptive
@@ -769,7 +802,7 @@ impl Gpu {
             deferred,
             num_tenants,
             0,
-            &mut timeq,
+            &mut wake,
             0.0,
         );
 
@@ -815,7 +848,7 @@ impl Gpu {
                     && reply_window.is_empty()
                     && adaptive.as_ref().is_none_or(|a| !a.has_admitted_pending())
                 {
-                    let next_sm = timeq.peek_time().unwrap_or(Cycle::MAX);
+                    let next_sm = wake.next();
                     let next_deferred = deferred.first().map_or(Cycle::MAX, |b| b.arrival);
                     let next_adaptive =
                         adaptive.as_ref().and_then(|a| a.next_arrival()).unwrap_or(Cycle::MAX);
@@ -920,7 +953,7 @@ impl Gpu {
             // to whichever later boundary wakes them.
             profiler.enter("pop-advance");
             order.clear();
-            while let Some((_, unit)) = timeq.pop_due(now) {
+            while let Some(unit) = wake.pop_due(now) {
                 if let Some(trace) = engine_trace.as_mut() {
                     trace.record(
                         TraceEvent::instant(Track::Engine, "pop", now, None)
@@ -943,7 +976,7 @@ impl Gpu {
                 } else {
                     sm.next_event_time().unwrap_or(now)
                 };
-                timeq.schedule(unit, hint);
+                wake.at[unit] = hint;
             }
             profiler.exit();
             // Release replies whose completion no later-served batch can
@@ -962,7 +995,7 @@ impl Gpu {
             // A delivered reply wakes its SM at the response cycle.
             for r in &responses {
                 sms[r.sm].deliver(r.done, r.event);
-                timeq.schedule_min(r.sm, r.done);
+                wake.lower(r.sm, r.done);
             }
             // The snapshot the *next* boundary's advancing SMs will read —
             // computed now (after this boundary's serve mutated the bank
@@ -989,7 +1022,7 @@ impl Gpu {
                 deferred,
                 num_tenants,
                 now,
-                &mut timeq,
+                &mut wake,
                 boundary_util,
             );
             profiler.exit();
@@ -1142,8 +1175,8 @@ impl Gpu {
         pump.done_at.resize(n, 0);
         debug_assert!(pump.fifos.iter().all(|f| f.is_empty()), "pump must drain between batches");
         let mut next_req = 0usize;
-        pump.wake[0] = Some(batch[0].1.arrive);
-        while let Some(unit) = pump.pop() {
+        pump.wake.at[0] = batch[0].1.arrive;
+        while let Some(unit) = pump.wake.pop_due(Cycle::MAX) {
             if unit == 0 {
                 // Fabric: charge the next request of the batch at its arrival.
                 let r = &batch[next_req].1;
@@ -1151,12 +1184,12 @@ impl Gpu {
                 pump.at_l2[next_req] = t;
                 let bank = shared.bank_of(r.block);
                 if pump.fifos[bank].is_empty() {
-                    pump.wake[1 + bank] = Some(t);
+                    pump.wake.at[1 + bank] = t;
                 }
                 pump.fifos[bank].push_back(next_req);
                 next_req += 1;
                 if next_req < n {
-                    pump.wake[0] = Some(batch[next_req].1.arrive);
+                    pump.wake.at[0] = batch[next_req].1.arrive;
                 }
             } else {
                 // Bank: serve its FIFO head at the head's delivery instant.
@@ -1173,7 +1206,7 @@ impl Gpu {
                     pump.at_l2[i],
                 );
                 if let Some(&next) = pump.fifos[bank].front() {
-                    pump.wake[unit] = Some(pump.at_l2[next]);
+                    pump.wake.at[unit] = pump.at_l2[next];
                 }
             }
         }
@@ -1236,7 +1269,7 @@ impl Gpu {
         deferred: &mut Vec<DeferredBatch>,
         num_tenants: usize,
         now: Cycle,
-        timeq: &mut TimeQueue,
+        wake: &mut WakeClock,
         boundary_util: f64,
     ) -> bool {
         let has_shared = shared.is_some();
@@ -1245,7 +1278,7 @@ impl Gpu {
             let batch = deferred.remove(0);
             for (sm, work) in batch.per_sm.into_iter().enumerate() {
                 if !work.is_empty() {
-                    Self::deal_event(&mut sms[sm], sm, work, now, timeq, boundary_util, has_shared);
+                    Self::deal_event(&mut sms[sm], sm, work, now, wake, boundary_util, has_shared);
                     progressed = true;
                 }
             }
@@ -1254,7 +1287,7 @@ impl Gpu {
             let signals = Self::tenant_signals(sms, shared, num_tenants);
             let free: Vec<usize> = sms.iter().map(Sm::free_warp_slots).collect();
             for (sm, work) in dispatcher.on_boundary(now, &signals, &free) {
-                Self::deal_event(&mut sms[sm], sm, work, now, timeq, boundary_util, has_shared);
+                Self::deal_event(&mut sms[sm], sm, work, now, wake, boundary_util, has_shared);
                 progressed = true;
             }
         }
@@ -1271,7 +1304,7 @@ impl Gpu {
         unit: usize,
         work: Vec<crate::dispatch::CtaWork>,
         now: Cycle,
-        timeq: &mut TimeQueue,
+        wake: &mut WakeClock,
         boundary_util: f64,
         has_shared: bool,
     ) {
@@ -1282,7 +1315,7 @@ impl Gpu {
             sm.run_epoch_event(now);
         }
         sm.push_work(work, now);
-        timeq.schedule_min(unit, now);
+        wake.lower(unit, now);
     }
 
     /// Cumulative per-tenant monitor signals at an epoch boundary: L1 and
@@ -1801,5 +1834,97 @@ mod tests {
     fn one_chip_rejects_two_exclusive_streams() {
         let streams = vec![KernelStream::new(0, kernel(2, 4)), KernelStream::new(1, kernel(2, 4))];
         Gpu::with_streams(GpuConfig::gtx480(), streams, DispatchPolicy::Exclusive, units(2));
+    }
+
+    /// Wake times that hit the edges: 0, `Cycle::MAX` (parked), small
+    /// cycles that collide often, and anything else, a quarter each.
+    struct WakeTime;
+
+    impl Strategy for WakeTime {
+        type Value = Cycle;
+
+        fn sample(&self, rng: &mut proptest::TestRng) -> Cycle {
+            let bits = rng.next_u64();
+            match bits % 4 {
+                0 => 0,
+                1 => Cycle::MAX,
+                2 => (bits >> 2) % 64,
+                _ => rng.next_u64(),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The flat wake clock behaves exactly like a `BTreeSet` of
+        /// `(time, unit)` pairs that leaves parked units out: random
+        /// `set` / `lower` / `pop_due` / `next` sequences over 1–130 units
+        /// give the same `next` minimum and pop the same units, earliest
+        /// first and the lowest unit on a tie, and `pop_due` never returns
+        /// a unit due after `now` or parked at `Cycle::MAX`. A final drain
+        /// pops every unit still waiting in `(time, unit)` order.
+        #[test]
+        fn wake_clock_matches_an_ordered_set_model(
+            units in 1usize..131,
+            start in WakeTime,
+            ops in proptest::collection::vec((0u8..4, any::<usize>(), WakeTime), 1..400),
+        ) {
+            let mut clock = WakeClock::new(units, start);
+            let mut model = std::collections::BTreeSet::new();
+            let mut at = vec![start; units];
+            if start != Cycle::MAX {
+                model.extend((0..units).map(|u| (start, u)));
+            }
+            let set = |model: &mut std::collections::BTreeSet<(Cycle, usize)>,
+                       at: &mut [Cycle],
+                       unit: usize,
+                       t: Cycle| {
+                model.remove(&(at[unit], unit));
+                at[unit] = t;
+                if t != Cycle::MAX {
+                    model.insert((t, unit));
+                }
+            };
+            for (step, &(kind, unit, t)) in ops.iter().enumerate() {
+                let unit = unit % units;
+                match kind {
+                    0 => {
+                        clock.at[unit] = t;
+                        set(&mut model, &mut at, unit, t);
+                    }
+                    1 => {
+                        clock.lower(unit, t);
+                        let lowered = at[unit].min(t);
+                        set(&mut model, &mut at, unit, lowered);
+                    }
+                    2 => {
+                        // `at` equals the clock's slots before the pop.
+                        let got = clock.pop_due(t);
+                        if let Some(u) = got {
+                            prop_assert!(at[u] <= t && at[u] != Cycle::MAX, "popped {}", at[u]);
+                        }
+                        let want = model.first().copied().filter(|&(due, _)| due <= t);
+                        prop_assert_eq!(got, want.map(|(_, u)| u), "pop_due({}) at step {}", t, step);
+                        if let Some((_, u)) = want {
+                            set(&mut model, &mut at, u, Cycle::MAX);
+                        }
+                    }
+                    _ => {}
+                }
+                let want_next = model.first().map_or(Cycle::MAX, |&(due, _)| due);
+                prop_assert_eq!(clock.next(), want_next, "next at step {}", step);
+                prop_assert_eq!(&clock.at, &at);
+            }
+            let mut last = None;
+            while let Some(unit) = clock.pop_due(Cycle::MAX) {
+                let due = model.pop_first().expect("model drains with the clock");
+                prop_assert_eq!(unit, due.1);
+                prop_assert!(last < Some(due), "pops leave (time, unit) order");
+                last = Some(due);
+            }
+            prop_assert!(model.is_empty());
+            prop_assert_eq!(clock.next(), Cycle::MAX);
+        }
     }
 }

@@ -23,8 +23,9 @@
 //!   implement the same interface.
 //! * [`redirect`] — the [`redirect::RedirectCache`] interface through which
 //!   CIAO's shared-memory-as-cache plugs into the SM datapath.
-//! * [`sm`] — the per-cycle SM model: issue, scoreboarding, L1D/MSHR/L2/DRAM
-//!   traversal, barriers, CTA launch/retire.
+//! * `sm` (crate-private) — the per-cycle SM model: issue, scoreboarding,
+//!   L1D/MSHR/L2/DRAM traversal, barriers, CTA launch/retire, and the
+//!   skips over the stretches an SM holds still on.
 //! * [`dispatch`] — multi-tenant CTA dispatch: kernel streams with dynamic
 //!   arrival cycles, the `Exclusive` / `SpatialPartition` /
 //!   `SharedRoundRobin` static SM partitioning policies and the adaptive
@@ -32,14 +33,17 @@
 //!   chip-level analogue of CIAO-T).
 //! * [`gpu`] — the chip engine: per-SM crossbar/memory ports and the
 //!   deterministic epoch-boundary loop driving the SMs against a shared
-//!   banked L2/DRAM backend with per-tenant attribution.
+//!   banked L2/DRAM backend with per-tenant attribution. One flat wake
+//!   clock orders both SM parking and per-bank service. Its public face is
+//!   [`gpu::SmUnit`], the per-SM policy a run is built from.
 //! * [`stats`] — counters, per-SM → chip reduction, per-tenant counters and
 //!   the STP/ANTT co-execution metrics, time series (Figs. 9/10) and the
 //!   inter-warp interference matrix (Figs. 1a/4a).
-//! * [`event`], [`timeq`] — the two timing modes of the chip loop, selected
-//!   by [`event::BackendKind`] and bit-identical to each other: event mode
-//!   (next-event advancement ordered by a [`timeq::TimeQueue`], bulk
-//!   idle-cycle skipping) and stepping mode (every SM steps every cycle).
+//! * [`event`] — the two timing modes of the chip loop, selected by
+//!   [`event::BackendKind`] and bit-identical to each other: event mode
+//!   (SMs skip the stretches they hold still on, park until their next
+//!   event, and an idle chip sleeps) and stepping mode (every SM steps
+//!   every cycle).
 //! * [`simulator`] — the one way into the chip engine: describe a run with
 //!   a [`simulator::SimRequest`] (streams, arrivals, policy, SM count,
 //!   timing mode) and execute it with [`simulator::Simulator::execute`] to
@@ -57,9 +61,8 @@ pub mod kernel;
 pub mod redirect;
 pub mod scheduler;
 pub mod simulator;
-pub mod sm;
+mod sm;
 pub mod stats;
-pub mod timeq;
 pub mod trace;
 pub mod warp;
 
@@ -70,7 +73,7 @@ pub use dispatch::{
     KernelStream, LatencyClass, QosSpec, TenantSignal,
 };
 pub use event::BackendKind;
-pub use gpu::{MemRequest, MemoryPort, SmUnit};
+pub use gpu::SmUnit;
 pub use kernel::{Kernel, KernelInfo, OffsetKernel};
 pub use redirect::{RedirectCache, RedirectLookup};
 pub use scheduler::{
@@ -78,13 +81,11 @@ pub use scheduler::{
     SchedulerMetrics, WarpScheduler,
 };
 pub use simulator::{SimRequest, SimResult, Simulator, TenantResult, SCHEMA_VERSION};
-pub use sm::{ResponseEvent, Sm};
 pub use stats::{
     avg_normalized_turnaround, system_throughput, DispatchAction, DispatchDecision, DispatchLog,
     DispatchSummary, DispatchTenantSummary, InterferenceMatrix, SmImbalance, SmStats, TenantClass,
     TenantStats, TimeSeries, TimeSeriesPoint,
 };
-pub use timeq::TimeQueue;
 pub use trace::{MemPattern, MemSpace, VecProgram, WarpOp, WarpProgram};
 pub use warp::{Warp, WarpState};
 

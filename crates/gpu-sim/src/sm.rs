@@ -21,10 +21,12 @@
 //! [`CacheEvent`] so locality- and interference-aware policies (CCWS, CIAO)
 //! can maintain their Victim Tag Arrays without the SM knowing about them.
 //!
-//! The event-driven entry points ([`Sm::run_event`], [`Sm::run_epoch_event`],
-//! [`Sm::next_event_time`]) produce the same state as stepping every cycle
-//! but fast-forward over the stretches on which the SM *holds still*, found
-//! by one function (`Sm::skip_target`):
+//! The SM has one advance entry, [`Sm::run_epoch_event`]: the chip engine
+//! calls it with each epoch boundary, and with `Cycle::MAX` for a lone SM
+//! that needs no boundaries. It and [`Sm::next_event_time`] produce the
+//! same state as stepping every cycle but fast-forward over the stretches
+//! on which the SM *holds still*, found by one function
+//! (`Sm::skip_target`):
 //!
 //! - *idle* stretches, on which no warp is *offered* to the scheduler:
 //!   either no warp is ready, or every ready warp is held back by the
@@ -41,7 +43,7 @@
 //! closed form through [`WarpScheduler::on_idle_cycles`].
 //!
 //! The chip engine can put an SM in *stepping* mode, which turns the skips
-//! off: the same entry points then step every cycle, the reference the
+//! off: the same entry point then steps every cycle, the reference the
 //! skips are tested against.
 //!
 //! Downstream memory is reached through a [`MemoryPort`]: a private L2+DRAM
@@ -54,13 +56,11 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use crate::coalescer::coalesce_into;
 use crate::config::GpuConfig;
 use crate::dispatch::CtaWork;
 use crate::gpu::{MemRequest, MemoryPort};
-use crate::kernel::Kernel;
 use crate::redirect::{RedirectCache, RedirectLookup};
 use crate::scheduler::{
     CacheEvent, CacheEventOutcome, CacheKind, MemRoute, SchedulerCtx, WarpScheduler,
@@ -82,7 +82,7 @@ use sim_obs::{TraceEvent, TraceRecorder, Tracer, Track};
 /// computed synchronously by a private port or delivered by the chip engine
 /// at an epoch boundary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ResponseEvent {
+pub(crate) enum ResponseEvent {
     /// An outstanding MSHR miss for this block completed.
     MshrFill(Addr),
     /// A bypassed request for this warp completed (no MSHR entry).
@@ -112,7 +112,7 @@ struct SampleSnapshot {
 }
 
 /// The streaming multiprocessor.
-pub struct Sm {
+pub(crate) struct Sm {
     config: GpuConfig,
     scheduler: Box<dyn WarpScheduler>,
     redirect: Option<Box<dyn RedirectCache>>,
@@ -173,29 +173,6 @@ pub struct Sm {
 }
 
 impl Sm {
-    /// Builds an SM executing `kernel` under `scheduler`, with an optional
-    /// redirect cache installed on the global-memory datapath. The SM owns a
-    /// private memory partition.
-    pub fn new(
-        config: GpuConfig,
-        kernel: Box<dyn Kernel>,
-        scheduler: Box<dyn WarpScheduler>,
-        redirect: Option<Box<dyn RedirectCache>>,
-    ) -> Self {
-        let interconnect =
-            Interconnect::new(config.interconnect_latency, config.interconnect_bytes_per_cycle);
-        let port = MemoryPort::private(config.partition.clone());
-        let work = Self::work_of(Arc::from(kernel), 0);
-        Self::with_parts(config, work, scheduler, redirect, interconnect, port)
-    }
-
-    /// Expands `kernel`'s whole grid into the work list of one SM running it
-    /// alone, attributed to `tenant` (the single-SM view of
-    /// [`crate::dispatch`]'s per-stream expansion).
-    pub fn work_of(kernel: Arc<dyn Kernel>, tenant: TenantId) -> Vec<CtaWork> {
-        crate::dispatch::stream_work(&crate::dispatch::KernelStream::new(tenant, kernel))
-    }
-
     /// Builds an SM from explicit interconnect and memory-port parts — the
     /// constructor the multi-SM chip engine ([`crate::gpu`]) uses to hand each
     /// SM its crossbar port, a deferred port into the shared backend, and the
@@ -298,7 +275,7 @@ impl Sm {
         }
     }
 
-    /// Aggregate statistics (finalised lazily; call after `run`).
+    /// Aggregate statistics (complete after [`Sm::finalize_stats`]).
     pub fn stats(&self) -> &SmStats {
         &self.stats
     }
@@ -373,30 +350,12 @@ impl Sm {
         false
     }
 
-    /// Runs until the kernel finishes or a cap is reached, returning the
-    /// number of cycles simulated.
-    pub fn run(&mut self) -> Cycle {
-        while !self.is_done() && !self.hit_cap() {
-            self.step();
-        }
-        self.finalize_stats();
-        self.cycle
-    }
-
-    /// Event-driven equivalent of [`Sm::run`]: produces bit-identical state
-    /// and statistics, but fast-forwards over provably idle and replay
-    /// stretches (see the module docs) instead of stepping them one cycle at
-    /// a time. Returns the number of cycles simulated.
-    pub fn run_event(&mut self) -> Cycle {
-        self.run_epoch_event(Cycle::MAX);
-        self.finalize_stats();
-        self.cycle
-    }
-
     /// Advances the SM to (at most) cycle `until` — one epoch of the chip
-    /// engine's boundary loop — fast-forwarding the stretches it holds still
-    /// on. Stops early when the kernel finishes or a cap is hit; does not
-    /// finalise statistics. Bit-identical to stepping every cycle.
+    /// engine's boundary loop, or the whole run at `Cycle::MAX` —
+    /// fast-forwarding the stretches it holds still on unless it is in
+    /// stepping mode. Stops early when the kernel finishes or a cap is hit;
+    /// does not finalise statistics ([`Sm::finalize_stats`] does).
+    /// Bit-identical to stepping every cycle.
     pub fn run_epoch_event(&mut self, until: Cycle) {
         while self.cycle < until && !self.is_done() && !self.hit_cap() {
             match self.skip_target(until, until) {
@@ -897,7 +856,7 @@ impl Sm {
             match ev {
                 ResponseEvent::MshrFill(block) => {
                     if let Some(entry) = self.mshr.fill(block) {
-                        if let FillTarget::SharedMemory { .. } = entry.fill_target {
+                        if entry.fill_target == FillTarget::SharedMemory {
                             if let Some(r) = self.redirect.as_mut() {
                                 let wid = entry.waiting_warps.first().copied().unwrap_or(0);
                                 if let Some(ev) = r.fill(block, wid) {
@@ -1249,12 +1208,7 @@ impl Sm {
                     self.port.write(block, wid, tenant, arrive, false);
                     return Some(self.config.shared_mem.latency);
                 }
-                match self.mshr.allocate(
-                    block,
-                    wid,
-                    now,
-                    FillTarget::SharedMemory { shared_addr: 0 },
-                ) {
+                match self.mshr.allocate(block, wid, now, FillTarget::SharedMemory) {
                     Ok(gpu_mem::mshr::MshrAllocation::New) => {
                         let arrive = self.interconnect.transfer_tagged(
                             self.config.l1d.line_size,
@@ -1323,8 +1277,8 @@ impl Sm {
     }
 
     /// Copies end-of-run counters (cycle count, cache statistics, redirect
-    /// utilisation) into [`Sm::stats`]. Idempotent; `run` calls it, and the
-    /// chip engine calls it for boundary-driven SMs. An SM on a deferred port
+    /// utilisation) into [`Sm::stats`]. Idempotent; the chip engine calls it
+    /// once the SM stops advancing. An SM on a deferred port
     /// leaves its `l2`/`dram` fields empty — those live in the shared
     /// backend and are filled in at the chip level.
     pub fn finalize_stats(&mut self) {
@@ -1369,9 +1323,10 @@ impl Sm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{ClosureKernel, KernelInfo};
+    use crate::kernel::{ClosureKernel, Kernel, KernelInfo};
     use crate::scheduler::GtoScheduler;
     use crate::trace::{MemPattern, VecProgram, WarpOp};
+    use std::sync::Arc;
 
     fn simple_kernel(ctas: usize, warps: usize, ops_per_warp: usize) -> Box<dyn Kernel> {
         let info = KernelInfo {
@@ -1395,11 +1350,33 @@ mod tests {
         GpuConfig::gtx480().with_sample_interval(50)
     }
 
+    /// `kernel`'s whole grid as the work list of one SM, attributed to
+    /// `tenant`.
+    fn work_of(kernel: Arc<dyn Kernel>, tenant: TenantId) -> Vec<CtaWork> {
+        crate::dispatch::stream_work(&crate::dispatch::KernelStream::new(tenant, kernel))
+    }
+
+    /// A GTO-scheduled SM running `kernel` alone on a private partition.
+    fn sm_of(config: GpuConfig, kernel: Box<dyn Kernel>) -> Sm {
+        let interconnect =
+            Interconnect::new(config.interconnect_latency, config.interconnect_bytes_per_cycle);
+        let port = MemoryPort::private(config.partition.clone());
+        let work = work_of(Arc::from(kernel), 0);
+        Sm::with_parts(config, work, Box::new(GtoScheduler::new()), None, interconnect, port)
+    }
+
+    /// Runs `sm` until it finishes or hits a cap, stepping every cycle or
+    /// skipping the stretches it holds still on, and finalises its stats.
+    fn run(sm: &mut Sm, stepping: bool) {
+        sm.set_stepping(stepping);
+        sm.run_epoch_event(Cycle::MAX);
+        sm.finalize_stats();
+    }
+
     #[test]
     fn runs_to_completion() {
-        let mut sm =
-            Sm::new(small_config(), simple_kernel(2, 4, 10), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        let mut sm = sm_of(small_config(), simple_kernel(2, 4, 10));
+        run(&mut sm, true);
         assert!(sm.is_done());
         let s = sm.stats();
         // 2 CTAs * 4 warps * 20 ops each
@@ -1423,8 +1400,8 @@ mod tests {
             ops.push(WarpOp::alu());
             Box::new(VecProgram::new(ops))
         });
-        let mut sm = Sm::new(small_config(), Box::new(kernel), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        let mut sm = sm_of(small_config(), Box::new(kernel));
+        run(&mut sm, true);
         assert!(sm.is_done());
         assert_eq!(sm.stats().barriers, 2);
     }
@@ -1432,10 +1409,9 @@ mod tests {
     #[test]
     fn cta_launch_respects_warp_capacity() {
         // 4 CTAs of 24 warps each: only 2 fit at a time on a 48-warp SM.
-        let mut sm =
-            Sm::new(small_config(), simple_kernel(4, 24, 2), Box::new(GtoScheduler::new()), None);
+        let mut sm = sm_of(small_config(), simple_kernel(4, 24, 2));
         assert_eq!(sm.stats.max_resident_ctas.max(sm.resident.len()), 2);
-        sm.run();
+        run(&mut sm, true);
         assert!(sm.is_done());
         assert_eq!(sm.stats().instructions, 4 * 24 * 4);
     }
@@ -1450,10 +1426,10 @@ mod tests {
         };
         let kernel =
             ClosureKernel::new(info, |_c, _w| Box::new(VecProgram::new(vec![WarpOp::alu()])));
-        let mut sm = Sm::new(small_config(), Box::new(kernel), Box::new(GtoScheduler::new()), None);
+        let mut sm = sm_of(small_config(), Box::new(kernel));
         // 30 KB per CTA on a 48 KB scratchpad: only one CTA resident at a time.
         assert_eq!(sm.resident.len(), 1);
-        sm.run();
+        run(&mut sm, true);
         assert!(sm.is_done());
         assert_eq!(sm.stats().peak_cta_shared_mem, 30 * 1024);
     }
@@ -1461,8 +1437,8 @@ mod tests {
     #[test]
     fn instruction_cap_stops_simulation() {
         let cfg = small_config().with_max_instructions(37);
-        let mut sm = Sm::new(cfg, simple_kernel(1, 8, 1000), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        let mut sm = sm_of(cfg, simple_kernel(1, 8, 1000));
+        run(&mut sm, true);
         assert!(!sm.is_done());
         assert!(sm.stats().instructions >= 37);
         assert!(sm.stats().instructions < 37 + 8);
@@ -1483,8 +1459,8 @@ mod tests {
             }
             Box::new(VecProgram::new(ops))
         });
-        let mut sm = Sm::new(small_config(), Box::new(kernel), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        let mut sm = sm_of(small_config(), Box::new(kernel));
+        run(&mut sm, true);
         let s = sm.stats();
         assert_eq!(s.l1d.misses(), 1);
         assert_eq!(s.l1d.hits(), 49);
@@ -1517,8 +1493,8 @@ mod tests {
             }
             Box::new(VecProgram::new(ops))
         });
-        let mut sm = Sm::new(small_config(), Box::new(kernel), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        let mut sm = sm_of(small_config(), Box::new(kernel));
+        run(&mut sm, true);
         let s = sm.stats();
         assert!(s.cross_warp_evictions > 0, "expected cross-warp evictions");
         assert!(sm.interference_matrix().total() > 0);
@@ -1527,8 +1503,8 @@ mod tests {
     #[test]
     fn time_series_sampled() {
         let cfg = small_config().with_sample_interval(10);
-        let mut sm = Sm::new(cfg, simple_kernel(1, 4, 50), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        let mut sm = sm_of(cfg, simple_kernel(1, 4, 50));
+        run(&mut sm, true);
         assert!(!sm.time_series().is_empty());
         let pts = sm.time_series().points();
         for w in pts.windows(2) {
@@ -1549,8 +1525,8 @@ mod tests {
             let ops = (0..20u64).map(|i| WarpOp::coalesced_store(i * 128)).collect();
             Box::new(VecProgram::new(ops))
         });
-        let mut sm = Sm::new(small_config(), Box::new(kernel), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        let mut sm = sm_of(small_config(), Box::new(kernel));
+        run(&mut sm, true);
         // 20 stores with no load stalls should finish quickly (well under the
         // DRAM round-trip × 20 it would take if stores blocked).
         assert!(
@@ -1563,16 +1539,11 @@ mod tests {
     #[test]
     fn tracing_never_perturbs_execution_and_records_spans() {
         let run = |traced: bool| {
-            let mut sm = Sm::new(
-                small_config(),
-                simple_kernel(2, 4, 10),
-                Box::new(GtoScheduler::new()),
-                None,
-            );
+            let mut sm = sm_of(small_config(), simple_kernel(2, 4, 10));
             if traced {
                 sm.set_trace(7);
             }
-            sm.run();
+            run(&mut sm, true);
             let events = sm.take_trace().map(|mut t| t.take()).unwrap_or_default();
             (sm.stats().clone(), sm.cycle(), events)
         };
@@ -1592,18 +1563,9 @@ mod tests {
     #[test]
     fn event_and_stepped_runs_trace_identical_sim_spans() {
         let run = |event: bool| {
-            let mut sm = Sm::new(
-                small_config(),
-                simple_kernel(2, 4, 10),
-                Box::new(GtoScheduler::new()),
-                None,
-            );
+            let mut sm = sm_of(small_config(), simple_kernel(2, 4, 10));
             sm.set_trace(0);
-            if event {
-                sm.run_event();
-            } else {
-                sm.run();
-            }
+            run(&mut sm, !event);
             sm.take_trace().expect("tracing on").take()
         };
         let stepped = run(false);
@@ -1648,14 +1610,9 @@ mod tests {
     #[test]
     fn replay_skips_keep_the_canonical_trace_and_stats() {
         let run = |event: bool| {
-            let mut sm =
-                Sm::new(small_config(), mshr_bound_kernel(), Box::new(GtoScheduler::new()), None);
+            let mut sm = sm_of(small_config(), mshr_bound_kernel());
             sm.set_trace(0);
-            if event {
-                sm.run_event();
-            } else {
-                sm.run();
-            }
+            run(&mut sm, !event);
             (sm.stats().clone(), sm.take_trace().expect("tracing on").take())
         };
         let (stepped_stats, stepped) = run(false);
@@ -1689,13 +1646,12 @@ mod tests {
         let empty: Arc<dyn Kernel> =
             Arc::new(ClosureKernel::new(info, |_c, _w| Box::new(VecProgram::new(vec![]))));
         let run = |stepping: bool| {
-            let mut sm =
-                Sm::new(small_config(), mshr_bound_kernel(), Box::new(GtoScheduler::new()), None);
+            let mut sm = sm_of(small_config(), mshr_bound_kernel());
             sm.set_stepping(stepping);
             sm.run_epoch_event(40);
             assert_eq!((sm.cycle(), sm.replayed), (40, Some(1)), "mid-stretch boundary");
-            sm.push_work(Sm::work_of(Arc::clone(&empty), 1), 40);
-            sm.run_event();
+            sm.push_work(work_of(Arc::clone(&empty), 1), 40);
+            run(&mut sm, stepping);
             (sm.stats().clone(), sm.tenant_stats().to_vec())
         };
         assert_eq!(run(true), run(false));
@@ -1722,8 +1678,8 @@ mod tests {
             ];
             Box::new(VecProgram::new(ops))
         });
-        let mut sm = Sm::new(small_config(), Box::new(kernel), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        let mut sm = sm_of(small_config(), Box::new(kernel));
+        run(&mut sm, true);
         assert_eq!(sm.stats().shared_mem_instructions, 2);
         assert_eq!(sm.stats().mem_instructions, 0);
     }

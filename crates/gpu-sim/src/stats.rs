@@ -347,9 +347,8 @@ impl SmStats {
 }
 
 /// Per-tenant counters one SM collects while co-running CTAs from several
-/// kernel streams. Indexed by [`TenantId`] in [`crate::sm::Sm`]; the chip
-/// engine merges the per-SM tables into the chip-level
-/// [`crate::simulator::TenantResult`]s.
+/// kernel streams, indexed by [`TenantId`]. The chip engine merges the
+/// per-SM tables into the chip-level [`crate::simulator::TenantResult`]s.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantStats {
     /// Dynamic warp instructions issued on behalf of this tenant.

@@ -2,7 +2,8 @@
 //!
 //! The contract of the `gpu_sim::gpu` engine, checked end to end:
 //!
-//! 1. a 1-SM chip run is *bit-identical* to the bare SM it wraps,
+//! 1. a 1-SM chip run is *bit-identical* to the bare SM it wraps stepped
+//!    every cycle,
 //! 2. adding SMs never lowers chip IPC on a cache-light workload,
 //! 3. the shared L2 sees exactly the downstream traffic the per-SM L1s
 //!    produced,
@@ -14,11 +15,10 @@ use std::sync::Arc;
 
 use ciao_suite::harness::runner::{RunScale, Runner};
 use ciao_suite::harness::schedulers::SchedulerKind;
-use ciao_suite::mem::interconnect::Crossbar;
 use ciao_suite::sim::kernel::{ClosureKernel, KernelInfo};
 use ciao_suite::sim::trace::{VecProgram, WarpOp};
 use ciao_suite::sim::{
-    dispatch_round_robin, GpuConfig, GtoScheduler, Kernel, SimRequest, Simulator, Sm,
+    dispatch_round_robin, BackendKind, GpuConfig, GtoScheduler, Kernel, SimRequest, Simulator,
 };
 use ciao_suite::workloads::Benchmark;
 use proptest::prelude::*;
@@ -61,27 +61,29 @@ fn one_sm_chip_is_bit_identical_to_a_bare_sm() {
         let params = ciao_suite::ciao::CiaoParams::default();
         let benchmark = Benchmark::Syrk;
         let scale = RunScale::Tiny.workload_scale();
+        let run = |backend: BackendKind| {
+            let kernel: Arc<dyn Kernel> = Arc::new(benchmark.kernel(&scale));
+            Simulator::new(config.clone())
+                .execute(SimRequest::kernel(kernel).backend(backend), |_| {
+                    scheduler.build(benchmark, &config, &params)
+                })
+        };
 
-        // The SM on its own, stepping every cycle against a private
-        // partition: the chip engine must add nothing to it.
-        let (sched, redirect) = scheduler.build(benchmark, &config, &params);
-        let mut bare = Sm::new(config.clone(), Box::new(benchmark.kernel(&scale)), sched, redirect);
-        bare.run();
-
-        let kernel: Arc<dyn Kernel> = Arc::new(benchmark.kernel(&scale));
-        let chip = Simulator::new(config.clone())
-            .execute(SimRequest::kernel(kernel), |_| scheduler.build(benchmark, &config, &params));
+        // The bare SM: stepping mode advances it every cycle against its
+        // private partition. The event-mode chip must add nothing to it.
+        let bare = run(BackendKind::Epoch);
+        let chip = run(BackendKind::Event);
 
         assert_eq!(chip.num_sms, 1);
         assert_eq!(chip.per_sm.len(), 1);
         assert_eq!(chip.per_sm[0], chip.stats);
-        assert_eq!(&chip.stats, bare.stats(), "aggregate stats differ");
-        assert_eq!(chip.cycles, bare.cycle(), "cycle counts differ");
-        assert_eq!(&chip.time_series, bare.time_series(), "time series differ");
-        assert_eq!(&chip.interference, bare.interference_matrix(), "interference differs");
-        assert_eq!(chip.scheduler_metrics, bare.scheduler().metrics(), "metrics differ");
-        assert_eq!(chip.capped, !bare.is_done(), "capped flags differ");
-        assert_eq!(chip.interconnect, Crossbar::aggregate([bare.interconnect()]));
+        assert_eq!(chip.stats, bare.stats, "aggregate stats differ");
+        assert_eq!(chip.cycles, bare.cycles, "cycle counts differ");
+        assert_eq!(chip.time_series, bare.time_series, "time series differ");
+        assert_eq!(chip.interference, bare.interference, "interference differs");
+        assert_eq!(chip.scheduler_metrics, bare.scheduler_metrics, "metrics differ");
+        assert_eq!(chip.capped, bare.capped, "capped flags differ");
+        assert_eq!(chip.interconnect, bare.interconnect, "interconnect differs");
     }
 }
 
