@@ -46,6 +46,16 @@
 //! off: the same entry point then steps every cycle, the reference the
 //! skips are tested against.
 //!
+//! Both modes read warp readiness from a per-slot *wake clock* kept in
+//! [`WarpSlots`]: `0` for a ready warp, the write-back cycle for an
+//! executing one, `Cycle::MAX` for a warp waiting on memory, at a barrier
+//! or finished. A bitset of *live* slots (finite clock) is kept with it. Each
+//! warp state transition (launch, issue, replay, memory reply, barrier enter
+//! and release, finish) goes through `WarpSlots` and updates both, so
+//! `step`'s ready scan and `skip_target`'s walk visit only live slots, in
+//! ascending slot order. In debug builds every `step` checks the clock
+//! against a recompute from the warp states.
+//!
 //! Downstream memory is reached through a [`MemoryPort`]: a private L2+DRAM
 //! partition when the SM is a chip of its own, or a deferred port into the
 //! chip's pipelined shared backend (reorder window → request fabric → L2/DRAM
@@ -69,7 +79,7 @@ use crate::stats::{
     tenant_slot, InterferenceMatrix, SmStats, TenantStats, TimeSeries, TimeSeriesPoint,
 };
 use crate::trace::{MemSpace, WarpOp};
-use crate::warp::{Warp, WarpState};
+use crate::warp::{SlotSet, Warp, WarpSlots, WarpState};
 use gpu_mem::cache::SetAssocCache;
 use gpu_mem::interconnect::Interconnect;
 use gpu_mem::mshr::{FillTarget, Mshr};
@@ -124,9 +134,12 @@ pub(crate) struct Sm {
     interconnect: Interconnect,
     port: MemoryPort,
 
-    warps: Vec<Warp>,
+    /// The warp slots with their wake clock and live set.
+    warps: WarpSlots,
     /// Warps in `warps` that have not finished.
     unfinished: usize,
+    /// Slots held by resident CTAs: set at launch, cleared at CTA retire.
+    occupied: SlotSet,
     resident: Vec<ResidentCta>,
     work: Vec<CtaWork>,
     next_work: usize,
@@ -142,6 +155,8 @@ pub(crate) struct Sm {
     interference: InterferenceMatrix,
     snapshot: SampleSnapshot,
     ready_scratch: Vec<usize>,
+    /// The slots of `ready_scratch`, for the test that a pick was offered.
+    offered: SlotSet,
     /// The blocks of the global access being issued (reused every issue).
     blocks_scratch: Vec<Addr>,
     /// The scratchpad lane addresses of the shared access being issued.
@@ -191,6 +206,7 @@ impl Sm {
         let smmt = Smmt::new(config.shared_mem.size_bytes);
         let mshr = Mshr::new(config.mshr_entries, config.mshr_merge);
         let interference = InterferenceMatrix::new(config.max_warps_per_sm);
+        let slots = config.max_warps_per_sm;
 
         let mut sm = Sm {
             config,
@@ -202,8 +218,9 @@ impl Sm {
             mshr,
             interconnect,
             port,
-            warps: Vec::new(),
+            warps: WarpSlots::new(slots),
             unfinished: 0,
+            occupied: SlotSet::new(slots),
             resident: Vec::new(),
             work,
             next_work: 0,
@@ -218,6 +235,7 @@ impl Sm {
             interference,
             snapshot: SampleSnapshot::default(),
             ready_scratch: Vec::new(),
+            offered: SlotSet::new(slots),
             blocks_scratch: Vec::new(),
             lanes_scratch: Vec::new(),
             cta_events: false,
@@ -329,10 +347,9 @@ impl Sm {
     /// launched yet — what the adaptive dispatcher treats as this SM's free
     /// capacity when dealing CTAs.
     pub fn free_warp_slots(&self) -> usize {
-        let resident: usize = self.resident.iter().map(|c| c.warp_slots.len()).sum();
         let queued: usize =
             self.work[self.next_work.min(self.work.len())..].iter().map(|w| w.warps.max(1)).sum();
-        self.config.max_warps_per_sm.saturating_sub(resident + queued)
+        self.config.max_warps_per_sm.saturating_sub(self.occupied.len() + queued)
     }
 
     /// True when a configured instruction or cycle cap has been reached.
@@ -422,23 +439,22 @@ impl Sm {
         }
         let mut target = until;
         let mut held = false;
-        for (i, w) in self.warps.iter().enumerate() {
-            match w.state {
-                _ if Some(i) == self.replayed => {}
-                WarpState::Executing { until: t } if t > now => target = target.min(t),
-                _ if w.is_finished() || !w.is_ready(now) => {}
-                _ => {
-                    let holds = if self.replayed.is_some() {
-                        w.pending().is_some() && w.state != (WarpState::Executing { until: now })
-                    } else {
-                        self.throttle_only_last && self.held_by_throttle(w)
-                    };
-                    if !holds {
-                        return None;
-                    }
-                    held = true;
-                }
+        for i in self.warps.live().filter(|&i| Some(i) != self.replayed) {
+            let wake = self.warps.wake_at(i);
+            if wake > now {
+                target = target.min(wake);
+                continue;
             }
+            let w = &self.warps[i];
+            let holds = if self.replayed.is_some() {
+                w.pending().is_some() && w.state != (WarpState::Executing { until: now })
+            } else {
+                self.throttle_only_last && self.held_by_throttle(w)
+            };
+            if !holds {
+                return None;
+            }
+            held = true;
         }
         if let Some(&Reverse((when, _))) = self.pending.peek() {
             if when <= now {
@@ -536,14 +552,14 @@ impl Sm {
         let cycles = target - now;
         let kind = match self.replayed {
             Some(idx) => {
-                self.warps[idx].state = WarpState::Executing { until: target };
+                self.warps.update(idx, |w| w.retry_at(target));
                 "replay-skip"
             }
             None => {
                 // Ready warps can only be present when the stretch is
                 // throttle-only, which needs the flag.
                 if self.throttle_only_last
-                    && self.warps.iter().any(|w| !w.is_finished() && w.is_ready(now))
+                    && self.warps.live().any(|i| self.warps.wake_at(i) <= now)
                 {
                     self.stats.throttle_only_cycles += cycles;
                 }
@@ -620,6 +636,10 @@ impl Sm {
     /// allocates nothing: coalescing and scratchpad lanes use buffers the
     /// SM owns and the MSHR file reuses its merge lists.
     pub fn step(&mut self) {
+        debug_assert!(
+            self.warps.clock_is_consistent(),
+            "the wake clock or live set disagrees with the warp states"
+        );
         let now = self.cycle;
         self.replayed = None;
         self.process_responses(now);
@@ -632,31 +652,26 @@ impl Sm {
         // Collect issuable warps; detect warps whose program just ended.
         let mut finished_now: Vec<usize> = Vec::new();
         self.ready_scratch.clear();
+        self.offered.clear();
         let mut any_ready_ignoring_throttle = false;
-        for i in 0..self.warps.len() {
-            if self.warps[i].is_finished() || !self.warps[i].is_ready(now) {
-                continue;
-            }
-            let (next_is_global_mem, next_is_barrier) = match self.warps[i].peek_op() {
-                None => {
-                    finished_now.push(i);
-                    continue;
-                }
-                Some(op) => (op.is_global_mem(), matches!(op, WarpOp::Barrier)),
+        self.warps.for_each_ready(now, |i, w| {
+            let Some(op) = w.pending() else {
+                finished_now.push(i);
+                return;
             };
             any_ready_ignoring_throttle = true;
-            let wid = self.warps[i].id;
             // Barrier instructions are never gated by throttling: stalling a
             // warp that its CTA is waiting for at a barrier would deadlock
             // the CTA (real schedulers are barrier-aware for the same reason).
-            if !next_is_barrier
-                && self.scheduler.is_throttled(wid)
-                && (next_is_global_mem || !self.scheduler.throttles_loads_only())
+            if !matches!(op, WarpOp::Barrier)
+                && self.scheduler.is_throttled(w.id)
+                && (op.is_global_mem() || !self.scheduler.throttles_loads_only())
             {
-                continue;
+                return;
             }
             self.ready_scratch.push(i);
-        }
+            self.offered.insert(i);
+        });
         for i in finished_now {
             self.finish_warp(i, now);
         }
@@ -678,7 +693,7 @@ impl Sm {
             // idle forever.
             let picked = self.scheduler.pick(&ctx);
             // Defensive: only honour picks that were actually offered.
-            let picked = picked.filter(|i| ready.contains(i));
+            let picked = picked.filter(|&i| self.offered.contains(i));
             self.ready_scratch = ready;
             picked
         };
@@ -710,8 +725,7 @@ impl Sm {
         while self.next_work < self.work.len() {
             let item = &self.work[self.next_work];
             let warps_per_cta = item.warps.max(1);
-            let used_slots: usize = self.resident.iter().map(|c| c.warp_slots.len()).sum();
-            if used_slots + warps_per_cta > self.config.max_warps_per_sm {
+            if self.occupied.len() + warps_per_cta > self.config.max_warps_per_sm {
                 break;
             }
             // The SMMT key is the launch ordinal: global CTA ids are only
@@ -724,15 +738,11 @@ impl Sm {
             let mut slots = Vec::with_capacity(warps_per_cta);
             for w in 0..warps_per_cta {
                 let program = item.kernel.warp_program(item.cta, w);
-                let slot = self.free_slot(&slots);
+                let slot = self.occupied.first_absent();
+                self.occupied.insert(slot);
                 let warp = Warp::new(slot as WarpId, key, self.launch_seq, program);
                 self.launch_seq += 1;
-                if slot == self.warps.len() {
-                    self.warps.push(warp);
-                } else {
-                    debug_assert!(self.warps[slot].is_finished(), "slot {slot} still in use");
-                    self.warps[slot] = warp;
-                }
+                self.warps.launch(slot, warp);
                 self.unfinished += 1;
                 if self.tenant_of_slot.len() <= slot {
                     self.tenant_of_slot.resize(slot + 1, 0);
@@ -756,16 +766,6 @@ impl Sm {
             self.stats.peak_cta_shared_mem.max(self.smmt.cta_allocated());
     }
 
-    fn free_slot(&self, also_taken: &[usize]) -> usize {
-        let occupied: std::collections::HashSet<usize> = self
-            .resident
-            .iter()
-            .flat_map(|c| c.warp_slots.iter().copied())
-            .chain(also_taken.iter().copied())
-            .collect();
-        (0..self.warps.len()).find(|i| !occupied.contains(i)).unwrap_or(self.warps.len())
-    }
-
     fn retire_and_launch_ctas(&mut self) {
         let mut retired = false;
         let mut i = 0;
@@ -773,6 +773,9 @@ impl Sm {
             let all_done = self.resident[i].warp_slots.iter().all(|&s| self.warps[s].is_finished());
             if all_done {
                 let cta = &self.resident[i];
+                for &s in &cta.warp_slots {
+                    self.occupied.remove(s);
+                }
                 if cta.shared_mem > 0 {
                     let _ = self.smmt.free_cta(cta.key);
                 }
@@ -811,7 +814,7 @@ impl Sm {
 
     fn finish_warp(&mut self, idx: usize, now: Cycle) {
         let wid = self.warps[idx].id;
-        self.warps[idx].finish();
+        self.warps.update(idx, Warp::finish);
         self.unfinished -= 1;
         self.cta_events = true;
         let tenant = self.tenant_of(wid);
@@ -838,7 +841,7 @@ impl Sm {
             if all_arrived && any_waiting {
                 for &s in slots {
                     if matches!(warps[s].state, WarpState::AtBarrier) {
-                        warps[s].release_barrier();
+                        warps.update(s, Warp::release_barrier);
                     }
                 }
             }
@@ -877,19 +880,20 @@ impl Sm {
                             }
                         }
                         for &wid in &entry.waiting_warps {
-                            if let Some(w) = self.warps.get_mut(wid as usize) {
-                                w.complete_mem();
-                            }
+                            self.complete_mem(wid);
                         }
                         self.mshr.recycle(entry);
                     }
                 }
-                ResponseEvent::WakeWarp(wid) => {
-                    if let Some(w) = self.warps.get_mut(wid as usize) {
-                        w.complete_mem();
-                    }
-                }
+                ResponseEvent::WakeWarp(wid) => self.complete_mem(wid),
             }
+        }
+    }
+
+    /// Counts one of warp `wid`'s memory transactions as returned.
+    fn complete_mem(&mut self, wid: WarpId) {
+        if (wid as usize) < self.warps.len() {
+            self.warps.update(wid as usize, Warp::complete_mem);
         }
     }
 
@@ -917,7 +921,7 @@ impl Sm {
             Some(WarpOp::Load { space: MemSpace::Global, pattern }) => {
                 coalesce_into(pattern, blocks);
                 if !self.mshr_can_hold(blocks) {
-                    self.warps[idx].state = WarpState::Executing { until: now + 1 };
+                    self.warps.update(idx, |w| w.retry_at(now + 1));
                     self.replayed = Some(idx);
                     self.scheduler.on_issue(wid, true, now);
                     return;
@@ -928,7 +932,7 @@ impl Sm {
             }
             _ => {}
         }
-        let Some(op) = self.warps[idx].take_op() else {
+        let Some(op) = self.warps.take_op(idx) else {
             return;
         };
         let tenant = self.tenant_of(wid);
@@ -937,11 +941,11 @@ impl Sm {
         tenant_slot(&mut self.tenants, tenant).instructions += 1;
         match op {
             WarpOp::Compute { cycles } => {
-                self.warps[idx].start_compute(now + cycles.max(1) as Cycle);
+                self.warps.update(idx, |w| w.start_compute(now + cycles.max(1) as Cycle));
             }
             WarpOp::Barrier => {
                 self.stats.barriers += 1;
-                self.warps[idx].enter_barrier();
+                self.warps.update(idx, Warp::enter_barrier);
                 self.cta_events = true;
             }
             WarpOp::Load { space: MemSpace::Shared, pattern }
@@ -951,7 +955,7 @@ impl Sm {
                 self.lanes_scratch.clear();
                 self.lanes_scratch.extend(pattern.lanes().map(|a| (a % size) as u32));
                 let lat = self.shared_mem.access(&self.lanes_scratch);
-                self.warps[idx].start_compute(now + lat);
+                self.warps.update(idx, |w| w.start_compute(now + lat));
             }
             WarpOp::Load { space: MemSpace::Global, .. } => {
                 self.issue_global(idx, wid, blocks, false, now);
@@ -985,7 +989,6 @@ impl Sm {
         tenant_slot(&mut self.tenants, tenant).mem_instructions += 1;
         self.stats.mem_transactions += blocks.len() as u64;
         tenant_slot(&mut self.tenants, tenant).mem_transactions += blocks.len() as u64;
-        self.warps[idx].mem_transactions += blocks.len() as u64;
 
         let route = self.scheduler.route(wid);
         let mut outstanding = 0u32;
@@ -1018,7 +1021,10 @@ impl Sm {
                 }
             }
         }
-        self.warps[idx].start_mem(outstanding, now + immediate_latency);
+        self.warps.update(idx, |w| {
+            w.mem_transactions += blocks.len() as u64;
+            w.start_mem(outstanding, now + immediate_latency);
+        });
     }
 
     /// Issues a read to the downstream port; a synchronous (private) port
@@ -1655,6 +1661,44 @@ mod tests {
             (sm.stats().clone(), sm.tenant_stats().to_vec())
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn slots_past_the_first_bitset_word_step_and_skip_alike() {
+        // 80 warp slots need a second live-set word. 8 CTAs of 20 warps
+        // run in two waves of 4, so slots 64..80 launch, wait on memory,
+        // meet at barriers, finish and are reused.
+        let mut config = small_config();
+        config.max_warps_per_sm = 80;
+        let info = KernelInfo {
+            name: "wide".into(),
+            num_ctas: 8,
+            warps_per_cta: 20,
+            shared_mem_per_cta: 0,
+        };
+        let run = |stepping: bool| {
+            let kernel = ClosureKernel::new(info.clone(), |cta, w| {
+                let mut ops = Vec::new();
+                for i in 0..6u64 {
+                    ops.push(WarpOp::coalesced_load(((cta as u64 * 20 + w as u64) * 8 + i) * 128));
+                    ops.push(WarpOp::Compute { cycles: 1 + w as u32 % 5 });
+                    if i % 2 == 1 {
+                        ops.push(WarpOp::Barrier);
+                    }
+                }
+                Box::new(VecProgram::new(ops))
+            });
+            let mut sm = sm_of(config.clone(), Box::new(kernel));
+            run(&mut sm, stepping);
+            assert!(sm.is_done());
+            assert_eq!(sm.warps.len(), 80, "the second word is in use");
+            (sm.stats().clone(), sm.tenant_stats().to_vec(), sm.time_series().clone())
+        };
+        let stepped = run(true);
+        assert_eq!(stepped.0.instructions, 8 * 20 * 15);
+        assert_eq!(stepped.0.max_resident_ctas, 4);
+        assert!(stepped.0.idle_cycles > 0, "memory waits leave stretches to skip");
+        assert_eq!(stepped, run(false));
     }
 
     #[test]

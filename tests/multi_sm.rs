@@ -3,7 +3,7 @@
 //! The contract of the `gpu_sim::gpu` engine, checked end to end:
 //!
 //! 1. a 1-SM chip run is *bit-identical* to the bare SM it wraps stepped
-//!    every cycle,
+//!    every cycle, under every warp scheduler,
 //! 2. adding SMs never lowers chip IPC on a cache-light workload,
 //! 3. the shared L2 sees exactly the downstream traffic the per-SM L1s
 //!    produced,
@@ -51,15 +51,18 @@ fn cache_light_kernel(
 
 #[test]
 fn one_sm_chip_is_bit_identical_to_a_bare_sm() {
-    // GTO exercises the plain L1D path; CIAO-C additionally exercises the
-    // redirect cache, throttling, and the detector.
-    for scheduler in [SchedulerKind::Gto, SchedulerKind::CiaoC] {
+    // Every scheduler: GTO takes the plain L1D path, CIAO-P/C the redirect
+    // cache, and Best-SWL, CCWS, statPCAL and CIAO-T throttle. Kmeans and
+    // Backprop add barriers to Syrk's plain loads.
+    let benchmarks = [Benchmark::Syrk, Benchmark::Kmeans, Benchmark::Backprop];
+    for (scheduler, benchmark) in
+        SchedulerKind::all().into_iter().flat_map(|s| benchmarks.map(|b| (s, b)))
+    {
         let config = GpuConfig::gtx480()
             .with_num_sms(1)
             .with_max_instructions(RunScale::Tiny.max_instructions())
             .with_sample_interval(RunScale::Tiny.sample_interval());
         let params = ciao_suite::ciao::CiaoParams::default();
-        let benchmark = Benchmark::Syrk;
         let scale = RunScale::Tiny.workload_scale();
         let run = |backend: BackendKind| {
             let kernel: Arc<dyn Kernel> = Arc::new(benchmark.kernel(&scale));
@@ -77,13 +80,14 @@ fn one_sm_chip_is_bit_identical_to_a_bare_sm() {
         assert_eq!(chip.num_sms, 1);
         assert_eq!(chip.per_sm.len(), 1);
         assert_eq!(chip.per_sm[0], chip.stats);
-        assert_eq!(chip.stats, bare.stats, "aggregate stats differ");
-        assert_eq!(chip.cycles, bare.cycles, "cycle counts differ");
-        assert_eq!(chip.time_series, bare.time_series, "time series differ");
-        assert_eq!(chip.interference, bare.interference, "interference differs");
-        assert_eq!(chip.scheduler_metrics, bare.scheduler_metrics, "metrics differ");
-        assert_eq!(chip.capped, bare.capped, "capped flags differ");
-        assert_eq!(chip.interconnect, bare.interconnect, "interconnect differs");
+        let on = format!("{scheduler:?} on {}", benchmark.name());
+        assert_eq!(chip.stats, bare.stats, "aggregate stats differ: {on}");
+        assert_eq!(chip.cycles, bare.cycles, "cycle counts differ: {on}");
+        assert_eq!(chip.time_series, bare.time_series, "time series differ: {on}");
+        assert_eq!(chip.interference, bare.interference, "interference differs: {on}");
+        assert_eq!(chip.scheduler_metrics, bare.scheduler_metrics, "metrics differ: {on}");
+        assert_eq!(chip.capped, bare.capped, "capped flags differ: {on}");
+        assert_eq!(chip.interconnect, bare.interconnect, "interconnect differs: {on}");
     }
 }
 
