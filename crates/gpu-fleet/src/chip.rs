@@ -18,12 +18,11 @@
 //! cycles after admission, exactly the window the paper's dispatcher needs
 //! to observe hit rates before acting.
 //!
-//! Every admission, classification, and completion appends a real
-//! [`DispatchDecision`] to a live [`gpu_sim::DispatchLog`] — the same type
-//! the chip engine emits — so cluster placement reads chip state through
-//! the identical telemetry surface it would have against real chips (see
-//! [`ChipModel::view`]). The log is compacted once it exceeds a cap so an
-//! eight-chip, million-arrival fleet stays in bounded memory.
+//! Cluster placement sees a chip through [`ChipModel::view`]: its load, and
+//! the classes of the resident jobs the on-chip dispatcher has classified —
+//! what a real chip's dispatcher publishes in its
+//! [`gpu_sim::DispatchLog`]. The fleet polls views at epoch boundaries, so
+//! placement reads them as of the last epoch.
 //!
 //! Determinism: all state is advanced by [`ChipModel::advance_to`] with a
 //! fixed event order (completions by slot, then classifications by slot,
@@ -31,7 +30,7 @@
 //! a pure function of the jobs pushed into it — independent of when the
 //! fleet epoch loop gets round to advancing it.
 
-use gpu_sim::{DispatchAction, DispatchDecision, DispatchLog, LatencyClass, TenantClass};
+use gpu_sim::{LatencyClass, TenantClass};
 use std::collections::VecDeque;
 
 use crate::calib::Calibration;
@@ -40,12 +39,6 @@ use crate::traffic::{Arrival, WorkClass};
 /// Maximum concurrently resident jobs per chip (the chip tier co-runs up to
 /// four tenants; beyond that, arrivals queue).
 pub const MAX_RESIDENT: usize = 4;
-
-/// Decision-log length that triggers compaction, and the length compaction
-/// keeps. The newest decisions always survive, so [`ChipModel::view`] reads
-/// fresh telemetry.
-const LOG_COMPACT_AT: usize = 1024;
-const LOG_KEEP: usize = 256;
 
 /// Queue-share weight per latency class: interactive jobs get a double
 /// share of the chip while resident (throughput floor) and jump the
@@ -106,8 +99,8 @@ pub struct CompletedJob {
     pub chip: usize,
 }
 
-/// Placement-visible snapshot of one chip, derived from its live dispatch
-/// log (classification counts) and queue state (load).
+/// Placement-visible snapshot of one chip: the classes its dispatcher has
+/// published for its residents, and its queue state (load).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChipView {
     /// Chip index in the fleet.
@@ -116,10 +109,10 @@ pub struct ChipView {
     pub resident: usize,
     /// Jobs queued or in flight to this chip (admission backlog).
     pub queued: usize,
-    /// Resident jobs the dispatch log currently classifies as
+    /// Resident jobs the on-chip dispatcher has classified as
     /// cache-sensitive.
     pub classified_cache: usize,
-    /// Resident jobs the dispatch log currently classifies as streaming.
+    /// Resident jobs the on-chip dispatcher has classified as streaming.
     pub classified_stream: usize,
     /// Backlog of not-yet-resident work in solo-equivalent cycles, by
     /// declared [`crate::traffic::WorkClass::index`] (the cluster placed
@@ -150,9 +143,9 @@ pub struct ChipAccounting {
     pub peak_queue: usize,
 }
 
-/// One chip of the fleet: a calibrated rate server with a live
-/// [`DispatchLog`]. Driven by [`ChipModel::push`] (from fleet placement)
-/// and [`ChipModel::advance_to`] (from the fleet epoch loop).
+/// One chip of the fleet: a calibrated rate server. Driven by
+/// [`ChipModel::push`] (from fleet placement) and [`ChipModel::advance_to`]
+/// (from the fleet epoch loop).
 #[derive(Debug)]
 pub struct ChipModel {
     id: usize,
@@ -165,7 +158,6 @@ pub struct ChipModel {
     lanes: [VecDeque<Job>; 2],
     /// Resident slots (tenant ids of the on-chip dispatcher).
     resident: [Option<Job>; MAX_RESIDENT],
-    log: DispatchLog,
     /// Solo-equivalent cycles of the jobs in `inbox` + `lanes`, by declared
     /// [`WorkClass::index`].
     pending_cycles: [u64; 3],
@@ -186,7 +178,6 @@ impl ChipModel {
             inbox: VecDeque::new(),
             lanes: [VecDeque::new(), VecDeque::new()],
             resident: [None, None, None, None],
-            log: DispatchLog::default(),
             pending_cycles: [0; 3],
             done: Vec::new(),
             busy_cycles: 0,
@@ -238,23 +229,16 @@ impl ChipModel {
         }
     }
 
-    /// The live decision log (same telemetry type the chip engine emits).
-    pub fn log(&self) -> &DispatchLog {
-        &self.log
-    }
-
-    /// Placement-visible snapshot. Classification counts are read from the
-    /// last [`DispatchDecision`] of the live log — the placement tier sees
-    /// exactly what the chip's dispatcher published, nothing more.
+    /// Placement-visible snapshot. Classification counts are the published
+    /// classes of the resident jobs — the placement tier sees exactly what
+    /// the chip's dispatcher has classified, nothing more.
     pub fn view(&self) -> ChipView {
         let (mut cache, mut stream) = (0, 0);
-        if let Some(d) = self.log.decisions.last() {
-            for c in &d.classes {
-                match c {
-                    TenantClass::CacheSensitive => cache += 1,
-                    TenantClass::Streaming => stream += 1,
-                    TenantClass::Unclassified => {}
-                }
+        for slot in 0..MAX_RESIDENT {
+            match self.slot_class(slot) {
+                TenantClass::CacheSensitive => cache += 1,
+                TenantClass::Streaming => stream += 1,
+                TenantClass::Unclassified => {}
             }
         }
         ChipView {
@@ -278,6 +262,13 @@ impl ChipModel {
         }
     }
 
+    /// Reserves room for `jobs` completions up front, so the completion list
+    /// never grows by reallocation while the chip runs. Reserved capacity
+    /// that is never written costs address space, not resident memory.
+    pub(crate) fn reserve_completions(&mut self, jobs: usize) {
+        self.done.reserve_exact(jobs);
+    }
+
     /// Drains the completed-job list (fleet collects after the run).
     pub fn take_completed(&mut self) -> Vec<CompletedJob> {
         std::mem::take(&mut self.done)
@@ -293,29 +284,6 @@ impl ChipModel {
                 WorkClass::Compute => TenantClass::Unclassified,
             },
             _ => TenantClass::Unclassified,
-        }
-    }
-
-    /// Appends a decision mirroring the current resident state to the live
-    /// log, compacting when past the cap. Hit rates are `-1` (unmeasured):
-    /// the fleet model tracks classes and shares, not cache counters.
-    fn log_decision(&mut self, actions: Vec<DispatchAction>) {
-        let shares = self.shares();
-        let decision = DispatchDecision {
-            cycle: self.now,
-            l2_hit_rate: vec![-1.0; MAX_RESIDENT],
-            l1_hit_rate: vec![-1.0; MAX_RESIDENT],
-            classes: (0..MAX_RESIDENT).map(|s| self.slot_class(s)).collect(),
-            allowed_sms: shares
-                .iter()
-                .map(|s| ((s * self.calib.sms as f64).round() as usize).min(self.calib.sms))
-                .collect(),
-            actions,
-        };
-        self.log.decisions.push(decision);
-        if self.log.decisions.len() > LOG_COMPACT_AT {
-            let cut = self.log.decisions.len() - LOG_KEEP;
-            self.log.decisions.drain(..cut);
         }
     }
 
@@ -358,7 +326,7 @@ impl ChipModel {
     }
 
     /// Moves due inbox jobs to their latency lane and fills free resident
-    /// slots (interactive lane first, each lane FIFO), logging admissions.
+    /// slots (interactive lane first, each lane FIFO).
     fn admit_due(&mut self) {
         while self.inbox.front().is_some_and(|j| j.arrival <= self.now) {
             let job = self.inbox.pop_front().expect("front checked");
@@ -376,7 +344,6 @@ impl ChipModel {
                 self.pending_cycles[job.class.index()].saturating_sub(solo);
             job.classify_at = self.now + self.calib.classify_delay;
             self.resident[slot] = Some(job);
-            self.log_decision(vec![DispatchAction::Admit { tenant: slot as u32 }]);
         }
     }
 
@@ -438,7 +405,6 @@ impl ChipModel {
             }
 
             // Completions first (slot order), then classifications.
-            let mut actions = Vec::new();
             for slot in 0..MAX_RESIDENT {
                 let complete = self.resident[slot].as_ref().is_some_and(|j| j.remaining <= 1e-6);
                 if complete {
@@ -452,10 +418,6 @@ impl ChipModel {
                         finish: self.now,
                         chip: self.id,
                     });
-                    actions.push(DispatchAction::Restore {
-                        tenant: slot as u32,
-                        allowed_sms: self.calib.sms,
-                    });
                 }
             }
             for slot in 0..MAX_RESIDENT {
@@ -463,16 +425,8 @@ impl ChipModel {
                     if !j.classified && j.classify_at <= self.now {
                         j.classified = true;
                         self.classified[j.class.index()] += 1;
-                        let allowed = self.log.decisions.last().map_or_else(
-                            || vec![self.calib.sms; MAX_RESIDENT],
-                            |d| d.allowed_sms.clone(),
-                        );
-                        actions.push(DispatchAction::Place { allowed_sms: allowed });
                     }
                 }
-            }
-            if !actions.is_empty() {
-                self.log_decision(actions);
             }
 
             if self.now >= t_end {
@@ -594,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn view_reads_classifications_from_the_live_log() {
+    fn view_reads_classifications_of_the_resident_jobs() {
         let mut calib = Calibration::reference(8);
         calib.classify_delay = 100;
         let mut chip = ChipModel::new(0, calib);
@@ -609,9 +563,16 @@ mod tests {
         assert_eq!(
             (later.classified_cache, later.classified_stream),
             (1, 1),
-            "after the classify delay the log must publish both classes"
+            "after the classify delay the view must count both classes"
         );
-        assert!(!chip.log().decisions.is_empty());
+        chip.advance_to(u64::MAX);
+        let drained = chip.view();
+        assert_eq!(
+            (drained.classified_cache, drained.classified_stream),
+            (0, 0),
+            "completed jobs leave the class counts"
+        );
+        assert_eq!(chip.take_completed().len(), 2);
     }
 
     #[test]
@@ -673,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn log_is_compacted_under_sustained_load() {
+    fn sustained_load_completes_every_job() {
         let mut calib = Calibration::reference(8);
         calib.classify_delay = 1;
         let mut chip = ChipModel::new(0, calib);
@@ -683,10 +644,6 @@ mod tests {
             chip.push(x);
         }
         chip.advance_to(u64::MAX);
-        assert!(
-            chip.log().decisions.len() <= LOG_COMPACT_AT,
-            "decision log must stay within the compaction cap"
-        );
         assert_eq!(chip.accounting().completed, 3_000);
     }
 }

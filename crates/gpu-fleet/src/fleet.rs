@@ -13,9 +13,9 @@
 //! [`FleetRequest::DEFAULT_EPOCH_CYCLES`] cycles). Each epoch the
 //! coordinator:
 //!
-//! 1. snapshots every chip's [`ChipView`] (telemetry read from the chip's
-//!    live dispatch log — one epoch of staleness, like a real cluster
-//!    scheduler polling its chips);
+//! 1. snapshots every chip's [`ChipView`] (its load and the classes of the
+//!    resident jobs its dispatcher has classified — one epoch of
+//!    staleness, like a real cluster scheduler polling its chips);
 //! 2. places the epoch's arrivals sequentially with the configured
 //!    [`PlacementPolicy`], updating planned-load counts as it goes;
 //! 3. advances all *due* chips to the epoch end, in chip order. Chips
@@ -278,11 +278,17 @@ impl Fleet {
         let arrivals = req.traffic.generate();
         let calib =
             req.calibration.clone().unwrap_or_else(|| Calibration::measure(req.sms_per_chip));
-        let mut chips: Vec<ChipModel> =
-            (0..req.chips).map(|c| ChipModel::new(c, calib.clone())).collect();
+        // A chip completes at most every arrival.
+        let mut chips: Vec<ChipModel> = (0..req.chips)
+            .map(|c| {
+                let mut chip = ChipModel::new(c, calib.clone());
+                chip.reserve_completions(arrivals.len());
+                chip
+            })
+            .collect();
 
         // Typical per-job solo cycles of this traffic, for converting the
-        // dispatch log's resident counts into backlog-cycle units.
+        // views' classified resident counts into backlog-cycle units.
         let typical = arrivals.iter().map(|a| calib.solo_cycles(a.class, a.work)).sum::<f64>()
             / (arrivals.len().max(1) as f64);
         let ctx = PlacementContext::new(&calib, typical);

@@ -14,11 +14,10 @@
 //!    interference-aware dispatch, classification latency) with a handful
 //!    of genuine [`gpu_sim::Simulator`] runs;
 //! 2. [`chip`] models each fleet chip as a discrete-event rate server
-//!    driven by those constants, publishing its state through a live
-//!    [`gpu_sim::DispatchLog`] — the same telemetry type the real chip
-//!    emits;
+//!    driven by those constants, publishing its load and the classes of the
+//!    resident jobs its on-chip dispatcher has classified;
 //! 3. [`placement`] assigns arrivals to chips, either consolidating
-//!    (bin-pack) or reading the dispatch-log classifications to keep
+//!    (bin-pack) or reading those classes, as of the last epoch, to keep
 //!    streamers away from cache-sensitive tenants (interference-aware
 //!    spread — the cluster analogue of the paper's chip-level policy);
 //! 4. [`traffic`] generates the seeded open-loop arrival process

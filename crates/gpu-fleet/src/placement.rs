@@ -18,8 +18,9 @@
 //!   `load + Σ_class penalty[job][class] × backlog[class]`, where `load`
 //!   is the chip's declared backlog plus its resident occupancy, and
 //!   `backlog[class]` combines the per-class pending cycles with the
-//!   residents the chip's live [`gpu_sim::DispatchLog`] has classified
-//!   ([`ChipView::classified_cache`] / [`ChipView::classified_stream`]).
+//!   residents the chip's on-chip dispatcher had classified as of the last
+//!   epoch ([`ChipView::classified_cache`] /
+//!   [`ChipView::classified_stream`]).
 //!   The penalty matrix is **derived from the calibration table, not
 //!   hard-coded**: `penalty[k][j]` is the excess service fraction a class-k
 //!   job suffers from a class-j co-resident *plus* the excess it inflicts
@@ -54,7 +55,7 @@ pub struct PlacementContext {
     /// Multiplies the per-class backlog in the spread score.
     pub penalty: [[f64; 3]; 3],
     /// Solo-equivalent cycles of a typical job from the offered traffic;
-    /// converts resident *counts* (all the dispatch log exposes) into the
+    /// converts resident *counts* (all a [`ChipView`] exposes) into the
     /// same cycle units as the declared backlog.
     pub typical_job_cycles: f64,
 }
@@ -80,7 +81,7 @@ impl PlacementContext {
 pub enum PlacementPolicy {
     /// Consolidate: pack the busiest non-full chip first.
     BinPack,
-    /// Interference-aware spread informed by live dispatch-log classes.
+    /// Interference-aware spread informed by the chips' published classes.
     #[default]
     InterferenceSpread,
 }
@@ -127,7 +128,7 @@ impl PlacementPolicy {
                         let load =
                             v.pending_cycles() as f64 + v.resident as f64 * ctx.typical_job_cycles;
                         // Per-class backlog: declared pending cycles plus the
-                        // residents the dispatch log has classified (counts,
+                        // residents the dispatcher has classified (counts,
                         // converted through the typical job size — remaining
                         // work is not telemetry a cluster scheduler has).
                         let mut interference = 0.0;

@@ -61,7 +61,8 @@ impl SetIndexFunction {
     /// Computes the set index for `addr` given the cache geometry.
     ///
     /// `num_sets` may be any positive count (the 768-set L2 of Table I is not
-    /// a power of two); power-of-two geometries use the fast masked path.
+    /// a power of two); every set count, power of two or not, is reduced
+    /// with `%`.
     #[inline]
     pub fn set_index(self, addr: Addr, num_sets: usize, line_size: u64) -> usize {
         debug_assert!(num_sets > 0);
@@ -74,8 +75,8 @@ impl SetIndexFunction {
                 // set bits before the final reduction. For power-of-two set
                 // counts the slices are disjoint, so (tag, set) pairs stay a
                 // bijection with block indices (verified by the property
-                // tests); non-power-of-two counts fall back to a modulo
-                // reduction of the folded value.
+                // tests). Every count then takes the folded value modulo
+                // the set count.
                 let set_bits = (usize::BITS - num_sets.leading_zeros() - 1).max(1);
                 let b0 = block;
                 let b1 = block >> set_bits;

@@ -1,4 +1,5 @@
-//! Heap-allocation budget of the chip engine's steady state.
+//! Heap-allocation budgets of the chip engine's and the fleet's steady
+//! states.
 //!
 //! Almost every cycle a co-run steps issues an instruction, so anything the
 //! SM issue path or the epoch boundary allocates is paid millions of times
@@ -12,10 +13,17 @@
 //! result), each CTA launch's bookkeeping, and about one allocation per
 //! busy epoch boundary: the scratch buffer of the stable sort that orders
 //! the reorder windows, and buffers growing to a new high-water mark.
+//!
+//! The fleet's per-arrival path (placement, admission, classification,
+//! completion) allocates nothing either: `Fleet::execute` must make fewer
+//! than one allocation per fifty arrivals, under both placements. What
+//! remains there is the traffic stream, the chip queues growing to a new
+//! high-water mark, and the reports.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use ciao_suite::fleet::{Calibration, Fleet, FleetRequest, PlacementPolicy, TrafficSpec};
 use ciao_suite::sim::{DispatchPolicy, GpuConfig, GtoScheduler, SimRequest, Simulator, SmUnit};
 use ciao_suite::workloads::{Mix, ScaleConfig};
 
@@ -87,6 +95,28 @@ fn fifteen_sm_co_runs_allocate_less_than_once_per_ten_instructions() {
             "{}: {made} allocations over {instructions} instructions ({:.3} per instruction)",
             mix.name(),
             made as f64 / instructions as f64,
+        );
+    }
+}
+
+#[test]
+fn fleet_runs_allocate_less_than_once_per_fifty_arrivals() {
+    let arrivals = 20_000;
+    let traffic = TrafficSpec::profile("balanced", arrivals, 0).expect("balanced is a profile");
+    for placement in [PlacementPolicy::BinPack, PlacementPolicy::InterferenceSpread] {
+        let request = FleetRequest::new(traffic.clone())
+            .chips(4)
+            .placement(placement)
+            .calibration(Calibration::reference(8));
+        let before = allocations();
+        let result = Fleet::new().execute(request);
+        let made = allocations() - before;
+        assert_eq!(result.arrivals, arrivals as u64);
+        assert!(
+            made * 50 < result.arrivals,
+            "{}: {made} allocations over {arrivals} arrivals ({:.3} per arrival)",
+            placement.label(),
+            made as f64 / arrivals as f64,
         );
     }
 }
