@@ -412,14 +412,10 @@ impl BankedMemorySystem {
         total
     }
 
-    /// Chip-level per-tenant attribution, aggregated across banks (indexed by
-    /// [`TenantId`]).
-    pub fn tenant_stats(&self) -> Vec<TenantMemStats> {
-        let mut total: Vec<TenantMemStats> = Vec::new();
-        for bank in &self.banks {
-            merge_tenant_stats(&mut total, bank.tenant_stats());
-        }
-        total
+    /// Each bank's per-tenant attribution table (indexed by [`TenantId`]),
+    /// in bank order; [`merge_tenant_stats`] sums them to the chip's.
+    pub fn tenant_stats_per_bank(&self) -> impl Iterator<Item = &[TenantMemStats]> {
+        self.banks.iter().map(MemoryPartition::tenant_stats)
     }
 
     /// Aggregate DRAM data-bus utilisation in `[0, 1]` over `[0, now]`.
@@ -573,7 +569,10 @@ mod tests {
         }
         // A bypass is charged a DRAM access but no L2 lookup.
         serve(&mut sys, 0x9000, 1, true);
-        let t = sys.tenant_stats();
+        let mut t = Vec::new();
+        for table in sys.tenant_stats_per_bank() {
+            merge_tenant_stats(&mut t, table);
+        }
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].l2_accesses, 4);
         assert_eq!((t[1].l2_accesses, t[1].dram_accesses), (4, 5));

@@ -641,6 +641,12 @@ pub struct AdaptiveDispatcher {
     healthy_streak: u32,
     rotor: usize,
     log: DispatchLog,
+    /// Per-boundary state, kept so a boundary allocates nothing: each
+    /// tenant's retired-CTA count, each SM's free warp slots (less what
+    /// `feed` deals), and the CTAs dealt to each SM.
+    retired: Vec<usize>,
+    free: Vec<usize>,
+    fed: Vec<Vec<CtaWork>>,
 }
 
 impl AdaptiveDispatcher {
@@ -701,6 +707,9 @@ impl AdaptiveDispatcher {
             healthy_streak: 0,
             rotor: 0,
             log: DispatchLog::default(),
+            retired: Vec::with_capacity(streams.len()),
+            free: Vec::with_capacity(num_sms),
+            fed: vec![Vec::new(); num_sms],
         }
     }
 
@@ -745,19 +754,22 @@ impl AdaptiveDispatcher {
 
     /// One epoch boundary: admits newly arrived streams, closes a decision
     /// window when due (classification, throttle/restore), and returns the
-    /// CTAs to append to each SM's work list — `(sm_index, work)` pairs in SM
-    /// order. `signals` are the *cumulative* per-tenant counters at this
-    /// boundary; `free_warp_slots[sm]` is how many warp slots SM `sm` has
-    /// left after its resident and queued-but-unlaunched CTAs.
+    /// CTAs to append to each SM's work list, indexed by SM. The lists are
+    /// buffers the dispatcher reuses: move the CTAs out (the next boundary
+    /// discards whatever is left). `signals` are the *cumulative*
+    /// per-tenant counters at this boundary; `free_warp_slots[sm]` is how
+    /// many warp slots SM `sm` has left after its resident and
+    /// queued-but-unlaunched CTAs.
     pub fn on_boundary(
         &mut self,
         now: Cycle,
         signals: &[TenantSignal],
         free_warp_slots: &[usize],
-    ) -> Vec<(usize, Vec<CtaWork>)> {
+    ) -> &mut [Vec<CtaWork>] {
         debug_assert_eq!(signals.len(), self.tenants.len());
         debug_assert_eq!(free_warp_slots.len(), self.num_sms);
-        let retired: Vec<usize> = signals.iter().map(|s| s.ctas_completed).collect();
+        self.retired.clear();
+        self.retired.extend(signals.iter().map(|s| s.ctas_completed));
         let mut actions: Vec<DispatchAction> = Vec::new();
 
         for (t, e) in self.tenants.iter_mut().enumerate() {
@@ -773,7 +785,7 @@ impl AdaptiveDispatcher {
 
         if now >= self.next_window_close {
             self.next_window_close = now + self.window_cycles;
-            self.close_window(now, signals, &retired, actions);
+            self.close_window(now, signals, actions);
         } else if !actions.is_empty() {
             // Admit-only boundary between windows: record it with unmeasured
             // rates so the log keeps every tenancy change.
@@ -788,8 +800,10 @@ impl AdaptiveDispatcher {
             });
         }
 
-        let mut free = free_warp_slots.to_vec();
-        self.feed(&retired, &mut free)
+        self.free.clear();
+        self.free.extend_from_slice(free_warp_slots);
+        self.feed();
+        &mut self.fed
     }
 
     /// Closes a decision window: classifies probing tenants, places newly
@@ -798,7 +812,6 @@ impl AdaptiveDispatcher {
         &mut self,
         now: Cycle,
         signals: &[TenantSignal],
-        retired: &[usize],
         mut actions: Vec<DispatchAction>,
     ) {
         let n = self.tenants.len();
@@ -820,7 +833,7 @@ impl AdaptiveDispatcher {
                 ipc_rate[t] = d_instr as f64 / self.window_cycles as f64;
             }
         }
-        self.last_signal = signals.to_vec();
+        self.last_signal.copy_from_slice(signals);
 
         // Roll every tenant's best observed window L2 hit rate and window
         // IPC forward — the interference-free-ish baselines the degradation
@@ -918,7 +931,9 @@ impl AdaptiveDispatcher {
             let mut degraded_victim: Option<TenantId> = None;
             for t in 0..n {
                 let e = &mut self.tenants[t];
-                if !(e.classified && e.class == TenantClass::CacheSensitive && e.active(retired[t]))
+                if !(e.classified
+                    && e.class == TenantClass::CacheSensitive
+                    && e.active(self.retired[t]))
                 {
                     continue;
                 }
@@ -927,7 +942,7 @@ impl AdaptiveDispatcher {
                 // The IPC check only arms while the victim still has real
                 // parallelism in flight — a nearly-drained grid slows down on
                 // its own, and throttling a streamer for that would be noise.
-                let in_flight = e.dealt.saturating_sub(retired[t]);
+                let in_flight = e.dealt.saturating_sub(self.retired[t]);
                 let ipc_measured = ipc_rate[t] >= 0.0 && in_flight >= 4;
                 if !l2_measured && !ipc_measured {
                     continue;
@@ -942,7 +957,9 @@ impl AdaptiveDispatcher {
             if let Some(victim) = degraded_victim {
                 self.healthy_streak = 0;
                 for (t, e) in self.tenants.iter_mut().enumerate() {
-                    if !(e.classified && e.class == TenantClass::Streaming && e.active(retired[t]))
+                    if !(e.classified
+                        && e.class == TenantClass::Streaming
+                        && e.active(self.retired[t]))
                     {
                         continue;
                     }
@@ -1019,17 +1036,20 @@ impl AdaptiveDispatcher {
         !foreign_reserved && sm >= self.num_sms - self.tenants[tenant].allowed
     }
 
-    /// Deals pending CTAs to SMs: tenants round-robin over their allowed
-    /// sets (the whole chip while unclassified — classification is live, so
-    /// nothing is held back for it), bounded by free warp slots and (for
-    /// throttled streamers) the in-flight cap.
-    fn feed(&mut self, retired: &[usize], free: &mut [usize]) -> Vec<(usize, Vec<CtaWork>)> {
+    /// Deals pending CTAs into the per-SM `fed` buffers: tenants
+    /// round-robin over their allowed sets (the whole chip while
+    /// unclassified — classification is live, so nothing is held back for
+    /// it), bounded by free warp slots and (for throttled streamers) the
+    /// in-flight cap.
+    fn feed(&mut self) {
         let n = self.tenants.len();
-        let mut pushes: Vec<Vec<CtaWork>> = vec![Vec::new(); self.num_sms];
+        for work in &mut self.fed {
+            work.clear();
+        }
 
         // Feed slightly past the reported free slots so retirements between
         // boundaries never leave an SM without a launch-ready CTA.
-        for f in free.iter_mut() {
+        for f in self.free.iter_mut() {
             *f += FEED_AHEAD_WARPS;
         }
 
@@ -1045,14 +1065,14 @@ impl AdaptiveDispatcher {
                     // similar kernels sweep the same L1 sets in lockstep and
                     // would thrash each other if co-resident.
                     let sm = (slot + t * self.num_sms / n) % self.num_sms;
-                    if !self.feedable(t, sm, retired, free) {
+                    if !self.feedable(t, sm) {
                         continue;
                     }
                     let e = &mut self.tenants[t];
                     let cta = e.pending.pop_front().expect("feedable implies pending");
-                    free[sm] -= cta.warps.min(self.max_warps_per_sm).min(free[sm]);
+                    self.free[sm] -= cta.warps.min(self.max_warps_per_sm).min(self.free[sm]);
                     e.dealt += 1;
-                    pushes[sm].push(cta);
+                    self.fed[sm].push(cta);
                     progressed = true;
                 }
             }
@@ -1061,22 +1081,20 @@ impl AdaptiveDispatcher {
             }
             self.rotor = (self.rotor + 1) % n.max(1);
         }
-
-        pushes.into_iter().enumerate().filter(|(_, w)| !w.is_empty()).collect()
     }
 
     /// Whether tenant `t` may deal its next pending CTA to `sm` right now.
-    fn feedable(&self, t: usize, sm: usize, retired: &[usize], free: &[usize]) -> bool {
+    fn feedable(&self, t: usize, sm: usize) -> bool {
         let e = &self.tenants[t];
         if !e.admitted || e.pending.is_empty() || !self.allows(t, sm) {
             return false;
         }
-        let in_flight = e.dealt.saturating_sub(retired[t]);
+        let in_flight = e.dealt.saturating_sub(self.retired[t]);
         if in_flight >= e.in_flight_cap() {
             return false;
         }
         let warps = e.pending.front().expect("non-empty").warps.min(self.max_warps_per_sm);
-        free[sm] >= warps
+        self.free[sm] >= warps
     }
 }
 
@@ -1290,8 +1308,7 @@ mod tests {
         let signals = vec![TenantSignal::default(); 2];
         // Boundary 0: admission, then the whole pending load is dealt — live
         // classification holds nothing back while tenants are unclassified.
-        let fed = d.on_boundary(0, &signals, &free);
-        let dealt: usize = fed.iter().map(|(_, w)| w.len()).sum();
+        let dealt: usize = d.on_boundary(0, &signals, &free).iter().map(Vec::len).sum();
         assert_eq!(dealt, 16, "every CTA dealt immediately (capacity allows)");
         assert!(!d.has_work());
         assert_eq!(d.dealt_ctas(0), 6);
@@ -1415,11 +1432,10 @@ mod tests {
                     sig.ctas_completed = retired[t];
                 }
                 let free = vec![free_slots; sms];
-                for (sm, work) in d.on_boundary(b as u64 * 512, &signals, &free) {
-                    prop_assert!(sm < sms);
-                    for w in work {
-                        dealt[w.tenant as usize][w.cta as usize] += 1;
-                    }
+                let fed = d.on_boundary(b as u64 * 512, &signals, &free);
+                prop_assert_eq!(fed.len(), sms);
+                for w in fed.iter().flatten() {
+                    dealt[w.tenant as usize][w.cta as usize] += 1;
                 }
             }
             for (t, counts) in dealt.iter().enumerate() {
@@ -1450,10 +1466,9 @@ mod tests {
         ];
         let mut d = AdaptiveDispatcher::new(&streams, 4, 48, 100);
         let signals = vec![TenantSignal::default(); 2];
-        let pushes = d.on_boundary(0, &signals, &[48; 4]);
         let mut owner_on_reserved = false;
-        for (sm, work) in &pushes {
-            if *sm < 2 {
+        for (sm, work) in d.on_boundary(0, &signals, &[48; 4]).iter().enumerate() {
+            if sm < 2 {
                 assert!(
                     work.iter().all(|w| w.tenant == 0),
                     "reserved SM {sm} was fed a foreign tenant's CTA"

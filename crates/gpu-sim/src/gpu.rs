@@ -28,9 +28,10 @@
 //!
 //! At every boundary the engine:
 //!
-//! 1. **serves** the batch drained at the previous boundary: requests pass
-//!    the shared request fabric in `(arrival, SM, issue order)` order, and
-//!    each one is served by its L2 bank at the cycle the fabric delivers it;
+//! 1. **serves** the batch drained at the previous boundary in one pass, in
+//!    `(arrival, SM, issue order)` order: each request crosses the shared
+//!    request fabric at its arrival cycle and is served by its L2 bank at
+//!    the cycle the fabric delivers it;
 //! 2. **advances** the SMs to the boundary. An SM touches only its own state:
 //!    global-memory requests are time-stamped with their injection-port
 //!    arrival cycle and buffered in the SM's memory port, not served;
@@ -56,10 +57,9 @@
 //!
 //! [`BackendKind::Event`] keeps the loop off everything provably idle: SMs
 //! fast-forward over idle stretches, SMs with nothing due stay parked, and
-//! an idle chip sleeps through whole boundaries. One flat per-unit wake
-//! clock (`WakeClock`) says when each parked SM is next due; the same clock
-//! orders the request fabric and the L2/DRAM banks while a batch is served.
-//! Both pop units earliest first, the lowest unit on a tie.
+//! an idle chip sleeps through whole boundaries. One flat per-SM wake clock
+//! (`WakeClock`) says when each parked SM is next due; a boundary advances
+//! the due SMs earliest first, the lowest SM on a tie.
 //! [`BackendKind::Epoch`] runs the same loop in *stepping* mode: every SM
 //! steps every cycle and is advanced at every boundary, and the chip never
 //! sleeps. Both modes produce bit-identical results; stepping is the
@@ -281,9 +281,9 @@ impl MemoryPort {
     }
 
     /// The private partition's per-tenant attribution, if this port owns one.
-    pub fn partition_tenant_stats(&self) -> Option<Vec<TenantMemStats>> {
+    pub fn partition_tenant_stats(&self) -> Option<&[TenantMemStats]> {
         match self {
-            MemoryPort::Private(p) => Some(p.tenant_stats().to_vec()),
+            MemoryPort::Private(p) => Some(p.tenant_stats()),
             MemoryPort::Deferred(_) => None,
         }
     }
@@ -366,12 +366,10 @@ pub(crate) struct Gpu {
     sleeps: u64,
 }
 
-/// The flat wake clock of a fixed set of units: `at[u]` is the cycle unit
-/// `u` next has work, `Cycle::MAX` when it is parked for good. Units pop
-/// earliest first, the lowest unit on a tie, so the order is a pure
-/// function of simulated time and unit index. The boundary loop keeps one
-/// for SM parking and the [`ServePump`] one for the fabric and the banks;
-/// either scans at most a chip's SMs or 1 + `l2_banks` slots.
+/// The flat wake clock of a fixed set of units (the boundary loop's SMs):
+/// `at[u]` is the cycle unit `u` next has work, `Cycle::MAX` when it is
+/// parked for good. Due units pop earliest first, the lowest unit on a
+/// tie, so the order is a pure function of simulated time and unit index.
 struct WakeClock {
     at: Vec<Cycle>,
 }
@@ -394,42 +392,57 @@ impl WakeClock {
         self.at[unit] = self.at[unit].min(t);
     }
 
-    /// Pops the unit with the earliest wakeup at or before `now` (lowest
-    /// unit on a tie) and parks it; `None` when nothing is due.
-    fn pop_due(&mut self, now: Cycle) -> Option<usize> {
-        let (t, unit) = self.at.iter().enumerate().map(|(u, &t)| (t, u)).min()?;
-        if t > now || t == Cycle::MAX {
-            return None;
+    /// Pops every unit due at or before `now` into `out` (replacing its
+    /// contents), earliest first and the lowest unit on a tie, and parks
+    /// them. One scan finds the due units; only they are sorted.
+    fn pop_all_due(&mut self, now: Cycle, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend((0..self.at.len()).filter(|&u| self.at[u] <= now && self.at[u] != Cycle::MAX));
+        out.sort_unstable_by_key(|&u| (self.at[u], u));
+        for &u in out.iter() {
+            self.at[u] = Cycle::MAX;
         }
-        self.at[unit] = Cycle::MAX;
-        Some(unit)
     }
 }
 
-/// Reusable scratch for [`Gpu::serve_batch_event`]: unit 0 of the
-/// [`WakeClock`] is the request fabric, unit `1 + b` is L2/DRAM bank `b`.
-/// The fabric charges requests one at a time at their true arrival cycles;
-/// each charged request joins its bank's FIFO, and the bank pops its next
-/// due request when its service instant comes up. Clock and FIFOs drain
-/// completely within one batch; across boundaries the scratch keeps only
-/// its capacity, including the per-request `at_l2` / `done_at` cycles.
-struct ServePump {
-    wake: WakeClock,
-    fifos: Vec<std::collections::VecDeque<usize>>,
-    /// Per batch request: the cycle the fabric delivers it to its bank.
-    at_l2: Vec<Cycle>,
-    /// Per batch request: the cycle its bank completes it.
-    done_at: Vec<Cycle>,
+/// What the adaptive dispatcher reads at a boundary, refilled in place so
+/// sampling allocates nothing: the cumulative per-tenant monitor signals
+/// and each SM's free warp slots.
+struct ChipSignals {
+    tenants: Vec<TenantSignal>,
+    free: Vec<usize>,
 }
 
-impl ServePump {
-    fn new(num_banks: usize) -> Self {
-        ServePump {
-            wake: WakeClock::new(1 + num_banks, Cycle::MAX),
-            fifos: (0..num_banks).map(|_| std::collections::VecDeque::new()).collect(),
-            at_l2: Vec::new(),
-            done_at: Vec::new(),
+impl ChipSignals {
+    fn new(num_tenants: usize) -> Self {
+        ChipSignals { tenants: vec![TenantSignal::default(); num_tenants], free: Vec::new() }
+    }
+
+    /// Samples the chip: L1 and CTA-retire counters summed over the SMs,
+    /// L2/DRAM attribution read from the shared backend (or the single
+    /// SM's private partition), and every SM's free warp slots.
+    fn sample(&mut self, sms: &[Sm], shared: Option<&BankedMemorySystem>) {
+        let out = &mut self.tenants;
+        out.fill(TenantSignal::default());
+        for sm in sms {
+            for (out, stats) in out.iter_mut().zip(sm.tenant_stats()) {
+                out.l1_accesses += stats.l1d_accesses;
+                out.l1_hits += stats.l1d_hits;
+                out.instructions += stats.instructions;
+                out.ctas_completed += stats.ctas_completed;
+            }
         }
+        let private = sms.iter().filter_map(Sm::partition_tenant_stats);
+        let banks = shared.into_iter().flat_map(BankedMemorySystem::tenant_stats_per_bank);
+        for table in private.chain(banks) {
+            for (out, m) in out.iter_mut().zip(table) {
+                out.l2_accesses += m.l2_accesses;
+                out.l2_hits += m.l2_hits;
+                out.dram_accesses += m.dram_accesses;
+            }
+        }
+        self.free.clear();
+        self.free.extend(sms.iter().map(Sm::free_warp_slots));
     }
 }
 
@@ -753,7 +766,7 @@ impl Gpu {
     /// next event as due:
     ///
     /// - **Per-SM parking.** Only SMs whose wakeup hint is due at the current
-    ///   boundary are popped and advanced ([`WakeClock::pop_due`]); the rest
+    ///   boundary are popped and advanced ([`WakeClock::pop_all_due`]); the rest
     ///   stay *parked* with a frozen clock. A parked stretch is one the SM
     ///   holds still on by construction: idle, throttle-only or an
     ///   MSHR-full replay (the hint is [`Sm::next_event_time`], and replies
@@ -770,8 +783,7 @@ impl Gpu {
     ///   no SM or bank state moves while the chip sleeps). The skipped count
     ///   surfaces as the `engine/skipped-boundaries` metric.
     ///
-    /// Each boundary's batch is served event by event through
-    /// [`Gpu::serve_batch_event`].
+    /// Each boundary's batch is served in one pass by [`Gpu::serve_batch`].
     fn run_epochs_event(&mut self) {
         let epoch = self.config.effective_epoch_cycles();
         let line_size = self.config.l1d.line_size;
@@ -791,7 +803,7 @@ impl Gpu {
         let engine_trace = &mut self.engine_trace;
 
         let mut wake = WakeClock::new(num_sms, 0);
-        let mut pump = ServePump::new(shared.as_deref().map_or(0, |s| s.num_banks()));
+        let mut signals = ChipSignals::new(num_tenants);
 
         // Cycle-0 boundary: admit arrival-0 streams into the adaptive
         // dispatcher and deal its initial (probe) CTAs.
@@ -800,7 +812,7 @@ impl Gpu {
             shared.as_deref(),
             adaptive,
             deferred,
-            num_tenants,
+            &mut signals,
             0,
             &mut wake,
             0.0,
@@ -858,21 +870,18 @@ impl Gpu {
                         // Signals and free slots are frozen while the chip
                         // sleeps (no SM executes, no bank serves), so one
                         // snapshot feeds every replayed boundary.
-                        let frozen = adaptive.as_ref().map(|_| {
-                            let signals = Self::tenant_signals(sms, shared.as_deref(), num_tenants);
-                            let free: Vec<usize> = sms.iter().map(Sm::free_warp_slots).collect();
-                            (signals, free)
-                        });
+                        if adaptive.is_some() {
+                            signals.sample(sms, shared.as_deref());
+                        }
                         let mut slept: u64 = 0;
                         while next_due > now + epoch && max_cycles.is_none_or(|m| now < m) {
                             now += epoch;
                             slept += 1;
-                            if let (Some(dispatcher), Some((signals, free))) =
-                                (adaptive.as_mut(), frozen.as_ref())
-                            {
-                                let dealt = dispatcher.on_boundary(now, signals, free);
+                            if let Some(dispatcher) = adaptive.as_mut() {
+                                let dealt =
+                                    dispatcher.on_boundary(now, &signals.tenants, &signals.free);
                                 debug_assert!(
-                                    dealt.is_empty(),
+                                    dealt.iter().all(Vec::is_empty),
                                     "sleeping chip must not receive work"
                                 );
                             }
@@ -939,12 +948,11 @@ impl Gpu {
             // Serve the previous boundary's batch into the reply window. The
             // halved epoch clamp guarantees every completion lands strictly
             // after `now`, the cycle it may be delivered at.
-            Self::serve_batch_event(
+            Self::serve_batch(
                 shared.as_deref_mut(),
                 fabric.as_mut(),
                 &batch,
                 line_size,
-                &mut pump,
                 profiler,
                 reply_window,
             );
@@ -952,16 +960,15 @@ impl Gpu {
             // rest stay parked with frozen clocks and owe their idle settle
             // to whichever later boundary wakes them.
             profiler.enter("pop-advance");
-            order.clear();
-            while let Some(unit) = wake.pop_due(now) {
-                if let Some(trace) = engine_trace.as_mut() {
+            wake.pop_all_due(now, &mut order);
+            if let Some(trace) = engine_trace.as_mut() {
+                for &unit in &order {
                     trace.record(
                         TraceEvent::instant(Track::Engine, "pop", now, None)
                             .with_arg(unit as u64)
                             .engine(),
                     );
                 }
-                order.push(unit);
             }
             for &unit in &order {
                 let sm = &mut sms[unit];
@@ -1020,7 +1027,7 @@ impl Gpu {
                 shared.as_deref(),
                 adaptive,
                 deferred,
-                num_tenants,
+                &mut signals,
                 now,
                 &mut wake,
                 boundary_util,
@@ -1053,12 +1060,11 @@ impl Gpu {
         // the SMs injected. Reads can only remain here after a cap — a
         // waiting warp keeps its SM alive — so these deliveries land in
         // event queues that are never polled again.
-        Self::serve_batch_event(
+        Self::serve_batch(
             shared.as_deref_mut(),
             fabric.as_mut(),
             &batch,
             line_size,
-            &mut pump,
             profiler,
             reply_window,
         );
@@ -1071,15 +1077,7 @@ impl Gpu {
             0,
             &mut batch,
         );
-        Self::serve_batch_event(
-            shared,
-            fabric.as_mut(),
-            &batch,
-            line_size,
-            &mut pump,
-            profiler,
-            reply_window,
-        );
+        Self::serve_batch(shared, fabric.as_mut(), &batch, line_size, profiler, reply_window);
         Self::release_replies(
             fabric.as_mut(),
             reply_window,
@@ -1144,22 +1142,20 @@ impl Gpu {
         batch.extend(window.drain(..split));
     }
 
-    /// Runs one batch through the service pipeline, event by event, and
-    /// appends the raw read completions (writes produce no reply) to the
-    /// reply reorder window `completions`. Unit 0 of the [`ServePump`] (the
-    /// request fabric) wakes at each request's true port-arrival cycle and
-    /// charges the chip-wide link budget in batch order (arrivals are
-    /// non-decreasing, ties break fabric-before-bank); the charged request
-    /// joins its owning bank's FIFO and the bank unit wakes at the head
-    /// request's fabric-delivery cycle to serve it, so per-bank service order
-    /// equals batch order. A single-SM chip (private synchronous port,
-    /// `shared == None`, no fabric) has nothing to serve.
-    fn serve_batch_event(
+    /// Serves one batch in one pass and appends the raw read completions
+    /// (writes produce no reply) to the reply reorder window `completions`.
+    /// In batch order, i.e. `(arrival, SM, issue order)`, each request
+    /// charges the chip-wide request fabric at its port-arrival cycle and is
+    /// served by its owning L2 bank at the cycle the fabric delivers it. The
+    /// fabric and the banks share no state, so the fabric sees every request
+    /// in arrival order and each bank serves its requests in the order they
+    /// reach it. A single-SM chip (private synchronous port, `shared ==
+    /// None`, no fabric) has nothing to serve.
+    fn serve_batch(
         shared: Option<&mut BankedMemorySystem>,
         fabric: Option<&mut CrossbarFabric>,
         batch: &[(usize, MemRequest)],
         line_size: u64,
-        pump: &mut ServePump,
         profiler: &mut PhaseProfiler,
         completions: &mut Vec<RawCompletion>,
     ) {
@@ -1168,61 +1164,25 @@ impl Gpu {
             return;
         }
         profiler.enter("serve-events");
-        let n = batch.len();
-        pump.at_l2.clear();
-        pump.at_l2.resize(n, 0);
-        pump.done_at.clear();
-        pump.done_at.resize(n, 0);
-        debug_assert!(pump.fifos.iter().all(|f| f.is_empty()), "pump must drain between batches");
-        let mut next_req = 0usize;
-        pump.wake.at[0] = batch[0].1.arrive;
-        while let Some(unit) = pump.wake.pop_due(Cycle::MAX) {
-            if unit == 0 {
-                // Fabric: charge the next request of the batch at its arrival.
-                let r = &batch[next_req].1;
-                let t = fabric.request_transfer(line_size, r.arrive, r.tenant);
-                pump.at_l2[next_req] = t;
-                let bank = shared.bank_of(r.block);
-                if pump.fifos[bank].is_empty() {
-                    pump.wake.at[1 + bank] = t;
-                }
-                pump.fifos[bank].push_back(next_req);
-                next_req += 1;
-                if next_req < n {
-                    pump.wake.at[0] = batch[next_req].1.arrive;
-                }
-            } else {
-                // Bank: serve its FIFO head at the head's delivery instant.
-                let bank = unit - 1;
-                let i = pump.fifos[bank].pop_front().expect("bank event without a queued request");
-                let r = &batch[i].1;
-                pump.done_at[i] = shared.serve(
-                    bank,
-                    r.block,
-                    r.wid,
-                    r.tenant,
-                    r.is_write,
-                    r.bypass,
-                    pump.at_l2[i],
-                );
-                if let Some(&next) = pump.fifos[bank].front() {
-                    pump.wake.at[unit] = pump.at_l2[next];
-                }
+        for &(sm, r) in batch {
+            let at_l2 = fabric.request_transfer(line_size, r.arrive, r.tenant);
+            let bank = shared.bank_of(r.block);
+            let done = shared.serve(bank, r.block, r.wid, r.tenant, r.is_write, r.bypass, at_l2);
+            // Reads produce replies; they enter the reply reorder window
+            // rather than the fabric directly, so one batch's slow DRAM
+            // stragglers never charge phantom queueing against the next
+            // batch's fast completions.
+            if !r.is_write {
+                completions.push(RawCompletion {
+                    sm,
+                    seq: r.seq,
+                    done,
+                    tenant: r.tenant,
+                    event: r.event,
+                });
             }
         }
         profiler.exit();
-        // Reads produce replies; they enter the reply reorder window rather
-        // than the fabric directly, so one batch's slow DRAM stragglers never
-        // charge phantom queueing against the next batch's fast completions.
-        completions.extend(batch.iter().zip(&pump.done_at).filter(|((_, r), _)| !r.is_write).map(
-            |(&(sm, r), &done)| RawCompletion {
-                sm,
-                seq: r.seq,
-                done,
-                tenant: r.tenant,
-                event: r.event,
-            },
-        ));
     }
 
     /// Releases every reply in the reply reorder window completing at or
@@ -1232,6 +1192,12 @@ impl Gpu {
     /// charge the chip-wide reply budget in `(completion, SM, seq)` order;
     /// holds beyond `window_limit` fall back to batch-major release
     /// (earliest first — still safely after the delivery boundary).
+    ///
+    /// The due replies are moved to the front of the window and only they
+    /// are sorted; the held rest stays unordered until a later boundary
+    /// releases it. The keys are unique, so the unstable sort gives the one
+    /// order a full stable sort would. Only an overflowing window is sorted
+    /// whole, to release its earliest `len - window_limit` entries.
     fn release_replies(
         fabric: Option<&mut CrossbarFabric>,
         reply_window: &mut Vec<RawCompletion>,
@@ -1247,9 +1213,21 @@ impl Gpu {
             return;
         }
         profiler.enter("fabric-reply");
-        reply_window.sort_by_key(|c| (c.done, c.sm, c.seq));
-        let mut split = reply_window.partition_point(|c| c.done <= horizon);
-        split += (reply_window.len() - split).saturating_sub(window_limit);
+        let mut due = 0;
+        for i in 0..reply_window.len() {
+            if reply_window[i].done <= horizon {
+                reply_window.swap(i, due);
+                due += 1;
+            }
+        }
+        let key = |c: &RawCompletion| (c.done, c.sm, c.seq);
+        let split = if reply_window.len() - due > window_limit {
+            reply_window.sort_unstable_by_key(key);
+            reply_window.len() - window_limit
+        } else {
+            reply_window[..due].sort_unstable_by_key(key);
+            due
+        };
         out.extend(reply_window.drain(..split).filter_map(|c| {
             let done = fabric.reply_transfer(line_size, c.done, c.tenant);
             c.event.map(|event| ReadyResponse { sm: c.sm, done, event })
@@ -1267,7 +1245,7 @@ impl Gpu {
         shared: Option<&BankedMemorySystem>,
         adaptive: &mut Option<AdaptiveDispatcher>,
         deferred: &mut Vec<DeferredBatch>,
-        num_tenants: usize,
+        signals: &mut ChipSignals,
         now: Cycle,
         wake: &mut WakeClock,
         boundary_util: f64,
@@ -1275,8 +1253,8 @@ impl Gpu {
         let has_shared = shared.is_some();
         let mut progressed = false;
         while deferred.first().is_some_and(|b| b.arrival <= now) {
-            let batch = deferred.remove(0);
-            for (sm, work) in batch.per_sm.into_iter().enumerate() {
+            let mut batch = deferred.remove(0);
+            for (sm, work) in batch.per_sm.iter_mut().enumerate() {
                 if !work.is_empty() {
                     Self::deal_event(&mut sms[sm], sm, work, now, wake, boundary_util, has_shared);
                     progressed = true;
@@ -1284,25 +1262,27 @@ impl Gpu {
             }
         }
         if let Some(dispatcher) = adaptive {
-            let signals = Self::tenant_signals(sms, shared, num_tenants);
-            let free: Vec<usize> = sms.iter().map(Sm::free_warp_slots).collect();
-            for (sm, work) in dispatcher.on_boundary(now, &signals, &free) {
-                Self::deal_event(&mut sms[sm], sm, work, now, wake, boundary_util, has_shared);
-                progressed = true;
+            signals.sample(sms, shared);
+            let fed = dispatcher.on_boundary(now, &signals.tenants, &signals.free);
+            for (sm, work) in fed.iter_mut().enumerate() {
+                if !work.is_empty() {
+                    Self::deal_event(&mut sms[sm], sm, work, now, wake, boundary_util, has_shared);
+                    progressed = true;
+                }
             }
         }
         progressed
     }
 
-    /// Hands a dealt work batch to SM `unit`: settle any parked lag first
-    /// (its lag is a stretch the SM provably holds still on, and new CTAs
-    /// must launch *after* it is accounted, matching stepping mode's
-    /// advance-then-dispatch boundary order), then push the work and wake
-    /// the SM at the boundary.
+    /// Hands a dealt work batch to SM `unit`, emptying `work`: settle any
+    /// parked lag first (its lag is a stretch the SM provably holds still
+    /// on, and new CTAs must launch *after* it is accounted, matching
+    /// stepping mode's advance-then-dispatch boundary order), then push the
+    /// work and wake the SM at the boundary.
     fn deal_event(
         sm: &mut Sm,
         unit: usize,
-        work: Vec<crate::dispatch::CtaWork>,
+        work: &mut Vec<crate::dispatch::CtaWork>,
         now: Cycle,
         wake: &mut WakeClock,
         boundary_util: f64,
@@ -1316,42 +1296,6 @@ impl Gpu {
         }
         sm.push_work(work, now);
         wake.lower(unit, now);
-    }
-
-    /// Cumulative per-tenant monitor signals at an epoch boundary: L1 and
-    /// CTA-retire counters summed over the SMs, L2/DRAM attribution read from
-    /// the shared backend (or the single SM's private partition).
-    fn tenant_signals(
-        sms: &[Sm],
-        shared: Option<&BankedMemorySystem>,
-        num_tenants: usize,
-    ) -> Vec<TenantSignal> {
-        let mut out = vec![TenantSignal::default(); num_tenants];
-        for sm in sms {
-            for (t, stats) in sm.tenant_stats().iter().enumerate().take(num_tenants) {
-                out[t].l1_accesses += stats.l1d_accesses;
-                out[t].l1_hits += stats.l1d_hits;
-                out[t].instructions += stats.instructions;
-                out[t].ctas_completed += stats.ctas_completed;
-            }
-            if shared.is_none() {
-                if let Some(table) = sm.partition_tenant_stats() {
-                    for (t, m) in table.iter().enumerate().take(num_tenants) {
-                        out[t].l2_accesses += m.l2_accesses;
-                        out[t].l2_hits += m.l2_hits;
-                        out[t].dram_accesses += m.dram_accesses;
-                    }
-                }
-            }
-        }
-        if let Some(shared) = shared {
-            for (t, m) in shared.tenant_stats().iter().enumerate().take(num_tenants) {
-                out[t].l2_accesses += m.l2_accesses;
-                out[t].l2_hits += m.l2_hits;
-                out[t].dram_accesses += m.dram_accesses;
-            }
-        }
-        out
     }
 
     /// Consumes the engine and assembles the chip-level [`SimResult`]:
@@ -1386,12 +1330,14 @@ impl Gpu {
                 }
             }
             if let Some(table) = sm.partition_tenant_stats() {
-                merge_tenant_stats(&mut tenant_mem, &table);
+                merge_tenant_stats(&mut tenant_mem, table);
             }
         }
         let interconnect = Crossbar::aggregate(self.sms.iter().map(Sm::interconnect));
         if let Some(shared) = &self.shared {
-            merge_tenant_stats(&mut tenant_mem, &shared.tenant_stats());
+            for table in shared.tenant_stats_per_bank() {
+                merge_tenant_stats(&mut tenant_mem, table);
+            }
         }
         tenant_mem.resize(num_tenants.max(tenant_mem.len()), TenantMemStats::default());
         // CTAs the adaptive dispatcher never managed to deal (run ended by a
@@ -1859,11 +1805,12 @@ mod tests {
 
         /// The flat wake clock behaves exactly like a `BTreeSet` of
         /// `(time, unit)` pairs that leaves parked units out: random
-        /// `set` / `lower` / `pop_due` / `next` sequences over 1–130 units
-        /// give the same `next` minimum and pop the same units, earliest
-        /// first and the lowest unit on a tie, and `pop_due` never returns
-        /// a unit due after `now` or parked at `Cycle::MAX`. A final drain
-        /// pops every unit still waiting in `(time, unit)` order.
+        /// `set` / `lower` / `pop_all_due` / `next` sequences over 1–130
+        /// units give the same `next` minimum and pop the same units,
+        /// earliest first and the lowest unit on a tie, and `pop_all_due`
+        /// never returns a unit due after `now` or parked at `Cycle::MAX`.
+        /// A final drain pops every unit still waiting in `(time, unit)`
+        /// order.
         #[test]
         fn wake_clock_matches_an_ordered_set_model(
             units in 1usize..131,
@@ -1871,6 +1818,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..4, any::<usize>(), WakeTime), 1..400),
         ) {
             let mut clock = WakeClock::new(units, start);
+            let mut popped = Vec::new();
             let mut model = std::collections::BTreeSet::new();
             let mut at = vec![start; units];
             if start != Cycle::MAX {
@@ -1900,15 +1848,16 @@ mod tests {
                     }
                     2 => {
                         // `at` equals the clock's slots before the pop.
-                        let got = clock.pop_due(t);
-                        if let Some(u) = got {
+                        clock.pop_all_due(t, &mut popped);
+                        for &u in &popped {
                             prop_assert!(at[u] <= t && at[u] != Cycle::MAX, "popped {}", at[u]);
                         }
-                        let want = model.first().copied().filter(|&(due, _)| due <= t);
-                        prop_assert_eq!(got, want.map(|(_, u)| u), "pop_due({}) at step {}", t, step);
-                        if let Some((_, u)) = want {
+                        let mut want = Vec::new();
+                        while let Some(&(_, u)) = model.first().filter(|&&(due, _)| due <= t) {
+                            want.push(u);
                             set(&mut model, &mut at, u, Cycle::MAX);
                         }
+                        prop_assert_eq!(&popped, &want, "pop_all_due({}) at step {}", t, step);
                     }
                     _ => {}
                 }
@@ -1916,14 +1865,10 @@ mod tests {
                 prop_assert_eq!(clock.next(), want_next, "next at step {}", step);
                 prop_assert_eq!(&clock.at, &at);
             }
-            let mut last = None;
-            while let Some(unit) = clock.pop_due(Cycle::MAX) {
-                let due = model.pop_first().expect("model drains with the clock");
-                prop_assert_eq!(unit, due.1);
-                prop_assert!(last < Some(due), "pops leave (time, unit) order");
-                last = Some(due);
-            }
-            prop_assert!(model.is_empty());
+            let waiting: Vec<(Cycle, usize)> = model.iter().copied().collect();
+            clock.pop_all_due(Cycle::MAX, &mut popped);
+            prop_assert!(waiting.windows(2).all(|w| w[0] < w[1]), "model leaves (time, unit) order");
+            prop_assert_eq!(popped, waiting.iter().map(|&(_, u)| u).collect::<Vec<_>>());
             prop_assert_eq!(clock.next(), Cycle::MAX);
         }
     }

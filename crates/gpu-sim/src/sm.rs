@@ -330,15 +330,15 @@ impl Sm {
     /// work list froze its clock, so it is fast-forwarded to the boundary
     /// cycle `now` first — the idle gap counts in `cycles` but not in
     /// `idle_cycles`, which only measures cycles the SM had work it could not
-    /// issue.
-    pub fn push_work(&mut self, items: Vec<CtaWork>, now: Cycle) {
+    /// issue. `items` is left empty, with its capacity.
+    pub fn push_work(&mut self, items: &mut Vec<CtaWork>, now: Cycle) {
         if items.is_empty() {
             return;
         }
         if self.is_done() && !self.hit_cap() {
             self.cycle = self.cycle.max(now);
         }
-        self.work.extend(items);
+        self.work.append(items);
         self.launch_ctas();
         self.update_redirect_capacity();
     }
@@ -612,7 +612,7 @@ impl Sm {
     /// Per-tenant L2/DRAM attribution of the SM's private partition, if it
     /// owns one (`None` on a deferred port — the shared backend holds the
     /// chip-level table instead).
-    pub fn partition_tenant_stats(&self) -> Option<Vec<gpu_mem::TenantMemStats>> {
+    pub fn partition_tenant_stats(&self) -> Option<&[gpu_mem::TenantMemStats]> {
         self.port.partition_tenant_stats()
     }
 
@@ -1656,7 +1656,7 @@ mod tests {
             sm.set_stepping(stepping);
             sm.run_epoch_event(40);
             assert_eq!((sm.cycle(), sm.replayed), (40, Some(1)), "mid-stretch boundary");
-            sm.push_work(work_of(Arc::clone(&empty), 1), 40);
+            sm.push_work(&mut work_of(Arc::clone(&empty), 1), 40);
             run(&mut sm, stepping);
             (sm.stats().clone(), sm.tenant_stats().to_vec())
         };

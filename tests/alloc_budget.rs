@@ -5,14 +5,16 @@
 //! SM issue path or the epoch boundary allocates is paid millions of times
 //! per run. This test installs a global allocator that counts allocations
 //! per thread and runs the 15-SM `cache-stream` and `stream-stream` co-runs
-//! under shared round-robin dispatch with GTO: `Simulator::execute` must
-//! make fewer than one allocation per ten issued instructions, set-up
-//! included.
+//! with GTO under shared round-robin and under interference-aware dispatch:
+//! `Simulator::execute` must make fewer than one allocation per ten issued
+//! instructions, set-up included.
 //!
 //! What remains is set-up (the dispatch plan, each warp's program, the
 //! result), each CTA launch's bookkeeping, and about one allocation per
 //! busy epoch boundary: the scratch buffer of the stable sort that orders
-//! the reorder windows, and buffers growing to a new high-water mark.
+//! the request reorder window, and buffers growing to a new high-water
+//! mark. Interference-aware dispatch adds the decision-log entry of each
+//! closed monitor window.
 //!
 //! The fleet's per-arrival path (placement, admission, classification,
 //! completion) allocates nothing either: `Fleet::execute` must make fewer
@@ -75,8 +77,9 @@ fn gto(_sm: usize) -> SmUnit {
     (Box::new(GtoScheduler::new()), None)
 }
 
-#[test]
-fn fifteen_sm_co_runs_allocate_less_than_once_per_ten_instructions() {
+/// Runs the 15-SM `cache-stream` and `stream-stream` co-runs under `policy`
+/// with GTO and requires fewer than one allocation per ten instructions.
+fn assert_co_runs_allocate_less_than_once_per_ten_instructions(policy: DispatchPolicy) {
     let sim = Simulator::new(GpuConfig::gtx480().with_num_sms(15));
     let scale = ScaleConfig { ops_per_warp: 600, footprint_scale: 1.0, seed: 0 };
     for mix in [Mix::CacheStream, Mix::StreamStream] {
@@ -84,19 +87,30 @@ fn fifteen_sm_co_runs_allocate_less_than_once_per_ten_instructions() {
             .kernels(&scale)
             .into_iter()
             .fold(SimRequest::new(), SimRequest::stream)
-            .policy(DispatchPolicy::SharedRoundRobin);
+            .policy(policy);
         let before = allocations();
         let result = sim.execute(request, gto);
         let made = allocations() - before;
         let instructions = result.stats.instructions;
-        assert!(!result.capped, "{}: the co-run must finish", mix.name());
+        assert!(!result.capped, "{} under {policy}: the co-run must finish", mix.name());
         assert!(
             made * 10 < instructions,
-            "{}: {made} allocations over {instructions} instructions ({:.3} per instruction)",
+            "{} under {policy}: {made} allocations over {instructions} instructions \
+             ({:.3} per instruction)",
             mix.name(),
             made as f64 / instructions as f64,
         );
     }
+}
+
+#[test]
+fn fifteen_sm_co_runs_allocate_less_than_once_per_ten_instructions() {
+    assert_co_runs_allocate_less_than_once_per_ten_instructions(DispatchPolicy::SharedRoundRobin);
+}
+
+#[test]
+fn fifteen_sm_interference_aware_co_runs_allocate_less_than_once_per_ten_instructions() {
+    assert_co_runs_allocate_less_than_once_per_ten_instructions(DispatchPolicy::InterferenceAware);
 }
 
 #[test]

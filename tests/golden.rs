@@ -60,6 +60,18 @@ fn tiny_cache_stream(sms: usize, policy: DispatchPolicy, arrivals: u64, expected
     });
 }
 
+/// The Tiny stream-vs-stream mix under GTO on the 15-SM chip with both
+/// reorder windows capped at `window` entries, far below the default of
+/// 4,096, so busy boundaries take the windows' overflow paths.
+fn tiny15_stream_stream_window(window: usize, policy: DispatchPolicy, expected: u64) {
+    let name = format!("tiny/15 stream-stream {policy} reorder window {window}");
+    assert_golden(&name, expected, |backend| {
+        let mut runner = Runner::new(RunScale::Tiny).with_sms(15).with_backend(backend);
+        runner.config.reorder_window = window;
+        runner.run_mix(Mix::StreamStream, policy, SchedulerKind::Gto)
+    });
+}
+
 #[test]
 fn quick_sm1_syrk_gto() {
     quick_sm1(Benchmark::Syrk, SchedulerKind::Gto, 0xeede_fa54_b73c_1df9);
@@ -140,6 +152,26 @@ fn tiny64_cache_stream_capacity_point() {
 #[test]
 fn tiny64_cache_stream_interference_aware() {
     tiny_cache_stream(64, DispatchPolicy::InterferenceAware, 0, 0x9aec_8a42_bc0f_d23a);
+}
+
+#[test]
+fn tiny15_stream_stream_window_0_shared_rr() {
+    tiny15_stream_stream_window(0, DispatchPolicy::SharedRoundRobin, 0x67c6_16e0_cd15_0b15);
+}
+
+#[test]
+fn tiny15_stream_stream_window_0_interference_aware() {
+    tiny15_stream_stream_window(0, DispatchPolicy::InterferenceAware, 0xebe4_5185_efaa_9812);
+}
+
+#[test]
+fn tiny15_stream_stream_window_2_shared_rr() {
+    tiny15_stream_stream_window(2, DispatchPolicy::SharedRoundRobin, 0xbf8a_29ee_3bb7_2c03);
+}
+
+#[test]
+fn tiny15_stream_stream_window_2_interference_aware() {
+    tiny15_stream_stream_window(2, DispatchPolicy::InterferenceAware, 0xb282_2264_c4a6_42ec);
 }
 
 /// The Fig. 8 headline matrix: GTO and CIAO-C over every benchmark at Quick

@@ -87,6 +87,28 @@ fn canonical_trace_is_byte_identical_across_timing_backends() {
     );
 }
 
+/// FNV-1a-64 of a string.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+#[test]
+fn canonical_trace_matches_its_recorded_digests() {
+    // Bank and fabric tracks are written in service order, so a change to
+    // the order in which the boundary loop serves requests or releases
+    // replies shows up here even when both timing modes still agree.
+    for backend in BackendKind::ALL {
+        let (_, report) = observed_mix(backend, ObsLevel::Full);
+        let trace = fnv1a(&report.chrome_trace_json());
+        assert_eq!(trace, 0x6a25_ed60_55cd_4f39, "trace digest under {backend}: {trace:#018x}");
+        let metrics = fnv1a(&report.metrics_json());
+        assert_eq!(
+            metrics, 0x8381_a46e_02e2_7558,
+            "metrics digest under {backend}: {metrics:#018x}"
+        );
+    }
+}
+
 #[test]
 fn observation_never_perturbs_the_simulation() {
     // Full observability must be a pure read: the serialised SimResult is
