@@ -83,8 +83,9 @@ pub struct SchedulerCtx<'a> {
     pub now: Cycle,
     /// All warps resident on the SM (indexed by warp id).
     pub warps: &'a [Warp],
-    /// Indices into `warps` of the warps able to issue this cycle (ready and
-    /// not finished); throttling decisions are the scheduler's own business.
+    /// Indices into `warps` of the warps able to issue this cycle: ready,
+    /// not finished, and not held back by the scheduler's own
+    /// [`WarpScheduler::is_throttled`] under the SM's throttle rule.
     pub ready: &'a [usize],
     /// Total dynamic instructions executed on this SM so far.
     pub instructions_executed: u64,
@@ -124,9 +125,13 @@ pub trait WarpScheduler: Send {
     /// Short policy name used in reports ("GTO", "CCWS", "CIAO-C", ...).
     fn name(&self) -> &'static str;
 
-    /// Picks the warp (an index into `ctx.warps`) to issue this cycle, or
-    /// `None` to idle. Implementations must only return indices contained in
-    /// `ctx.ready` and must respect their own throttling decisions.
+    /// Picks the warp (an index into `ctx.warps`) to issue this cycle.
+    ///
+    /// The contract: return one of `ctx.ready` whenever `ctx.ready` is
+    /// non-empty, and `None` only when it is empty. The SM has already
+    /// applied [`WarpScheduler::is_throttled`] (and
+    /// [`WarpScheduler::throttles_loads_only`]) when it built the offer, so a
+    /// policy only orders what it is offered and never filters it again.
     fn pick(&mut self, ctx: &SchedulerCtx<'_>) -> Option<usize>;
 
     /// Advances the scheduler in closed form over `cycles` consecutive
@@ -144,10 +149,10 @@ pub trait WarpScheduler: Send {
     ///   offering `idx` (which returns `idx`) followed by
     ///   [`WarpScheduler::on_issue`] for that warp would leave.
     ///
-    /// Schedulers whose empty-ready `pick` is pure (GTO, LRR) keep this
-    /// default no-op. Schedulers that mutate state on empty picks (CCWS
-    /// score decay, CIAO low-epoch checks, dirty-flag recomputes, statPCAL's
-    /// utilisation sample) must override it.
+    /// Schedulers whose empty-ready `pick` is pure (GTO, LRR, Best-SWL) keep
+    /// this default no-op. Schedulers that mutate state on empty picks
+    /// (CCWS score decay, CIAO low-epoch checks, statPCAL's utilisation
+    /// sample) must override it.
     fn on_idle_cycles(&mut self, _ctx: &SchedulerCtx<'_>, _cycles: u64) {}
 
     /// How many cycles, starting at `ctx.now`, the SM may hold still

@@ -408,14 +408,15 @@ impl Sm {
     ///   the last stepped cycle was throttle-only and every ready warp
     ///   - already holds a fetched op (so `step` fetches nothing and finds
     ///     no finished program),
-    ///   - whose op is not a `Barrier` (barriers are never throttled),
-    ///   - is throttled under the rule `step` applies;
+    ///   - is held back by the SM's one throttle rule
+    ///     (`Sm::held_by_throttle`, which never holds a `Barrier`);
     /// - *replay*: warp `idx` retries a global load that the full MSHR file
     ///   turned away on the last stepped cycle. It is ready exactly now
-    ///   (`Executing { until: now }`, as the replay left it) and not
-    ///   throttled — a recompute inside the last `pick` may have throttled
-    ///   the warp that `pick` still returned. Every other ready warp already
-    ///   holds a fetched op and none wakes now.
+    ///   (`Executing { until: now }`, as the replay left it) and not held
+    ///   back by the same rule — the last `pick` may have moved the throttle
+    ///   set (CCWS's recompute, statPCAL's sample) after returning the warp.
+    ///   Every other ready warp already holds a fetched op and none wakes
+    ///   now.
     ///
     /// In both, no pending memory response is due (a replay's MSHR file
     /// stays full) and `step` has no CTA or sampler bookkeeping due
@@ -432,7 +433,7 @@ impl Sm {
         if let Some(idx) = self.replayed {
             let warp = &self.warps[idx];
             if warp.state != (WarpState::Executing { until: now })
-                || self.scheduler.is_throttled(warp.id)
+                || Self::held_by_throttle(&*self.scheduler, warp)
             {
                 return None;
             }
@@ -449,7 +450,7 @@ impl Sm {
             let holds = if self.replayed.is_some() {
                 w.pending().is_some() && w.state != (WarpState::Executing { until: now })
             } else {
-                self.throttle_only_last && self.held_by_throttle(w)
+                self.throttle_only_last && Self::held_by_throttle(&*self.scheduler, w)
             };
             if !holds {
                 return None;
@@ -500,15 +501,20 @@ impl Sm {
                 })
     }
 
-    /// True when ready warp `w` stays out of the ready set `step` offers the
-    /// scheduler without `step` touching it: its next op is already fetched,
-    /// is not a barrier, and is throttled under `step`'s own rule.
-    fn held_by_throttle(&self, w: &Warp) -> bool {
+    /// The SM's one throttle rule: true when `scheduler` holds warp `w`
+    /// back from issue. Its next op must already be fetched and must not be
+    /// a `Barrier` (stalling a warp its CTA waits for at a barrier would
+    /// deadlock the CTA; real schedulers are barrier-aware for the same
+    /// reason), `is_throttled` must hold for it, and a scheduler that
+    /// throttles loads only holds back global-memory ops alone. `step`'s
+    /// ready scan offers exactly the ready warps this rule lets through,
+    /// and `skip_target` asks the same rule whether a stretch holds.
+    fn held_by_throttle(scheduler: &dyn WarpScheduler, w: &Warp) -> bool {
         match w.pending() {
             None | Some(WarpOp::Barrier) => false,
             Some(op) => {
-                self.scheduler.is_throttled(w.id)
-                    && (op.is_global_mem() || !self.scheduler.throttles_loads_only())
+                scheduler.is_throttled(w.id)
+                    && (op.is_global_mem() || !scheduler.throttles_loads_only())
             }
         }
     }
@@ -655,18 +661,12 @@ impl Sm {
         self.offered.clear();
         let mut any_ready_ignoring_throttle = false;
         self.warps.for_each_ready(now, |i, w| {
-            let Some(op) = w.pending() else {
+            if w.pending().is_none() {
                 finished_now.push(i);
                 return;
-            };
+            }
             any_ready_ignoring_throttle = true;
-            // Barrier instructions are never gated by throttling: stalling a
-            // warp that its CTA is waiting for at a barrier would deadlock
-            // the CTA (real schedulers are barrier-aware for the same reason).
-            if !matches!(op, WarpOp::Barrier)
-                && self.scheduler.is_throttled(w.id)
-                && (op.is_global_mem() || !self.scheduler.throttles_loads_only())
-            {
+            if Self::held_by_throttle(&*self.scheduler, w) {
                 return;
             }
             self.ready_scratch.push(i);
@@ -687,10 +687,10 @@ impl Sm {
                 dram_utilization: self.port.dram_utilization(now.max(1)),
             };
             // The scheduler is consulted even when nothing is ready: policies
-            // that maintain throttle/token sets (Best-SWL, CCWS, statPCAL,
-            // CIAO) use the call to refresh their state, otherwise an SM
-            // whose only runnable warps are currently throttled would stay
-            // idle forever.
+            // whose throttle set moves with time (CCWS's score decay,
+            // statPCAL's utilisation sample, CIAO's low-epoch check) use the
+            // call to refresh it, otherwise an SM whose only runnable warps
+            // are currently throttled would stay idle forever.
             let picked = self.scheduler.pick(&ctx);
             // Defensive: only honour picks that were actually offered.
             let picked = picked.filter(|&i| self.offered.contains(i));

@@ -113,6 +113,7 @@ impl std::fmt::Display for SchedulerKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::WarpId;
 
     #[test]
     fn seven_schedulers() {
@@ -145,12 +146,20 @@ mod tests {
     fn best_swl_uses_profiled_nwrp() {
         let cfg = GpuConfig::gtx480();
         let params = CiaoParams::default();
-        // ATAX's profiled limit is 2: warps 0 and 1 run, warp 2 is throttled.
-        let (sched, _) = SchedulerKind::BestSwl.build(Benchmark::Atax, &cfg, &params);
+        let launch_all = |benchmark| {
+            let (mut sched, _) = SchedulerKind::BestSwl.build(benchmark, &cfg, &params);
+            for wid in 0..cfg.max_warps_per_sm as WarpId {
+                sched.on_warp_launched(wid, 0);
+            }
+            sched
+        };
+        // ATAX's profiled limit is 2: the two oldest warps run, the third is
+        // throttled.
+        let sched = launch_all(Benchmark::Atax);
         assert!(sched.is_throttled(2));
         assert!(!sched.is_throttled(1));
         // PVC's limit is 48: nothing throttled.
-        let (sched, _) = SchedulerKind::BestSwl.build(Benchmark::Pvc, &cfg, &params);
+        let sched = launch_all(Benchmark::Pvc);
         assert!(!sched.is_throttled(47));
     }
 }

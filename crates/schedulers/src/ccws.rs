@@ -17,7 +17,6 @@ use gpu_sim::scheduler::{
     CacheEvent, CacheEventOutcome, SchedulerCtx, SchedulerMetrics, WarpScheduler,
 };
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
 
 /// CCWS tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -179,13 +178,18 @@ fn admission(
     order: &mut Vec<usize>,
 ) -> usize {
     // Most warps sit at the floor: sort the few above it, then append the
-    // rest in index order, which a stable sort by score leaves as it is.
+    // rest in index order. Launch, the initial table and every decay clamp
+    // keep an unfinished warp's score at the floor or above, so every warp
+    // of that tail scores exactly the floor and is already in order.
     order.clear();
     order.extend((0..finished.len()).filter(|&i| !finished[i] && score(i) > floor));
     order.sort_unstable_by(|&a, &b| score(b).cmp(&score(a)).then(a.cmp(&b)));
     let above = order.len();
     order.extend((0..finished.len()).filter(|&i| !finished[i] && score(i) <= floor));
-    order[above..].sort_by_key(|&i| Reverse(score(i)));
+    debug_assert!(
+        order[above..].iter().all(|&i| score(i) == floor),
+        "an unfinished warp scores below the floor"
+    );
     let mut cumulative = 0u64;
     for (p, &i) in order.iter().enumerate() {
         cumulative += score(i);

@@ -26,6 +26,7 @@
 #![warn(clippy::all)]
 
 pub mod ccws;
+mod oldest;
 pub mod pcal;
 pub mod swl;
 pub mod vta;

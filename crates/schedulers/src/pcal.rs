@@ -9,7 +9,13 @@
 //! relative to Best-SWL but, as the paper observes, the bypassed requests
 //! still pay the long DRAM latency, which limits its benefit for LWS and SWS
 //! workloads (Fig. 8a) unless DRAM bandwidth is doubled (Fig. 12b).
+//!
+//! The token holders are the `tokens` oldest unfinished warps, kept exact
+//! at every launch and finish by the same set Best-SWL admits from. Besides
+//! its greedy pointer, a `pick` changes only the DRAM utilisation sample
+//! that decides whether non-token warps are throttled.
 
+use crate::oldest::OldestWarps;
 use gpu_mem::{Cycle, WarpId};
 use gpu_sim::scheduler::{MemRoute, SchedulerCtx, SchedulerMetrics, WarpScheduler};
 use serde::{Deserialize, Serialize};
@@ -36,55 +42,27 @@ impl PcalConfig {
 /// The statPCAL scheduler.
 pub struct PcalScheduler {
     config: PcalConfig,
-    /// Token holders (by warp slot).
-    token: Vec<bool>,
-    finished: Vec<bool>,
+    /// Token holders: the `tokens` oldest unfinished warps.
+    token: OldestWarps,
     /// Most recent DRAM bandwidth utilisation seen in `pick`.
     last_utilization: f64,
     last_issued: Option<usize>,
-    dirty: bool,
 }
 
 impl PcalScheduler {
     /// Creates a statPCAL scheduler.
     pub fn new(config: PcalConfig) -> Self {
         PcalScheduler {
-            token: vec![false; config.num_warps],
-            finished: vec![false; config.num_warps],
+            token: OldestWarps::new(config.tokens),
             last_utilization: 0.0,
             last_issued: None,
-            dirty: true,
             config,
         }
     }
 
     /// Whether warp `wid` currently holds a token (uses the L1D).
     pub fn holds_token(&self, wid: WarpId) -> bool {
-        if self.dirty {
-            (wid as usize) < self.config.tokens
-        } else {
-            self.token.get(wid as usize).copied().unwrap_or(false)
-        }
-    }
-
-    fn recompute(&mut self, ctx: &SchedulerCtx<'_>) {
-        for t in self.token.iter_mut() {
-            *t = false;
-        }
-        let mut candidates: Vec<usize> = ctx
-            .warps
-            .iter()
-            .enumerate()
-            .filter(|(i, w)| !w.is_finished() && !self.finished.get(*i).copied().unwrap_or(false))
-            .map(|(i, _)| i)
-            .collect();
-        candidates.sort_by_key(|&i| ctx.warps[i].launch_seq);
-        for &i in candidates.iter().take(self.config.tokens) {
-            if let Some(slot) = self.token.get_mut(ctx.warps[i].id as usize) {
-                *slot = true;
-            }
-        }
-        self.dirty = false;
+        self.token.admits(wid)
     }
 
     fn bandwidth_available(&self) -> bool {
@@ -99,9 +77,6 @@ impl WarpScheduler for PcalScheduler {
 
     fn pick(&mut self, ctx: &SchedulerCtx<'_>) -> Option<usize> {
         self.last_utilization = ctx.dram_utilization;
-        if self.dirty {
-            self.recompute(ctx);
-        }
         if let Some(last) = self.last_issued {
             if ctx.ready.contains(&last) {
                 return Some(last);
@@ -109,8 +84,7 @@ impl WarpScheduler for PcalScheduler {
         }
         // Token warps first (oldest), then bypassing warps.
         let pick = ctx.ready.iter().copied().min_by_key(|&i| {
-            let wid = ctx.warps[i].id as usize;
-            let has_token = self.token.get(wid).copied().unwrap_or(false);
+            let has_token = self.holds_token(ctx.warps[i].id);
             (if has_token { 0u8 } else { 1u8 }, ctx.warps[i].launch_seq)
         })?;
         self.last_issued = Some(pick);
@@ -118,14 +92,11 @@ impl WarpScheduler for PcalScheduler {
     }
 
     fn on_idle_cycles(&mut self, ctx: &SchedulerCtx<'_>, _cycles: u64) {
-        // A held `pick` still records the bandwidth sample and clears a
-        // pending recompute — both observed by `is_throttled`/`metrics`;
-        // the rest of it is pure, whether nothing is ready or the greedy
-        // warp replays (`on_issue` is the no-op default).
+        // A held `pick` still records the bandwidth sample, which
+        // `is_throttled` and `metrics` observe; the rest of it is pure,
+        // whether nothing is ready or the greedy warp replays (`on_issue`
+        // is the no-op default).
         self.last_utilization = ctx.dram_utilization;
-        if self.dirty {
-            self.recompute(ctx);
-        }
     }
 
     fn hold_horizon(
@@ -138,10 +109,10 @@ impl WarpScheduler for PcalScheduler {
             &[idx] => self.last_issued == Some(idx),
             _ => false,
         };
-        if self.dirty || !greedy {
+        if !greedy {
             return 0;
         }
-        // A clean pick changes the throttle only through the sample it
+        // A greedy pick changes the throttle only through the sample it
         // stores: cycle `t` holds while that sample is known and keeps the
         // non-token throttle as it is, judged by the very comparison
         // `bandwidth_available` makes. Utilisation does not rise while the
@@ -180,18 +151,11 @@ impl WarpScheduler for PcalScheduler {
     }
 
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
-        // Slot reuse across CTA waves: the new occupant has not finished.
-        if let Some(f) = self.finished.get_mut(wid as usize) {
-            *f = false;
-        }
-        self.dirty = true;
+        self.token.launch(wid);
     }
 
     fn on_warp_finished(&mut self, wid: WarpId, _now: Cycle) {
-        if let Some(f) = self.finished.get_mut(wid as usize) {
-            *f = true;
-        }
-        self.dirty = true;
+        self.token.finish(wid);
     }
 
     fn route(&mut self, wid: WarpId) -> MemRoute {
@@ -218,12 +182,7 @@ impl WarpScheduler for PcalScheduler {
     }
 
     fn metrics(&self) -> SchedulerMetrics {
-        let tokens = if self.dirty {
-            self.config.tokens.min(self.config.num_warps)
-        } else {
-            self.token.iter().filter(|&&t| t).count()
-        };
-        let non_token = self.config.num_warps.saturating_sub(tokens);
+        let non_token = self.config.num_warps.saturating_sub(self.token.admitted());
         SchedulerMetrics {
             vta_hits: 0,
             throttled_warps: if self.bandwidth_available() { 0 } else { non_token },
@@ -256,15 +215,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn token_warps_use_l1d_others_bypass() {
+    /// A scheduler with `tokens` tokens and warps `0..4` launched in slot
+    /// order.
+    fn launched(tokens: usize) -> PcalScheduler {
         let mut s = PcalScheduler::new(PcalConfig {
-            tokens: 2,
+            tokens,
             bypass_bandwidth_threshold: 0.7,
             num_warps: 4,
         });
-        let w = warps(4);
-        s.pick(&ctx(&w, &[0, 1, 2, 3], 0.1));
+        for w in 0..4 {
+            s.on_warp_launched(w, 0);
+        }
+        s
+    }
+
+    #[test]
+    fn token_warps_use_l1d_others_bypass() {
+        let mut s = launched(2);
         assert_eq!(s.route(0), MemRoute::L1d);
         assert_eq!(s.route(1), MemRoute::L1d);
         assert_eq!(s.route(2), MemRoute::Bypass);
@@ -274,11 +241,7 @@ mod tests {
 
     #[test]
     fn non_token_warps_run_only_with_spare_bandwidth() {
-        let mut s = PcalScheduler::new(PcalConfig {
-            tokens: 1,
-            bypass_bandwidth_threshold: 0.7,
-            num_warps: 4,
-        });
+        let mut s = launched(1);
         let w = warps(4);
         s.pick(&ctx(&w, &[0, 1, 2, 3], 0.2));
         assert!(!s.is_throttled(3), "spare bandwidth: bypass warps may run");
@@ -317,11 +280,7 @@ mod tests {
     }
 
     fn throttled_at(util: f64) -> (PcalScheduler, Vec<Warp>) {
-        let mut s = PcalScheduler::new(PcalConfig {
-            tokens: 1,
-            bypass_bandwidth_threshold: 0.7,
-            num_warps: 4,
-        });
+        let mut s = launched(1);
         let w = warps(4);
         s.pick(&ctx(&w, &[0, 1, 2, 3], util));
         (s, w)
@@ -371,24 +330,17 @@ mod tests {
     }
 
     #[test]
-    fn replays_hold_only_when_clean_and_greedy() {
+    fn replays_hold_only_when_greedy() {
         let (mut s, w) = throttled_at(0.9);
         let util_at = |_: Cycle| Some(0.9);
         assert_eq!(s.pick(&ctx(&w, &[0, 1], 0.9)), Some(0));
         assert_eq!(s.hold_horizon(&ctx(&w, &[0], 0.9), &util_at), u64::MAX);
         assert_eq!(s.hold_horizon(&ctx(&w, &[1], 0.9), &util_at), 0, "warp 1 is not greedy");
-        s.on_warp_launched(3, 0);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[0], 0.9), &util_at), 0, "a recompute is pending");
-        assert_eq!(s.hold_horizon(&ctx(&w, &[], 0.9), &util_at), 0, "a recompute is pending");
     }
 
     #[test]
     fn token_warps_preferred_in_pick() {
-        let mut s = PcalScheduler::new(PcalConfig {
-            tokens: 1,
-            bypass_bandwidth_threshold: 0.7,
-            num_warps: 4,
-        });
+        let mut s = launched(1);
         let w = warps(4);
         assert_eq!(s.pick(&ctx(&w, &[2, 0, 3], 0.0)), Some(0));
         // Greedy on the chosen warp while it stays ready.
@@ -397,20 +349,23 @@ mod tests {
 
     #[test]
     fn tokens_move_to_older_waiting_warps_when_holder_finishes() {
-        let mut s = PcalScheduler::new(PcalConfig {
-            tokens: 1,
-            bypass_bandwidth_threshold: 0.7,
-            num_warps: 4,
-        });
-        let mut w = warps(4);
-        s.pick(&ctx(&w, &[0, 1, 2, 3], 0.0));
+        let mut s = launched(1);
         assert!(s.holds_token(0));
         assert!(!s.holds_token(1));
-        w[0].finish();
         s.on_warp_finished(0, 0);
-        s.pick(&ctx(&w, &[1, 2, 3], 0.0));
-        assert!(s.holds_token(1));
+        assert!(s.holds_token(1), "the token moves at the finish");
         assert_eq!(s.route(1), MemRoute::L1d);
+        // A new warp in the freed slot is the youngest: no token.
+        s.on_warp_launched(0, 0);
+        assert!(!s.holds_token(0));
+        assert_eq!(s.route(0), MemRoute::Bypass);
+    }
+
+    #[test]
+    fn no_warp_holds_a_token_before_it_launches() {
+        let s = PcalScheduler::new(PcalConfig::with_tokens(2));
+        assert!(!s.holds_token(0));
+        assert_eq!(s.metrics().bypassed_warps, 48);
     }
 
     #[test]

@@ -2,24 +2,26 @@
 //!
 //! Best-SWL fixes the number of schedulable warps to `limit` for the whole
 //! run; the limit is chosen per benchmark by profiling (the `Nwrp` column of
-//! Table II). Among the admitted warps the order is greedy-then-oldest, the
-//! same base policy every scheduler in the evaluation uses. Because the limit
-//! cannot adapt to phase changes, Best-SWL loses to dynamic schemes on
-//! applications such as ATAX whose second phase wants full TLP (Fig. 9a).
+//! Table II). The admitted warps are the `limit` oldest unfinished ones,
+//! kept exact at every launch and finish; the rest are throttled, and the
+//! SM offers only admitted warps. Among those the order is
+//! greedy-then-oldest, the same base policy every scheduler in the
+//! evaluation uses, so `pick` is GTO's and filters nothing. Because the
+//! limit cannot adapt to phase changes, Best-SWL loses to dynamic schemes
+//! on applications such as ATAX whose second phase wants full TLP (Fig. 9a).
 
+use crate::oldest::OldestWarps;
 use gpu_mem::{Cycle, WarpId};
-use gpu_sim::scheduler::{SchedulerCtx, SchedulerMetrics, WarpScheduler};
+use gpu_sim::scheduler::{GtoScheduler, SchedulerCtx, SchedulerMetrics, WarpScheduler};
 
 /// The Best-SWL scheduler.
 pub struct SwlScheduler {
     /// Maximum number of concurrently schedulable warps.
     limit: usize,
-    /// Warps currently admitted (by warp slot).
-    admitted: Vec<bool>,
-    /// Warps that finished (candidates are replenished from the rest).
-    finished: Vec<bool>,
-    last_issued: Option<usize>,
-    dirty: bool,
+    /// The admitted warps: the `limit` oldest unfinished ones.
+    admitted: OldestWarps,
+    /// The issue order among the admitted warps.
+    gto: GtoScheduler,
     num_warps: usize,
 }
 
@@ -30,10 +32,8 @@ impl SwlScheduler {
         let limit = limit.max(1);
         SwlScheduler {
             limit,
-            admitted: vec![false; num_warps],
-            finished: vec![false; num_warps],
-            last_issued: None,
-            dirty: true,
+            admitted: OldestWarps::new(limit),
+            gto: GtoScheduler::new(),
             num_warps,
         }
     }
@@ -41,27 +41,6 @@ impl SwlScheduler {
     /// The configured warp limit.
     pub fn limit(&self) -> usize {
         self.limit
-    }
-
-    /// Re-admits the `limit` oldest unfinished warps.
-    fn recompute(&mut self, ctx: &SchedulerCtx<'_>) {
-        for a in self.admitted.iter_mut() {
-            *a = false;
-        }
-        let mut candidates: Vec<usize> = ctx
-            .warps
-            .iter()
-            .enumerate()
-            .filter(|(i, w)| !w.is_finished() && !self.finished.get(*i).copied().unwrap_or(false))
-            .map(|(i, _)| i)
-            .collect();
-        candidates.sort_by_key(|&i| ctx.warps[i].launch_seq);
-        for &i in candidates.iter().take(self.limit) {
-            if let Some(slot) = self.admitted.get_mut(ctx.warps[i].id as usize) {
-                *slot = true;
-            }
-        }
-        self.dirty = false;
     }
 }
 
@@ -71,87 +50,35 @@ impl WarpScheduler for SwlScheduler {
     }
 
     fn pick(&mut self, ctx: &SchedulerCtx<'_>) -> Option<usize> {
-        if self.dirty {
-            self.recompute(ctx);
-        }
-        if let Some(last) = self.last_issued {
-            if ctx.ready.contains(&last) {
-                return Some(last);
-            }
-        }
-        let pick = ctx
-            .ready
-            .iter()
-            .copied()
-            .filter(|&i| self.admitted.get(ctx.warps[i].id as usize).copied().unwrap_or(false))
-            .min_by_key(|&i| ctx.warps[i].launch_seq)?;
-        self.last_issued = Some(pick);
-        Some(pick)
-    }
-
-    fn on_idle_cycles(&mut self, ctx: &SchedulerCtx<'_>, _skipped: u64) {
-        // A held `pick` still clears a pending recompute, which
-        // `is_throttled` / `metrics` observe through the dirty flag; the
-        // rest of it is pure, whether nothing is ready or the greedy warp
-        // replays.
-        if self.dirty {
-            self.recompute(ctx);
-        }
+        self.gto.pick(ctx)
     }
 
     fn hold_horizon(
         &self,
         ctx: &SchedulerCtx<'_>,
-        _dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
+        dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
     ) -> u64 {
-        // The admitted set only moves on a recompute, and only launches and
-        // finishes (never a pick) schedule one. A clean pick is GTO over the
-        // admitted set: greedy on the last issued warp, with no state
-        // touched.
-        let greedy = match ctx.ready {
-            [] => true,
-            &[idx] => self.last_issued == Some(idx),
-            _ => false,
-        };
-        if !self.dirty && greedy {
-            u64::MAX
-        } else {
-            0
-        }
+        // The admitted set moves only at launches and finishes, never at a
+        // pick, so a hold is GTO's.
+        self.gto.hold_horizon(ctx, dram_utilization_at)
     }
 
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
-        // Slot reuse across CTA waves: the new occupant has not finished.
-        if let Some(f) = self.finished.get_mut(wid as usize) {
-            *f = false;
-        }
-        self.dirty = true;
+        self.admitted.launch(wid);
     }
 
     fn on_warp_finished(&mut self, wid: WarpId, _now: Cycle) {
-        if let Some(f) = self.finished.get_mut(wid as usize) {
-            *f = true;
-        }
-        self.dirty = true;
+        self.admitted.finish(wid);
     }
 
     fn is_throttled(&self, wid: WarpId) -> bool {
-        // Until the first recompute the first `limit` slots are admitted.
-        if self.dirty {
-            return wid as usize >= self.limit && (wid as usize) < self.num_warps;
-        }
-        !self.admitted.get(wid as usize).copied().unwrap_or(false)
+        !self.admitted.admits(wid)
     }
 
     fn metrics(&self) -> SchedulerMetrics {
-        let admitted = if self.dirty {
-            self.limit.min(self.num_warps)
-        } else {
-            self.admitted.iter().filter(|&&a| a).count()
-        };
         SchedulerMetrics {
             vta_hits: 0,
-            throttled_warps: self.num_warps.saturating_sub(admitted),
+            throttled_warps: self.num_warps.saturating_sub(self.admitted.admitted()),
             isolated_warps: 0,
             bypassed_warps: 0,
         }
@@ -181,9 +108,18 @@ mod tests {
         }
     }
 
+    /// A scheduler with warps `0..launched` launched in slot order.
+    fn launched(limit: usize, num_warps: usize, launched: usize) -> SwlScheduler {
+        let mut s = SwlScheduler::new(limit, num_warps);
+        for w in 0..launched {
+            s.on_warp_launched(w as WarpId, 0);
+        }
+        s
+    }
+
     #[test]
-    fn only_first_n_warps_admitted_initially() {
-        let s = SwlScheduler::new(2, 8);
+    fn first_n_launches_admitted() {
+        let s = launched(2, 8, 8);
         assert!(!s.is_throttled(0));
         assert!(!s.is_throttled(1));
         assert!(s.is_throttled(2));
@@ -192,27 +128,28 @@ mod tests {
     }
 
     #[test]
-    fn picks_oldest_admitted_ready_warp() {
-        let mut s = SwlScheduler::new(2, 4);
+    fn picks_greedy_then_oldest_offered_warp() {
+        let mut s = launched(2, 4, 4);
         let w = warps(4);
-        // Warp 2 and 3 are ready but not admitted; warp 1 is admitted.
-        assert_eq!(s.pick(&ctx(&w, &[1, 2, 3])), Some(1));
-        // Greedy afterwards.
-        assert_eq!(s.pick(&ctx(&w, &[1, 3])), Some(1));
+        // The SM offers only admitted warps; `pick` takes any of them.
+        assert_eq!(s.pick(&ctx(&w, &[1, 0])), Some(0));
+        assert_eq!(s.pick(&ctx(&w, &[1, 0])), Some(0), "greedy afterwards");
+        assert_eq!(s.pick(&ctx(&w, &[1])), Some(1));
     }
 
     #[test]
-    fn finished_warps_are_replaced() {
-        let mut s = SwlScheduler::new(2, 4);
-        let mut w = warps(4);
-        s.pick(&ctx(&w, &[0, 1, 2, 3]));
+    fn finished_warps_are_replaced_at_the_finish() {
+        let mut s = launched(2, 4, 4);
         assert!(s.is_throttled(2));
-        // Warp 0 finishes; warp 2 should be admitted on the next recompute.
-        w[0].finish();
         s.on_warp_finished(0, 0);
-        s.pick(&ctx(&w, &[1, 2, 3]));
-        assert!(!s.is_throttled(2));
+        assert!(!s.is_throttled(2), "the oldest waiting warp is admitted at once");
         assert!(s.is_throttled(3));
+        // A new warp in the freed slot queues behind the waiting ones.
+        s.on_warp_launched(0, 0);
+        assert!(s.is_throttled(0));
+        s.on_warp_finished(1, 0);
+        assert!(!s.is_throttled(3));
+        assert!(s.is_throttled(0));
     }
 
     fn live(_: Cycle) -> Option<f64> {
@@ -220,45 +157,26 @@ mod tests {
     }
 
     #[test]
-    fn throttle_set_holds_only_after_a_recompute() {
-        let mut s = SwlScheduler::new(2, 4);
+    fn holds_like_gto() {
+        let mut s = launched(2, 4, 4);
         let w = warps(4);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[]), &live), 0, "a recompute is pending");
-        s.pick(&ctx(&w, &[]));
-        assert_eq!(s.hold_horizon(&ctx(&w, &[]), &live), u64::MAX);
-        s.on_warp_launched(3, 0);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[]), &live), 0, "a launch marks it dirty");
-        s.on_idle_cycles(&ctx(&w, &[]), 10);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[]), &live), u64::MAX);
-    }
-
-    #[test]
-    fn replays_hold_only_when_clean_and_greedy() {
-        let mut s = SwlScheduler::new(2, 4);
-        let w = warps(4);
-        assert_eq!(s.pick(&ctx(&w, &[1, 2])), Some(1));
+        assert_eq!(s.hold_horizon(&ctx(&w, &[]), &live), u64::MAX, "empty picks are pure");
+        assert_eq!(s.pick(&ctx(&w, &[1])), Some(1));
         assert_eq!(s.hold_horizon(&ctx(&w, &[1]), &live), u64::MAX);
         assert_eq!(s.hold_horizon(&ctx(&w, &[0]), &live), 0, "warp 0 is not the greedy warp");
-        s.on_warp_finished(0, 0);
-        assert_eq!(
-            s.hold_horizon(&ctx(&w, &[1]), &live),
-            0,
-            "the next pick recomputes the admitted set"
-        );
     }
 
     #[test]
     fn limit_of_at_least_one_enforced() {
-        let s = SwlScheduler::new(0, 4);
+        let s = launched(0, 4, 2);
         assert_eq!(s.limit(), 1);
         assert!(!s.is_throttled(0));
+        assert!(s.is_throttled(1));
     }
 
     #[test]
     fn full_limit_never_throttles() {
-        let mut s = SwlScheduler::new(48, 48);
-        let w = warps(8);
-        s.pick(&ctx(&w, &[0, 1, 2]));
+        let s = launched(48, 48, 8);
         assert_eq!(s.metrics().throttled_warps, 40); // only 8 warps exist; the rest of the slots are vacuous
         assert!((0..8).all(|i| !s.is_throttled(i)));
     }

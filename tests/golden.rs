@@ -129,6 +129,22 @@ fn quick_sm1_kmn_stat_pcal() {
     quick_sm1(Benchmark::Kmn, SchedulerKind::StatPcal, 0x7d2c_7165_68b4_2ce8);
 }
 
+// Best-SWL and statPCAL keep their admitted (token) set, the oldest
+// unfinished warps, exact at every launch and finish, and `pick` never
+// filters the SM's offer again. These cells moved when that replaced the
+// set's recompute at the next pick: Backprop finishes 211 cycles later,
+// and BICG under statPCAL moves before the cycle cap ends it.
+
+#[test]
+fn quick_sm1_backprop_best_swl() {
+    quick_sm1(Benchmark::Backprop, SchedulerKind::BestSwl, 0x35db_19ad_bd94_3e13);
+}
+
+#[test]
+fn quick_sm1_bicg_stat_pcal() {
+    quick_sm1(Benchmark::Bicg, SchedulerKind::StatPcal, 0x5ab0_f390_9cdd_65e8);
+}
+
 #[test]
 fn tiny15_cache_stream_shared_rr() {
     tiny_cache_stream(15, DispatchPolicy::SharedRoundRobin, 0, 0x290b_0e66_cb55_e93c);

@@ -7,7 +7,12 @@ use ciao_suite::schedulers::PcalConfig;
 use ciao_suite::sim::kernel::{ClosureKernel, KernelInfo};
 use ciao_suite::sim::trace::{VecProgram, WarpOp};
 use ciao_suite::sim::Kernel;
-use gpu_sim::scheduler::{CacheEvent, MemRoute, SchedulerCtx, SchedulerMetrics, WarpScheduler};
+use gpu_mem::cache::EvictedLine;
+use gpu_sim::scheduler::{
+    CacheEvent, CacheEventOutcome, CacheKind, LrrScheduler, MemRoute, SchedulerCtx,
+    SchedulerMetrics, WarpScheduler,
+};
+use gpu_sim::warp::Warp;
 use gpu_sim::{BackendKind, Cycle, SmUnit, WarpId};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,6 +102,148 @@ proptest! {
     }
 }
 
+/// Every scheduler under test: the seven of Fig. 8, with Best-SWL and
+/// statPCAL at ATAX's profiled limit of 2 warps, plus LRR.
+fn contract_schedulers() -> Vec<Box<dyn WarpScheduler>> {
+    let config = GpuConfig::gtx480();
+    let params = ciao_suite::ciao::CiaoParams::default();
+    let mut all: Vec<Box<dyn WarpScheduler>> = SchedulerKind::all()
+        .into_iter()
+        .map(|kind| kind.build(Benchmark::Atax, &config, &params).0)
+        .collect();
+    all.push(Box::new(LrrScheduler::new()));
+    all
+}
+
+/// A SplitMix64 stream: the contract test's only source of randomness.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// True with probability `percent` / 100.
+    fn chance(&mut self, percent: u64) -> bool {
+        self.next() % 100 < percent
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Drives `sched` through `cycles` random cycles the way the SM does: warps
+/// launch into the lowest free slot in launch order and finish at random,
+/// cache hits, misses and cross-warp evictions arrive for live warps, and
+/// each cycle offers `pick` a random subset of the live warps that
+/// `is_throttled` does not hold back, under a random DRAM utilisation.
+/// Returns the first cycle whose pick broke the contract, if any.
+fn drive_contract(
+    sched: &mut dyn WarpScheduler,
+    slots: usize,
+    cycles: u64,
+    seed: u64,
+) -> Option<String> {
+    let mut rng = SplitMix(seed);
+    let mut warps: Vec<Warp> = Vec::new();
+    let mut launch_seq = 0;
+    let mut instructions = 0;
+    for now in 0..cycles {
+        let live: Vec<usize> = (0..warps.len()).filter(|&i| !warps[i].is_finished()).collect();
+        if live.len() < slots && rng.chance(30) {
+            let slot = (0..warps.len()).find(|&i| warps[i].is_finished()).unwrap_or(warps.len());
+            let warp =
+                Warp::new(slot as WarpId, 0, launch_seq, Box::new(VecProgram::new(Vec::new())));
+            launch_seq += 1;
+            if slot == warps.len() {
+                warps.push(warp);
+            } else {
+                warps[slot] = warp;
+            }
+            sched.on_warp_launched(slot as WarpId, now);
+        }
+        if !live.is_empty() && rng.chance(15) {
+            let i = live[rng.below(live.len())];
+            warps[i].finish();
+            sched.on_warp_finished(i as WarpId, now);
+        }
+        let live: Vec<usize> = (0..warps.len()).filter(|&i| !warps[i].is_finished()).collect();
+        if !live.is_empty() && rng.chance(40) {
+            let wid = live[rng.below(live.len())] as WarpId;
+            let owner = live[rng.below(live.len())] as WarpId;
+            let block = |r: &mut SplitMix| (r.next() % 16) * 128;
+            let (outcome, evicted) = if rng.chance(30) {
+                (CacheEventOutcome::Hit { owner }, None)
+            } else {
+                let victim = EvictedLine { block_addr: block(&mut rng), owner, dirty: false };
+                (CacheEventOutcome::Miss, Some(victim))
+            };
+            sched.on_cache_event(&CacheEvent {
+                kind: if rng.chance(80) { CacheKind::L1d } else { CacheKind::Redirect },
+                wid,
+                block_addr: block(&mut rng),
+                is_write: false,
+                outcome,
+                evicted,
+                now,
+            });
+        }
+        let ready: Vec<usize> = live
+            .iter()
+            .copied()
+            .filter(|&i| rng.chance(70) && !sched.is_throttled(i as WarpId))
+            .collect();
+        let ctx = SchedulerCtx {
+            now,
+            warps: &warps,
+            ready: &ready,
+            instructions_executed: instructions,
+            active_warps: live.len(),
+            dram_utilization: (rng.next() % 101) as f64 / 100.0,
+        };
+        let picked = sched.pick(&ctx);
+        let kept = match picked {
+            Some(i) => ready.contains(&i),
+            None => ready.is_empty(),
+        };
+        if !kept {
+            return Some(format!(
+                "{} at cycle {now}: offered {ready:?}, picked {picked:?}",
+                sched.name()
+            ));
+        }
+        if let Some(i) = picked {
+            sched.on_issue(i as WarpId, rng.chance(40), now);
+            instructions += 1;
+        }
+    }
+    None
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The `pick` contract: the SM offers only warps that `is_throttled`
+    /// does not hold back, so `pick` returns one of them whenever the offer
+    /// is non-empty (and `None` only when it is empty). No policy filters
+    /// its offer a second time.
+    #[test]
+    fn every_scheduler_picks_an_offered_warp_whenever_one_is_offered(
+        slots in 2usize..12,
+        seed in 0u64..1_000_000,
+    ) {
+        for mut sched in contract_schedulers() {
+            let broken = drive_contract(sched.as_mut(), slots, 400, seed);
+            prop_assert!(broken.is_none(), "{} slots, seed {}: {}", slots, seed, broken.unwrap());
+        }
+    }
+}
+
 /// Runs `kernel` on the chip engine (`sms` SMs, shared L2/DRAM) under the
 /// chosen timing backend, with a configurable time-series sample interval.
 fn run_chip(
@@ -129,7 +276,7 @@ proptest! {
     /// one `on_idle_cycles(ctx, k)` call has to leave every scheduler in the
     /// same state as `k` single idle cycles would. Running the same workload
     /// under both timing backends for each scheduler family (CCWS score
-    /// decay, SWL recompute, statPCAL utilization tracking, CIAO's
+    /// decay, SWL's warp limit, statPCAL utilization tracking, CIAO's
     /// throttle/redirect fixed point) proves the equivalence end-to-end:
     /// any divergence shows up as a differing serialised result.
     #[test]
@@ -300,11 +447,13 @@ fn throttle_only_skips_match_per_cycle_stepping_on_quick_runs() {
     }
 }
 
-/// Counts `pick` calls and forwards every other method, including
-/// `hold_horizon`, to the wrapped scheduler.
+/// Counts `pick` calls and the picks that break the contract (an offer
+/// answered by no offered warp), and forwards every other method,
+/// including `hold_horizon`, to the wrapped scheduler.
 struct CountingScheduler {
     inner: Box<dyn WarpScheduler>,
     picks: Arc<AtomicU64>,
+    breaches: Arc<AtomicU64>,
 }
 
 impl WarpScheduler for CountingScheduler {
@@ -314,7 +463,15 @@ impl WarpScheduler for CountingScheduler {
 
     fn pick(&mut self, ctx: &SchedulerCtx<'_>) -> Option<usize> {
         self.picks.fetch_add(1, Ordering::Relaxed);
-        self.inner.pick(ctx)
+        let picked = self.inner.pick(ctx);
+        let kept = match picked {
+            Some(i) => ctx.ready.contains(&i),
+            None => ctx.ready.is_empty(),
+        };
+        if !kept {
+            self.breaches.fetch_add(1, Ordering::Relaxed);
+        }
+        picked
     }
 
     fn on_idle_cycles(&mut self, ctx: &SchedulerCtx<'_>, skipped: u64) {
@@ -366,7 +523,7 @@ impl WarpScheduler for CountingScheduler {
 /// keeps turning away — are skipped in closed form by the event core. The
 /// large-working-set runs are dominated by them, under every scheduler that
 /// holds its pick (GTO, CCWS at the score floor, CIAO between epoch
-/// checks, Best-SWL once its admitted set is clean, statPCAL until the DRAM
+/// checks, Best-SWL on its greedy warp, statPCAL until the DRAM
 /// utilisation crosses its bypass threshold; WC is statPCAL's most
 /// replay-heavy cell); each result must stay bit-identical to stepping
 /// every cycle.
@@ -399,21 +556,45 @@ fn replay_skips_match_per_cycle_stepping_on_quick_runs() {
     }
 }
 
-/// Counts the scheduler's `pick` calls on one Quick 1-SM run under `sched`.
+/// One Quick 1-SM run under `sched`, with its `pick` calls and contract
+/// breaches counted.
 fn count_picks(
     benchmark: Benchmark,
     sched: SchedulerKind,
     backend: BackendKind,
-) -> (SimResult, u64) {
+) -> (SimResult, u64, u64) {
     let params = ciao_suite::ciao::CiaoParams::default();
     let picks = Arc::new(AtomicU64::new(0));
+    let breaches = Arc::new(AtomicU64::new(0));
     let res = run_quick_sm1(benchmark, backend, |_sm| {
         let config = GpuConfig::gtx480();
         let (inner, redirect) = sched.build(benchmark, &config, &params);
-        let counting = CountingScheduler { inner, picks: Arc::clone(&picks) };
+        let counting =
+            CountingScheduler { inner, picks: Arc::clone(&picks), breaches: Arc::clone(&breaches) };
         (Box::new(counting) as Box<dyn WarpScheduler>, redirect)
     });
-    (res, picks.load(Ordering::Relaxed))
+    (res, picks.load(Ordering::Relaxed), breaches.load(Ordering::Relaxed))
+}
+
+/// The `pick` contract holds inside the SM too, in both timing modes: on
+/// the LWS benchmarks, whose CTA waves reuse low warp slots while older
+/// warps in higher slots still run, Best-SWL and statPCAL answer every
+/// non-empty offer with an offered warp, and the event core and stepping
+/// agree on the result.
+#[test]
+fn offered_warps_are_picked_inside_the_sm_in_both_timing_modes() {
+    for benchmark in [Benchmark::Atax, Benchmark::Bicg, Benchmark::Mvt] {
+        for sched in [SchedulerKind::BestSwl, SchedulerKind::StatPcal] {
+            let (stepped, _, stepped_breaches) = count_picks(benchmark, sched, BackendKind::Epoch);
+            let (event, _, event_breaches) = count_picks(benchmark, sched, BackendKind::Event);
+            assert_eq!(
+                (stepped_breaches, event_breaches),
+                (0, 0),
+                "{benchmark:?} x {sched:?}: picks that returned no offered warp (stepped, event)"
+            );
+            assert_eq!(normalized_json(stepped), normalized_json(event));
+        }
+    }
 }
 
 /// The replay skip saves real work: MVT under GTO spends most of its
@@ -421,9 +602,10 @@ fn count_picks(
 /// scheduler at least 5x less often than per-cycle stepping.
 #[test]
 fn replay_stretches_cost_no_per_cycle_picks() {
-    let (stepped, stepped_picks) =
+    let (stepped, stepped_picks, _) =
         count_picks(Benchmark::Mvt, SchedulerKind::Gto, BackendKind::Epoch);
-    let (event, event_picks) = count_picks(Benchmark::Mvt, SchedulerKind::Gto, BackendKind::Event);
+    let (event, event_picks, _) =
+        count_picks(Benchmark::Mvt, SchedulerKind::Gto, BackendKind::Event);
     assert_eq!(normalized_json(stepped), normalized_json(event));
     assert!(
         stepped_picks >= 5 * event_picks,
@@ -439,8 +621,8 @@ fn replay_stretches_cost_no_per_cycle_picks() {
 #[test]
 fn throttle_only_stretches_cost_no_per_cycle_picks() {
     let count = |backend| count_picks(Benchmark::Kmn, SchedulerKind::BestSwl, backend);
-    let (stepped, stepped_picks) = count(BackendKind::Epoch);
-    let (event, event_picks) = count(BackendKind::Event);
+    let (stepped, stepped_picks, _) = count(BackendKind::Epoch);
+    let (event, event_picks, _) = count(BackendKind::Event);
     assert!(stepped.stats.throttle_only_cycles > 0, "KMN x Best-SWL has throttle-only cycles");
     assert_eq!(normalized_json(stepped), normalized_json(event));
     assert!(
@@ -459,8 +641,8 @@ fn ccws_and_stat_pcal_stretches_cost_no_per_cycle_picks() {
     for (benchmark, sched) in
         [(Benchmark::Kmn, SchedulerKind::StatPcal), (Benchmark::Ii, SchedulerKind::Ccws)]
     {
-        let (stepped, stepped_picks) = count_picks(benchmark, sched, BackendKind::Epoch);
-        let (event, event_picks) = count_picks(benchmark, sched, BackendKind::Event);
+        let (stepped, stepped_picks, _) = count_picks(benchmark, sched, BackendKind::Epoch);
+        let (event, event_picks, _) = count_picks(benchmark, sched, BackendKind::Event);
         assert_eq!(normalized_json(stepped), normalized_json(event));
         assert!(
             stepped_picks >= 3 * event_picks,
