@@ -39,7 +39,8 @@ use gpu_mem::{Cycle, WarpId};
 use gpu_sim::config::GpuConfig;
 use gpu_sim::redirect::RedirectCache;
 use gpu_sim::scheduler::{
-    CacheEvent, CacheEventOutcome, MemRoute, SchedulerCtx, SchedulerMetrics, WarpScheduler,
+    CacheEvent, CacheEventOutcome, GtoScheduler, MemRoute, SchedulerCtx, SchedulerMetrics,
+    WarpScheduler,
 };
 use serde::{Deserialize, Serialize};
 
@@ -112,7 +113,8 @@ pub struct CiaoScheduler {
     flags: Vec<WarpFlags>,
     /// Stall order, so reactivation happens in reverse order (§III-C).
     stall_stack: Vec<WarpId>,
-    last_issued: Option<usize>,
+    /// The issue order: GTO's own.
+    gto: GtoScheduler,
     instructions_seen: u64,
     next_high_check: u64,
     next_low_check: u64,
@@ -144,7 +146,7 @@ impl CiaoScheduler {
             detector: InterferenceDetector::new(num_warps),
             flags: vec![WarpFlags::default(); num_warps],
             stall_stack: Vec::new(),
-            last_issued: None,
+            gto: GtoScheduler::new(),
             instructions_seen: 0,
             next_high_check: params.high_epoch,
             next_low_check: params.low_epoch,
@@ -264,15 +266,7 @@ impl WarpScheduler for CiaoScheduler {
             self.low_epoch_check(ctx.instructions_executed, ctx.active_warps.max(1));
         }
 
-        // GTO: greedy on the last issued warp, else oldest.
-        let pick = match self.last_issued.filter(|last| ctx.ready.contains(last)) {
-            Some(last) => last,
-            None => {
-                let oldest = ctx.ready.iter().copied().min_by_key(|&i| ctx.warps[i].launch_seq)?;
-                self.last_issued = Some(oldest);
-                oldest
-            }
-        };
+        let pick = self.gto.pick(ctx)?;
 
         if ctx.instructions_executed >= self.next_high_check {
             self.next_high_check = ctx.instructions_executed + self.params.high_epoch;
@@ -305,11 +299,7 @@ impl WarpScheduler for CiaoScheduler {
         }
     }
 
-    fn hold_horizon(
-        &self,
-        ctx: &SchedulerCtx<'_>,
-        _dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
-    ) -> u64 {
+    fn hold_horizon(&self, ctx: &SchedulerCtx<'_>) -> u64 {
         let holds = match ctx.ready {
             // An empty pick runs only the low-cutoff evaluation, and of that
             // only the stall-stack pop changes `is_throttled`. With nothing
@@ -328,7 +318,7 @@ impl WarpScheduler for CiaoScheduler {
             // neither evaluation and returns it; `on_issue` is the no-op
             // default.
             &[idx] => {
-                self.last_issued == Some(idx)
+                self.gto.is_greedy(idx)
                     && ctx.instructions_executed < self.next_low_check
                     && ctx.instructions_executed < self.next_high_check
             }
@@ -416,7 +406,7 @@ mod tests {
             ready,
             instructions_executed: insts,
             active_warps: warps.len(),
-            dram_utilization: 0.0,
+            dram_utilization_at: &|_| Some(0.0),
         }
     }
 
@@ -593,27 +583,23 @@ mod tests {
         assert!(!s.is_throttled(1));
     }
 
-    fn live(_: Cycle) -> Option<f64> {
-        Some(0.0)
-    }
-
     #[test]
     fn throttle_set_holds_while_the_stall_top_cannot_release() {
         let mut s = CiaoScheduler::new(CiaoVariant::ThrottleOnly, params_fast(), 4);
         let w = warps(4);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[], 100), &live), u64::MAX, "empty stall stack");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[], 100)), u64::MAX, "empty stall stack");
         for k in 0..20 {
             inject_interference(&mut s, 0, 1, k * 128);
         }
         s.pick(&ctx(&w, &[0, 1, 2, 3], 100));
         assert!(s.is_throttled(1));
         // Trigger warp 0 still interfered with: IRS 20/(100/4) above low-cutoff.
-        assert_eq!(s.hold_horizon(&ctx(&w, &[], 100), &live), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[], 100)), u64::MAX);
         // Same records, but far more instructions: IRS 20/(20000/4) calmed down.
-        assert_eq!(s.hold_horizon(&ctx(&w, &[], 20_000), &live), 0);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[], 20_000)), 0);
         // The trigger finishing releases the stall too.
         s.on_warp_finished(0, 0);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[], 100), &live), 0);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[], 100)), 0);
     }
 
     #[test]
@@ -622,14 +608,14 @@ mod tests {
         let mut s = CiaoScheduler::new(CiaoVariant::Combined, params_fast(), 4);
         let w = warps(4);
         assert_eq!(s.pick(&ctx(&w, &[1, 2], 0)), Some(1));
-        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 0), &live), u64::MAX);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[2], 0), &live), 0, "warp 2 is not the greedy warp");
-        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 5), &live), 0, "the low-epoch check is due");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 0)), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[2], 0)), 0, "warp 2 is not the greedy warp");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 5)), 0, "the low-epoch check is due");
         // Run the low check at 6 (next due at 11): the high check at 10 is
         // now the earlier horizon.
         assert_eq!(s.pick(&ctx(&w, &[1], 6)), Some(1));
-        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 9), &live), u64::MAX);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 10), &live), 0, "the high-epoch check is due");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 9)), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 10)), 0, "the high-epoch check is due");
     }
 
     #[test]

@@ -156,7 +156,7 @@ pub(crate) enum MemoryPort {
 pub(crate) struct DeferredPort {
     queue: Vec<MemRequest>,
     seq: u64,
-    dram_utilization: f64,
+    utilization_snapshot: f64,
 }
 
 impl MemoryPort {
@@ -235,24 +235,15 @@ impl MemoryPort {
         }
     }
 
-    /// DRAM data-bus utilisation visible to the scheduler: live for a
-    /// private port, the epoch-start snapshot for a deferred one.
-    pub fn dram_utilization(&self, now: Cycle) -> f64 {
-        match self {
-            MemoryPort::Private(p) => p.dram_bandwidth_utilization(now),
-            MemoryPort::Deferred(d) => d.dram_utilization,
-        }
-    }
-
-    /// [`MemoryPort::dram_utilization`] at cycle `now` of a stretch on which
-    /// the SM issues nothing, if it is already determined: always for a
-    /// private port, whose traffic is then fixed, and before
-    /// `snapshot_until` for a deferred one, whose snapshot the chip engine
-    /// replaces at the next boundary.
+    /// DRAM data-bus utilisation visible to the scheduler at cycle `now`,
+    /// if it is already determined: the live value for a private port
+    /// (whose traffic is fixed while the SM issues nothing), and the
+    /// epoch-start snapshot before `snapshot_until` for a deferred one,
+    /// whose snapshot the chip engine replaces at the next boundary.
     pub(crate) fn known_dram_utilization(&self, now: Cycle, snapshot_until: Cycle) -> Option<f64> {
         match self {
-            MemoryPort::Private(_) => Some(self.dram_utilization(now.max(1))),
-            MemoryPort::Deferred(d) => (now < snapshot_until).then_some(d.dram_utilization),
+            MemoryPort::Private(p) => Some(p.dram_bandwidth_utilization(now.max(1))),
+            MemoryPort::Deferred(d) => (now < snapshot_until).then_some(d.utilization_snapshot),
         }
     }
 
@@ -268,7 +259,7 @@ impl MemoryPort {
     /// Updates the utilisation snapshot (no-op for a private port).
     pub fn set_dram_utilization(&mut self, util: f64) {
         if let MemoryPort::Deferred(d) = self {
-            d.dram_utilization = util;
+            d.utilization_snapshot = util;
         }
     }
 
@@ -973,9 +964,7 @@ impl Gpu {
             for &unit in &order {
                 let sm = &mut sms[unit];
                 if !sm.is_done() && !sm.hit_cap() {
-                    if shared.is_some() {
-                        sm.set_dram_utilization(boundary_util);
-                    }
+                    sm.set_dram_utilization(boundary_util);
                     sm.run_epoch_event(now);
                 }
                 let hint = if sm.is_done() || sm.hit_cap() {
@@ -1048,9 +1037,7 @@ impl Gpu {
         // are not visible to any boundary-time advancement.
         for sm in sms.iter_mut() {
             if !sm.is_done() && !sm.hit_cap() && sm.cycle() < now {
-                if shared.is_some() {
-                    sm.set_dram_utilization(flush_util);
-                }
+                sm.set_dram_utilization(flush_util);
                 sm.run_epoch_event(now);
             }
         }
@@ -1216,7 +1203,9 @@ impl Gpu {
         let mut due = 0;
         for i in 0..reply_window.len() {
             if reply_window[i].done <= horizon {
-                reply_window.swap(i, due);
+                if i != due {
+                    reply_window.swap(i, due);
+                }
                 due += 1;
             }
         }
@@ -1250,13 +1239,12 @@ impl Gpu {
         wake: &mut WakeClock,
         boundary_util: f64,
     ) -> bool {
-        let has_shared = shared.is_some();
         let mut progressed = false;
         while deferred.first().is_some_and(|b| b.arrival <= now) {
             let mut batch = deferred.remove(0);
             for (sm, work) in batch.per_sm.iter_mut().enumerate() {
                 if !work.is_empty() {
-                    Self::deal_event(&mut sms[sm], sm, work, now, wake, boundary_util, has_shared);
+                    Self::deal_event(&mut sms[sm], sm, work, now, wake, boundary_util);
                     progressed = true;
                 }
             }
@@ -1266,7 +1254,7 @@ impl Gpu {
             let fed = dispatcher.on_boundary(now, &signals.tenants, &signals.free);
             for (sm, work) in fed.iter_mut().enumerate() {
                 if !work.is_empty() {
-                    Self::deal_event(&mut sms[sm], sm, work, now, wake, boundary_util, has_shared);
+                    Self::deal_event(&mut sms[sm], sm, work, now, wake, boundary_util);
                     progressed = true;
                 }
             }
@@ -1286,12 +1274,9 @@ impl Gpu {
         now: Cycle,
         wake: &mut WakeClock,
         boundary_util: f64,
-        has_shared: bool,
     ) {
         if !sm.is_done() && !sm.hit_cap() && sm.cycle() < now {
-            if has_shared {
-                sm.set_dram_utilization(boundary_util);
-            }
+            sm.set_dram_utilization(boundary_util);
             sm.run_epoch_event(now);
         }
         sm.push_work(work, now);

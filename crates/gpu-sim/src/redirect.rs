@@ -64,53 +64,3 @@ pub trait RedirectCache: Send {
     /// data+tag area accordingly (CIAO re-inserts its SMMT reservation).
     fn set_capacity(&mut self, _unused_bytes: u64) {}
 }
-
-/// A trivial [`RedirectCache`] that is always unavailable. Installing it is
-/// equivalent to not having a redirect structure at all; it exists so tests
-/// can exercise the SM's fallback path explicitly.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRedirectCache;
-
-impl RedirectCache for NullRedirectCache {
-    fn lookup(&mut self, _block_addr: Addr, _wid: WarpId, _is_write: bool) -> RedirectLookup {
-        RedirectLookup::Unavailable
-    }
-
-    fn fill(&mut self, _block_addr: Addr, _wid: WarpId) -> Option<EvictedLine> {
-        None
-    }
-
-    fn utilization(&self) -> f64 {
-        0.0
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        0
-    }
-
-    fn hits(&self) -> u64 {
-        0
-    }
-
-    fn misses(&self) -> u64 {
-        0
-    }
-
-    fn invalidate_all(&mut self) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn null_redirect_cache_is_always_unavailable() {
-        let mut c = NullRedirectCache;
-        assert_eq!(c.lookup(0x80, 0, false), RedirectLookup::Unavailable);
-        assert!(c.fill(0x80, 0).is_none());
-        assert_eq!(c.utilization(), 0.0);
-        assert_eq!(c.capacity_bytes(), 0);
-        assert_eq!(c.hits() + c.misses(), 0);
-        c.invalidate_all();
-    }
-}

@@ -13,7 +13,9 @@
 //!
 //! * [`GtoScheduler`] — greedy-then-oldest, the base policy every other
 //!   scheduler in the paper builds on ("CCWS, Best-SWL, and CIAO-P/T/C
-//!   leverage GTO to decide the order of execution of warps", §V-A).
+//!   leverage GTO to decide the order of execution of warps", §V-A). Each
+//!   of them, and statPCAL, holds one and keeps GTO's greedy pointer
+//!   through [`GtoScheduler::pick_by`].
 //! * [`LrrScheduler`] — loose round-robin, kept as a sanity baseline.
 //!
 //! CCWS, Best-SWL and statPCAL live in `ciao-schedulers`; CIAO-T/P/C live in
@@ -91,9 +93,15 @@ pub struct SchedulerCtx<'a> {
     pub instructions_executed: u64,
     /// Number of warps that have not yet finished their programs.
     pub active_warps: usize,
-    /// DRAM data-bus utilisation estimate in `[0, 1]` (consulted by
-    /// bandwidth-aware bypass policies such as statPCAL).
-    pub dram_utilization: f64,
+    /// The DRAM data-bus utilisation in `[0, 1]` a `pick` at cycle `t` would
+    /// see (consulted by bandwidth-aware bypass policies such as statPCAL),
+    /// computed only when asked. The SM always vouches for `now`. Over a
+    /// stretch on which it holds still the value is non-increasing in `t`
+    /// (a private port's traffic is fixed while nothing issues; a deferred
+    /// port's snapshot is fixed within an epoch), and `None` from the first
+    /// cycle the SM cannot vouch for (a deferred port's snapshot changes at
+    /// the next epoch boundary).
+    pub dram_utilization_at: &'a dyn Fn(Cycle) -> Option<f64>,
 }
 
 /// Counters a scheduler exposes for reporting (harness figures).
@@ -174,22 +182,13 @@ pub trait WarpScheduler: Send {
     ///   `on_idle_cycles`.
     ///
     /// Nothing retires while the SM holds still, so `ctx.instructions_executed`
-    /// and `ctx.active_warps` are fixed across the horizon. The DRAM
-    /// utilisation a `pick` at cycle `t` would see is
-    /// `dram_utilization_at(t)`: non-increasing in `t` (a private port's
-    /// traffic is fixed while nothing issues; a deferred port's snapshot is
-    /// fixed within an epoch), and `None` from the first cycle the SM cannot
-    /// vouch for (a deferred port's snapshot changes at the next epoch
-    /// boundary). A horizon must not cover a cycle whose sample is `None`.
+    /// and `ctx.active_warps` are fixed across the horizon. A horizon must
+    /// not cover a cycle `t` whose `ctx.dram_utilization_at(t)` is `None`.
     ///
     /// The default `0` never skips: such stretches are stepped one cycle at
     /// a time. Stretches on which no warp at all is ready skip without
     /// consulting this method.
-    fn hold_horizon(
-        &self,
-        _ctx: &SchedulerCtx<'_>,
-        _dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
-    ) -> u64 {
+    fn hold_horizon(&self, _ctx: &SchedulerCtx<'_>) -> u64 {
         0
     }
 
@@ -252,6 +251,25 @@ impl GtoScheduler {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The greedy-then-`key` pick every GTO-based policy shares: the last
+    /// issued warp while it is still offered in `ready`, otherwise the
+    /// offered warp with the minimum `key`, which becomes the greedy warp.
+    /// `None` only when `ready` is empty.
+    pub fn pick_by<K: Ord>(&mut self, ready: &[usize], key: impl Fn(usize) -> K) -> Option<usize> {
+        if let Some(last) = self.last_issued.filter(|last| ready.contains(last)) {
+            return Some(last);
+        }
+        let pick = ready.iter().copied().min_by_key(|&i| key(i))?;
+        self.last_issued = Some(pick);
+        Some(pick)
+    }
+
+    /// True when warp `idx` is the greedy warp: a `pick` offering it returns
+    /// it without touching any state.
+    pub fn is_greedy(&self, idx: usize) -> bool {
+        self.last_issued == Some(idx)
+    }
 }
 
 impl WarpScheduler for GtoScheduler {
@@ -260,28 +278,15 @@ impl WarpScheduler for GtoScheduler {
     }
 
     fn pick(&mut self, ctx: &SchedulerCtx<'_>) -> Option<usize> {
-        // Greedy: stick with the last issued warp if it is still ready.
-        if let Some(last) = self.last_issued {
-            if ctx.ready.contains(&last) {
-                return Some(last);
-            }
-        }
         // Oldest: smallest launch sequence among ready warps.
-        let oldest = ctx.ready.iter().copied().min_by_key(|&i| ctx.warps[i].launch_seq)?;
-        self.last_issued = Some(oldest);
-        Some(oldest)
+        self.pick_by(ctx.ready, |i| ctx.warps[i].launch_seq)
     }
 
-    fn hold_horizon(
-        &self,
-        ctx: &SchedulerCtx<'_>,
-        _dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
-    ) -> u64 {
-        // An empty pick is pure, and so is a greedy one: while the last
-        // issued warp is offered, `pick` returns it without touching state.
+    fn hold_horizon(&self, ctx: &SchedulerCtx<'_>) -> u64 {
+        // An empty pick is pure, and so is a greedy one.
         match ctx.ready {
             [] => u64::MAX,
-            &[idx] if self.last_issued == Some(idx) => u64::MAX,
+            &[idx] if self.is_greedy(idx) => u64::MAX,
             _ => 0,
         }
     }
@@ -340,7 +345,7 @@ mod tests {
             ready,
             instructions_executed: 0,
             active_warps: warps.len(),
-            dram_utilization: 0.0,
+            dram_utilization_at: &|_| Some(0.0),
         }
     }
 
@@ -390,19 +395,15 @@ mod tests {
         assert_eq!(s.pick(&ctx(&warps, &[0, 1])), Some(0));
     }
 
-    fn live(_: Cycle) -> Option<f64> {
-        Some(0.0)
-    }
-
     #[test]
     fn gto_holds_replays_of_its_greedy_warp_only() {
         let warps = make_warps(3);
         let mut s = GtoScheduler::new();
-        assert_eq!(s.hold_horizon(&ctx(&warps, &[0]), &live), 0, "nothing issued yet");
+        assert_eq!(s.hold_horizon(&ctx(&warps, &[0])), 0, "nothing issued yet");
         assert_eq!(s.pick(&ctx(&warps, &[1, 2])), Some(1));
-        assert_eq!(s.hold_horizon(&ctx(&warps, &[1]), &live), u64::MAX);
-        assert_eq!(s.hold_horizon(&ctx(&warps, &[2]), &live), 0, "warp 2 is not the greedy warp");
-        assert_eq!(s.hold_horizon(&ctx(&warps, &[]), &live), u64::MAX, "empty picks are pure");
+        assert_eq!(s.hold_horizon(&ctx(&warps, &[1])), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&warps, &[2])), 0, "warp 2 is not the greedy warp");
+        assert_eq!(s.hold_horizon(&ctx(&warps, &[])), u64::MAX, "empty picks are pure");
     }
 
     #[test]
@@ -410,8 +411,8 @@ mod tests {
         let mut s = LrrScheduler::new();
         assert_eq!(s.route(0), MemRoute::L1d);
         assert!(!s.is_throttled(0));
-        assert_eq!(s.hold_horizon(&ctx(&make_warps(1), &[]), &live), 0);
-        assert_eq!(s.hold_horizon(&ctx(&make_warps(1), &[0]), &live), 0);
+        assert_eq!(s.hold_horizon(&ctx(&make_warps(1), &[])), 0);
+        assert_eq!(s.hold_horizon(&ctx(&make_warps(1), &[0])), 0);
         assert_eq!(s.metrics(), SchedulerMetrics::default());
     }
 }

@@ -470,17 +470,16 @@ impl Sm {
             target = target.min(m);
         }
         if held || self.replayed.is_some() {
+            let utilization_at = |t| self.port.known_dram_utilization(t, snapshot_until);
             let ctx = Self::hold_ctx(
                 &self.warps,
                 self.replayed.as_slice(),
-                &self.port,
                 self.stats.instructions,
                 self.unfinished,
+                &utilization_at,
                 now,
             );
-            let utilization_at = |t| self.port.known_dram_utilization(t, snapshot_until);
-            let horizon = self.scheduler.hold_horizon(&ctx, &utilization_at);
-            target = target.min(now.saturating_add(horizon));
+            target = target.min(now.saturating_add(self.scheduler.hold_horizon(&ctx)));
         }
         (target > now).then_some(target)
     }
@@ -524,9 +523,9 @@ impl Sm {
     fn hold_ctx<'a>(
         warps: &'a [Warp],
         ready: &'a [usize],
-        port: &MemoryPort,
         instructions: u64,
         active_warps: usize,
+        dram_utilization_at: &'a dyn Fn(Cycle) -> Option<f64>,
         now: Cycle,
     ) -> SchedulerCtx<'a> {
         SchedulerCtx {
@@ -535,7 +534,7 @@ impl Sm {
             ready,
             instructions_executed: instructions,
             active_warps,
-            dram_utilization: port.dram_utilization(now.max(1)),
+            dram_utilization_at,
         }
     }
 
@@ -577,12 +576,15 @@ impl Sm {
         if let Some(trace) = &mut self.trace {
             trace.record(TraceEvent::span(Track::Engine, kind, now, cycles, None).engine());
         }
+        // `run_epoch_event` skips only up to its boundary, before which a
+        // deferred port's snapshot holds.
+        let utilization_at = |t| self.port.known_dram_utilization(t, target);
         let ctx = Self::hold_ctx(
             &self.warps,
             self.replayed.as_slice(),
-            &self.port,
             self.stats.instructions,
             self.unfinished,
+            &utilization_at,
             target - 1,
         );
         self.scheduler.on_idle_cycles(&ctx, cycles);
@@ -605,7 +607,7 @@ impl Sm {
     }
 
     /// Updates the DRAM-utilisation snapshot a deferred port reports to the
-    /// scheduler during the next epoch.
+    /// scheduler during the next epoch (no-op for a private port).
     pub fn set_dram_utilization(&mut self, util: f64) {
         self.port.set_dram_utilization(util);
     }
@@ -678,13 +680,16 @@ impl Sm {
 
         let picked = {
             let ready = std::mem::take(&mut self.ready_scratch);
+            // `run_epoch_event` steps only before its boundary, so a deferred
+            // port's snapshot holds for `now`.
+            let utilization_at = |t| self.port.known_dram_utilization(t, now + 1);
             let ctx = SchedulerCtx {
                 now,
                 warps: &self.warps,
                 ready: &ready,
                 instructions_executed: self.stats.instructions,
                 active_warps: self.unfinished,
-                dram_utilization: self.port.dram_utilization(now.max(1)),
+                dram_utilization_at: &utilization_at,
             };
             // The scheduler is consulted even when nothing is ready: policies
             // whose throttle set moves with time (CCWS's score decay,

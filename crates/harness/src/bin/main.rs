@@ -45,7 +45,7 @@ use ciao_harness::experiments::{
     capacity, fig1, fig10, fig11, fig12, fig4, fig8, fig9, fleet, mix, overhead, table1, table2,
 };
 use ciao_harness::report::write_json;
-use ciao_harness::runner::{log, set_quiet, RunPlan, RunScale, Runner};
+use ciao_harness::runner::{log, set_quiet, RunScale, Runner};
 use ciao_harness::schedulers::SchedulerKind;
 use ciao_workloads::{Benchmark, Mix};
 use gpu_sim::{BackendKind, DispatchPolicy, ObsLevel};
@@ -526,14 +526,11 @@ fn main() {
             opts.experiment
         ));
     }
-    let plan = RunPlan {
-        scale: opts.scale,
-        sms: opts.sms,
-        seed: opts.seed(),
-        arrival_stride: opts.arrivals,
-        backend: opts.backend,
-    };
-    let runner = Runner::from_plan(&plan);
+    let runner = Runner::new(opts.scale)
+        .with_sms(opts.sms)
+        .with_seed(opts.seed())
+        .with_arrivals(opts.arrivals)
+        .with_backend(opts.backend);
     log(format_args!(
         "scale: {:?} ({} instructions/run cap), {} SM{} per run, seed{} {}, \
          arrivals +{}, {} backend, {} worker threads",

@@ -172,30 +172,6 @@ pub struct Runner {
     pub backend: BackendKind,
 }
 
-/// The run-shaping knobs every experiment command consumes, gathered into one
-/// config struct: the CLI parses straight into a `RunPlan` and experiments
-/// build their [`Runner`] from it with [`Runner::from_plan`].
-#[derive(Debug, Clone)]
-pub struct RunPlan {
-    /// Run size (the `--tiny` / `--quick` / `--full` axis).
-    pub scale: RunScale,
-    /// Number of simulated SMs per run (`--sms N`).
-    pub sms: usize,
-    /// Experiment seed mixed into every synthetic trace (`--seed N`).
-    pub seed: u64,
-    /// Arrival stagger for mix co-runs (`--arrivals STRIDE`).
-    pub arrival_stride: u64,
-    /// Timing backend (`--backend {epoch,event}`).
-    pub backend: BackendKind,
-}
-
-impl RunPlan {
-    /// A plan at the given scale with every other knob at its default.
-    pub fn new(scale: RunScale) -> Self {
-        RunPlan { scale, sms: 1, seed: 0, arrival_stride: 0, backend: BackendKind::default() }
-    }
-}
-
 impl Runner {
     /// Creates a runner for the given scale with the Table I configuration.
     pub fn new(scale: RunScale) -> Self {
@@ -209,15 +185,6 @@ impl Runner {
             arrival_stride: 0,
             backend: BackendKind::default(),
         }
-    }
-
-    /// Builds a runner from a [`RunPlan`].
-    pub fn from_plan(plan: &RunPlan) -> Self {
-        Runner::new(plan.scale)
-            .with_sms(plan.sms)
-            .with_seed(plan.seed)
-            .with_arrivals(plan.arrival_stride)
-            .with_backend(plan.backend)
     }
 
     /// Overrides the machine configuration (Fig. 12 variants).
@@ -491,23 +458,14 @@ mod tests {
 
     #[test]
     fn event_backend_matches_epoch_on_a_staggered_chip_mix() {
-        let plan = |backend| {
-            let mut plan = RunPlan::new(RunScale::Tiny);
-            plan.sms = 15;
-            plan.arrival_stride = 2_000;
-            plan.backend = backend;
-            plan
+        let run = |backend| {
+            Runner::new(RunScale::Tiny)
+                .with_sms(15)
+                .with_arrivals(2_000)
+                .with_backend(backend)
+                .run_mix(Mix::CacheStream, DispatchPolicy::InterferenceAware, SchedulerKind::CiaoT)
         };
-        let epoch = Runner::from_plan(&plan(BackendKind::Epoch)).run_mix(
-            Mix::CacheStream,
-            DispatchPolicy::InterferenceAware,
-            SchedulerKind::CiaoT,
-        );
-        let event = Runner::from_plan(&plan(BackendKind::Event)).run_mix(
-            Mix::CacheStream,
-            DispatchPolicy::InterferenceAware,
-            SchedulerKind::CiaoT,
-        );
+        let (epoch, event) = (run(BackendKind::Epoch), run(BackendKind::Event));
         assert_eq!(epoch.num_sms, 15);
         assert_eq!(epoch.per_tenant.len(), 2);
         assert_eq!(backend_blind_json(epoch), backend_blind_json(event));

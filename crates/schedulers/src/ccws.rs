@@ -14,9 +14,10 @@
 use crate::vta::{Vta, VtaConfig};
 use gpu_mem::{Cycle, WarpId};
 use gpu_sim::scheduler::{
-    CacheEvent, CacheEventOutcome, SchedulerCtx, SchedulerMetrics, WarpScheduler,
+    CacheEvent, CacheEventOutcome, GtoScheduler, SchedulerCtx, SchedulerMetrics, WarpScheduler,
 };
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// CCWS tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -56,8 +57,8 @@ pub struct CcwsScheduler {
     finished: Vec<bool>,
     /// Warps currently prevented from issuing.
     throttled: Vec<bool>,
-    /// GTO greedy pointer.
-    last_issued: Option<usize>,
+    /// The greedy pointer; its fallback order is score-first.
+    gto: GtoScheduler,
     /// Set when scores changed and the throttle set must be recomputed.
     dirty: bool,
     /// Scratch admission order reused by every recompute.
@@ -72,7 +73,7 @@ impl CcwsScheduler {
             scores: vec![config.base_score; config.num_warps],
             finished: vec![false; config.num_warps],
             throttled: vec![false; config.num_warps],
-            last_issued: None,
+            gto: GtoScheduler::new(),
             dirty: true,
             order: Vec::new(),
             config,
@@ -224,21 +225,14 @@ impl WarpScheduler for CcwsScheduler {
         if self.dirty {
             self.recompute_throttle();
         }
-        // Greedy on the last issued warp if still offered.
-        if let Some(last) = self.last_issued {
-            if ctx.ready.contains(&last) {
-                return Some(last);
-            }
-        }
-        // Otherwise prefer the ready warp with the highest lost-locality
-        // score (most evidence of locality), oldest on ties.
-        let pick = ctx.ready.iter().copied().max_by(|&a, &b| {
-            let sa = self.scores.get(ctx.warps[a].id as usize).copied().unwrap_or(0);
-            let sb = self.scores.get(ctx.warps[b].id as usize).copied().unwrap_or(0);
-            sa.cmp(&sb).then(ctx.warps[b].launch_seq.cmp(&ctx.warps[a].launch_seq))
-        })?;
-        self.last_issued = Some(pick);
-        Some(pick)
+        // Greedy on the last issued warp if still offered; otherwise the
+        // ready warp with the highest lost-locality score (most evidence of
+        // locality), oldest on ties.
+        let scores = &self.scores;
+        self.gto.pick_by(ctx.ready, |i| {
+            let score = scores.get(ctx.warps[i].id as usize).copied().unwrap_or(0);
+            (Reverse(score), ctx.warps[i].launch_seq)
+        })
     }
 
     fn on_idle_cycles(&mut self, ctx: &SchedulerCtx<'_>, cycles: u64) {
@@ -264,11 +258,7 @@ impl WarpScheduler for CcwsScheduler {
         }
     }
 
-    fn hold_horizon(
-        &self,
-        ctx: &SchedulerCtx<'_>,
-        _dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
-    ) -> u64 {
+    fn hold_horizon(&self, ctx: &SchedulerCtx<'_>) -> u64 {
         match ctx.ready {
             // Empty picks decay the scores and recompute the set.
             [] => self.throttle_horizon(),
@@ -276,7 +266,7 @@ impl WarpScheduler for CcwsScheduler {
             // `on_issue` only decays scores above the floor.
             &[idx]
                 if !self.dirty
-                    && self.last_issued == Some(idx)
+                    && self.gto.is_greedy(idx)
                     && self.score_of(ctx.warps[idx].id) <= self.config.base_score =>
             {
                 u64::MAX
@@ -377,7 +367,7 @@ mod tests {
             ready,
             instructions_executed: 0,
             active_warps: warps.len(),
-            dram_utilization: 0.0,
+            dram_utilization_at: &|_| Some(0.0),
         }
     }
 
@@ -441,10 +431,6 @@ mod tests {
         assert!(!s.is_throttled(0), "the high-locality warp must keep running");
     }
 
-    fn live(_: Cycle) -> Option<f64> {
-        Some(0.0)
-    }
-
     fn throttle_set(s: &CcwsScheduler) -> Vec<bool> {
         (0..s.scores.len() as WarpId).map(|i| s.is_throttled(i)).collect()
     }
@@ -480,7 +466,7 @@ mod tests {
                 s.dirty = true;
             }
             let w = warps(n);
-            let horizon = s.hold_horizon(&ctx(&w, &[]), &live);
+            let horizon = s.hold_horizon(&ctx(&w, &[]));
             prop_assert!(horizon >= 1);
             let before = throttle_set(&s);
             // Every score reaches the floor within 700 picks; after that
@@ -507,11 +493,11 @@ mod tests {
         s.recompute_throttle();
         assert_eq!(throttle_set(&s), [false, false, true, true]);
         let w = warps(4);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[]), &live), 50);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[])), 50);
         // At the floor the set never moves again.
         s.on_idle_cycles(&ctx(&w, &[]), 150);
         assert_eq!(throttle_set(&s), [false; 4]);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[]), &live), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[])), u64::MAX);
     }
 
     #[test]
@@ -520,15 +506,15 @@ mod tests {
         let mut s = CcwsScheduler::new(cfg);
         let w = warps(2);
         assert_eq!(s.pick(&ctx(&w, &[0, 1])), Some(0));
-        assert_eq!(s.hold_horizon(&ctx(&w, &[0]), &live), u64::MAX);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[1]), &live), 0, "warp 1 is not the greedy warp");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[0])), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1])), 0, "warp 1 is not the greedy warp");
         // A VTA hit lifts warp 0 above the floor and marks the set dirty.
         s.on_cache_event(&eviction_event(1, 0, 0x100));
         s.on_cache_event(&miss_event(0, 0x8100));
-        assert_eq!(s.hold_horizon(&ctx(&w, &[0]), &live), 0, "a recompute is pending");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[0])), 0, "a recompute is pending");
         s.pick(&ctx(&w, &[0]));
         assert!(s.score_of(0) > 100);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[0]), &live), 0, "on_issue would decay the score");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[0])), 0, "on_issue would decay the score");
     }
 
     #[test]

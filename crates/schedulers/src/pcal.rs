@@ -17,7 +17,7 @@
 
 use crate::oldest::OldestWarps;
 use gpu_mem::{Cycle, WarpId};
-use gpu_sim::scheduler::{MemRoute, SchedulerCtx, SchedulerMetrics, WarpScheduler};
+use gpu_sim::scheduler::{GtoScheduler, MemRoute, SchedulerCtx, SchedulerMetrics, WarpScheduler};
 use serde::{Deserialize, Serialize};
 
 /// statPCAL tuning parameters.
@@ -46,7 +46,8 @@ pub struct PcalScheduler {
     token: OldestWarps,
     /// Most recent DRAM bandwidth utilisation seen in `pick`.
     last_utilization: f64,
-    last_issued: Option<usize>,
+    /// The greedy pointer; its fallback order puts token holders first.
+    gto: GtoScheduler,
 }
 
 impl PcalScheduler {
@@ -55,7 +56,7 @@ impl PcalScheduler {
         PcalScheduler {
             token: OldestWarps::new(config.tokens),
             last_utilization: 0.0,
-            last_issued: None,
+            gto: GtoScheduler::new(),
             config,
         }
     }
@@ -68,6 +69,13 @@ impl PcalScheduler {
     fn bandwidth_available(&self) -> bool {
         self.last_utilization < self.config.bypass_bandwidth_threshold
     }
+
+    /// Stores the utilisation sample of cycle `ctx.now`, for which the SM
+    /// always vouches.
+    fn sample(&mut self, ctx: &SchedulerCtx<'_>) {
+        self.last_utilization = (ctx.dram_utilization_at)(ctx.now)
+            .expect("the SM vouches for the utilisation of the current cycle");
+    }
 }
 
 impl WarpScheduler for PcalScheduler {
@@ -76,19 +84,10 @@ impl WarpScheduler for PcalScheduler {
     }
 
     fn pick(&mut self, ctx: &SchedulerCtx<'_>) -> Option<usize> {
-        self.last_utilization = ctx.dram_utilization;
-        if let Some(last) = self.last_issued {
-            if ctx.ready.contains(&last) {
-                return Some(last);
-            }
-        }
+        self.sample(ctx);
         // Token warps first (oldest), then bypassing warps.
-        let pick = ctx.ready.iter().copied().min_by_key(|&i| {
-            let has_token = self.holds_token(ctx.warps[i].id);
-            (if has_token { 0u8 } else { 1u8 }, ctx.warps[i].launch_seq)
-        })?;
-        self.last_issued = Some(pick);
-        Some(pick)
+        let token = &self.token;
+        self.gto.pick_by(ctx.ready, |i| (!token.admits(ctx.warps[i].id), ctx.warps[i].launch_seq))
     }
 
     fn on_idle_cycles(&mut self, ctx: &SchedulerCtx<'_>, _cycles: u64) {
@@ -96,17 +95,13 @@ impl WarpScheduler for PcalScheduler {
         // `is_throttled` and `metrics` observe; the rest of it is pure,
         // whether nothing is ready or the greedy warp replays (`on_issue`
         // is the no-op default).
-        self.last_utilization = ctx.dram_utilization;
+        self.sample(ctx);
     }
 
-    fn hold_horizon(
-        &self,
-        ctx: &SchedulerCtx<'_>,
-        dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
-    ) -> u64 {
+    fn hold_horizon(&self, ctx: &SchedulerCtx<'_>) -> u64 {
         let greedy = match ctx.ready {
             [] => true,
-            &[idx] => self.last_issued == Some(idx),
+            &[idx] => self.gto.is_greedy(idx),
             _ => false,
         };
         if !greedy {
@@ -119,7 +114,7 @@ impl WarpScheduler for PcalScheduler {
         // SM holds still, so the cycles that hold form a prefix.
         let available = self.bandwidth_available();
         let holds = |t: Cycle| {
-            dram_utilization_at(t)
+            (ctx.dram_utilization_at)(t)
                 .is_some_and(|u| (u < self.config.bypass_bandwidth_threshold) == available)
         };
         let now = ctx.now;
@@ -147,7 +142,7 @@ impl WarpScheduler for PcalScheduler {
         }
         // A known sample that flips the throttle still holds its own cycle:
         // only the cycles after it see the new throttle.
-        first_not - now + u64::from(dram_utilization_at(first_not).is_some())
+        first_not - now + u64::from((ctx.dram_utilization_at)(first_not).is_some())
     }
 
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
@@ -204,14 +199,18 @@ mod tests {
             .collect()
     }
 
-    fn ctx<'a>(warps: &'a [Warp], ready: &'a [usize], util: f64) -> SchedulerCtx<'a> {
+    fn ctx<'a>(
+        warps: &'a [Warp],
+        ready: &'a [usize],
+        util_at: &'a dyn Fn(Cycle) -> Option<f64>,
+    ) -> SchedulerCtx<'a> {
         SchedulerCtx {
             now: 0,
             warps,
             ready,
             instructions_executed: 0,
             active_warps: warps.len(),
-            dram_utilization: util,
+            dram_utilization_at: util_at,
         }
     }
 
@@ -243,9 +242,9 @@ mod tests {
     fn non_token_warps_run_only_with_spare_bandwidth() {
         let mut s = launched(1);
         let w = warps(4);
-        s.pick(&ctx(&w, &[0, 1, 2, 3], 0.2));
+        s.pick(&ctx(&w, &[0, 1, 2, 3], &|_| Some(0.2)));
         assert!(!s.is_throttled(3), "spare bandwidth: bypass warps may run");
-        s.pick(&ctx(&w, &[0, 1, 2, 3], 0.95));
+        s.pick(&ctx(&w, &[0, 1, 2, 3], &|_| Some(0.95)));
         assert!(s.is_throttled(3), "saturated bandwidth: bypass warps throttle");
         assert!(!s.is_throttled(0), "token warps never throttle");
     }
@@ -268,10 +267,10 @@ mod tests {
     ) -> u64 {
         let throttled = s.is_throttled(3);
         for k in 0..limit {
-            let Some(u) = util_at(now + k) else {
+            if util_at(now + k).is_none() {
                 return k;
-            };
-            s.pick(&SchedulerCtx { now: now + k, ..ctx(w, &[], u) });
+            }
+            s.pick(&SchedulerCtx { now: now + k, ..ctx(w, &[], util_at) });
             if s.is_throttled(3) != throttled {
                 return k + 1;
             }
@@ -282,7 +281,7 @@ mod tests {
     fn throttled_at(util: f64) -> (PcalScheduler, Vec<Warp>) {
         let mut s = launched(1);
         let w = warps(4);
-        s.pick(&ctx(&w, &[0, 1, 2, 3], util));
+        s.pick(&ctx(&w, &[0, 1, 2, 3], &|_| Some(util)));
         (s, w)
     }
 
@@ -293,17 +292,14 @@ mod tests {
         let util_at = private_port(7_000);
         for now in [100, 200, 311, 312, 313, 400] {
             let (s, w) = throttled_at(util_at(now - 1).unwrap());
-            let h = s.hold_horizon(&SchedulerCtx { now, ..ctx(&w, &[], 0.0) }, &util_at);
+            let h = s.hold_horizon(&SchedulerCtx { now, ..ctx(&w, &[], &util_at) });
             let brute = brute_force_horizon(s, &w, now, &util_at, 10_000);
             assert_eq!(h, brute, "horizon from cycle {now}");
         }
         // Below the threshold the throttle never comes back.
         let (s, w) = throttled_at(util_at(499).unwrap());
         assert!(!s.is_throttled(3));
-        assert_eq!(
-            s.hold_horizon(&SchedulerCtx { now: 500, ..ctx(&w, &[], 0.0) }, &util_at),
-            u64::MAX
-        );
+        assert_eq!(s.hold_horizon(&SchedulerCtx { now: 500, ..ctx(&w, &[], &util_at) }), u64::MAX);
     }
 
     #[test]
@@ -314,7 +310,7 @@ mod tests {
         let util_at = |t: Cycle| Some(7.0 / t.max(1) as f64);
         assert_eq!(util_at(10), Some(0.7));
         let (s, w) = throttled_at(util_at(4).unwrap());
-        let h = s.hold_horizon(&SchedulerCtx { now: 5, ..ctx(&w, &[], 0.0) }, &util_at);
+        let h = s.hold_horizon(&SchedulerCtx { now: 5, ..ctx(&w, &[], &util_at) });
         assert_eq!(h, brute_force_horizon(s, &w, 5, &util_at, 100));
         assert_eq!(h, 7, "cycles 5..=11 hold; the pick at 11 stores 7/11 < 0.7");
     }
@@ -324,7 +320,7 @@ mod tests {
         // A deferred port's snapshot is known only up to the boundary.
         let util_at = |t: Cycle| (t < 1_000).then_some(0.9);
         let (s, w) = throttled_at(0.9);
-        let h = s.hold_horizon(&SchedulerCtx { now: 400, ..ctx(&w, &[], 0.9) }, &util_at);
+        let h = s.hold_horizon(&SchedulerCtx { now: 400, ..ctx(&w, &[], &util_at) });
         assert_eq!(h, 600);
         assert_eq!(h, brute_force_horizon(s, &w, 400, &util_at, 10_000));
     }
@@ -333,18 +329,18 @@ mod tests {
     fn replays_hold_only_when_greedy() {
         let (mut s, w) = throttled_at(0.9);
         let util_at = |_: Cycle| Some(0.9);
-        assert_eq!(s.pick(&ctx(&w, &[0, 1], 0.9)), Some(0));
-        assert_eq!(s.hold_horizon(&ctx(&w, &[0], 0.9), &util_at), u64::MAX);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[1], 0.9), &util_at), 0, "warp 1 is not greedy");
+        assert_eq!(s.pick(&ctx(&w, &[0, 1], &util_at)), Some(0));
+        assert_eq!(s.hold_horizon(&ctx(&w, &[0], &util_at)), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1], &util_at)), 0, "warp 1 is not greedy");
     }
 
     #[test]
     fn token_warps_preferred_in_pick() {
         let mut s = launched(1);
         let w = warps(4);
-        assert_eq!(s.pick(&ctx(&w, &[2, 0, 3], 0.0)), Some(0));
+        assert_eq!(s.pick(&ctx(&w, &[2, 0, 3], &|_| Some(0.0))), Some(0));
         // Greedy on the chosen warp while it stays ready.
-        assert_eq!(s.pick(&ctx(&w, &[0, 2], 0.0)), Some(0));
+        assert_eq!(s.pick(&ctx(&w, &[0, 2], &|_| Some(0.0))), Some(0));
     }
 
     #[test]

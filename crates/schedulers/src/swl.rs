@@ -53,14 +53,10 @@ impl WarpScheduler for SwlScheduler {
         self.gto.pick(ctx)
     }
 
-    fn hold_horizon(
-        &self,
-        ctx: &SchedulerCtx<'_>,
-        dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
-    ) -> u64 {
+    fn hold_horizon(&self, ctx: &SchedulerCtx<'_>) -> u64 {
         // The admitted set moves only at launches and finishes, never at a
         // pick, so a hold is GTO's.
-        self.gto.hold_horizon(ctx, dram_utilization_at)
+        self.gto.hold_horizon(ctx)
     }
 
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
@@ -104,7 +100,7 @@ mod tests {
             ready,
             instructions_executed: 0,
             active_warps: warps.len(),
-            dram_utilization: 0.0,
+            dram_utilization_at: &|_| Some(0.0),
         }
     }
 
@@ -152,18 +148,14 @@ mod tests {
         assert!(s.is_throttled(0));
     }
 
-    fn live(_: Cycle) -> Option<f64> {
-        Some(0.0)
-    }
-
     #[test]
     fn holds_like_gto() {
         let mut s = launched(2, 4, 4);
         let w = warps(4);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[]), &live), u64::MAX, "empty picks are pure");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[])), u64::MAX, "empty picks are pure");
         assert_eq!(s.pick(&ctx(&w, &[1])), Some(1));
-        assert_eq!(s.hold_horizon(&ctx(&w, &[1]), &live), u64::MAX);
-        assert_eq!(s.hold_horizon(&ctx(&w, &[0]), &live), 0, "warp 0 is not the greedy warp");
+        assert_eq!(s.hold_horizon(&ctx(&w, &[1])), u64::MAX);
+        assert_eq!(s.hold_horizon(&ctx(&w, &[0])), 0, "warp 0 is not the greedy warp");
     }
 
     #[test]

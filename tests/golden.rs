@@ -60,6 +60,24 @@ fn tiny_cache_stream(sms: usize, policy: DispatchPolicy, arrivals: u64, expected
     });
 }
 
+/// A Tiny mix under shared-rr dispatch on a 4-SM chip with a scheduler
+/// that reads the DRAM-utilisation snapshot of the deferred memory port
+/// (statPCAL's bypass throttle) or whose throttle set moves on held cycles
+/// (CCWS). Pins the run's throttle-only cycles next to its digest, so a
+/// case that stops throttling fails visibly instead of checking nothing.
+fn tiny4_shared_rr(mix: Mix, scheduler: SchedulerKind, expected: u64, throttle_only: u64) {
+    let name = format!("tiny/4 {} shared-rr x {scheduler:?}", mix.name());
+    assert_golden(&name, expected, |backend| {
+        let res = Runner::new(RunScale::Tiny).with_sms(4).with_backend(backend).run_mix(
+            mix,
+            DispatchPolicy::SharedRoundRobin,
+            scheduler,
+        );
+        assert_eq!(res.stats.throttle_only_cycles, throttle_only, "{name} under {backend}");
+        res
+    });
+}
+
 /// The Tiny stream-vs-stream mix under GTO on the 15-SM chip with both
 /// reorder windows capped at `window` entries, far below the default of
 /// 4,096, so busy boundaries take the windows' overflow paths.
@@ -168,6 +186,21 @@ fn tiny64_cache_stream_capacity_point() {
 #[test]
 fn tiny64_cache_stream_interference_aware() {
     tiny_cache_stream(64, DispatchPolicy::InterferenceAware, 0, 0x9aec_8a42_bc0f_d23a);
+}
+
+#[test]
+fn tiny4_stream_stream_stat_pcal() {
+    tiny4_shared_rr(Mix::StreamStream, SchedulerKind::StatPcal, 0xf33d_2c3e_ba97_b6a5, 3_548);
+}
+
+#[test]
+fn tiny4_cache_stream_stat_pcal() {
+    tiny4_shared_rr(Mix::CacheStream, SchedulerKind::StatPcal, 0x5045_feb2_7999_9a2b, 722);
+}
+
+#[test]
+fn tiny4_cache_stream_ccws() {
+    tiny4_shared_rr(Mix::CacheStream, SchedulerKind::Ccws, 0x8dd1_f387_2d02_5603, 9_819);
 }
 
 #[test]

@@ -198,13 +198,14 @@ fn drive_contract(
             .copied()
             .filter(|&i| rng.chance(70) && !sched.is_throttled(i as WarpId))
             .collect();
+        let utilization = (rng.next() % 101) as f64 / 100.0;
         let ctx = SchedulerCtx {
             now,
             warps: &warps,
             ready: &ready,
             instructions_executed: instructions,
             active_warps: live.len(),
-            dram_utilization: (rng.next() % 101) as f64 / 100.0,
+            dram_utilization_at: &|_| Some(utilization),
         };
         let picked = sched.pick(&ctx);
         let kept = match picked {
@@ -478,12 +479,8 @@ impl WarpScheduler for CountingScheduler {
         self.inner.on_idle_cycles(ctx, skipped);
     }
 
-    fn hold_horizon(
-        &self,
-        ctx: &SchedulerCtx<'_>,
-        dram_utilization_at: &dyn Fn(Cycle) -> Option<f64>,
-    ) -> u64 {
-        self.inner.hold_horizon(ctx, dram_utilization_at)
+    fn hold_horizon(&self, ctx: &SchedulerCtx<'_>) -> u64 {
+        self.inner.hold_horizon(ctx)
     }
 
     fn on_issue(&mut self, wid: WarpId, is_mem: bool, now: Cycle) {
