@@ -115,7 +115,6 @@ pub struct CiaoScheduler {
     stall_stack: Vec<WarpId>,
     /// The issue order: GTO's own.
     gto: GtoScheduler,
-    instructions_seen: u64,
     next_high_check: u64,
     next_low_check: u64,
     num_warps: usize,
@@ -147,7 +146,6 @@ impl CiaoScheduler {
             flags: vec![WarpFlags::default(); num_warps],
             stall_stack: Vec::new(),
             gto: GtoScheduler::new(),
-            instructions_seen: 0,
             next_high_check: params.high_epoch,
             next_low_check: params.low_epoch,
             num_warps,
@@ -260,7 +258,6 @@ impl WarpScheduler for CiaoScheduler {
         // is ready (e.g. every runnable warp is currently stalled by CIAO and
         // the rest wait on memory) the low-cutoff evaluation still runs, so
         // stalled warps are reactivated even though no instructions retire.
-        self.instructions_seen = ctx.instructions_executed;
         if ctx.instructions_executed >= self.next_low_check || ctx.ready.is_empty() {
             self.next_low_check = ctx.instructions_executed + self.params.low_epoch;
             self.low_epoch_check(ctx.instructions_executed, ctx.active_warps.max(1));
@@ -277,7 +274,6 @@ impl WarpScheduler for CiaoScheduler {
     }
 
     fn on_idle_cycles(&mut self, ctx: &SchedulerCtx<'_>, cycles: u64) {
-        self.instructions_seen = ctx.instructions_executed;
         // A replay stretch lies below both epoch checks (the hold horizon
         // vouches for it), so its picks run neither evaluation.
         if !ctx.ready.is_empty() {

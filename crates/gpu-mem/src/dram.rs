@@ -153,13 +153,6 @@ impl Dram {
         &self.stats
     }
 
-    /// Resets statistics and timing state.
-    pub fn reset(&mut self) {
-        self.banks = vec![BankState::default(); self.config.num_banks];
-        self.bus_free_at = 0;
-        self.stats = DramStats::default();
-    }
-
     /// Estimated utilisation of the data bus over the interval `[0, now]`.
     ///
     /// statPCAL-style schemes consult this to decide whether spare memory
@@ -310,8 +303,6 @@ mod tests {
         assert_eq!(s.bytes_transferred, 256);
         assert_eq!(s.row_hits + s.row_misses, 2);
         assert!(s.row_hit_rate() > 0.0);
-        d.reset();
-        assert_eq!(d.stats().accesses, 0);
     }
 
     proptest! {

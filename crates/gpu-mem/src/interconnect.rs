@@ -2,12 +2,14 @@
 //!
 //! The crossbar is modelled in two stages:
 //!
-//! 1. **Per-SM injection ports** ([`Interconnect`], built in bulk by
-//!    [`Crossbar`]) — a simple latency + bandwidth pipe per SM: each transfer
-//!    pays a fixed traversal latency and occupies the link for
+//! 1. **Per-SM injection ports** ([`Interconnect`], one per SM, entered
+//!    through [`Interconnect::transfer`]) — a simple latency + bandwidth pipe:
+//!    each transfer pays a fixed traversal latency and occupies the link for
 //!    `bytes / bytes_per_cycle` cycles, so one SM's own miss bursts serialise
 //!    on its port without touching any other SM's link state.
-//! 2. **The shared fabric** ([`CrossbarFabric`]) — one chip-wide
+//! 2. **The shared fabric** ([`CrossbarFabric`], entered through
+//!    [`CrossbarFabric::request_transfer`] and
+//!    [`CrossbarFabric::reply_transfer`]) — one chip-wide
 //!    bytes-per-cycle budget *per direction* (SM→L2 requests, L2→SM replies).
 //!    The multi-SM engine charges every request against the request budget
 //!    before it reaches an L2 bank and every read reply against the reply
@@ -59,18 +61,10 @@ impl Interconnect {
         Interconnect::new(20, 32.0)
     }
 
-    /// Schedules a transfer of `bytes` starting no earlier than `now` and
+    /// The link's one entry point: schedules a transfer of `bytes` starting
+    /// no earlier than `now`, charges the bytes to `tenant`'s counter, and
     /// returns the cycle at which the payload arrives at the other end.
-    /// Attributed to tenant 0 — multi-tenant SMs use
-    /// [`Interconnect::transfer_tagged`].
-    pub fn transfer(&mut self, bytes: u64, now: Cycle) -> Cycle {
-        self.transfer_tagged(bytes, now, 0)
-    }
-
-    /// [`Interconnect::transfer`] with explicit tenant attribution: the bytes
-    /// are additionally charged to `tenant`'s counter. Timing is identical to
-    /// the untagged path.
-    pub fn transfer_tagged(&mut self, bytes: u64, now: Cycle, tenant: TenantId) -> Cycle {
+    pub fn transfer(&mut self, bytes: u64, now: Cycle, tenant: TenantId) -> Cycle {
         let occupancy = ((bytes as f64) / self.bytes_per_cycle).ceil().max(1.0) as Cycle;
         let start = now.max(self.next_free);
         self.queueing_cycles += start - now;
@@ -99,70 +93,15 @@ impl Interconnect {
     pub fn queueing_cycles(&self) -> Cycle {
         self.queueing_cycles
     }
-
-    /// Resets timing and statistics.
-    pub fn reset(&mut self) {
-        self.next_free = 0;
-        self.bytes_transferred = 0;
-        self.queueing_cycles = 0;
-        self.tenant_bytes.clear();
-    }
 }
 
-/// Aggregate traffic statistics over a set of per-SM links.
+/// Aggregate traffic statistics over a chip's per-SM links.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct CrossbarStats {
     /// Total bytes injected across all ports.
     pub bytes_transferred: u64,
     /// Total cycles transfers spent queueing for their port.
     pub queueing_cycles: Cycle,
-}
-
-/// The chip crossbar viewed as independent SM-indexed injection ports.
-///
-/// Each SM gets a private [`Interconnect`] with its per-SM latency and
-/// bandwidth slice, so an SM's own miss bursts serialise on its port without
-/// touching any other SM's link state; chip-wide contention (finite aggregate
-/// bandwidth in both directions) is modelled by the [`CrossbarFabric`] the
-/// engine drives at its epoch boundaries, and L2-set / DRAM-row contention
-/// downstream in the shared banked backend.
-#[derive(Debug, Clone)]
-pub struct Crossbar {
-    ports: Vec<Interconnect>,
-}
-
-impl Crossbar {
-    /// Builds `num_sms` identical ports with the given per-port latency and
-    /// bandwidth.
-    pub fn new(num_sms: usize, latency: Cycle, bytes_per_cycle: f64) -> Self {
-        Crossbar { ports: vec![Interconnect::new(latency, bytes_per_cycle); num_sms.max(1)] }
-    }
-
-    /// Number of ports.
-    pub fn num_ports(&self) -> usize {
-        self.ports.len()
-    }
-
-    /// Mutable access to SM `sm`'s port.
-    pub fn port_mut(&mut self, sm: usize) -> &mut Interconnect {
-        &mut self.ports[sm]
-    }
-
-    /// Hands the ports out to their SMs (the engine embeds one per SM).
-    pub fn into_ports(self) -> Vec<Interconnect> {
-        self.ports
-    }
-
-    /// Aggregates traffic statistics over a set of ports (typically collected
-    /// back from the SMs at the end of a run).
-    pub fn aggregate<'a>(ports: impl IntoIterator<Item = &'a Interconnect>) -> CrossbarStats {
-        let mut total = CrossbarStats::default();
-        for p in ports {
-            total.bytes_transferred += p.bytes_transferred();
-            total.queueing_cycles += p.queueing_cycles();
-        }
-        total
-    }
 }
 
 /// One direction of the shared fabric: a pipe with a finite bytes-per-cycle
@@ -342,14 +281,14 @@ mod tests {
     fn single_transfer_latency() {
         let mut link = Interconnect::new(10, 32.0);
         // 128 bytes at 32 B/cycle = 4 cycles occupancy + 10 latency.
-        assert_eq!(link.transfer(128, 100), 114);
+        assert_eq!(link.transfer(128, 100, 0), 114);
     }
 
     #[test]
     fn back_to_back_transfers_serialise() {
         let mut link = Interconnect::new(10, 32.0);
-        let a = link.transfer(128, 0);
-        let b = link.transfer(128, 0);
+        let a = link.transfer(128, 0, 0);
+        let b = link.transfer(128, 0, 0);
         assert_eq!(a, 14);
         assert_eq!(b, 18); // second burst waits 4 cycles for the link
         assert_eq!(link.queueing_cycles(), 4);
@@ -358,37 +297,21 @@ mod tests {
     #[test]
     fn idle_link_does_not_delay() {
         let mut link = Interconnect::new(5, 16.0);
-        link.transfer(64, 0);
+        link.transfer(64, 0, 0);
         // Much later request sees an idle link.
-        let done = link.transfer(64, 1000);
+        let done = link.transfer(64, 1000, 0);
         assert_eq!(done, 1000 + 4 + 5);
     }
 
     #[test]
     fn tenant_bytes_split_the_total() {
         let mut link = Interconnect::new(10, 32.0);
-        link.transfer_tagged(128, 0, 0);
-        link.transfer_tagged(256, 0, 1);
-        link.transfer(64, 0); // untagged → tenant 0
+        assert!(link.tenant_bytes().is_empty(), "an unused link charges no tenant");
+        link.transfer(128, 0, 0);
+        link.transfer(256, 0, 1);
+        link.transfer(64, 0, 0);
         assert_eq!(link.tenant_bytes(), &[192, 256]);
         assert_eq!(link.bytes_transferred(), 192 + 256);
-        link.reset();
-        assert!(link.tenant_bytes().is_empty());
-    }
-
-    #[test]
-    fn crossbar_ports_are_independent() {
-        let mut xbar = Crossbar::new(2, 10, 32.0);
-        assert_eq!(xbar.num_ports(), 2);
-        let a = xbar.port_mut(0).transfer(128, 0);
-        // Port 1 sees an idle link even though port 0 is busy.
-        let b = xbar.port_mut(1).transfer(128, 0);
-        assert_eq!(a, b);
-        assert_eq!(xbar.port_mut(0).queueing_cycles(), 0);
-        let ports = xbar.into_ports();
-        let stats = Crossbar::aggregate(&ports);
-        assert_eq!(stats.bytes_transferred, 256);
-        assert_eq!(stats.queueing_cycles, 0);
     }
 
     proptest! {
@@ -399,7 +322,7 @@ mod tests {
             let mut link = Interconnect::new(20, 32.0);
             let mut total = 0u64;
             for (bytes, now) in transfers {
-                let done = link.transfer(bytes, now);
+                let done = link.transfer(bytes, now, 0);
                 prop_assert!(done > now + 20);
                 total += bytes;
             }

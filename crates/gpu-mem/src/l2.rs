@@ -4,9 +4,10 @@
 //! In the GTX 480 each memory partition pairs an L2 slice with a GDDR5
 //! channel. This module combines the generic [`SetAssocCache`] (configured
 //! per Table I: 768 KB, 8-way, write-allocate, write-back, LRU) with the
-//! [`Dram`] timing model and exposes a single `access` entry point returning
-//! the completion cycle of a request, so the SM-side code can treat "L1D miss
-//! goes downstream" as one call.
+//! [`Dram`] timing model and exposes one entry point,
+//! [`MemoryPartition::serve`], returning the completion cycle of a request
+//! (an L2 read or write, or an L2 bypass), so the SM-side code can treat "L1D
+//! miss goes downstream" as one call.
 //!
 //! [`BankedMemorySystem`] scales this to a multi-SM chip: the L2 capacity and
 //! DRAM bandwidth are sharded across address-interleaved banks, each bank a
@@ -88,8 +89,8 @@ pub struct TenantMemStats {
     pub l2_accesses: u64,
     /// Of those, the lookups that hit.
     pub l2_hits: u64,
-    /// DRAM accesses caused by this tenant (L2 misses + bypasses; write-backs
-    /// are charged to the evicting tenant).
+    /// DRAM accesses caused by this tenant (L2 misses + bypasses; dirty
+    /// write-backs are charged to no tenant).
     pub dram_accesses: u64,
 }
 
@@ -223,72 +224,55 @@ impl MemoryPartition {
         self.dram.bandwidth_utilization(now)
     }
 
-    /// Serves a read or write arriving at the L2 at cycle `now` on behalf of
-    /// warp `wid`; returns the cycle at which the response is available at
-    /// the partition's output port. Attributes the traffic to tenant 0 —
-    /// multi-tenant engines use [`MemoryPartition::access_tagged`].
-    pub fn access(&mut self, addr: Addr, wid: WarpId, is_write: bool, now: Cycle) -> Cycle {
-        self.access_tagged(addr, wid, 0, is_write, now)
-    }
-
-    /// [`MemoryPartition::access`] with explicit tenant attribution: the L2
-    /// lookup, its hit/miss outcome and any resulting DRAM fetch are charged
-    /// to `tenant`. Timing is identical to the untagged path.
-    pub fn access_tagged(
+    /// The partition's one request entry: serves a read or write of `addr`
+    /// arriving at the L2 at cycle `now` on behalf of warp `wid`, or, with
+    /// `bypass`, a request that skips the L2 and goes straight to the DRAM
+    /// channel (statPCAL bypass path; `is_write` does not change its
+    /// timing). The L2 lookup, its outcome and any DRAM fetch are charged to
+    /// `tenant`. Returns the cycle at which the response is available at
+    /// the partition's output port.
+    pub fn serve(
         &mut self,
         addr: Addr,
         wid: WarpId,
         tenant: TenantId,
         is_write: bool,
+        bypass: bool,
         now: Cycle,
     ) -> Cycle {
         let block = block_addr(addr);
+        let line = self.config.l2.line_size;
         self.requests += 1;
-        let res = self.l2.access(block, wid, is_write);
-        let mut done = now + self.config.l2_latency;
-        let t = self.tenant_entry(tenant);
-        t.l2_accesses += 1;
-        let mut outcome = ("l2-hit", None);
-        if res.outcome.is_miss() {
-            t.dram_accesses += 1;
-            // Fetch (or write-allocate fetch) from DRAM.
-            let (dram_done, row_hit) =
-                self.dram.access_outcome(block, self.config.l2.line_size, done);
-            done = dram_done;
-            outcome = ("l2-miss", Some(row_hit as u64));
+        let (name, done, row_hit) = if bypass {
+            let (done, row_hit) = self.dram.access_outcome(block, line, now);
+            ("dram-bypass", done, Some(row_hit))
         } else {
-            t.l2_hits += 1;
-        }
-        if let Some(ev) = res.evicted {
-            if ev.dirty {
+            let res = self.l2.access(block, wid, is_write);
+            let hit_done = now + self.config.l2_latency;
+            let (name, done, row_hit) = if res.outcome.is_miss() {
+                // Fetch (or write-allocate fetch) from DRAM.
+                let (done, row_hit) = self.dram.access_outcome(block, line, hit_done);
+                ("l2-miss", done, Some(row_hit))
+            } else {
+                ("l2-hit", hit_done, None)
+            };
+            if let Some(ev) = res.evicted.filter(|ev| ev.dirty) {
                 // Dirty write-back consumes DRAM bandwidth but is off the
                 // critical path of the requesting warp.
-                self.dram.access(ev.block_addr, self.config.l2.line_size, done);
+                self.dram.access(ev.block_addr, line, done);
             }
+            (name, done, row_hit)
+        };
+        let t = self.tenant_entry(tenant);
+        t.l2_accesses += u64::from(!bypass);
+        // Every request but an L2 hit reached the DRAM channel.
+        match row_hit {
+            Some(_) => t.dram_accesses += 1,
+            None => t.l2_hits += 1,
         }
-        let latency = done - now;
-        self.total_latency += latency;
-        if let Some(obs) = &mut self.obs {
-            obs.record(outcome.0, now, done, tenant, outcome.1);
-        }
-        done
-    }
-
-    /// Serves a request that *bypasses* the L2 and goes straight to DRAM
-    /// (statPCAL bypass path). Attributed to tenant 0.
-    pub fn access_bypass(&mut self, addr: Addr, now: Cycle) -> Cycle {
-        self.access_bypass_tagged(addr, 0, now)
-    }
-
-    /// [`MemoryPartition::access_bypass`] with explicit tenant attribution.
-    pub fn access_bypass_tagged(&mut self, addr: Addr, tenant: TenantId, now: Cycle) -> Cycle {
-        let block = block_addr(addr);
-        self.requests += 1;
-        self.tenant_entry(tenant).dram_accesses += 1;
-        let (done, row_hit) = self.dram.access_outcome(block, self.config.l2.line_size, now);
         self.total_latency += done - now;
         if let Some(obs) = &mut self.obs {
-            obs.record("dram-bypass", now, done, tenant, Some(row_hit as u64));
+            obs.record(name, now, done, tenant, row_hit.map(u64::from));
         }
         done
     }
@@ -362,12 +346,9 @@ impl BankedMemorySystem {
     }
 
     /// Serves one request at its owning bank `bank` (the caller resolves it
-    /// with [`BankedMemorySystem::bank_of`]): a read or write arriving at the
-    /// L2 at cycle `at` on behalf of warp `wid`, or, with `bypass`, a request
-    /// that skips the L2 and goes straight to the bank's DRAM channel
-    /// (statPCAL bypass path). The bank charges the L2 lookup and any DRAM
-    /// fetch to `tenant`. Returns the completion cycle at the bank's output
-    /// port.
+    /// with [`BankedMemorySystem::bank_of`]) through that bank's
+    /// [`MemoryPartition::serve`]; returns the completion cycle at the
+    /// bank's output port.
     #[allow(clippy::too_many_arguments)] // one request's fields plus its pre-resolved bank
     pub fn serve(
         &mut self,
@@ -380,12 +361,7 @@ impl BankedMemorySystem {
         at: Cycle,
     ) -> Cycle {
         debug_assert_eq!(bank, self.bank_of(addr));
-        let partition = &mut self.banks[bank];
-        if bypass {
-            partition.access_bypass_tagged(addr, tenant, at)
-        } else {
-            partition.access_tagged(addr, wid, tenant, is_write, at)
-        }
+        self.banks[bank].serve(addr, wid, tenant, is_write, bypass, at)
     }
 
     /// Attaches an observability sink to every bank (per-tenant latency
@@ -447,12 +423,22 @@ mod tests {
         sys.serve(sys.bank_of(addr), addr, 0, tenant, false, bypass, 0)
     }
 
+    /// Serves one warp-0 L2 read of `addr` for `tenant` at cycle `now`.
+    fn read(p: &mut MemoryPartition, addr: Addr, tenant: TenantId, now: Cycle) -> Cycle {
+        p.serve(addr, 0, tenant, false, false, now)
+    }
+
+    /// Serves one warp-0 L2-bypassing read of `addr` for `tenant` at `now`.
+    fn bypass(p: &mut MemoryPartition, addr: Addr, tenant: TenantId, now: Cycle) -> Cycle {
+        p.serve(addr, 0, tenant, false, true, now)
+    }
+
     #[test]
     fn l2_hit_faster_than_miss() {
         let mut p = MemoryPartition::new(PartitionConfig::gtx480());
-        let miss_done = p.access(0x1000, 0, false, 0);
+        let miss_done = read(&mut p, 0x1000, 0, 0);
         let t = miss_done + 10;
-        let hit_done = p.access(0x1000, 0, false, t);
+        let hit_done = read(&mut p, 0x1000, 0, t);
         assert!(hit_done - t < miss_done, "L2 hit must be far cheaper than the cold miss");
         assert_eq!(p.stats().l2.read_hits, 1);
     }
@@ -460,7 +446,7 @@ mod tests {
     #[test]
     fn bypass_skips_l2() {
         let mut p = MemoryPartition::new(PartitionConfig::gtx480());
-        p.access_bypass(0x2000, 0);
+        bypass(&mut p, 0x2000, 0, 0);
         assert_eq!(p.stats().l2.accesses(), 0);
         assert_eq!(p.stats().dram.accesses, 1);
     }
@@ -472,7 +458,7 @@ mod tests {
             let mut done = 0;
             for i in 0..512u64 {
                 // Distinct blocks spanning many rows: all L2 misses.
-                done = p.access(i * 4096, 0, false, 0);
+                done = read(&mut p, i * 4096, 0, 0);
             }
             done
         };
@@ -482,24 +468,36 @@ mod tests {
     #[test]
     fn mean_latency_reported() {
         let mut p = MemoryPartition::new(PartitionConfig::gtx480());
-        p.access(0, 0, false, 0);
+        read(&mut p, 0, 0, 0);
         assert!(p.stats().mean_latency() > 0.0);
     }
 
     #[test]
     fn single_bank_system_matches_private_partition() {
-        let cfg = PartitionConfig::gtx480();
+        // A 4 KB L2 (4 sets of 8 ways), so a stream of writes evicts dirty
+        // lines that write back to DRAM.
+        let mut cfg = PartitionConfig::gtx480();
+        cfg.l2.size_bytes = 4 * 1024;
         let mut shared = BankedMemorySystem::new(cfg.clone(), 1);
         let mut private = MemoryPartition::new(cfg);
-        let addrs = [0x1000u64, 0x2000, 0x1000, 0x40_0000, 0x2000, 0x123456];
+        // (addr, tenant, is_write, bypass): reads, 64 writes to distinct
+        // lines, then bypassed reads and writes.
+        let reads =
+            [0x1000u64, 0x2000, 0x1000, 0x40_0000, 0x2000, 0x123456].map(|a| (a, 0, false, false));
+        let writes = (0..64u64).map(|i| (0x10_0000 + i * 128, (i % 3) as TenantId, true, false));
+        let bypasses = (0..8u64).map(|i| (0x1000 + i * 128, 1, i % 2 == 1, true));
         let mut now = 0;
-        for &a in &addrs {
-            let d1 = shared.serve(0, a, 3, 0, false, false, now);
-            let d2 = private.access(a, 3, false, now);
+        for (a, tenant, is_write, bypass) in reads.into_iter().chain(writes).chain(bypasses) {
+            let d1 = shared.serve(0, a, 3, tenant, is_write, bypass, now);
+            let d2 = private.serve(a, 3, tenant, is_write, bypass, now);
             assert_eq!(d1, d2, "bank=1 system must be timing-identical to one partition");
             now = d1 + 5;
         }
-        assert_eq!(shared.stats(), private.stats());
+        let stats = private.stats();
+        assert!(stats.l2.writebacks > 0, "the writes must evict dirty lines");
+        assert_eq!(stats.dram.accesses, stats.l2.misses() + stats.l2.writebacks + 8);
+        assert_eq!(shared.stats(), stats);
+        assert_eq!(shared.tenant_stats_per_bank().next(), Some(private.tenant_stats()));
         assert!(
             (shared.dram_bandwidth_utilization(now) - private.dram_bandwidth_utilization(now))
                 .abs()
@@ -545,10 +543,10 @@ mod tests {
         let mut p = MemoryPartition::new(PartitionConfig::gtx480());
         // Tenant 0: two accesses to one block (miss then hit); tenant 2: one
         // cold miss; one bypass charged to tenant 1.
-        p.access_tagged(0x1000, 0, 0, false, 0);
-        p.access_tagged(0x1000, 0, 0, false, 1_000);
-        p.access_tagged(0x40_0000, 1, 2, false, 2_000);
-        p.access_bypass_tagged(0x8000, 1, 3_000);
+        read(&mut p, 0x1000, 0, 0);
+        read(&mut p, 0x1000, 0, 1_000);
+        p.serve(0x40_0000, 1, 2, false, false, 2_000);
+        bypass(&mut p, 0x8000, 1, 3_000);
         let t = p.tenant_stats();
         assert_eq!(t.len(), 3);
         assert_eq!((t[0].l2_accesses, t[0].l2_hits, t[0].dram_accesses), (2, 1, 1));
@@ -580,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn tagged_access_timing_matches_untagged() {
+    fn tenant_attribution_never_changes_timing() {
         let cfg = PartitionConfig::gtx480();
         let mut a = MemoryPartition::new(cfg.clone());
         let mut b = MemoryPartition::new(cfg);
@@ -588,8 +586,8 @@ mod tests {
         for (i, &addr) in addrs.iter().enumerate() {
             let now = i as Cycle * 500;
             assert_eq!(
-                a.access(addr, 0, false, now),
-                b.access_tagged(addr, 0, 7, false, now),
+                read(&mut a, addr, 0, now),
+                read(&mut b, addr, 7, now),
                 "tenant tagging must not change timing"
             );
         }
@@ -606,15 +604,12 @@ mod tests {
         for (i, &addr) in addrs.iter().enumerate() {
             let now = i as Cycle * 500;
             assert_eq!(
-                plain.access_tagged(addr, 0, 1, false, now),
-                observed.access_tagged(addr, 0, 1, false, now),
+                read(&mut plain, addr, 1, now),
+                read(&mut observed, addr, 1, now),
                 "an attached obs sink must not perturb timing"
             );
         }
-        assert_eq!(
-            plain.access_bypass_tagged(0x8000, 0, 9_000),
-            observed.access_bypass_tagged(0x8000, 0, 9_000)
-        );
+        assert_eq!(bypass(&mut plain, 0x8000, 0, 9_000), bypass(&mut observed, 0x8000, 0, 9_000));
         assert_eq!(plain.stats(), observed.stats());
 
         let obs = observed.take_obs().expect("sink attached");
@@ -655,7 +650,7 @@ mod tests {
             let mut p = MemoryPartition::new(PartitionConfig::gtx480());
             let mut now = 0;
             for a in addrs {
-                let done = p.access(a, 0, false, now);
+                let done = read(&mut p, a, 0, now);
                 prop_assert!(done > now);
                 now = done;
             }

@@ -43,7 +43,7 @@ pub use cache::{
 };
 pub use dram::{Dram, DramConfig, DramStats};
 pub use interconnect::{
-    Crossbar, CrossbarFabric, CrossbarStats, FabricDirectionStats, FabricStats, Interconnect,
+    CrossbarFabric, CrossbarStats, FabricDirectionStats, FabricStats, Interconnect,
 };
 pub use l2::{
     merge_tenant_stats, BankedMemorySystem, MemoryPartition, PartitionConfig, PartitionObs,

@@ -5,9 +5,10 @@
 //! into a chip; [`crate::Simulator::execute`] is the only way to build and
 //! run one. The [`crate::dispatch`] module's policies split one or more
 //! co-running kernels' grids across `num_sms` SM engines, and every SM's L1
-//! misses travel over its own [`gpu_mem::Crossbar`] port into one shared,
-//! banked L2 + DRAM backend ([`gpu_mem::BankedMemorySystem`]) with
-//! per-tenant attribution.
+//! misses travel over its own injection port ([`gpu_mem::Interconnect`])
+//! and the shared [`gpu_mem::CrossbarFabric`] into one shared, banked L2 +
+//! DRAM backend ([`gpu_mem::BankedMemorySystem`]) with per-tenant
+//! attribution.
 //!
 //! ## The boundary loop
 //!
@@ -80,7 +81,7 @@ use crate::scheduler::{SchedulerMetrics, WarpScheduler};
 use crate::simulator::{SimResult, TenantResult};
 use crate::sm::{ResponseEvent, Sm};
 use crate::stats::{DispatchLog, InterferenceMatrix, SmStats, TenantStats, TimeSeries};
-use gpu_mem::interconnect::{Crossbar, CrossbarFabric};
+use gpu_mem::interconnect::{CrossbarFabric, CrossbarStats, Interconnect};
 use gpu_mem::l2::{BankedMemorySystem, MemoryPartition, PartitionConfig, PartitionObs};
 use gpu_mem::{merge_tenant_stats, Addr, Cycle, TenantId, TenantMemStats, WarpId};
 use sim_obs::{ObsLevel, ObsReport, PhaseProfiler, TraceEvent, TraceRecorder, Tracer, Track};
@@ -114,14 +115,16 @@ struct RawCompletion {
 /// policies carry per-SM state (VTAs, interference lists, throttle sets).
 pub type SmUnit = (Box<dyn WarpScheduler>, Option<Box<dyn RedirectCache>>);
 
-/// A global-memory request buffered by a [`MemoryPort`] during an epoch and
-/// served against the shared backend after the next boundary.
+/// A global-memory request an SM sends through its [`MemoryPort`]: served at
+/// once by a private port, or buffered during an epoch and served against
+/// the shared backend after the next boundary.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MemRequest {
     /// Cycle at which the request arrives at the L2 side of the SM's
     /// interconnect port (already includes link latency and queueing).
     pub arrive: Cycle,
-    /// Issue order within the SM (tie-break for deterministic service).
+    /// Issue order within the SM (tie-break for deterministic service),
+    /// numbered by the deferred port.
     pub seq: u64,
     /// Block-aligned address.
     pub block: Addr,
@@ -139,11 +142,11 @@ pub(crate) struct MemRequest {
 
 /// The SM's port into the downstream memory system.
 ///
-/// `Private` owns a full [`MemoryPartition`] and serves every request at
-/// issue time — the single-SM configuration. `Deferred` buffers requests
-/// for epoch-boundary service by the chip engine and carries the chip
-/// DRAM-utilisation snapshot the scheduler context reads between
-/// boundaries.
+/// Every request enters through [`MemoryPort::send`]. `Private` owns a
+/// full [`MemoryPartition`] and serves every request at issue time — the
+/// single-SM configuration. `Deferred` buffers requests for epoch-boundary
+/// service by the chip engine and carries the chip DRAM-utilisation
+/// snapshot the scheduler context reads between boundaries.
 pub(crate) enum MemoryPort {
     /// Synchronous private partition (single-SM runs).
     Private(Box<MemoryPartition>),
@@ -170,68 +173,22 @@ impl MemoryPort {
         MemoryPort::Deferred(DeferredPort::default())
     }
 
-    /// Issues a read attributed to `tenant`. Returns `Some(done)` when served
-    /// synchronously; `None` when buffered for boundary service (the event is
+    /// The port's one entry point: issues `req` downstream. A private port
+    /// serves it at once through [`MemoryPartition::serve`] and returns its
+    /// completion cycle; a deferred port numbers it in issue order, buffers
+    /// it for boundary service and returns `None` (a read's event is
     /// delivered later).
-    pub fn read(
-        &mut self,
-        block: Addr,
-        wid: WarpId,
-        tenant: TenantId,
-        arrive: Cycle,
-        bypass: bool,
-        event: ResponseEvent,
-    ) -> Option<Cycle> {
-        match self {
-            MemoryPort::Private(p) => Some(if bypass {
-                p.access_bypass_tagged(block, tenant, arrive)
-            } else {
-                p.access_tagged(block, wid, tenant, false, arrive)
-            }),
-            MemoryPort::Deferred(d) => {
-                d.push(MemRequest {
-                    arrive,
-                    seq: 0,
-                    block,
-                    wid,
-                    tenant,
-                    is_write: false,
-                    bypass,
-                    event: Some(event),
-                });
-                None
-            }
-        }
-    }
-
-    /// Issues a write attributed to `tenant` (fire-and-forget: consumes
-    /// downstream bandwidth but never blocks the warp).
-    pub fn write(
-        &mut self,
-        block: Addr,
-        wid: WarpId,
-        tenant: TenantId,
-        arrive: Cycle,
-        bypass: bool,
-    ) {
+    pub fn send(&mut self, mut req: MemRequest) -> Option<Cycle> {
         match self {
             MemoryPort::Private(p) => {
-                if bypass {
-                    p.access_bypass_tagged(block, tenant, arrive);
-                } else {
-                    p.access_tagged(block, wid, tenant, true, arrive);
-                }
+                Some(p.serve(req.block, req.wid, req.tenant, req.is_write, req.bypass, req.arrive))
             }
-            MemoryPort::Deferred(d) => d.push(MemRequest {
-                arrive,
-                seq: 0,
-                block,
-                wid,
-                tenant,
-                is_write: true,
-                bypass,
-                event: None,
-            }),
+            MemoryPort::Deferred(d) => {
+                req.seq = d.seq;
+                d.seq += 1;
+                d.queue.push(req);
+                None
+            }
         }
     }
 
@@ -293,14 +250,6 @@ impl MemoryPort {
             MemoryPort::Private(p) => p.take_obs(),
             MemoryPort::Deferred(_) => None,
         }
-    }
-}
-
-impl DeferredPort {
-    fn push(&mut self, mut req: MemRequest) {
-        req.seq = self.seq;
-        self.seq += 1;
-        self.queue.push(req);
     }
 }
 
@@ -423,7 +372,7 @@ impl ChipSignals {
                 out.ctas_completed += stats.ctas_completed;
             }
         }
-        let private = sms.iter().filter_map(Sm::partition_tenant_stats);
+        let private = sms.iter().filter_map(|sm| sm.port.partition_tenant_stats());
         let banks = shared.into_iter().flat_map(BankedMemorySystem::tenant_stats_per_bank);
         for table in private.chain(banks) {
             for (out, m) in out.iter_mut().zip(table) {
@@ -483,21 +432,20 @@ impl Gpu {
                 num_sms,
             )
         });
-        let links = Crossbar::new(
-            num_sms,
-            config.interconnect_latency,
-            config.interconnect_bytes_per_cycle,
-        )
-        .into_ports();
         let mut scheduler_name = String::new();
         let sms = units
             .into_iter()
             .zip(assignments)
-            .zip(links)
-            .map(|(((scheduler, redirect), work), link)| {
+            .map(|((scheduler, redirect), work)| {
                 if scheduler_name.is_empty() {
                     scheduler_name = scheduler.name().to_string();
                 }
+                // Each SM injects through a private link; chip-wide
+                // contention is the fabric's and the banks'.
+                let link = Interconnect::new(
+                    config.interconnect_latency,
+                    config.interconnect_bytes_per_cycle,
+                );
                 let port = if num_sms > 1 {
                     MemoryPort::deferred()
                 } else {
@@ -546,7 +494,7 @@ impl Gpu {
                 shared.enable_obs(level.trace_enabled());
             } else {
                 for sm in &mut self.sms {
-                    sm.enable_port_obs(level.trace_enabled());
+                    sm.port.enable_obs(level.trace_enabled());
                 }
             }
         }
@@ -576,7 +524,7 @@ impl Gpu {
                 report.dropped_events += trace.dropped();
                 report.events.extend(trace.take());
             }
-            if let Some(obs) = sm.take_port_obs() {
+            if let Some(obs) = sm.port.take_obs() {
                 Self::absorb_partition_obs(&mut report, *obs);
             }
         }
@@ -964,7 +912,7 @@ impl Gpu {
             for &unit in &order {
                 let sm = &mut sms[unit];
                 if !sm.is_done() && !sm.hit_cap() {
-                    sm.set_dram_utilization(boundary_util);
+                    sm.port.set_dram_utilization(boundary_util);
                     sm.run_epoch_event(now);
                 }
                 let hint = if sm.is_done() || sm.hit_cap() {
@@ -1037,7 +985,7 @@ impl Gpu {
         // are not visible to any boundary-time advancement.
         for sm in sms.iter_mut() {
             if !sm.is_done() && !sm.hit_cap() && sm.cycle() < now {
-                sm.set_dram_utilization(flush_util);
+                sm.port.set_dram_utilization(flush_util);
                 sm.run_epoch_event(now);
             }
         }
@@ -1119,7 +1067,7 @@ impl Gpu {
         batch: &mut Vec<(usize, MemRequest)>,
     ) {
         for i in advanced {
-            sms[i].drain_requests_into(i, window);
+            sms[i].port.drain_into(i, window);
         }
         window.sort_by_key(|&(sm, r)| (r.arrive, sm, r.seq));
         let horizon = now.saturating_add(xbar_latency);
@@ -1276,7 +1224,7 @@ impl Gpu {
         boundary_util: f64,
     ) {
         if !sm.is_done() && !sm.hit_cap() && sm.cycle() < now {
-            sm.set_dram_utilization(boundary_util);
+            sm.port.set_dram_utilization(boundary_util);
             sm.run_epoch_event(now);
         }
         sm.push_work(work, now);
@@ -1303,6 +1251,7 @@ impl Gpu {
         let mut tenant_totals: Vec<TenantStats> =
             vec![TenantStats { done: true, ..TenantStats::default() }; num_tenants];
         let mut tenant_mem: Vec<TenantMemStats> = Vec::new();
+        let mut interconnect = CrossbarStats::default();
         for sm in &self.sms {
             per_sm.push(sm.stats().clone());
             interference.absorb(sm.interference_matrix());
@@ -1314,11 +1263,12 @@ impl Gpu {
                     tenant_totals[t].merge(entry);
                 }
             }
-            if let Some(table) = sm.partition_tenant_stats() {
+            if let Some(table) = sm.port.partition_tenant_stats() {
                 merge_tenant_stats(&mut tenant_mem, table);
             }
+            interconnect.bytes_transferred += sm.interconnect.bytes_transferred();
+            interconnect.queueing_cycles += sm.interconnect.queueing_cycles();
         }
-        let interconnect = Crossbar::aggregate(self.sms.iter().map(Sm::interconnect));
         if let Some(shared) = &self.shared {
             for table in shared.tenant_stats_per_bank() {
                 merge_tenant_stats(&mut tenant_mem, table);

@@ -80,9 +80,9 @@ use crate::stats::{
 };
 use crate::trace::{MemSpace, WarpOp};
 use crate::warp::{SlotSet, Warp, WarpSlots, WarpState};
-use gpu_mem::cache::SetAssocCache;
+use gpu_mem::cache::{AccessOutcome, EvictedLine, SetAssocCache};
 use gpu_mem::interconnect::Interconnect;
-use gpu_mem::mshr::{FillTarget, Mshr};
+use gpu_mem::mshr::{FillTarget, Mshr, MshrAllocation};
 use gpu_mem::shared_memory::SharedMemory;
 use gpu_mem::smmt::Smmt;
 use gpu_mem::{Addr, CtaId, Cycle, TenantId, WarpId};
@@ -131,8 +131,11 @@ pub(crate) struct Sm {
     shared_mem: SharedMemory,
     smmt: Smmt,
     mshr: Mshr,
-    interconnect: Interconnect,
-    port: MemoryPort,
+    /// The SM's injection link: every downstream request crosses it first.
+    pub(crate) interconnect: Interconnect,
+    /// The SM's port into the downstream memory system, which the chip
+    /// engine drains, feeds utilisation snapshots and reads statistics from.
+    pub(crate) port: MemoryPort,
 
     /// The warp slots with their wake clock and live set.
     warps: WarpSlots,
@@ -591,48 +594,12 @@ impl Sm {
         self.cycle = target;
     }
 
-    /// Moves the memory requests a deferred port buffered during the last
-    /// epoch onto `out`, tagged with this SM's chip index `unit` (nothing
-    /// for an SM with a private partition). The port keeps its capacity.
-    pub fn drain_requests_into(&mut self, unit: usize, out: &mut Vec<(usize, MemRequest)>) {
-        self.port.drain_into(unit, out);
-    }
-
     /// Schedules a memory response computed by the chip engine: `ev` fires
     /// at cycle `done`. Must not be called with `done` in the SM's past —
     /// the engine's epoch clamp guarantees this.
     pub fn deliver(&mut self, done: Cycle, ev: ResponseEvent) {
         debug_assert!(done >= self.cycle, "response delivered into the SM's past");
         self.pending.push(Reverse((done, ev)));
-    }
-
-    /// Updates the DRAM-utilisation snapshot a deferred port reports to the
-    /// scheduler during the next epoch (no-op for a private port).
-    pub fn set_dram_utilization(&mut self, util: f64) {
-        self.port.set_dram_utilization(util);
-    }
-
-    /// The SM's interconnect port (for chip-level traffic aggregation).
-    pub fn interconnect(&self) -> &Interconnect {
-        &self.interconnect
-    }
-
-    /// Per-tenant L2/DRAM attribution of the SM's private partition, if it
-    /// owns one (`None` on a deferred port — the shared backend holds the
-    /// chip-level table instead).
-    pub fn partition_tenant_stats(&self) -> Option<&[gpu_mem::TenantMemStats]> {
-        self.port.partition_tenant_stats()
-    }
-
-    /// Arms the private partition's observability sink (no-op on a deferred
-    /// port — the shared backend's banks carry their own sinks there).
-    pub fn enable_port_obs(&mut self, trace_on: bool) {
-        self.port.enable_obs(trace_on);
-    }
-
-    /// Detaches the private partition's observability sink, if one exists.
-    pub fn take_port_obs(&mut self) -> Option<Box<gpu_mem::PartitionObs>> {
-        self.port.take_obs()
     }
 
     /// Advances the SM by one cycle (the module docs list the phases).
@@ -865,23 +832,17 @@ impl Sm {
                 ResponseEvent::MshrFill(block) => {
                     if let Some(entry) = self.mshr.fill(block) {
                         if entry.fill_target == FillTarget::SharedMemory {
-                            if let Some(r) = self.redirect.as_mut() {
-                                let wid = entry.waiting_warps.first().copied().unwrap_or(0);
-                                if let Some(ev) = r.fill(block, wid) {
-                                    if ev.owner != wid {
-                                        self.stats.redirect_cross_warp_evictions += 1;
-                                        self.interference.record(ev.owner, wid);
-                                    }
-                                    self.notify_event(CacheEvent {
-                                        kind: CacheKind::Redirect,
-                                        wid,
-                                        block_addr: block,
-                                        is_write: false,
-                                        outcome: CacheEventOutcome::Miss,
-                                        evicted: Some(ev),
-                                        now,
-                                    });
-                                }
+                            let wid = entry.waiting_warps.first().copied().unwrap_or(0);
+                            if let Some(ev) = self.fill_redirect(block, wid) {
+                                self.notify_event(CacheEvent {
+                                    kind: CacheKind::Redirect,
+                                    wid,
+                                    block_addr: block,
+                                    is_write: false,
+                                    outcome: CacheEventOutcome::Miss,
+                                    evicted: Some(ev),
+                                    now,
+                                });
                             }
                         }
                         for &wid in &entry.waiting_warps {
@@ -893,6 +854,18 @@ impl Sm {
                 ResponseEvent::WakeWarp(wid) => self.complete_mem(wid),
             }
         }
+    }
+
+    /// Fills `block` into the redirect cache (if one is installed) on behalf
+    /// of warp `wid` and returns the victim, counting it as cross-warp
+    /// interference when another warp owned it.
+    fn fill_redirect(&mut self, block: Addr, wid: WarpId) -> Option<EvictedLine> {
+        let ev = self.redirect.as_mut()?.fill(block, wid)?;
+        if ev.owner != wid {
+            self.stats.redirect_cross_warp_evictions += 1;
+            self.interference.record(ev.owner, wid);
+        }
+        Some(ev)
     }
 
     /// Counts one of warp `wid`'s memory transactions as returned.
@@ -1000,25 +973,18 @@ impl Sm {
         let mut immediate_latency: Cycle = self.config.l1d.latency;
 
         for &block in blocks {
-            match (route, is_write) {
-                (MemRoute::Bypass, false) => {
+            match route {
+                MemRoute::Bypass => {
+                    // A bypassed read wakes its warp directly (no MSHR
+                    // entry); a bypassed write never blocks it.
                     self.stats.bypassed_requests += 1;
-                    let arrive =
-                        self.interconnect.transfer_tagged(self.config.l1d.line_size, now, tenant);
-                    self.mem_read(block, wid, tenant, arrive, true, ResponseEvent::WakeWarp(wid));
-                    outstanding += 1;
+                    let event = (!is_write).then_some(ResponseEvent::WakeWarp(wid));
+                    self.send(block, wid, is_write, true, event, now);
+                    outstanding += u32::from(!is_write);
                 }
-                (MemRoute::Bypass, true) => {
-                    self.stats.bypassed_requests += 1;
-                    let arrive =
-                        self.interconnect.transfer_tagged(self.config.l1d.line_size, now, tenant);
-                    self.port.write(block, wid, tenant, arrive, true);
-                }
-                (MemRoute::RedirectCache, w) if self.redirect.is_some() => {
-                    if let Some(extra) = self.access_redirect(wid, block, w, now, &mut outstanding)
-                    {
-                        immediate_latency = immediate_latency.max(extra);
-                    }
+                MemRoute::RedirectCache if self.redirect.is_some() => {
+                    let extra = self.access_redirect(wid, block, is_write, now, &mut outstanding);
+                    immediate_latency = immediate_latency.max(extra);
                 }
                 _ => {
                     let extra = self.access_l1d(wid, block, is_write, now, &mut outstanding);
@@ -1032,21 +998,51 @@ impl Sm {
         });
     }
 
-    /// Issues a read to the downstream port; a synchronous (private) port
-    /// yields the completion immediately, a deferred one delivers `ev` at a
-    /// later epoch boundary.
-    fn mem_read(
+    /// The SM's one path downstream: one line-sized request for `block` on
+    /// behalf of warp `wid` crosses the SM's injection link, then enters the
+    /// memory port. When a private port serves it at once and a warp waits
+    /// on it (`event`), its reply is scheduled here; a deferred port's reply
+    /// comes back through [`Sm::deliver`].
+    fn send(
         &mut self,
         block: Addr,
         wid: WarpId,
-        tenant: TenantId,
-        arrive: Cycle,
+        is_write: bool,
         bypass: bool,
-        ev: ResponseEvent,
+        event: Option<ResponseEvent>,
+        now: Cycle,
     ) {
-        if let Some(done) = self.port.read(block, wid, tenant, arrive, bypass, ev) {
+        let tenant = self.tenant_of(wid);
+        let arrive = self.interconnect.transfer(self.config.l1d.line_size, now, tenant);
+        let req = MemRequest { arrive, seq: 0, block, wid, tenant, is_write, bypass, event };
+        if let (Some(done), Some(ev)) = (self.port.send(req), event) {
             self.pending.push(Reverse((done, ev)));
         }
+    }
+
+    /// Records warp `wid`'s read miss of `block` in the MSHR file, whose
+    /// entry fills `target` when the reply returns; a new entry sends the
+    /// fetch downstream, a merged one rides on the fetch in flight. Either
+    /// adds one outstanding transaction. Returns the extra immediate latency:
+    /// 0, or a 20-cycle pipeline bubble when the file is full (rare thanks to
+    /// the issue pre-check).
+    fn mshr_miss(
+        &mut self,
+        block: Addr,
+        wid: WarpId,
+        target: FillTarget,
+        now: Cycle,
+        outstanding: &mut u32,
+    ) -> Cycle {
+        match self.mshr.allocate(block, wid, now, target) {
+            Ok(MshrAllocation::New) => {
+                self.send(block, wid, false, false, Some(ResponseEvent::MshrFill(block)), now);
+            }
+            Ok(MshrAllocation::Merged) => {}
+            Err(_) => return 20,
+        }
+        *outstanding += 1;
+        0
     }
 
     /// Normal L1D path for one block. Returns the immediate latency to charge
@@ -1065,7 +1061,7 @@ impl Sm {
             // Mirror the L1D's own counters per tenant so Σ tenants == cache.
             let entry = tenant_slot(&mut self.tenants, tenant);
             entry.l1d_accesses += 1;
-            if matches!(res.outcome, gpu_mem::cache::AccessOutcome::Hit) {
+            if matches!(res.outcome, AccessOutcome::Hit) {
                 entry.l1d_hits += 1;
             }
         }
@@ -1076,9 +1072,7 @@ impl Sm {
             }
         }
         let outcome = match res.outcome {
-            gpu_mem::cache::AccessOutcome::Hit => {
-                CacheEventOutcome::Hit { owner: res.hit_owner.unwrap_or(wid) }
-            }
+            AccessOutcome::Hit => CacheEventOutcome::Hit { owner: res.hit_owner.unwrap_or(wid) },
             _ => CacheEventOutcome::Miss,
         };
         self.notify_event(CacheEvent {
@@ -1092,58 +1086,26 @@ impl Sm {
         });
 
         match res.outcome {
-            gpu_mem::cache::AccessOutcome::Hit => {
+            AccessOutcome::Hit | AccessOutcome::MissNoAllocate => {
+                // A store hit writes through, and a store miss under
+                // write-no-allocate is forwarded: either consumes downstream
+                // bandwidth but does not block the warp.
                 if is_write {
-                    // Write-through: the write still consumes downstream bandwidth,
-                    // but does not block the warp.
-                    let arrive =
-                        self.interconnect.transfer_tagged(self.config.l1d.line_size, now, tenant);
-                    self.port.write(block, wid, tenant, arrive, false);
+                    self.send(block, wid, true, false, None, now);
                 }
                 self.config.l1d.latency
             }
-            gpu_mem::cache::AccessOutcome::MissNoAllocate => {
-                // Global store miss under write-no-allocate: forward downstream.
-                let arrive =
-                    self.interconnect.transfer_tagged(self.config.l1d.line_size, now, tenant);
-                self.port.write(block, wid, tenant, arrive, false);
+            AccessOutcome::Miss => {
                 self.config.l1d.latency
-            }
-            gpu_mem::cache::AccessOutcome::Miss => {
-                match self.mshr.allocate(block, wid, now, FillTarget::L1d) {
-                    Ok(gpu_mem::mshr::MshrAllocation::New) => {
-                        let arrive = self.interconnect.transfer_tagged(
-                            self.config.l1d.line_size,
-                            now,
-                            tenant,
-                        );
-                        self.mem_read(
-                            block,
-                            wid,
-                            tenant,
-                            arrive,
-                            false,
-                            ResponseEvent::MshrFill(block),
-                        );
-                        *outstanding += 1;
-                    }
-                    Ok(gpu_mem::mshr::MshrAllocation::Merged) => {
-                        *outstanding += 1;
-                    }
-                    Err(_) => {
-                        // Should be rare thanks to the pre-check; model as a
-                        // pipeline bubble: charge a long immediate latency.
-                        return self.config.l1d.latency + 20;
-                    }
-                }
-                self.config.l1d.latency
+                    + self.mshr_miss(block, wid, FillTarget::L1d, now, outstanding)
             }
         }
     }
 
     /// CIAO redirect path for one block (§IV-B). Returns the immediate
     /// latency to charge when the access completes without an outstanding
-    /// miss, or `None` if it fell back to the L1D path internally.
+    /// miss; falls back to the L1D path when the redirect cache has no
+    /// capacity.
     fn access_redirect(
         &mut self,
         wid: WarpId,
@@ -1151,22 +1113,14 @@ impl Sm {
         is_write: bool,
         now: Cycle,
         outstanding: &mut u32,
-    ) -> Option<Cycle> {
-        let tenant = self.tenant_of(wid);
+    ) -> Cycle {
         // Coherence: check the L1D tag array first; a resident copy is
         // migrated (evict to response queue, invalidate, fill the shared
         // memory), which hides the cold miss.
         if self.l1d.probe(block) {
             let _ = self.l1d.invalidate(block);
             self.stats.l1d_migrations += 1;
-            if let Some(r) = self.redirect.as_mut() {
-                if let Some(ev) = r.fill(block, wid) {
-                    if ev.owner != wid {
-                        self.stats.redirect_cross_warp_evictions += 1;
-                        self.interference.record(ev.owner, wid);
-                    }
-                }
-            }
+            self.fill_redirect(block, wid);
             self.stats.redirect_hits += 1;
             self.notify_event(CacheEvent {
                 kind: CacheKind::Redirect,
@@ -1178,76 +1132,41 @@ impl Sm {
                 now,
             });
             // Serialized tag check + scratchpad write.
-            return Some(self.config.l1d.latency + self.config.shared_mem.latency);
+            return self.config.l1d.latency + self.config.shared_mem.latency;
         }
 
         let lookup = self.redirect.as_mut().expect("caller checked").lookup(block, wid, is_write);
-        match lookup {
+        let (outcome, latency) = match lookup {
             RedirectLookup::Hit { latency } => {
                 self.stats.redirect_hits += 1;
-                self.notify_event(CacheEvent {
-                    kind: CacheKind::Redirect,
-                    wid,
-                    block_addr: block,
-                    is_write,
-                    outcome: CacheEventOutcome::Hit { owner: wid },
-                    evicted: None,
-                    now,
-                });
-                if is_write {
-                    // Write-through downstream, off the critical path.
-                    let arrive =
-                        self.interconnect.transfer_tagged(self.config.l1d.line_size, now, tenant);
-                    self.port.write(block, wid, tenant, arrive, false);
-                }
-                Some(latency)
+                (CacheEventOutcome::Hit { owner: wid }, latency)
             }
             RedirectLookup::Miss => {
                 self.stats.redirect_misses += 1;
-                self.notify_event(CacheEvent {
-                    kind: CacheKind::Redirect,
-                    wid,
-                    block_addr: block,
-                    is_write,
-                    outcome: CacheEventOutcome::Miss,
-                    evicted: None,
-                    now,
-                });
-                if is_write {
-                    let arrive =
-                        self.interconnect.transfer_tagged(self.config.l1d.line_size, now, tenant);
-                    self.port.write(block, wid, tenant, arrive, false);
-                    return Some(self.config.shared_mem.latency);
-                }
-                match self.mshr.allocate(block, wid, now, FillTarget::SharedMemory) {
-                    Ok(gpu_mem::mshr::MshrAllocation::New) => {
-                        let arrive = self.interconnect.transfer_tagged(
-                            self.config.l1d.line_size,
-                            now,
-                            tenant,
-                        );
-                        self.mem_read(
-                            block,
-                            wid,
-                            tenant,
-                            arrive,
-                            false,
-                            ResponseEvent::MshrFill(block),
-                        );
-                        *outstanding += 1;
-                    }
-                    Ok(gpu_mem::mshr::MshrAllocation::Merged) => {
-                        *outstanding += 1;
-                    }
-                    Err(_) => return Some(self.config.shared_mem.latency + 20),
-                }
-                Some(self.config.shared_mem.latency)
+                (CacheEventOutcome::Miss, self.config.shared_mem.latency)
             }
+            // No capacity: fall back to the normal L1D path.
             RedirectLookup::Unavailable => {
-                // No capacity: fall back to the normal L1D path.
-                Some(self.access_l1d(wid, block, is_write, now, outstanding))
+                return self.access_l1d(wid, block, is_write, now, outstanding)
             }
+        };
+        self.notify_event(CacheEvent {
+            kind: CacheKind::Redirect,
+            wid,
+            block_addr: block,
+            is_write,
+            outcome,
+            evicted: None,
+            now,
+        });
+        if is_write {
+            // Write-through downstream, off the critical path.
+            self.send(block, wid, true, false, None, now);
+        } else if outcome == CacheEventOutcome::Miss {
+            return latency
+                + self.mshr_miss(block, wid, FillTarget::SharedMemory, now, outstanding);
         }
+        latency
     }
 
     // ----- sampling and finalisation -------------------------------------------
@@ -1325,7 +1244,7 @@ impl Sm {
                 entry.finish_cycle = cycle;
             }
         }
-        for (t, &bytes) in self.interconnect.tenant_bytes().to_vec().iter().enumerate() {
+        for (t, &bytes) in self.interconnect.tenant_bytes().iter().enumerate() {
             tenant_slot(&mut self.tenants, t as TenantId).xbar_bytes = bytes;
         }
     }

@@ -11,7 +11,9 @@
 //! `--sms N` simulates every run on an N-SM chip against a shared banked
 //! L2/DRAM; the default of 1 is the single-SM model of the paper's figures.
 //! `--seed N` replicates every synthetic trace under a different seed (0 =
-//! the historical traces).
+//! the historical traces). `--arrivals STRIDE` staggers co-running tenants
+//! (tenant `t` arrives at cycle `t × STRIDE`); `fleet` reads the same flag
+//! as its arrival count.
 //!
 //! `mix` co-runs the named multi-tenant benchmark mixes across the four SM
 //! dispatch policies (exclusive, spatial, shared-rr, interference-aware) ×
@@ -155,7 +157,10 @@ fn parse_args() -> Options {
             }
             "--arrivals" => {
                 arrivals = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--arrivals expects a non-negative cycle stride");
+                    eprintln!(
+                        "--arrivals expects a non-negative integer: the cycle stride between \
+                         tenant arrivals, or (fleet) the number of kernel arrivals"
+                    );
                     std::process::exit(2);
                 });
             }
@@ -227,14 +232,16 @@ fn parse_args() -> Options {
             "--help" | "-h" => {
                 println!(
                     "usage: ciao-harness <table1|table2|fig1|fig4|fig8|fig9|fig10|fig11|fig12|overhead|mix|capacity|fleet|trace|profile|all> \
-                     [--quick|--tiny|--full] [--sms N] [--seed N|A..B] [--arrivals N] \
+                     [--quick|--tiny|--full] [--sms N] [--seed N|A..B] [--arrivals STRIDE|COUNT] \
                      [--backend epoch|event] [--out DIR] [--mix NAME] \
                      [--policy exclusive|spatial|shared-rr|interference-aware] \
                      [--sm-counts A,B,..] \
                      [--chips N] [--placement bin-pack|interference-spread|both] \
                      [--traffic balanced|cache-heavy|stream-heavy] \
                      [--mean-interarrival CYCLES] [--reference-calibration] \
-                     [--trace-out FILE] [--metrics-out FILE] [-q|--quiet]"
+                     [--trace-out FILE] [--metrics-out FILE] [-q|--quiet]\n\n\
+                     --arrivals STRIDE staggers co-run tenants (tenant t arrives at cycle \
+                     t x STRIDE); under fleet, --arrivals COUNT is the number of kernel arrivals"
                 );
                 std::process::exit(0);
             }

@@ -47,3 +47,12 @@ fn verbose_is_an_unknown_option() {
 fn capacity_curve_is_an_unknown_option() {
     assert_usage_error(&["--capacity-curve", "--tiny"], "unknown option: --capacity-curve");
 }
+
+#[test]
+fn arrivals_names_its_stride_and_its_fleet_count() {
+    assert_usage_error(&["mix", "--tiny", "--arrivals", "x"], "cycle stride");
+    assert_usage_error(&["fleet", "--arrivals", "-1"], "number of kernel arrivals");
+    let help = harness(&["--help"]);
+    assert_eq!(help.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&help.stdout).contains("--arrivals STRIDE|COUNT"));
+}
