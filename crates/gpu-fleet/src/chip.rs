@@ -27,8 +27,19 @@
 //! Determinism: all state is advanced by [`ChipModel::advance_to`] with a
 //! fixed event order (completions by slot, then classifications by slot,
 //! then arrivals) and fixed-order f64 arithmetic, so a chip's trajectory is
-//! a pure function of the jobs pushed into it — independent of when the
-//! fleet epoch loop gets round to advancing it.
+//! a pure function of the jobs pushed into it and the sequence of
+//! `advance_to` targets. It is *not* independent of those targets in
+//! general: a target that falls between two events splits the integration
+//! step, and a completion's whole-cycle rounding can then land on a
+//! different cycle. What the fleet relies on is narrower — skipping an
+//! advance while [`ChipModel::next_event_time`] lies beyond the target
+//! leaves both the trajectory and the published [`ChipView`] unchanged (see
+//! the `sleep_skip_matches_advancing_every_epoch` test).
+//!
+//! Each chip keeps its per-slot drain rates and recomputes them only when
+//! the resident set changes (an admission or a completion) or a resident
+//! is classified; every other event — an epoch end, an arrival joining the
+//! queue — reuses them.
 
 use gpu_sim::{LatencyClass, TenantClass};
 use std::collections::VecDeque;
@@ -58,6 +69,9 @@ struct Job {
     latency: LatencyClass,
     work: u64,
     arrival: u64,
+    /// Solo service time rounded to whole cycles: the job's contribution
+    /// to its class's pending backlog while it waits.
+    solo: u64,
     /// Instructions still to execute.
     remaining: f64,
     /// Cycle at which the on-chip dispatcher classifies this job.
@@ -66,13 +80,14 @@ struct Job {
 }
 
 impl Job {
-    fn from_arrival(a: &Arrival) -> Job {
+    fn from_arrival(a: &Arrival, solo: u64) -> Job {
         Job {
             id: a.id,
             class: a.class,
             latency: a.latency,
             work: a.work,
             arrival: a.cycle,
+            solo,
             remaining: a.work as f64,
             classify_at: 0,
             classified: false,
@@ -158,6 +173,12 @@ pub struct ChipModel {
     lanes: [VecDeque<Job>; 2],
     /// Resident slots (tenant ids of the on-chip dispatcher).
     resident: [Option<Job>; MAX_RESIDENT],
+    /// Drain rate of each resident slot, [`Self::rates`] as of the last
+    /// admission, completion or classification.
+    slot_rates: [f64; MAX_RESIDENT],
+    /// Set when the resident set or a classification changed since
+    /// `slot_rates` was computed.
+    rates_stale: bool,
     /// Solo-equivalent cycles of the jobs in `inbox` + `lanes`, by declared
     /// [`WorkClass::index`].
     pending_cycles: [u64; 3],
@@ -178,6 +199,8 @@ impl ChipModel {
             inbox: VecDeque::new(),
             lanes: [VecDeque::new(), VecDeque::new()],
             resident: [None, None, None, None],
+            slot_rates: [0.0; MAX_RESIDENT],
+            rates_stale: false,
             pending_cycles: [0; 3],
             done: Vec::new(),
             busy_cycles: 0,
@@ -187,16 +210,20 @@ impl ChipModel {
         }
     }
 
-    /// Queues an arrival for this chip. Must be called in non-decreasing
-    /// arrival order (the fleet places the globally sorted stream).
-    pub fn push(&mut self, arrival: &Arrival) {
+    /// Queues an arrival for this chip and returns its solo service time
+    /// rounded to whole cycles — the amount added to its class's pending
+    /// backlog in [`ChipView::pending_class_cycles`]. Must be called in
+    /// non-decreasing arrival order (the fleet places the globally sorted
+    /// stream).
+    pub fn push(&mut self, arrival: &Arrival) -> u64 {
         debug_assert!(
             self.inbox.back().is_none_or(|j| j.arrival <= arrival.cycle),
             "arrivals must be pushed in order"
         );
-        self.pending_cycles[arrival.class.index()] +=
-            self.calib.solo_cycles(arrival.class, arrival.work).round() as u64;
-        self.inbox.push_back(Job::from_arrival(arrival));
+        let solo = self.calib.solo_cycles(arrival.class, arrival.work).round() as u64;
+        self.pending_cycles[arrival.class.index()] += solo;
+        self.inbox.push_back(Job::from_arrival(arrival, solo));
+        solo
     }
 
     /// Current sim time of this chip.
@@ -339,11 +366,11 @@ impl ChipModel {
         self.peak_queue = self.peak_queue.max(self.queued());
         while let Some(slot) = self.resident.iter().position(Option::is_none) {
             let Some(mut job) = self.lanes.iter_mut().find_map(VecDeque::pop_front) else { break };
-            let solo = self.calib.solo_cycles(job.class, job.work).round() as u64;
             self.pending_cycles[job.class.index()] =
-                self.pending_cycles[job.class.index()].saturating_sub(solo);
+                self.pending_cycles[job.class.index()].saturating_sub(job.solo);
             job.classify_at = self.now + self.calib.classify_delay;
             self.resident[slot] = Some(job);
+            self.rates_stale = true;
         }
     }
 
@@ -371,14 +398,20 @@ impl ChipModel {
                 }
             }
 
+            if self.rates_stale {
+                self.slot_rates = self.rates();
+                self.rates_stale = false;
+            }
+            debug_assert_eq!(self.slot_rates, self.rates(), "cached drain rates went stale");
+            let rates = self.slot_rates;
+
             // Next event: earliest completion / classification / arrival,
             // capped at the epoch end.
-            let rates = self.rates();
             let mut t_next = t_end;
             for (slot, job) in self.resident.iter().enumerate() {
                 let Some(j) = job else { continue };
                 if rates[slot] > 0.0 {
-                    let dt = (j.remaining / rates[slot]).ceil().max(1.0) as u64;
+                    let dt = ceil_cycles(j.remaining / rates[slot]).max(1);
                     t_next = t_next.min(self.now.saturating_add(dt));
                 }
                 if !j.classified {
@@ -418,6 +451,7 @@ impl ChipModel {
                         finish: self.now,
                         chip: self.id,
                     });
+                    self.rates_stale = true;
                 }
             }
             for slot in 0..MAX_RESIDENT {
@@ -425,6 +459,7 @@ impl ChipModel {
                     if !j.classified && j.classify_at <= self.now {
                         j.classified = true;
                         self.classified[j.class.index()] += 1;
+                        self.rates_stale = true;
                     }
                 }
             }
@@ -436,6 +471,19 @@ impl ChipModel {
                 return;
             }
         }
+    }
+}
+
+/// `x.ceil() as u64` without the libm call `f64::ceil` makes on the
+/// baseline x86-64 target: the truncating cast, plus one when a fraction
+/// was cut off. Exact for every input, saturating like the `as` cast —
+/// negative and NaN inputs give 0, inputs past `u64::MAX` give `u64::MAX`.
+fn ceil_cycles(x: f64) -> u64 {
+    let whole = x as u64;
+    if (whole as f64) < x {
+        whole.saturating_add(1)
+    } else {
+        whole
     }
 }
 
@@ -610,6 +658,52 @@ mod tests {
         stepped.advance_to(u64::MAX);
         slept.advance_to(u64::MAX);
         assert_eq!(stepped.take_completed(), slept.take_completed());
+    }
+
+    #[test]
+    fn sleep_skip_matches_advancing_every_epoch() {
+        // The fleet's sleep skip against a reference that advances at every
+        // epoch end. Both receive each epoch's arrivals before the epoch is
+        // run, as fleet placement pushes them. At every epoch end the two
+        // must publish the same view (the fleet does not re-poll a skipped
+        // chip), and at the end they must have completed the same jobs on
+        // the same cycles. The sparse load leaves the chip asleep between
+        // busy stretches.
+        let calib = Calibration::reference(8);
+        let arrivals = TrafficSpec::new(500, 3).with_mean_interarrival(40_000.0).generate();
+        let mut every = ChipModel::new(0, calib.clone());
+        let mut skipping = ChipModel::new(0, calib);
+        let (mut next, mut t, mut skipped) = (0, 0, 0);
+        while next < arrivals.len() {
+            t += 1_000;
+            while next < arrivals.len() && arrivals[next].cycle < t {
+                every.push(&arrivals[next]);
+                skipping.push(&arrivals[next]);
+                next += 1;
+            }
+            every.advance_to(t);
+            if skipping.next_event_time() <= t {
+                skipping.advance_to(t);
+            } else {
+                skipped += 1;
+            }
+            assert_eq!(every.view(), skipping.view(), "views diverged at cycle {t}");
+        }
+        every.advance_to(u64::MAX);
+        skipping.advance_to(u64::MAX);
+        assert!(skipped > 0, "the sparse stream must leave the chip asleep for some epochs");
+        let done = every.take_completed();
+        assert_eq!(done.len(), arrivals.len());
+        assert_eq!(done, skipping.take_completed(), "sleep skipping must not move a completion");
+    }
+
+    #[test]
+    fn ceil_cycles_matches_the_float_ceiling() {
+        let edge = [0.0, -0.0, -0.5, -3.2, 0.25, 1.0, 1.5, 2.0 - 1e-12, 4_096.000_001];
+        let huge = [9_007_199_254_740_993.0, 1.8e19, u64::MAX as f64, 1e30, f64::INFINITY];
+        for x in edge.into_iter().chain(huge).chain([f64::NAN, f64::NEG_INFINITY]) {
+            assert_eq!(ceil_cycles(x), x.ceil() as u64, "ceil of {x}");
+        }
     }
 
     #[test]

@@ -271,9 +271,9 @@ impl Fleet {
         out
     }
 
-    /// The run behind [`Fleet::execute_observed`]. Every transient buffer
-    /// (arrival stream, chip models, completion lists) is dropped when it
-    /// returns.
+    /// The run behind [`Fleet::execute_observed`]. The arrival stream is
+    /// dropped once every job is placed; the other transient buffers (chip
+    /// models, completion lists) when it returns.
     fn simulate(&self, req: FleetRequest) -> (FleetResult, ObsReport) {
         let arrivals = req.traffic.generate();
         let calib =
@@ -293,7 +293,9 @@ impl Fleet {
             / (arrivals.len().max(1) as f64);
         let ctx = PlacementContext::new(&calib, typical);
         let skipped_chip_epochs =
-            run_epochs(&arrivals, &mut chips, req.placement, &ctx, &calib, req.epoch_cycles);
+            run_epochs(&arrivals, &mut chips, req.placement, &ctx, req.epoch_cycles);
+        let n_arrivals = arrivals.len();
+        drop(arrivals);
 
         // Each chip's list is read in place, chip after chip, rather than
         // copied into one list.
@@ -308,7 +310,7 @@ impl Fleet {
         }
         debug_assert_eq!(
             completed.iter().map(Vec::len).sum::<usize>(),
-            arrivals.len(),
+            n_arrivals,
             "every arrival must complete"
         );
         let chip_reports = accounting
@@ -328,9 +330,7 @@ impl Fleet {
             })
             .collect();
 
-        let per_class = class_reports(&completed, &calib, &req.slo);
-        let total_solo: f64 =
-            completed.iter().flatten().map(|j| calib.solo_cycles(j.class, j.work)).sum();
+        let (per_class, total_solo) = class_reports(&completed, &calib, &req.slo);
         let fleet_stp = if makespan > 0 { total_solo / makespan as f64 } else { 0.0 };
 
         let result = FleetResult {
@@ -339,7 +339,7 @@ impl Fleet {
             chips: req.chips,
             sms_per_chip: req.sms_per_chip,
             seed: req.traffic.seed,
-            arrivals: arrivals.len() as u64,
+            arrivals: n_arrivals as u64,
             makespan,
             fleet_stp,
             per_class,
@@ -398,7 +398,6 @@ fn run_epochs(
     chips: &mut [ChipModel],
     placement: PlacementPolicy,
     ctx: &PlacementContext,
-    calib: &Calibration,
     epoch_cycles: u64,
 ) -> u64 {
     // Views are cached across epochs and refreshed only for chips that
@@ -419,10 +418,9 @@ fn run_epochs(
         while idx < arrivals.len() && arrivals[idx].cycle < epoch_end {
             let a = &arrivals[idx];
             let pick = placement.place(a.class, &views, ctx);
-            let solo = calib.solo_cycles(a.class, a.work).round() as u64;
+            let solo = chips[pick].push(a);
             views[pick].queued += 1;
             views[pick].pending_class_cycles[a.class.index()] += solo;
-            chips[pick].push(a);
             hints[pick] = hints[pick].min(a.cycle);
             idx += 1;
         }
@@ -443,52 +441,67 @@ fn run_epochs(
     skipped
 }
 
+/// One (class × latency) report bucket while its jobs are collected.
+#[derive(Default)]
+struct Bucket {
+    turnarounds: Vec<u64>,
+    slowdowns: f64,
+    violations: u64,
+}
+
+/// Index of the (class × latency) bucket, in report order.
+fn bucket(class: WorkClass, latency: LatencyClass) -> usize {
+    2 * class.index() + usize::from(latency == LatencyClass::Interactive)
+}
+
 /// Builds the per-(class × latency) reports from each chip's completed
-/// jobs, in chip order.
+/// jobs, in one pass in chip order, and returns them with the jobs' total
+/// solo service time (the numerator of fleet STP). Every bucket and the
+/// total add their terms in that same order.
 fn class_reports(
     completed: &[Vec<CompletedJob>],
     calib: &Calibration,
     slo: &SloPolicy,
-) -> Vec<ClassReport> {
+) -> (Vec<ClassReport>, f64) {
+    let mut buckets: [Bucket; 6] = Default::default();
+    let mut total_solo = 0.0f64;
+    for j in completed.iter().flatten() {
+        let solo = calib.solo_cycles(j.class, j.work);
+        total_solo += solo;
+        let solo = solo.max(1.0);
+        let b = &mut buckets[bucket(j.class, j.latency)];
+        let turnaround = j.finish - j.arrival;
+        b.slowdowns += turnaround as f64 / solo;
+        if turnaround as f64 > slo.mult(j.latency) * solo {
+            b.violations += 1;
+        }
+        b.turnarounds.push(turnaround);
+    }
+
     let mut reports = Vec::new();
     for class in WorkClass::ALL {
         for latency in [LatencyClass::Batch, LatencyClass::Interactive] {
-            let mut turnarounds: Vec<u64> = Vec::new();
-            let mut slowdowns = 0.0f64;
-            let mut violations = 0u64;
-            let mult = slo.mult(latency);
-            for j in completed.iter().flatten() {
-                if j.class != class || j.latency != latency {
-                    continue;
-                }
-                let turnaround = j.finish - j.arrival;
-                let solo = calib.solo_cycles(class, j.work).max(1.0);
-                slowdowns += turnaround as f64 / solo;
-                if turnaround as f64 > mult * solo {
-                    violations += 1;
-                }
-                turnarounds.push(turnaround);
-            }
-            if turnarounds.is_empty() {
+            let b = &mut buckets[bucket(class, latency)];
+            if b.turnarounds.is_empty() {
                 continue;
             }
-            turnarounds.sort_unstable();
-            let n = turnarounds.len();
-            let sum: u64 = turnarounds.iter().sum();
+            b.turnarounds.sort_unstable();
+            let n = b.turnarounds.len();
+            let sum: u64 = b.turnarounds.iter().sum();
             reports.push(ClassReport {
                 class: class.label().to_string(),
                 latency: latency.label().to_string(),
                 jobs: n as u64,
                 mean_turnaround: sum as f64 / n as f64,
-                p50_turnaround: turnarounds[n / 2],
-                p99_turnaround: turnarounds[(n * 99) / 100],
-                mean_slowdown: slowdowns / n as f64,
-                slo_target_mult: mult,
-                slo_violations: violations,
+                p50_turnaround: b.turnarounds[n / 2],
+                p99_turnaround: b.turnarounds[(n * 99) / 100],
+                mean_slowdown: b.slowdowns / n as f64,
+                slo_target_mult: slo.mult(latency),
+                slo_violations: b.violations,
             });
         }
     }
-    reports
+    (reports, total_solo)
 }
 
 /// Fleet-level metrics: fleet counters plus per-chip series namespaced
