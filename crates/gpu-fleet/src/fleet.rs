@@ -9,9 +9,8 @@
 //!
 //! ## Execution model
 //!
-//! Time advances in fixed *placement epochs* (default
-//! [`FleetRequest::DEFAULT_EPOCH_CYCLES`] cycles). Each epoch the
-//! coordinator:
+//! Time advances in fixed *placement epochs* of 16,384 cycles. Each epoch
+//! the coordinator:
 //!
 //! 1. snapshots every chip's [`ChipView`] (its load and the classes of the
 //!    resident jobs its dispatcher has classified — one epoch of
@@ -29,6 +28,12 @@
 //! pure function of chip state, so the result is **bit-identical across
 //! repeated runs** of the same request.
 //!
+//! The epoch length is part of the model, not a tuning knob: results depend
+//! on it twice. Placement reads views that are up to one epoch stale, and
+//! advancing a due chip to each epoch end splits its integration step, so
+//! a completion's whole-cycle rounding can land on a different cycle (see
+//! [`ChipModel`]). Changing the length moves results, so it is fixed.
+//!
 //! ## Reporting
 //!
 //! [`FleetResult`] carries fleet STP (accumulated solo-equivalent work
@@ -44,8 +49,7 @@ use sim_obs::{chip_metric, MetricsRegistry, ObsLevel, ObsReport};
 use crate::calib::Calibration;
 use crate::chip::{ChipModel, ChipView, CompletedJob, MAX_RESIDENT};
 use crate::placement::{PlacementContext, PlacementPolicy};
-use crate::traffic::{Arrival, TrafficSpec, WorkClass};
-use gpu_sim::LatencyClass;
+use crate::traffic::{Arrival, LatencyClass, TrafficSpec, WorkClass};
 
 /// Version of the [`FleetResult`] JSON schema.
 ///
@@ -91,13 +95,12 @@ pub struct FleetRequest {
     slo: SloPolicy,
     obs: ObsLevel,
     calibration: Option<Calibration>,
-    epoch_cycles: u64,
 }
 
-impl FleetRequest {
-    /// Default placement-epoch length in cycles.
-    pub const DEFAULT_EPOCH_CYCLES: u64 = 16_384;
+/// Placement-epoch length in cycles (see the module docs).
+const EPOCH_CYCLES: u64 = 16_384;
 
+impl FleetRequest {
     /// A fleet run over `traffic`: 4 chips of 8 SMs, interference-aware
     /// spread placement, default SLO policy, observability off.
     pub fn new(traffic: TrafficSpec) -> Self {
@@ -109,7 +112,6 @@ impl FleetRequest {
             slo: SloPolicy::default(),
             obs: ObsLevel::Off,
             calibration: None,
-            epoch_cycles: Self::DEFAULT_EPOCH_CYCLES,
         }
     }
 
@@ -150,14 +152,6 @@ impl FleetRequest {
     /// [`FleetRequest::sms_per_chip`] SMs ([`Calibration::measure`]).
     pub fn calibration(mut self, calib: Calibration) -> Self {
         self.calibration = Some(calib);
-        self
-    }
-
-    /// Sets the placement-epoch length in cycles (telemetry staleness and
-    /// placement granularity).
-    pub fn epoch_cycles(mut self, cycles: u64) -> Self {
-        assert!(cycles >= 1, "epochs need at least one cycle");
-        self.epoch_cycles = cycles;
         self
     }
 }
@@ -292,8 +286,7 @@ impl Fleet {
         let typical = arrivals.iter().map(|a| calib.solo_cycles(a.class, a.work)).sum::<f64>()
             / (arrivals.len().max(1) as f64);
         let ctx = PlacementContext::new(&calib, typical);
-        let skipped_chip_epochs =
-            run_epochs(&arrivals, &mut chips, req.placement, &ctx, req.epoch_cycles);
+        let skipped_chip_epochs = run_epochs(&arrivals, &mut chips, req.placement, &ctx);
         let n_arrivals = arrivals.len();
         drop(arrivals);
 
@@ -398,7 +391,6 @@ fn run_epochs(
     chips: &mut [ChipModel],
     placement: PlacementPolicy,
     ctx: &PlacementContext,
-    epoch_cycles: u64,
 ) -> u64 {
     // Views are cached across epochs and refreshed only for chips that
     // actually advanced: a sleeping chip's state — and therefore its
@@ -413,8 +405,8 @@ fn run_epochs(
     while idx < arrivals.len() {
         // Fast-forward over arrival gaps: the epoch grid restarts at the
         // next arrival when the current epoch would be empty.
-        t = t.max(arrivals[idx].cycle.saturating_sub(epoch_cycles - 1));
-        let epoch_end = t.saturating_add(epoch_cycles);
+        t = t.max(arrivals[idx].cycle.saturating_sub(EPOCH_CYCLES - 1));
+        let epoch_end = t.saturating_add(EPOCH_CYCLES);
         while idx < arrivals.len() && arrivals[idx].cycle < epoch_end {
             let a = &arrivals[idx];
             let pick = placement.place(a.class, &views, ctx);

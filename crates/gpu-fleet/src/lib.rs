@@ -49,7 +49,4 @@ pub use fleet::{
     ChipReport, ClassReport, Fleet, FleetRequest, FleetResult, SloPolicy, FLEET_SCHEMA_VERSION,
 };
 pub use placement::{PlacementContext, PlacementPolicy};
-pub use traffic::{Arrival, TrafficSpec, WorkClass};
-
-/// Re-export of the latency (SLO) class shared with the chip tier.
-pub use gpu_sim::LatencyClass;
+pub use traffic::{Arrival, LatencyClass, TrafficSpec, WorkClass};

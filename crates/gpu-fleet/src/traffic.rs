@@ -26,7 +26,6 @@
 //! SLO multiple, queue priority, guaranteed floor share on chip), otherwise
 //! `Batch`.
 
-use gpu_sim::LatencyClass;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -65,6 +64,27 @@ impl WorkClass {
             WorkClass::Cache => 0,
             WorkClass::Stream => 1,
             WorkClass::Compute => 2,
+        }
+    }
+}
+
+/// Latency class of a job: the SLO tier placement and the chip model
+/// schedule against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum LatencyClass {
+    /// Best-effort throughput work, held to the loose batch SLO multiple.
+    Batch,
+    /// Latency-sensitive work: a tight SLO multiple, queue priority and a
+    /// larger share of its chip.
+    Interactive,
+}
+
+impl LatencyClass {
+    /// Stable label used in reports and JSON.
+    pub fn label(self) -> &'static str {
+        match self {
+            LatencyClass::Batch => "batch",
+            LatencyClass::Interactive => "interactive",
         }
     }
 }

@@ -28,24 +28,11 @@ pub struct GpuConfig {
     /// buses. Single-SM runs ignore it entirely: the SM owns an unbanked
     /// private partition.
     pub l2_banks: usize,
-    /// Number of cycles between the chip engine's epoch boundaries in
-    /// multi-SM runs. The engine clamps this to *half* the minimum SM→L2
-    /// round trip (see [`GpuConfig::effective_epoch_cycles`]) so that the
-    /// requests drained at one boundary can be served before the next
-    /// epoch's SM advance: every response still completes at or after the
-    /// *following* boundary, never in an SM's past.
-    pub epoch_cycles: Cycle,
     /// Aggregate chip-wide crossbar bandwidth *per direction* (SM→L2
     /// requests, L2→SM replies) in bytes per cycle — the shared-fabric budget
     /// concurrent SMs queue against once past their private injection ports.
     /// Default 480 = 15 SMs × 32 B/cycle/SM (Table I aggregate).
     pub xbar_chip_bytes_per_cycle: f64,
-    /// Maximum number of late-arriving requests carried across an epoch
-    /// boundary by the cross-epoch reorder window (requests whose
-    /// interconnect arrival lands beyond the boundary's merge horizon are held
-    /// so they interleave with the next epoch's batch in true arrival order).
-    /// Overflow beyond the bound falls back to batch-major service.
-    pub reorder_window: usize,
     /// Maximum resident warps per SM (1536 threads / 32 lanes = 48).
     pub max_warps_per_sm: usize,
     /// Threads per warp.
@@ -80,9 +67,7 @@ impl GpuConfig {
         GpuConfig {
             num_sms: 15,
             l2_banks: 6,
-            epoch_cycles: 64,
             xbar_chip_bytes_per_cycle: 480.0,
-            reorder_window: 4096,
             max_warps_per_sm: 48,
             warp_size: 32,
             l1d: CacheConfig::l1d_gtx480(),
@@ -148,27 +133,21 @@ impl GpuConfig {
         self
     }
 
-    /// The epoch length actually used by the multi-SM engine: the configured
-    /// [`GpuConfig::epoch_cycles`] clamped to *half* the minimum SM→L2 round
-    /// trip. The round trip floors at the cheaper of the L2-hit path
-    /// (`l2_latency`) and the L2-bypass path (`dram.base_latency + t_cl`), on
-    /// top of the interconnect traversal. Halving it is what lets the engine
-    /// pipeline: requests drained at epoch boundary `k` are served one epoch
-    /// later and delivered at boundary `k+1`, and any response still
-    /// completes at or after epoch `k+2`'s start — never in an SM's past.
+    /// The epoch length of the multi-SM engine: *half* the minimum SM→L2
+    /// round trip (55 cycles on every Table I variant). The round trip
+    /// floors at the cheaper of the L2-hit path (`l2_latency`) and the
+    /// L2-bypass path (`dram.base_latency + t_cl`), on top of the
+    /// interconnect traversal. Halving it is what lets the engine pipeline:
+    /// requests drained at epoch boundary `k` are served one epoch later and
+    /// delivered at boundary `k+1`, and any response still completes at or
+    /// after epoch `k+2`'s start — never in an SM's past.
     pub fn effective_epoch_cycles(&self) -> Cycle {
         let min_service = self
             .partition
             .l2_latency
             .min(self.partition.dram.base_latency + self.partition.dram.t_cl);
         let round_trip = self.interconnect_latency + min_service;
-        self.epoch_cycles.clamp(1, (round_trip / 2).max(1))
-    }
-
-    /// Returns a copy with the cross-epoch reorder-window bound set.
-    pub fn with_reorder_window(mut self, window: usize) -> Self {
-        self.reorder_window = window;
-        self
+        (round_trip / 2).max(1)
     }
 }
 
@@ -267,34 +246,44 @@ mod tests {
             .with_max_instructions(1000)
             .with_sample_interval(0)
             .with_num_sms(4)
-            .with_l2_banks(6)
-            .with_reorder_window(16);
+            .with_l2_banks(6);
         assert_eq!(c.max_instructions, Some(1000));
         assert_eq!(c.sample_interval_insts, 1);
         assert_eq!(c.num_sms, 4);
         assert_eq!(c.l2_banks, 6);
-        assert_eq!(c.reorder_window, 16);
         assert_eq!(GpuConfig::gtx480().with_num_sms(0).num_sms, 1);
     }
 
     #[test]
-    fn epoch_clamped_to_half_the_round_trip() {
-        let c = GpuConfig::gtx480();
-        // Default 64 exceeds half the (20 + 90)-cycle round trip, so the
-        // pipelined engine runs 55-cycle epochs.
-        assert_eq!(c.effective_epoch_cycles(), 55);
-        let mut short = c.clone();
-        short.epoch_cycles = 40;
-        assert_eq!(short.effective_epoch_cycles(), 40, "short epochs pass through unclamped");
-        // A bypass path cheaper than the L2 hit tightens the clamp: responses
+    fn epoch_is_half_the_round_trip() {
+        // Half the (20 + 90)-cycle round trip of the L2-hit path.
+        assert_eq!(GpuConfig::gtx480().effective_epoch_cycles(), 55);
+        // A bypass path cheaper than the L2 hit shortens the epoch: responses
         // computed one epoch ahead must never land in an SM's past.
-        let mut cheap_bypass = c.clone();
+        let mut cheap_bypass = GpuConfig::gtx480();
         cheap_bypass.partition.dram.base_latency = 10;
         cheap_bypass.partition.dram.t_cl = 4;
         assert_eq!(cheap_bypass.effective_epoch_cycles(), (20 + 14) / 2);
-        let mut zero = c;
-        zero.epoch_cycles = 0;
+        let mut zero = GpuConfig::gtx480();
+        zero.interconnect_latency = 0;
+        zero.partition.l2_latency = 1;
         assert_eq!(zero.effective_epoch_cycles(), 1);
+    }
+
+    /// Every shipped machine runs 55-cycle epochs: the Fig. 12 variants
+    /// change the L1D, shared memory or DRAM bandwidth, never the round
+    /// trip. A variant that moves the round trip moves every multi-SM
+    /// result and has to say so here.
+    #[test]
+    fn every_shipped_machine_runs_55_cycle_epochs() {
+        for config in [
+            GpuConfig::gtx480(),
+            GpuConfig::gtx480_cap(),
+            GpuConfig::gtx480_8way(),
+            GpuConfig::gtx480_2x_bandwidth(),
+        ] {
+            assert_eq!(config.effective_epoch_cycles(), 55);
+        }
     }
 
     #[test]

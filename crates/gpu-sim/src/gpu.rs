@@ -44,8 +44,7 @@
 //!    merged with the *request reorder window*. Requests whose port arrival
 //!    lands at or before the merge horizon (`boundary + interconnect
 //!    latency`) are batched for service; later arrivals, which the next
-//!    epoch's requests could still precede, are held (up to
-//!    [`GpuConfig::reorder_window`] entries per window) and merged with the
+//!    epoch's requests could still precede, are held and merged with the
 //!    next drain. Both windows make adjacent epochs' traffic interleave by
 //!    true time instead of batch-major order;
 //! 5. **dispatches** arrived work and lets the adaptive dispatcher decide.
@@ -80,7 +79,9 @@ use crate::redirect::RedirectCache;
 use crate::scheduler::{SchedulerMetrics, WarpScheduler};
 use crate::simulator::{SimResult, TenantResult};
 use crate::sm::{ResponseEvent, Sm};
-use crate::stats::{DispatchLog, InterferenceMatrix, SmStats, TenantStats, TimeSeries};
+use crate::stats::{
+    DispatchAction, DispatchLog, InterferenceMatrix, SmStats, TenantStats, TimeSeries,
+};
 use gpu_mem::interconnect::{CrossbarFabric, CrossbarStats, Interconnect};
 use gpu_mem::l2::{BankedMemorySystem, MemoryPartition, PartitionConfig, PartitionObs};
 use gpu_mem::{merge_tenant_stats, Addr, Cycle, TenantId, TenantMemStats, WarpId};
@@ -261,9 +262,6 @@ pub(crate) struct Gpu {
     kernel_name: String,
     scheduler_name: String,
     tenant_names: Vec<String>,
-    /// Per-tenant latency-class labels ([`crate::dispatch::LatencyClass`]),
-    /// copied into [`TenantResult::qos`].
-    tenant_qos: Vec<&'static str>,
     policy: DispatchPolicy,
     sms: Vec<Sm>,
     shared: Option<BankedMemorySystem>,
@@ -386,6 +384,33 @@ impl ChipSignals {
     }
 }
 
+/// The observability view of one dispatcher action: its name, the tenant
+/// it acted on (`None` for a placement, which acts on every tenant), the
+/// argument of its dispatcher-track instant, and the `(tenant, argument)`
+/// of each tenant-track instant it emits.
+type ActionObs = (&'static str, Option<TenantId>, Option<u64>, Vec<(TenantId, Option<u64>)>);
+
+fn action_obs(action: &DispatchAction) -> ActionObs {
+    match *action {
+        DispatchAction::Admit { tenant } => ("admit", Some(tenant), None, vec![(tenant, None)]),
+        DispatchAction::Place { ref allowed_sms } => (
+            "place",
+            None,
+            Some(allowed_sms.len() as u64),
+            allowed_sms.iter().enumerate().map(|(t, &n)| (t as TenantId, Some(n as u64))).collect(),
+        ),
+        DispatchAction::Throttle { tenant, victim, allowed_sms } => (
+            "throttle",
+            Some(tenant),
+            Some(victim as u64),
+            vec![(tenant, Some(allowed_sms as u64))],
+        ),
+        DispatchAction::Restore { tenant, allowed_sms } => {
+            ("restore", Some(tenant), None, vec![(tenant, Some(allowed_sms as u64))])
+        }
+    }
+}
+
 impl Gpu {
     /// Builds a chip co-running `streams` under `policy`'s SM assignment with
     /// one `(scheduler, redirect)` unit per SM; `units.len()` is the number
@@ -419,7 +444,6 @@ impl Gpu {
         dispatch_plan.deferred.sort_by_key(|b| b.arrival);
         let assignments = std::mem::take(&mut dispatch_plan.initial);
         let tenant_names: Vec<String> = streams.iter().map(|s| s.info().name.clone()).collect();
-        let tenant_qos: Vec<&'static str> = streams.iter().map(|s| s.qos.latency.label()).collect();
         let kernel_name = tenant_names.join("+");
         let shared = (num_sms > 1).then(|| {
             // Bank count is clamped to one per two SMs (the GTX 480 ratio:
@@ -460,7 +484,6 @@ impl Gpu {
             kernel_name,
             scheduler_name,
             tenant_names,
-            tenant_qos,
             policy,
             sms,
             shared,
@@ -584,86 +607,16 @@ impl Gpu {
         }
         for d in &log.decisions {
             for action in &d.actions {
-                match action {
-                    crate::stats::DispatchAction::Admit { tenant } => {
-                        report.metrics.counter_add("dispatch-admits", Some(*tenant), 1);
-                        if trace_on {
-                            report.events.push(TraceEvent::instant(
-                                Track::Dispatcher,
-                                "admit",
-                                d.cycle,
-                                Some(*tenant),
-                            ));
-                            report.events.push(TraceEvent::instant(
-                                Track::Tenant(*tenant),
-                                "admit",
-                                d.cycle,
-                                Some(*tenant),
-                            ));
-                        }
-                    }
-                    crate::stats::DispatchAction::Place { allowed_sms } => {
-                        report.metrics.counter_add("dispatch-places", None, 1);
-                        if trace_on {
-                            report.events.push(
-                                TraceEvent::instant(Track::Dispatcher, "place", d.cycle, None)
-                                    .with_arg(allowed_sms.len() as u64),
-                            );
-                            for (t, &n) in allowed_sms.iter().enumerate() {
-                                report.events.push(
-                                    TraceEvent::instant(
-                                        Track::Tenant(t as TenantId),
-                                        "place",
-                                        d.cycle,
-                                        Some(t as TenantId),
-                                    )
-                                    .with_arg(n as u64),
-                                );
-                            }
-                        }
-                    }
-                    crate::stats::DispatchAction::Throttle { tenant, victim, allowed_sms } => {
-                        report.metrics.counter_add("dispatch-throttles", Some(*tenant), 1);
-                        if trace_on {
-                            report.events.push(
-                                TraceEvent::instant(
-                                    Track::Dispatcher,
-                                    "throttle",
-                                    d.cycle,
-                                    Some(*tenant),
-                                )
-                                .with_arg(*victim as u64),
-                            );
-                            report.events.push(
-                                TraceEvent::instant(
-                                    Track::Tenant(*tenant),
-                                    "throttle",
-                                    d.cycle,
-                                    Some(*tenant),
-                                )
-                                .with_arg(*allowed_sms as u64),
-                            );
-                        }
-                    }
-                    crate::stats::DispatchAction::Restore { tenant, allowed_sms } => {
-                        report.metrics.counter_add("dispatch-restores", Some(*tenant), 1);
-                        if trace_on {
-                            report.events.push(TraceEvent::instant(
-                                Track::Dispatcher,
-                                "restore",
-                                d.cycle,
-                                Some(*tenant),
-                            ));
-                            report.events.push(
-                                TraceEvent::instant(
-                                    Track::Tenant(*tenant),
-                                    "restore",
-                                    d.cycle,
-                                    Some(*tenant),
-                                )
-                                .with_arg(*allowed_sms as u64),
-                            );
-                        }
+                let (name, tenant, arg, per_tenant) = action_obs(action);
+                report.metrics.counter_add(&format!("dispatch-{name}s"), tenant, 1);
+                if trace_on {
+                    let instant = |track, tenant, arg| TraceEvent {
+                        arg,
+                        ..TraceEvent::instant(track, name, d.cycle, tenant)
+                    };
+                    report.events.push(instant(Track::Dispatcher, tenant, arg));
+                    for (t, arg) in per_tenant {
+                        report.events.push(instant(Track::Tenant(t), Some(t), arg));
                     }
                 }
             }
@@ -727,7 +680,6 @@ impl Gpu {
         let epoch = self.config.effective_epoch_cycles();
         let line_size = self.config.l1d.line_size;
         let xbar_latency = self.config.interconnect_latency;
-        let reorder_window = self.config.reorder_window;
         let num_sms = self.sms.len();
         let num_tenants = self.tenant_names.len();
         let max_cycles = self.config.max_cycles;
@@ -930,7 +882,6 @@ impl Gpu {
                 fabric.as_mut(),
                 reply_window,
                 now + epoch,
-                reorder_window,
                 line_size,
                 profiler,
                 &mut responses,
@@ -948,15 +899,7 @@ impl Gpu {
             let pending_util = shared.as_deref().map(|s| s.dram_bandwidth_utilization(now.max(1)));
             profiler.exit();
             profiler.enter("collect");
-            Self::collect_batch(
-                sms,
-                order.iter().copied(),
-                window,
-                now,
-                xbar_latency,
-                reorder_window,
-                &mut batch,
-            );
+            Self::collect_batch(sms, order.iter().copied(), window, now, xbar_latency, &mut batch);
             profiler.exit();
             profiler.enter("dispatch");
             let dealt = Self::dispatch_boundary_event(
@@ -1009,7 +952,6 @@ impl Gpu {
             window,
             Cycle::MAX - xbar_latency,
             xbar_latency,
-            0,
             &mut batch,
         );
         Self::serve_batch(shared, fabric.as_mut(), &batch, line_size, profiler, reply_window);
@@ -1017,7 +959,6 @@ impl Gpu {
             fabric.as_mut(),
             reply_window,
             Cycle::MAX,
-            0,
             line_size,
             profiler,
             &mut responses,
@@ -1046,9 +987,8 @@ impl Gpu {
     /// requests arriving at or before the merge horizon (`now +
     /// interconnect latency`) can no longer be preceded by any future
     /// request (the next epoch issues at cycle ≥ `now`, so its arrivals are
-    /// strictly later), later arrivals stay held — bounded by
-    /// `window_limit`, with the earliest overflow served batch-major. The
-    /// ports, the window and `batch` all keep their capacity. The window is
+    /// strictly later), later arrivals stay held. The ports, the window and
+    /// `batch` all keep their capacity. The window is
     /// mostly sorted already (its held tail, then each SM's requests in
     /// issue order), which the stable sort's run detection exploits; its
     /// scratch buffer is the one allocation a busy boundary still makes.
@@ -1063,7 +1003,6 @@ impl Gpu {
         window: &mut Vec<(usize, MemRequest)>,
         now: Cycle,
         xbar_latency: Cycle,
-        window_limit: usize,
         batch: &mut Vec<(usize, MemRequest)>,
     ) {
         for i in advanced {
@@ -1071,8 +1010,7 @@ impl Gpu {
         }
         window.sort_by_key(|&(sm, r)| (r.arrive, sm, r.seq));
         let horizon = now.saturating_add(xbar_latency);
-        let mut split = window.partition_point(|&(_, r)| r.arrive <= horizon);
-        split += (window.len() - split).saturating_sub(window_limit);
+        let split = window.partition_point(|&(_, r)| r.arrive <= horizon);
         batch.clear();
         batch.extend(window.drain(..split));
     }
@@ -1124,20 +1062,16 @@ impl Gpu {
     /// before `horizon` into `out` (replacing its contents) — replies no
     /// later-served batch can precede, so the reply fabric sees a globally
     /// non-decreasing completion stream across epochs. Released replies
-    /// charge the chip-wide reply budget in `(completion, SM, seq)` order;
-    /// holds beyond `window_limit` fall back to batch-major release
-    /// (earliest first — still safely after the delivery boundary).
+    /// charge the chip-wide reply budget in `(completion, SM, seq)` order.
     ///
     /// The due replies are moved to the front of the window and only they
     /// are sorted; the held rest stays unordered until a later boundary
     /// releases it. The keys are unique, so the unstable sort gives the one
-    /// order a full stable sort would. Only an overflowing window is sorted
-    /// whole, to release its earliest `len - window_limit` entries.
+    /// order a full stable sort would.
     fn release_replies(
         fabric: Option<&mut CrossbarFabric>,
         reply_window: &mut Vec<RawCompletion>,
         horizon: Cycle,
-        window_limit: usize,
         line_size: u64,
         profiler: &mut PhaseProfiler,
         out: &mut Vec<ReadyResponse>,
@@ -1157,15 +1091,8 @@ impl Gpu {
                 due += 1;
             }
         }
-        let key = |c: &RawCompletion| (c.done, c.sm, c.seq);
-        let split = if reply_window.len() - due > window_limit {
-            reply_window.sort_unstable_by_key(key);
-            reply_window.len() - window_limit
-        } else {
-            reply_window[..due].sort_unstable_by_key(key);
-            due
-        };
-        out.extend(reply_window.drain(..split).filter_map(|c| {
+        reply_window[..due].sort_unstable_by_key(|c| (c.done, c.sm, c.seq));
+        out.extend(reply_window.drain(..due).filter_map(|c| {
             let done = fabric.reply_transfer(line_size, c.done, c.tenant);
             c.event.map(|event| ReadyResponse { sm: c.sm, done, event })
         }));
@@ -1288,7 +1215,7 @@ impl Gpu {
             .map(|(t, totals)| TenantResult {
                 tenant: t as TenantId,
                 kernel: self.tenant_names[t].clone(),
-                qos: self.tenant_qos[t].to_string(),
+                qos: "batch".to_string(),
                 instructions: totals.instructions,
                 finish_cycle: totals.finish_cycle,
                 capped: !totals.done || undealt[t] > 0,

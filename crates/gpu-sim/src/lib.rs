@@ -29,8 +29,7 @@
 //! * [`dispatch`] — multi-tenant CTA dispatch: kernel streams with dynamic
 //!   arrival cycles, the `Exclusive` / `SpatialPartition` /
 //!   `SharedRoundRobin` static SM partitioning policies and the adaptive
-//!   `InterferenceAware` policy ([`dispatch::AdaptiveDispatcher`], the
-//!   chip-level analogue of CIAO-T).
+//!   `InterferenceAware` policy (the chip-level analogue of CIAO-T).
 //! * [`gpu`] — the chip engine: per-SM crossbar/memory ports and the
 //!   deterministic epoch-boundary loop driving the SMs against a shared
 //!   banked L2/DRAM backend with per-tenant attribution. One flat wake
@@ -68,10 +67,7 @@ pub mod warp;
 
 pub use coalescer::coalesce;
 pub use config::GpuConfig;
-pub use dispatch::{
-    dispatch_round_robin, spatial_sm_sets, AdaptiveDispatcher, CtaWork, DispatchPolicy,
-    KernelStream, LatencyClass, QosSpec, TenantSignal,
-};
+pub use dispatch::{dispatch_round_robin, spatial_sm_sets, CtaWork, DispatchPolicy, KernelStream};
 pub use event::BackendKind;
 pub use gpu::SmUnit;
 pub use kernel::{Kernel, KernelInfo, OffsetKernel};

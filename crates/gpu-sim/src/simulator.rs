@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use crate::config::GpuConfig;
-use crate::dispatch::{DispatchPolicy, KernelStream, QosSpec};
+use crate::dispatch::{DispatchPolicy, KernelStream};
 use crate::event::BackendKind;
 use crate::gpu::{Gpu, SmUnit};
 use crate::kernel::Kernel;
@@ -28,8 +28,8 @@ use sim_obs::{ObsLevel, ObsReport};
 ///   the pipelined shared-memory backend.
 /// * **v2** — adds `schema_version` itself and `backend` (the label of the
 ///   timing backend that produced the result).
-/// * **v3** — adds per-tenant `qos` (the [`crate::dispatch::LatencyClass`]
-///   label of the stream's [`QosSpec`]) for the fleet tier's SLO reports.
+/// * **v3** — adds per-tenant `qos`, a latency-class label. The chip tier
+///   runs every stream as best-effort work, so it is always `"batch"`.
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// One tenant's (kernel stream's) share of a chip run: its own progress
@@ -42,8 +42,8 @@ pub struct TenantResult {
     pub tenant: TenantId,
     /// Name of the tenant's kernel / benchmark.
     pub kernel: String,
-    /// Latency-class label of the stream's [`QosSpec`] (`"batch"` /
-    /// `"interactive"`) — the SLO tier fleet reports group by.
+    /// Latency-class label, always `"batch"`: every chip-tier stream is
+    /// best-effort work. Kept so the v3 JSON shape does not change.
     pub qos: String,
     /// Dynamic warp instructions the tenant executed.
     pub instructions: u64,
@@ -172,7 +172,7 @@ impl SimResult {
 }
 
 /// A builder-style description of one simulation run: which kernel streams
-/// to co-execute (with their arrival cycles and [`QosSpec`] contracts),
+/// to co-execute (with their arrival cycles),
 /// under which [`DispatchPolicy`], on how many SMs, driven by which
 /// [`BackendKind`] timing mode. Consumed by [`Simulator::execute`].
 #[derive(Clone)]
@@ -218,17 +218,9 @@ impl SimRequest {
     /// the first epoch boundary at or after it; the serial `Exclusive`
     /// policy starts it no earlier than both its arrival and the previous
     /// kernel's completion).
-    pub fn stream_at(self, kernel: Arc<dyn Kernel>, arrival: Cycle) -> Self {
-        self.stream_qos_at(kernel, arrival, QosSpec::default())
-    }
-
-    /// Appends a kernel stream arriving at `arrival` with an explicit
-    /// [`QosSpec`]: the interference-aware dispatcher enforces its floors
-    /// and reserved SMs, and every policy reports its latency class in
-    /// [`TenantResult::qos`].
-    pub fn stream_qos_at(mut self, kernel: Arc<dyn Kernel>, arrival: Cycle, qos: QosSpec) -> Self {
+    pub fn stream_at(mut self, kernel: Arc<dyn Kernel>, arrival: Cycle) -> Self {
         let tenant = self.streams.len() as TenantId;
-        self.streams.push(KernelStream::new_qos_at(tenant, kernel, arrival, qos));
+        self.streams.push(KernelStream::new_at(tenant, kernel, arrival));
         self
     }
 
@@ -374,8 +366,7 @@ where
     let mut report = ObsReport::new(obs);
     for (k, stream) in streams.iter().enumerate() {
         let start = clock.max(stream.arrival_cycle);
-        // `Exclusive` reads the QoS contract only for its latency label.
-        let solo = KernelStream::new_qos_at(0, Arc::clone(stream.kernel()), 0, stream.qos);
+        let solo = KernelStream::new(0, Arc::clone(stream.kernel()));
         let (result, mut run_report) =
             run_chip(config, vec![solo], DispatchPolicy::Exclusive, backend, obs, build_unit);
         run_report.relabel_tenant(0, k as u32);
@@ -537,51 +528,6 @@ mod tests {
         // Same work is executed regardless of order.
         assert_eq!(a.stats.instructions, b.stats.instructions);
         assert_eq!(a.stats.mem_transactions, b.stats.mem_transactions);
-    }
-
-    /// The QoS contract rides along every request: the latency-class label
-    /// lands in `TenantResult::qos` on a 1-SM chip and on a 4-SM co-run,
-    /// and defaults to `batch`.
-    #[test]
-    fn qos_labels_reach_tenant_results() {
-        let sim = Simulator::new(GpuConfig::gtx480());
-        let single = sim.execute(
-            SimRequest::new().stream_qos_at(kernel(10), 0, QosSpec::interactive(2)).num_sms(1),
-            gto,
-        );
-        assert_eq!(
-            single.per_tenant[0].qos, "interactive",
-            "1-SM exclusive ignores floors but the label rides along"
-        );
-        let sim4 = Simulator::new(GpuConfig::gtx480().with_num_sms(4));
-        let res = sim4.execute(
-            SimRequest::new()
-                .stream_qos_at(kernel(20), 0, QosSpec::interactive(2))
-                .stream(kernel(20))
-                .policy(DispatchPolicy::SharedRoundRobin),
-            gto,
-        );
-        assert_eq!(res.per_tenant[0].qos, "interactive");
-        assert_eq!(res.per_tenant[1].qos, "batch");
-    }
-
-    /// A serial `exclusive` queue keeps each stream's QoS label: every
-    /// stream runs as a solo chip, and its tenant record carries the label
-    /// of the stream it came from, not the solo run's default.
-    #[test]
-    fn serial_exclusive_queue_keeps_each_streams_qos_label() {
-        let sim = Simulator::new(GpuConfig::gtx480().with_num_sms(2));
-        let res =
-            sim.execute(
-                SimRequest::new()
-                    .stream_qos_at(kernel(10), 0, QosSpec::interactive(1))
-                    .stream_qos_at(kernel(10), 0, QosSpec::batch()),
-                gto,
-            );
-        assert_eq!(res.policy, "exclusive");
-        assert_eq!(res.per_tenant.len(), 2);
-        assert_eq!(res.per_tenant[0].qos, "interactive");
-        assert_eq!(res.per_tenant[1].qos, "batch");
     }
 
     #[test]

@@ -78,18 +78,6 @@ fn tiny4_shared_rr(mix: Mix, scheduler: SchedulerKind, expected: u64, throttle_o
     });
 }
 
-/// The Tiny stream-vs-stream mix under GTO on the 15-SM chip with both
-/// reorder windows capped at `window` entries, far below the default of
-/// 4,096, so busy boundaries take the windows' overflow paths.
-fn tiny15_stream_stream_window(window: usize, policy: DispatchPolicy, expected: u64) {
-    let name = format!("tiny/15 stream-stream {policy} reorder window {window}");
-    assert_golden(&name, expected, |backend| {
-        let mut runner = Runner::new(RunScale::Tiny).with_sms(15).with_backend(backend);
-        runner.config.reorder_window = window;
-        runner.run_mix(Mix::StreamStream, policy, SchedulerKind::Gto)
-    });
-}
-
 #[test]
 fn quick_sm1_syrk_gto() {
     quick_sm1(Benchmark::Syrk, SchedulerKind::Gto, 0xeede_fa54_b73c_1df9);
@@ -201,26 +189,6 @@ fn tiny4_cache_stream_stat_pcal() {
 #[test]
 fn tiny4_cache_stream_ccws() {
     tiny4_shared_rr(Mix::CacheStream, SchedulerKind::Ccws, 0x8dd1_f387_2d02_5603, 9_819);
-}
-
-#[test]
-fn tiny15_stream_stream_window_0_shared_rr() {
-    tiny15_stream_stream_window(0, DispatchPolicy::SharedRoundRobin, 0x67c6_16e0_cd15_0b15);
-}
-
-#[test]
-fn tiny15_stream_stream_window_0_interference_aware() {
-    tiny15_stream_stream_window(0, DispatchPolicy::InterferenceAware, 0xebe4_5185_efaa_9812);
-}
-
-#[test]
-fn tiny15_stream_stream_window_2_shared_rr() {
-    tiny15_stream_stream_window(2, DispatchPolicy::SharedRoundRobin, 0xbf8a_29ee_3bb7_2c03);
-}
-
-#[test]
-fn tiny15_stream_stream_window_2_interference_aware() {
-    tiny15_stream_stream_window(2, DispatchPolicy::InterferenceAware, 0xb282_2264_c4a6_42ec);
 }
 
 /// The Fig. 8 headline matrix: GTO and CIAO-C over every benchmark at Quick
