@@ -188,11 +188,6 @@ impl InterferenceDetector {
         self.vta.total_hits()
     }
 
-    /// VTA hits of one warp.
-    pub fn vta_hits_of(&self, wid: WarpId) -> u64 {
-        self.vta.hits_of(wid)
-    }
-
     /// The warp most interfering with `victim`, if known.
     pub fn top_interferer(&self, victim: WarpId) -> Option<WarpId> {
         self.interference_list.top_interferer(victim)
@@ -278,7 +273,7 @@ mod tests {
         let mut d = InterferenceDetector::new(48);
         d.on_eviction(3, 0x1000, 9);
         assert!(d.on_miss(3, 0x1000).is_some());
-        assert_eq!(d.vta_hits_of(3), 1);
+        assert_eq!(d.total_vta_hits(), 1);
         assert_eq!(d.top_interferer(3), Some(9));
         // A self-eviction is not interference.
         d.on_eviction(4, 0x2000, 4);

@@ -10,13 +10,16 @@
 //!
 //! The structure plugs into the SM through `gpu_sim::RedirectCache`. The SM
 //! handles the orchestration (L1D probe + migration through the response
-//! queue, MSHR allocation with the translated address, L2 fetch); this module
-//! owns the tag state, the replacement behaviour, the SMMT reservation
-//! bookkeeping and the utilisation statistic reported in Fig. 8b.
+//! queue, MSHR allocation with the translated address, L2 fetch) and keeps
+//! the one scratchpad ledger, its SMMT (`gpu_mem::smmt`): after every CTA
+//! launch and retire it hands `Smmt::unused()`, the §IV-B unused space, to
+//! [`RedirectCache::set_capacity`]. The cache takes that space at the top of
+//! the scratchpad, above the CTAs' bytes. This module owns the tag state,
+//! the replacement behaviour and the utilisation statistic reported in
+//! Fig. 8b.
 
 use crate::translation::TranslationUnit;
 use gpu_mem::cache::EvictedLine;
-use gpu_mem::smmt::Smmt;
 use gpu_mem::{Addr, Cycle, WarpId};
 use gpu_sim::redirect::{RedirectCache, RedirectLookup};
 use serde::{Deserialize, Serialize};
@@ -55,13 +58,11 @@ pub struct ShmemCacheStats {
 /// Unused shared memory organised as a direct-mapped cache.
 #[derive(Debug, Clone)]
 pub struct SharedMemCache {
-    /// Scratchpad size managed by the SMMT (total, including CTA usage).
+    /// Scratchpad size (total, including CTA usage).
     scratchpad_bytes: u32,
     /// Scratchpad access latency (hit latency of this cache).
     latency: Cycle,
-    /// SMMT mirror used to reserve the unused space for CIAO.
-    smmt: Smmt,
-    /// Translation unit for the currently reserved region (None = no space).
+    /// Translation unit for the unused region (None = too little space).
     translation: Option<TranslationUnit>,
     lines: Vec<ShmemLine>,
     stats: ShmemCacheStats,
@@ -76,12 +77,11 @@ impl SharedMemCache {
         let mut cache = SharedMemCache {
             scratchpad_bytes,
             latency,
-            smmt: Smmt::new(scratchpad_bytes),
             translation: None,
             lines: Vec::new(),
             stats: ShmemCacheStats::default(),
         };
-        cache.rebuild(scratchpad_bytes as u64);
+        cache.rebuild(cache.unit_for(u64::from(scratchpad_bytes)));
         cache
     }
 
@@ -105,20 +105,19 @@ impl SharedMemCache {
         self.lines.iter().filter(|l| l.valid).count()
     }
 
-    fn rebuild(&mut self, unused_bytes: u64) {
+    /// The translation unit for `unused_bytes` of free scratchpad, clamped
+    /// to the scratchpad. The CTAs' bytes count from address 0, so the
+    /// cache's rows start right above them.
+    fn unit_for(&self, unused_bytes: u64) -> Option<TranslationUnit> {
+        let unused = unused_bytes.min(u64::from(self.scratchpad_bytes)) as u32;
+        TranslationUnit::new(u64::from(unused), (self.scratchpad_bytes - unused) / 128)
+    }
+
+    /// Installs `translation` with every line invalid.
+    fn rebuild(&mut self, translation: Option<TranslationUnit>) {
         self.stats.resizes += 1;
-        // Mirror the SMMT bookkeeping: release the previous CIAO reservation,
-        // model the CTA usage as a single opaque allocation, and re-reserve
-        // whatever is left for the cache.
-        self.smmt = Smmt::new(self.scratchpad_bytes);
-        let cta_used =
-            self.scratchpad_bytes.saturating_sub(unused_bytes.min(u64::from(u32::MAX)) as u32);
-        if cta_used > 0 {
-            let _ = self.smmt.allocate_cta(0, cta_used);
-        }
-        let reserved = self.smmt.reserve_unused_for_ciao().ok();
-        self.translation = reserved.and_then(|r| TranslationUnit::new(r.size as u64, r.base / 128));
-        let lines = self.translation.map(|t| t.num_lines() as usize).unwrap_or(0);
+        self.translation = translation;
+        let lines = translation.map_or(0, |t| t.num_lines() as usize);
         self.lines = vec![ShmemLine::invalid(); lines];
     }
 
@@ -187,13 +186,11 @@ impl RedirectCache for SharedMemCache {
     }
 
     fn set_capacity(&mut self, unused_bytes: u64) {
-        let current = self.capacity_bytes();
         // Rebuild only when the usable capacity actually changes; the SM
         // calls this after every CTA launch/retire.
-        let future =
-            TranslationUnit::new(unused_bytes, 0).map(|t| t.data_capacity_bytes()).unwrap_or(0);
-        if future != current {
-            self.rebuild(unused_bytes);
+        let unit = self.unit_for(unused_bytes);
+        if unit.map_or(0, |t| t.data_capacity_bytes()) != self.capacity_bytes() {
+            self.rebuild(unit);
         }
     }
 }

@@ -16,7 +16,7 @@
 //!   so 32 tags share one row of a 16-bank group; the 5 bits formed by (F, B)
 //!   of the data block select which of the 32 tag slots is used;
 //! * data-block and tag *offset registers* rebase both index spaces so the
-//!   structure can live anywhere inside the unused region the SMMT reserved.
+//!   structure can live anywhere inside the scratchpad the CTAs leave unused.
 //!
 //! The unit is purely combinational: given the number of rows reserved for
 //! data it produces deterministic locations, which the property tests below

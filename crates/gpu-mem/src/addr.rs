@@ -40,12 +40,6 @@ pub fn block_index(addr: Addr) -> u64 {
     addr / LINE_SIZE
 }
 
-/// Returns the byte offset of `addr` within its 128-byte block.
-#[inline]
-pub fn block_offset(addr: Addr) -> u64 {
-    addr & (LINE_SIZE - 1)
-}
-
 /// Set-index mapping function used by a set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SetIndexFunction {
@@ -113,7 +107,6 @@ mod tests {
         assert_eq!(block_addr(129), 128);
         assert_eq!(block_index(0), 0);
         assert_eq!(block_index(128), 1);
-        assert_eq!(block_offset(130), 2);
         assert_eq!(block_addr_for(513, 256), 512);
     }
 

@@ -23,7 +23,7 @@
 
 use crate::{Cycle, TenantId};
 use serde::{Deserialize, Serialize};
-use sim_obs::{TraceEvent, TraceRecorder, Tracer, Track};
+use sim_obs::{TraceEvent, TraceRecorder, Track};
 
 /// A unidirectional link with fixed latency and finite bandwidth.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -20,7 +20,7 @@ use crate::cache::{CacheConfig, CacheStats, SetAssocCache};
 use crate::dram::{Dram, DramConfig, DramStats};
 use crate::{Cycle, TenantId, WarpId};
 use serde::{Deserialize, Serialize};
-use sim_obs::{Histogram, TraceEvent, TraceRecorder, Tracer, Track};
+use sim_obs::{Histogram, TraceEvent, TraceRecorder, Track};
 
 /// Configuration of a memory partition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -61,15 +61,6 @@ pub struct PartitionStats {
 }
 
 impl PartitionStats {
-    /// Mean latency of a request through the partition.
-    pub fn mean_latency(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / self.requests as f64
-        }
-    }
-
     /// Merge another partition's statistics into this one (bank → chip
     /// aggregation).
     pub fn merge(&mut self, other: &PartitionStats) {
@@ -463,13 +454,6 @@ mod tests {
             done
         };
         assert!(run(PartitionConfig::gtx480_2x_bandwidth()) < run(PartitionConfig::gtx480()));
-    }
-
-    #[test]
-    fn mean_latency_reported() {
-        let mut p = MemoryPartition::new(PartitionConfig::gtx480());
-        read(&mut p, 0, 0, 0);
-        assert!(p.stats().mean_latency() > 0.0);
     }
 
     #[test]

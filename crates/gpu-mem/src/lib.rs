@@ -51,7 +51,7 @@ pub use l2::{
 };
 pub use mshr::{Mshr, MshrAllocation, MshrEntry, MshrError};
 pub use shared_memory::{SharedMemory, SharedMemoryConfig};
-pub use smmt::{Smmt, SmmtEntry, SmmtError, SmmtPurpose};
+pub use smmt::{Smmt, SmmtEntry, SmmtError};
 
 /// A simulation cycle index.
 pub type Cycle = u64;

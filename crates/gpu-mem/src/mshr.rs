@@ -69,19 +69,6 @@ impl std::fmt::Display for MshrError {
 
 impl std::error::Error for MshrError {}
 
-/// Aggregate MSHR statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MshrStats {
-    /// New entries allocated.
-    pub allocations: u64,
-    /// Requests merged into existing entries.
-    pub merges: u64,
-    /// Allocation failures due to a full MSHR file.
-    pub full_stalls: u64,
-    /// Allocation failures due to a full merge list.
-    pub merge_stalls: u64,
-}
-
 /// The MSHR file: a flat array of at most `max_entries` outstanding misses,
 /// searched associatively by block address, as the hardware's small CAM is
 /// (§IV-B; Table I: 32 entries of up to 8 merged requests). `blocks[i]` is
@@ -98,7 +85,6 @@ pub struct Mshr {
     entries: Vec<MshrEntry>,
     /// Emptied merge lists waiting to be reused.
     spare_lists: Vec<Vec<WarpId>>,
-    stats: MshrStats,
 }
 
 impl Mshr {
@@ -112,13 +98,7 @@ impl Mshr {
             blocks: Vec::new(),
             entries: Vec::new(),
             spare_lists: Vec::new(),
-            stats: MshrStats::default(),
         }
-    }
-
-    /// The default Fermi-like configuration: 32 entries, 8 merged requests.
-    pub fn fermi_l1d() -> Self {
-        Mshr::new(32, 8)
     }
 
     /// Number of entries currently in flight.
@@ -129,11 +109,6 @@ impl Mshr {
     /// True when no more entries can be allocated.
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.max_entries
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &MshrStats {
-        &self.stats
     }
 
     /// Slot of the entry for `block_addr`, if outstanding.
@@ -167,22 +142,18 @@ impl Mshr {
         if let Some(i) = self.slot(block_addr) {
             let waiting = &mut self.entries[i].waiting_warps;
             if waiting.len() >= self.max_merged {
-                self.stats.merge_stalls += 1;
                 return Err(MshrError::MergeListFull);
             }
             waiting.push(wid);
-            self.stats.merges += 1;
             return Ok(MshrAllocation::Merged);
         }
         if self.entries.len() >= self.max_entries {
-            self.stats.full_stalls += 1;
             return Err(MshrError::Full);
         }
         let mut waiting_warps = self.spare_lists.pop().unwrap_or_default();
         waiting_warps.push(wid);
         self.blocks.push(block_addr);
         self.entries.push(MshrEntry { block_addr, waiting_warps, fill_target, issue_cycle: now });
-        self.stats.allocations += 1;
         Ok(MshrAllocation::New)
     }
 
@@ -228,8 +199,6 @@ mod tests {
         assert_eq!(e.waiting_warps, vec![1, 2]);
         assert_eq!(e.issue_cycle, 10);
         assert!(!m.probe(0x100));
-        assert_eq!(m.stats().allocations, 1);
-        assert_eq!(m.stats().merges, 1);
     }
 
     #[test]
@@ -239,7 +208,6 @@ mod tests {
         m.allocate(0x080, 0, 0, FillTarget::L1d).unwrap();
         assert_eq!(m.allocate(0x100, 0, 0, FillTarget::L1d), Err(MshrError::Full));
         assert!(m.is_full());
-        assert_eq!(m.stats().full_stalls, 1);
     }
 
     #[test]
@@ -248,12 +216,11 @@ mod tests {
         m.allocate(0x000, 0, 0, FillTarget::L1d).unwrap();
         m.allocate(0x000, 1, 0, FillTarget::L1d).unwrap();
         assert_eq!(m.allocate(0x000, 2, 0, FillTarget::L1d), Err(MshrError::MergeListFull));
-        assert_eq!(m.stats().merge_stalls, 1);
     }
 
     #[test]
     fn shared_memory_fill_target_preserved() {
-        let mut m = Mshr::fermi_l1d();
+        let mut m = Mshr::new(32, 8);
         m.allocate(0x2000, 5, 3, FillTarget::SharedMemory).unwrap();
         let e = m.entry(0x2000).unwrap();
         assert_eq!(e.fill_target, FillTarget::SharedMemory);
@@ -261,7 +228,7 @@ mod tests {
 
     #[test]
     fn fill_unknown_block_returns_none() {
-        let mut m = Mshr::fermi_l1d();
+        let mut m = Mshr::new(32, 8);
         assert!(m.fill(0xdead_0000).is_none());
     }
 
@@ -288,7 +255,7 @@ mod tests {
         /// merges, full files and full merge lists all happen) give the
         /// same results, both error variants included, the same
         /// `in_flight`, `probe` and entry contents after every step, merge
-        /// lists in arrival order, and the same statistics. Every filled
+        /// lists in arrival order. Every filled
         /// entry is recycled, so later allocations reuse its merge list and
         /// must never see one of its warps again.
         #[test]
@@ -298,7 +265,6 @@ mod tests {
         ) {
             let mut m = Mshr::new(max_entries, max_merged);
             let mut model: std::collections::HashMap<Addr, MshrEntry> = Default::default();
-            let mut stats = MshrStats::default();
             for (step, &(kind, block, wid)) in ops.iter().enumerate() {
                 let addr = block * 128;
                 let now = step as Cycle;
@@ -315,18 +281,13 @@ mod tests {
                     let in_flight = model.len();
                     let want = match model.get_mut(&addr) {
                         Some(e) if e.waiting_warps.len() >= max_merged => {
-                            stats.merge_stalls += 1;
                             Err(MshrError::MergeListFull)
                         }
                         Some(e) => {
                             e.waiting_warps.push(wid);
-                            stats.merges += 1;
                             Ok(MshrAllocation::Merged)
                         }
-                        None if in_flight >= max_entries => {
-                            stats.full_stalls += 1;
-                            Err(MshrError::Full)
-                        }
+                        None if in_flight >= max_entries => Err(MshrError::Full),
                         None => {
                             model.insert(addr, MshrEntry {
                                 block_addr: addr,
@@ -334,7 +295,6 @@ mod tests {
                                 fill_target: target,
                                 issue_cycle: now,
                             });
-                            stats.allocations += 1;
                             Ok(MshrAllocation::New)
                         }
                     };
@@ -346,7 +306,6 @@ mod tests {
                     prop_assert_eq!(m.probe(b * 128), model.contains_key(&(b * 128)));
                     prop_assert_eq!(m.entry(b * 128), model.get(&(b * 128)));
                 }
-                prop_assert_eq!(m.stats(), &stats);
             }
         }
     }

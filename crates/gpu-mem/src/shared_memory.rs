@@ -8,10 +8,10 @@
 //! conflicts. Each bank allows 64-bit (8-byte) accesses (§IV-B).
 //!
 //! This module models the scratchpad as seen by *CTA-allocated* shared-memory
-//! traffic: a bank-conflict-aware access-latency model plus simple occupancy
-//! statistics. The CIAO *shared-memory-as-cache* layout (tags + 128-byte data
-//! blocks striped across two 16-bank groups) is built on top of this model in
-//! `ciao-core::shmem_cache`.
+//! traffic: a bank-conflict-aware access-latency model. The CIAO
+//! *shared-memory-as-cache* layout (tags + 128-byte data blocks striped
+//! across two 16-bank groups, conflict-free by construction) lives in
+//! `ciao-core`'s `translation` and `shmem_cache` modules.
 
 use crate::Cycle;
 use serde::{Deserialize, Serialize};
@@ -57,22 +57,10 @@ impl SharedMemoryConfig {
     }
 }
 
-/// Access statistics for the scratchpad.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SharedMemoryStats {
-    /// Warp-level access groups served.
-    pub accesses: u64,
-    /// Individual bank requests served.
-    pub bank_requests: u64,
-    /// Extra serialisation cycles caused by bank conflicts.
-    pub conflict_cycles: u64,
-}
-
 /// The shared-memory scratchpad of one SM.
 #[derive(Debug, Clone)]
 pub struct SharedMemory {
     config: SharedMemoryConfig,
-    stats: SharedMemoryStats,
     /// Per bank, the distinct rows the access being served touches
     /// (emptied before each access; the lists keep their capacity).
     rows_per_bank: Vec<Vec<u32>>,
@@ -81,17 +69,7 @@ pub struct SharedMemory {
 impl SharedMemory {
     /// Builds a scratchpad from `config`.
     pub fn new(config: SharedMemoryConfig) -> Self {
-        SharedMemory { config, stats: SharedMemoryStats::default(), rows_per_bank: Vec::new() }
-    }
-
-    /// The configuration of this scratchpad.
-    pub fn config(&self) -> &SharedMemoryConfig {
-        &self.config
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &SharedMemoryStats {
-        &self.stats
+        SharedMemory { config, rows_per_bank: Vec::new() }
     }
 
     /// Serves one warp-wide group of shared-memory accesses and returns the
@@ -102,7 +80,6 @@ impl SharedMemory {
     /// in that bank (accesses to the same bank *and* row are broadcast and do
     /// not conflict, matching NVIDIA's documented behaviour).
     pub fn access(&mut self, lane_addrs: &[u32]) -> Cycle {
-        self.stats.accesses += 1;
         if lane_addrs.is_empty() {
             return self.config.latency;
         }
@@ -116,22 +93,9 @@ impl SharedMemory {
             if !rows_per_bank[b].contains(&r) {
                 rows_per_bank[b].push(r);
             }
-            self.stats.bank_requests += 1;
         }
         let max_degree = rows_per_bank.iter().map(Vec::len).max().unwrap_or(1).max(1) as Cycle;
-        let extra = max_degree - 1;
-        self.stats.conflict_cycles += extra;
         self.config.latency * max_degree
-    }
-
-    /// Serves an aligned 128-byte block access striped across one 16-bank
-    /// group (the CIAO data-block layout of §IV-B): 16 banks × 8 bytes are
-    /// read in parallel, so the access is conflict-free by construction and
-    /// costs the base latency.
-    pub fn access_block(&mut self) -> Cycle {
-        self.stats.accesses += 1;
-        self.stats.bank_requests += 16;
-        self.config.latency
     }
 }
 
@@ -163,7 +127,6 @@ mod tests {
         // 32 lanes touching 32 distinct banks.
         let addrs: Vec<u32> = (0..32).map(|i| i * 8).collect();
         assert_eq!(sm.access(&addrs), 1);
-        assert_eq!(sm.stats().conflict_cycles, 0);
     }
 
     #[test]
@@ -172,7 +135,6 @@ mod tests {
         // 4 lanes all hitting bank 0 in different rows => degree 4.
         let addrs: Vec<u32> = (0..4).map(|i| i * 8 * 32).collect();
         assert_eq!(sm.access(&addrs), 4);
-        assert_eq!(sm.stats().conflict_cycles, 3);
     }
 
     #[test]
@@ -180,13 +142,6 @@ mod tests {
         let mut sm = SharedMemory::new(SharedMemoryConfig::gtx480());
         let addrs = vec![16u32; 32]; // every lane reads the same word
         assert_eq!(sm.access(&addrs), 1);
-    }
-
-    #[test]
-    fn block_access_is_conflict_free() {
-        let mut sm = SharedMemory::new(SharedMemoryConfig::gtx480());
-        assert_eq!(sm.access_block(), 1);
-        assert_eq!(sm.stats().bank_requests, 16);
     }
 
     proptest! {

@@ -3,30 +3,22 @@
 //! §II-A: each SM keeps an independent SMMT where each CTA reserves one entry
 //! recording the base address and size of its shared-memory allocation.
 //!
-//! §IV-B ("Determination of unused shared memory space"): when a CTA is
-//! launched, CIAO consults the SMMT to find how much scratchpad is unused and
-//! inserts an additional entry reserving that space for its own tag+data
-//! blocks, making the repurposing transparent to the programmer. This module
-//! implements both the baseline CTA allocation bookkeeping and the CIAO
-//! reservation entry.
+//! §IV-B ("Determination of unused shared memory space"): CIAO consults the
+//! SMMT to find how much scratchpad the resident CTAs leave unused and
+//! repurposes that space as a cache for isolated warps. This table is the
+//! SM's only scratchpad ledger: [`Smmt::unused`] is that unused space, and
+//! the SM hands it to its redirect cache (`ciao-core`'s `SharedMemCache`)
+//! after every CTA launch and retire. CIAO's space therefore needs no entry
+//! of its own here.
 
 use crate::CtaId;
 use serde::{Deserialize, Serialize};
 
-/// What an SMMT entry's space is used for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SmmtPurpose {
-    /// Programmer-visible per-CTA shared memory.
-    Cta(CtaId),
-    /// Space reserved by CIAO to hold redirected cache blocks and their tags.
-    CiaoCache,
-}
-
-/// One SMMT entry: a contiguous region of the scratchpad.
+/// One SMMT entry: the contiguous scratchpad region of one CTA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SmmtEntry {
-    /// Purpose of the reservation.
-    pub purpose: SmmtPurpose,
+    /// The CTA owning the region.
+    pub cta: CtaId,
     /// Base byte address within the scratchpad.
     pub base: u32,
     /// Size in bytes.
@@ -47,7 +39,7 @@ pub enum SmmtError {
     OutOfSpace,
     /// The CTA already holds an allocation.
     AlreadyAllocated,
-    /// No allocation found for the CTA / for the CIAO reservation.
+    /// No allocation found for the CTA.
     NotFound,
 }
 
@@ -81,29 +73,20 @@ impl Smmt {
         self.total_size
     }
 
-    /// Current entries (CTA allocations plus at most one CIAO reservation).
+    /// Current entries, one per CTA holding shared memory.
     pub fn entries(&self) -> &[SmmtEntry] {
         &self.entries
-    }
-
-    /// Bytes currently allocated (all purposes).
-    pub fn allocated(&self) -> u32 {
-        self.entries.iter().map(|e| e.size).sum()
     }
 
     /// Bytes currently allocated to CTAs (programmer-visible usage). This is
     /// the quantity behind the `Fsmem` column of Table II.
     pub fn cta_allocated(&self) -> u32 {
-        self.entries
-            .iter()
-            .filter(|e| matches!(e.purpose, SmmtPurpose::Cta(_)))
-            .map(|e| e.size)
-            .sum()
+        self.entries.iter().map(|e| e.size).sum()
     }
 
-    /// Bytes not allocated to anything.
+    /// Bytes no CTA holds: the space CIAO repurposes as a cache (§IV-B).
     pub fn unused(&self) -> u32 {
-        self.total_size - self.allocated()
+        self.total_size - self.cta_allocated()
     }
 
     /// Finds the lowest free contiguous region of at least `size` bytes.
@@ -129,55 +112,19 @@ impl Smmt {
 
     /// Allocates `size` bytes of shared memory for CTA `cta` (kernel launch).
     pub fn allocate_cta(&mut self, cta: CtaId, size: u32) -> Result<SmmtEntry, SmmtError> {
-        if self.entries.iter().any(|e| e.purpose == SmmtPurpose::Cta(cta)) {
+        if self.entries.iter().any(|e| e.cta == cta) {
             return Err(SmmtError::AlreadyAllocated);
         }
         let base = self.find_free(size).ok_or(SmmtError::OutOfSpace)?;
-        let entry = SmmtEntry { purpose: SmmtPurpose::Cta(cta), base, size };
+        let entry = SmmtEntry { cta, base, size };
         self.entries.push(entry);
         Ok(entry)
     }
 
     /// Releases the allocation of CTA `cta` (CTA completion).
     pub fn free_cta(&mut self, cta: CtaId) -> Result<SmmtEntry, SmmtError> {
-        let idx = self
-            .entries
-            .iter()
-            .position(|e| e.purpose == SmmtPurpose::Cta(cta))
-            .ok_or(SmmtError::NotFound)?;
+        let idx = self.entries.iter().position(|e| e.cta == cta).ok_or(SmmtError::NotFound)?;
         Ok(self.entries.swap_remove(idx))
-    }
-
-    /// Reserves *all* currently unused space for the CIAO shared-memory cache
-    /// and returns the reservation entry (§IV-B). Any previous CIAO
-    /// reservation is released first, so the reservation always reflects the
-    /// current CTA occupancy.
-    pub fn reserve_unused_for_ciao(&mut self) -> Result<SmmtEntry, SmmtError> {
-        self.release_ciao().ok();
-        let size = self.unused();
-        if size == 0 {
-            return Err(SmmtError::OutOfSpace);
-        }
-        let base = self.find_free(size).ok_or(SmmtError::OutOfSpace)?;
-        let entry = SmmtEntry { purpose: SmmtPurpose::CiaoCache, base, size };
-        self.entries.push(entry);
-        Ok(entry)
-    }
-
-    /// Releases the CIAO reservation (e.g. before launching another CTA that
-    /// needs programmer-visible shared memory).
-    pub fn release_ciao(&mut self) -> Result<SmmtEntry, SmmtError> {
-        let idx = self
-            .entries
-            .iter()
-            .position(|e| e.purpose == SmmtPurpose::CiaoCache)
-            .ok_or(SmmtError::NotFound)?;
-        Ok(self.entries.swap_remove(idx))
-    }
-
-    /// Returns the current CIAO reservation, if any.
-    pub fn ciao_reservation(&self) -> Option<SmmtEntry> {
-        self.entries.iter().copied().find(|e| e.purpose == SmmtPurpose::CiaoCache)
     }
 }
 
@@ -217,31 +164,9 @@ mod tests {
     }
 
     #[test]
-    fn ciao_reservation_takes_all_unused() {
-        let mut t = Smmt::new(48 * 1024);
-        t.allocate_cta(0, 16 * 1024).unwrap();
-        let r = t.reserve_unused_for_ciao().unwrap();
-        assert_eq!(r.size, 32 * 1024);
-        assert_eq!(t.unused(), 0);
-        // Re-reserving after a CTA frees re-sizes the reservation.
-        t.free_cta(0).unwrap();
-        let r2 = t.reserve_unused_for_ciao().unwrap();
-        assert_eq!(r2.size, 48 * 1024);
-        assert_eq!(t.ciao_reservation().unwrap().size, 48 * 1024);
-    }
-
-    #[test]
-    fn ciao_reservation_fails_when_fully_used() {
-        let mut t = Smmt::new(1024);
-        t.allocate_cta(0, 1024).unwrap();
-        assert_eq!(t.reserve_unused_for_ciao(), Err(SmmtError::OutOfSpace));
-    }
-
-    #[test]
     fn free_unknown_cta_is_error() {
         let mut t = Smmt::new(1024);
         assert_eq!(t.free_cta(9), Err(SmmtError::NotFound));
-        assert_eq!(t.release_ciao(), Err(SmmtError::NotFound));
     }
 
     proptest! {
@@ -260,18 +185,17 @@ mod tests {
                     prop_assert!(disjoint, "overlapping entries {a:?} {b:?}");
                 }
             }
-            prop_assert!(t.allocated() <= t.total_size());
+            prop_assert!(t.cta_allocated() <= t.total_size());
         }
 
-        /// unused() + allocated() always equals the total capacity.
+        /// unused() + cta_allocated() always equals the total capacity.
         #[test]
         fn space_conservation(sizes in proptest::collection::vec(1u32..4096, 1..16)) {
             let mut t = Smmt::new(48 * 1024);
             for (i, s) in sizes.iter().enumerate() {
                 let _ = t.allocate_cta(i as CtaId, *s);
             }
-            let _ = t.reserve_unused_for_ciao();
-            prop_assert_eq!(t.allocated() + t.unused(), t.total_size());
+            prop_assert_eq!(t.cta_allocated() + t.unused(), t.total_size());
         }
     }
 }

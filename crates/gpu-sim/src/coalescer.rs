@@ -65,13 +65,6 @@ pub fn coalesce_into(pattern: &MemPattern, blocks: &mut Vec<Addr>) {
     }
 }
 
-/// Degree of coalescing: transactions generated per active lane (1.0 = fully
-/// divergent, 1/32 = perfectly coalesced).
-pub fn divergence_ratio(pattern: &MemPattern) -> f64 {
-    let lanes = pattern.active_lanes().max(1);
-    coalesce(pattern).len() as f64 / lanes as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,7 +75,6 @@ mod tests {
     fn perfectly_coalesced_single_block() {
         let p = MemPattern::Strided { base: 0x1000, stride: 4, lanes: 32 };
         assert_eq!(coalesce(&p), vec![0x1000]);
-        assert!((divergence_ratio(&p) - 1.0 / 32.0).abs() < 1e-9);
     }
 
     #[test]
@@ -95,7 +87,6 @@ mod tests {
     fn fully_divergent_one_block_per_lane() {
         let p = MemPattern::Strided { base: 0, stride: LINE_SIZE as i64, lanes: 32 };
         assert_eq!(coalesce(&p).len(), 32);
-        assert!((divergence_ratio(&p) - 1.0).abs() < 1e-9);
     }
 
     #[test]

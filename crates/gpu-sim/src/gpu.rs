@@ -85,7 +85,7 @@ use crate::stats::{
 use gpu_mem::interconnect::{CrossbarFabric, CrossbarStats, Interconnect};
 use gpu_mem::l2::{BankedMemorySystem, MemoryPartition, PartitionConfig, PartitionObs};
 use gpu_mem::{merge_tenant_stats, Addr, Cycle, TenantId, TenantMemStats, WarpId};
-use sim_obs::{ObsLevel, ObsReport, PhaseProfiler, TraceEvent, TraceRecorder, Tracer, Track};
+use sim_obs::{ObsLevel, ObsReport, PhaseProfiler, TraceEvent, TraceRecorder, Track};
 
 /// A read response computed by the service pipeline, awaiting delivery into
 /// its SM's event queue at the next epoch boundary.

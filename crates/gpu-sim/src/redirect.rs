@@ -6,10 +6,10 @@
 //! scheduler routes a warp's global accesses to [`crate::scheduler::MemRoute::RedirectCache`],
 //! the SM first checks the L1D tag array (migrating a resident copy through
 //! the response queue to preserve single-copy coherence), then consults the
-//! installed `RedirectCache`. The concrete tag/data layout, the address
-//! translation unit and the SMMT reservation live in `ciao-core::shmem_cache`,
-//! keeping the paper's contribution in its own crate while the generic SM
-//! stays reusable.
+//! installed `RedirectCache`. The concrete tag/data layout and the address
+//! translation unit live in `ciao-core::shmem_cache`, keeping the paper's
+//! contribution in its own crate while the generic SM stays reusable; the
+//! SM's SMMT tells the structure how much scratchpad it may use.
 
 use gpu_mem::cache::EvictedLine;
 use gpu_mem::{Addr, Cycle, WarpId};
@@ -59,8 +59,9 @@ pub trait RedirectCache: Send {
     fn invalidate_all(&mut self);
 
     /// Informs the structure how many bytes of shared memory are currently
-    /// *unused* by CTAs and therefore available to it. The SM calls this after
-    /// every CTA launch or retirement; implementations shrink or grow their
-    /// data+tag area accordingly (CIAO re-inserts its SMMT reservation).
+    /// *unused* by CTAs and therefore available to it: the SM's
+    /// `Smmt::unused()`. The SM calls this after every CTA launch or
+    /// retirement; implementations shrink or grow their data+tag area
+    /// accordingly.
     fn set_capacity(&mut self, _unused_bytes: u64) {}
 }

@@ -86,7 +86,7 @@ use gpu_mem::mshr::{FillTarget, Mshr, MshrAllocation};
 use gpu_mem::shared_memory::SharedMemory;
 use gpu_mem::smmt::Smmt;
 use gpu_mem::{Addr, CtaId, Cycle, TenantId, WarpId};
-use sim_obs::{TraceEvent, TraceRecorder, Tracer, Track};
+use sim_obs::{TraceEvent, TraceRecorder, Track};
 
 /// A memory-system completion event scheduled for a future cycle (either
 /// computed synchronously by a private port or delivered by the chip engine
@@ -778,9 +778,7 @@ impl Sm {
 
     fn update_redirect_capacity(&mut self) {
         if let Some(r) = self.redirect.as_mut() {
-            let unused =
-                self.config.shared_mem.size_bytes.saturating_sub(self.smmt.cta_allocated());
-            r.set_capacity(unused as u64);
+            r.set_capacity(u64::from(self.smmt.unused()));
         }
     }
 

@@ -54,15 +54,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// Mean IPC across samples (unweighted).
-    pub fn mean_ipc(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|p| p.ipc).sum::<f64>() / self.points.len() as f64
-        }
-    }
-
     /// Mean number of active warps across samples.
     pub fn mean_active_warps(&self) -> f64 {
         if self.points.is_empty() {
@@ -294,16 +285,6 @@ impl SmStats {
             0.0
         } else {
             self.mem_transactions as f64 * 1000.0 / self.instructions as f64
-        }
-    }
-
-    /// Redirect-cache hit rate.
-    pub fn redirect_hit_rate(&self) -> f64 {
-        let total = self.redirect_hits + self.redirect_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.redirect_hits as f64 / total as f64
         }
     }
 
@@ -697,7 +678,6 @@ mod tests {
             l1d_hit_rate: 0.6,
         });
         assert_eq!(ts.len(), 2);
-        assert!((ts.mean_ipc() - 0.75).abs() < 1e-12);
         assert!((ts.mean_active_warps() - 15.0).abs() < 1e-12);
     }
 
@@ -746,7 +726,6 @@ mod tests {
         assert!((s.apki() - 100.0).abs() < 1e-12);
         assert_eq!(SmStats::default().ipc(), 0.0);
         assert_eq!(SmStats::default().apki(), 0.0);
-        assert_eq!(SmStats::default().redirect_hit_rate(), 0.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Report helpers: aligned text tables, geometric means, per-SM imbalance
-//! formatting and CSV/JSON output.
+//! formatting and JSON output.
 
 use gpu_sim::{DispatchSummary, SmImbalance};
 use serde::Serialize;
@@ -88,28 +88,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
-        let escape = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.header.iter().map(|h| escape(h)).collect::<Vec<_>>().join(",")
-        );
-        for row in &self.rows {
-            let _ =
-                writeln!(out, "{}", row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-        }
-        out
-    }
 }
 
 /// Writes a serialisable result as pretty JSON next to the text report.
@@ -189,7 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn table_renders_aligned_and_csv() {
+    fn table_renders_aligned() {
         let mut t = Table::new("demo", &["bench", "ipc"]);
         t.row(vec!["ATAX".into(), "1.25".into()]);
         t.row(vec!["GESUMMV".into(), "0.5".into()]);
@@ -198,19 +176,6 @@ mod tests {
         assert!(text.contains("ATAX"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-        let csv = t.to_csv();
-        assert!(csv.starts_with("bench,ipc"));
-        assert!(csv.contains("GESUMMV,0.5"));
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new("", &["a"]);
-        t.row(vec!["x,y".into()]);
-        t.row(vec!["he said \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"he said \"\"hi\"\"\""));
     }
 
     #[test]

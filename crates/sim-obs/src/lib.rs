@@ -3,8 +3,9 @@
 //! Three independent layers, threaded through the engine crates and the
 //! harness:
 //!
-//! * [`trace`] — structured **sim-time tracing**: a zero-cost-when-disabled
-//!   [`trace::Tracer`] with a ring-buffer [`trace::TraceRecorder`] capturing
+//! * [`trace`] — structured **sim-time tracing**: a ring-buffer
+//!   [`trace::TraceRecorder`], costing one `Option` check when disabled,
+//!   capturing
 //!   typed spans and instants (SM busy stretches, CTA lifetimes, bank
 //!   service, fabric link transfers, dispatch decisions, event-queue pops)
 //!   keyed by `(cycle, unit, tenant)`, exported as Chrome trace-event JSON
@@ -20,8 +21,8 @@
 //!   self-time table, so epoch-vs-event hotspots are measured rather than
 //!   inferred.
 //!
-//! Sim-time traces and metrics are **deterministic** — bit-identical across
-//! host thread counts and across the epoch/event timing backends (the
+//! Sim-time traces and metrics are **deterministic** — bit-identical between
+//! concurrent runs and across the epoch/event timing backends (the
 //! exporter sorts canonically and backend-specific events carry the
 //! [`trace::TraceCategory::Engine`] category, excluded from the canonical
 //! export). Wall-clock profiling never enters simulation results.
@@ -39,7 +40,7 @@ pub mod trace;
 
 pub use metrics::{chip_metric, Histogram, MetricsRegistry};
 pub use profile::{PhaseProfiler, PhaseStat};
-pub use trace::{chrome_trace_json, TraceCategory, TraceEvent, TraceRecorder, Tracer, Track};
+pub use trace::{chrome_trace_json, TraceCategory, TraceEvent, TraceRecorder, Track};
 
 /// How much observability a run collects, set per request
 /// (`SimRequest::obs`, `FleetRequest::obs`) and threaded through every

@@ -143,26 +143,14 @@ impl TraceEvent {
     }
 }
 
-/// A sink for trace events. The engine crates hold `Option<TraceRecorder>`
-/// fields — `None` (the `Off` / `Metrics` observability levels) costs one
-/// branch per would-be event.
-pub trait Tracer {
-    /// Records one event.
-    fn record(&mut self, ev: TraceEvent);
-
-    /// Whether recording is active (lets callers skip building expensive
-    /// events).
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
 /// Default ring-buffer capacity of a [`TraceRecorder`] (events).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 18;
 
 /// A bounded ring-buffer event recorder: the newest `capacity` events are
 /// kept, older ones are dropped (counted in [`TraceRecorder::dropped`]) so a
-/// long run cannot exhaust memory.
+/// long run cannot exhaust memory. The engine crates hold
+/// `Option<TraceRecorder>` fields — `None` (the `Off` / `Metrics`
+/// observability levels) costs one branch per would-be event.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     events: Vec<TraceEvent>,
@@ -181,6 +169,17 @@ impl TraceRecorder {
     /// A recorder with [`DEFAULT_TRACE_CAPACITY`].
     pub fn with_default_capacity() -> Self {
         TraceRecorder::new(DEFAULT_TRACE_CAPACITY)
+    }
+
+    /// Records one event, dropping the oldest when the buffer is full.
+    pub fn record(&mut self, ev: TraceEvent) {
+        if self.events.len() < self.capacity {
+            self.events.push(ev);
+        } else {
+            self.events[self.start] = ev;
+            self.start = (self.start + 1) % self.capacity;
+            self.dropped += 1;
+        }
     }
 
     /// Number of events currently held.
@@ -204,18 +203,6 @@ impl TraceRecorder {
         let mut events = std::mem::take(&mut self.events);
         events.rotate_left(start);
         events
-    }
-}
-
-impl Tracer for TraceRecorder {
-    fn record(&mut self, ev: TraceEvent) {
-        if self.events.len() < self.capacity {
-            self.events.push(ev);
-        } else {
-            self.events[self.start] = ev;
-            self.start = (self.start + 1) % self.capacity;
-            self.dropped += 1;
-        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! Shared-memory-as-cache walkthrough: drive the CIAO on-chip memory
-//! architecture (SMMT reservation, address translation, direct-mapped
-//! tag/data layout) directly through its public API, without the simulator.
+//! architecture (capacity from the unused scratchpad, address translation,
+//! direct-mapped tag/data layout) directly through its public API, without
+//! the simulator.
 //!
 //! ```sh
 //! cargo run --release --example shared_memory_cache

@@ -151,6 +151,15 @@ fn quick_sm1_bicg_stat_pcal() {
     quick_sm1(Benchmark::Bicg, SchedulerKind::StatPcal, 0x5ab0_f390_9cdd_65e8);
 }
 
+// CIAO-P redirects isolated warps into the unused scratchpad. Lud allocates
+// 8 KB of shared memory per CTA, so the redirect capacity changes at every
+// CTA launch and retire.
+
+#[test]
+fn quick_sm1_lud_ciao_p() {
+    quick_sm1(Benchmark::Lud, SchedulerKind::CiaoP, 0x17b6_6431_be21_7687);
+}
+
 #[test]
 fn tiny15_cache_stream_shared_rr() {
     tiny_cache_stream(15, DispatchPolicy::SharedRoundRobin, 0, 0x290b_0e66_cb55_e93c);

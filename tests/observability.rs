@@ -1,7 +1,7 @@
 //! Acceptance tests for the observability layer: the canonical sim-time
-//! trace must be byte-identical across host thread counts and across the
-//! epoch/event timing modes, observation must never perturb simulation
-//! results, and the exported
+//! trace must be byte-identical between a run and concurrent copies of it
+//! and across the epoch/event timing modes, observation must never perturb
+//! simulation results, and the exported
 //! Chrome trace-event JSON must parse and name every track family (SMs, L2
 //! banks, fabric directions, tenants, dispatcher).
 
@@ -25,7 +25,7 @@ fn observed_mix(backend: BackendKind, obs: ObsLevel) -> (SimResult, ObsReport) {
 }
 
 #[test]
-fn canonical_trace_is_byte_identical_across_service_thread_counts() {
+fn canonical_trace_is_byte_identical_across_concurrent_runs() {
     // The chip engine serves its memory system on the calling thread, so the
     // only host-thread axis left is how many threads run simulations at once.
     // Recorders and ring buffers are per run: a co-run observed alone must
