@@ -120,6 +120,8 @@ pub struct CiaoScheduler {
     num_warps: usize,
     /// Diagnostics: how many isolation / stall / reactivation decisions fired.
     decisions: CiaoDecisionCounters,
+    /// The throttle epoch: moves whenever a `stalled` flag changes.
+    epoch: u64,
 }
 
 /// Counters describing the decisions CIAO took during a run.
@@ -150,6 +152,7 @@ impl CiaoScheduler {
             next_low_check: params.low_epoch,
             num_warps,
             decisions: CiaoDecisionCounters::default(),
+            epoch: 0,
         }
     }
 
@@ -193,6 +196,7 @@ impl CiaoScheduler {
             // Either already isolated (CIAO-C) or a throttle-only variant:
             // stall warp j.
             self.flags[j as usize].stalled = true;
+            self.epoch += 1;
             self.detector.pair_list_mut().set(j, PairRole::Stall, i);
             self.stall_stack.push(j);
             self.decisions.stalls += 1;
@@ -230,6 +234,7 @@ impl CiaoScheduler {
             if self.releasable(candidate, PairRole::Stall, instructions, active_warps) {
                 self.stall_stack.pop();
                 self.flags[candidate as usize].stalled = false;
+                self.epoch += 1;
                 self.detector.pair_list_mut().clear(candidate, PairRole::Stall);
                 self.decisions.reactivations += 1;
             }
@@ -341,6 +346,7 @@ impl WarpScheduler for CiaoScheduler {
         // Warp slots are reused across CTA waves: the new occupant starts
         // active (V=1), not isolated (I=0) and with clean pair-list records.
         if let Some(f) = self.flags.get_mut(wid as usize) {
+            self.epoch += u64::from(f.stalled);
             *f = WarpFlags::default();
         }
         self.stall_stack.retain(|&w| w != wid);
@@ -350,6 +356,7 @@ impl WarpScheduler for CiaoScheduler {
 
     fn on_warp_finished(&mut self, wid: WarpId, _now: Cycle) {
         if let Some(f) = self.flags.get_mut(wid as usize) {
+            self.epoch += u64::from(f.stalled);
             f.finished = true;
             f.stalled = false;
             f.isolated = false;
@@ -369,6 +376,10 @@ impl WarpScheduler for CiaoScheduler {
 
     fn is_throttled(&self, wid: WarpId) -> bool {
         self.flags.get(wid as usize).map(|f| f.stalled).unwrap_or(false)
+    }
+
+    fn throttle_epoch(&self) -> Option<u64> {
+        Some(self.epoch)
     }
 
     fn metrics(&self) -> SchedulerMetrics {
@@ -516,13 +527,17 @@ mod tests {
         for k in 0..20 {
             inject_interference(&mut s, 0, 1, k * 128);
         }
+        let calm = s.throttle_epoch();
         s.pick(&ctx(&w, &[0, 1, 2, 3], 100));
         assert!(s.is_throttled(1));
+        let stalled = s.throttle_epoch();
+        assert!(stalled > calm, "a stall moves the throttle epoch");
         // Many instructions later warp 0's IRS (cumulative hits / per-warp
         // instructions) has decayed below the low cutoff: 20/(20000/4) = 0.004.
         s.pick(&ctx(&w, &[0, 2, 3], 20_000));
         assert!(!s.is_throttled(1), "stall must lift once IRS of the trigger drops");
         assert_eq!(s.decisions().reactivations, 1);
+        assert!(s.throttle_epoch() > stalled, "a reactivation moves the throttle epoch");
     }
 
     #[test]
@@ -534,9 +549,15 @@ mod tests {
         }
         s.pick(&ctx(&w, &[0, 1, 2, 3], 100));
         assert!(s.is_throttled(1));
+        let stalled = s.throttle_epoch();
         s.on_warp_finished(0, 0);
         s.pick(&ctx(&w, &[1, 2, 3], 110));
         assert!(!s.is_throttled(1), "trigger finished: the stalled warp must reactivate");
+        assert!(s.throttle_epoch() > stalled, "a reactivation moves the throttle epoch");
+        s.on_warp_finished(2, 110);
+        let epoch = s.throttle_epoch();
+        s.on_warp_finished(3, 110);
+        assert_eq!(s.throttle_epoch(), epoch, "finishing an active warp moves nothing");
     }
 
     #[test]

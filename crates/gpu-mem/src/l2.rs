@@ -54,10 +54,6 @@ pub struct PartitionStats {
     pub l2: CacheStats,
     /// DRAM statistics.
     pub dram: DramStats,
-    /// Requests served.
-    pub requests: u64,
-    /// Sum of request latencies (for mean-latency reporting).
-    pub total_latency: Cycle,
 }
 
 impl PartitionStats {
@@ -66,8 +62,6 @@ impl PartitionStats {
     pub fn merge(&mut self, other: &PartitionStats) {
         self.l2.merge(&other.l2);
         self.dram.merge(&other.dram);
-        self.requests += other.requests;
-        self.total_latency += other.total_latency;
     }
 }
 
@@ -161,8 +155,6 @@ pub struct MemoryPartition {
     config: PartitionConfig,
     l2: SetAssocCache,
     dram: Dram,
-    requests: u64,
-    total_latency: Cycle,
     tenants: Vec<TenantMemStats>,
     obs: Option<Box<PartitionObs>>,
 }
@@ -172,15 +164,7 @@ impl MemoryPartition {
     pub fn new(config: PartitionConfig) -> Self {
         let l2 = SetAssocCache::new(config.l2.clone());
         let dram = Dram::new(config.dram);
-        MemoryPartition {
-            config,
-            l2,
-            dram,
-            requests: 0,
-            total_latency: 0,
-            tenants: Vec::new(),
-            obs: None,
-        }
+        MemoryPartition { config, l2, dram, tenants: Vec::new(), obs: None }
     }
 
     /// Attaches an observability sink as bank `bank` (per-tenant latency
@@ -201,12 +185,7 @@ impl MemoryPartition {
 
     /// Aggregated statistics.
     pub fn stats(&self) -> PartitionStats {
-        PartitionStats {
-            l2: *self.l2.stats(),
-            dram: *self.dram.stats(),
-            requests: self.requests,
-            total_latency: self.total_latency,
-        }
+        PartitionStats { l2: *self.l2.stats(), dram: *self.dram.stats() }
     }
 
     /// Current DRAM bandwidth utilisation (0..1) — consulted by the
@@ -233,7 +212,6 @@ impl MemoryPartition {
     ) -> Cycle {
         let block = block_addr(addr);
         let line = self.config.l2.line_size;
-        self.requests += 1;
         let (name, done, row_hit) = if bypass {
             let (done, row_hit) = self.dram.access_outcome(block, line, now);
             ("dram-bypass", done, Some(row_hit))
@@ -261,7 +239,6 @@ impl MemoryPartition {
             Some(_) => t.dram_accesses += 1,
             None => t.l2_hits += 1,
         }
-        self.total_latency += done - now;
         if let Some(obs) = &mut self.obs {
             obs.record(name, now, done, tenant, row_hit.map(u64::from));
         }
@@ -503,7 +480,6 @@ mod tests {
         }
         let s = sys.stats();
         assert_eq!(s.l2.accesses(), 16);
-        assert_eq!(s.requests, 16);
     }
 
     #[test]

@@ -76,7 +76,9 @@ impl std::error::Error for MshrError {}
 /// bytes per entry. A fill moves the last entry into the freed slot: slot
 /// order carries no meaning. Merge lists handed back through
 /// [`Mshr::recycle`] are reused by later allocations, so a steady stream of
-/// misses allocates nothing.
+/// misses allocates nothing. [`Mshr::version`] moves whenever the set of
+/// tags does, so a caller can keep an answer computed from the tags until
+/// then.
 #[derive(Debug, Clone)]
 pub struct Mshr {
     max_entries: usize,
@@ -85,6 +87,8 @@ pub struct Mshr {
     entries: Vec<MshrEntry>,
     /// Emptied merge lists waiting to be reused.
     spare_lists: Vec<Vec<WarpId>>,
+    /// Counts the changes of the set of tags.
+    version: u64,
 }
 
 impl Mshr {
@@ -98,12 +102,20 @@ impl Mshr {
             blocks: Vec::new(),
             entries: Vec::new(),
             spare_lists: Vec::new(),
+            version: 0,
         }
     }
 
     /// Number of entries currently in flight.
     pub fn in_flight(&self) -> usize {
         self.entries.len()
+    }
+
+    /// A counter that moves on every allocation of a new entry, fill and
+    /// clear: while it stays, [`Mshr::probe`] and [`Mshr::in_flight`] give
+    /// the same answers.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// True when no more entries can be allocated.
@@ -152,6 +164,7 @@ impl Mshr {
         }
         let mut waiting_warps = self.spare_lists.pop().unwrap_or_default();
         waiting_warps.push(wid);
+        self.version += 1;
         self.blocks.push(block_addr);
         self.entries.push(MshrEntry { block_addr, waiting_warps, fill_target, issue_cycle: now });
         Ok(MshrAllocation::New)
@@ -162,6 +175,7 @@ impl Mshr {
     /// the entry back through [`Mshr::recycle`] once its warps are woken.
     pub fn fill(&mut self, block_addr: Addr) -> Option<MshrEntry> {
         let i = self.slot(block_addr)?;
+        self.version += 1;
         self.blocks.swap_remove(i);
         Some(self.entries.swap_remove(i))
     }
@@ -176,6 +190,7 @@ impl Mshr {
 
     /// Drops every outstanding entry (used between kernels).
     pub fn clear(&mut self) {
+        self.version += 1;
         self.blocks.clear();
         for entry in std::mem::take(&mut self.entries) {
             self.recycle(entry);
@@ -194,8 +209,9 @@ mod tests {
         assert_eq!(m.allocate(0x100, 1, 10, FillTarget::L1d).unwrap(), MshrAllocation::New);
         assert_eq!(m.allocate(0x100, 2, 11, FillTarget::L1d).unwrap(), MshrAllocation::Merged);
         assert!(m.probe(0x100));
-        assert_eq!(m.in_flight(), 1);
+        assert_eq!((m.in_flight(), m.version()), (1, 1), "a merge keeps the version");
         let e = m.fill(0x100).unwrap();
+        assert_eq!(m.version(), 2);
         assert_eq!(e.waiting_warps, vec![1, 2]);
         assert_eq!(e.issue_cycle, 10);
         assert!(!m.probe(0x100));

@@ -33,7 +33,8 @@ pub struct GpuConfig {
     /// concurrent SMs queue against once past their private injection ports.
     /// Default 480 = 15 SMs × 32 B/cycle/SM (Table I aggregate).
     pub xbar_chip_bytes_per_cycle: f64,
-    /// Maximum resident warps per SM (1536 threads / 32 lanes = 48).
+    /// Maximum resident warps per SM (1536 threads / 32 lanes = 48); at
+    /// most 128, the width of the SM's warp-slot masks.
     pub max_warps_per_sm: usize,
     /// Threads per warp.
     pub warp_size: usize,

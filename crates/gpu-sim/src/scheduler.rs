@@ -7,7 +7,10 @@
 //! evictions). The event core does not step every cycle: it asks the
 //! scheduler how long the SM may hold still
 //! ([`WarpScheduler::hold_horizon`]) and advances it over the skipped
-//! stretch in closed form ([`WarpScheduler::on_idle_cycles`]).
+//! stretch in closed form ([`WarpScheduler::on_idle_cycles`]). In both
+//! modes the SM caches each fetched op's throttle answer
+//! ([`WarpScheduler::is_throttled`]) and asks again only when the
+//! scheduler's [`WarpScheduler::throttle_epoch`] moves.
 //!
 //! The baselines implemented here:
 //!
@@ -220,6 +223,22 @@ pub trait WarpScheduler: Send {
         false
     }
 
+    /// The throttle epoch: a value that moves whenever any
+    /// [`WarpScheduler::is_throttled`] answer may have changed, or `None`
+    /// for "ask again every cycle" (the default).
+    ///
+    /// The SM caches each fetched op's answer to its one throttle rule and
+    /// asks `is_throttled` again only for a newly fetched op, or for every
+    /// fetched op once the epoch returns a different value. A policy that
+    /// returns `Some` must therefore move it on every change of its
+    /// throttle set, from any method, and never return an earlier value.
+    /// [`WarpScheduler::throttles_loads_only`] must not change at all. A
+    /// wrapper that does not forward this method gets the default, which is
+    /// always correct and only slower.
+    fn throttle_epoch(&self) -> Option<u64> {
+        None
+    }
+
     /// When true, a throttled warp is only prevented from issuing
     /// *global-memory* instructions (loads/stores); compute, barrier and
     /// scratchpad instructions still issue. This is CCWS's and statPCAL's
@@ -282,6 +301,11 @@ impl WarpScheduler for GtoScheduler {
         self.pick_by(ctx.ready, |i| ctx.warps[i].launch_seq)
     }
 
+    fn throttle_epoch(&self) -> Option<u64> {
+        // GTO throttles nothing, ever.
+        Some(0)
+    }
+
     fn hold_horizon(&self, ctx: &SchedulerCtx<'_>) -> u64 {
         // An empty pick is pure, and so is a greedy one.
         match ctx.ready {
@@ -323,6 +347,10 @@ impl WarpScheduler for LrrScheduler {
             }
         }
         None
+    }
+
+    fn throttle_epoch(&self) -> Option<u64> {
+        Some(0)
     }
 }
 
@@ -411,6 +439,7 @@ mod tests {
         let mut s = LrrScheduler::new();
         assert_eq!(s.route(0), MemRoute::L1d);
         assert!(!s.is_throttled(0));
+        assert_eq!((s.throttle_epoch(), GtoScheduler::new().throttle_epoch()), (Some(0), Some(0)));
         assert_eq!(s.hold_horizon(&ctx(&make_warps(1), &[])), 0);
         assert_eq!(s.hold_horizon(&ctx(&make_warps(1), &[0])), 0);
         assert_eq!(s.metrics(), SchedulerMetrics::default());

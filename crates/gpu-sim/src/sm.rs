@@ -46,15 +46,24 @@
 //! off: the same entry point then steps every cycle, the reference the
 //! skips are tested against.
 //!
-//! Both modes read warp readiness from a per-slot *wake clock* kept in
-//! [`WarpSlots`]: `0` for a ready warp, the write-back cycle for an
-//! executing one, `Cycle::MAX` for a warp waiting on memory, at a barrier
-//! or finished. A bitset of *live* slots (finite clock) is kept with it. Each
-//! warp state transition (launch, issue, replay, memory reply, barrier enter
-//! and release, finish) goes through `WarpSlots` and updates both, so
-//! `step`'s ready scan and `skip_target`'s walk visit only live slots, in
-//! ascending slot order. In debug builds every `step` checks the clock
-//! against a recompute from the warp states.
+//! Both modes read warp eligibility from slot masks kept in
+//! [`WarpSlots`]: the *ready* warps, the *timed* (`Executing`) warps with
+//! their write-back cycles, and the warps holding a *fetched* op. Each warp
+//! state transition (launch, issue, replay, memory reply, barrier enter and
+//! release, finish) goes through `WarpSlots` and updates them, and every
+//! cycle the SM reaches (by a step or a skip) promotes the executing warps
+//! whose write-back cycle it is to ready. So `step` fetches ops only for
+//! `ready & !fetched`, offers `ready & fetched & !held` a word at a time,
+//! and `skip_target` reads the earliest write-back cycle instead of walking
+//! the warps.
+//!
+//! `held` caches the one throttle rule's answer (`Sm::held_by_throttle`)
+//! per fetched op. The SM asks the rule again only for a newly fetched op,
+//! or for every fetched op once the scheduler's
+//! [`WarpScheduler::throttle_epoch`] returns a different value (always,
+//! for a scheduler that returns `None`). In debug builds every `step`
+//! checks the masks against the warp states, and `held` and the offer
+//! against a fresh recompute through the rule.
 //!
 //! Downstream memory is reached through a [`MemoryPort`]: a private L2+DRAM
 //! partition when the SM is a chip of its own, or a deferred port into the
@@ -79,7 +88,7 @@ use crate::stats::{
     tenant_slot, InterferenceMatrix, SmStats, TenantStats, TimeSeries, TimeSeriesPoint,
 };
 use crate::trace::{MemSpace, WarpOp};
-use crate::warp::{SlotSet, Warp, WarpSlots, WarpState};
+use crate::warp::{SlotSet, Warp, WarpSlots, WarpState, MAX_SLOTS};
 use gpu_mem::cache::{AccessOutcome, EvictedLine, SetAssocCache};
 use gpu_mem::interconnect::Interconnect;
 use gpu_mem::mshr::{FillTarget, Mshr, MshrAllocation};
@@ -137,7 +146,7 @@ pub(crate) struct Sm {
     /// engine drains, feeds utilisation snapshots and reads statistics from.
     pub(crate) port: MemoryPort,
 
-    /// The warp slots with their wake clock and live set.
+    /// The warp slots with their ready, timed and fetched masks.
     warps: WarpSlots,
     /// Warps in `warps` that have not finished.
     unfinished: usize,
@@ -160,6 +169,17 @@ pub(crate) struct Sm {
     ready_scratch: Vec<usize>,
     /// The slots of `ready_scratch`, for the test that a pick was offered.
     offered: SlotSet,
+    /// The fetched ops the one throttle rule (`Sm::held_by_throttle`) holds
+    /// back, as of the scheduler's throttle epoch `held_epoch`. Bits of
+    /// slots outside `WarpSlots::fetched` mean nothing.
+    held: SlotSet,
+    /// The throttle epoch `held` was computed at (`None`: recompute).
+    held_epoch: Option<u64>,
+    /// The warp whose global load the full MSHR file last turned away, and
+    /// the file's [`Mshr::version`] then: until the file changes, a retry
+    /// of the same load is turned away without coalescing and probing it
+    /// again.
+    refused_load: Option<(usize, u64)>,
     /// The blocks of the global access being issued (reused every issue).
     blocks_scratch: Vec<Addr>,
     /// The scratchpad lane addresses of the shared access being issued.
@@ -208,8 +228,12 @@ impl Sm {
         let shared_mem = SharedMemory::new(config.shared_mem);
         let smmt = Smmt::new(config.shared_mem.size_bytes);
         let mshr = Mshr::new(config.mshr_entries, config.mshr_merge);
+        assert!(
+            config.max_warps_per_sm <= MAX_SLOTS,
+            "an SM holds at most {MAX_SLOTS} warp slots, not {}",
+            config.max_warps_per_sm
+        );
         let interference = InterferenceMatrix::new(config.max_warps_per_sm);
-        let slots = config.max_warps_per_sm;
 
         let mut sm = Sm {
             config,
@@ -221,9 +245,9 @@ impl Sm {
             mshr,
             interconnect,
             port,
-            warps: WarpSlots::new(slots),
+            warps: WarpSlots::default(),
             unfinished: 0,
-            occupied: SlotSet::new(slots),
+            occupied: SlotSet::default(),
             resident: Vec::new(),
             work,
             next_work: 0,
@@ -238,7 +262,10 @@ impl Sm {
             interference,
             snapshot: SampleSnapshot::default(),
             ready_scratch: Vec::new(),
-            offered: SlotSet::new(slots),
+            offered: SlotSet::default(),
+            held: SlotSet::default(),
+            held_epoch: None,
+            refused_load: None,
             blocks_scratch: Vec::new(),
             lanes_scratch: Vec::new(),
             cta_events: false,
@@ -340,6 +367,7 @@ impl Sm {
         }
         if self.is_done() && !self.hit_cap() {
             self.cycle = self.cycle.max(now);
+            self.warps.promote(self.cycle);
         }
         self.work.append(items);
         self.launch_ctas();
@@ -414,65 +442,61 @@ impl Sm {
     ///   - is held back by the SM's one throttle rule
     ///     (`Sm::held_by_throttle`, which never holds a `Barrier`);
     /// - *replay*: warp `idx` retries a global load that the full MSHR file
-    ///   turned away on the last stepped cycle. It is ready exactly now
-    ///   (`Executing { until: now }`, as the replay left it) and not held
-    ///   back by the same rule — the last `pick` may have moved the throttle
-    ///   set (CCWS's recompute, statPCAL's sample) after returning the warp.
-    ///   Every other ready warp already holds a fetched op and none wakes
-    ///   now.
+    ///   turned away on the last stepped cycle. Its retry cycle is exactly
+    ///   now (it was promoted from `Executing { until: now }`, as the
+    ///   replay left it) and it is not held back by the same rule — the
+    ///   last `pick` may have moved the throttle set (CCWS's recompute,
+    ///   statPCAL's sample) after returning the warp. Every other ready
+    ///   warp already holds a fetched op and none was promoted now.
     ///
     /// In both, no pending memory response is due (a replay's MSHR file
     /// stays full) and `step` has no CTA or sampler bookkeeping due
     /// ([`Sm::bookkeeping_due`]). The target is the earliest of the next
-    /// response, the next `Executing` expiry of a waiting warp, the cycle
-    /// cap and `until`; and when any warp is ready, the scheduler's
+    /// response, the next write-back cycle of an `Executing` warp, the
+    /// cycle cap and `until`; and when any warp is ready, the scheduler's
     /// [`WarpScheduler::hold_horizon`] bounds it too. Fully idle stretches
-    /// never consult the scheduler.
+    /// never consult the scheduler. The masks answer every test but the
+    /// throttle rule's, which comes from `Sm::held_now`.
     fn skip_target(&self, until: Cycle, snapshot_until: Cycle) -> Option<Cycle> {
         let now = self.cycle;
-        if self.stepping || until <= now {
+        let ready = self.warps.ready();
+        // A ready warp ends an idle stretch unless the last stepped cycle
+        // was throttle-only: a busy cycle is turned away here.
+        if self.stepping
+            || until <= now
+            || self.replayed.is_none() && !self.throttle_only_last && !ready.is_empty()
+        {
             return None;
         }
-        if let Some(idx) = self.replayed {
-            let warp = &self.warps[idx];
-            if warp.state != (WarpState::Executing { until: now })
-                || Self::held_by_throttle(&*self.scheduler, warp)
-            {
-                return None;
-            }
-        }
-        let mut target = until;
-        let mut held = false;
-        for i in self.warps.live().filter(|&i| Some(i) != self.replayed) {
-            let wake = self.warps.wake_at(i);
-            if wake > now {
-                target = target.min(wake);
-                continue;
-            }
-            let w = &self.warps[i];
-            let holds = if self.replayed.is_some() {
-                w.pending().is_some() && w.state != (WarpState::Executing { until: now })
-            } else {
-                self.throttle_only_last && Self::held_by_throttle(&*self.scheduler, w)
-            };
-            if !holds {
-                return None;
-            }
-            held = true;
-        }
+        // Every warp is promoted at its write-back cycle, so the executing
+        // warps all wake later, the earliest at `next_wake`.
+        let mut target = until.min(self.warps.next_wake());
         if let Some(&Reverse((when, _))) = self.pending.peek() {
             if when <= now {
                 return None;
             }
             target = target.min(when);
         }
-        if self.bookkeeping_due() {
+        let holds = match self.replayed {
+            // The replaying warp retries now, woken alone at this cycle.
+            Some(idx) => {
+                let woken = self.warps.woken_at(now);
+                woken.contains(idx)
+                    && woken.len() == 1
+                    && (ready & !self.warps.fetched()).is_empty()
+                    && !self.held_now().contains(idx)
+            }
+            None => {
+                ready.is_empty() || self.throttle_only_last && (ready & !self.held_now()).is_empty()
+            }
+        };
+        if !holds || self.bookkeeping_due() {
             return None;
         }
         if let Some(m) = self.config.max_cycles {
             target = target.min(m);
         }
-        if held || self.replayed.is_some() {
+        if !ready.is_empty() || self.replayed.is_some() {
             let utilization_at = |t| self.port.known_dram_utilization(t, snapshot_until);
             let ctx = Self::hold_ctx(
                 &self.warps,
@@ -508,9 +532,10 @@ impl Sm {
     /// a `Barrier` (stalling a warp its CTA waits for at a barrier would
     /// deadlock the CTA; real schedulers are barrier-aware for the same
     /// reason), `is_throttled` must hold for it, and a scheduler that
-    /// throttles loads only holds back global-memory ops alone. `step`'s
-    /// ready scan offers exactly the ready warps this rule lets through,
-    /// and `skip_target` asks the same rule whether a stretch holds.
+    /// throttles loads only holds back global-memory ops alone. `step`
+    /// offers exactly the ready warps this rule lets through, and
+    /// `skip_target` asks the same rule whether a stretch holds, both
+    /// through the cache that `Sm::held_now` keeps.
     fn held_by_throttle(scheduler: &dyn WarpScheduler, w: &Warp) -> bool {
         match w.pending() {
             None | Some(WarpOp::Barrier) => false,
@@ -519,6 +544,39 @@ impl Sm {
                     && (op.is_global_mem() || !scheduler.throttles_loads_only())
             }
         }
+    }
+
+    /// True when the cached `held` bits still answer for every fetched op
+    /// at the scheduler's throttle epoch `epoch`: it is the `Some` value
+    /// they were computed at. An op's answer can only change with the op
+    /// (a fetch recomputes it) or with `is_throttled` (which moves the
+    /// epoch).
+    fn held_is_fresh(&self, epoch: Option<u64>) -> bool {
+        let fresh = epoch.is_some() && epoch == self.held_epoch;
+        debug_assert!(
+            !fresh || self.held & self.warps.fetched() == self.recompute_held(),
+            "throttle epoch {epoch:?} stayed while an is_throttled answer moved"
+        );
+        fresh
+    }
+
+    /// The fetched ops that `Sm::held_by_throttle` holds back now: the
+    /// cached `held` bits while they are fresh, a recompute otherwise.
+    fn held_now(&self) -> SlotSet {
+        if self.held_is_fresh(self.scheduler.throttle_epoch()) {
+            self.held & self.warps.fetched()
+        } else {
+            self.recompute_held()
+        }
+    }
+
+    /// `Sm::held_by_throttle` asked afresh for every fetched op.
+    fn recompute_held(&self) -> SlotSet {
+        let mut held = SlotSet::default();
+        for i in self.warps.fetched().iter() {
+            held.set(i, Self::held_by_throttle(&*self.scheduler, &self.warps[i]));
+        }
+        held
     }
 
     /// The scheduler context of a held cycle `now`: `ready` is empty on an
@@ -566,9 +624,7 @@ impl Sm {
             None => {
                 // Ready warps can only be present when the stretch is
                 // throttle-only, which needs the flag.
-                if self.throttle_only_last
-                    && self.warps.live().any(|i| self.warps.wake_at(i) <= now)
-                {
+                if self.throttle_only_last && !self.warps.ready().is_empty() {
                     self.stats.throttle_only_cycles += cycles;
                 }
                 self.close_busy_span(now);
@@ -592,6 +648,7 @@ impl Sm {
         );
         self.scheduler.on_idle_cycles(&ctx, cycles);
         self.cycle = target;
+        self.warps.promote(target);
     }
 
     /// Schedules a memory response computed by the chip engine: `ev` fires
@@ -611,11 +668,11 @@ impl Sm {
     /// allocates nothing: coalescing and scratchpad lanes use buffers the
     /// SM owns and the MSHR file reuses its merge lists.
     pub fn step(&mut self) {
-        debug_assert!(
-            self.warps.clock_is_consistent(),
-            "the wake clock or live set disagrees with the warp states"
-        );
         let now = self.cycle;
+        debug_assert!(
+            self.warps.masks_are_consistent(now),
+            "the slot masks disagree with the warp states"
+        );
         self.replayed = None;
         self.process_responses(now);
         if self.cta_events {
@@ -624,26 +681,38 @@ impl Sm {
             self.retire_and_launch_ctas();
         }
 
-        // Collect issuable warps; detect warps whose program just ended.
-        let mut finished_now: Vec<usize> = Vec::new();
+        // Fetch an op for each ready warp that holds none (a warp whose
+        // program ended finishes after the offer is built), then offer the
+        // ready warps the throttle rule lets through.
+        let mut ready = self.warps.ready();
+        let mut finished_now = SlotSet::default();
+        self.offered = SlotSet::default();
+        if !ready.is_empty() {
+            let epoch = self.scheduler.throttle_epoch();
+            let mut held =
+                if self.held_is_fresh(epoch) { self.held } else { self.recompute_held() };
+            for i in (ready & !self.warps.fetched()).iter() {
+                if self.warps.fetch(i) {
+                    held.set(i, Self::held_by_throttle(&*self.scheduler, &self.warps[i]));
+                } else {
+                    finished_now.insert(i);
+                }
+            }
+            ready = ready & !finished_now;
+            self.offered = ready & !held;
+            (self.held, self.held_epoch) = (held, epoch);
+        }
+        debug_assert_eq!(
+            self.offered,
+            ready & !self.recompute_held(),
+            "the cached throttle answers disagree with a fresh recompute"
+        );
         self.ready_scratch.clear();
-        self.offered.clear();
-        let mut any_ready_ignoring_throttle = false;
-        self.warps.for_each_ready(now, |i, w| {
-            if w.pending().is_none() {
-                finished_now.push(i);
-                return;
-            }
-            any_ready_ignoring_throttle = true;
-            if Self::held_by_throttle(&*self.scheduler, w) {
-                return;
-            }
-            self.ready_scratch.push(i);
-            self.offered.insert(i);
-        });
-        for i in finished_now {
+        self.ready_scratch.extend(self.offered.iter());
+        for i in finished_now.iter() {
             self.finish_warp(i, now);
         }
+        let any_ready_ignoring_throttle = !ready.is_empty();
 
         let picked = {
             let ready = std::mem::take(&mut self.ready_scratch);
@@ -689,6 +758,7 @@ impl Sm {
 
         self.maybe_sample(now);
         self.cycle += 1;
+        self.warps.promote(self.cycle);
     }
 
     // ----- CTA management ---------------------------------------------------
@@ -895,8 +965,13 @@ impl Sm {
         // still sees the attempt.
         match self.warps[idx].pending() {
             Some(WarpOp::Load { space: MemSpace::Global, pattern }) => {
-                coalesce_into(pattern, blocks);
-                if !self.mshr_can_hold(blocks) {
+                let refusal = (idx, self.mshr.version());
+                let refused = self.refused_load == Some(refusal) || {
+                    coalesce_into(pattern, blocks);
+                    !self.mshr_can_hold(blocks)
+                };
+                if refused {
+                    self.refused_load = Some(refusal);
                     self.warps.update(idx, |w| w.retry_at(now + 1));
                     self.replayed = Some(idx);
                     self.scheduler.on_issue(wid, true, now);

@@ -6,10 +6,15 @@
 //! the *active* bit `V` and the *isolation* bit `I` — belong to the policy
 //! that sets them (CIAO keeps them per warp slot), not to the warp.
 //!
-//! The SM holds its warps in `WarpSlots`, which keeps each slot's *wake
-//! clock* (`Warp::wake_at`) and the set of *live* slots (those a clock
-//! alone can make ready) up to date on every state transition, so the SM's
-//! per-cycle scans visit only live slots.
+//! The SM holds its warps in `WarpSlots`, which keeps three slot masks up
+//! to date on every state transition: the *ready* warps, the *timed*
+//! (`Executing`) warps with their write-back cycles, and the warps that
+//! hold a *fetched* op, one `u64` word of each per 64 slots, kept inline.
+//! The SM reads them as `SlotSet`s, one bit per slot of a `u128`, so its
+//! per-cycle eligibility test is a few word operations and a warp waiting
+//! on an event is not visited until the event arrives.
+//! An `Executing` warp is promoted to `Ready` by the first step at or after
+//! its write-back cycle.
 
 use std::ops::Deref;
 
@@ -99,19 +104,6 @@ impl Warp {
         }
     }
 
-    /// The cycle from which the warp can issue by the passage of time alone:
-    /// `0` when `Ready`, `until` when `Executing`, and `Cycle::MAX` when
-    /// only an event can wake it (a memory reply or a barrier release) or it
-    /// has finished. On any cycle below `Cycle::MAX`, the warp is ready
-    /// exactly when this is at or before it.
-    pub(crate) fn wake_at(&self) -> Cycle {
-        match self.state {
-            WarpState::Ready => 0,
-            WarpState::Executing { until } => until,
-            WarpState::WaitingMem { .. } | WarpState::AtBarrier | WarpState::Finished => Cycle::MAX,
-        }
-    }
-
     /// Fetches (or re-fetches) the operation the warp wants to issue next.
     /// Returns `None` when the program is exhausted, in which case the caller
     /// should mark the warp finished.
@@ -188,106 +180,188 @@ impl Warp {
     }
 }
 
-/// A set of warp slots below a fixed slot count: one bit per slot in
-/// `u64` words, so any slot count fits. Iterated in ascending slot order.
-#[derive(Debug)]
-pub(crate) struct SlotSet {
-    words: Vec<u64>,
-}
+/// The most warp slots an SM may have: one bit each in a [`SlotSet`].
+pub(crate) const MAX_SLOTS: usize = u128::BITS as usize;
+
+/// A set of warp slots below [`MAX_SLOTS`], one bit per slot of a `u128`
+/// kept inline, so a set is `Copy` and a set operation (`&`, `|`, `!`) is a
+/// pair of word operations. Iterated in ascending slot order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SlotSet(u128);
 
 impl SlotSet {
-    /// An empty set of slots `0..slots`.
-    pub fn new(slots: usize) -> Self {
-        SlotSet { words: vec![0; slots.div_ceil(64)] }
+    /// The bit of `slot`, which must be below [`MAX_SLOTS`], built from a
+    /// 64-bit shift (a variable 128-bit shift takes several instructions).
+    fn bit(slot: usize) -> u128 {
+        let bit = u128::from(1u64 << (slot % 64));
+        if slot < 64 {
+            bit
+        } else {
+            bit << 64
+        }
     }
 
-    /// Adds `slot`, which must be below the set's slot count.
+    /// Adds `slot`, which must be below [`MAX_SLOTS`].
     pub fn insert(&mut self, slot: usize) {
-        self.words[slot / 64] |= 1 << (slot % 64);
+        self.0 |= Self::bit(slot);
     }
 
-    /// Removes `slot`, which must be below the set's slot count.
+    /// Removes `slot`, which must be below [`MAX_SLOTS`].
     pub fn remove(&mut self, slot: usize) {
-        self.words[slot / 64] &= !(1 << (slot % 64));
+        self.0 &= !Self::bit(slot);
+    }
+
+    /// Adds `slot` when `on` holds and removes it otherwise.
+    pub fn set(&mut self, slot: usize, on: bool) {
+        let bit = Self::bit(slot);
+        self.0 = if on { self.0 | bit } else { self.0 & !bit };
     }
 
     /// True when `slot` is in the set (any `slot` may be asked about).
     pub fn contains(&self, slot: usize) -> bool {
-        self.words.get(slot / 64).is_some_and(|word| word >> (slot % 64) & 1 == 1)
+        slot < MAX_SLOTS && self.0 >> slot & 1 == 1
     }
 
-    /// Removes every slot, keeping the words.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
+    /// True when no slot is in the set.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
     }
 
     /// Number of slots in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|word| word.count_ones() as usize).sum()
+        self.0.count_ones() as usize
     }
 
-    /// The lowest slot not in the set (the slot count rounded up to whole
-    /// words when every slot is in it).
+    /// The lowest slot not in the set ([`MAX_SLOTS`] when every slot is in
+    /// it).
     pub fn first_absent(&self) -> usize {
-        match self.words.iter().position(|&word| word != u64::MAX) {
-            Some(i) => i * 64 + self.words[i].trailing_ones() as usize,
-            None => self.words.len() * 64,
-        }
+        self.0.trailing_ones() as usize
     }
 
-    /// The slots in ascending order.
-    pub fn iter(&self) -> SlotIter<'_> {
-        SlotIter { words: self.words.iter(), base: 0, bits: 0 }
+    /// The set whose slots `64 * i + b` are the set bits `b` of `words[i]`.
+    fn from_words(words: [u64; MAX_SLOTS / 64]) -> Self {
+        SlotSet(u128::from(words[0]) | u128::from(words[1]) << 64)
+    }
+
+    /// The slots in ascending order. The iterator holds a copy of the set,
+    /// so the set itself may change while it runs.
+    pub fn iter(self) -> SlotIter {
+        SlotIter { word: self.0 as u64, next: (self.0 >> 64) as u64, base: 0 }
     }
 }
 
-/// Ascending iterator over a [`SlotSet`], one word at a time.
-pub(crate) struct SlotIter<'a> {
-    words: std::slice::Iter<'a, u64>,
-    /// The first slot of the word after the one in `bits`.
-    base: usize,
+impl std::ops::BitAnd for SlotSet {
+    type Output = SlotSet;
+
+    fn bitand(self, other: SlotSet) -> SlotSet {
+        SlotSet(self.0 & other.0)
+    }
+}
+
+impl std::ops::BitOr for SlotSet {
+    type Output = SlotSet;
+
+    fn bitor(self, other: SlotSet) -> SlotSet {
+        SlotSet(self.0 | other.0)
+    }
+}
+
+impl std::ops::Not for SlotSet {
+    type Output = SlotSet;
+
+    fn not(self) -> SlotSet {
+        SlotSet(!self.0)
+    }
+}
+
+/// Ascending iterator over a [`SlotSet`], one `u64` word at a time.
+pub(crate) struct SlotIter {
     /// The unvisited slots of the current word.
-    bits: u64,
+    word: u64,
+    /// The unvisited slots of the word after it.
+    next: u64,
+    /// The first slot of the current word.
+    base: usize,
 }
 
-impl Iterator for SlotIter<'_> {
+impl Iterator for SlotIter {
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {
-        while self.bits == 0 {
-            self.bits = *self.words.next()?;
-            self.base += 64;
+        while self.word == 0 {
+            if self.next == 0 {
+                return None;
+            }
+            (self.word, self.next, self.base) = (self.next, 0, self.base + 64);
         }
-        let slot = self.base - 64 + self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
+        let slot = self.base + self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
         Some(slot)
     }
 }
 
-/// The SM's warp slots, with each slot's wake clock and the set of live
-/// slots kept beside them.
+/// The masks of one group of 64 consecutive warp slots, side by side, so
+/// a transition of one slot rewrites a word of each in place, and no two
+/// words of one mask are adjacent in memory (which keeps the compiler from
+/// reading a mask as one wide load right after a narrow write to it).
+#[derive(Debug, Clone, Copy, Default)]
+struct MaskWords {
+    ready: u64,
+    timed: u64,
+    fetched: u64,
+}
+
+/// The mask group of `slot` and the bit of `slot` in it.
+fn group_bit(slot: usize) -> (usize, u64) {
+    (slot / 64, 1 << (slot % 64))
+}
+
+/// Sets `bit` in `word` when `on` holds and clears it otherwise.
+fn set_bit(word: &mut u64, bit: u64, on: bool) {
+    *word = if on { *word | bit } else { *word & !bit };
+}
+
+/// The SM's warp slots, with the slot masks its step loop reads kept
+/// beside them.
 ///
-/// `wake[i]` is `warps[i].wake_at()` and slot `i` is live exactly when that
-/// is finite (the warp is `Ready` or `Executing`). Both are re-read after
-/// every state transition, which therefore goes through
-/// [`WarpSlots::launch`] or [`WarpSlots::update`]: the slots hand out no
-/// `&mut Warp`. Reads go through `Deref` to `[Warp]`.
+/// Slot `i` is in `ready` when its warp is `Ready`, in `timed` when it is
+/// `Executing` (`wake[i]` then holds its `until`), and in `fetched` when it
+/// holds a fetched op. It is *live*, able to issue by the passage of time
+/// alone, when it is in `ready | timed`. The masks are updated at every
+/// state transition, which therefore goes through [`WarpSlots::launch`],
+/// [`WarpSlots::update`], [`WarpSlots::fetch`], [`WarpSlots::take_op`] or
+/// [`WarpSlots::promote`]: the slots hand out no `&mut Warp`. Reads go
+/// through `Deref` to `[Warp]`.
 #[derive(Debug)]
 pub(crate) struct WarpSlots {
     warps: Vec<Warp>,
     wake: Vec<Cycle>,
-    live: SlotSet,
+    masks: [MaskWords; MAX_SLOTS / 64],
+    /// The earliest `wake` of a `timed` slot (`Cycle::MAX` when none is).
+    next_wake: Cycle,
+    /// The slots the last promotion woke, and the cycle it woke them at.
+    woken: SlotSet,
+    woken_at: Cycle,
+}
+
+impl Default for WarpSlots {
+    fn default() -> Self {
+        WarpSlots {
+            warps: Vec::new(),
+            wake: Vec::new(),
+            masks: Default::default(),
+            next_wake: Cycle::MAX,
+            woken: SlotSet::default(),
+            woken_at: 0,
+        }
+    }
 }
 
 impl WarpSlots {
-    /// No warps yet, in an SM of `slots` warp slots.
-    pub fn new(slots: usize) -> Self {
-        WarpSlots { warps: Vec::new(), wake: Vec::new(), live: SlotSet::new(slots) }
-    }
-
     /// Puts a newly launched warp into `slot`: the next new slot, or one
     /// whose warp has finished.
     pub fn launch(&mut self, slot: usize, warp: Warp) {
+        debug_assert!(slot < MAX_SLOTS, "slot {slot} past the slot masks");
         if slot == self.warps.len() {
             self.warps.push(warp);
             self.wake.push(Cycle::MAX);
@@ -295,63 +369,139 @@ impl WarpSlots {
             debug_assert!(self.warps[slot].is_finished(), "slot {slot} still in use");
             self.warps[slot] = warp;
         }
+        let (group, bit) = group_bit(slot);
+        self.masks[group].fetched &= !bit;
         self.sync(slot);
     }
 
-    /// Applies the state transition `f` to the warp in `slot` and re-reads
-    /// its wake clock.
+    /// Applies the state transition `f` to the warp in `slot` and updates
+    /// its masks.
     pub fn update(&mut self, slot: usize, f: impl FnOnce(&mut Warp)) {
         f(&mut self.warps[slot]);
         self.sync(slot);
     }
 
+    /// Re-reads the state of the warp in `slot` into the `ready` and
+    /// `timed` masks (only a fetch or a take changes `fetched`).
     fn sync(&mut self, slot: usize) {
-        let at = self.warps[slot].wake_at();
-        self.wake[slot] = at;
-        if at == Cycle::MAX {
-            self.live.remove(slot);
+        let state = self.warps[slot].state;
+        let (group, bit) = group_bit(slot);
+        let masks = &mut self.masks[group];
+        set_bit(&mut masks.ready, bit, state == WarpState::Ready);
+        if let WarpState::Executing { until } = state {
+            masks.timed |= bit;
+            self.wake[slot] = until;
+            self.next_wake = self.next_wake.min(until);
         } else {
-            self.live.insert(slot);
+            masks.timed &= !bit;
         }
     }
 
-    /// Calls `f` on each slot whose warp is ready at `now` (a cycle below
-    /// `Cycle::MAX`), in ascending slot order, after fetching the warp's next
-    /// op ([`Warp::peek_op`]; `pending` is `None` once its program ended).
-    /// Visits only live slots: the others wait for an event.
-    pub fn for_each_ready(&mut self, now: Cycle, mut f: impl FnMut(usize, &Warp)) {
-        for slot in self.live.iter() {
-            if self.wake[slot] <= now {
-                let warp = &mut self.warps[slot];
-                warp.peek_op();
-                f(slot, warp);
-            }
+    /// Makes every `Executing` warp whose write-back cycle is at or before
+    /// `now` `Ready`. From its `until` on an executing warp issues exactly
+    /// as a ready one does, so no reader can tell the two apart. The SM
+    /// calls this on every cycle it reaches, so a warp is promoted at its
+    /// very write-back cycle, and `ready` names every warp that can issue.
+    #[inline]
+    pub fn promote(&mut self, now: Cycle) {
+        if now >= self.next_wake {
+            self.promote_due(now);
         }
+    }
+
+    /// [`WarpSlots::promote`] once some `timed` slot is due.
+    fn promote_due(&mut self, now: Cycle) {
+        self.next_wake = Cycle::MAX;
+        let mut woken = [0; MAX_SLOTS / 64];
+        for (group, masks) in self.masks.iter_mut().enumerate() {
+            let mut timed = masks.timed;
+            while timed != 0 {
+                let slot = group * 64 + timed.trailing_zeros() as usize;
+                let at = self.wake[slot];
+                if at <= now {
+                    self.warps[slot].state = WarpState::Ready;
+                    woken[group] |= timed & timed.wrapping_neg();
+                } else {
+                    self.next_wake = self.next_wake.min(at);
+                }
+                timed &= timed - 1;
+            }
+            masks.timed &= !woken[group];
+            masks.ready |= woken[group];
+        }
+        self.woken = SlotSet::from_words(woken);
+        self.woken_at = now;
+    }
+
+    /// The slots that [`WarpSlots::promote`] woke at `now`: those whose
+    /// write-back cycle is `now`.
+    pub fn woken_at(&self, now: Cycle) -> SlotSet {
+        if self.woken_at == now {
+            self.woken
+        } else {
+            SlotSet::default()
+        }
+    }
+
+    /// The earliest write-back cycle of an `Executing` warp (`Cycle::MAX`
+    /// when none is executing).
+    pub fn next_wake(&self) -> Cycle {
+        self.next_wake
+    }
+
+    /// [`Warp::peek_op`] on the warp in `slot`: false when its program has
+    /// ended.
+    pub fn fetch(&mut self, slot: usize) -> bool {
+        let fetched = self.warps[slot].peek_op().is_some();
+        let (group, bit) = group_bit(slot);
+        set_bit(&mut self.masks[group].fetched, bit, fetched);
+        fetched
     }
 
     /// [`Warp::take_op`] on the warp in `slot`.
     pub fn take_op(&mut self, slot: usize) -> Option<WarpOp> {
+        let (group, bit) = group_bit(slot);
+        self.masks[group].fetched &= !bit;
         self.warps[slot].take_op()
     }
 
-    /// The wake clock of `slot` ([`Warp::wake_at`]).
-    pub fn wake_at(&self, slot: usize) -> Cycle {
-        self.wake[slot]
+    /// One mask of every group, as a set.
+    fn mask(&self, word: impl Fn(&MaskWords) -> u64) -> SlotSet {
+        SlotSet::from_words(self.masks.map(|masks| word(&masks)))
     }
 
-    /// The live slots in ascending order.
-    pub fn live(&self) -> impl Iterator<Item = usize> + '_ {
-        self.live.iter()
+    /// The slots whose warp is `Ready`.
+    pub fn ready(&self) -> SlotSet {
+        self.mask(|masks| masks.ready)
     }
 
-    /// True when the wake clock and the live set equal a recompute from
-    /// every warp's state.
-    pub fn clock_is_consistent(&self) -> bool {
+    /// The slots whose warp is `Executing`.
+    pub fn timed(&self) -> SlotSet {
+        self.mask(|masks| masks.timed)
+    }
+
+    /// The slots whose warp holds a fetched op.
+    pub fn fetched(&self) -> SlotSet {
+        self.mask(|masks| masks.fetched)
+    }
+
+    /// True when the masks and write-back cycles equal a recompute from
+    /// every warp's state, and every warp due by `now` is promoted.
+    pub fn masks_are_consistent(&self, now: Cycle) -> bool {
+        let (ready, timed, fetched) = (self.ready(), self.timed(), self.fetched());
         self.warps.len() == self.wake.len()
-            && self.warps.iter().zip(&self.wake).enumerate().all(|(i, (w, &at))| {
-                at == w.wake_at() && self.live.contains(i) == (at != Cycle::MAX)
+            && self.warps.iter().enumerate().all(|(i, w)| {
+                let until = match w.state {
+                    WarpState::Executing { until } => Some(until),
+                    _ => None,
+                };
+                ready.contains(i) == (w.state == WarpState::Ready)
+                    && timed.contains(i) == until.is_some()
+                    && until.is_none_or(|at| self.wake[i] == at && at > now)
+                    && fetched.contains(i) == w.pending_op.is_some()
             })
-            && self.live.iter().all(|i| i < self.warps.len())
+            && (ready | timed | fetched).iter().all(|i| i < self.warps.len())
+            && self.next_wake == timed.iter().map(|i| self.wake[i]).min().unwrap_or(Cycle::MAX)
     }
 }
 
@@ -441,38 +591,52 @@ mod tests {
     }
 
     #[test]
-    fn wake_clock_follows_every_transition() {
-        let mut slots = WarpSlots::new(2);
-        slots.launch(0, warp_with(vec![]));
+    fn masks_follow_every_transition() {
+        let mut slots = WarpSlots::default();
+        slots.launch(0, warp_with(vec![WarpOp::alu()]));
         slots.launch(1, warp_with(vec![]));
-        assert_eq!((slots.wake_at(0), slots.live().collect::<Vec<_>>()), (0, vec![0, 1]));
-        slots.update(0, |w| w.start_compute(9));
+        assert_eq!(slots.ready().iter().collect::<Vec<_>>(), vec![0, 1]);
+        assert!(slots.fetched().is_empty() && slots.fetch(0) && !slots.fetch(1));
+        assert_eq!(slots.fetched().iter().collect::<Vec<_>>(), vec![0]);
+        slots.update(0, |w| w.retry_at(9));
         slots.update(1, |w| w.start_mem(2, 0));
-        assert_eq!((slots.wake_at(0), slots.wake_at(1)), (9, Cycle::MAX));
-        assert_eq!(slots.live().collect::<Vec<_>>(), vec![0]);
+        assert_eq!((slots.ready(), slots.next_wake()), (SlotSet::default(), 9));
+        assert_eq!(slots.timed().iter().collect::<Vec<_>>(), vec![0]);
+        slots.promote(8);
+        assert!(slots.timed().contains(0), "not due before its write-back cycle");
+        assert_eq!((slots.next_wake(), slots.woken_at(8)), (9, SlotSet::default()));
+        slots.promote(9);
+        assert_eq!(slots.woken_at(9).iter().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(
+            (slots[0].state, slots.ready().iter().collect::<Vec<_>>()),
+            (WarpState::Ready, vec![0])
+        );
+        assert!(slots.take_op(0).is_some() && slots.fetched().is_empty());
         slots.update(1, Warp::complete_mem);
-        assert!(!slots.live.contains(1), "one transaction still in flight");
+        assert!(!slots.ready().contains(1), "one transaction still in flight");
         slots.update(1, Warp::complete_mem);
-        slots.update(0, |w| w.retry_at(12));
-        assert_eq!((slots.wake_at(0), slots.wake_at(1)), (12, 0));
+        slots.update(0, |w| w.start_compute(12));
+        assert_eq!(slots.ready().iter().collect::<Vec<_>>(), vec![1]);
+        assert!(slots.masks_are_consistent(11));
+        slots.promote(12);
+        assert_eq!(slots.next_wake(), Cycle::MAX);
         slots.update(0, Warp::enter_barrier);
         slots.update(1, Warp::finish);
-        assert_eq!(slots.live().count(), 0);
+        assert!((slots.ready() | slots.timed()).is_empty());
         slots.update(0, Warp::release_barrier);
-        assert_eq!(slots.live().collect::<Vec<_>>(), vec![0]);
         slots.launch(1, warp_with(vec![]));
-        assert_eq!(slots.live().collect::<Vec<_>>(), vec![0, 1]);
-        assert!(slots.clock_is_consistent());
+        assert_eq!(slots.ready().iter().collect::<Vec<_>>(), vec![0, 1]);
+        assert!(slots.masks_are_consistent(12));
     }
 
     #[test]
     fn slot_set_spans_words_in_ascending_order() {
-        let mut set = SlotSet::new(131);
+        let mut set = SlotSet::default();
         assert_eq!((set.first_absent(), set.iter().next(), set.len()), (0, None, 0));
-        for slot in [130, 0, 63, 64, 65] {
+        for slot in [127, 0, 63, 64, 65] {
             set.insert(slot);
         }
-        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 63, 64, 65, 130]);
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 63, 64, 65, 127]);
         assert_eq!((set.len(), set.first_absent()), (5, 1));
         for slot in 0..64 {
             set.insert(slot);
@@ -480,16 +644,20 @@ mod tests {
         assert_eq!(set.first_absent(), 66);
         set.remove(64);
         assert!(!set.contains(64) && set.contains(65) && !set.contains(500));
-        for slot in 64..131 {
-            set.insert(slot);
+        for slot in 64..MAX_SLOTS {
+            set.set(slot, true);
         }
-        assert_eq!(set.first_absent(), 131);
-        set.remove(64);
+        assert_eq!(set.first_absent(), MAX_SLOTS);
+        set.set(64, false);
         assert_eq!(set.first_absent(), 64);
-        set.clear();
-        assert_eq!((set.iter().count(), set.first_absent()), (0, 0));
-        let mut full = SlotSet::new(64);
-        (0..64).for_each(|slot| full.insert(slot));
-        assert_eq!((full.len(), full.first_absent()), (64, 64));
+        let mut low = SlotSet::default();
+        (60..70).for_each(|slot| low.insert(slot));
+        assert_eq!((set & !low).iter().take(3).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(
+            (set & low).iter().collect::<Vec<_>>(),
+            vec![60, 61, 62, 63, 65, 66, 67, 68, 69]
+        );
+        assert_eq!((set | low).len(), MAX_SLOTS);
+        assert!((low & !low).is_empty() && !low.is_empty());
     }
 }

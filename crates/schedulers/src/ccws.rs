@@ -63,6 +63,8 @@ pub struct CcwsScheduler {
     dirty: bool,
     /// Scratch admission order reused by every recompute.
     order: Vec<usize>,
+    /// The throttle epoch: moves when a recompute changes `throttled`.
+    epoch: u64,
 }
 
 impl CcwsScheduler {
@@ -76,6 +78,7 @@ impl CcwsScheduler {
             gto: GtoScheduler::new(),
             dirty: true,
             order: Vec::new(),
+            epoch: 0,
             config,
         }
     }
@@ -96,11 +99,22 @@ impl CcwsScheduler {
     fn recompute_throttle(&mut self) {
         let (scores, floor) = (&self.scores, self.config.base_score);
         let first = admission(|i| scores[i], floor, &self.finished, self.budget(), &mut self.order);
-        self.throttled.fill(false);
-        for &i in &self.order[first..] {
-            self.throttled[i] = true;
+        let suffix = &self.order[first..];
+        if !self.throttles_exactly(suffix) {
+            self.throttled.fill(false);
+            for &i in suffix {
+                self.throttled[i] = true;
+            }
+            self.epoch += 1;
         }
         self.dirty = false;
+    }
+
+    /// True when `set` is the throttled set: as large, and every member
+    /// throttled.
+    fn throttles_exactly(&self, set: &[usize]) -> bool {
+        set.len() == self.throttled.iter().filter(|&&t| t).count()
+            && set.iter().all(|&i| self.throttled[i])
     }
 
     /// Score of warp `i` after `k` empty picks: each decays every score
@@ -127,14 +141,12 @@ impl CcwsScheduler {
     /// the set is recomputed by the same rule `pick` applies.
     fn throttle_horizon(&self) -> u64 {
         let (floor, budget) = (self.config.base_score, self.budget());
-        let throttled = self.throttled.iter().filter(|&&t| t).count();
         let mut order = Vec::with_capacity(self.scores.len());
         let mut k = 1;
         loop {
             let first =
                 admission(|i| self.decayed(i, k), floor, &self.finished, budget, &mut order);
-            let suffix = &order[first..];
-            if suffix.len() != throttled || suffix.iter().any(|&i| !self.throttled[i]) {
+            if !self.throttles_exactly(&order[first..]) {
                 return k;
             }
             let next_floor = order
@@ -327,6 +339,10 @@ impl WarpScheduler for CcwsScheduler {
 
     fn is_throttled(&self, wid: WarpId) -> bool {
         self.throttled.get(wid as usize).copied().unwrap_or(false)
+    }
+
+    fn throttle_epoch(&self) -> Option<u64> {
+        Some(self.epoch)
     }
 
     fn throttles_loads_only(&self) -> bool {

@@ -48,6 +48,9 @@ pub struct PcalScheduler {
     last_utilization: f64,
     /// The greedy pointer; its fallback order puts token holders first.
     gto: GtoScheduler,
+    /// The throttle epoch: moves at every launch and finish, which move
+    /// the token holders, and when a sample flips `bandwidth_available`.
+    epoch: u64,
 }
 
 impl PcalScheduler {
@@ -58,6 +61,7 @@ impl PcalScheduler {
             last_utilization: 0.0,
             gto: GtoScheduler::new(),
             config,
+            epoch: 0,
         }
     }
 
@@ -73,8 +77,10 @@ impl PcalScheduler {
     /// Stores the utilisation sample of cycle `ctx.now`, for which the SM
     /// always vouches.
     fn sample(&mut self, ctx: &SchedulerCtx<'_>) {
+        let available = self.bandwidth_available();
         self.last_utilization = (ctx.dram_utilization_at)(ctx.now)
             .expect("the SM vouches for the utilisation of the current cycle");
+        self.epoch += u64::from(self.bandwidth_available() != available);
     }
 }
 
@@ -147,10 +153,12 @@ impl WarpScheduler for PcalScheduler {
 
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
         self.token.launch(wid);
+        self.epoch += 1;
     }
 
     fn on_warp_finished(&mut self, wid: WarpId, _now: Cycle) {
         self.token.finish(wid);
+        self.epoch += 1;
     }
 
     fn route(&mut self, wid: WarpId) -> MemRoute {
@@ -168,6 +176,10 @@ impl WarpScheduler for PcalScheduler {
             // Non-token warps run only while spare bandwidth exists.
             !self.bandwidth_available()
         }
+    }
+
+    fn throttle_epoch(&self) -> Option<u64> {
+        Some(self.epoch)
     }
 
     fn throttles_loads_only(&self) -> bool {

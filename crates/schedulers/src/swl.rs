@@ -23,6 +23,9 @@ pub struct SwlScheduler {
     /// The issue order among the admitted warps.
     gto: GtoScheduler,
     num_warps: usize,
+    /// The throttle epoch: moves at every launch and finish, the only
+    /// events that move the admitted set.
+    epoch: u64,
 }
 
 impl SwlScheduler {
@@ -35,6 +38,7 @@ impl SwlScheduler {
             admitted: OldestWarps::new(limit),
             gto: GtoScheduler::new(),
             num_warps,
+            epoch: 0,
         }
     }
 
@@ -61,14 +65,20 @@ impl WarpScheduler for SwlScheduler {
 
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
         self.admitted.launch(wid);
+        self.epoch += 1;
     }
 
     fn on_warp_finished(&mut self, wid: WarpId, _now: Cycle) {
         self.admitted.finish(wid);
+        self.epoch += 1;
     }
 
     fn is_throttled(&self, wid: WarpId) -> bool {
         !self.admitted.admits(wid)
+    }
+
+    fn throttle_epoch(&self) -> Option<u64> {
+        Some(self.epoch)
     }
 
     fn metrics(&self) -> SchedulerMetrics {

@@ -160,6 +160,16 @@ fn quick_sm1_lud_ciao_p() {
     quick_sm1(Benchmark::Lud, SchedulerKind::CiaoP, 0x17b6_6431_be21_7687);
 }
 
+// CIAO-T stalls interfering warps and reactivates them once their trigger
+// calms down. On SM a stall becomes releasable while every ready warp is
+// held back, so the SM's cached throttle answers must follow each stall and
+// each reactivation (the scheduler's throttle epoch) in both timing modes.
+
+#[test]
+fn quick_sm1_sm_ciao_t() {
+    quick_sm1(Benchmark::Sm, SchedulerKind::CiaoT, 0xd614_f98a_2d84_dc4e);
+}
+
 #[test]
 fn tiny15_cache_stream_shared_rr() {
     tiny_cache_stream(15, DispatchPolicy::SharedRoundRobin, 0, 0x290b_0e66_cb55_e93c);

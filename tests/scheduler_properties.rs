@@ -137,12 +137,44 @@ impl SplitMix {
     }
 }
 
+/// A scheduler's throttle epoch with its `is_throttled` answer for every
+/// warp slot of the GTX 480 SM.
+fn throttle_state(sched: &dyn WarpScheduler) -> (Option<u64>, Vec<bool>) {
+    let slots = GpuConfig::gtx480().max_warps_per_sm as WarpId;
+    (sched.throttle_epoch(), (0..slots).map(|w| sched.is_throttled(w)).collect())
+}
+
+/// The `throttle_epoch` contract across one call named `call`: the epoch
+/// is `Some`, never goes back, and moves whenever an `is_throttled` answer
+/// moved since `before`, which it then advances.
+fn epoch_breach(
+    sched: &dyn WarpScheduler,
+    before: &mut (Option<u64>, Vec<bool>),
+    call: &str,
+) -> Option<String> {
+    let after = throttle_state(sched);
+    let breach =
+        after.0.is_none() || after.0 < before.0 || after.0 == before.0 && after.1 != before.1;
+    let message = breach.then(|| {
+        let moved: Vec<usize> = (0..after.1.len()).filter(|&w| after.1[w] != before.1[w]).collect();
+        format!(
+            "{} after {call}: epoch {:?} -> {:?}, is_throttled moved for warps {moved:?}",
+            sched.name(),
+            before.0,
+            after.0
+        )
+    });
+    *before = after;
+    message
+}
+
 /// Drives `sched` through `cycles` random cycles the way the SM does: warps
 /// launch into the lowest free slot in launch order and finish at random,
 /// cache hits, misses and cross-warp evictions arrive for live warps, and
 /// each cycle offers `pick` a random subset of the live warps that
 /// `is_throttled` does not hold back, under a random DRAM utilisation.
-/// Returns the first cycle whose pick broke the contract, if any.
+/// After every call it also checks the `throttle_epoch` contract
+/// (`epoch_breach`). Returns the first breach of either contract, if any.
 fn drive_contract(
     sched: &mut dyn WarpScheduler,
     slots: usize,
@@ -153,6 +185,7 @@ fn drive_contract(
     let mut warps: Vec<Warp> = Vec::new();
     let mut launch_seq = 0;
     let mut instructions = 0;
+    let mut throttle = throttle_state(sched);
     for now in 0..cycles {
         let live: Vec<usize> = (0..warps.len()).filter(|&i| !warps[i].is_finished()).collect();
         if live.len() < slots && rng.chance(30) {
@@ -166,11 +199,17 @@ fn drive_contract(
                 warps[slot] = warp;
             }
             sched.on_warp_launched(slot as WarpId, now);
+            if let Some(breach) = epoch_breach(sched, &mut throttle, "on_warp_launched") {
+                return Some(breach);
+            }
         }
         if !live.is_empty() && rng.chance(15) {
             let i = live[rng.below(live.len())];
             warps[i].finish();
             sched.on_warp_finished(i as WarpId, now);
+            if let Some(breach) = epoch_breach(sched, &mut throttle, "on_warp_finished") {
+                return Some(breach);
+            }
         }
         let live: Vec<usize> = (0..warps.len()).filter(|&i| !warps[i].is_finished()).collect();
         if !live.is_empty() && rng.chance(40) {
@@ -192,6 +231,9 @@ fn drive_contract(
                 evicted,
                 now,
             });
+            if let Some(breach) = epoch_breach(sched, &mut throttle, "on_cache_event") {
+                return Some(breach);
+            }
         }
         let ready: Vec<usize> = live
             .iter()
@@ -208,6 +250,9 @@ fn drive_contract(
             dram_utilization_at: &|_| Some(utilization),
         };
         let picked = sched.pick(&ctx);
+        if let Some(breach) = epoch_breach(sched, &mut throttle, "pick") {
+            return Some(breach);
+        }
         let kept = match picked {
             Some(i) => ready.contains(&i),
             None => ready.is_empty(),
@@ -221,6 +266,9 @@ fn drive_contract(
         if let Some(i) = picked {
             sched.on_issue(i as WarpId, rng.chance(40), now);
             instructions += 1;
+            if let Some(breach) = epoch_breach(sched, &mut throttle, "on_issue") {
+                return Some(breach);
+            }
         }
     }
     None
@@ -232,7 +280,8 @@ proptest! {
     /// The `pick` contract: the SM offers only warps that `is_throttled`
     /// does not hold back, so `pick` returns one of them whenever the offer
     /// is non-empty (and `None` only when it is empty). No policy filters
-    /// its offer a second time.
+    /// its offer a second time. Every call also keeps the `throttle_epoch`
+    /// contract the SM's cached throttle answers rely on.
     #[test]
     fn every_scheduler_picks_an_offered_warp_whenever_one_is_offered(
         slots in 2usize..12,
