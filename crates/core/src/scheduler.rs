@@ -42,6 +42,7 @@ use gpu_sim::scheduler::{
     CacheEvent, CacheEventOutcome, GtoScheduler, MemRoute, SchedulerCtx, SchedulerMetrics,
     WarpScheduler,
 };
+use gpu_sim::SlotSet;
 use serde::{Deserialize, Serialize};
 
 /// Which CIAO mechanisms are enabled.
@@ -95,11 +96,10 @@ impl CiaoVariant {
     }
 }
 
-/// Per-warp scheduling state mirroring the `V` and `I` bits of §IV-A.
+/// Per-warp scheduling state beside the `V` bits of §IV-A, which the
+/// scheduler keeps as one slot mask (`CiaoScheduler::stalled`).
 #[derive(Debug, Clone, Copy, Default)]
 struct WarpFlags {
-    /// `V = 0` means the warp is stalled by CIAO.
-    stalled: bool,
     /// `I = 1` means the warp's global accesses go to the shared-memory cache.
     isolated: bool,
     finished: bool,
@@ -111,6 +111,8 @@ pub struct CiaoScheduler {
     params: CiaoParams,
     detector: InterferenceDetector,
     flags: Vec<WarpFlags>,
+    /// The warps with `V = 0`, stalled by CIAO: exactly its throttle set.
+    stalled: SlotSet,
     /// Stall order, so reactivation happens in reverse order (§III-C).
     stall_stack: Vec<WarpId>,
     /// The issue order: GTO's own.
@@ -120,8 +122,6 @@ pub struct CiaoScheduler {
     num_warps: usize,
     /// Diagnostics: how many isolation / stall / reactivation decisions fired.
     decisions: CiaoDecisionCounters,
-    /// The throttle epoch: moves whenever a `stalled` flag changes.
-    epoch: u64,
 }
 
 /// Counters describing the decisions CIAO took during a run.
@@ -138,21 +138,27 @@ pub struct CiaoDecisionCounters {
 }
 
 impl CiaoScheduler {
-    /// Creates a CIAO scheduler of the given variant.
+    /// Creates a CIAO scheduler of the given variant, for at most
+    /// [`SlotSet::CAPACITY`] warp slots.
     pub fn new(variant: CiaoVariant, params: CiaoParams, num_warps: usize) -> Self {
         debug_assert!(params.validate().is_ok(), "invalid CIAO parameters");
+        assert!(
+            num_warps <= SlotSet::CAPACITY,
+            "CIAO keeps at most {} warp slots, not {num_warps}",
+            SlotSet::CAPACITY
+        );
         CiaoScheduler {
             variant,
             params,
             detector: InterferenceDetector::new(num_warps),
             flags: vec![WarpFlags::default(); num_warps],
+            stalled: SlotSet::default(),
             stall_stack: Vec::new(),
             gto: GtoScheduler::new(),
             next_high_check: params.high_epoch,
             next_low_check: params.low_epoch,
             num_warps,
             decisions: CiaoDecisionCounters::default(),
-            epoch: 0,
         }
     }
 
@@ -173,7 +179,7 @@ impl CiaoScheduler {
 
     /// End-of-high-epoch evaluation (Algorithm 1, lines 20–29) for warp `i`.
     fn high_epoch_check(&mut self, i: WarpId, instructions: u64, active_warps: usize) {
-        if self.flags[i as usize].stalled || self.flags[i as usize].finished {
+        if self.stalled.contains(i as usize) || self.flags[i as usize].finished {
             return;
         }
         let irs_i = self.detector.irs(i, instructions, active_warps);
@@ -192,11 +198,10 @@ impl CiaoScheduler {
             self.flags[j as usize].isolated = true;
             self.detector.pair_list_mut().set(j, PairRole::Redirect, i);
             self.decisions.isolations += 1;
-        } else if !j_flags.stalled && self.variant.can_throttle() {
+        } else if !self.stalled.contains(j as usize) && self.variant.can_throttle() {
             // Either already isolated (CIAO-C) or a throttle-only variant:
             // stall warp j.
-            self.flags[j as usize].stalled = true;
-            self.epoch += 1;
+            self.stalled.insert(j as usize);
             self.detector.pair_list_mut().set(j, PairRole::Stall, i);
             self.stall_stack.push(j);
             self.decisions.stalls += 1;
@@ -233,15 +238,14 @@ impl CiaoScheduler {
         if let Some(&candidate) = self.stall_stack.last() {
             if self.releasable(candidate, PairRole::Stall, instructions, active_warps) {
                 self.stall_stack.pop();
-                self.flags[candidate as usize].stalled = false;
-                self.epoch += 1;
+                self.stalled.remove(candidate as usize);
                 self.detector.pair_list_mut().clear(candidate, PairRole::Stall);
                 self.decisions.reactivations += 1;
             }
         }
         // Isolated warps: route back to the L1D when their trigger calmed down.
         for w in 0..self.num_warps as u32 {
-            if !self.flags[w as usize].isolated || self.flags[w as usize].stalled {
+            if !self.flags[w as usize].isolated || self.stalled.contains(w as usize) {
                 continue;
             }
             if self.releasable(w, PairRole::Redirect, instructions, active_warps) {
@@ -301,29 +305,29 @@ impl WarpScheduler for CiaoScheduler {
     }
 
     fn hold_horizon(&self, ctx: &SchedulerCtx<'_>) -> u64 {
-        let holds = match ctx.ready {
+        let holds = if ctx.ready.is_empty() {
             // An empty pick runs only the low-cutoff evaluation, and of that
             // only the stall-stack pop changes `is_throttled`. With nothing
             // retiring, its inputs stay fixed, so a top that is not
             // releasable now stays so (un-redirecting isolated warps leaves
             // the stall records alone).
-            [] => self.stall_stack.last().is_none_or(|&top| {
+            self.stall_stack.last().is_none_or(|&top| {
                 !self.releasable(
                     top,
                     PairRole::Stall,
                     ctx.instructions_executed,
                     ctx.active_warps.max(1),
                 )
-            }),
+            })
+        } else {
             // Below both epoch checks a pick offering the greedy warp runs
             // neither evaluation and returns it; `on_issue` is the no-op
             // default.
-            &[idx] => {
+            ctx.ready.single().is_some_and(|idx| {
                 self.gto.is_greedy(idx)
                     && ctx.instructions_executed < self.next_low_check
                     && ctx.instructions_executed < self.next_high_check
-            }
-            _ => false,
+            })
         };
         if holds {
             u64::MAX
@@ -346,8 +350,8 @@ impl WarpScheduler for CiaoScheduler {
         // Warp slots are reused across CTA waves: the new occupant starts
         // active (V=1), not isolated (I=0) and with clean pair-list records.
         if let Some(f) = self.flags.get_mut(wid as usize) {
-            self.epoch += u64::from(f.stalled);
             *f = WarpFlags::default();
+            self.stalled.remove(wid as usize);
         }
         self.stall_stack.retain(|&w| w != wid);
         self.detector.pair_list_mut().clear(wid, PairRole::Redirect);
@@ -356,10 +360,9 @@ impl WarpScheduler for CiaoScheduler {
 
     fn on_warp_finished(&mut self, wid: WarpId, _now: Cycle) {
         if let Some(f) = self.flags.get_mut(wid as usize) {
-            self.epoch += u64::from(f.stalled);
             f.finished = true;
-            f.stalled = false;
             f.isolated = false;
+            self.stalled.remove(wid as usize);
         }
         self.stall_stack.retain(|&w| w != wid);
     }
@@ -375,17 +378,17 @@ impl WarpScheduler for CiaoScheduler {
     }
 
     fn is_throttled(&self, wid: WarpId) -> bool {
-        self.flags.get(wid as usize).map(|f| f.stalled).unwrap_or(false)
+        self.stalled.contains(wid as usize)
     }
 
-    fn throttle_epoch(&self) -> Option<u64> {
-        Some(self.epoch)
+    fn throttled(&self, live: SlotSet) -> SlotSet {
+        live & self.stalled
     }
 
     fn metrics(&self) -> SchedulerMetrics {
         SchedulerMetrics {
             vta_hits: self.detector.total_vta_hits(),
-            throttled_warps: self.flags.iter().filter(|f| f.stalled && !f.finished).count(),
+            throttled_warps: self.stalled.len(),
             isolated_warps: self.flags.iter().filter(|f| f.isolated && !f.finished).count(),
             bypassed_warps: 0,
         }
@@ -406,11 +409,11 @@ mod tests {
             .collect()
     }
 
-    fn ctx<'a>(warps: &'a [Warp], ready: &'a [usize], insts: u64) -> SchedulerCtx<'a> {
+    fn ctx<'a>(warps: &'a [Warp], ready: &[usize], insts: u64) -> SchedulerCtx<'a> {
         SchedulerCtx {
             now: 0,
             warps,
-            ready,
+            ready: ready.iter().copied().collect(),
             instructions_executed: insts,
             active_warps: warps.len(),
             dram_utilization_at: &|_| Some(0.0),
@@ -498,6 +501,14 @@ mod tests {
         assert!(s.is_throttled(1), "CIAO-T must stall the interferer");
         assert_eq!(s.route(1), MemRoute::L1d, "CIAO-T never redirects");
         assert_eq!(s.metrics().throttled_warps, 1);
+        // A stalled warp that finishes leaves the mask, and so does the
+        // slot's next occupant.
+        let live = SlotSet::below(4);
+        assert_eq!(s.throttled(live & !SlotSet::below(1)), [1].into_iter().collect());
+        s.on_warp_finished(1, 0);
+        assert!(s.throttled(live).is_empty() && !s.is_throttled(1));
+        s.on_warp_launched(1, 0);
+        assert!(s.throttled(live).is_empty() && s.metrics().throttled_warps == 0);
     }
 
     #[test]
@@ -524,20 +535,20 @@ mod tests {
     fn stalled_warp_reactivates_when_trigger_calms_down() {
         let mut s = CiaoScheduler::new(CiaoVariant::ThrottleOnly, params_fast(), 4);
         let w = warps(4);
+        let live = SlotSet::below(4);
         for k in 0..20 {
             inject_interference(&mut s, 0, 1, k * 128);
         }
-        let calm = s.throttle_epoch();
+        assert!(s.throttled(live).is_empty());
         s.pick(&ctx(&w, &[0, 1, 2, 3], 100));
         assert!(s.is_throttled(1));
-        let stalled = s.throttle_epoch();
-        assert!(stalled > calm, "a stall moves the throttle epoch");
+        assert_eq!(s.throttled(live), [1].into_iter().collect(), "a stall enters the mask");
         // Many instructions later warp 0's IRS (cumulative hits / per-warp
         // instructions) has decayed below the low cutoff: 20/(20000/4) = 0.004.
         s.pick(&ctx(&w, &[0, 2, 3], 20_000));
         assert!(!s.is_throttled(1), "stall must lift once IRS of the trigger drops");
         assert_eq!(s.decisions().reactivations, 1);
-        assert!(s.throttle_epoch() > stalled, "a reactivation moves the throttle epoch");
+        assert!(s.throttled(live).is_empty(), "a reactivation leaves the mask");
     }
 
     #[test]
@@ -549,15 +560,12 @@ mod tests {
         }
         s.pick(&ctx(&w, &[0, 1, 2, 3], 100));
         assert!(s.is_throttled(1));
-        let stalled = s.throttle_epoch();
+        let live = SlotSet::below(4);
+        assert_eq!(s.throttled(live), [1].into_iter().collect());
         s.on_warp_finished(0, 0);
         s.pick(&ctx(&w, &[1, 2, 3], 110));
         assert!(!s.is_throttled(1), "trigger finished: the stalled warp must reactivate");
-        assert!(s.throttle_epoch() > stalled, "a reactivation moves the throttle epoch");
-        s.on_warp_finished(2, 110);
-        let epoch = s.throttle_epoch();
-        s.on_warp_finished(3, 110);
-        assert_eq!(s.throttle_epoch(), epoch, "finishing an active warp moves nothing");
+        assert!(s.throttled(live).is_empty(), "a reactivation leaves the mask");
     }
 
     #[test]

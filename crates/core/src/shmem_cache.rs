@@ -38,21 +38,14 @@ impl ShmemLine {
     }
 }
 
-/// Statistics of the shared-memory cache.
+/// Statistics of the shared-memory cache: the lookup counts the SM reads
+/// through [`RedirectCache::hits`] and [`RedirectCache::misses`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShmemCacheStats {
     /// Lookups that hit.
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
-    /// Lookups made while the structure had no capacity.
-    pub unavailable: u64,
-    /// Fills performed.
-    pub fills: u64,
-    /// Valid lines displaced by fills.
-    pub evictions: u64,
-    /// Capacity changes triggered by CTA launch/retire.
-    pub resizes: u64,
 }
 
 /// Unused shared memory organised as a direct-mapped cache.
@@ -115,7 +108,6 @@ impl SharedMemCache {
 
     /// Installs `translation` with every line invalid.
     fn rebuild(&mut self, translation: Option<TranslationUnit>) {
-        self.stats.resizes += 1;
         self.translation = translation;
         let lines = translation.map_or(0, |t| t.num_lines() as usize);
         self.lines = vec![ShmemLine::invalid(); lines];
@@ -129,7 +121,6 @@ impl SharedMemCache {
 impl RedirectCache for SharedMemCache {
     fn lookup(&mut self, block_addr: Addr, _wid: WarpId, _is_write: bool) -> RedirectLookup {
         let Some(idx) = self.line_index(block_addr) else {
-            self.stats.unavailable += 1;
             return RedirectLookup::Unavailable;
         };
         let line = self.lines[idx];
@@ -146,9 +137,7 @@ impl RedirectCache for SharedMemCache {
         let idx = self.line_index(block_addr)?;
         let previous = self.lines[idx];
         self.lines[idx] = ShmemLine { valid: true, block_addr, owner: wid };
-        self.stats.fills += 1;
         if previous.valid && previous.block_addr != block_addr {
-            self.stats.evictions += 1;
             Some(EvictedLine {
                 block_addr: previous.block_addr,
                 owner: previous.owner,
@@ -229,7 +218,8 @@ mod tests {
         let mut c = SharedMemCache::gtx480();
         c.fill(0x100, 1);
         assert!(c.fill(0x100, 2).is_none());
-        assert_eq!(c.stats().evictions, 0);
+        assert_eq!(c.lookup(0x100, 1, false), RedirectLookup::Hit { latency: 1 });
+        assert_eq!(c.valid_lines(), 1);
     }
 
     #[test]
@@ -271,38 +261,51 @@ mod tests {
         c.fill(0x80, 0);
         c.set_capacity(16 * 1024);
         assert_eq!(c.valid_lines(), 0);
-        assert!(c.stats().resizes >= 2);
+        assert_eq!(c.lookup(0x80, 0, false), RedirectLookup::Miss, "the resize dropped the line");
+        assert!(c.fill(0x80, 0).is_none(), "a fill into the rebuilt structure evicts nothing");
+        assert_eq!(c.lookup(0x80, 0, false), RedirectLookup::Hit { latency: 1 });
     }
 
     #[test]
     fn same_capacity_resize_is_a_no_op() {
         let mut c = SharedMemCache::gtx480();
         c.fill(0x80, 0);
-        let resizes = c.stats().resizes;
         c.set_capacity(48 * 1024);
-        assert_eq!(c.stats().resizes, resizes, "identical capacity must not rebuild");
-        assert_eq!(c.valid_lines(), 1);
+        assert_eq!(c.valid_lines(), 1, "identical capacity must not rebuild");
+        assert_eq!(c.lookup(0x80, 0, false), RedirectLookup::Hit { latency: 1 });
     }
 
     proptest! {
-        /// The structure never reports more valid lines than its capacity and
-        /// hit/miss/unavailable counts account for every lookup.
+        /// The structure holds exactly the blocks filled and not reported
+        /// evicted: a lookup hits just those, the valid lines never exceed
+        /// the capacity, and the hit and miss counts match the lookups'
+        /// results.
         #[test]
         fn accounting_invariants(ops in proptest::collection::vec((0u64..512, any::<bool>()), 1..300)) {
             let mut c = SharedMemCache::new(4 * 1024, 1);
-            let mut lookups = 0u64;
+            let mut resident = std::collections::HashSet::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
             for (block, do_fill) in ops {
                 let addr = block * 128;
+                let wid = (block % 48) as WarpId;
                 if do_fill {
-                    c.fill(addr, (block % 48) as WarpId);
+                    if let Some(evicted) = c.fill(addr, wid) {
+                        prop_assert!(resident.remove(&evicted.block_addr));
+                    }
+                    resident.insert(addr);
                 } else {
-                    lookups += 1;
-                    let _ = c.lookup(addr, (block % 48) as WarpId, false);
+                    let outcome = c.lookup(addr, wid, false);
+                    match outcome {
+                        RedirectLookup::Hit { .. } => hits += 1,
+                        RedirectLookup::Miss => misses += 1,
+                        RedirectLookup::Unavailable => prop_assert!(false, "4 KB has lines"),
+                    }
+                    prop_assert_eq!(matches!(outcome, RedirectLookup::Hit { .. }), resident.contains(&addr));
                 }
                 prop_assert!(c.valid_lines() <= c.num_lines());
+                prop_assert_eq!(c.valid_lines(), resident.len());
             }
-            let s = c.stats();
-            prop_assert_eq!(s.hits + s.misses + s.unavailable, lookups);
+            prop_assert_eq!((c.hits(), c.misses()), (hits, misses));
         }
     }
 }

@@ -118,12 +118,11 @@ impl CacheConfig {
     }
 }
 
-/// One cache line's bookkeeping state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One cache line's bookkeeping state. Its tag and valid bit live in the
+/// cache's key array, so a tag search reads the keys alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
-    valid: bool,
     dirty: bool,
-    tag: u64,
     /// Block-aligned global address held by the line (kept so evictions can
     /// report the victim address without reconstructing it from tag bits).
     block_addr: Addr,
@@ -133,20 +132,6 @@ struct Line {
     last_use: u64,
     /// FIFO timestamp (allocation counter).
     alloc_seq: u64,
-}
-
-impl Line {
-    fn invalid() -> Self {
-        Line {
-            valid: false,
-            dirty: false,
-            tag: 0,
-            block_addr: 0,
-            owner: 0,
-            last_use: 0,
-            alloc_seq: 0,
-        }
-    }
 }
 
 /// Description of a line evicted to make room for a fill.
@@ -246,12 +231,33 @@ impl CacheStats {
     }
 }
 
+/// The shifts that map an address to its set and tag when the line size
+/// and the set count are both powers of two.
+#[derive(Debug, Clone, Copy)]
+struct IndexShifts {
+    /// log2 of the line size: the block index is `addr >> line`.
+    line: u32,
+    /// log2 of the set count: a linear tag is `block >> sets`.
+    sets: u32,
+    /// The XOR hash's slice width, `max(sets, 1)`.
+    hash: u32,
+}
+
 /// A set-associative cache with warp-ID ownership tracking.
+///
+/// The lines are kept flat and set-major (line `set * ways + way`), with
+/// each line's `tag + 1` in a key array of its own (0 marks an invalid
+/// line), so a tag search reads one set's keys and nothing else.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
     num_sets: usize,
-    sets: Vec<Vec<Line>>,
+    ways: usize,
+    keys: Vec<u64>,
+    lines: Vec<Line>,
+    /// `None` when the set count (768 in the L2) or the line size is not a
+    /// power of two: the set index then takes a `%`.
+    shifts: Option<IndexShifts>,
     /// Monotonic counter driving LRU ordering.
     access_seq: u64,
     /// Monotonic counter driving FIFO ordering.
@@ -263,11 +269,19 @@ impl SetAssocCache {
     /// Builds an empty cache from `config`.
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
-        let sets = vec![vec![Line::invalid(); config.associativity]; num_sets];
+        let ways = config.associativity;
+        let shifts =
+            (num_sets.is_power_of_two() && config.line_size.is_power_of_two()).then(|| {
+                let sets = num_sets.trailing_zeros();
+                IndexShifts { line: config.line_size.trailing_zeros(), sets, hash: sets.max(1) }
+            });
         SetAssocCache {
             config,
             num_sets,
-            sets,
+            ways,
+            keys: vec![0; num_sets * ways],
+            lines: vec![Line::default(); num_sets * ways],
+            shifts,
             access_seq: 0,
             alloc_seq: 0,
             stats: CacheStats::default(),
@@ -289,22 +303,47 @@ impl SetAssocCache {
         &self.stats
     }
 
-    fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
-        let set = self.config.set_index.set_index(addr, self.num_sets, self.config.line_size);
-        let tag = self.config.set_index.tag(addr, self.num_sets, self.config.line_size);
-        (set, tag)
+    /// The set of `addr` and its line's key (`tag + 1`), by the set-index
+    /// function of the configuration (with shifts and a mask in place of
+    /// the divisions when the geometry allows).
+    fn set_and_key(&self, addr: Addr) -> (usize, u64) {
+        let (set, tag) = match self.shifts {
+            Some(shifts) => {
+                let block = addr >> shifts.line;
+                let mask = self.num_sets as u64 - 1;
+                match self.config.set_index {
+                    SetIndexFunction::Linear => ((block & mask) as usize, block >> shifts.sets),
+                    SetIndexFunction::XorHash => {
+                        let folded = block ^ (block >> shifts.hash) ^ (block >> (2 * shifts.hash));
+                        ((folded & mask) as usize, block)
+                    }
+                }
+            }
+            None => {
+                let (sets, line) = (self.num_sets, self.config.line_size);
+                let f = self.config.set_index;
+                (f.set_index(addr, sets, line), f.tag(addr, sets, line))
+            }
+        };
+        (set, tag + 1)
+    }
+
+    /// The line of `set` whose key is `key`, if one is.
+    fn find(&self, set: usize, key: u64) -> Option<usize> {
+        let first = set * self.ways;
+        self.keys[first..first + self.ways].iter().position(|&k| k == key).map(|way| first + way)
     }
 
     /// Probes the cache without updating replacement state or statistics.
     pub fn probe(&self, addr: Addr) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        let (set, key) = self.set_and_key(addr);
+        self.find(set, key).is_some()
     }
 
     /// Returns the owner warp of the line holding `addr`, if present.
     pub fn owner_of(&self, addr: Addr) -> Option<WarpId> {
-        let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().find(|l| l.valid && l.tag == tag).map(|l| l.owner)
+        let (set, key) = self.set_and_key(addr);
+        self.find(set, key).map(|i| self.lines[i].owner)
     }
 
     /// Performs a read or write access on behalf of warp `wid`.
@@ -316,7 +355,7 @@ impl SetAssocCache {
     /// and issue a write-back for dirty victims.
     pub fn access(&mut self, addr: Addr, wid: WarpId, is_write: bool) -> CacheAccess {
         self.access_seq += 1;
-        let (set, tag) = self.set_and_tag(addr);
+        let (set, key) = self.set_and_key(addr);
         if is_write {
             self.stats.writes += 1;
         } else {
@@ -324,7 +363,8 @@ impl SetAssocCache {
         }
 
         // Hit path.
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(i) = self.find(set, key) {
+            let line = &mut self.lines[i];
             line.last_use = self.access_seq;
             if is_write {
                 self.stats.write_hits += 1;
@@ -362,21 +402,23 @@ impl SetAssocCache {
     }
 
     fn fill_internal(&mut self, addr: Addr, wid: WarpId, dirty: bool) -> Option<EvictedLine> {
-        let (set, tag) = self.set_and_tag(addr);
+        let (set, key) = self.set_and_key(addr);
         let block = crate::addr::block_addr_for(addr, self.config.line_size);
         self.alloc_seq += 1;
         self.stats.fills += 1;
 
         // Already present (e.g. fill racing with an earlier fill): refresh.
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(i) = self.find(set, key) {
+            let line = &mut self.lines[i];
             line.last_use = self.access_seq;
             line.dirty |= dirty;
             return None;
         }
 
-        let way = self.pick_victim(set);
-        let line = &mut self.sets[set][way];
-        let evicted = if line.valid {
+        let i = self.pick_victim(set);
+        let valid = std::mem::replace(&mut self.keys[i], key) != 0;
+        let line = &mut self.lines[i];
+        let evicted = if valid {
             self.stats.evictions += 1;
             if line.dirty {
                 self.stats.writebacks += 1;
@@ -386,9 +428,7 @@ impl SetAssocCache {
             None
         };
         *line = Line {
-            valid: true,
             dirty,
-            tag,
             block_addr: block,
             owner: wid,
             last_use: self.access_seq,
@@ -397,25 +437,19 @@ impl SetAssocCache {
         evicted
     }
 
+    /// The line of `set` a fill replaces: its first invalid way, else the
+    /// first way the replacement policy ranks lowest.
     fn pick_victim(&self, set: usize) -> usize {
-        // Prefer an invalid way.
-        if let Some(i) = self.sets[set].iter().position(|l| !l.valid) {
+        if let Some(i) = self.find(set, 0) {
             return i;
         }
-        match self.config.replacement {
-            ReplacementPolicy::Lru => self.sets[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("set has at least one way"),
-            ReplacementPolicy::Fifo => self.sets[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.alloc_seq)
-                .map(|(i, _)| i)
-                .expect("set has at least one way"),
-        }
+        let first = set * self.ways;
+        let lines = self.lines[first..first + self.ways].iter().enumerate();
+        let way = match self.config.replacement {
+            ReplacementPolicy::Lru => lines.min_by_key(|(_, l)| l.last_use),
+            ReplacementPolicy::Fifo => lines.min_by_key(|(_, l)| l.alloc_seq),
+        };
+        first + way.expect("set has at least one way").0
     }
 
     /// Invalidates the line holding `addr`, returning its descriptor if it
@@ -423,38 +457,27 @@ impl SetAssocCache {
     /// the L1D copy is evicted to the response queue and invalidated so a
     /// single copy of the data exists.
     pub fn invalidate(&mut self, addr: Addr) -> Option<EvictedLine> {
-        let (set, tag) = self.set_and_tag(addr);
-        for line in &mut self.sets[set] {
-            if line.valid && line.tag == tag {
-                let out = EvictedLine {
-                    block_addr: line.block_addr,
-                    owner: line.owner,
-                    dirty: line.dirty,
-                };
-                *line = Line::invalid();
-                return Some(out);
-            }
-        }
-        None
+        let (set, key) = self.set_and_key(addr);
+        let i = self.find(set, key)?;
+        self.keys[i] = 0;
+        let line = std::mem::take(&mut self.lines[i]);
+        Some(EvictedLine { block_addr: line.block_addr, owner: line.owner, dirty: line.dirty })
     }
 
     /// Invalidates the entire cache (used between kernel launches).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                *line = Line::invalid();
-            }
-        }
+        self.keys.fill(0);
+        self.lines.fill(Line::default());
     }
 
     /// Number of currently valid lines (for occupancy assertions).
     pub fn valid_lines(&self) -> usize {
-        self.sets.iter().flatten().filter(|l| l.valid).count()
+        self.keys.iter().filter(|&&k| k != 0).count()
     }
 
     /// Iterates over the block addresses of all valid lines.
     pub fn resident_blocks(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.sets.iter().flatten().filter(|l| l.valid).map(|l| l.block_addr)
+        self.keys.iter().zip(&self.lines).filter(|(&k, _)| k != 0).map(|(_, l)| l.block_addr)
     }
 }
 
@@ -645,6 +668,32 @@ mod tests {
             prop_assert_eq!(s.hits() + s.misses(), s.accesses());
             prop_assert_eq!(s.accesses(), addrs.len() as u64);
             prop_assert_eq!(s.fills, s.misses());
+        }
+
+        /// The shift-and-mask set and tag of a power-of-two geometry equal
+        /// the set-index function's own, as does the `%` path of the
+        /// 768-set L2.
+        #[test]
+        fn set_and_key_match_the_set_index_function(
+            addr in any::<u64>(),
+            sets_log2 in 0u32..11,
+            linear in any::<bool>(),
+        ) {
+            let set_index =
+                if linear { SetIndexFunction::Linear } else { SetIndexFunction::XorHash };
+            let sets = 1u64 << sets_log2;
+            for (size_bytes, associativity) in [(sets * 4 * LINE_SIZE, 4), (768 * 8 * LINE_SIZE, 8)] {
+                let c = SetAssocCache::new(CacheConfig {
+                    size_bytes,
+                    associativity,
+                    set_index,
+                    ..CacheConfig::l2_gtx480()
+                });
+                let n = c.num_sets();
+                let expected =
+                    (set_index.set_index(addr, n, LINE_SIZE), set_index.tag(addr, n, LINE_SIZE) + 1);
+                prop_assert_eq!(c.set_and_key(addr), expected);
+            }
         }
 
         /// After accessing an address it is always resident (read, write-allocate).

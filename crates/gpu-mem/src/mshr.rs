@@ -128,9 +128,11 @@ impl Mshr {
         self.blocks.iter().position(|&b| b == block_addr)
     }
 
-    /// True if a miss to `block_addr` is already outstanding.
+    /// True if a miss to `block_addr` is already outstanding. Every tag is
+    /// compared, with no early exit, so the compiler turns the scan into a
+    /// few wide compares; most probes miss and would scan every tag anyway.
     pub fn probe(&self, block_addr: Addr) -> bool {
-        self.slot(block_addr).is_some()
+        self.blocks.iter().fold(false, |found, &b| found | (b == block_addr))
     }
 
     /// Returns the entry for `block_addr`, if outstanding.
@@ -151,7 +153,10 @@ impl Mshr {
         now: Cycle,
         fill_target: FillTarget,
     ) -> Result<MshrAllocation, MshrError> {
-        if let Some(i) = self.slot(block_addr) {
+        // Most allocations are new blocks: the wide probe rules out a merge
+        // before the slot is searched for.
+        if self.probe(block_addr) {
+            let i = self.slot(block_addr).expect("a probed tag has a slot");
             let waiting = &mut self.entries[i].waiting_warps;
             if waiting.len() >= self.max_merged {
                 return Err(MshrError::MergeListFull);

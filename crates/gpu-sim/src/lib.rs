@@ -83,7 +83,7 @@ pub use stats::{
     TenantStats, TimeSeries, TimeSeriesPoint,
 };
 pub use trace::{MemPattern, MemSpace, VecProgram, WarpOp, WarpProgram};
-pub use warp::{Warp, WarpState};
+pub use warp::{SlotSet, Warp, WarpState};
 
 /// Re-export of the global address type.
 pub use gpu_mem::Addr;

@@ -7,10 +7,12 @@
 //! evictions). The event core does not step every cycle: it asks the
 //! scheduler how long the SM may hold still
 //! ([`WarpScheduler::hold_horizon`]) and advances it over the skipped
-//! stretch in closed form ([`WarpScheduler::on_idle_cycles`]). In both
-//! modes the SM caches each fetched op's throttle answer
-//! ([`WarpScheduler::is_throttled`]) and asks again only when the
-//! scheduler's [`WarpScheduler::throttle_epoch`] moves.
+//! stretch in closed form ([`WarpScheduler::on_idle_cycles`]). The SM and
+//! the scheduler trade slot masks ([`SlotSet`]): the SM offers the ready
+//! warps as one ([`SchedulerCtx::ready`]), and on every cycle it steps
+//! asks the scheduler for the live warps it holds back as another
+//! ([`WarpScheduler::throttled`]), so the SM keeps no copy of any
+//! scheduler's throttle state.
 //!
 //! The baselines implemented here:
 //!
@@ -24,7 +26,7 @@
 //! CCWS, Best-SWL and statPCAL live in `ciao-schedulers`; CIAO-T/P/C live in
 //! `ciao-core`. They all implement this trait.
 
-use crate::warp::Warp;
+use crate::warp::{SlotSet, Warp};
 use gpu_mem::cache::EvictedLine;
 use gpu_mem::{Addr, Cycle, WarpId};
 use serde::{Deserialize, Serialize};
@@ -88,10 +90,11 @@ pub struct SchedulerCtx<'a> {
     pub now: Cycle,
     /// All warps resident on the SM (indexed by warp id).
     pub warps: &'a [Warp],
-    /// Indices into `warps` of the warps able to issue this cycle: ready,
-    /// not finished, and not held back by the scheduler's own
-    /// [`WarpScheduler::is_throttled`] under the SM's throttle rule.
-    pub ready: &'a [usize],
+    /// The slots (indices into `warps`) of the warps able to issue this
+    /// cycle: ready, not finished, and not held back by the scheduler's own
+    /// [`WarpScheduler::throttled`] set under the SM's throttle rule.
+    /// Iterated in ascending slot order.
+    pub ready: SlotSet,
     /// Total dynamic instructions executed on this SM so far.
     pub instructions_executed: u64,
     /// Number of warps that have not yet finished their programs.
@@ -140,7 +143,7 @@ pub trait WarpScheduler: Send {
     ///
     /// The contract: return one of `ctx.ready` whenever `ctx.ready` is
     /// non-empty, and `None` only when it is empty. The SM has already
-    /// applied [`WarpScheduler::is_throttled`] (and
+    /// applied [`WarpScheduler::throttled`] (and
     /// [`WarpScheduler::throttles_loads_only`]) when it built the offer, so a
     /// policy only orders what it is offered and never filters it again.
     fn pick(&mut self, ctx: &SchedulerCtx<'_>) -> Option<usize>;
@@ -154,7 +157,7 @@ pub trait WarpScheduler: Send {
     ///   scheduler within its [`WarpScheduler::hold_horizon`]. The scheduler
     ///   must end in exactly the state `cycles` consecutive
     ///   [`WarpScheduler::pick`] calls with an empty ready set would leave.
-    /// - `ctx.ready == [idx]`: warp `idx` replayed a global load that the
+    /// - `ctx.ready == {idx}`: warp `idx` replayed a global load that the
     ///   full MSHR file turned away on every cycle, within the horizon. The
     ///   scheduler must end in the state `cycles` rounds of a `pick`
     ///   offering `idx` (which returns `idx`) followed by
@@ -178,7 +181,7 @@ pub trait WarpScheduler: Send {
     ///   cycle of the horizon must keep `is_throttled` unchanged for every
     ///   warp: on cycle `k` the SM offers warps by the set left by `k`
     ///   empty picks;
-    /// - `[idx]`: every cycle re-picks warp `idx`, which replays a load the
+    /// - `{idx}`: every cycle re-picks warp `idx`, which replays a load the
     ///   full MSHR file turns away. Every cycle of the horizon must pick
     ///   `idx` out of any ready set containing it, keep `is_throttled`
     ///   unchanged, and leave `on_issue` for that warp predictable by
@@ -223,27 +226,24 @@ pub trait WarpScheduler: Send {
         false
     }
 
-    /// The throttle epoch: a value that moves whenever any
-    /// [`WarpScheduler::is_throttled`] answer may have changed, or `None`
-    /// for "ask again every cycle" (the default).
+    /// The slots of `live` that [`WarpScheduler::is_throttled`] holds back,
+    /// as one mask: at every call it must equal
+    /// `{w ∈ live : is_throttled(w)}`. The SM asks on every cycle it
+    /// steps, with `live` the slots of its resident CTAs.
     ///
-    /// The SM caches each fetched op's answer to its one throttle rule and
-    /// asks `is_throttled` again only for a newly fetched op, or for every
-    /// fetched op once the epoch returns a different value. A policy that
-    /// returns `Some` must therefore move it on every change of its
-    /// throttle set, from any method, and never return an earlier value.
-    /// [`WarpScheduler::throttles_loads_only`] must not change at all. A
-    /// wrapper that does not forward this method gets the default, which is
-    /// always correct and only slower.
-    fn throttle_epoch(&self) -> Option<u64> {
-        None
+    /// The default asks `is_throttled` once per live slot, so a wrapper
+    /// that does not forward this method stays correct and is only slower.
+    /// A policy that keeps its throttle state as a mask returns it directly.
+    fn throttled(&self, live: SlotSet) -> SlotSet {
+        live.iter().filter(|&w| self.is_throttled(w as WarpId)).collect()
     }
 
     /// When true, a throttled warp is only prevented from issuing
     /// *global-memory* instructions (loads/stores); compute, barrier and
     /// scratchpad instructions still issue. This is CCWS's and statPCAL's
     /// behaviour — they gate the LD/ST unit, not the whole warp — whereas
-    /// Best-SWL and CIAO-T stall the warp entirely (the default).
+    /// Best-SWL and CIAO-T stall the warp entirely (the default). The SM
+    /// reads it once, when it is built, so it must never change.
     fn throttles_loads_only(&self) -> bool {
         false
     }
@@ -274,12 +274,13 @@ impl GtoScheduler {
     /// The greedy-then-`key` pick every GTO-based policy shares: the last
     /// issued warp while it is still offered in `ready`, otherwise the
     /// offered warp with the minimum `key`, which becomes the greedy warp.
-    /// `None` only when `ready` is empty.
-    pub fn pick_by<K: Ord>(&mut self, ready: &[usize], key: impl Fn(usize) -> K) -> Option<usize> {
-        if let Some(last) = self.last_issued.filter(|last| ready.contains(last)) {
+    /// `None` only when `ready` is empty. Ties on `key` go to the lowest
+    /// slot.
+    pub fn pick_by<K: Ord>(&mut self, ready: SlotSet, key: impl Fn(usize) -> K) -> Option<usize> {
+        if let Some(last) = self.last_issued.filter(|&last| ready.contains(last)) {
             return Some(last);
         }
-        let pick = ready.iter().copied().min_by_key(|&i| key(i))?;
+        let pick = ready.iter().min_by_key(|&i| key(i))?;
         self.last_issued = Some(pick);
         Some(pick)
     }
@@ -301,17 +302,17 @@ impl WarpScheduler for GtoScheduler {
         self.pick_by(ctx.ready, |i| ctx.warps[i].launch_seq)
     }
 
-    fn throttle_epoch(&self) -> Option<u64> {
+    fn throttled(&self, _live: SlotSet) -> SlotSet {
         // GTO throttles nothing, ever.
-        Some(0)
+        SlotSet::default()
     }
 
     fn hold_horizon(&self, ctx: &SchedulerCtx<'_>) -> u64 {
         // An empty pick is pure, and so is a greedy one.
-        match ctx.ready {
-            [] => u64::MAX,
-            &[idx] if self.is_greedy(idx) => u64::MAX,
-            _ => 0,
+        if ctx.ready.is_empty() || ctx.ready.single().is_some_and(|idx| self.is_greedy(idx)) {
+            u64::MAX
+        } else {
+            0
         }
     }
 }
@@ -341,7 +342,7 @@ impl WarpScheduler for LrrScheduler {
         let n = ctx.warps.len().max(1);
         for offset in 0..n {
             let candidate = (self.next + offset) % n;
-            if ctx.ready.contains(&candidate) {
+            if ctx.ready.contains(candidate) {
                 self.next = (candidate + 1) % n;
                 return Some(candidate);
             }
@@ -349,8 +350,8 @@ impl WarpScheduler for LrrScheduler {
         None
     }
 
-    fn throttle_epoch(&self) -> Option<u64> {
-        Some(0)
+    fn throttled(&self, _live: SlotSet) -> SlotSet {
+        SlotSet::default()
     }
 }
 
@@ -366,11 +367,11 @@ mod tests {
             .collect()
     }
 
-    fn ctx<'a>(warps: &'a [Warp], ready: &'a [usize]) -> SchedulerCtx<'a> {
+    fn ctx<'a>(warps: &'a [Warp], ready: &[usize]) -> SchedulerCtx<'a> {
         SchedulerCtx {
             now: 0,
             warps,
-            ready,
+            ready: ready.iter().copied().collect(),
             instructions_executed: 0,
             active_warps: warps.len(),
             dram_utilization_at: &|_| Some(0.0),
@@ -439,7 +440,8 @@ mod tests {
         let mut s = LrrScheduler::new();
         assert_eq!(s.route(0), MemRoute::L1d);
         assert!(!s.is_throttled(0));
-        assert_eq!((s.throttle_epoch(), GtoScheduler::new().throttle_epoch()), (Some(0), Some(0)));
+        let live = SlotSet::below(4);
+        assert!(s.throttled(live).is_empty() && GtoScheduler::new().throttled(live).is_empty());
         assert_eq!(s.hold_horizon(&ctx(&make_warps(1), &[])), 0);
         assert_eq!(s.hold_horizon(&ctx(&make_warps(1), &[0])), 0);
         assert_eq!(s.metrics(), SchedulerMetrics::default());

@@ -48,22 +48,24 @@
 //!
 //! Both modes read warp eligibility from slot masks kept in
 //! [`WarpSlots`]: the *ready* warps, the *timed* (`Executing`) warps with
-//! their write-back cycles, and the warps holding a *fetched* op. Each warp
-//! state transition (launch, issue, replay, memory reply, barrier enter and
+//! their write-back cycles, and the warps holding a *fetched* op, with
+//! whether that op is a global access or a barrier. Each warp state
+//! transition (launch, issue, replay, memory reply, barrier enter and
 //! release, finish) goes through `WarpSlots` and updates them, and every
 //! cycle the SM reaches (by a step or a skip) promotes the executing warps
 //! whose write-back cycle it is to ready. So `step` fetches ops only for
-//! `ready & !fetched`, offers `ready & fetched & !held` a word at a time,
-//! and `skip_target` reads the earliest write-back cycle instead of walking
+//! `ready & !fetched`, offers `ready & !held` a word at a time, and
+//! `skip_target` reads the earliest write-back cycle instead of walking
 //! the warps.
 //!
-//! `held` caches the one throttle rule's answer (`Sm::held_by_throttle`)
-//! per fetched op. The SM asks the rule again only for a newly fetched op,
-//! or for every fetched op once the scheduler's
-//! [`WarpScheduler::throttle_epoch`] returns a different value (always,
-//! for a scheduler that returns `None`). In debug builds every `step`
-//! checks the masks against the warp states, and `held` and the offer
-//! against a fresh recompute through the rule.
+//! `held`, the fetched ops the one throttle rule (`Sm::held_by_throttle`)
+//! holds back, is computed afresh from masks whenever it is needed:
+//! `throttled(occupied) & fetched & !barrier`, and `& global` for a
+//! scheduler that throttles loads only, where `throttled` is the
+//! scheduler's own mask ([`WarpScheduler::throttled`]). The SM keeps no
+//! copy of throttle state, so there is nothing to go stale. In debug builds
+//! every `step` checks the masks against the warp states, and `held`
+//! against a per-op recompute through the rule.
 //!
 //! Downstream memory is reached through a [`MemoryPort`]: a private L2+DRAM
 //! partition when the SM is a chip of its own, or a deferred port into the
@@ -88,7 +90,7 @@ use crate::stats::{
     tenant_slot, InterferenceMatrix, SmStats, TenantStats, TimeSeries, TimeSeriesPoint,
 };
 use crate::trace::{MemSpace, WarpOp};
-use crate::warp::{SlotSet, Warp, WarpSlots, WarpState, MAX_SLOTS};
+use crate::warp::{SlotSet, Warp, WarpSlots, WarpState};
 use gpu_mem::cache::{AccessOutcome, EvictedLine, SetAssocCache};
 use gpu_mem::interconnect::Interconnect;
 use gpu_mem::mshr::{FillTarget, Mshr, MshrAllocation};
@@ -166,15 +168,9 @@ pub(crate) struct Sm {
     time_series: TimeSeries,
     interference: InterferenceMatrix,
     snapshot: SampleSnapshot,
-    ready_scratch: Vec<usize>,
-    /// The slots of `ready_scratch`, for the test that a pick was offered.
-    offered: SlotSet,
-    /// The fetched ops the one throttle rule (`Sm::held_by_throttle`) holds
-    /// back, as of the scheduler's throttle epoch `held_epoch`. Bits of
-    /// slots outside `WarpSlots::fetched` mean nothing.
-    held: SlotSet,
-    /// The throttle epoch `held` was computed at (`None`: recompute).
-    held_epoch: Option<u64>,
+    /// The scheduler's [`WarpScheduler::throttles_loads_only`], which never
+    /// changes.
+    loads_only: bool,
     /// The warp whose global load the full MSHR file last turned away, and
     /// the file's [`Mshr::version`] then: until the file changes, a retry
     /// of the same load is turned away without coalescing and probing it
@@ -229,11 +225,13 @@ impl Sm {
         let smmt = Smmt::new(config.shared_mem.size_bytes);
         let mshr = Mshr::new(config.mshr_entries, config.mshr_merge);
         assert!(
-            config.max_warps_per_sm <= MAX_SLOTS,
-            "an SM holds at most {MAX_SLOTS} warp slots, not {}",
+            config.max_warps_per_sm <= SlotSet::CAPACITY,
+            "an SM holds at most {} warp slots, not {}",
+            SlotSet::CAPACITY,
             config.max_warps_per_sm
         );
         let interference = InterferenceMatrix::new(config.max_warps_per_sm);
+        let loads_only = scheduler.throttles_loads_only();
 
         let mut sm = Sm {
             config,
@@ -261,10 +259,7 @@ impl Sm {
             time_series: TimeSeries::default(),
             interference,
             snapshot: SampleSnapshot::default(),
-            ready_scratch: Vec::new(),
-            offered: SlotSet::default(),
-            held: SlotSet::default(),
-            held_epoch: None,
+            loads_only,
             refused_load: None,
             blocks_scratch: Vec::new(),
             lanes_scratch: Vec::new(),
@@ -456,7 +451,7 @@ impl Sm {
     /// cycle cap and `until`; and when any warp is ready, the scheduler's
     /// [`WarpScheduler::hold_horizon`] bounds it too. Fully idle stretches
     /// never consult the scheduler. The masks answer every test but the
-    /// throttle rule's, which comes from `Sm::held_now`.
+    /// throttle rule's, which comes from `Sm::held`.
     fn skip_target(&self, until: Cycle, snapshot_until: Cycle) -> Option<Cycle> {
         let now = self.cycle;
         let ready = self.warps.ready();
@@ -484,10 +479,10 @@ impl Sm {
                 woken.contains(idx)
                     && woken.len() == 1
                     && (ready & !self.warps.fetched()).is_empty()
-                    && !self.held_now().contains(idx)
+                    && !self.held().contains(idx)
             }
             None => {
-                ready.is_empty() || self.throttle_only_last && (ready & !self.held_now()).is_empty()
+                ready.is_empty() || self.throttle_only_last && (ready & !self.held()).is_empty()
             }
         };
         if !holds || self.bookkeeping_due() {
@@ -500,7 +495,7 @@ impl Sm {
             let utilization_at = |t| self.port.known_dram_utilization(t, snapshot_until);
             let ctx = Self::hold_ctx(
                 &self.warps,
-                self.replayed.as_slice(),
+                self.replayed.into_iter().collect(),
                 self.stats.instructions,
                 self.unfinished,
                 &utilization_at,
@@ -535,7 +530,7 @@ impl Sm {
     /// throttles loads only holds back global-memory ops alone. `step`
     /// offers exactly the ready warps this rule lets through, and
     /// `skip_target` asks the same rule whether a stretch holds, both
-    /// through the cache that `Sm::held_now` keeps.
+    /// through its mask form, `Sm::held`.
     fn held_by_throttle(scheduler: &dyn WarpScheduler, w: &Warp) -> bool {
         match w.pending() {
             None | Some(WarpOp::Barrier) => false,
@@ -546,36 +541,25 @@ impl Sm {
         }
     }
 
-    /// True when the cached `held` bits still answer for every fetched op
-    /// at the scheduler's throttle epoch `epoch`: it is the `Some` value
-    /// they were computed at. An op's answer can only change with the op
-    /// (a fetch recomputes it) or with `is_throttled` (which moves the
-    /// epoch).
-    fn held_is_fresh(&self, epoch: Option<u64>) -> bool {
-        let fresh = epoch.is_some() && epoch == self.held_epoch;
-        debug_assert!(
-            !fresh || self.held & self.warps.fetched() == self.recompute_held(),
-            "throttle epoch {epoch:?} stayed while an is_throttled answer moved"
-        );
-        fresh
-    }
-
-    /// The fetched ops that `Sm::held_by_throttle` holds back now: the
-    /// cached `held` bits while they are fresh, a recompute otherwise.
-    fn held_now(&self) -> SlotSet {
-        if self.held_is_fresh(self.scheduler.throttle_epoch()) {
-            self.held & self.warps.fetched()
+    /// The fetched ops that `Sm::held_by_throttle` holds back now, from
+    /// masks: the scheduler's throttled live slots, less the barriers, and
+    /// only the global accesses for a scheduler that throttles loads only.
+    fn held(&self) -> SlotSet {
+        let ops = if self.loads_only {
+            self.warps.fetched_global()
         } else {
-            self.recompute_held()
-        }
-    }
-
-    /// `Sm::held_by_throttle` asked afresh for every fetched op.
-    fn recompute_held(&self) -> SlotSet {
-        let mut held = SlotSet::default();
-        for i in self.warps.fetched().iter() {
-            held.set(i, Self::held_by_throttle(&*self.scheduler, &self.warps[i]));
-        }
+            self.warps.fetched_non_barrier()
+        };
+        let held = self.scheduler.throttled(self.occupied) & ops;
+        debug_assert_eq!(
+            held,
+            self.warps
+                .fetched()
+                .iter()
+                .filter(|&i| Self::held_by_throttle(&*self.scheduler, &self.warps[i]))
+                .collect(),
+            "the scheduler's throttled mask disagrees with its is_throttled answers"
+        );
         held
     }
 
@@ -583,7 +567,7 @@ impl Sm {
     /// idle stretch and names the replaying warp on a replay stretch.
     fn hold_ctx<'a>(
         warps: &'a [Warp],
-        ready: &'a [usize],
+        ready: SlotSet,
         instructions: u64,
         active_warps: usize,
         dram_utilization_at: &'a dyn Fn(Cycle) -> Option<f64>,
@@ -640,7 +624,7 @@ impl Sm {
         let utilization_at = |t| self.port.known_dram_utilization(t, target);
         let ctx = Self::hold_ctx(
             &self.warps,
-            self.replayed.as_slice(),
+            self.replayed.into_iter().collect(),
             self.stats.instructions,
             self.unfinished,
             &utilization_at,
@@ -686,43 +670,29 @@ impl Sm {
         // ready warps the throttle rule lets through.
         let mut ready = self.warps.ready();
         let mut finished_now = SlotSet::default();
-        self.offered = SlotSet::default();
+        let mut offered = SlotSet::default();
         if !ready.is_empty() {
-            let epoch = self.scheduler.throttle_epoch();
-            let mut held =
-                if self.held_is_fresh(epoch) { self.held } else { self.recompute_held() };
             for i in (ready & !self.warps.fetched()).iter() {
-                if self.warps.fetch(i) {
-                    held.set(i, Self::held_by_throttle(&*self.scheduler, &self.warps[i]));
-                } else {
+                if !self.warps.fetch(i) {
                     finished_now.insert(i);
                 }
             }
             ready = ready & !finished_now;
-            self.offered = ready & !held;
-            (self.held, self.held_epoch) = (held, epoch);
+            offered = ready & !self.held();
         }
-        debug_assert_eq!(
-            self.offered,
-            ready & !self.recompute_held(),
-            "the cached throttle answers disagree with a fresh recompute"
-        );
-        self.ready_scratch.clear();
-        self.ready_scratch.extend(self.offered.iter());
         for i in finished_now.iter() {
             self.finish_warp(i, now);
         }
         let any_ready_ignoring_throttle = !ready.is_empty();
 
         let picked = {
-            let ready = std::mem::take(&mut self.ready_scratch);
             // `run_epoch_event` steps only before its boundary, so a deferred
             // port's snapshot holds for `now`.
             let utilization_at = |t| self.port.known_dram_utilization(t, now + 1);
             let ctx = SchedulerCtx {
                 now,
                 warps: &self.warps,
-                ready: &ready,
+                ready: offered,
                 instructions_executed: self.stats.instructions,
                 active_warps: self.unfinished,
                 dram_utilization_at: &utilization_at,
@@ -734,9 +704,7 @@ impl Sm {
             // are currently throttled would stay idle forever.
             let picked = self.scheduler.pick(&ctx);
             // Defensive: only honour picks that were actually offered.
-            let picked = picked.filter(|&i| self.offered.contains(i));
-            self.ready_scratch = ready;
-            picked
+            picked.filter(|&i| offered.contains(i))
         };
 
         self.throttle_only_last = picked.is_none() && any_ready_ignoring_throttle;
@@ -1020,11 +988,11 @@ impl Sm {
 
     /// True when the MSHR file can hold the worst-case number of new entries
     /// a load of `blocks` needs (blocks already in flight merge, so the file
-    /// is searched only when the free entries alone fall short).
+    /// is searched only when the free entries alone fall short, and only
+    /// until more blocks than free entries turn out to be new).
     fn mshr_can_hold(&self, blocks: &[Addr]) -> bool {
         let free = self.config.mshr_entries - self.mshr.in_flight();
-        blocks.len() <= free
-            || blocks.len() <= free + blocks.iter().filter(|&&b| self.mshr.probe(b)).count()
+        blocks.len() <= free || blocks.iter().filter(|&&b| !self.mshr.probe(b)).nth(free).is_none()
     }
 
     fn issue_global(

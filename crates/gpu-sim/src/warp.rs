@@ -6,13 +6,19 @@
 //! the *active* bit `V` and the *isolation* bit `I` — belong to the policy
 //! that sets them (CIAO keeps them per warp slot), not to the warp.
 //!
-//! The SM holds its warps in `WarpSlots`, which keeps three slot masks up
-//! to date on every state transition: the *ready* warps, the *timed*
+//! The SM holds its warps in `WarpSlots`, which keeps its slot masks up to
+//! date on every state transition: the *ready* warps, the *timed*
 //! (`Executing`) warps with their write-back cycles, and the warps that
-//! hold a *fetched* op, one `u64` word of each per 64 slots, kept inline.
-//! The SM reads them as `SlotSet`s, one bit per slot of a `u128`, so its
-//! per-cycle eligibility test is a few word operations and a warp waiting
-//! on an event is not visited until the event arrives.
+//! hold a *fetched* op, with two more words that say whether that op is a
+//! global access or a barrier, one `u64` word of each per 64 slots, kept
+//! inline. The SM reads them as [`SlotSet`]s, one bit per slot of a
+//! `u128`, so its per-cycle eligibility test is a few word operations and
+//! a warp waiting on an event is not visited until the event arrives.
+//! The SM and its warp scheduler trade the same sets: the SM offers the
+//! ready warps as one (`SchedulerCtx::ready`) and the scheduler answers
+//! which live warps it holds back as another
+//! (`WarpScheduler::throttled`), so CIAO's `V` bits reach the SM as the
+//! mask CIAO keeps.
 //! An `Executing` warp is promoted to `Ready` by the first step at or after
 //! its write-back cycle.
 
@@ -180,19 +186,41 @@ impl Warp {
     }
 }
 
-/// The most warp slots an SM may have: one bit each in a [`SlotSet`].
-pub(crate) const MAX_SLOTS: usize = u128::BITS as usize;
+/// A set of warp slots below [`SlotSet::CAPACITY`], one bit per slot of a
+/// `u128` kept inline, so a set is `Copy` and a set operation (`&`, `|`,
+/// `!`) is a pair of word operations. Iterated in ascending slot order.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlotSet(u128);
 
-/// A set of warp slots below [`MAX_SLOTS`], one bit per slot of a `u128`
-/// kept inline, so a set is `Copy` and a set operation (`&`, `|`, `!`) is a
-/// pair of word operations. Iterated in ascending slot order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct SlotSet(u128);
+impl std::fmt::Debug for SlotSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<usize> for SlotSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(slots: I) -> Self {
+        let mut set = SlotSet::default();
+        slots.into_iter().for_each(|slot| set.insert(slot));
+        set
+    }
+}
 
 impl SlotSet {
-    /// The bit of `slot`, which must be below [`MAX_SLOTS`], built from a
-    /// 64-bit shift (a variable 128-bit shift takes several instructions).
+    /// The most slots a set holds, and so the most warp slots an SM has.
+    pub const CAPACITY: usize = u128::BITS as usize;
+
+    /// The slots `0..n`, for `n` up to [`SlotSet::CAPACITY`].
+    pub fn below(n: usize) -> Self {
+        debug_assert!(n <= Self::CAPACITY, "{n} slots past the slot masks");
+        SlotSet(if n >= Self::CAPACITY { u128::MAX } else { (1u128 << n) - 1 })
+    }
+
+    /// The bit of `slot`, which must be below [`SlotSet::CAPACITY`], built
+    /// from a 64-bit shift (a variable 128-bit shift takes several
+    /// instructions).
     fn bit(slot: usize) -> u128 {
+        debug_assert!(slot < Self::CAPACITY, "slot {slot} past the slot masks");
         let bit = u128::from(1u64 << (slot % 64));
         if slot < 64 {
             bit
@@ -201,12 +229,12 @@ impl SlotSet {
         }
     }
 
-    /// Adds `slot`, which must be below [`MAX_SLOTS`].
+    /// Adds `slot`, which must be below [`SlotSet::CAPACITY`].
     pub fn insert(&mut self, slot: usize) {
         self.0 |= Self::bit(slot);
     }
 
-    /// Removes `slot`, which must be below [`MAX_SLOTS`].
+    /// Removes `slot`, which must be below [`SlotSet::CAPACITY`].
     pub fn remove(&mut self, slot: usize) {
         self.0 &= !Self::bit(slot);
     }
@@ -219,7 +247,7 @@ impl SlotSet {
 
     /// True when `slot` is in the set (any `slot` may be asked about).
     pub fn contains(&self, slot: usize) -> bool {
-        slot < MAX_SLOTS && self.0 >> slot & 1 == 1
+        slot < Self::CAPACITY && self.0 >> slot & 1 == 1
     }
 
     /// True when no slot is in the set.
@@ -232,14 +260,20 @@ impl SlotSet {
         self.0.count_ones() as usize
     }
 
-    /// The lowest slot not in the set ([`MAX_SLOTS`] when every slot is in
-    /// it).
+    /// The one slot of a set of exactly one slot (`None` for any other
+    /// set).
+    pub fn single(&self) -> Option<usize> {
+        (self.0 != 0 && self.0 & (self.0 - 1) == 0).then(|| self.0.trailing_zeros() as usize)
+    }
+
+    /// The lowest slot not in the set ([`SlotSet::CAPACITY`] when every
+    /// slot is in it).
     pub fn first_absent(&self) -> usize {
         self.0.trailing_ones() as usize
     }
 
     /// The set whose slots `64 * i + b` are the set bits `b` of `words[i]`.
-    fn from_words(words: [u64; MAX_SLOTS / 64]) -> Self {
+    fn from_words(words: [u64; Self::CAPACITY / 64]) -> Self {
         SlotSet(u128::from(words[0]) | u128::from(words[1]) << 64)
     }
 
@@ -275,7 +309,7 @@ impl std::ops::Not for SlotSet {
 }
 
 /// Ascending iterator over a [`SlotSet`], one `u64` word at a time.
-pub(crate) struct SlotIter {
+pub struct SlotIter {
     /// The unvisited slots of the current word.
     word: u64,
     /// The unvisited slots of the word after it.
@@ -309,6 +343,12 @@ struct MaskWords {
     ready: u64,
     timed: u64,
     fetched: u64,
+    /// Whether the fetched op is a global-memory access (meaningful for
+    /// `fetched` slots only).
+    global: u64,
+    /// Whether the fetched op is a barrier (meaningful for `fetched` slots
+    /// only).
+    barrier: u64,
 }
 
 /// The mask group of `slot` and the bit of `slot` in it.
@@ -326,8 +366,9 @@ fn set_bit(word: &mut u64, bit: u64, on: bool) {
 ///
 /// Slot `i` is in `ready` when its warp is `Ready`, in `timed` when it is
 /// `Executing` (`wake[i]` then holds its `until`), and in `fetched` when it
-/// holds a fetched op. It is *live*, able to issue by the passage of time
-/// alone, when it is in `ready | timed`. The masks are updated at every
+/// holds a fetched op; a fetched slot is in `global` or `barrier` when its
+/// op is a global-memory access or a barrier. It is *live*, able to issue
+/// by the passage of time alone, when it is in `ready | timed`. The masks are updated at every
 /// state transition, which therefore goes through [`WarpSlots::launch`],
 /// [`WarpSlots::update`], [`WarpSlots::fetch`], [`WarpSlots::take_op`] or
 /// [`WarpSlots::promote`]: the slots hand out no `&mut Warp`. Reads go
@@ -336,7 +377,7 @@ fn set_bit(word: &mut u64, bit: u64, on: bool) {
 pub(crate) struct WarpSlots {
     warps: Vec<Warp>,
     wake: Vec<Cycle>,
-    masks: [MaskWords; MAX_SLOTS / 64],
+    masks: [MaskWords; SlotSet::CAPACITY / 64],
     /// The earliest `wake` of a `timed` slot (`Cycle::MAX` when none is).
     next_wake: Cycle,
     /// The slots the last promotion woke, and the cycle it woke them at.
@@ -361,7 +402,7 @@ impl WarpSlots {
     /// Puts a newly launched warp into `slot`: the next new slot, or one
     /// whose warp has finished.
     pub fn launch(&mut self, slot: usize, warp: Warp) {
-        debug_assert!(slot < MAX_SLOTS, "slot {slot} past the slot masks");
+        debug_assert!(slot < SlotSet::CAPACITY, "slot {slot} past the slot masks");
         if slot == self.warps.len() {
             self.warps.push(warp);
             self.wake.push(Cycle::MAX);
@@ -412,7 +453,7 @@ impl WarpSlots {
     /// [`WarpSlots::promote`] once some `timed` slot is due.
     fn promote_due(&mut self, now: Cycle) {
         self.next_wake = Cycle::MAX;
-        let mut woken = [0; MAX_SLOTS / 64];
+        let mut woken = [0; SlotSet::CAPACITY / 64];
         for (group, masks) in self.masks.iter_mut().enumerate() {
             let mut timed = masks.timed;
             while timed != 0 {
@@ -452,9 +493,15 @@ impl WarpSlots {
     /// [`Warp::peek_op`] on the warp in `slot`: false when its program has
     /// ended.
     pub fn fetch(&mut self, slot: usize) -> bool {
-        let fetched = self.warps[slot].peek_op().is_some();
+        let op = self.warps[slot].peek_op();
+        let (fetched, global, barrier) = op.map_or((false, false, false), |op| {
+            (true, op.is_global_mem(), matches!(op, WarpOp::Barrier))
+        });
         let (group, bit) = group_bit(slot);
-        set_bit(&mut self.masks[group].fetched, bit, fetched);
+        let masks = &mut self.masks[group];
+        set_bit(&mut masks.fetched, bit, fetched);
+        set_bit(&mut masks.global, bit, global);
+        set_bit(&mut masks.barrier, bit, barrier);
         fetched
     }
 
@@ -485,10 +532,21 @@ impl WarpSlots {
         self.mask(|masks| masks.fetched)
     }
 
+    /// The fetched slots whose op is a global-memory access.
+    pub fn fetched_global(&self) -> SlotSet {
+        self.mask(|masks| masks.fetched & masks.global)
+    }
+
+    /// The fetched slots whose op is not a barrier.
+    pub fn fetched_non_barrier(&self) -> SlotSet {
+        self.mask(|masks| masks.fetched & !masks.barrier)
+    }
+
     /// True when the masks and write-back cycles equal a recompute from
     /// every warp's state, and every warp due by `now` is promoted.
     pub fn masks_are_consistent(&self, now: Cycle) -> bool {
         let (ready, timed, fetched) = (self.ready(), self.timed(), self.fetched());
+        let (global, non_barrier) = (self.fetched_global(), self.fetched_non_barrier());
         self.warps.len() == self.wake.len()
             && self.warps.iter().enumerate().all(|(i, w)| {
                 let until = match w.state {
@@ -499,6 +557,9 @@ impl WarpSlots {
                     && timed.contains(i) == until.is_some()
                     && until.is_none_or(|at| self.wake[i] == at && at > now)
                     && fetched.contains(i) == w.pending_op.is_some()
+                    && global.contains(i) == w.pending().is_some_and(WarpOp::is_global_mem)
+                    && non_barrier.contains(i)
+                        == w.pending().is_some_and(|op| !matches!(op, WarpOp::Barrier))
             })
             && (ready | timed | fetched).iter().all(|i| i < self.warps.len())
             && self.next_wake == timed.iter().map(|i| self.wake[i]).min().unwrap_or(Cycle::MAX)
@@ -644,10 +705,10 @@ mod tests {
         assert_eq!(set.first_absent(), 66);
         set.remove(64);
         assert!(!set.contains(64) && set.contains(65) && !set.contains(500));
-        for slot in 64..MAX_SLOTS {
+        for slot in 64..SlotSet::CAPACITY {
             set.set(slot, true);
         }
-        assert_eq!(set.first_absent(), MAX_SLOTS);
+        assert_eq!(set.first_absent(), SlotSet::CAPACITY);
         set.set(64, false);
         assert_eq!(set.first_absent(), 64);
         let mut low = SlotSet::default();
@@ -657,7 +718,7 @@ mod tests {
             (set & low).iter().collect::<Vec<_>>(),
             vec![60, 61, 62, 63, 65, 66, 67, 68, 69]
         );
-        assert_eq!((set | low).len(), MAX_SLOTS);
+        assert_eq!((set | low).len(), SlotSet::CAPACITY);
         assert!((low & !low).is_empty() && !low.is_empty());
     }
 }

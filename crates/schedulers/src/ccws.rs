@@ -16,6 +16,7 @@ use gpu_mem::{Cycle, WarpId};
 use gpu_sim::scheduler::{
     CacheEvent, CacheEventOutcome, GtoScheduler, SchedulerCtx, SchedulerMetrics, WarpScheduler,
 };
+use gpu_sim::SlotSet;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 
@@ -54,31 +55,36 @@ pub struct CcwsScheduler {
     /// Lost-locality score per warp slot.
     scores: Vec<u64>,
     /// Warps whose programs have finished (excluded from the budget).
-    finished: Vec<bool>,
+    finished: SlotSet,
     /// Warps currently prevented from issuing.
-    throttled: Vec<bool>,
+    throttled: SlotSet,
     /// The greedy pointer; its fallback order is score-first.
     gto: GtoScheduler,
     /// Set when scores changed and the throttle set must be recomputed.
     dirty: bool,
-    /// Scratch admission order reused by every recompute.
-    order: Vec<usize>,
-    /// The throttle epoch: moves when a recompute changes `throttled`.
-    epoch: u64,
+    /// Scratch admission order of the warps above the score floor, reused
+    /// by every recompute.
+    above: Vec<usize>,
 }
 
 impl CcwsScheduler {
-    /// Creates a CCWS scheduler with the given configuration.
+    /// Creates a CCWS scheduler with the given configuration, for at most
+    /// [`SlotSet::CAPACITY`] warp slots.
     pub fn new(config: CcwsConfig) -> Self {
+        assert!(
+            config.num_warps <= SlotSet::CAPACITY,
+            "CCWS keeps at most {} warp slots, not {}",
+            SlotSet::CAPACITY,
+            config.num_warps
+        );
         CcwsScheduler {
             vta: Vta::new(config.vta),
             scores: vec![config.base_score; config.num_warps],
-            finished: vec![false; config.num_warps],
-            throttled: vec![false; config.num_warps],
+            finished: SlotSet::default(),
+            throttled: SlotSet::default(),
             gto: GtoScheduler::new(),
             dirty: true,
-            order: Vec::new(),
-            epoch: 0,
+            above: Vec::new(),
             config,
         }
     }
@@ -93,28 +99,19 @@ impl CcwsScheduler {
         self.config.base_score * self.config.num_warps as u64
     }
 
+    /// The warp slots that have not finished, launched or not.
+    fn unfinished(&self) -> SlotSet {
+        SlotSet::below(self.config.num_warps) & !self.finished
+    }
+
     /// Recomputes the throttle set: warps are admitted in descending score
     /// order until the cumulative score exceeds the budget; the rest are
     /// throttled. Warps that already finished are ignored.
     fn recompute_throttle(&mut self) {
+        let (unfinished, budget) = (self.unfinished(), self.budget());
         let (scores, floor) = (&self.scores, self.config.base_score);
-        let first = admission(|i| scores[i], floor, &self.finished, self.budget(), &mut self.order);
-        let suffix = &self.order[first..];
-        if !self.throttles_exactly(suffix) {
-            self.throttled.fill(false);
-            for &i in suffix {
-                self.throttled[i] = true;
-            }
-            self.epoch += 1;
-        }
+        self.throttled = admission(|i| scores[i], floor, unfinished, budget, &mut self.above).1;
         self.dirty = false;
-    }
-
-    /// True when `set` is the throttled set: as large, and every member
-    /// throttled.
-    fn throttles_exactly(&self, set: &[usize]) -> bool {
-        set.len() == self.throttled.iter().filter(|&&t| t).count()
-            && set.iter().all(|&i| self.throttled[i])
     }
 
     /// Score of warp `i` after `k` empty picks: each decays every score
@@ -140,28 +137,31 @@ impl CcwsScheduler {
     /// budget, which integer arithmetic finds exactly. At each floor event
     /// the set is recomputed by the same rule `pick` applies.
     fn throttle_horizon(&self) -> u64 {
-        let (floor, budget) = (self.config.base_score, self.budget());
-        let mut order = Vec::with_capacity(self.scores.len());
+        let (floor, budget, unfinished) =
+            (self.config.base_score, self.budget(), self.unfinished());
+        let mut above = Vec::with_capacity(self.scores.len());
         let mut k = 1;
         loop {
-            let first =
-                admission(|i| self.decayed(i, k), floor, &self.finished, budget, &mut order);
-            if !self.throttles_exactly(&order[first..]) {
+            let (first, throttled) =
+                admission(|i| self.decayed(i, k), floor, unfinished, budget, &mut above);
+            if throttled != self.throttled {
                 return k;
             }
-            let next_floor = order
+            // A warp at the floor does not decay, so only `above` can reach
+            // it.
+            let next_floor = above
                 .iter()
                 .map(|&i| self.scores[i].saturating_sub(floor))
                 .filter(|&at| at > k)
                 .min();
             // The first throttled warp is admitted once the cumulative score
             // through it, falling by one per decaying warp per pick, reaches
-            // the budget.
-            let crossing = if first < order.len() {
-                let through_first = &order[..=first];
-                let cumulative: u64 = through_first.iter().map(|&i| self.decayed(i, k)).sum();
-                let decaying =
-                    through_first.iter().filter(|&&i| self.decayed(i, k) > floor).count();
+            // the budget. The warps through it are the decaying ones of
+            // `above`, then warps at the floor.
+            let crossing = if first < unfinished.len() {
+                let decaying = (first + 1).min(above.len());
+                let cumulative = above[..decaying].iter().map(|&i| self.decayed(i, k)).sum::<u64>()
+                    + (first + 1 - decaying) as u64 * floor;
                 (decaying > 0)
                     .then(|| k.saturating_add((cumulative - budget).div_ceil(decaying as u64)))
             } else {
@@ -177,40 +177,55 @@ impl CcwsScheduler {
     }
 }
 
-/// The admission rule of a CCWS recompute for the scores `score(i)`: fills
-/// `order` with the unfinished warps by score descending, then index
-/// ascending, and returns the first throttled position (`order.len()` when
-/// every warp is admitted). Warps are admitted in that order until the
-/// cumulative score exceeds `budget`, the first always; scores are
-/// non-negative, so the throttled warps are a suffix of `order`.
+/// The admission rule of a CCWS recompute for the scores `score(i)` of the
+/// `unfinished` warps. The admission order is score descending, then slot
+/// ascending; warps are admitted in that order until the cumulative score
+/// exceeds `budget`, the first always, and the rest are throttled (scores
+/// are non-negative, so they are a suffix of the order). Fills `above` with
+/// the warps scoring above `floor` in admission order and returns the
+/// first throttled position in the whole order (`unfinished.len()` when
+/// every warp is admitted) and the throttled set.
 fn admission(
     score: impl Fn(usize) -> u64,
     floor: u64,
-    finished: &[bool],
+    unfinished: SlotSet,
     budget: u64,
-    order: &mut Vec<usize>,
-) -> usize {
-    // Most warps sit at the floor: sort the few above it, then append the
-    // rest in index order. Launch, the initial table and every decay clamp
-    // keep an unfinished warp's score at the floor or above, so every warp
-    // of that tail scores exactly the floor and is already in order.
-    order.clear();
-    order.extend((0..finished.len()).filter(|&i| !finished[i] && score(i) > floor));
-    order.sort_unstable_by(|&a, &b| score(b).cmp(&score(a)).then(a.cmp(&b)));
-    let above = order.len();
-    order.extend((0..finished.len()).filter(|&i| !finished[i] && score(i) <= floor));
-    debug_assert!(
-        order[above..].iter().all(|&i| score(i) == floor),
-        "an unfinished warp scores below the floor"
-    );
-    let mut cumulative = 0u64;
-    for (p, &i) in order.iter().enumerate() {
-        cumulative += score(i);
-        if cumulative > budget && p > 0 {
-            return p;
+    above: &mut Vec<usize>,
+) -> (usize, SlotSet) {
+    // Most warps sit at the floor: sort the few above it; the rest follow
+    // in slot order. Launch, the initial table and every decay clamp keep
+    // an unfinished warp's score at the floor or above, so every warp of
+    // that tail scores exactly the floor.
+    above.clear();
+    let mut at_floor = SlotSet::default();
+    for i in unfinished.iter() {
+        if score(i) > floor {
+            above.push(i);
+        } else {
+            at_floor.insert(i);
         }
     }
-    order.len()
+    debug_assert!(
+        at_floor.iter().all(|i| score(i) == floor),
+        "an unfinished warp scores below the floor"
+    );
+    above.sort_unstable_by(|&a, &b| score(b).cmp(&score(a)).then(a.cmp(&b)));
+    let mut cumulative = 0u64;
+    for (p, &i) in above.iter().enumerate() {
+        cumulative += score(i);
+        if cumulative > budget && p > 0 {
+            return (p, above[p..].iter().copied().collect::<SlotSet>() | at_floor);
+        }
+    }
+    // The tail's `k`-th warp (from 0) crosses the budget once `cumulative
+    // + (k + 1) * floor` exceeds it, and the order's first warp never does.
+    let crossing =
+        if cumulative > budget { Some(0) } else { (budget - cumulative).checked_div(floor) };
+    let k = crossing.map(|k| k.max(u64::from(above.is_empty())) as usize);
+    match k.and_then(|k| Some((k, at_floor.iter().nth(k)?))) {
+        Some((k, slot)) => (above.len() + k, at_floor & !SlotSet::below(slot)),
+        None => (unfinished.len(), SlotSet::default()),
+    }
 }
 
 impl WarpScheduler for CcwsScheduler {
@@ -271,19 +286,21 @@ impl WarpScheduler for CcwsScheduler {
     }
 
     fn hold_horizon(&self, ctx: &SchedulerCtx<'_>) -> u64 {
-        match ctx.ready {
-            // Empty picks decay the scores and recompute the set.
-            [] => self.throttle_horizon(),
-            // A clean pick offering the greedy warp returns it untouched, and
-            // `on_issue` only decays scores above the floor.
-            &[idx]
-                if !self.dirty
-                    && self.gto.is_greedy(idx)
-                    && self.score_of(ctx.warps[idx].id) <= self.config.base_score =>
-            {
-                u64::MAX
-            }
-            _ => 0,
+        // Empty picks decay the scores and recompute the set.
+        if ctx.ready.is_empty() {
+            return self.throttle_horizon();
+        }
+        // A clean pick offering the greedy warp returns it untouched, and
+        // `on_issue` only decays scores above the floor.
+        let holds = ctx.ready.single().is_some_and(|idx| {
+            !self.dirty
+                && self.gto.is_greedy(idx)
+                && self.score_of(ctx.warps[idx].id) <= self.config.base_score
+        });
+        if holds {
+            u64::MAX
+        } else {
+            0
         }
     }
 
@@ -318,31 +335,27 @@ impl WarpScheduler for CcwsScheduler {
 
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
         // Warp slots are reused across CTA waves: reset the slot's state.
-        if let Some(f) = self.finished.get_mut(wid as usize) {
-            *f = false;
-        }
         if let Some(score) = self.scores.get_mut(wid as usize) {
             *score = self.config.base_score;
+            self.finished.remove(wid as usize);
         }
         self.dirty = true;
     }
 
     fn on_warp_finished(&mut self, wid: WarpId, _now: Cycle) {
-        if let Some(f) = self.finished.get_mut(wid as usize) {
-            *f = true;
-        }
         if let Some(score) = self.scores.get_mut(wid as usize) {
             *score = 0;
+            self.finished.insert(wid as usize);
         }
         self.dirty = true;
     }
 
     fn is_throttled(&self, wid: WarpId) -> bool {
-        self.throttled.get(wid as usize).copied().unwrap_or(false)
+        self.throttled.contains(wid as usize)
     }
 
-    fn throttle_epoch(&self) -> Option<u64> {
-        Some(self.epoch)
+    fn throttled(&self, live: SlotSet) -> SlotSet {
+        live & self.throttled
     }
 
     fn throttles_loads_only(&self) -> bool {
@@ -354,7 +367,7 @@ impl WarpScheduler for CcwsScheduler {
     fn metrics(&self) -> SchedulerMetrics {
         SchedulerMetrics {
             vta_hits: self.vta.total_hits(),
-            throttled_warps: self.throttled.iter().filter(|&&t| t).count(),
+            throttled_warps: self.throttled.len(),
             isolated_warps: 0,
             bypassed_warps: 0,
         }
@@ -376,11 +389,11 @@ mod tests {
             .collect()
     }
 
-    fn ctx<'a>(warps: &'a [Warp], ready: &'a [usize]) -> SchedulerCtx<'a> {
+    fn ctx<'a>(warps: &'a [Warp], ready: &[usize]) -> SchedulerCtx<'a> {
         SchedulerCtx {
             now: 0,
             warps,
-            ready,
+            ready: ready.iter().copied().collect(),
             instructions_executed: 0,
             active_warps: warps.len(),
             dram_utilization_at: &|_| Some(0.0),
@@ -451,8 +464,45 @@ mod tests {
         (0..s.scores.len() as WarpId).map(|i| s.is_throttled(i)).collect()
     }
 
+    /// The admission rule spelled out: every unfinished warp sorted by
+    /// score descending, then slot ascending, admitted until the
+    /// cumulative score exceeds the budget (the first always).
+    fn reference_admission(scores: &[u64], unfinished: SlotSet, budget: u64) -> (usize, SlotSet) {
+        let mut order: Vec<usize> = unfinished.iter().collect();
+        order.sort_by_key(|&i| (Reverse(scores[i]), i));
+        let mut cumulative = 0;
+        let first = (0..order.len())
+            .find(|&p| {
+                cumulative += scores[order[p]];
+                cumulative > budget && p > 0
+            })
+            .unwrap_or(order.len());
+        (first, order[first..].iter().copied().collect())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Admission with the warps at the floor counted in closed form
+        /// admits exactly as the spelled-out rule does.
+        #[test]
+        fn admission_matches_the_spelled_out_rule(
+            extra in proptest::collection::vec(0u64..400, 1..64),
+            at_floor in proptest::collection::vec(any::<bool>(), 64..65),
+            finished in proptest::collection::vec(any::<bool>(), 64..65),
+            floor in 0u64..150,
+            budget_warps in 0u64..70,
+        ) {
+            let scores: Vec<u64> =
+                extra.iter().zip(&at_floor).map(|(&e, &f)| if f { floor } else { floor + e }).collect();
+            let unfinished: SlotSet = (0..scores.len()).filter(|&i| !finished[i]).collect();
+            let budget = budget_warps * floor.max(1);
+            let mut above = Vec::new();
+            prop_assert_eq!(
+                admission(|i| scores[i], floor, unfinished, budget, &mut above),
+                reference_admission(&scores, unfinished, budget)
+            );
+        }
 
         /// Stepping empty picks one at a time leaves `is_throttled`
         /// unchanged for every pick below the horizon, and the pick at the

@@ -5,33 +5,32 @@
 //! oldest warps that have not finished. It changes only when a warp
 //! launches or finishes, and the SM reports launches in launch order, so
 //! the live slots stay sorted by age by appending each launch. Each event
-//! updates the admitted bitmap in place; nothing ever re-sorts the warps.
+//! updates the admitted slot mask in place; nothing ever re-sorts the
+//! warps.
 
 use gpu_mem::WarpId;
+use gpu_sim::SlotSet;
 
 /// The `limit` oldest live warps, by warp slot.
 pub(crate) struct OldestWarps {
     limit: usize,
     /// Launched, unfinished slots, oldest first.
     live: Vec<WarpId>,
-    /// Whether each slot's warp is among the `limit` oldest.
-    admitted: Vec<bool>,
+    /// The slots whose warp is among the `limit` oldest.
+    admitted: SlotSet,
 }
 
 impl OldestWarps {
     /// An empty set admitting up to `limit` warps.
     pub(crate) fn new(limit: usize) -> Self {
-        OldestWarps { limit, live: Vec::new(), admitted: Vec::new() }
+        OldestWarps { limit, live: Vec::new(), admitted: SlotSet::default() }
     }
 
     /// Warp `wid` launched; it is younger than every live warp.
     pub(crate) fn launch(&mut self, wid: WarpId) {
         let slot = wid as usize;
         debug_assert!(!self.live.contains(&wid), "slot {slot} launched while live");
-        if slot >= self.admitted.len() {
-            self.admitted.resize(slot + 1, false);
-        }
-        self.admitted[slot] = self.live.len() < self.limit;
+        self.admitted.set(slot, self.live.len() < self.limit);
         self.live.push(wid);
     }
 
@@ -42,17 +41,22 @@ impl OldestWarps {
             return;
         };
         self.live.remove(pos);
-        self.admitted[wid as usize] = false;
+        self.admitted.remove(wid as usize);
         if pos < self.limit {
             if let Some(&next) = self.live.get(self.limit - 1) {
-                self.admitted[next as usize] = true;
+                self.admitted.insert(next as usize);
             }
         }
     }
 
     /// Whether warp `wid` is among the `limit` oldest live warps.
     pub(crate) fn admits(&self, wid: WarpId) -> bool {
-        self.admitted.get(wid as usize).copied().unwrap_or(false)
+        self.admitted.contains(wid as usize)
+    }
+
+    /// The slots whose warp is among the `limit` oldest live warps.
+    pub(crate) fn admitted_slots(&self) -> SlotSet {
+        self.admitted
     }
 
     /// How many warps the set admits now.
@@ -66,7 +70,10 @@ mod tests {
     use super::*;
 
     fn admitted_slots(set: &OldestWarps, slots: u32) -> Vec<WarpId> {
-        (0..slots).filter(|&w| set.admits(w)).collect()
+        let admitted: Vec<WarpId> = (0..slots).filter(|&w| set.admits(w)).collect();
+        let mask: Vec<WarpId> = set.admitted_slots().iter().map(|w| w as WarpId).collect();
+        assert_eq!(admitted, mask, "the admitted mask disagrees with admits");
+        admitted
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use crate::oldest::OldestWarps;
 use gpu_mem::{Cycle, WarpId};
 use gpu_sim::scheduler::{GtoScheduler, MemRoute, SchedulerCtx, SchedulerMetrics, WarpScheduler};
+use gpu_sim::SlotSet;
 use serde::{Deserialize, Serialize};
 
 /// statPCAL tuning parameters.
@@ -48,9 +49,6 @@ pub struct PcalScheduler {
     last_utilization: f64,
     /// The greedy pointer; its fallback order puts token holders first.
     gto: GtoScheduler,
-    /// The throttle epoch: moves at every launch and finish, which move
-    /// the token holders, and when a sample flips `bandwidth_available`.
-    epoch: u64,
 }
 
 impl PcalScheduler {
@@ -61,7 +59,6 @@ impl PcalScheduler {
             last_utilization: 0.0,
             gto: GtoScheduler::new(),
             config,
-            epoch: 0,
         }
     }
 
@@ -77,10 +74,8 @@ impl PcalScheduler {
     /// Stores the utilisation sample of cycle `ctx.now`, for which the SM
     /// always vouches.
     fn sample(&mut self, ctx: &SchedulerCtx<'_>) {
-        let available = self.bandwidth_available();
         self.last_utilization = (ctx.dram_utilization_at)(ctx.now)
             .expect("the SM vouches for the utilisation of the current cycle");
-        self.epoch += u64::from(self.bandwidth_available() != available);
     }
 }
 
@@ -105,11 +100,8 @@ impl WarpScheduler for PcalScheduler {
     }
 
     fn hold_horizon(&self, ctx: &SchedulerCtx<'_>) -> u64 {
-        let greedy = match ctx.ready {
-            [] => true,
-            &[idx] => self.gto.is_greedy(idx),
-            _ => false,
-        };
+        let greedy =
+            ctx.ready.is_empty() || ctx.ready.single().is_some_and(|idx| self.gto.is_greedy(idx));
         if !greedy {
             return 0;
         }
@@ -153,12 +145,10 @@ impl WarpScheduler for PcalScheduler {
 
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
         self.token.launch(wid);
-        self.epoch += 1;
     }
 
     fn on_warp_finished(&mut self, wid: WarpId, _now: Cycle) {
         self.token.finish(wid);
-        self.epoch += 1;
     }
 
     fn route(&mut self, wid: WarpId) -> MemRoute {
@@ -178,8 +168,12 @@ impl WarpScheduler for PcalScheduler {
         }
     }
 
-    fn throttle_epoch(&self) -> Option<u64> {
-        Some(self.epoch)
+    fn throttled(&self, live: SlotSet) -> SlotSet {
+        if self.bandwidth_available() {
+            SlotSet::default()
+        } else {
+            live & !self.token.admitted_slots()
+        }
     }
 
     fn throttles_loads_only(&self) -> bool {
@@ -213,13 +207,13 @@ mod tests {
 
     fn ctx<'a>(
         warps: &'a [Warp],
-        ready: &'a [usize],
+        ready: &[usize],
         util_at: &'a dyn Fn(Cycle) -> Option<f64>,
     ) -> SchedulerCtx<'a> {
         SchedulerCtx {
             now: 0,
             warps,
-            ready,
+            ready: ready.iter().copied().collect(),
             instructions_executed: 0,
             active_warps: warps.len(),
             dram_utilization_at: util_at,
@@ -256,9 +250,11 @@ mod tests {
         let w = warps(4);
         s.pick(&ctx(&w, &[0, 1, 2, 3], &|_| Some(0.2)));
         assert!(!s.is_throttled(3), "spare bandwidth: bypass warps may run");
+        assert!(s.throttled(SlotSet::below(4)).is_empty());
         s.pick(&ctx(&w, &[0, 1, 2, 3], &|_| Some(0.95)));
         assert!(s.is_throttled(3), "saturated bandwidth: bypass warps throttle");
         assert!(!s.is_throttled(0), "token warps never throttle");
+        assert_eq!(s.throttled(SlotSet::below(4)), (1..4).collect());
     }
 
     /// A private port's utilisation at cycle `t` with `bytes` transferred

@@ -13,6 +13,7 @@
 use crate::oldest::OldestWarps;
 use gpu_mem::{Cycle, WarpId};
 use gpu_sim::scheduler::{GtoScheduler, SchedulerCtx, SchedulerMetrics, WarpScheduler};
+use gpu_sim::SlotSet;
 
 /// The Best-SWL scheduler.
 pub struct SwlScheduler {
@@ -23,9 +24,6 @@ pub struct SwlScheduler {
     /// The issue order among the admitted warps.
     gto: GtoScheduler,
     num_warps: usize,
-    /// The throttle epoch: moves at every launch and finish, the only
-    /// events that move the admitted set.
-    epoch: u64,
 }
 
 impl SwlScheduler {
@@ -38,7 +36,6 @@ impl SwlScheduler {
             admitted: OldestWarps::new(limit),
             gto: GtoScheduler::new(),
             num_warps,
-            epoch: 0,
         }
     }
 
@@ -65,20 +62,18 @@ impl WarpScheduler for SwlScheduler {
 
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
         self.admitted.launch(wid);
-        self.epoch += 1;
     }
 
     fn on_warp_finished(&mut self, wid: WarpId, _now: Cycle) {
         self.admitted.finish(wid);
-        self.epoch += 1;
     }
 
     fn is_throttled(&self, wid: WarpId) -> bool {
         !self.admitted.admits(wid)
     }
 
-    fn throttle_epoch(&self) -> Option<u64> {
-        Some(self.epoch)
+    fn throttled(&self, live: SlotSet) -> SlotSet {
+        live & !self.admitted.admitted_slots()
     }
 
     fn metrics(&self) -> SchedulerMetrics {
@@ -103,11 +98,11 @@ mod tests {
             .collect()
     }
 
-    fn ctx<'a>(warps: &'a [Warp], ready: &'a [usize]) -> SchedulerCtx<'a> {
+    fn ctx<'a>(warps: &'a [Warp], ready: &[usize]) -> SchedulerCtx<'a> {
         SchedulerCtx {
             now: 0,
             warps,
-            ready,
+            ready: ready.iter().copied().collect(),
             instructions_executed: 0,
             active_warps: warps.len(),
             dram_utilization_at: &|_| Some(0.0),
@@ -131,6 +126,7 @@ mod tests {
         assert!(s.is_throttled(2));
         assert!(s.is_throttled(7));
         assert_eq!(s.metrics().throttled_warps, 6);
+        assert_eq!(s.throttled(SlotSet::below(8)), (2..8).collect());
     }
 
     #[test]

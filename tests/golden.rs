@@ -162,8 +162,8 @@ fn quick_sm1_lud_ciao_p() {
 
 // CIAO-T stalls interfering warps and reactivates them once their trigger
 // calms down. On SM a stall becomes releasable while every ready warp is
-// held back, so the SM's cached throttle answers must follow each stall and
-// each reactivation (the scheduler's throttle epoch) in both timing modes.
+// held back, so the SM's offer must follow each stall and each
+// reactivation (CIAO's stalled mask) in both timing modes.
 
 #[test]
 fn quick_sm1_sm_ciao_t() {

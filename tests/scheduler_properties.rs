@@ -13,7 +13,7 @@ use gpu_sim::scheduler::{
     SchedulerMetrics, WarpScheduler,
 };
 use gpu_sim::warp::Warp;
-use gpu_sim::{BackendKind, Cycle, SmUnit, WarpId};
+use gpu_sim::{BackendKind, Cycle, SlotSet, SmUnit, WarpId};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,16 +102,25 @@ proptest! {
     }
 }
 
+/// CIAO parameters whose epochs `drive_contract` reaches: a high-epoch
+/// check every 10 instructions and a low-epoch check every 5, so CIAO
+/// stalls and reactivates within a few hundred cycles.
+fn fast_ciao_params() -> CiaoParams {
+    CiaoParams { high_cutoff: 0.01, low_cutoff: 0.005, high_epoch: 10, low_epoch: 5 }
+}
+
 /// Every scheduler under test: the seven of Fig. 8, with Best-SWL and
-/// statPCAL at ATAX's profiled limit of 2 warps, plus LRR.
+/// statPCAL at ATAX's profiled limit of 2 warps, plus LRR and a CIAO-C
+/// with `fast_ciao_params`.
 fn contract_schedulers() -> Vec<Box<dyn WarpScheduler>> {
     let config = GpuConfig::gtx480();
-    let params = ciao_suite::ciao::CiaoParams::default();
+    let params = CiaoParams::default();
     let mut all: Vec<Box<dyn WarpScheduler>> = SchedulerKind::all()
         .into_iter()
         .map(|kind| kind.build(Benchmark::Atax, &config, &params).0)
         .collect();
     all.push(Box::new(LrrScheduler::new()));
+    all.push(CiaoVariant::Combined.build(&fast_ciao_params(), &config).0);
     all
 }
 
@@ -137,35 +146,42 @@ impl SplitMix {
     }
 }
 
-/// A scheduler's throttle epoch with its `is_throttled` answer for every
-/// warp slot of the GTX 480 SM.
-fn throttle_state(sched: &dyn WarpScheduler) -> (Option<u64>, Vec<bool>) {
-    let slots = GpuConfig::gtx480().max_warps_per_sm as WarpId;
-    (sched.throttle_epoch(), (0..slots).map(|w| sched.is_throttled(w)).collect())
+/// How often the scheduler's throttled mask changed under
+/// `drive_contract`: a live warp entered it, or left it while still live.
+#[derive(Debug, Default)]
+struct MaskMoves {
+    entered: u64,
+    released: u64,
 }
 
-/// The `throttle_epoch` contract across one call named `call`: the epoch
-/// is `Some`, never goes back, and moves whenever an `is_throttled` answer
-/// moved since `before`, which it then advances.
-fn epoch_breach(
+/// The `throttled` contract after one call named `call`: for the launched
+/// warps `launched` and the live (launched, unfinished) ones `live`,
+/// `throttled` returns exactly the slots `is_throttled` holds back. Also
+/// counts, in `moves`, the live warps that entered or left the mask since
+/// `before`, which it then advances.
+fn throttle_breach(
     sched: &dyn WarpScheduler,
-    before: &mut (Option<u64>, Vec<bool>),
+    launched: SlotSet,
+    live: SlotSet,
+    before: &mut SlotSet,
+    moves: &mut MaskMoves,
     call: &str,
 ) -> Option<String> {
-    let after = throttle_state(sched);
-    let breach =
-        after.0.is_none() || after.0 < before.0 || after.0 == before.0 && after.1 != before.1;
-    let message = breach.then(|| {
-        let moved: Vec<usize> = (0..after.1.len()).filter(|&w| after.1[w] != before.1[w]).collect();
-        format!(
-            "{} after {call}: epoch {:?} -> {:?}, is_throttled moved for warps {moved:?}",
-            sched.name(),
-            before.0,
-            after.0
-        )
-    });
+    for set in [SlotSet::below(GpuConfig::gtx480().max_warps_per_sm), launched, live] {
+        let mask = sched.throttled(set);
+        let asked: SlotSet = set.iter().filter(|&w| sched.is_throttled(w as WarpId)).collect();
+        if mask != asked {
+            return Some(format!(
+                "{} after {call}: throttled({set:?}) = {mask:?}, is_throttled holds back {asked:?}",
+                sched.name()
+            ));
+        }
+    }
+    let after = sched.throttled(live);
+    moves.entered += (after & !*before).len() as u64;
+    moves.released += (*before & !after & live).len() as u64;
     *before = after;
-    message
+    None
 }
 
 /// Drives `sched` through `cycles` random cycles the way the SM does: warps
@@ -173,19 +189,25 @@ fn epoch_breach(
 /// cache hits, misses and cross-warp evictions arrive for live warps, and
 /// each cycle offers `pick` a random subset of the live warps that
 /// `is_throttled` does not hold back, under a random DRAM utilisation.
-/// After every call it also checks the `throttle_epoch` contract
-/// (`epoch_breach`). Returns the first breach of either contract, if any.
+/// After every call it also checks the `throttled` contract
+/// (`throttle_breach`). Returns how the throttled mask moved, or the first
+/// breach of either contract.
 fn drive_contract(
     sched: &mut dyn WarpScheduler,
     slots: usize,
     cycles: u64,
     seed: u64,
-) -> Option<String> {
+) -> Result<MaskMoves, String> {
     let mut rng = SplitMix(seed);
     let mut warps: Vec<Warp> = Vec::new();
     let mut launch_seq = 0;
     let mut instructions = 0;
-    let mut throttle = throttle_state(sched);
+    let mut moves = MaskMoves::default();
+    let mut mask = SlotSet::default();
+    let sets = |warps: &[Warp]| {
+        let launched = SlotSet::below(warps.len());
+        (launched, launched.iter().filter(|&i| !warps[i].is_finished()).collect::<SlotSet>())
+    };
     for now in 0..cycles {
         let live: Vec<usize> = (0..warps.len()).filter(|&i| !warps[i].is_finished()).collect();
         if live.len() < slots && rng.chance(30) {
@@ -199,16 +221,22 @@ fn drive_contract(
                 warps[slot] = warp;
             }
             sched.on_warp_launched(slot as WarpId, now);
-            if let Some(breach) = epoch_breach(sched, &mut throttle, "on_warp_launched") {
-                return Some(breach);
+            let (launched, live) = sets(&warps);
+            if let Some(breach) =
+                throttle_breach(sched, launched, live, &mut mask, &mut moves, "on_warp_launched")
+            {
+                return Err(breach);
             }
         }
         if !live.is_empty() && rng.chance(15) {
             let i = live[rng.below(live.len())];
             warps[i].finish();
             sched.on_warp_finished(i as WarpId, now);
-            if let Some(breach) = epoch_breach(sched, &mut throttle, "on_warp_finished") {
-                return Some(breach);
+            let (launched, live) = sets(&warps);
+            if let Some(breach) =
+                throttle_breach(sched, launched, live, &mut mask, &mut moves, "on_warp_finished")
+            {
+                return Err(breach);
             }
         }
         let live: Vec<usize> = (0..warps.len()).filter(|&i| !warps[i].is_finished()).collect();
@@ -231,11 +259,14 @@ fn drive_contract(
                 evicted,
                 now,
             });
-            if let Some(breach) = epoch_breach(sched, &mut throttle, "on_cache_event") {
-                return Some(breach);
+            let (launched, live) = sets(&warps);
+            if let Some(breach) =
+                throttle_breach(sched, launched, live, &mut mask, &mut moves, "on_cache_event")
+            {
+                return Err(breach);
             }
         }
-        let ready: Vec<usize> = live
+        let ready: SlotSet = live
             .iter()
             .copied()
             .filter(|&i| rng.chance(70) && !sched.is_throttled(i as WarpId))
@@ -244,21 +275,23 @@ fn drive_contract(
         let ctx = SchedulerCtx {
             now,
             warps: &warps,
-            ready: &ready,
+            ready,
             instructions_executed: instructions,
             active_warps: live.len(),
             dram_utilization_at: &|_| Some(utilization),
         };
         let picked = sched.pick(&ctx);
-        if let Some(breach) = epoch_breach(sched, &mut throttle, "pick") {
-            return Some(breach);
+        let (launched, live) = sets(&warps);
+        if let Some(breach) = throttle_breach(sched, launched, live, &mut mask, &mut moves, "pick")
+        {
+            return Err(breach);
         }
         let kept = match picked {
-            Some(i) => ready.contains(&i),
+            Some(i) => ready.contains(i),
             None => ready.is_empty(),
         };
         if !kept {
-            return Some(format!(
+            return Err(format!(
                 "{} at cycle {now}: offered {ready:?}, picked {picked:?}",
                 sched.name()
             ));
@@ -266,12 +299,14 @@ fn drive_contract(
         if let Some(i) = picked {
             sched.on_issue(i as WarpId, rng.chance(40), now);
             instructions += 1;
-            if let Some(breach) = epoch_breach(sched, &mut throttle, "on_issue") {
-                return Some(breach);
+            if let Some(breach) =
+                throttle_breach(sched, launched, live, &mut mask, &mut moves, "on_issue")
+            {
+                return Err(breach);
             }
         }
     }
-    None
+    Ok(moves)
 }
 
 proptest! {
@@ -280,18 +315,38 @@ proptest! {
     /// The `pick` contract: the SM offers only warps that `is_throttled`
     /// does not hold back, so `pick` returns one of them whenever the offer
     /// is non-empty (and `None` only when it is empty). No policy filters
-    /// its offer a second time. Every call also keeps the `throttle_epoch`
-    /// contract the SM's cached throttle answers rely on.
+    /// its offer a second time. After every call `throttled` also returns
+    /// exactly the slots `is_throttled` holds back, the mask the SM builds
+    /// its offer from.
     #[test]
     fn every_scheduler_picks_an_offered_warp_whenever_one_is_offered(
         slots in 2usize..12,
         seed in 0u64..1_000_000,
     ) {
         for mut sched in contract_schedulers() {
-            let broken = drive_contract(sched.as_mut(), slots, 400, seed);
-            prop_assert!(broken.is_none(), "{} slots, seed {}: {}", slots, seed, broken.unwrap());
+            let driven = drive_contract(sched.as_mut(), slots, 400, seed);
+            prop_assert!(driven.is_ok(), "{} slots, seed {}: {}", slots, seed, driven.unwrap_err());
         }
     }
+}
+
+/// `drive_contract` reaches CIAO's epoch checks with `fast_ciao_params`:
+/// CIAO-C stalls warps and reactivates them while they are still live, and
+/// the SM sees both through the throttled mask.
+#[test]
+fn random_contract_runs_make_ciao_stall_and_reactivate() {
+    let mut moves = MaskMoves::default();
+    let mut decisions = ciao_suite::ciao::scheduler::CiaoDecisionCounters::default();
+    for seed in 0..8 {
+        let mut ciao = CiaoScheduler::new(CiaoVariant::Combined, fast_ciao_params(), 48);
+        let driven = drive_contract(&mut ciao, 8, 400, seed).unwrap_or_else(|e| panic!("{e}"));
+        moves.entered += driven.entered;
+        moves.released += driven.released;
+        decisions.stalls += ciao.decisions().stalls;
+        decisions.reactivations += ciao.decisions().reactivations;
+    }
+    assert!(decisions.stalls > 0 && decisions.reactivations > 0, "{decisions:?}");
+    assert!(moves.entered > 0 && moves.released > 0, "{moves:?}");
 }
 
 /// Runs `kernel` on the chip engine (`sms` SMs, shared L2/DRAM) under the
@@ -515,7 +570,7 @@ impl WarpScheduler for CountingScheduler {
         self.picks.fetch_add(1, Ordering::Relaxed);
         let picked = self.inner.pick(ctx);
         let kept = match picked {
-            Some(i) => ctx.ready.contains(&i),
+            Some(i) => ctx.ready.contains(i),
             None => ctx.ready.is_empty(),
         };
         if !kept {
