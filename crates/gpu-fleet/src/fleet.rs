@@ -42,14 +42,29 @@
 //! counts (violation = turnaround exceeding the class's multiple of the
 //! job's solo service time), and per-chip utilization, all built from
 //! `Vec`s and fixed orders so the JSON is byte-stable.
+//!
+//! ## Memory per job
+//!
+//! Per job, a run keeps two records. While placing, it holds each arrival
+//! as a 24 B [`ArrivalRecord`] (the id is the record's index), filled in
+//! one pass from the [`TrafficSpec`]'s generator and dropped once every
+//! job is placed. Each chip records its completions in a
+//! [`CompletionLedger`](crate::CompletionLedger) of 18 B per job
+//! (turnaround, size and the class pair) plus its last completion cycle,
+//! which gives the makespan. The reports read the ledgers chip by chip,
+//! each in completion order. Every float sum in [`FleetResult`] depends on
+//! that order and on nothing of the ledger's layout, so storing columns
+//! instead of whole per-job records leaves the result bit for bit the
+//! same. Each [`Fleet::execute`] still generates its stream from the
+//! [`TrafficSpec`] afresh, so running both placements generates it twice.
 
 use serde::{Deserialize, Serialize};
 use sim_obs::{chip_metric, MetricsRegistry, ObsLevel, ObsReport};
 
 use crate::calib::Calibration;
-use crate::chip::{ChipModel, ChipView, CompletedJob, MAX_RESIDENT};
+use crate::chip::{ChipModel, ChipView, MAX_RESIDENT};
 use crate::placement::{PlacementContext, PlacementPolicy};
-use crate::traffic::{Arrival, LatencyClass, TrafficSpec, WorkClass};
+use crate::traffic::{ArrivalRecord, LatencyClass, TrafficSpec, WorkClass};
 
 /// Version of the [`FleetResult`] JSON schema.
 ///
@@ -265,11 +280,15 @@ impl Fleet {
         out
     }
 
-    /// The run behind [`Fleet::execute_observed`]. The arrival stream is
-    /// dropped once every job is placed; the other transient buffers (chip
-    /// models, completion lists) when it returns.
+    /// The run behind [`Fleet::execute_observed`]. The arrival records
+    /// (24 B per job, filled straight from the traffic stream) are dropped
+    /// once every job is placed; the chip models with their completion
+    /// ledgers (18 B per job) when it returns.
     fn simulate(&self, req: FleetRequest) -> (FleetResult, ObsReport) {
-        let arrivals = req.traffic.generate();
+        let mut arrivals = Vec::with_capacity(req.traffic.arrivals);
+        for arrival in req.traffic.stream() {
+            arrivals.push(ArrivalRecord::from(arrival));
+        }
         let calib =
             req.calibration.clone().unwrap_or_else(|| Calibration::measure(req.sms_per_chip));
         // A chip completes at most every arrival.
@@ -290,26 +309,18 @@ impl Fleet {
         let n_arrivals = arrivals.len();
         drop(arrivals);
 
-        // Each chip's list is read in place, chip after chip, rather than
-        // copied into one list.
-        let mut completed: Vec<Vec<CompletedJob>> = Vec::with_capacity(req.chips);
-        let mut accounting = Vec::with_capacity(req.chips);
-        let mut makespan = 0u64;
-        for chip in &mut chips {
-            accounting.push(chip.accounting());
-            let jobs = chip.take_completed();
-            makespan = makespan.max(jobs.iter().map(|j| j.finish).max().unwrap_or(0));
-            completed.push(jobs);
-        }
+        // The reports read each chip's ledger in place, chip after chip.
+        let makespan = chips.iter().map(|c| c.ledger().last_finish()).max().unwrap_or(0);
         debug_assert_eq!(
-            completed.iter().map(Vec::len).sum::<usize>(),
+            chips.iter().map(|c| c.ledger().len()).sum::<usize>(),
             n_arrivals,
             "every arrival must complete"
         );
-        let chip_reports = accounting
+        let chip_reports = chips
             .iter()
             .enumerate()
-            .map(|(c, acct)| {
+            .map(|(c, chip)| {
+                let acct = chip.accounting();
                 let denom = (MAX_RESIDENT as u64 * makespan).max(1) as f64;
                 ChipReport {
                     chip: c,
@@ -323,7 +334,7 @@ impl Fleet {
             })
             .collect();
 
-        let (per_class, total_solo) = class_reports(&completed, &calib, &req.slo);
+        let (per_class, total_solo) = class_reports(&chips, &calib, &req.slo);
         let fleet_stp = if makespan > 0 { total_solo / makespan as f64 } else { 0.0 };
 
         let result = FleetResult {
@@ -341,7 +352,7 @@ impl Fleet {
 
         let mut report = ObsReport::new(req.obs);
         if req.obs.metrics_enabled() {
-            report.metrics = fleet_metrics(&result, &completed);
+            report.metrics = fleet_metrics(&result, &chips);
             // Engine-namespaced (excluded from the canonical JSON export):
             // how many chip-epochs the sleep hints elided. Deterministic —
             // the skip predicate is a pure function of chip state — but an
@@ -387,7 +398,7 @@ fn release_freed_memory() {}
 /// pushes an arrival and refreshed after the chip advances. Returns the
 /// number of skipped chip-epochs.
 fn run_epochs(
-    arrivals: &[Arrival],
+    arrivals: &[ArrivalRecord],
     chips: &mut [ChipModel],
     placement: PlacementPolicy,
     ctx: &PlacementContext,
@@ -446,28 +457,27 @@ fn bucket(class: WorkClass, latency: LatencyClass) -> usize {
     2 * class.index() + usize::from(latency == LatencyClass::Interactive)
 }
 
-/// Builds the per-(class × latency) reports from each chip's completed
-/// jobs, in one pass in chip order, and returns them with the jobs' total
-/// solo service time (the numerator of fleet STP). Every bucket and the
-/// total add their terms in that same order.
+/// Builds the per-(class × latency) reports from each chip's completion
+/// ledger, in one pass, chip by chip and each chip in completion order, and
+/// returns them with the jobs' total solo service time (the numerator of
+/// fleet STP). Every bucket and the total add their terms in that order.
 fn class_reports(
-    completed: &[Vec<CompletedJob>],
+    chips: &[ChipModel],
     calib: &Calibration,
     slo: &SloPolicy,
 ) -> (Vec<ClassReport>, f64) {
     let mut buckets: [Bucket; 6] = Default::default();
     let mut total_solo = 0.0f64;
-    for j in completed.iter().flatten() {
+    for j in chips.iter().flat_map(|c| c.ledger().iter()) {
         let solo = calib.solo_cycles(j.class, j.work);
         total_solo += solo;
         let solo = solo.max(1.0);
         let b = &mut buckets[bucket(j.class, j.latency)];
-        let turnaround = j.finish - j.arrival;
-        b.slowdowns += turnaround as f64 / solo;
-        if turnaround as f64 > slo.mult(j.latency) * solo {
+        b.slowdowns += j.turnaround as f64 / solo;
+        if j.turnaround as f64 > slo.mult(j.latency) * solo {
             b.violations += 1;
         }
-        b.turnarounds.push(turnaround);
+        b.turnarounds.push(j.turnaround);
     }
 
     let mut reports = Vec::new();
@@ -499,7 +509,7 @@ fn class_reports(
 /// Fleet-level metrics: fleet counters plus per-chip series namespaced
 /// with [`chip_metric`]. Per-class turnaround histograms use the class
 /// index as the tenant label.
-fn fleet_metrics(result: &FleetResult, completed: &[Vec<CompletedJob>]) -> MetricsRegistry {
+fn fleet_metrics(result: &FleetResult, chips: &[ChipModel]) -> MetricsRegistry {
     let mut m = MetricsRegistry::new();
     m.counter_add("fleet/arrivals", None, result.arrivals);
     m.counter_add("fleet/slo_violations", None, result.total_slo_violations());
@@ -509,8 +519,8 @@ fn fleet_metrics(result: &FleetResult, completed: &[Vec<CompletedJob>]) -> Metri
         m.counter_add(&chip_metric(c.chip, "classified_cache"), None, c.classified_cache);
         m.counter_add(&chip_metric(c.chip, "classified_stream"), None, c.classified_stream);
     }
-    for j in completed.iter().flatten() {
-        m.histogram_record("fleet/turnaround", Some(j.class.index() as u32), j.finish - j.arrival);
+    for j in chips.iter().flat_map(|c| c.ledger().iter()) {
+        m.histogram_record("fleet/turnaround", Some(j.class.index() as u32), j.turnaround);
     }
     m
 }

@@ -33,6 +33,12 @@
 //! The whole tier runs on the calling thread: placement and chip
 //! advancement alternate in a fixed order, so repeated runs of the same
 //! seed are **bit-identical**.
+//!
+//! Per job, a run keeps a 24 B [`ArrivalRecord`] until every job is
+//! placed, and an 18 B entry in its chip's [`CompletionLedger`] once it
+//! completes. The reports read the ledgers chip by chip, each in
+//! completion order, the one order every float sum of [`FleetResult`]
+//! depends on (see [`fleet`]).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -44,9 +50,9 @@ pub mod placement;
 pub mod traffic;
 
 pub use calib::{class_benchmark, Calibration};
-pub use chip::{ChipAccounting, ChipModel, ChipView, CompletedJob, MAX_RESIDENT};
+pub use chip::{ChipAccounting, ChipModel, ChipView, Completion, CompletionLedger, MAX_RESIDENT};
 pub use fleet::{
     ChipReport, ClassReport, Fleet, FleetRequest, FleetResult, SloPolicy, FLEET_SCHEMA_VERSION,
 };
 pub use placement::{PlacementContext, PlacementPolicy};
-pub use traffic::{Arrival, LatencyClass, TrafficSpec, WorkClass};
+pub use traffic::{Arrival, ArrivalRecord, LatencyClass, TrafficSpec, WorkClass};

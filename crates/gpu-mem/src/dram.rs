@@ -19,7 +19,7 @@
 //! qualitative results do not depend on the core/memory clock ratio).
 
 use crate::addr::Addr;
-use crate::Cycle;
+use crate::{ceil_cycles, Cycle};
 use serde::{Deserialize, Serialize};
 
 /// Static DRAM channel configuration.
@@ -203,7 +203,7 @@ impl Dram {
         bank.open_row = Some(row);
 
         // Data-bus occupancy.
-        let burst_cycles = ((bytes as f64) / self.config.bytes_per_cycle).ceil().max(1.0) as Cycle;
+        let burst_cycles = ceil_cycles(bytes as f64 / self.config.bytes_per_cycle).max(1);
         let data_ready = start + access_latency;
         let bus_start = data_ready.max(self.bus_free_at);
         let bus_wait = bus_start - data_ready;

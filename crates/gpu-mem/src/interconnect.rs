@@ -21,7 +21,7 @@
 //! directions ([`FabricStats`]); per-tenant bytes always sum exactly to the
 //! direction totals.
 
-use crate::{Cycle, TenantId};
+use crate::{ceil_cycles, Cycle, TenantId};
 use serde::{Deserialize, Serialize};
 use sim_obs::{TraceEvent, TraceRecorder, Track};
 
@@ -65,7 +65,7 @@ impl Interconnect {
     /// no earlier than `now`, charges the bytes to `tenant`'s counter, and
     /// returns the cycle at which the payload arrives at the other end.
     pub fn transfer(&mut self, bytes: u64, now: Cycle, tenant: TenantId) -> Cycle {
-        let occupancy = ((bytes as f64) / self.bytes_per_cycle).ceil().max(1.0) as Cycle;
+        let occupancy = ceil_cycles(bytes as f64 / self.bytes_per_cycle).max(1);
         let start = now.max(self.next_free);
         self.queueing_cycles += start - now;
         self.next_free = start + occupancy;
@@ -142,7 +142,7 @@ impl FabricLink {
         let end = start + occupancy;
         self.next_free = end;
         let unloaded_end = now as f64 + occupancy;
-        let delay = (end.ceil() - unloaded_end.ceil()).max(0.0) as Cycle;
+        let delay = ceil_cycles(end).saturating_sub(ceil_cycles(unloaded_end));
         self.queueing_cycles += delay;
         self.bytes_transferred += bytes;
         let idx = tenant as usize;

@@ -19,6 +19,8 @@
 //! * [`dram`] — a GDDR5-like DRAM model (banked timing, finite bandwidth).
 //! * [`l2`] — memory partition: L2 slice plus its DRAM channel.
 //! * [`interconnect`] — the SM↔partition interconnect (latency + bandwidth).
+//! * [`cycles`] — exact whole-cycle ceiling and rounding of float cycle
+//!   counts, shared by the bandwidth pipes here and the fleet's rate model.
 //!
 //! All components are deterministic and cycle-based: methods take the current
 //! cycle and return completion cycles, so a simulator driver (the `gpu-sim`
@@ -29,6 +31,7 @@
 
 pub mod addr;
 pub mod cache;
+pub mod cycles;
 pub mod dram;
 pub mod interconnect;
 pub mod l2;
@@ -41,6 +44,7 @@ pub use cache::{
     AccessOutcome, CacheAccess, CacheConfig, CacheStats, EvictedLine, ReplacementPolicy,
     SetAssocCache, WriteAllocPolicy, WritePolicy,
 };
+pub use cycles::{ceil_cycles, round_cycles};
 pub use dram::{Dram, DramConfig, DramStats};
 pub use interconnect::{
     CrossbarFabric, CrossbarStats, FabricDirectionStats, FabricStats, Interconnect,

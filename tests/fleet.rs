@@ -2,7 +2,10 @@
 //! seed purity, and a scaled-down run of the acceptance shape. Whole fleet
 //! results are pinned by digest in `tests/golden.rs`.
 
-use ciao_suite::fleet::{Calibration, Fleet, FleetRequest, TrafficSpec, FLEET_SCHEMA_VERSION};
+use ciao_suite::fleet::{
+    ArrivalRecord, Calibration, CompletionLedger, Fleet, FleetRequest, TrafficSpec,
+    FLEET_SCHEMA_VERSION,
+};
 
 #[test]
 fn traffic_generation_is_seed_pure() {
@@ -41,4 +44,15 @@ fn fleet_acceptance_shape_runs_and_reports() {
     assert!(res.fleet_stp > 0.0 && res.fleet_stp <= 8.0 + 1e-9);
     assert!(res.per_class.iter().any(|c| c.latency == "interactive"));
     assert!(res.per_class.iter().any(|c| c.latency == "batch"));
+}
+
+#[test]
+fn fleet_keeps_compact_records_per_job() {
+    // The two per-job stores of a fleet run: the arrival record kept until
+    // every job is placed, and the completion-ledger entry kept until the
+    // report is built. Whole completed-job records took 48 B.
+    let record = std::mem::size_of::<ArrivalRecord>();
+    assert!(record <= 24, "an arrival record takes {record} B, over 24 B");
+    let entry = CompletionLedger::bytes_per_job();
+    assert!(entry <= 18, "a completion-ledger entry takes {entry} B, over 18 B");
 }
